@@ -45,7 +45,6 @@ from .operators import (  # noqa: F401
 )
 from .solver import (  # noqa: F401
     SimConfig,
-    StepState,
     CflError,
     solve_nonlinear,
     solve_linearized,

@@ -334,11 +334,13 @@ def growth(config_path, output_dir, jobs, seed, quiet):
         traj, _ = solve_linearized(sim, initial_state=data)
         rate = measure_mode_growth(traj, [k])[k]
         expected = k * speed if sim.mu < 0 else 0.0
-        rel = abs(rate - expected) / max(abs(expected), 1e-30)
-        rows.append((float(k), rate, expected, rel))
+        err = abs(rate - expected)
+        # no relative error against a zero expected rate (mu >= 0)
+        rel = err / expected if expected else ""
+        rows.append((float(k), rate, expected, err, rel))
 
     resolved = {**cfg, "modes": modes, "epsilon": eps, "seed": sim.seed}
-    _write_csv(out / "rates.csv", ("k", "rate", "expected", "rel_err"),
+    _write_csv(out / "rates.csv", ("k", "rate", "expected", "abs_err", "rel_err"),
                rows, resolved, quiet)
     _write_json(out / "summary.json", {
         "command": "growth",

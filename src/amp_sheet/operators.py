@@ -10,6 +10,13 @@ The pointwise coefficient mu - 2 p_x decides the character of the
 linearized problem: positive keeps it hyperbolic, negative makes the
 initial value problem ill posed.
 
+N is evaluated by one fused kernel through the identity
+H[p_x^2] - [p; H]p_xx = H[p_x^2 + p p_xx] - p H[p_xx]: one batched inverse
+real FFT of (p, p_x, p_xx, H p_xx) on the 3/2-padded grid and one batched
+real FFT of the two products, on a field or on coefficient arrays with
+any leading batch axes.  Its derivatives and the linearized operator
+still compose the spectral primitives.
+
 Besides N and its first and second derivatives this module owns the
 Cauchy data container, time-sampled trajectories, the smooth compactly
 supported lifting of initial data, and the forcing series that turns the
@@ -19,11 +26,13 @@ lifted problem into one with zero trace in the past.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .spectral import (
     SpectralField,
+    _padded_size,
     commutator_vh,
     derivative,
     from_modes,
@@ -41,11 +50,22 @@ class LiftingError(RuntimeError):
 
 
 def _require_real_zero_mean(f, name):
-    if not f.real_flag:
-        raise ValueError(f"{name} must be a real field")
-    scale = 1.0 + float(np.max(np.abs(f.coeffs), initial=0.0))
-    if abs(f.coeff(0)) > 1e-9 * scale:
+    """Reject a field, or a coefficient array of any batch shape, that is
+    not real (flag and conjugate symmetry) or has a nonzero mean; both
+    tolerances are relative to 1 + max |c| over the whole input."""
+    if isinstance(f, SpectralField):
+        if not f.real_flag:
+            raise ValueError(f"{name} must be a real field")
+        c = f.coeffs
+    else:
+        c = np.asarray(f)
+    a = np.abs(c)
+    scale = 1.0 + a.max()
+    if a[..., c.shape[-1] // 2].max() > 1e-9 * scale:
         raise ValueError(f"{name} must have zero mean")
+    if np.abs(c - c[..., ::-1].conj()).max() > 1e-12 * scale:
+        raise ValueError(f"{name} is flagged real but its coefficients are "
+                         "not conjugate symmetric")
 
 
 def constant_field(grid, value):
@@ -157,30 +177,58 @@ class Trajectory:
         raise ValueError(f"index {i} out of range")
 
 
+@lru_cache(maxsize=64)
+def _fused_tables(n, dealias):
+    """Tables of the fused N(phi) kernel on an n-point grid.
+
+    Returns (m, up, down): the transform length (the 3/2-padded size when
+    dealiasing), the (4, n/2) symbols taking phi^(k), k = 0..n/2-1, to the
+    half spectra of (p, p_x, p_xx, H p_xx) with p = H phi, scaled for
+    synthesis on m points, and the (n/2,) symbol k * 2pi/m that takes the
+    half spectrum of a - i b back to N^(k).
+    """
+    m = _padded_size(n) if dealias else n
+    k = np.arange(n // 2, dtype=float)
+    up = np.array([-1j * np.sign(k), k, 1j * k**2, k**2]) * (m / _TWO_PI)
+    down = k * (_TWO_PI / m)
+    for a in (up, down):
+        a.flags.writeable = False
+    return m, up, down
+
+
 def quadratic_rhs(phi, dealias=True):
     """N(phi) = d/dx( H[p_x^2] - [p; H]p_xx ) with p = H[phi].
 
-    Input must be real with zero mean; the output is again real with zero
-    mean (it is an exact x-derivative).
+    `phi` is a real zero-mean SpectralField, or its coefficient array with
+    any leading batch axes (shape (..., n-1)); the result has the same
+    kind and shape, again real with zero mean (an exact x-derivative).
+
+    The kernel uses H[p_x^2] - [p; H]p_xx = H[a] - b with
+    a = p_x^2 + p p_xx and b = p H[p_xx]: one batched inverse real FFT
+    synthesizes (p, p_x, p_xx, H p_xx) on the m-point grid (m = 3n/2 when
+    dealiasing, so the retained band of both products is exact), and one
+    batched real FFT analyzes (a, b).  For k >= 0 the result is
+    N^(k) = k (a^(k) - i b^(k)); the k < 0 half follows by conjugate
+    symmetry, which is why the input must be conjugate symmetric.
     """
     _require_real_zero_mean(phi, "phi")
-    p = hilbert(phi)
-    px = derivative(p)
-    pxx = derivative(p, 2)
-    inner = hilbert(pointwise_product(px, px, dealias)) - commutator_vh(p, pxx, dealias)
-    return derivative(inner)
-
-
-def quadratic_rhs_alt(phi, dealias=True):
-    """Rearranged form d/dx( H[p^2]_xx / 2 + p * phi_xx ), p = H[phi].
-
-    Algebraically identical to quadratic_rhs; kept as an independent
-    evaluation route for cross-checks.
-    """
-    _require_real_zero_mean(phi, "phi")
-    p = hilbert(phi)
-    half_sq = 0.5 * derivative(hilbert(pointwise_product(p, p, dealias)), 2)
-    return derivative(half_sq + pointwise_product(p, derivative(phi, 2), dealias))
+    field = isinstance(phi, SpectralField)
+    c = phi.coeffs if field else np.asarray(phi)
+    n = c.shape[-1] + 1
+    half = n // 2
+    m, up, down = _fused_tables(n, dealias)
+    v = np.fft.irfft(c[..., None, half - 1:] * up, m)  # p, p_x, p_xx, H p_xx
+    p, px = v[..., 0, :], v[..., 1, :]
+    ab = np.empty(v.shape[:-2] + (2, m))
+    np.multiply(px, px, out=ab[..., 0, :])
+    ab[..., 0, :] += p * v[..., 2, :]
+    np.multiply(p, v[..., 3, :], out=ab[..., 1, :])
+    ab = np.fft.rfft(ab)
+    nk = down * (ab[..., 0, :half] - 1j * ab[..., 1, :half])
+    out = np.empty(c.shape, complex)
+    out[..., half - 1:] = nk
+    out[..., :half - 1] = nk[..., :0:-1].conj()
+    return SpectralField(phi.grid, out, True) if field else out
 
 
 def quadratic_rhs_derivative(phi0, phi, dealias=True):

@@ -1,11 +1,16 @@
 """Galerkin pseudospectral time integration.
 
 The state (phi, phi_t) is advanced with the classical fourth-order
-Runge-Kutta scheme on the modes |k| <= N (the Galerkin cutoff); the
-nonlinearity is evaluated pseudospectrally on a padded grid and projected
-back.  Two right-hand sides are provided: the full quadratically nonlinear
-equation, and its linearization around a prescribed time-dependent base
-profile with an optional forcing term.
+Runge-Kutta scheme on the Galerkin space, the zero-mean modes
+1 <= |k| <= N.  Each solver integrates one semidiscrete right-hand side,
+semidiscrete_rhs_nonlinear or semidiscrete_rhs_linearized, which
+projects its input and its output at every RK4 stage, so the stepped
+system is exactly the documented projected one and not only its node
+states are projected.  The nonlinearity is evaluated pseudospectrally on
+the 3/2-padded grid (one inverse and one forward real FFT per call, see
+operators.quadratic_rhs).  The two systems are the full quadratically
+nonlinear equation, and its linearization around a prescribed
+time-dependent base profile with an optional forcing term.
 
 Both solvers return the trajectory together with a monitor dictionary
 holding the node times, the pointwise minimum of the stability
@@ -20,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -31,7 +37,7 @@ from .operators import (
     quadratic_rhs,
     stability_coefficient,
 )
-from .spectral import SpectralField, TorusGrid, derivative, zeros
+from .spectral import SpectralField, TorusGrid, zeros
 
 BLOW_UP_THRESHOLD = 1e12
 
@@ -83,8 +89,17 @@ class SimConfig:
         return self.cfl_safety / (self.galerkin_N * math.sqrt(max(1.0, sup_c2)))
 
 
-def _band_mask(grid, cutoff):
-    return (np.abs(grid.modes) <= cutoff).astype(float)
+@lru_cache(maxsize=64)
+def _galerkin_tables(n, cutoff):
+    """The projection onto the Galerkin space, zero-mean trigonometric
+    polynomials of degree <= cutoff, as a 0/1 mask over the band, and the
+    symbol -k^2 of d^2/dx^2."""
+    k = TorusGrid(n).modes
+    mask = ((np.abs(k) >= 1) & (np.abs(k) <= cutoff)).astype(float)
+    lap = -(k.astype(float) ** 2)
+    for a in (mask, lap):
+        a.flags.writeable = False
+    return mask, lap
 
 
 def _lagrange_weights(nodes, t):
@@ -161,70 +176,61 @@ def field_evaluator(source, grid, t_final=None):
     raise TypeError(f"cannot interpret {type(source).__name__} as a field source")
 
 
-@dataclass(frozen=True)
-class StepState:
-    """The pair (phi, phi_t) as coefficient vectors at one instant."""
-
-    phi_hat: np.ndarray
-    phit_hat: np.ndarray
-
-
 def semidiscrete_rhs_nonlinear(state, cfg):
     """Galerkin right-hand side of the nonlinear system.
 
-    Returns the state derivative (phi_t, P_N[mu phi_xx + N(phi)]); the
-    input is projected to the cutoff first so out-of-band junk cannot
-    leak through the product terms.
+    Maps the pair (phi_hat, phi_t_hat) to (P phi_t, P[mu phi_xx + N(P phi)]),
+    P the projection onto the zero-mean band 1 <= |k| <= N; the input is
+    projected first so out-of-band junk cannot leak through the product
+    terms.
     """
-    grid = TorusGrid(cfg.grid_n)
-    mask = _band_mask(grid, cfg.galerkin_N)
-    phi = SpectralField(grid, mask * np.asarray(state.phi_hat, complex), True)
-    out = cfg.mu * derivative(phi, 2) + quadratic_rhs(phi, cfg.dealias)
-    return StepState(mask * np.asarray(state.phit_hat, complex), mask * out.coeffs)
+    phi_hat, phit_hat = state
+    mask, lap = _galerkin_tables(cfg.grid_n, cfg.galerkin_N)
+    phi = mask * phi_hat
+    acc = cfg.mu * lap * phi + quadratic_rhs(phi, cfg.dealias)
+    return mask * phit_hat, mask * acc
 
 
 def semidiscrete_rhs_linearized(state, phi0_at_t, g_at_t, cfg):
     """Galerkin right-hand side of the linearization at the frozen base
-    phi0_at_t with forcing g_at_t, both fields at a single instant."""
-    grid = TorusGrid(cfg.grid_n)
-    mask = _band_mask(grid, cfg.galerkin_N)
-    phi = SpectralField(grid, mask * np.asarray(state.phi_hat, complex), True)
-    out = apply_linearized_operator(phi0_at_t, phi, cfg.mu, cfg.dealias) + g_at_t
-    return StepState(mask * np.asarray(state.phit_hat, complex), mask * out.coeffs)
+    phi0_at_t with forcing g_at_t, both fields at a single instant; the
+    pair in and out as in semidiscrete_rhs_nonlinear."""
+    phi_hat, phit_hat = state
+    mask, _ = _galerkin_tables(cfg.grid_n, cfg.galerkin_N)
+    phi = SpectralField(phi0_at_t.grid, mask * phi_hat, True)
+    out = apply_linearized_operator(phi0_at_t, phi, cfg.mu, cfg.dealias)
+    return mask * phit_hat, mask * (out.coeffs + g_at_t.coeffs)
 
 
-def rk4_step(t, dt, phi, phit, accel, a1=None):
-    """One classical RK4 step of phi_tt = accel(t, phi).
-
-    `accel` maps (t, phi_hat) to phi_tt_hat; the velocity equation is
-    structural.  `a1` may pass in a precomputed accel(t, phi).
-    """
-    if a1 is None:
-        a1 = accel(t, phi)
-    v2 = phit + 0.5 * dt * a1
-    a2 = accel(t + 0.5 * dt, phi + 0.5 * dt * phit)
-    v3 = phit + 0.5 * dt * a2
-    a3 = accel(t + 0.5 * dt, phi + 0.5 * dt * v2)
-    v4 = phit + dt * a3
-    a4 = accel(t + dt, phi + dt * v3)
-    phi_new = phi + (dt / 6.0) * (phit + 2.0 * v2 + 2.0 * v3 + v4)
-    phit_new = phit + (dt / 6.0) * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
-    return phi_new, phit_new
+def rk4_step(t, dt, state, rhs, k1=None):
+    """One classical RK4 step of y' = rhs(t, y) for a pair y = (phi, phi_t)
+    of coefficient arrays; returns the new pair.  `k1` may pass in a
+    precomputed rhs(t, state)."""
+    phi, phit = state
+    h = 0.5 * dt
+    if k1 is None:
+        k1 = rhs(t, state)
+    k2 = rhs(t + h, (phi + h * k1[0], phit + h * k1[1]))
+    k3 = rhs(t + h, (phi + h * k2[0], phit + h * k2[1]))
+    k4 = rhs(t + dt, (phi + dt * k3[0], phit + dt * k3[1]))
+    w = dt / 6.0
+    return (phi + w * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0]),
+            phit + w * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1]))
 
 
-def _march(cfg, grid, accel, phi, phit, stability_source, abort_on_stability):
+def _march(cfg, grid, rhs, phi, phit, stability_source, abort_on_stability):
     """Shared stepping loop.  Returns (Trajectory, monitor).
 
-    `stability_source(t, phi_hat)` supplies the field whose coefficient
-    mu - 2 (H .)_x is monitored: the state itself for the nonlinear
-    equation, the base profile for the linearized one.
+    `rhs(t, state)` is the projected semidiscrete right-hand side, so
+    every RK4 stage, not only the accepted node, lies in the Galerkin
+    space.  `stability_source(t, phi_hat)` supplies the field whose
+    coefficient mu - 2 (H .)_x is monitored: the state itself for the
+    nonlinear equation, the base profile for the linearized one.
     """
-    mask = _band_mask(grid, cfg.galerkin_N)
-    i0 = grid.n // 2 - 1  # band index of the k = 0 mode
+    mask, _ = _galerkin_tables(grid.n, cfg.galerkin_N)
     m = cfg.num_steps()
     times = np.arange(m + 1) * cfg.dt
-    phi = mask * np.asarray(phi, complex)
-    phit = mask * np.asarray(phit, complex)
+    state = (mask * np.asarray(phi, complex), mask * np.asarray(phit, complex))
 
     flags = []
     if cfg.mu <= 0:
@@ -234,14 +240,15 @@ def _march(cfg, grid, accel, phi, phit, stability_source, abort_on_stability):
     kept = 0
     for i, t in enumerate(times):
         t = float(t)
+        phi, phit = state
         mon = stability_source(t, phi)
         vals, mn = stability_coefficient(mon, cfg.mu)
-        a1 = accel(t, phi)
+        k1 = rhs(t, state)
         phis.append(SpectralField(grid, phi, True))
         phits.append(SpectralField(grid, phit, True))
-        # store the projected acceleration so the recorded second
-        # derivative is exactly the Galerkin right-hand side at the node
-        phitts.append(SpectralField(grid, mask * a1, True))
+        # the recorded second derivative is exactly the Galerkin
+        # right-hand side at the node
+        phitts.append(SpectralField(grid, k1[1], True))
         stab.append(mn)
         kept = i + 1
 
@@ -261,11 +268,7 @@ def _march(cfg, grid, accel, phi, phit, stability_source, abort_on_stability):
                 f"dt = {cfg.dt:.6g} exceeds the CFL limit {limit:.6g} "
                 f"at t = {t:.6g} (N = {cfg.galerkin_N})"
             )
-        phi, phit = rk4_step(t, cfg.dt, phi, phit, accel, a1)
-        phi = mask * phi
-        phit = mask * phit
-        phi[i0] = 0.0
-        phit[i0] = 0.0
+        state = rk4_step(t, cfg.dt, state, rhs, k1)
 
     traj = Trajectory(times[:kept], phis, phits, phitts)
     monitor = {
@@ -292,17 +295,12 @@ def solve_nonlinear(cfg, data):
             f"initial data violates the stability margin: min {mn:.6g} < delta {cfg.delta:.6g}"
         )
 
-    def accel(t, phi_hat):
-        f = SpectralField(grid, phi_hat, True)
-        out = cfg.mu * derivative(f, 2) + quadratic_rhs(f, cfg.dealias)
-        return out.coeffs
-
     def monitor_field(t, phi_hat):
         return SpectralField(grid, phi_hat, True)
 
     return _march(
-        cfg, grid, accel, data.phi0.coeffs, data.phi1.coeffs,
-        monitor_field, abort_on_stability=True,
+        cfg, grid, lambda t, y: semidiscrete_rhs_nonlinear(y, cfg),
+        data.phi0.coeffs, data.phi1.coeffs, monitor_field, abort_on_stability=True,
     )
 
 
@@ -326,15 +324,13 @@ def solve_linearized(cfg, base=None, forcing=None, initial_state=None):
         phi0 = initial_state.phi0.coeffs
         phi1 = initial_state.phi1.coeffs
 
-    def accel(t, phi_hat):
-        f = SpectralField(grid, phi_hat, True)
-        out = apply_linearized_operator(base_eval(t), f, cfg.mu, cfg.dealias) + g_eval(t)
-        return out.coeffs
+    def rhs(t, state):
+        return semidiscrete_rhs_linearized(state, base_eval(t), g_eval(t), cfg)
 
     def monitor_field(t, phi_hat):
         return base_eval(t)
 
-    return _march(cfg, grid, accel, phi0, phi1, monitor_field, abort_on_stability=False)
+    return _march(cfg, grid, rhs, phi0, phi1, monitor_field, abort_on_stability=False)
 
 
 def measure_mode_growth(traj, modes):

@@ -1,13 +1,26 @@
 """Slow, independent reference computations used to pin expected values.
 
-Everything here works on plain dictionaries {k: coefficient} and deliberately
-avoids the package's FFT paths: coefficients come from O(n^2) quadrature sums,
-products from the literal convolution formula, and the quadratic right-hand
-side from composing those pieces.  Tests freeze values produced by these
-routines (or closed forms derived by hand) and hold the package against them.
+Most of what is here works on plain dictionaries {k: coefficient} and
+deliberately avoids the package's FFT paths: coefficients come from O(n^2)
+quadrature sums, products from the literal convolution formula, and the
+quadratic right-hand side from composing those pieces.  Tests freeze values
+produced by these routines (or closed forms derived by hand) and hold the
+package against them.
+
+The last two routines run at production sizes instead.  They are built from
+the package's spectral primitives (complex FFTs, one dealiased product at a
+time) but not from its fused N(phi) kernel or its time stepper, so the
+kernel and the solvers can be held against them.
 """
 
 import numpy as np
+
+from amp_sheet.spectral import (
+    SpectralField,
+    derivative,
+    hilbert,
+    pointwise_product,
+)
 
 TWO_PI = 2.0 * np.pi
 
@@ -114,3 +127,47 @@ def coeffs_cos(k, amplitude=1.0):
 
 def coeffs_sin(k, amplitude=1.0):
     return {k: -1j * np.pi * amplitude, -k: 1j * np.pi * amplitude}
+
+
+def quadratic_rhs_alt(phi, dealias=True):
+    """N(phi) in the rearranged form d/dx( H[p^2]_xx / 2 + p * phi_xx ),
+    p = H[phi].
+
+    Algebraically identical to the package's quadratic_rhs, but evaluated
+    by a different route: other products, each through its own complex
+    FFTs.  With dealiasing, or without it for bandwidth at most n/4, the
+    two agree to round-off.
+    """
+    p = hilbert(phi)
+    half_sq = 0.5 * derivative(hilbert(pointwise_product(p, p, dealias)), 2)
+    return derivative(half_sq + pointwise_product(p, derivative(phi, 2), dealias))
+
+
+def projected_rk4(phi, phit, accel, cutoff, dt, steps):
+    """Classical RK4 for phi_tt = accel(t, phi) on the Galerkin space
+    1 <= |k| <= cutoff, written out stage by stage: every stage's input
+    and every stage's acceleration are projected, not only the nodes.
+
+    `phi`, `phit` are real fields; `accel(t, phi_field)` returns a field.
+    Returns the final (phi, phit) coefficient arrays.
+    """
+    grid = phi.grid
+    k = np.abs(grid.modes)
+    mask = ((k >= 1) & (k <= cutoff)).astype(float)
+
+    def a(t, c):
+        return mask * accel(t, SpectralField(grid, mask * c, True)).coeffs
+
+    x, v = mask * phi.coeffs, mask * phit.coeffs
+    for i in range(steps):
+        t = i * dt
+        a1 = a(t, x)
+        a2 = a(t + dt / 2, x + dt / 2 * v)
+        v2 = v + dt / 2 * a1
+        a3 = a(t + dt / 2, x + dt / 2 * v2)
+        v3 = v + dt / 2 * a2
+        a4 = a(t + dt, x + dt * v3)
+        v4 = v + dt * a3
+        x = x + dt / 6 * (v + 2 * v2 + 2 * v3 + v4)
+        v = v + dt / 6 * (a1 + 2 * a2 + 2 * a3 + a4)
+    return x, v

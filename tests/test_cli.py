@@ -151,6 +151,25 @@ class TestGrowth:
         assert summary["rates"]["4"] == pytest.approx(4.0, rel=0.05)
         assert summary["rates"]["8"] == pytest.approx(8.0, rel=0.05)
 
+    def test_hyperbolic_rates_have_no_relative_error(self, runner, tmp_path):
+        # mu = 1: the expected rate is 0, so the error is absolute only
+        cfg = write_config(tmp_path, "c.json", {
+            "mu": 1.0, "delta": 0.9, "grid_n": 32, "galerkin_N": 10,
+            "dt": 0.002, "t_final": 0.5, "modes": [4, 8], "epsilon": 1e-6,
+        })
+        dest = tmp_path / "o"
+        out = runner.invoke(main, ["growth", "--config", cfg,
+                                   "--output", str(dest), "--quiet"])
+        assert out.exit_code == 0
+        lines = [ln for ln in (dest / "rates.csv").read_text().splitlines()
+                 if not ln.startswith("#")]
+        assert lines[0] == "k,rate,expected,abs_err,rel_err"
+        for line in lines[1:]:
+            k, rate, expected, abs_err, rel_err = line.split(",")
+            assert float(expected) == 0.0
+            assert float(abs_err) == abs(float(rate))
+            assert rel_err == ""
+
     def test_mode_outside_band_rejected(self, runner, tmp_path):
         cfg = write_config(tmp_path, "c.json", {
             "mu": -1.0, "delta": 0.9, "grid_n": 32, "galerkin_N": 8,

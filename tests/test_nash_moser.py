@@ -156,18 +156,40 @@ class TestIterate:
         assert rep.stability_mins[-1] < 0.495
         assert not rep.converged
 
-    def test_divergence_detector(self):
-        # strong forcing stalls the sweep at the discretization floor and
-        # the residual then creeps upward, which is exactly what the
-        # three-increase rule is there to catch
-        sim = SimConfig(mu=4.0, delta=2.0, grid_n=32, galerkin_N=8,
-                        dt=2e-3, t_final=1.0, gamma=1.0)
-        data = CauchyData(cosine(GRID, 1, 0.8), zeros(GRID))
+    def test_divergence_detector(self, monkeypatch):
+        # a correction applied with the wrong sign roughly doubles the
+        # residual every sweep, which is what the three-increase rule is
+        # there to catch
+        cut = nm.smooth_cutoff
+
+        def flipped(obj, theta):
+            v = cut(obj, theta)
+            return Trajectory(v.times, [-f for f in v.phis], [-f for f in v.phits],
+                              [-f for f in v.phitts])
+
+        monkeypatch.setattr(nm, "smooth_cutoff", flipped)
+        data = CauchyData(cosine(GRID, 1, 0.01), zeros(GRID))
         with pytest.raises(IterationDiverged) as exc:
-            iterate(IterationConfig(sim=sim, max_iters=8), data)
+            iterate(IterationConfig(sim=small_sim(t_final=0.2), max_iters=8), data)
         rs = exc.value.report.residual_norms
         assert len(rs) >= 4
         assert rs[-1] > rs[-2] > rs[-3] > rs[-4]
+
+    def test_floor_stall_is_not_divergence(self):
+        # strong forcing stalls the sweep at the discretization floor: the
+        # residual left outside the Galerkin band.  The linearized solves
+        # step the projected system at every stage, so once the in-band
+        # residual is gone the corrections vanish and the residual stays
+        # flat instead of creeping upward; the run ends unconverged
+        sim = SimConfig(mu=4.0, delta=2.0, grid_n=32, galerkin_N=8,
+                        dt=2e-3, t_final=1.0, gamma=1.0)
+        data = CauchyData(cosine(GRID, 1, 0.8), zeros(GRID))
+        _, rep = iterate(IterationConfig(sim=sim, max_iters=6), data)
+        assert not rep.converged and rep.iterations == 6
+        rs = rep.residual_norms
+        assert rs[-1] > 1e-3
+        assert max(rs[-3:]) - min(rs[-3:]) <= 1e-12 * rs[-1]
+        assert max(rep.correction_norms[-2:]) < 1e-10
 
 
 class TestIterateAuto:
