@@ -36,7 +36,6 @@ from .operators import (  # noqa: F401
     quadratic_rhs,
     quadratic_rhs_derivative,
     second_derivative,
-    linearized_parts,
     apply_linearized_operator,
     stability_coefficient,
     evolution_residual,

@@ -28,9 +28,9 @@ import numpy as np
 from .operators import (
     FieldSeries,
     Trajectory,
+    apply_linearized_operator,
     build_lifting,
     lifting_forcing,
-    linearized_parts,
     second_derivative,
     stability_coefficient,
 )
@@ -50,6 +50,10 @@ from .solver import field_evaluator, solve_linearized
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
 IDENTITY_TOL = 1e-11
+
+#: time nodes per linearized-kernel call in apply_linearized; bounds the
+#: kernel's temporaries on long trajectories
+_NODE_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -112,13 +116,42 @@ def _ratio(lhs, rhs):
     return 0.0 if lhs == 0 else float("inf")
 
 
+def _stack(fields):
+    """The coefficients of a sequence of fields as one (T, n-1) array."""
+    return np.array([f.coeffs for f in fields])
+
+
+def _sample(source, grid, times):
+    """A base or forcing source (anything field_evaluator takes) at `times`,
+    as a (T, n-1) coefficient array."""
+    at = field_evaluator(source, grid)
+    return _stack([at(float(t)) for t in times])
+
+
 def _series(obj):
-    """(times, fields) from a FieldSeries or a Trajectory (its phi part)."""
+    """(times, (T, n-1) coefficients) of a FieldSeries or of a Trajectory
+    (its phi part)."""
     if isinstance(obj, Trajectory):
-        return obj.times, obj.phis
-    if isinstance(obj, FieldSeries):
-        return obj.times, obj.fields
-    raise TypeError(f"expected FieldSeries or Trajectory, got {type(obj).__name__}")
+        fields = obj.phis
+    elif isinstance(obj, FieldSeries):
+        fields = obj.fields
+    else:
+        raise TypeError(f"expected FieldSeries or Trajectory, got {type(obj).__name__}")
+    if len(fields) == 0:
+        raise ValueError("empty trajectory")
+    return obj.times, _stack(fields)
+
+
+def _dx(coeffs):
+    """x-derivative of (..., n-1) coefficient arrays, symbol i k."""
+    return (1j * TorusGrid(coeffs.shape[-1] + 1).modes) * coeffs
+
+
+def _sobolev_sq(coeffs, s):
+    """Squared H^s norms (the sobolev_norm weight) of the rows of (..., n-1)
+    coefficient arrays."""
+    w = (1.0 + np.abs(TorusGrid(coeffs.shape[-1] + 1).modes)) ** (2.0 * s)
+    return np.sum(w * np.abs(coeffs) ** 2, axis=-1) / (2.0 * np.pi)
 
 
 def _check_horizon(times, spec):
@@ -128,40 +161,39 @@ def _check_horizon(times, spec):
             raise ValueError("evaluation mesh lies outside the horizon")
 
 
-def _check_zero_trace(times, field_lists, tol=1e-12):
-    """Domain check for the zero-trace spaces: samples at t < 0 must vanish."""
-    peak = 0.0
-    for fields in field_lists:
-        for f in fields:
-            peak = max(peak, float(np.max(np.abs(f.coeffs))))
-    bound = tol * max(1.0, peak)
-    for fields in field_lists:
-        for t, f in zip(times, fields):
-            if t < 0 and np.max(np.abs(f.coeffs)) > bound:
-                raise ValueError(f"nonzero trace at t = {t:.6g} < 0")
+def _check_zero_trace(times, stacks, tol=1e-12):
+    """Domain check for the zero-trace spaces: samples at t < 0 must vanish.
+
+    `stacks` are (T, n-1) coefficient arrays on the mesh `times`."""
+    peaks = [np.max(np.abs(c), axis=-1) for c in stacks]
+    bound = tol * max(1.0, *(float(np.max(p)) for p in peaks))
+    for peak in peaks:
+        bad = (times < 0) & (peak > bound)
+        if bad.any():
+            raise ValueError(f"nonzero trace at t = {times[np.argmax(bad)]:.6g} < 0")
+
+
+def _weighted_l2(times, coeffs, spec, m):
+    """weighted_l2_norm of the (T, n-1) coefficient rows on the mesh `times`."""
+    _check_horizon(times, spec)
+    if len(times) == 1:
+        return 0.0
+    vals = np.exp(-2.0 * spec.gamma * times) * _sobolev_sq(coeffs, m)
+    return float(np.sqrt(_trapezoid(vals, times)))
 
 
 def weighted_l2_norm(obj, spec, m):
     """|| e^{-gamma t} f(t) ||_{L2_t H^m_x} by trapezoid quadrature."""
-    times, fields = _series(obj)
-    if len(fields) == 0:
-        raise ValueError("empty trajectory")
-    _check_horizon(times, spec)
-    vals = [
-        np.exp(-2.0 * spec.gamma * t) * sobolev_norm(f, m) ** 2
-        for t, f in zip(times, fields)
-    ]
-    if len(vals) == 1:
-        return 0.0
-    return float(np.sqrt(_trapezoid(vals, times)))
+    return _weighted_l2(*_series(obj), spec, m)
+
+
+def _sup_sobolev(coeffs, m):
+    return float(np.sqrt(np.max(_sobolev_sq(coeffs, m))))
 
 
 def sup_sobolev_norm(obj, m):
     """max over the mesh of the H^m norm (the L-infinity-in-time norm)."""
-    _, fields = _series(obj)
-    if len(fields) == 0:
-        raise ValueError("empty trajectory")
-    return float(max(sobolev_norm(f, m) for f in fields))
+    return _sup_sobolev(_series(obj)[1], m)
 
 
 def xm_norm(traj, spec, m):
@@ -172,13 +204,13 @@ def xm_norm(traj, spec, m):
     differencing of the stored phi_t snapshots.  Returns the three pieces
     and the combined value.
     """
-    _check_zero_trace(traj.times, [traj.phis, traj.phits])
-    phix = FieldSeries(traj.times, [derivative(p) for p in traj.phis])
-    phit = FieldSeries(traj.times, list(traj.phits))
-    phitt = FieldSeries(traj.times, [traj.phit_derivative(i) for i in range(len(traj))])
-    px = weighted_l2_norm(phix, spec, m + 1)
-    pt = weighted_l2_norm(phit, spec, m + 1)
-    ptt = weighted_l2_norm(phitt, spec, m)
+    times = traj.times
+    phis, phits = _stack(traj.phis), _stack(traj.phits)
+    _check_zero_trace(times, [phis, phits])
+    phitt = _stack([traj.phit_derivative(i) for i in range(len(traj))])
+    px = _weighted_l2(times, _dx(phis), spec, m + 1)
+    pt = _weighted_l2(times, phits, spec, m + 1)
+    ptt = _weighted_l2(times, phitt, spec, m)
     return {
         "phix": px,
         "phit": pt,
@@ -189,9 +221,9 @@ def xm_norm(traj, spec, m):
 
 def ym_norm(obj, spec, m):
     """Forcing-space norm: the weighted L2 H^m norm of a zero-trace series."""
-    times, fields = _series(obj)
-    _check_zero_trace(times, [fields])
-    return weighted_l2_norm(obj, spec, m)
+    times, coeffs = _series(obj)
+    _check_zero_trace(times, [coeffs])
+    return _weighted_l2(times, coeffs, spec, m)
 
 
 # ---------------------------------------------------------------------------
@@ -230,27 +262,29 @@ def apply_linearized(phi0, traj, mu, dealias=True):
     """Reconstruct g = L'[phi0] phi' on the interior mesh nodes.
 
     phi'_tt comes from the centered second difference of the phi
-    snapshots, the spatial part from the coefficient/lower-order split, so
-    the reconstruction error is O(dt^2) plus truncation.
+    snapshots, the spatial part from the fused linearized kernel, applied
+    to _NODE_BLOCK interior nodes per call, so the reconstruction error is
+    O(dt^2) plus truncation.
     """
     if len(traj) < 3:
         raise ValueError("need at least three nodes to difference phi_tt")
-    base = field_evaluator(phi0, traj.grid)
-    times = traj.times[1:-1]
+    grid, dt, last = traj.grid, traj.dt, len(traj) - 1
+    base = field_evaluator(phi0, grid)
+    phis = _stack(traj.phis)
     fields = []
-    for i, t in enumerate(times, start=1):
-        phi = traj.phis[i]
-        c2, lower = linearized_parts(base(float(t)), phi, mu, dealias)
-        spatial = pointwise_product(c2, derivative(phi, 2), dealias) + lower
-        fields.append(traj.second_difference(i) - spatial)
-    return FieldSeries(times, fields)
+    for s in range(1, last, _NODE_BLOCK):
+        e = min(s + _NODE_BLOCK, last)
+        phitt = (1.0 / dt**2) * (phis[s - 1:e - 1] - 2.0 * phis[s:e] + phis[s + 1:e + 1])
+        base_rows = _stack([base(float(t)) for t in traj.times[s:e]])
+        g = phitt - apply_linearized_operator(base_rows, phis[s:e], mu, dealias)
+        fields.extend(SpectralField(grid, row, True) for row in g)
+    return FieldSeries(traj.times[1:-1], fields)
 
 
-def _check_base_stability(base, times, mu, delta, threshold_factor=0.5):
-    worst = np.inf
-    for t in times:
-        _, mn = stability_coefficient(base(float(t)), mu)
-        worst = min(worst, mn)
+def _check_base_stability(base, mu, delta, threshold_factor=0.5):
+    """Minimum of the stability coefficient over the (T, n-1) base rows;
+    raises if it falls below threshold_factor * delta."""
+    _, worst = stability_coefficient(base, mu)
     if worst < threshold_factor * delta - 1e-10:
         raise ValueError(
             f"base profile violates the stability margin: min {worst:.6g} "
@@ -266,19 +300,18 @@ def verify_energy_estimate(phi0, traj, mu, delta, gamma, dealias=True, seed=0):
     g is reconstructed by applying the assembled linearized operator to
     the trajectory; pass allows a 5 percent quadrature margin.
     """
-    grid = traj.grid
-    base = field_evaluator(phi0, grid)
-    _check_base_stability(base, traj.times, mu, delta)
-    _check_zero_trace(traj.times, [traj.phis, traj.phits])
+    times = traj.times
+    _check_base_stability(_sample(phi0, traj.grid, times), mu, delta)
+    phis, phits = _stack(traj.phis), _stack(traj.phits)
+    _check_zero_trace(times, [phis, phits])
     spec = WeightedNormSpec(gamma)
-    g = apply_linearized(phi0, traj, mu, dealias)
-    interior = slice(1, -1)
-    phit = FieldSeries(traj.times[interior], traj.phits[interior])
-    phix = FieldSeries(traj.times[interior], [derivative(p) for p in traj.phis[interior]])
-    c0 = 2.0 / min(1.0, delta)
     lhs = gamma * (
-        weighted_l2_norm(phit, spec, 0) ** 2 + weighted_l2_norm(phix, spec, 0) ** 2
+        _weighted_l2(times[1:-1], phits[1:-1], spec, 0) ** 2
+        + _weighted_l2(times[1:-1], _dx(phis[1:-1]), spec, 0) ** 2
     )
+    del phis, phits  # only g is needed from here on; keeps the peak low
+    c0 = 2.0 / min(1.0, delta)
+    g = apply_linearized(phi0, traj, mu, dealias)
     rhs = (c0 / gamma) * weighted_l2_norm(g, spec, 0) ** 2
     return EstimateReport(
         estimate_id="energy",
@@ -305,23 +338,17 @@ def verify_tame_estimate(phi0, forcing, cfg, m, seed=0):
     if m < 1:
         raise ValueError("m must be at least 1")
     traj, monitor = solve_linearized(cfg, base=phi0, forcing=forcing)
-    grid = traj.grid
-    gamma = cfg.gamma
+    times, gamma = traj.times, cfg.gamma
     spec = WeightedNormSpec(gamma)
-    base = field_evaluator(phi0, grid)
-    g_eval = field_evaluator(forcing, grid)
-    g = FieldSeries(traj.times, [g_eval(float(t)) for t in traj.times])
-
-    phit = FieldSeries(traj.times, list(traj.phits))
-    phix = FieldSeries(traj.times, [derivative(p) for p in traj.phis])
+    g = _sample(forcing, traj.grid, times)
     lhs = gamma * (
-        weighted_l2_norm(phit, spec, m) ** 2 + weighted_l2_norm(phix, spec, m) ** 2
+        _weighted_l2(times, _stack(traj.phits), spec, m) ** 2
+        + _weighted_l2(times, _dx(_stack(traj.phis)), spec, m) ** 2
     )
-    base_x = FieldSeries(traj.times, [derivative(base(float(t))) for t in traj.times])
-    sup_base = sup_sobolev_norm(base_x, m + 2)
+    sup_base = _sup_sobolev(_dx(_sample(phi0, traj.grid, times)), m + 2)
     rhs = (1.0 / gamma) * (
-        sup_base**2 * weighted_l2_norm(g, spec, 2) ** 2
-        + weighted_l2_norm(g, spec, m) ** 2
+        sup_base**2 * _weighted_l2(times, g, spec, 2) ** 2
+        + _weighted_l2(times, g, spec, m) ** 2
     )
     c_emp = _ratio(lhs, rhs)
     return EstimateReport(
@@ -347,22 +374,16 @@ def verify_phitt_estimate(phi0, traj, forcing, mu, gamma, m, seed=0):
     """
     if m < 1:
         raise ValueError("m must be at least 1")
-    grid = traj.grid
-    spec = WeightedNormSpec(gamma)
-    base = field_evaluator(phi0, grid)
-    g_eval = field_evaluator(forcing, grid)
     times = traj.times
-    g = FieldSeries(times, [g_eval(float(t)) for t in times])
-    phitt = FieldSeries(times, [traj.phit_derivative(i) for i in range(len(traj))])
-    phix = FieldSeries(times, [derivative(p) for p in traj.phis])
-    base_fields = FieldSeries(times, [base(float(t)) for t in times])
-    base_x = FieldSeries(times, [derivative(f) for f in base_fields.fields])
-
-    lhs = weighted_l2_norm(phitt, spec, m - 1)
+    spec = WeightedNormSpec(gamma)
+    base = _sample(phi0, traj.grid, times)
+    phix = _dx(_stack(traj.phis))
+    phitt = _stack([traj.phit_derivative(i) for i in range(len(traj))])
+    lhs = _weighted_l2(times, phitt, spec, m - 1)
     rhs = (
-        weighted_l2_norm(phix, spec, m) * (1.0 + sup_sobolev_norm(base_fields, 3))
-        + sup_sobolev_norm(base_x, m) * weighted_l2_norm(phix, spec, 2)
-        + weighted_l2_norm(g, spec, m - 1)
+        _weighted_l2(times, phix, spec, m) * (1.0 + _sup_sobolev(base, 3))
+        + _sup_sobolev(_dx(base), m) * _weighted_l2(times, phix, spec, 2)
+        + _weighted_l2(times, _sample(forcing, traj.grid, times), spec, m - 1)
     )
     c1 = _ratio(lhs, rhs)
     return EstimateReport(
@@ -395,14 +416,11 @@ def verify_second_derivative_estimate(phi_series, psi_series, gamma, m, seed=0):
 
     def both_sides(sel):
         times = t1[sel]
-        d2 = FieldSeries(times, [second_derivative(p, q) for p, q in
-                                 zip(phis[sel], psis[sel])])
-        phix = FieldSeries(times, [derivative(p) for p in phis[sel]])
-        psix = FieldSeries(times, [derivative(q) for q in psis[sel]])
-        lhs = weighted_l2_norm(d2, spec, m)
+        phix, psix = _dx(phis[sel]), _dx(psis[sel])
+        lhs = _weighted_l2(times, second_derivative(phis[sel], psis[sel]), spec, m)
         rhs = (
-            weighted_l2_norm(phix, spec, m + 1) * sup_sobolev_norm(psix, 2)
-            + weighted_l2_norm(psix, spec, m + 1) * sup_sobolev_norm(phix, 2)
+            _weighted_l2(times, phix, spec, m + 1) * _sup_sobolev(psix, 2)
+            + _weighted_l2(times, psix, spec, m + 1) * _sup_sobolev(phix, 2)
         )
         return lhs, rhs
 

@@ -29,7 +29,7 @@ from .operators import (
     stability_coefficient,
 )
 from .solver import SimConfig, field_evaluator, solve_linearized
-from .spectral import SpectralField, TorusGrid, derivative, zeros
+from .spectral import SpectralField, TorusGrid
 from .analysis import WeightedNormSpec, xm_norm, ym_norm
 
 __all__ = [
@@ -196,33 +196,29 @@ def iterate(cfg, data):
     lift = build_lifting(data, sim.mu, sim.delta)
     steps = sim.num_steps()
     times = np.arange(steps + 1) * sim.dt
-    lift_states = [lift.at(float(t)) for t in times]
-    forcing_a = lifting_forcing(lift, sim.mu, times)
+    lift_states = lift.states(times)  # phi^a and its time derivatives, (T, n-1) each
+    phi_a = lift_states[0]
+    n_a = quadratic_rhs(phi_a, sim.dealias)
+    forcing_a = np.array([f.coeffs for f in lifting_forcing(lift, sim.mu, times).fields])
+    lap = -(grid.modes.astype(float) ** 2)
 
-    z = zeros(grid)
-    u_phis = [z] * len(times)
-    u_phits = [z] * len(times)
-    u_phitts = [z] * len(times)
+    # the correction u and its first two time derivatives on the mesh
+    u = [np.zeros_like(phi_a) for _ in range(3)]
 
     spec = WeightedNormSpec(sim.gamma)
     theta = cfg.theta0
     report = IterationReport(metadata=_metadata(cfg))
 
+    def fields(rows):
+        return [SpectralField(grid, row, True) for row in rows]
+
     for _ in range(cfg.max_iters + 1):
-        # residual of L[u] = F^a and stability of phi^a + u, node by node
-        r_fields = []
-        stab_min = np.inf
-        for i in range(len(times)):
-            phi_a = lift_states[i][0]
-            phi_tot = phi_a + u_phis[i]
-            _, mn = stability_coefficient(phi_tot, sim.mu)
-            stab_min = min(stab_min, mn)
-            nonlin = quadratic_rhs(phi_tot, sim.dealias) - quadratic_rhs(
-                phi_a, sim.dealias
-            )
-            applied = u_phitts[i] - sim.mu * derivative(u_phis[i], 2) - nonlin
-            r_fields.append(forcing_a.fields[i] - applied)
-        r_series = FieldSeries(times, r_fields)
+        # residual of L[u] = F^a and stability of phi^a + u, all nodes at once
+        phi_tot = phi_a + u[0]
+        _, stab_min = stability_coefficient(phi_tot, sim.mu)
+        nonlin = quadratic_rhs(phi_tot, sim.dealias) - n_a
+        applied = u[2] - sim.mu * (lap * u[0]) - nonlin
+        r_series = FieldSeries(times, fields(forcing_a - applied))
         r_norm = ym_norm(r_series, spec, 2)
         report.residual_norms.append(float(r_norm))
         report.stability_mins.append(float(stab_min))
@@ -246,8 +242,7 @@ def iterate(cfg, data):
             break
 
         # linearize at phi^a + u and solve for the correction
-        u_traj = Trajectory(times, u_phis, u_phits, u_phitts)
-        u_eval = field_evaluator(u_traj, grid, sim.t_final)
+        u_eval = field_evaluator(FieldSeries(times, fields(u[0])), grid, sim.t_final)
 
         def base_profile(t, _u_eval=u_eval):
             return lift.at(t)[0] + _u_eval(t)
@@ -257,18 +252,12 @@ def iterate(cfg, data):
         report.correction_norms.append(float(xm_norm(v_traj, spec, 2)["total"]))
         report.theta_values.append(float(theta))
 
-        u_phis = [a + b for a, b in zip(u_phis, v_cut.phis)]
-        u_phits = [a + b for a, b in zip(u_phits, v_cut.phits)]
-        u_phitts = [a + b for a, b in zip(u_phitts, v_cut.phitts)]
+        u = [a + np.array([f.coeffs for f in v])
+             for a, v in zip(u, (v_cut.phis, v_cut.phits, v_cut.phitts))]
         theta *= cfg.theta_growth
 
     report.iterations = len(report.correction_norms)
-    traj = Trajectory(
-        times,
-        [s[0] + u for s, u in zip(lift_states, u_phis)],
-        [s[1] + u for s, u in zip(lift_states, u_phits)],
-        [s[2] + u for s, u in zip(lift_states, u_phitts)],
-    )
+    traj = Trajectory(times, *(fields(s + a) for s, a in zip(lift_states, u)))
     return traj, report
 
 

@@ -14,8 +14,9 @@ N is evaluated by one fused kernel through the identity
 H[p_x^2] - [p; H]p_xx = H[p_x^2 + p p_xx] - p H[p_xx]: one batched inverse
 real FFT of (p, p_x, p_xx, H p_xx) on the 3/2-padded grid and one batched
 real FFT of the two products, on a field or on coefficient arrays with
-any leading batch axes.  Its derivatives and the linearized operator
-still compose the spectral primitives.
+any leading batch axes.  The linearized operator mu phi_xx + dN[phi0]phi
+is the same kernel polarized (eight synthesized rows, two analyzed), and
+the first and second derivatives of N are that kernel with mu = 0.
 
 Besides N and its first and second derivatives this module owns the
 Cauchy data container, time-sampled trajectories, the smooth compactly
@@ -30,17 +31,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .spectral import (
-    SpectralField,
-    _padded_size,
-    commutator_vh,
-    derivative,
-    from_modes,
-    hilbert,
-    pointwise_product,
-    synthesize,
-    zeros,
-)
+from .spectral import SpectralField, _padded_size, derivative
+from .spectral import pointwise_product  # noqa: F401  (perfbench/tests rebinds it here)
 
 _TWO_PI = 2.0 * np.pi
 
@@ -66,10 +58,6 @@ def _require_real_zero_mean(f, name):
     if np.abs(c - c[..., ::-1].conj()).max() > 1e-12 * scale:
         raise ValueError(f"{name} is flagged real but its coefficients are "
                          "not conjugate symmetric")
-
-
-def constant_field(grid, value):
-    return from_modes(grid, {0: _TWO_PI * value}, real_flag=True)
 
 
 @dataclass(frozen=True)
@@ -179,7 +167,7 @@ class Trajectory:
 
 @lru_cache(maxsize=64)
 def _fused_tables(n, dealias):
-    """Tables of the fused N(phi) kernel on an n-point grid.
+    """Tables of the fused kernels on an n-point grid.
 
     Returns (m, up, down): the transform length (the 3/2-padded size when
     dealiasing), the (4, n/2) symbols taking phi^(k), k = 0..n/2-1, to the
@@ -232,37 +220,18 @@ def quadratic_rhs(phi, dealias=True):
 
 
 def quadratic_rhs_derivative(phi0, phi, dealias=True):
-    """Directional derivative dN[phi0] phi.
+    """Directional derivative dN[phi0] phi, the linearized kernel with mu = 0.
 
-    dN = d/dx( 2 H[p0_x p_x] - [p; H]p0_xx - [p0; H]p_xx ), lower-case p
-    denoting Hilbert transforms of the respective arguments.  Since N is
-    quadratic this is exact: N(phi0 + phi) = N(phi0) + dN[phi0]phi + N(phi).
+    Since N is quadratic this is exact: N(phi0 + phi) = N(phi0) + dN[phi0]phi + N(phi).
     """
-    p0 = hilbert(phi0)
-    p = hilbert(phi)
-    inner = (
-        2.0 * hilbert(pointwise_product(derivative(p0), derivative(p), dealias))
-        - commutator_vh(p, derivative(p0, 2), dealias)
-        - commutator_vh(p0, derivative(p, 2), dealias)
-    )
-    return derivative(inner)
+    return apply_linearized_operator(phi0, phi, 0.0, dealias)
 
 
 def second_derivative(phi, psi, dealias=True):
-    """Second derivative of the evolution operator, a symmetric bilinear map.
-
-    d2L(phi, psi) = d/dx( -2 H[P_x p_x] + [p; H]P_xx + [P; H]p_xx ) with
-    p = H[phi], P = H[psi].  It does not depend on a base point, and
-    0.5 * d2L(phi, phi) = -N(phi).
-    """
-    p = hilbert(phi)
-    P = hilbert(psi)
-    inner = (
-        -2.0 * hilbert(pointwise_product(derivative(P), derivative(p), dealias))
-        + commutator_vh(p, derivative(P, 2), dealias)
-        + commutator_vh(P, derivative(p, 2), dealias)
-    )
-    return derivative(inner)
+    """Second derivative of the evolution operator, the symmetric bilinear
+    map d2L(phi, psi) = -dN[phi]psi.  It does not depend on a base point,
+    and 0.5 * d2L(phi, phi) = -N(phi)."""
+    return -apply_linearized_operator(phi, psi, 0.0, dealias)
 
 
 def evolution_residual(traj, mu, index, dealias=True):
@@ -276,44 +245,60 @@ def evolution_residual(traj, mu, index, dealias=True):
     return phi_tt - mu * derivative(phi, 2) - quadratic_rhs(phi, dealias)
 
 
-def linearized_parts(phi0, phiP, mu, dealias=True):
-    """Coefficient and lower-order pieces of the linearization at phi0.
-
-    Returns (c2, lower) with c2 the variable coefficient mu - 2 p0_x as a
-    field and `lower` the remaining terms applied to phiP,
-
-        2 [H; p0_x] pP_xx + 2 H[p0_xx pP_x] - d/dx( [pP; H]p0_xx + [p0; H]pP_xx ),
-
-    so that the linearized equation reads
-    phi'_tt = c2 * phi'_xx + lower + g   (product dealiased by the caller).
-    """
-    grid = phi0.grid
-    p0 = hilbert(phi0)
-    p0x = derivative(p0)
-    p0xx = derivative(p0, 2)
-    pP = hilbert(phiP)
-    pPx = derivative(pP)
-    pPxx = derivative(pP, 2)
-    c2 = constant_field(grid, mu) - 2.0 * p0x
-    lower = (
-        -2.0 * commutator_vh(p0x, pPxx, dealias)
-        + 2.0 * hilbert(pointwise_product(p0xx, pPx, dealias))
-        - derivative(commutator_vh(pP, p0xx, dealias) + commutator_vh(p0, pPxx, dealias))
-    )
-    return c2, lower
-
-
 def apply_linearized_operator(phi0, phiP, mu, dealias=True):
-    """The spatial part of the linearized operator applied to phiP:
-    c2 * phiP_xx + lower.  Kept separate so the Galerkin solver can project
-    the pieces individually."""
-    c2, lower = linearized_parts(phi0, phiP, mu, dealias)
-    return pointwise_product(c2, derivative(phiP, 2), dealias) + lower
+    """The spatial part of the linearization at phi0 applied to phiP,
+    mu phiP_xx + dN[phi0]phiP.
+
+    Both arguments are real zero-mean fields or coefficient arrays of shape
+    (..., n-1) whose leading axes broadcast, so one base can act on a whole
+    batch; the result is a field when both are fields, an array otherwise.
+
+    The kernel polarizes the identity of quadratic_rhs.  With p0 = H phi0,
+    p = H phiP and phiP = -H p (so mu phiP_xx = d/dx H[-mu p_x]) it is
+    d/dx( H[a] - b ) with
+
+        a = 2 p0_x p_x + p0 p_xx + p p0_xx - mu p_x,
+        b = p0 H[p_xx] + p H[p0_xx]:
+
+    one batched inverse real FFT of the eight rows (p0, p0_x, p0_xx, H p0_xx,
+    p, p_x, p_xx, H p_xx) on the m-point grid and one batched real FFT of
+    (a, b).
+    """
+    _require_real_zero_mean(phi0, "phi0")
+    _require_real_zero_mean(phiP, "phiP")
+    field = isinstance(phi0, SpectralField) and isinstance(phiP, SpectralField)
+    c0, c = (f.coeffs if isinstance(f, SpectralField) else np.asarray(f) for f in (phi0, phiP))
+    n = c.shape[-1] + 1
+    half = n // 2
+    m, up, down = _fused_tables(n, dealias)
+    rows = np.empty(np.broadcast_shapes(c0.shape, c.shape)[:-1] + (2, 4, half), complex)
+    np.multiply(c0[..., None, half - 1:], up, out=rows[..., 0, :, :])
+    np.multiply(c[..., None, half - 1:], up, out=rows[..., 1, :, :])
+    v = np.fft.irfft(rows, m)
+    (p0, p0x, p0xx, hp0xx), (p, px, pxx, hpxx) = (
+        [v[..., i, j, :] for j in range(4)] for i in range(2))
+    a = (2.0 * p0x - mu) * px + p0 * pxx + p * p0xx
+    b = p0 * hpxx + p * hp0xx
+    ab = np.fft.rfft(np.stack([a, b], axis=-2))
+    lk = down * (ab[..., 0, :half] - 1j * ab[..., 1, :half])
+    out = np.empty(lk.shape[:-1] + (n - 1,), complex)
+    out[..., half - 1:] = lk
+    out[..., :half - 1] = lk[..., :0:-1].conj()
+    return SpectralField(phiP.grid, out, True) if field else out
 
 
 def stability_coefficient(phi, mu):
-    """Pointwise values and minimum of mu - 2 (H phi)_x on the grid."""
-    vals = mu - 2.0 * synthesize(derivative(hilbert(phi)))
+    """Values of mu - 2 (H phi)_x at the n grid nodes, and their minimum.
+
+    `phi` is a real field or a coefficient array of shape (..., n-1); the
+    values have shape (..., n) and the minimum is taken over all of them.
+    (H phi)_x has symbol |k|, so the values come from one inverse real FFT
+    of the half spectrum (only k >= 0 is read) times k.
+    """
+    c = phi.coeffs if isinstance(phi, SpectralField) else np.asarray(phi)
+    n = c.shape[-1] + 1
+    _, up, _ = _fused_tables(n, False)  # row 1: (H phi)_x scaled for n points
+    vals = mu - 2.0 * np.fft.irfft(c[..., n // 2 - 1:] * up[1], n)
     return vals, float(np.min(vals))
 
 
@@ -379,14 +364,25 @@ class Lifting:
 
     def at(self, t):
         """phi_a(t) and its first and second analytic time derivatives."""
-        c, cp, cpp = _chi_parts(t, self.ramp_width)
+        grid = self.data.grid
+        parts = self._combine(t, *_chi_parts(t, self.ramp_width))
+        return tuple(SpectralField(grid, a, True) for a in parts)
+
+    def states(self, times):
+        """phi_a and its first two time derivatives at each of `times`, as
+        three coefficient arrays of shape (len(times), n-1)."""
+        t = np.asarray(times, float).reshape(-1, 1)
+        chi = np.array([_chi_parts(float(s), self.ramp_width) for s in t[:, 0]])
+        return self._combine(t, *chi.reshape(-1, 3).T[..., None])
+
+    def _combine(self, t, c, cp, cpp):
+        """The three coefficient combinations of at/states from the bump's
+        values c, c', c'' at t (scalars, or (T, 1) columns)."""
         c0 = self.data.phi0.coeffs
         c1 = self.data.phi1.coeffs
-        grid = self.data.grid
-        phi = SpectralField(grid, c * c0 + t * c * c1, True)
-        phit = SpectralField(grid, cp * c0 + (c + t * cp) * c1, True)
-        phitt = SpectralField(grid, cpp * c0 + (2.0 * cp + t * cpp) * c1, True)
-        return phi, phit, phitt
+        return (c * c0 + t * c * c1,
+                cp * c0 + (c + t * cp) * c1,
+                cpp * c0 + (2.0 * cp + t * cpp) * c1)
 
 
 def build_lifting(data, mu, delta, ramp_width=0.5, floor=1e-4):
@@ -407,12 +403,8 @@ def build_lifting(data, mu, delta, ramp_width=0.5, floor=1e-4):
     target = 0.75 * delta - 1e-10
     while r >= floor:
         lift = Lifting(data, mu, delta, r)
-        worst = np.inf
-        for t in np.linspace(-2.0 * r, 2.0 * r, 129):
-            phi, _, _ = lift.at(float(t))
-            _, m = stability_coefficient(phi, mu)
-            worst = min(worst, m)
-        if worst >= target:
+        phi, _, _ = lift.states(np.linspace(-2.0 * r, 2.0 * r, 129))
+        if stability_coefficient(phi, mu)[1] >= target:
             return lift
         r *= 0.5
     raise LiftingError(
@@ -428,12 +420,9 @@ def lifting_forcing(lift, mu, times, dealias=True):
     quadrature on [0, T] sees the jump correctly.
     """
     grid = lift.data.grid
-    fields = []
-    for t in np.asarray(times, float):
-        if t < 0.0:
-            fields.append(zeros(grid))
-            continue
-        phi, _, phitt = lift.at(float(t))
-        f = mu * derivative(phi, 2) + quadratic_rhs(phi, dealias) - phitt
-        fields.append(f)
-    return FieldSeries(np.asarray(times, float), fields)
+    times = np.asarray(times, float)
+    phi, _, phitt = lift.states(times)
+    lap = -(grid.modes.astype(float) ** 2)
+    f = mu * (lap * phi) + quadratic_rhs(phi, dealias) - phitt
+    f[times < 0.0] = 0.0
+    return FieldSeries(times, [SpectralField(grid, row, True) for row in f])

@@ -102,13 +102,19 @@ def _galerkin_tables(n, cutoff):
     return mask, lap
 
 
+@lru_cache(maxsize=8)
+def _others(k):
+    """(k, k-1) indices whose row j lists every m != j in ascending order."""
+    i = np.arange(k - 1)
+    others = i + (i >= np.arange(k)[:, None])
+    others.flags.writeable = False
+    return others
+
+
 def _lagrange_weights(nodes, t):
-    w = np.ones(len(nodes))
-    for j, tj in enumerate(nodes):
-        for m, tm in enumerate(nodes):
-            if m != j:
-                w[j] *= (t - tm) / (tj - tm)
-    return w
+    """Lagrange basis weights w_j = prod_{m != j} (t - t_m)/(t_j - t_m)."""
+    tm = nodes[_others(len(nodes))]
+    return np.prod((t - tm) / (nodes[:, None] - tm), axis=1)
 
 
 class _SeriesEvaluator:
@@ -197,9 +203,8 @@ def semidiscrete_rhs_linearized(state, phi0_at_t, g_at_t, cfg):
     pair in and out as in semidiscrete_rhs_nonlinear."""
     phi_hat, phit_hat = state
     mask, _ = _galerkin_tables(cfg.grid_n, cfg.galerkin_N)
-    phi = SpectralField(phi0_at_t.grid, mask * phi_hat, True)
-    out = apply_linearized_operator(phi0_at_t, phi, cfg.mu, cfg.dealias)
-    return mask * phit_hat, mask * (out.coeffs + g_at_t.coeffs)
+    out = apply_linearized_operator(phi0_at_t, mask * phi_hat, cfg.mu, cfg.dealias)
+    return mask * phit_hat, mask * (out + g_at_t.coeffs)
 
 
 def rk4_step(t, dt, state, rhs, k1=None):
@@ -223,9 +228,10 @@ def _march(cfg, grid, rhs, phi, phit, stability_source, abort_on_stability):
 
     `rhs(t, state)` is the projected semidiscrete right-hand side, so
     every RK4 stage, not only the accepted node, lies in the Galerkin
-    space.  `stability_source(t, phi_hat)` supplies the field whose
-    coefficient mu - 2 (H .)_x is monitored: the state itself for the
-    nonlinear equation, the base profile for the linearized one.
+    space.  `stability_source(t, phi_hat)` supplies the field or
+    coefficient array whose coefficient mu - 2 (H .)_x is monitored: the
+    state itself for the nonlinear equation, the base profile for the
+    linearized one.
     """
     mask, _ = _galerkin_tables(grid.n, cfg.galerkin_N)
     m = cfg.num_steps()
@@ -294,13 +300,10 @@ def solve_nonlinear(cfg, data):
         raise ValueError(
             f"initial data violates the stability margin: min {mn:.6g} < delta {cfg.delta:.6g}"
         )
-
-    def monitor_field(t, phi_hat):
-        return SpectralField(grid, phi_hat, True)
-
     return _march(
         cfg, grid, lambda t, y: semidiscrete_rhs_nonlinear(y, cfg),
-        data.phi0.coeffs, data.phi1.coeffs, monitor_field, abort_on_stability=True,
+        data.phi0.coeffs, data.phi1.coeffs, lambda t, phi_hat: phi_hat,
+        abort_on_stability=True,
     )
 
 
@@ -327,10 +330,8 @@ def solve_linearized(cfg, base=None, forcing=None, initial_state=None):
     def rhs(t, state):
         return semidiscrete_rhs_linearized(state, base_eval(t), g_eval(t), cfg)
 
-    def monitor_field(t, phi_hat):
-        return base_eval(t)
-
-    return _march(cfg, grid, rhs, phi0, phi1, monitor_field, abort_on_stability=False)
+    return _march(cfg, grid, rhs, phi0, phi1, lambda t, phi_hat: base_eval(t),
+                  abort_on_stability=False)
 
 
 def measure_mode_growth(traj, modes):

@@ -7,17 +7,19 @@ quadratic right-hand side from composing those pieces.  Tests freeze values
 produced by these routines (or closed forms derived by hand) and hold the
 package against them.
 
-The last two routines run at production sizes instead.  They are built from
+The last routines run at production sizes instead.  They are built from
 the package's spectral primitives (complex FFTs, one dealiased product at a
-time) but not from its fused N(phi) kernel or its time stepper, so the
-kernel and the solvers can be held against them.
+time) but not from its fused N(phi) and linearized kernels or its time
+stepper, so the kernels and the solvers can be held against them.
 """
 
 import numpy as np
 
 from amp_sheet.spectral import (
     SpectralField,
+    commutator_vh,
     derivative,
+    from_modes,
     hilbert,
     pointwise_product,
 )
@@ -141,6 +143,41 @@ def quadratic_rhs_alt(phi, dealias=True):
     p = hilbert(phi)
     half_sq = 0.5 * derivative(hilbert(pointwise_product(p, p, dealias)), 2)
     return derivative(half_sq + pointwise_product(p, derivative(phi, 2), dealias))
+
+
+def linearized_parts(phi0, phiP, mu, dealias=True):
+    """Coefficient and lower-order pieces of the linearization at phi0.
+
+    Returns (c2, lower) with c2 the variable coefficient mu - 2 p0_x as a
+    field and `lower` the remaining terms applied to phiP,
+
+        2 [H; p0_x] pP_xx + 2 H[p0_xx pP_x] - d/dx( [pP; H]p0_xx + [p0; H]pP_xx ),
+
+    so that the linearized equation reads phi'_tt = c2 phi'_xx + lower + g.
+    A different grouping of the terms than the package's fused kernel, each
+    product through its own complex FFTs.
+    """
+    grid = phi0.grid
+    p0 = hilbert(phi0)
+    p0x = derivative(p0)
+    p0xx = derivative(p0, 2)
+    pP = hilbert(phiP)
+    pPx = derivative(pP)
+    pPxx = derivative(pP, 2)
+    c2 = from_modes(grid, {0: TWO_PI * mu}, real_flag=True) - 2.0 * p0x
+    lower = (
+        -2.0 * commutator_vh(p0x, pPxx, dealias)
+        + 2.0 * hilbert(pointwise_product(p0xx, pPx, dealias))
+        - derivative(commutator_vh(pP, p0xx, dealias) + commutator_vh(p0, pPxx, dealias))
+    )
+    return c2, lower
+
+
+def apply_linearized_alt(phi0, phiP, mu, dealias=True):
+    """mu phiP_xx + dN[phi0]phiP assembled as c2 * phiP_xx + lower, the
+    oracle for the package's apply_linearized_operator."""
+    c2, lower = linearized_parts(phi0, phiP, mu, dealias)
+    return pointwise_product(c2, derivative(phiP, 2), dealias) + lower
 
 
 def projected_rk4(phi, phit, accel, cutoff, dt, steps):

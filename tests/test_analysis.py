@@ -34,6 +34,8 @@ from amp_sheet.spectral import (
     zeros,
 )
 
+from _oracles import apply_linearized_alt
+
 
 GRID = TorusGrid(32)
 
@@ -97,6 +99,20 @@ class TestWeightedNorms:
             rhs = weighted_l2_norm(FieldSeries(traj.times, traj.phits), spec, 1)
             assert lhs <= rhs * (1.0 + 1e-6)
 
+    def test_batched_norms_equal_per_node_loop(self):
+        rng = np.random.default_rng(60)
+        ts = np.linspace(-0.3, 1.2, 41)
+        fields = [random_trig_field(GRID, 6, rng) * float(np.cos(t)) for t in ts]
+        series = FieldSeries(ts, fields)
+        spec = WeightedNormSpec(gamma=1.5)
+        for m in (0, 1, 3):
+            vals = np.array([np.exp(-2.0 * 1.5 * t) * sobolev_norm(f, m) ** 2
+                             for t, f in zip(ts, fields)])
+            want = np.sqrt(np.sum(0.5 * (vals[1:] + vals[:-1]) * np.diff(ts)))
+            assert weighted_l2_norm(series, spec, m) == pytest.approx(want, rel=1e-13)
+            want = max(sobolev_norm(f, m) for f in fields)
+            assert sup_sobolev_norm(series, m) == pytest.approx(want, rel=1e-13)
+
     def test_sup_norm(self):
         ts = np.linspace(0.0, 1.0, 11)
         fields = [cosine(GRID, 1, float(t)) for t in ts]
@@ -154,6 +170,23 @@ class TestApplyLinearized:
         traj = Trajectory(ts, [zeros(GRID)] * 21, [zeros(GRID)] * 21)
         out = apply_linearized(None, traj, mu=1.0)
         assert all(np.max(np.abs(f.coeffs)) == 0.0 for f in out.fields)
+
+    def test_batched_equals_per_node_loop(self):
+        # a time-dependent base and more interior nodes than one kernel
+        # block, against the composed oracle node by node
+        rng = np.random.default_rng(61)
+        ts = np.linspace(0.0, 1.5, 151)
+        b0, b1 = random_trig_field(GRID, 4, rng, amplitude=0.05), random_trig_field(GRID, 4, rng)
+        base = Trajectory(ts, [b0 + b1 * (0.01 * float(t)) for t in ts], [zeros(GRID)] * len(ts))
+        profile = random_trig_field(GRID, 6, rng)
+        traj = Trajectory(ts, [profile * float(np.sin(3.0 * t)) for t in ts],
+                          [zeros(GRID)] * len(ts))
+        out = apply_linearized(base, traj, mu=1.2)
+        assert len(out) == len(ts) - 2
+        for i, f in enumerate(out.fields, start=1):
+            want = (traj.second_difference(i)
+                    - apply_linearized_alt(base.phis[i], traj.phis[i], 1.2)).coeffs
+            assert np.max(np.abs(f.coeffs - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 class TestEnergyEstimate:

@@ -10,10 +10,8 @@ from amp_sheet.operators import (
     LiftingError,
     Trajectory,
     build_lifting,
-    constant_field,
     evolution_residual,
     lifting_forcing,
-    linearized_parts,
     apply_linearized_operator,
     quadratic_rhs,
     quadratic_rhs_derivative,
@@ -21,6 +19,7 @@ from amp_sheet.operators import (
     stability_coefficient,
 )
 from amp_sheet.spectral import (
+    SpectralField,
     TorusGrid,
     analyze,
     cosine,
@@ -34,7 +33,13 @@ from amp_sheet.spectral import (
     zeros,
 )
 
-from _oracles import coeffs_cos, direct_quadratic_rhs, quadratic_rhs_alt
+from _oracles import (
+    apply_linearized_alt,
+    coeffs_cos,
+    direct_quadratic_rhs,
+    linearized_parts,
+    quadratic_rhs_alt,
+)
 
 
 GRID = TorusGrid(64)
@@ -186,12 +191,70 @@ class TestDerivatives:
         assert np.max(np.abs(0.5 * d2.coeffs + n.coeffs)) < 1e-12
 
 
+class TestFusedLinearized:
+    """The fused linearized kernel against the composed oracle
+    apply_linearized_alt, on batches, with a broadcast base, and on bad
+    input."""
+
+    @pytest.mark.parametrize("dealias", [True, False])
+    @pytest.mark.parametrize("n", [32, 64, 256, 1024])
+    def test_matches_oracle(self, n, dealias):
+        # Bandwidth 8 <= n/4 keeps aliased products out of the band, so
+        # both routes evaluate the same operator, which lives on |k| <= 16;
+        # beyond that only the kernel's round-off is bounded, as for N.
+        grid = TorusGrid(n)
+        support = np.abs(grid.modes) <= 16
+        rng = np.random.default_rng(n + 1)
+        for mu in (1.3, 0.0):
+            u, v = random_field(grid, 8, rng), random_field(grid, 8, rng)
+            want = apply_linearized_alt(u, v, mu, dealias).coeffs
+            scale = np.max(np.abs(want))
+            for got in (apply_linearized_operator(u, v, mu, dealias).coeffs,
+                        mu * derivative(v, 2).coeffs
+                        + quadratic_rhs_derivative(u, v, dealias).coeffs):
+                assert np.max(np.abs(got - want)[support]) <= 1e-12 * scale
+                assert np.max(np.abs(got[~support]), initial=0.0) <= 1e-12 * scale
+
+    def test_batch_equals_single_calls(self):
+        rng = np.random.default_rng(13)
+        bases = [random_field(GRID, 12, rng) for _ in range(7)]
+        dirs = [random_field(GRID, 12, rng) for _ in range(7)]
+        batch = apply_linearized_operator(np.stack([f.coeffs for f in bases]),
+                                          np.stack([f.coeffs for f in dirs]), 0.8)
+        assert isinstance(batch, np.ndarray) and batch.shape == (7, GRID.n - 1)
+        for row, u, v in zip(batch, bases, dirs):
+            single = apply_linearized_operator(u, v, 0.8).coeffs
+            assert np.max(np.abs(row - single)) <= 1e-14 * np.max(np.abs(single))
+
+    def test_base_broadcasts_against_batch(self):
+        rng = np.random.default_rng(14)
+        u = random_field(GRID, 10, rng)
+        dirs = np.stack([random_field(GRID, 10, rng).coeffs for _ in range(5)])
+        for base in (u, u.coeffs):
+            batch = apply_linearized_operator(base, dirs, 1.1)
+            assert batch.shape == dirs.shape
+            for row, d in zip(batch, dirs):
+                single = apply_linearized_operator(u, SpectralField(GRID, d, True), 1.1)
+                assert np.max(np.abs(row - single.coeffs)) <= 1e-14 * np.max(np.abs(row))
+
+    def test_rejects_asymmetric_real_field(self):
+        # flagged real, but c(-1) != conj(c(1)): the kernel reads k >= 0 only
+        bad = from_modes(GRID, {1: np.pi, -1: 0.5 * np.pi}, real_flag=True)
+        good = cosine(GRID, 2)
+        for args in ((bad, good), (good, bad), (good.coeffs, bad.coeffs),
+                     (np.stack([good.coeffs, bad.coeffs]), good.coeffs)):
+            with pytest.raises(ValueError, match="conjugate symmetric"):
+                apply_linearized_operator(*args, 1.0)
+
+
 class TestLinearizedParts:
     def test_zero_base_reduces_to_constant_coefficient(self):
         v = random_field(GRID, 6, np.random.default_rng(3))
         c2, lower = linearized_parts(zeros(GRID), v, mu=1.7)
-        assert np.max(np.abs(c2.coeffs - constant_field(GRID, 1.7).coeffs)) < 1e-14
+        assert np.max(np.abs(c2.coeffs - cosine(GRID, 0, 1.7).coeffs)) < 1e-14
         assert np.max(np.abs(lower.coeffs)) < 1e-13
+        out = apply_linearized_operator(zeros(GRID), v, mu=1.7)
+        assert np.max(np.abs(out.coeffs - 1.7 * derivative(v, 2).coeffs)) < 1e-13
 
     def test_assembly_matches_direct_derivative(self):
         rng = np.random.default_rng(19)
@@ -224,6 +287,22 @@ class TestStability:
     def test_zero_field_gives_mu(self):
         _, mn = stability_coefficient(zeros(GRID), mu=-0.5)
         assert mn == -0.5
+
+    def test_batch_equals_per_node_loop(self):
+        # one inverse real FFT for a (T, n-1) stack against the composed
+        # route mu - 2 synthesize(d/dx H phi), node by node
+        rng = np.random.default_rng(41)
+        stack = np.stack([random_field(GRID, 12, rng).coeffs for _ in range(9)])
+        vals, mn = stability_coefficient(stack, mu=1.2)
+        assert vals.shape == (9, GRID.n)
+        mins = []
+        for row, c in zip(vals, stack):
+            want = 1.2 - 2.0 * synthesize(derivative(hilbert(SpectralField(GRID, c, True))))
+            assert np.max(np.abs(row - want)) <= 1e-13 * np.max(np.abs(want))
+            single, m = stability_coefficient(SpectralField(GRID, c, True), mu=1.2)
+            assert np.max(np.abs(row - single)) <= 1e-14 * np.max(np.abs(want))
+            mins.append(m)
+        assert mn == pytest.approx(min(mins), rel=1e-14)
 
     def test_mean_zero_profile_cannot_raise_minimum_above_mu(self):
         rng = np.random.default_rng(40)

@@ -8,11 +8,11 @@ from amp_sheet.operators import (
     CauchyData,
     FieldSeries,
     Trajectory,
-    apply_linearized_operator,
     build_lifting,
 )
 from amp_sheet.solver import (
     CflError,
+    _lagrange_weights,
     SimConfig,
     field_evaluator,
     measure_mode_growth,
@@ -33,7 +33,7 @@ from amp_sheet.spectral import (
     zeros,
 )
 
-from _oracles import projected_rk4, quadratic_rhs_alt
+from _oracles import apply_linearized_alt, projected_rk4, quadratic_rhs_alt
 
 
 GRID = TorusGrid(32)
@@ -356,7 +356,7 @@ class TestStageProjection:
         assert len(traj) == cfg.num_steps() + 1
         ref = projected_rk4(
             data.phi0, data.phi1,
-            lambda t, f: apply_linearized_operator(base, f, cfg.mu),
+            lambda t, f: apply_linearized_alt(base, f, cfg.mu),
             cfg.galerkin_N, cfg.dt, cfg.num_steps())
         assert self.gap(traj, ref) <= 1e-12
 
@@ -426,6 +426,17 @@ class TestFieldEvaluator:
         t = 0.5037
         got = ev(t).coeff(1) / np.pi
         assert abs(got - np.sin(3.0 * t)) < 1e-7
+
+    def test_lagrange_weights_match_literal_product(self):
+        # the vectorized weights against prod_{m != j} (t - t_m)/(t_j - t_m)
+        # multiplied out in the same order, for 1 to 4 nodes
+        rng = np.random.default_rng(9)
+        for k in (1, 2, 3, 4):
+            for _ in range(50):
+                nodes, t = np.sort(rng.random(k)), rng.random()
+                want = [np.prod([(t - nodes[m]) / (nodes[j] - nodes[m])
+                                 for m in range(k) if m != j]) for j in range(k)]
+                assert np.array_equal(_lagrange_weights(nodes, t), want)
 
     def test_rejects_junk(self):
         with pytest.raises(TypeError):
