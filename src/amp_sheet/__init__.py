@@ -15,7 +15,6 @@ __version__ = "0.1.0"
 from .spectral import (  # noqa: F401
     TorusGrid,
     SpectralField,
-    MultiplierSymbol,
     analyze,
     synthesize,
     hilbert,

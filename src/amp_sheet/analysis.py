@@ -26,7 +26,6 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from .operators import (
-    FieldSeries,
     Trajectory,
     apply_linearized_operator,
     build_lifting,
@@ -43,6 +42,7 @@ from .spectral import (
     inner_product,
     linf_norm,
     pointwise_product,
+    regrid,
     sobolev_norm,
 )
 from .solver import field_evaluator, solve_linearized
@@ -116,42 +116,11 @@ def _ratio(lhs, rhs):
     return 0.0 if lhs == 0 else float("inf")
 
 
-def _stack(fields):
-    """The coefficients of a sequence of fields as one (T, n-1) array."""
-    return np.array([f.coeffs for f in fields])
-
-
 def _sample(source, grid, times):
     """A base or forcing source (anything field_evaluator takes) at `times`,
     as a (T, n-1) coefficient array."""
     at = field_evaluator(source, grid)
-    return _stack([at(float(t)) for t in times])
-
-
-def _series(obj):
-    """(times, (T, n-1) coefficients) of a FieldSeries or of a Trajectory
-    (its phi part)."""
-    if isinstance(obj, Trajectory):
-        fields = obj.phis
-    elif isinstance(obj, FieldSeries):
-        fields = obj.fields
-    else:
-        raise TypeError(f"expected FieldSeries or Trajectory, got {type(obj).__name__}")
-    if len(fields) == 0:
-        raise ValueError("empty trajectory")
-    return obj.times, _stack(fields)
-
-
-def _dx(coeffs):
-    """x-derivative of (..., n-1) coefficient arrays, symbol i k."""
-    return (1j * TorusGrid(coeffs.shape[-1] + 1).modes) * coeffs
-
-
-def _sobolev_sq(coeffs, s):
-    """Squared H^s norms (the sobolev_norm weight) of the rows of (..., n-1)
-    coefficient arrays."""
-    w = (1.0 + np.abs(TorusGrid(coeffs.shape[-1] + 1).modes)) ** (2.0 * s)
-    return np.sum(w * np.abs(coeffs) ** 2, axis=-1) / (2.0 * np.pi)
+    return np.array([at(float(t)).coeffs for t in times])
 
 
 def _check_horizon(times, spec):
@@ -178,22 +147,23 @@ def _weighted_l2(times, coeffs, spec, m):
     _check_horizon(times, spec)
     if len(times) == 1:
         return 0.0
-    vals = np.exp(-2.0 * spec.gamma * times) * _sobolev_sq(coeffs, m)
+    vals = np.exp(-2.0 * spec.gamma * times) * sobolev_norm(coeffs, m) ** 2
     return float(np.sqrt(_trapezoid(vals, times)))
 
 
-def weighted_l2_norm(obj, spec, m):
-    """|| e^{-gamma t} f(t) ||_{L2_t H^m_x} by trapezoid quadrature."""
-    return _weighted_l2(*_series(obj), spec, m)
+def weighted_l2_norm(series, spec, m):
+    """|| e^{-gamma t} f(t) ||_{L2_t H^m_x} by trapezoid quadrature, f the
+    phi part of a Trajectory."""
+    return _weighted_l2(series.times, series.phi, spec, m)
 
 
 def _sup_sobolev(coeffs, m):
-    return float(np.sqrt(np.max(_sobolev_sq(coeffs, m))))
+    return float(np.max(sobolev_norm(coeffs, m)))
 
 
-def sup_sobolev_norm(obj, m):
+def sup_sobolev_norm(series, m):
     """max over the mesh of the H^m norm (the L-infinity-in-time norm)."""
-    return _sup_sobolev(_series(obj)[1], m)
+    return _sup_sobolev(series.phi, m)
 
 
 def xm_norm(traj, spec, m):
@@ -205,12 +175,10 @@ def xm_norm(traj, spec, m):
     and the combined value.
     """
     times = traj.times
-    phis, phits = _stack(traj.phis), _stack(traj.phits)
-    _check_zero_trace(times, [phis, phits])
-    phitt = _stack([traj.phit_derivative(i) for i in range(len(traj))])
-    px = _weighted_l2(times, _dx(phis), spec, m + 1)
-    pt = _weighted_l2(times, phits, spec, m + 1)
-    ptt = _weighted_l2(times, phitt, spec, m)
+    _check_zero_trace(times, [traj.phi, traj.phit])
+    px = _weighted_l2(times, derivative(traj.phi), spec, m + 1)
+    pt = _weighted_l2(times, traj.phit, spec, m + 1)
+    ptt = _weighted_l2(times, traj.phit_derivative(), spec, m)
     return {
         "phix": px,
         "phit": pt,
@@ -219,11 +187,10 @@ def xm_norm(traj, spec, m):
     }
 
 
-def ym_norm(obj, spec, m):
+def ym_norm(series, spec, m):
     """Forcing-space norm: the weighted L2 H^m norm of a zero-trace series."""
-    times, coeffs = _series(obj)
-    _check_zero_trace(times, [coeffs])
-    return _weighted_l2(times, coeffs, spec, m)
+    _check_zero_trace(series.times, [series.phi])
+    return _weighted_l2(series.times, series.phi, spec, m)
 
 
 # ---------------------------------------------------------------------------
@@ -243,17 +210,6 @@ def random_trig_field(grid, kmax, rng, decay=2.0, amplitude=1.0):
     return from_modes(grid, pairs, real_flag=True)
 
 
-def _draw_pairs(rng, kmax, decay):
-    pairs = {}
-    for k in range(1, kmax + 1):
-        a = rng.standard_normal()
-        b = rng.standard_normal()
-        c = np.pi * (a - 1j * b) / (1.0 + k) ** decay
-        pairs[k] = c
-        pairs[-k] = np.conj(c)
-    return pairs
-
-
 # ---------------------------------------------------------------------------
 # the assembled linearized operator on trajectories
 
@@ -266,19 +222,14 @@ def apply_linearized(phi0, traj, mu, dealias=True):
     to _NODE_BLOCK interior nodes per call, so the reconstruction error is
     O(dt^2) plus truncation.
     """
-    if len(traj) < 3:
-        raise ValueError("need at least three nodes to difference phi_tt")
-    grid, dt, last = traj.grid, traj.dt, len(traj) - 1
-    base = field_evaluator(phi0, grid)
-    phis = _stack(traj.phis)
-    fields = []
-    for s in range(1, last, _NODE_BLOCK):
-        e = min(s + _NODE_BLOCK, last)
-        phitt = (1.0 / dt**2) * (phis[s - 1:e - 1] - 2.0 * phis[s:e] + phis[s + 1:e + 1])
-        base_rows = _stack([base(float(t)) for t in traj.times[s:e]])
-        g = phitt - apply_linearized_operator(base_rows, phis[s:e], mu, dealias)
-        fields.extend(SpectralField(grid, row, True) for row in g)
-    return FieldSeries(traj.times[1:-1], fields)
+    phitt = traj.second_difference()
+    phi, times = traj.phi[1:-1], traj.times[1:-1]
+    g = np.empty_like(phitt)
+    for s in range(0, len(g), _NODE_BLOCK):
+        sel = slice(s, s + _NODE_BLOCK)
+        base = _sample(phi0, traj.grid, times[sel])
+        g[sel] = phitt[sel] - apply_linearized_operator(base, phi[sel], mu, dealias)
+    return Trajectory(times, g)
 
 
 def _check_base_stability(base, mu, delta, threshold_factor=0.5):
@@ -302,14 +253,12 @@ def verify_energy_estimate(phi0, traj, mu, delta, gamma, dealias=True, seed=0):
     """
     times = traj.times
     _check_base_stability(_sample(phi0, traj.grid, times), mu, delta)
-    phis, phits = _stack(traj.phis), _stack(traj.phits)
-    _check_zero_trace(times, [phis, phits])
+    _check_zero_trace(times, [traj.phi, traj.phit])
     spec = WeightedNormSpec(gamma)
     lhs = gamma * (
-        _weighted_l2(times[1:-1], phits[1:-1], spec, 0) ** 2
-        + _weighted_l2(times[1:-1], _dx(phis[1:-1]), spec, 0) ** 2
+        _weighted_l2(times[1:-1], traj.phit[1:-1], spec, 0) ** 2
+        + _weighted_l2(times[1:-1], derivative(traj.phi[1:-1]), spec, 0) ** 2
     )
-    del phis, phits  # only g is needed from here on; keeps the peak low
     c0 = 2.0 / min(1.0, delta)
     g = apply_linearized(phi0, traj, mu, dealias)
     rhs = (c0 / gamma) * weighted_l2_norm(g, spec, 0) ** 2
@@ -342,10 +291,10 @@ def verify_tame_estimate(phi0, forcing, cfg, m, seed=0):
     spec = WeightedNormSpec(gamma)
     g = _sample(forcing, traj.grid, times)
     lhs = gamma * (
-        _weighted_l2(times, _stack(traj.phits), spec, m) ** 2
-        + _weighted_l2(times, _dx(_stack(traj.phis)), spec, m) ** 2
+        _weighted_l2(times, traj.phit, spec, m) ** 2
+        + _weighted_l2(times, derivative(traj.phi), spec, m) ** 2
     )
-    sup_base = _sup_sobolev(_dx(_sample(phi0, traj.grid, times)), m + 2)
+    sup_base = _sup_sobolev(derivative(_sample(phi0, traj.grid, times)), m + 2)
     rhs = (1.0 / gamma) * (
         sup_base**2 * _weighted_l2(times, g, spec, 2) ** 2
         + _weighted_l2(times, g, spec, m) ** 2
@@ -377,12 +326,11 @@ def verify_phitt_estimate(phi0, traj, forcing, mu, gamma, m, seed=0):
     times = traj.times
     spec = WeightedNormSpec(gamma)
     base = _sample(phi0, traj.grid, times)
-    phix = _dx(_stack(traj.phis))
-    phitt = _stack([traj.phit_derivative(i) for i in range(len(traj))])
-    lhs = _weighted_l2(times, phitt, spec, m - 1)
+    phix = derivative(traj.phi)
+    lhs = _weighted_l2(times, traj.phit_derivative(), spec, m - 1)
     rhs = (
         _weighted_l2(times, phix, spec, m) * (1.0 + _sup_sobolev(base, 3))
-        + _sup_sobolev(_dx(base), m) * _weighted_l2(times, phix, spec, 2)
+        + _sup_sobolev(derivative(base), m) * _weighted_l2(times, phix, spec, 2)
         + _weighted_l2(times, _sample(forcing, traj.grid, times), spec, m - 1)
     )
     c1 = _ratio(lhs, rhs)
@@ -408,15 +356,15 @@ def verify_second_derivative_estimate(phi_series, psi_series, gamma, m, seed=0):
     and, since the constant is claimed uniform in the horizon, the same
     ratio recomputed on the first half of the time window.
     """
-    t1, phis = _series(phi_series)
-    t2, psis = _series(psi_series)
+    t1, phis = phi_series.times, phi_series.phi
+    t2, psis = psi_series.times, psi_series.phi
     if len(t1) != len(t2) or np.max(np.abs(t1 - t2)) > 1e-12:
         raise ValueError("phi and psi live on different time meshes")
     spec = WeightedNormSpec(gamma)
 
     def both_sides(sel):
         times = t1[sel]
-        phix, psix = _dx(phis[sel]), _dx(psis[sel])
+        phix, psix = derivative(phis[sel]), derivative(psis[sel])
         lhs = _weighted_l2(times, second_derivative(phis[sel], psis[sel]), spec, m)
         rhs = (
             _weighted_l2(times, phix, spec, m + 1) * _sup_sobolev(psix, 2)
@@ -566,15 +514,13 @@ def _validate_lemma_param(lemma, param):
 
 def _campaign_draw(lemma, param, seed_seq, kmax, grid_sizes, decay):
     rng = np.random.default_rng(seed_seq)
-    vpairs = _draw_pairs(rng, kmax, decay)
-    fpairs = _draw_pairs(rng, kmax, decay)
+    grid = TorusGrid(grid_sizes[0])
+    v = random_trig_field(grid, kmax, rng, decay)
+    f = random_trig_field(grid, kmax, rng, decay)
     fn = _LEMMAS[lemma][0]
     ratios = []
     for n in grid_sizes:
-        grid = TorusGrid(n)
-        v = from_modes(grid, vpairs, real_flag=True)
-        f = from_modes(grid, fpairs, real_flag=True)
-        lhs, rhs = fn(v, f, param)
+        lhs, rhs = fn(regrid(v, TorusGrid(n)), regrid(f, TorusGrid(n)), param)
         ratios.append(_ratio(lhs, rhs))
     return ratios
 

@@ -34,7 +34,7 @@ from .nash_moser import (
     iterate,
     iterate_auto,
 )
-from .operators import CauchyData, FieldSeries, Trajectory, bump_window, stability_coefficient
+from .operators import CauchyData, Trajectory, bump_window, stability_coefficient
 from .solver import (
     SimConfig,
     measure_mode_growth,
@@ -169,35 +169,13 @@ def _write_csv(path, header, rows, config, quiet):
 
 
 def _trajectory_rows(traj, monitor):
-    rows = []
-    for i, t in enumerate(traj.times):
-        rows.append(
-            (
-                t,
-                sobolev_norm(traj.phis[i], 1),
-                sobolev_norm(traj.phits[i], 1),
-                monitor["min_stability_coeff"][i],
-            )
-        )
-    return rows
+    return zip(traj.times, sobolev_norm(traj.phi, 1), sobolev_norm(traj.phit, 1),
+               monitor["min_stability_coeff"])
 
 
 def _mode_rows(traj):
-    grid = traj.grid
-    last_phi = traj.phis[-1]
-    last_phit = traj.phits[-1]
-    rows = []
-    for idx, k in enumerate(grid.modes):
-        rows.append(
-            (
-                float(k),
-                last_phi.coeffs[idx].real,
-                last_phi.coeffs[idx].imag,
-                last_phit.coeffs[idx].real,
-                last_phit.coeffs[idx].imag,
-            )
-        )
-    return rows
+    phi, phit = traj.phi[-1], traj.phit[-1]
+    return zip(traj.grid.modes.astype(float), phi.real, phi.imag, phit.real, phit.imag)
 
 
 def _flag_exit(flags, benign=("elliptic_regime",)):
@@ -213,8 +191,6 @@ def common_options(fn):
     fn = click.option("--quiet", is_flag=True, help="suppress progress output")(fn)
     fn = click.option("--seed", type=int, default=None,
                       help="override the config seed")(fn)
-    fn = click.option("--jobs", type=int, default=1, show_default=True,
-                      help="worker processes for campaign fan-out")(fn)
     fn = click.option("--output", "output_dir", envvar="AMP_SHEET_OUTPUT",
                       type=click.Path(file_okay=False),
                       help="artifact directory (env AMP_SHEET_OUTPUT)")(fn)
@@ -233,7 +209,7 @@ def main():
 
 @main.command()
 @common_options
-def simulate(config_path, output_dir, jobs, seed, quiet):
+def simulate(config_path, output_dir, seed, quiet):
     """Integrate the nonlinear equation from configured Cauchy data."""
     cfg = _load_config(config_path, SIM_KEYS + ("phi0", "phi1"))
     sim = _sim_config(cfg, seed)
@@ -257,7 +233,7 @@ def simulate(config_path, output_dir, jobs, seed, quiet):
         "command": "simulate",
         "steps_kept": len(traj),
         "flags": monitor["flags"],
-        "final_h1": sobolev_norm(traj.phis[-1], 1),
+        "final_h1": sobolev_norm(traj.phi[-1], 1),
         "min_stability": float(np.min(monitor["min_stability_coeff"])),
     }, resolved, quiet)
     sys.exit(_flag_exit(monitor["flags"]))
@@ -265,7 +241,7 @@ def simulate(config_path, output_dir, jobs, seed, quiet):
 
 @main.command()
 @common_options
-def linearized(config_path, output_dir, jobs, seed, quiet):
+def linearized(config_path, output_dir, seed, quiet):
     """Integrate the linearized equation around a configured base."""
     keys = SIM_KEYS + ("base", "phi0", "phi1", "forcing_profile",
                        "envelope_center", "envelope_width")
@@ -306,14 +282,14 @@ def linearized(config_path, output_dir, jobs, seed, quiet):
         "command": "linearized",
         "steps_kept": len(traj),
         "flags": monitor["flags"],
-        "final_h1": sobolev_norm(traj.phis[-1], 1),
+        "final_h1": sobolev_norm(traj.phi[-1], 1),
     }, resolved, quiet)
     sys.exit(_flag_exit(monitor["flags"]))
 
 
 @main.command()
 @common_options
-def growth(config_path, output_dir, jobs, seed, quiet):
+def growth(config_path, output_dir, seed, quiet):
     """Measure modal growth rates of the linearized flow (the elliptic
     regime mu < 0 exhibits the |k| sqrt(|mu|) instability)."""
     keys = SIM_KEYS + ("modes", "epsilon")
@@ -351,7 +327,7 @@ def growth(config_path, output_dir, jobs, seed, quiet):
 
 @main.command("verify-identities")
 @common_options
-def verify_identities_cmd(config_path, output_dir, jobs, seed, quiet):
+def verify_identities_cmd(config_path, output_dir, seed, quiet):
     """Run the Hilbert-transform identity battery."""
     cfg = _load_config(config_path, ("samples", "grid_n", "seed"))
     samples = int(cfg.get("samples", 100))
@@ -371,6 +347,12 @@ def verify_identities_cmd(config_path, output_dir, jobs, seed, quiet):
         click.echo(f"identities: {'PASS' if report['passed'] else 'FAIL'} "
                    f"(worst defect {worst:.3e})")
     sys.exit(0 if report["passed"] else 1)
+
+
+def _window(times, center, width):
+    """The bump window and its first two derivatives at `times`, as three
+    (T, 1) columns that scale a profile's coefficients row by row."""
+    return np.array([bump_window(float(t), center, width) for t in times]).T[..., None]
 
 
 def _run_energy(cfg, used_seed):
@@ -396,12 +378,8 @@ def _run_energy(cfg, used_seed):
         else:
             raise click.ClickException("could not draw a base with margin")
         profile = random_trig_field(grid, 4, rng)
-        phis, phits = [], []
-        for t in times:
-            w, wp, _ = bump_window(float(t), center, width)
-            phis.append(profile * w)
-            phits.append(profile * wp)
-        traj = Trajectory(times, phis, phits)
+        w, wp, _ = _window(times, center, width)
+        traj = Trajectory(times, w * profile.coeffs, wp * profile.coeffs)
         passing = None
         ratios = {}
         for g in gammas:
@@ -431,8 +409,7 @@ def _run_tame(cfg, used_seed):
     m_values = [int(m) for m in cfg.get("m_values", [1, 2, 3])]
 
     ts = np.arange(0.0, sim.t_final + 1e-12, sim.dt)
-    g = FieldSeries(ts, [profile * bump_window(float(t), center, width)[0]
-                         for t in ts])
+    g = Trajectory(ts, _window(ts, center, width)[0] * profile.coeffs)
     reports = []
     for m in m_values:
         rep = verify_tame_estimate(base, g, sim, m, seed=used_seed)
@@ -460,8 +437,7 @@ def _run_phitt(cfg, used_seed):
     m = int(cfg.get("m", 2))
 
     ts = np.arange(0.0, sim.t_final + 1e-12, sim.dt)
-    g = FieldSeries(ts, [profile * bump_window(float(t), center, width)[0]
-                         for t in ts])
+    g = Trajectory(ts, _window(ts, center, width)[0] * profile.coeffs)
     traj, _ = solve_linearized(sim, base=base, forcing=g)
     rep = verify_phitt_estimate(base, traj, g, mu, sim.gamma, m, seed=used_seed)
     payload = {"estimate": "phitt", "constant": rep.ratio,
@@ -481,8 +457,7 @@ def _run_der2(cfg, used_seed):
 
     def series(center):
         profile = random_trig_field(grid, 4, rng)
-        return FieldSeries(ts, [profile * bump_window(float(t), center, width)[0]
-                                for t in ts])
+        return Trajectory(ts, _window(ts, center, width)[0] * profile.coeffs)
 
     rep = verify_second_derivative_estimate(series(0.4), series(0.6), gamma, m,
                                             seed=used_seed)
@@ -526,7 +501,7 @@ _ESTIMATE_KEYS = SIM_KEYS + (
 
 @main.command("verify-estimates")
 @common_options
-def verify_estimates_cmd(config_path, output_dir, jobs, seed, quiet):
+def verify_estimates_cmd(config_path, output_dir, seed, quiet):
     """Check one of the quantitative estimates empirically.
 
     The config key `estimate` selects energy|tame|phitt|der2|forcing.
@@ -569,7 +544,9 @@ _DEFAULT_LEMMA_PARAMS = {
 
 @main.command("commutator-constants")
 @common_options
-def commutator_constants_cmd(config_path, output_dir, jobs, seed, quiet):
+@click.option("--jobs", type=int, default=1, show_default=True,
+              help="worker processes for the campaign samples")
+def commutator_constants_cmd(config_path, output_dir, seed, quiet, jobs):
     """Estimate the constants of the commutator/product inequalities by
     randomized campaign, with a two-resolution drift check."""
     keys = ("lemma", "param", "samples", "n_lo", "n_hi", "decay", "seed")
@@ -634,7 +611,7 @@ def commutator_constants_cmd(config_path, output_dir, jobs, seed, quiet):
 
 @main.command("nash-moser")
 @common_options
-def nash_moser_cmd(config_path, output_dir, jobs, seed, quiet):
+def nash_moser_cmd(config_path, output_dir, seed, quiet):
     """Run the smoothed Newton solve from configured Cauchy data."""
     keys = SIM_KEYS + ("phi0", "phi1", "theta0", "theta_growth", "max_iters",
                        "residual_tol", "auto", "max_halvings")

@@ -21,7 +21,6 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .operators import (
-    FieldSeries,
     Trajectory,
     build_lifting,
     lifting_forcing,
@@ -127,16 +126,10 @@ class IterationReport:
         )
 
 
-def _cut_field(f, theta):
-    coeffs = f.coeffs.copy()
-    coeffs[np.abs(f.grid.modes) > theta] = 0.0
-    return SpectralField(f.grid, coeffs, f.real_flag)
-
-
 def smooth_cutoff(obj, theta):
     """Frequency truncation S_theta: modes with |k| > theta are dropped.
 
-    Acts on a single field, a FieldSeries, or a whole Trajectory (the
+    Acts on a single field or on every array of a Trajectory (the
     second-derivative record included).  On the analytic scale this family
     satisfies ||S_theta f - f||_{H^m} <= theta^{m-s} ||f||_{H^s} for
     m <= s with constant one, which is the only property the iteration
@@ -144,21 +137,13 @@ def smooth_cutoff(obj, theta):
     """
     if theta <= 0.0:
         raise ValueError("theta must be positive")
+    if not isinstance(obj, (SpectralField, Trajectory)):
+        raise TypeError(f"cannot apply the cutoff to {type(obj).__name__}")
+    keep = np.abs(obj.grid.modes) <= theta
     if isinstance(obj, SpectralField):
-        return _cut_field(obj, theta)
-    if isinstance(obj, FieldSeries):
-        return FieldSeries(obj.times, [_cut_field(f, theta) for f in obj.fields])
-    if isinstance(obj, Trajectory):
-        phitts = None
-        if obj.phitts is not None:
-            phitts = [_cut_field(f, theta) for f in obj.phitts]
-        return Trajectory(
-            obj.times,
-            [_cut_field(f, theta) for f in obj.phis],
-            [_cut_field(f, theta) for f in obj.phits],
-            phitts,
-        )
-    raise TypeError(f"cannot apply the cutoff to {type(obj).__name__}")
+        return SpectralField(obj.grid, np.where(keep, obj.coeffs, 0.0), obj.real_flag)
+    return Trajectory(obj.times, *(None if a is None else np.where(keep, a, 0.0)
+                                   for a in (obj.phi, obj.phit, obj.phitt)))
 
 
 def _metadata(cfg):
@@ -199,7 +184,7 @@ def iterate(cfg, data):
     lift_states = lift.states(times)  # phi^a and its time derivatives, (T, n-1) each
     phi_a = lift_states[0]
     n_a = quadratic_rhs(phi_a, sim.dealias)
-    forcing_a = np.array([f.coeffs for f in lifting_forcing(lift, sim.mu, times).fields])
+    forcing_a = lifting_forcing(lift, sim.mu, times).phi
     lap = -(grid.modes.astype(float) ** 2)
 
     # the correction u and its first two time derivatives on the mesh
@@ -209,16 +194,13 @@ def iterate(cfg, data):
     theta = cfg.theta0
     report = IterationReport(metadata=_metadata(cfg))
 
-    def fields(rows):
-        return [SpectralField(grid, row, True) for row in rows]
-
     for _ in range(cfg.max_iters + 1):
         # residual of L[u] = F^a and stability of phi^a + u, all nodes at once
         phi_tot = phi_a + u[0]
         _, stab_min = stability_coefficient(phi_tot, sim.mu)
         nonlin = quadratic_rhs(phi_tot, sim.dealias) - n_a
         applied = u[2] - sim.mu * (lap * u[0]) - nonlin
-        r_series = FieldSeries(times, fields(forcing_a - applied))
+        r_series = Trajectory(times, forcing_a - applied)
         r_norm = ym_norm(r_series, spec, 2)
         report.residual_norms.append(float(r_norm))
         report.stability_mins.append(float(stab_min))
@@ -242,7 +224,7 @@ def iterate(cfg, data):
             break
 
         # linearize at phi^a + u and solve for the correction
-        u_eval = field_evaluator(FieldSeries(times, fields(u[0])), grid, sim.t_final)
+        u_eval = field_evaluator(Trajectory(times, u[0]), grid, sim.t_final)
 
         def base_profile(t, _u_eval=u_eval):
             return lift.at(t)[0] + _u_eval(t)
@@ -252,12 +234,11 @@ def iterate(cfg, data):
         report.correction_norms.append(float(xm_norm(v_traj, spec, 2)["total"]))
         report.theta_values.append(float(theta))
 
-        u = [a + np.array([f.coeffs for f in v])
-             for a, v in zip(u, (v_cut.phis, v_cut.phits, v_cut.phitts))]
+        u = [a + v for a, v in zip(u, (v_cut.phi, v_cut.phit, v_cut.phitt))]
         theta *= cfg.theta_growth
 
     report.iterations = len(report.correction_norms)
-    traj = Trajectory(times, *(fields(s + a) for s, a in zip(lift_states, u)))
+    traj = Trajectory(times, *(s + a for s, a in zip(lift_states, u)))
     return traj, report
 
 

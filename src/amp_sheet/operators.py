@@ -31,7 +31,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .spectral import SpectralField, _padded_size, derivative
+from .spectral import SpectralField, TorusGrid, _coeffs, _padded_size, derivative
 from .spectral import pointwise_product  # noqa: F401  (perfbench/tests rebinds it here)
 
 _TWO_PI = 2.0 * np.pi
@@ -81,88 +81,92 @@ class CauchyData:
         return CauchyData(a * self.phi0, a * self.phi1)
 
 
-@dataclass
-class FieldSeries:
-    """Fields sampled on a strictly increasing time mesh."""
-
-    times: np.ndarray
-    fields: list
-
-    def __post_init__(self):
-        t = np.asarray(self.times, float)
-        if t.ndim != 1 or t.size != len(self.fields):
-            raise ValueError("times and fields disagree in length")
-        if t.size >= 2 and np.min(np.diff(t)) <= 0:
-            raise ValueError("times must be strictly increasing")
-        self.times = t
-
-    def __len__(self):
-        return len(self.fields)
+def _rows(rows, name):
+    """A (T, n-1) coefficient array, stacked once from a sequence of real
+    fields when not given as an array."""
+    if rows is None:
+        return None
+    if isinstance(rows, np.ndarray):
+        return np.asarray(rows, complex)
+    rows = list(rows)
+    if not all(f.real_flag for f in rows):
+        raise ValueError(f"{name} holds a field that is not real")
+    return np.array([f.coeffs for f in rows])
 
 
-@dataclass
+@dataclass(eq=False)
 class Trajectory:
-    """(phi, phi_t) snapshots on a time mesh, optionally with stored phi_tt.
+    """Snapshots on a strictly increasing time mesh as (T, n-1) coefficient
+    arrays: phi, and optionally phi_t and a stored phi_tt.  A sequence of
+    real fields is stacked once on entry; a forcing or base series is a
+    Trajectory with phi only.
 
-    Solvers fill `phitts` with the semidiscrete right-hand side at the
+    Solvers fill `phitt` with the semidiscrete right-hand side at the
     accepted nodes, which is accurate to the integrator's order; consumers
     that the contract obliges to difference (residual evaluation on foreign
     trajectories, the X_m norms) ignore it.
     """
 
     times: np.ndarray
-    phis: list
-    phits: list
-    phitts: list | None = None
-    uniform: bool = True
+    phi: np.ndarray
+    phit: np.ndarray | None = None
+    phitt: np.ndarray | None = None
 
     def __post_init__(self):
-        t = np.asarray(self.times, float)
-        if t.ndim != 1 or t.size != len(self.phis) or t.size != len(self.phits):
+        t = self.times = np.asarray(self.times, float)
+        self.phi, self.phit, self.phitt = (
+            _rows(getattr(self, name), name) for name in ("phi", "phit", "phitt"))
+        if t.ndim != 1 or self.phi.ndim != 2 or self.phi.shape[0] != t.size:
             raise ValueError("times and snapshots disagree in length")
-        if self.phitts is not None and len(self.phitts) != t.size:
-            raise ValueError("phitts length mismatch")
-        if t.size >= 2:
-            steps = np.diff(t)
-            if np.min(steps) <= 0:
-                raise ValueError("times must be strictly increasing")
-            if self.uniform and np.max(np.abs(steps - steps[0])) > 1e-10 * max(
-                1.0, abs(steps[0])
-            ):
-                raise ValueError("mesh flagged uniform but steps vary")
-        self.times = t
+        if any(a is not None and a.shape != self.phi.shape for a in (self.phit, self.phitt)):
+            raise ValueError("phit and phitt must have the shape of phi")
+        if t.size >= 2 and np.min(np.diff(t)) <= 0:
+            raise ValueError("times must be strictly increasing")
 
     def __len__(self):
-        return len(self.phis)
+        return self.phi.shape[0]
 
     @property
     def grid(self):
-        return self.phis[0].grid
+        return TorusGrid(self.phi.shape[1] + 1)
 
     @property
     def dt(self):
-        if not self.uniform or len(self.times) < 2:
+        """The step of a uniform mesh; ValueError on any other mesh."""
+        steps = np.diff(self.times)
+        if steps.size == 0 or np.max(np.abs(steps - steps[0])) > 1e-10 * max(1.0, abs(steps[0])):
             raise ValueError("dt undefined for this mesh")
-        return float(self.times[1] - self.times[0])
+        return float(steps[0])
 
-    def second_difference(self, i):
-        """Centered second difference of the phi snapshots at interior i."""
-        if not 1 <= i <= len(self) - 2:
-            raise ValueError(f"index {i} is not interior")
-        dt = self.dt
-        return (1.0 / dt**2) * (self.phis[i - 1] - 2.0 * self.phis[i] + self.phis[i + 1])
+    def second_difference(self):
+        """Centered second differences of phi at the T-2 interior nodes."""
+        if len(self) < 3:
+            raise ValueError("need at least three nodes to difference phi_tt")
+        p = self.phi
+        return (1.0 / self.dt**2) * (p[:-2] - 2.0 * p[1:-1] + p[2:])
 
-    def phit_derivative(self, i):
-        """Centered (one-sided second order at the ends) difference of phi_t."""
-        m = len(self) - 1
-        dt = self.dt
-        if 1 <= i <= m - 1:
-            return (0.5 / dt) * (self.phits[i + 1] - self.phits[i - 1])
-        if i == 0:
-            return (0.5 / dt) * (-3.0 * self.phits[0] + 4.0 * self.phits[1] - self.phits[2])
-        if i == m:
-            return (0.5 / dt) * (3.0 * self.phits[m] - 4.0 * self.phits[m - 1] + self.phits[m - 2])
-        raise ValueError(f"index {i} out of range")
+    def phit_derivative(self):
+        """Differences of phi_t at every node: centered inside, one-sided
+        second order at the two ends."""
+        if self.phit is None or len(self) < 3:
+            raise ValueError("need phi_t on at least three nodes")
+        q, h = self.phit, 0.5 / self.dt
+        out = np.empty_like(q)
+        out[1:-1] = h * (q[2:] - q[:-2])
+        out[0] = h * (-3.0 * q[0] + 4.0 * q[1] - q[2])
+        out[-1] = h * (3.0 * q[-1] - 4.0 * q[-2] + q[-3])
+        return out
+
+    def _fields(self, rows):
+        return None if rows is None else [SpectralField(self.grid, r, True) for r in rows]
+
+    # field lists, read-only, for callers written against per-node fields
+    phis = property(lambda self: self._fields(self.phi))
+    phits = property(lambda self: self._fields(self.phit))
+    phitts = property(lambda self: self._fields(self.phitt))
+
+
+FieldSeries = Trajectory
 
 
 @lru_cache(maxsize=64)
@@ -201,7 +205,7 @@ def quadratic_rhs(phi, dealias=True):
     """
     _require_real_zero_mean(phi, "phi")
     field = isinstance(phi, SpectralField)
-    c = phi.coeffs if field else np.asarray(phi)
+    c = _coeffs(phi)
     n = c.shape[-1] + 1
     half = n // 2
     m, up, down = _fused_tables(n, dealias)
@@ -240,9 +244,11 @@ def evolution_residual(traj, mu, index, dealias=True):
     phi_tt is the centered second difference of the stored phi snapshots,
     so the residual of an exact solution is O(dt^2).
     """
-    phi = traj.phis[index]
-    phi_tt = traj.second_difference(index)
-    return phi_tt - mu * derivative(phi, 2) - quadratic_rhs(phi, dealias)
+    if not 1 <= index <= len(traj) - 2:
+        raise ValueError(f"index {index} is not interior")
+    phi = traj.phi[index]
+    r = traj.second_difference()[index - 1] - mu * derivative(phi, 2) - quadratic_rhs(phi, dealias)
+    return SpectralField(traj.grid, r, True)
 
 
 def apply_linearized_operator(phi0, phiP, mu, dealias=True):
@@ -267,7 +273,7 @@ def apply_linearized_operator(phi0, phiP, mu, dealias=True):
     _require_real_zero_mean(phi0, "phi0")
     _require_real_zero_mean(phiP, "phiP")
     field = isinstance(phi0, SpectralField) and isinstance(phiP, SpectralField)
-    c0, c = (f.coeffs if isinstance(f, SpectralField) else np.asarray(f) for f in (phi0, phiP))
+    c0, c = _coeffs(phi0), _coeffs(phiP)
     n = c.shape[-1] + 1
     half = n // 2
     m, up, down = _fused_tables(n, dealias)
@@ -295,7 +301,7 @@ def stability_coefficient(phi, mu):
     (H phi)_x has symbol |k|, so the values come from one inverse real FFT
     of the half spectrum (only k >= 0 is read) times k.
     """
-    c = phi.coeffs if isinstance(phi, SpectralField) else np.asarray(phi)
+    c = _coeffs(phi)
     n = c.shape[-1] + 1
     _, up, _ = _fused_tables(n, False)  # row 1: (H phi)_x scaled for n points
     vals = mu - 2.0 * np.fft.irfft(c[..., n // 2 - 1:] * up[1], n)
@@ -425,4 +431,4 @@ def lifting_forcing(lift, mu, times, dealias=True):
     lap = -(grid.modes.astype(float) ** 2)
     f = mu * (lap * phi) + quadratic_rhs(phi, dealias) - phitt
     f[times < 0.0] = 0.0
-    return FieldSeries(times, [SpectralField(grid, row, True) for row in f])
+    return Trajectory(times, f)

@@ -30,7 +30,6 @@ from functools import lru_cache
 import numpy as np
 
 from .operators import (
-    FieldSeries,
     Lifting,
     Trajectory,
     apply_linearized_operator,
@@ -118,36 +117,36 @@ def _lagrange_weights(nodes, t):
 
 
 class _SeriesEvaluator:
-    """Piecewise cubic (4-point Lagrange) interpolation of a field series.
+    """Piecewise cubic (4-point Lagrange) interpolation of a series of
+    (T, n-1) coefficient rows.
 
     Exact at the sample times; O(h^4) between them, matching the
     integrator's order so interpolated forcing does not degrade it.
     """
 
-    def __init__(self, times, fields):
+    def __init__(self, times, rows):
         self.times = np.asarray(times, float)
-        self.grid = fields[0].grid
-        self.rows = np.vstack([f.coeffs for f in fields])
-        self.real = all(f.real_flag for f in fields)
+        self.grid = TorusGrid(rows.shape[1] + 1)
+        self.rows = rows
 
     def __call__(self, t):
         ts = self.times
         n = ts.size
         if n == 1:
-            return SpectralField(self.grid, self.rows[0], self.real)
+            return SpectralField(self.grid, self.rows[0], True)
         i = int(np.searchsorted(ts, t)) - 1
         width = min(4, n)
         j0 = min(max(i - 1, 0), n - width)
         sel = slice(j0, j0 + width)
         w = _lagrange_weights(ts[sel], t)
-        return SpectralField(self.grid, w @ self.rows[sel], self.real)
+        return SpectralField(self.grid, w @ self.rows[sel], True)
 
 
 def field_evaluator(source, grid, t_final=None):
     """Coerce a base/forcing description into a callable t -> SpectralField.
 
     Accepts None (zero field), a SpectralField (frozen in time), a Lifting
-    (analytic evaluation), a Trajectory or FieldSeries (cubic interpolation;
+    (analytic evaluation), a Trajectory (cubic interpolation of its phi;
     must cover [0, t_final] when a horizon is given), or any callable.
     """
     if source is None:
@@ -161,9 +160,8 @@ def field_evaluator(source, grid, t_final=None):
         if source.data.grid.n != grid.n:
             raise ValueError("lifting grid does not match the solver grid")
         return lambda t: source.at(t)[0]
-    if isinstance(source, (Trajectory, FieldSeries)):
-        fields = source.phis if isinstance(source, Trajectory) else source.fields
-        if fields[0].grid.n != grid.n:
+    if isinstance(source, Trajectory):
+        if source.grid.n != grid.n:
             raise ValueError("series grid does not match the solver grid")
         times = source.times
         if t_final is not None and (times[0] > 1e-9 or times[-1] < t_final - 1e-9):
@@ -171,7 +169,7 @@ def field_evaluator(source, grid, t_final=None):
                 f"series covers [{times[0]:.6g}, {times[-1]:.6g}] "
                 f"but the solve needs [0, {t_final:.6g}]"
             )
-        return _SeriesEvaluator(times, fields)
+        return _SeriesEvaluator(times, source.phi)
     if callable(source):
         def wrapped(t):
             f = source(t)
@@ -242,7 +240,10 @@ def _march(cfg, grid, rhs, phi, phit, stability_source, abort_on_stability):
     if cfg.mu <= 0:
         flags.append({"type": "elliptic_regime", "time": 0.0})
 
-    phis, phits, phitts, stab = [], [], [], []
+    # (phi, phi_t, phi_tt) rows; the recorded second derivative is exactly
+    # the Galerkin right-hand side at the node
+    rows = np.empty((3, m + 1, grid.n - 1), complex)
+    stab = []
     kept = 0
     for i, t in enumerate(times):
         t = float(t)
@@ -250,11 +251,7 @@ def _march(cfg, grid, rhs, phi, phit, stability_source, abort_on_stability):
         mon = stability_source(t, phi)
         vals, mn = stability_coefficient(mon, cfg.mu)
         k1 = rhs(t, state)
-        phis.append(SpectralField(grid, phi, True))
-        phits.append(SpectralField(grid, phit, True))
-        # the recorded second derivative is exactly the Galerkin
-        # right-hand side at the node
-        phitts.append(SpectralField(grid, k1[1], True))
+        rows[:, i] = phi, phit, k1[1]
         stab.append(mn)
         kept = i + 1
 
@@ -276,7 +273,7 @@ def _march(cfg, grid, rhs, phi, phit, stability_source, abort_on_stability):
             )
         state = rk4_step(t, cfg.dt, state, rhs, k1)
 
-    traj = Trajectory(times[:kept], phis, phits, phitts)
+    traj = Trajectory(times[:kept], *rows[:, :kept])
     monitor = {
         "t_grid": times[:kept],
         "min_stability_coeff": np.array(stab),
@@ -327,10 +324,19 @@ def solve_linearized(cfg, base=None, forcing=None, initial_state=None):
         phi0 = initial_state.phi0.coeffs
         phi1 = initial_state.phi1.coeffs
 
-    def rhs(t, state):
-        return semidiscrete_rhs_linearized(state, base_eval(t), g_eval(t), cfg)
+    # the monitor and k1 share the node time, k2 and k3 the half step, and
+    # k4 the next node: evaluate base and forcing once per distinct time
+    frozen = [None, None]
 
-    return _march(cfg, grid, rhs, phi0, phi1, lambda t, phi_hat: base_eval(t),
+    def at(t):
+        if frozen[0] != t:
+            frozen[:] = t, (base_eval(t), g_eval(t))
+        return frozen[1]
+
+    def rhs(t, state):
+        return semidiscrete_rhs_linearized(state, *at(t), cfg)
+
+    return _march(cfg, grid, rhs, phi0, phi1, lambda t, phi_hat: at(t)[0],
                   abort_on_stability=False)
 
 
@@ -343,9 +349,12 @@ def measure_mode_growth(traj, modes):
     """
     ts = traj.times
     half = len(ts) // 2
+    band = traj.grid.n // 2 - 1
     rates = {}
     for k in modes:
-        amps = np.array([abs(f.coeff(k)) for f in traj.phis])[half:]
+        if not -band <= k <= band:
+            raise ValueError(f"mode {k} outside retained band")
+        amps = np.abs(traj.phi[half:, k + band])
         tt = ts[half:]
         if amps.size < 2 or np.max(amps) <= 0.0:
             rates[k] = float("nan")

@@ -28,11 +28,8 @@ _TWO_PI = 2.0 * np.pi
 __all__ = [
     "TorusGrid",
     "SpectralField",
-    "MultiplierSymbol",
     "analyze",
     "synthesize",
-    "apply_multiplier",
-    "compose_multipliers",
     "hilbert",
     "derivative",
     "project",
@@ -226,67 +223,6 @@ def _band_from_full(full, n):
     return np.concatenate([full[m - (half - 1):], full[:half]])
 
 
-@dataclass(frozen=True, eq=False)
-class MultiplierSymbol:
-    """Fourier multiplier A(k) with an order/bound certificate.
-
-    The certificate (1+|k|)^(-order) |A(k)| <= bound is validated on
-    construction; it is what turns an application of the symbol into a
-    Sobolev bound ||A f||_{H^{s-order}} <= bound * ||f||_{H^s}.
-    """
-
-    grid: TorusGrid
-    values: np.ndarray
-    order: float
-    bound: float
-
-    def __post_init__(self):
-        v = np.array(self.values, dtype=complex)
-        if v.shape != (self.grid.n - 1,):
-            raise ValueError("symbol values must cover the retained band")
-        v.flags.writeable = False
-        object.__setattr__(self, "values", v)
-        w = (1.0 + np.abs(self.grid.modes)) ** (-self.order)
-        sup = float(np.max(w * np.abs(v)))
-        if not np.isfinite(self.bound) or sup > self.bound * (1.0 + 1e-12):
-            raise ValueError(
-                f"certificate violated: sup (1+|k|)^-order |A| = {sup} > bound {self.bound}"
-            )
-
-    @classmethod
-    def from_function(cls, grid, fn, order, bound=None):
-        vals = np.array([fn(int(k)) for k in grid.modes], dtype=complex)
-        if bound is None:
-            w = (1.0 + np.abs(grid.modes)) ** (-order)
-            bound = float(np.max(w * np.abs(vals)))
-        return cls(grid, vals, order, bound)
-
-    def value(self, k):
-        half = self.grid.n // 2
-        return complex(self.values[k + half - 1])
-
-
-def apply_multiplier(sym, field):
-    """(A f)^(k) = A(k) f^(k).  Keeps `real_flag` when the symbol is
-    conjugate-symmetric, A(-k) = conj(A(k))."""
-    if sym.grid.n != field.grid.n:
-        raise ValueError("grid mismatch")
-    out = sym.values * field.coeffs
-    herm = np.max(np.abs(np.conj(sym.values[::-1]) - sym.values)) <= 1e-14 * (
-        1.0 + np.max(np.abs(sym.values))
-    )
-    return SpectralField(field.grid, out, field.real_flag and bool(herm))
-
-
-def compose_multipliers(a, b):
-    """Applying a then b equals the single multiplier with product symbol;
-    orders add and bounds multiply."""
-    if a.grid.n != b.grid.n:
-        raise ValueError("grid mismatch")
-    return MultiplierSymbol(a.grid, a.values * b.values, a.order + b.order,
-                            a.bound * b.bound)
-
-
 @lru_cache(maxsize=128)
 def _hilbert_values(n):
     v = -1j * np.sign(_modes(n)).astype(complex)
@@ -300,12 +236,21 @@ def hilbert(field):
     return SpectralField(field.grid, out, field.real_flag)
 
 
+def _coeffs(f):
+    """The coefficients of a field, or `f` itself as a (..., n-1) array."""
+    return f.coeffs if isinstance(f, SpectralField) else np.asarray(f)
+
+
 def derivative(field, p=1):
-    """p-th spatial derivative, symbol (i k)^p."""
+    """p-th spatial derivative, symbol (i k)^p, of a field or of a (..., n-1)
+    coefficient array; the result is of the same kind."""
     if p < 0 or p != int(p):
         raise ValueError("derivative order must be a nonnegative integer")
-    out = (1j * field.grid.modes) ** int(p) * field.coeffs
-    return SpectralField(field.grid, out, field.real_flag)
+    c = _coeffs(field)
+    out = (1j * _modes(c.shape[-1] + 1)) ** int(p) * c
+    if isinstance(field, SpectralField):
+        return SpectralField(field.grid, out, field.real_flag)
+    return out
 
 
 def project(field, cutoff):
@@ -345,9 +290,12 @@ def pointwise_product(f, g, dealias=True):
 
 
 def sobolev_norm(field, s):
-    """|| f ||_{H^s} = sqrt( (1/2pi) sum_k (1+|k|)^{2s} |c(k)|^2 )."""
-    w = (1.0 + np.abs(field.grid.modes)) ** (2.0 * s)
-    return float(np.sqrt(np.sum(w * np.abs(field.coeffs) ** 2) / _TWO_PI))
+    """|| f ||_{H^s} = sqrt( (1/2pi) sum_k (1+|k|)^{2s} |c(k)|^2 ) of a field,
+    or the array of norms of the rows of a (..., n-1) coefficient array."""
+    c = _coeffs(field)
+    w = (1.0 + np.abs(_modes(c.shape[-1] + 1))) ** (2.0 * s)
+    norms = np.sqrt(np.sum(w * np.abs(c) ** 2, axis=-1) / _TWO_PI)
+    return float(norms) if norms.ndim == 0 else norms
 
 
 def homogeneous_norm(field, s):

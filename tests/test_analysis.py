@@ -95,8 +95,8 @@ class TestWeightedNorms:
         traj = window_trajectory(GRID, dt=1e-3)
         for g in (1.0, 2.0, 4.0):
             spec = WeightedNormSpec(gamma=g)
-            lhs = g * weighted_l2_norm(FieldSeries(traj.times, traj.phis), spec, 1)
-            rhs = weighted_l2_norm(FieldSeries(traj.times, traj.phits), spec, 1)
+            lhs = g * weighted_l2_norm(Trajectory(traj.times, traj.phi), spec, 1)
+            rhs = weighted_l2_norm(Trajectory(traj.times, traj.phit), spec, 1)
             assert lhs <= rhs * (1.0 + 1e-6)
 
     def test_batched_norms_equal_per_node_loop(self):
@@ -144,7 +144,7 @@ class TestSolutionNorms:
 
     def test_ym_matches_weighted_norm_on_zero_trace(self):
         traj = window_trajectory(GRID, dt=2e-3)
-        series = FieldSeries(traj.times, traj.phis)
+        series = Trajectory(traj.times, traj.phi)
         spec = WeightedNormSpec(gamma=1.0)
         a = ym_norm(series, spec, 2)
         b = weighted_l2_norm(series, spec, 2)
@@ -162,14 +162,14 @@ class TestApplyLinearized:
         t = out.times[k]
         w, _, wpp = bump_window(t, 0.75, 0.25)
         want = cosine(GRID, 1, wpp + w)
-        err = np.max(np.abs(out.fields[k].coeffs - want.coeffs))
+        err = np.max(np.abs(out.phi[k] - want.coeffs))
         assert err < 5e-3 * max(1.0, abs(wpp))
 
     def test_zero_trajectory_gives_zero(self):
         ts = np.linspace(0.0, 1.0, 21)
         traj = Trajectory(ts, [zeros(GRID)] * 21, [zeros(GRID)] * 21)
         out = apply_linearized(None, traj, mu=1.0)
-        assert all(np.max(np.abs(f.coeffs)) == 0.0 for f in out.fields)
+        assert np.max(np.abs(out.phi)) == 0.0
 
     def test_batched_equals_per_node_loop(self):
         # a time-dependent base and more interior nodes than one kernel
@@ -183,10 +183,11 @@ class TestApplyLinearized:
                           [zeros(GRID)] * len(ts))
         out = apply_linearized(base, traj, mu=1.2)
         assert len(out) == len(ts) - 2
-        for i, f in enumerate(out.fields, start=1):
-            want = (traj.second_difference(i)
-                    - apply_linearized_alt(base.phis[i], traj.phis[i], 1.2)).coeffs
-            assert np.max(np.abs(f.coeffs - want)) <= 1e-13 * np.max(np.abs(want))
+        phi, dt = traj.phi, ts[1] - ts[0]
+        for i, row in enumerate(out.phi, start=1):
+            phitt = (phi[i - 1] - 2.0 * phi[i] + phi[i + 1]) / dt**2
+            want = phitt - apply_linearized_alt(base.phis[i], traj.phis[i], 1.2).coeffs
+            assert np.max(np.abs(row - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 class TestEnergyEstimate:
@@ -208,9 +209,7 @@ class TestEnergyEstimate:
         # both sides are quadratic, so scaling the solution by 10 leaves
         # the ratio unchanged
         traj = window_trajectory(GRID, dt=2e-3)
-        big = Trajectory(traj.times,
-                         [p * 10.0 for p in traj.phis],
-                         [p * 10.0 for p in traj.phits])
+        big = Trajectory(traj.times, 10.0 * traj.phi, 10.0 * traj.phit)
         r1 = verify_energy_estimate(None, traj, mu=1.0, delta=0.9, gamma=2.0)
         r2 = verify_energy_estimate(None, big, mu=1.0, delta=0.9, gamma=2.0)
         assert r1.ratio == pytest.approx(r2.ratio, rel=1e-9)

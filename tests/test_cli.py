@@ -51,6 +51,15 @@ class TestConfigHandling:
                                    "--output", str(tmp_path / "o")])
         assert out.exit_code == 2
 
+    def test_jobs_only_on_commutator_constants(self, runner, tmp_path):
+        cfg = write_config(tmp_path, "c.json", ZERO_SIM)
+        out = runner.invoke(main, ["simulate", "--config", cfg, "--jobs", "2",
+                                   "--output", str(tmp_path / "o")])
+        assert out.exit_code == 2
+        assert "--jobs" in out.output
+        out = runner.invoke(main, ["commutator-constants", "--help"])
+        assert out.exit_code == 0 and "--jobs" in out.output
+
     def test_bad_mode_in_field_spec(self, runner, tmp_path):
         cfg = write_config(tmp_path, "c.json",
                            {**ZERO_SIM, "phi0": {"cos": {"300": 0.1}}})

@@ -86,11 +86,14 @@ class TestSmoothCutoff:
         ts = np.linspace(0.0, 1.0, 5)
         fields = [cosine(GRID, 5, float(1 + t)) for t in ts]
         series = smooth_cutoff(FieldSeries(ts, fields), 3.0)
-        assert all(np.max(np.abs(f.coeffs)) == 0.0 for f in series.fields)
+        assert np.max(np.abs(series.phi)) == 0.0 and series.phit is None
         traj = Trajectory(ts, fields, fields, fields)
         cut = smooth_cutoff(traj, 3.0)
-        assert cut.phitts is not None
-        assert all(np.max(np.abs(f.coeffs)) == 0.0 for f in cut.phitts)
+        assert cut.phitt is not None
+        assert np.max(np.abs(cut.phitt)) == 0.0
+        kept = smooth_cutoff(traj, 5.0)
+        assert all(np.array_equal(a, b) for a, b in ((kept.phi, traj.phi), (kept.phit, traj.phit),
+                                                    (kept.phitt, traj.phitt)))
 
     def test_rejects_junk(self):
         with pytest.raises(TypeError):
@@ -105,7 +108,7 @@ class TestIterate:
         traj, rep = iterate(IterationConfig(sim=small_sim()), data)
         assert rep.converged and rep.iterations == 0
         assert rep.residual_norms == [0.0]
-        assert all(np.max(np.abs(p.coeffs)) == 0.0 for p in traj.phis)
+        assert np.max(np.abs(traj.phi)) == 0.0
 
     def test_small_data_quadratic_convergence(self):
         data = CauchyData(cosine(GRID, 1, 0.01), zeros(GRID))
@@ -125,15 +128,15 @@ class TestIterate:
         data = CauchyData(cosine(GRID, 1, 0.01), zeros(GRID))
         traj, rep = iterate(IterationConfig(sim=sim), data)
         ref, _ = solve_nonlinear(sim, data)
-        num = sobolev_norm(traj.phis[-1] + ref.phis[-1] * (-1.0), 1)
-        assert num / sobolev_norm(ref.phis[-1], 1) < 1e-4
+        num = sobolev_norm(traj.phi[-1] - ref.phi[-1], 1)
+        assert num / sobolev_norm(ref.phi[-1], 1) < 1e-4
 
     def test_initial_data_reproduced_exactly(self):
         data = CauchyData(cosine(GRID, 1, 0.01), sine(GRID, 2, 0.02))
         traj, rep = iterate(IterationConfig(sim=small_sim()), data)
         assert rep.converged
-        assert np.max(np.abs(traj.phis[0].coeffs - data.phi0.coeffs)) == 0.0
-        assert np.max(np.abs(traj.phits[0].coeffs - data.phi1.coeffs)) == 0.0
+        assert np.max(np.abs(traj.phi[0] - data.phi0.coeffs)) == 0.0
+        assert np.max(np.abs(traj.phit[0] - data.phi1.coeffs)) == 0.0
 
     def test_metadata_orders(self):
         data = CauchyData(zeros(GRID), zeros(GRID))
@@ -164,8 +167,7 @@ class TestIterate:
 
         def flipped(obj, theta):
             v = cut(obj, theta)
-            return Trajectory(v.times, [-f for f in v.phis], [-f for f in v.phits],
-                              [-f for f in v.phitts])
+            return Trajectory(v.times, -v.phi, -v.phit, -v.phitt)
 
         monkeypatch.setattr(nm, "smooth_cutoff", flipped)
         data = CauchyData(cosine(GRID, 1, 0.01), zeros(GRID))

@@ -329,24 +329,68 @@ class TestContainers:
             FieldSeries(np.array([0.0, 0.0]), [zeros(GRID), zeros(GRID)])
 
     def test_trajectory_uniformity_check(self):
+        # a non-uniform mesh is a valid container; only its step is undefined
         phis = [zeros(GRID)] * 3
-        with pytest.raises(ValueError):
-            Trajectory(np.array([0.0, 0.1, 0.3]), phis, phis)
-        traj = Trajectory(np.array([0.0, 0.1, 0.3]), phis, phis, uniform=False)
+        traj = Trajectory(np.array([0.0, 0.1, 0.3]), phis, phis)
+        assert len(traj) == 3
         with pytest.raises(ValueError):
             traj.dt
+        with pytest.raises(ValueError):
+            traj.second_difference()
+        assert Trajectory(np.array([0.0, 0.1, 0.2]), phis, phis).dt == pytest.approx(0.1)
 
     def test_phit_derivative_endpoints(self):
         # phi_t(t) = t^2 cos x sampled exactly; one-sided second order
         # differences recover 2t cos x at both ends.
         ts = np.linspace(0.0, 1.0, 11)
-        phis = [zeros(GRID)] * 11
-        phits = [cosine(GRID, 1, t * t) for t in ts]
-        traj = Trajectory(ts, phis, phits)
+        phits = np.array([cosine(GRID, 1, t * t).coeffs for t in ts])
+        traj = Trajectory(ts, np.zeros_like(phits), phits)
+        d = traj.phit_derivative()
+        assert d.shape == phits.shape
         for i, t in ((0, 0.0), (5, 0.5), (10, 1.0)):
-            d = traj.phit_derivative(i)
             want = cosine(GRID, 1, 2.0 * t)
-            assert np.max(np.abs(d.coeffs - want.coeffs)) < 1e-11
+            assert np.max(np.abs(d[i] - want.coeffs)) < 1e-11
+
+    def test_second_difference_of_quadratic_in_time(self):
+        # phi(t) = t^2 cos x: every centered second difference is 2 cos x
+        ts = np.linspace(0.0, 1.0, 11)
+        traj = Trajectory(ts, [cosine(GRID, 1, t * t) for t in ts])
+        d = traj.second_difference()
+        assert d.shape == (9, GRID.n - 1)
+        assert np.max(np.abs(d - cosine(GRID, 1, 2.0).coeffs)) < 1e-11
+
+    def test_field_list_equals_stacked_array(self):
+        ts = np.linspace(0.0, 1.0, 6)
+        phis = [cosine(GRID, 1, t) + sine(GRID, 3, 1.0 - t) for t in ts]
+        phits = [sine(GRID, 2, t * t) for t in ts]
+        a = Trajectory(ts, phis, phits, phits)
+        b = Trajectory(ts, np.array([f.coeffs for f in phis]),
+                       np.array([f.coeffs for f in phits]),
+                       np.array([f.coeffs for f in phits]))
+        for x, y in ((a.phi, b.phi), (a.phit, b.phit), (a.phitt, b.phitt)):
+            assert x.shape == (6, GRID.n - 1) and np.array_equal(x, y)
+        assert len(a) == len(b) == 6 and a.grid == b.grid == GRID
+        # the read-only field lists give back the fields put in
+        assert all(np.array_equal(f.coeffs, g.coeffs) and f.real_flag
+                   for f, g in zip(b.phis, phis))
+        assert Trajectory(ts, phis).phit is None and Trajectory(ts, phis).phits is None
+
+    def test_non_real_field_rejected(self):
+        ts = np.linspace(0.0, 1.0, 3)
+        complex_field = from_modes(GRID, {1: 1.0})
+        with pytest.raises(ValueError):
+            Trajectory(ts, [zeros(GRID), complex_field, zeros(GRID)])
+        with pytest.raises(ValueError):
+            Trajectory(ts, [zeros(GRID)] * 3, [complex_field] * 3)
+
+    def test_shape_mismatch_rejected(self):
+        ts = np.linspace(0.0, 1.0, 3)
+        with pytest.raises(ValueError):
+            Trajectory(ts, np.zeros((4, GRID.n - 1), complex))
+        with pytest.raises(ValueError):
+            Trajectory(ts, np.zeros((3, GRID.n - 1)), np.zeros((2, GRID.n - 1)))
+        with pytest.raises(ValueError):
+            Trajectory(ts[:0], [])
 
 
 class TestResidual:
@@ -474,9 +518,9 @@ class TestLiftingForcing:
         data = CauchyData(cosine(GRID, 1, 0.01), zeros(GRID))
         lift = build_lifting(data, mu=1.0, delta=0.9)
         F = lifting_forcing(lift, 1.0, [-1.0, -0.01, 0.0])
-        assert np.max(np.abs(F.fields[0].coeffs)) == 0.0
-        assert np.max(np.abs(F.fields[1].coeffs)) == 0.0
-        assert np.max(np.abs(F.fields[2].coeffs)) > 0.0
+        assert np.max(np.abs(F.phi[0])) == 0.0
+        assert np.max(np.abs(F.phi[1])) == 0.0
+        assert np.max(np.abs(F.phi[2])) > 0.0
 
     def test_plateau_closed_form(self):
         # on the plateau phi_a = a cos x is constant in time, so
@@ -487,11 +531,11 @@ class TestLiftingForcing:
         ts = [0.0, 0.3 * lift.ramp_width, 0.9 * lift.ramp_width]
         F = lifting_forcing(lift, mu, ts)
         want = -mu * cosine(GRID, 1, a).coeffs + cosine(GRID, 2, a * a).coeffs
-        for f in F.fields:
-            assert np.max(np.abs(f.coeffs - want)) < 1e-15
+        for row in F.phi:
+            assert np.max(np.abs(row - want)) < 1e-15
 
     def test_vanishes_beyond_ramp(self):
         data = CauchyData(cosine(GRID, 1, 0.01), zeros(GRID))
         lift = build_lifting(data, 1.0, 0.9)
         F = lifting_forcing(lift, 1.0, [2.5 * lift.ramp_width])
-        assert np.max(np.abs(F.fields[0].coeffs)) == 0.0
+        assert np.max(np.abs(F.phi[0])) == 0.0

@@ -210,6 +210,29 @@ class TestLinearizedSolver:
         diff = np.max(np.abs(traj_a.phis[-1].coeffs - traj_b.phis[-1].coeffs))
         assert diff < 1e-7
 
+    def test_base_and_forcing_evaluated_once_per_stage_time(self):
+        # per step RK4 needs the base at the node, the half step and the
+        # next node; the monitor shares the node with k1 and k3 shares the
+        # half step with k2, so at most 3 m + 1 evaluations for m steps
+        cfg = SimConfig(mu=1.0, delta=0.9, grid_n=32, galerkin_N=8,
+                        dt=1e-2, t_final=0.2)
+        calls = {"base": [], "forcing": []}
+        base_field = cosine(GRID, 1, 0.01)
+
+        def counted(name, field):
+            def at(t):
+                calls[name].append(t)
+                return field
+            return at
+
+        traj, _ = solve_linearized(cfg, base=counted("base", base_field),
+                                   forcing=counted("forcing", cosine(GRID, 2)))
+        m = cfg.num_steps()
+        for name in calls:
+            assert len(calls[name]) <= 3 * m + 1, name
+        ref, _ = solve_linearized(cfg, base=base_field, forcing=cosine(GRID, 2))
+        assert np.array_equal(traj.phi, ref.phi) and np.array_equal(traj.phit, ref.phit)
+
     def test_base_trajectory_must_cover_window(self):
         cfg = SimConfig(mu=1.0, delta=0.9, grid_n=32, galerkin_N=8,
                         dt=1e-2, t_final=1.0)

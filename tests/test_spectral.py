@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from amp_sheet.spectral import (
-    TorusGrid, SpectralField, MultiplierSymbol,
-    analyze, synthesize, apply_multiplier, compose_multipliers,
+    TorusGrid, SpectralField,
+    analyze, synthesize,
     hilbert, derivative, project, pointwise_product,
     sobolev_norm, homogeneous_norm, inner_product, commutator_vh,
     hermitian_defect, linf_norm, regrid, zeros, from_modes, cosine, sine,
@@ -103,33 +103,23 @@ class TestMultipliers:
         f2 = cosine(g, 2)
         assert np.max(np.abs(derivative(f2, 2).coeffs - (-4.0 * f2).coeffs)) < 1e-13
 
-    def test_certificate_enforced(self):
-        g = TorusGrid(16)
-        with pytest.raises(ValueError):
-            MultiplierSymbol.from_function(g, lambda k: 1.0 + abs(k), order=1.0,
-                                           bound=0.5)
-
-    def test_certificate_sobolev_bound(self):
-        g = TorusGrid(64)
-        rng = np.random.default_rng(7)
-        sym = MultiplierSymbol.from_function(
-            g, lambda k: (1 + abs(k)) ** 2 * np.exp(1j * 0.3 * k), order=2.0)
-        for _ in range(20):
-            f = random_band_field(g, 20, rng, real=False)
-            s = rng.uniform(0, 3)
-            lhs = sobolev_norm(apply_multiplier(sym, f), s - sym.order)
-            rhs = sym.bound * sobolev_norm(f, s)
-            assert lhs <= rhs * (1 + 1e-12)
-
-    def test_composition(self):
-        g = TorusGrid(32)
-        a = MultiplierSymbol.from_function(g, lambda k: 1j * k, order=1.0)
-        b = MultiplierSymbol.from_function(g, lambda k: 1.0 / (1 + k * k), order=0.0)
-        ab = compose_multipliers(a, b)
-        f = random_band_field(g, 10, np.random.default_rng(0))
-        two_step = apply_multiplier(b, apply_multiplier(a, f))
-        one_step = apply_multiplier(ab, f)
-        assert np.max(np.abs(two_step.coeffs - one_step.coeffs)) < 1e-14
+    def test_batched_derivative_and_norm_equal_per_row(self):
+        # a (..., n-1) coefficient array goes through the same code as one
+        # field, row by row, bitwise
+        for n in (32, 64, 256):
+            g = TorusGrid(n)
+            rng = np.random.default_rng(n)
+            fields = [random_band_field(g, n // 3, rng) for _ in range(12)]
+            stack = np.array([f.coeffs for f in fields]).reshape(3, 4, n - 1)
+            for p in (1, 2, 3):
+                rows = derivative(stack, p).reshape(12, n - 1)
+                for f, row in zip(fields, rows):
+                    assert np.array_equal(derivative(f, p).coeffs, row)
+            for s in (0, 1, 2.5):
+                norms = sobolev_norm(stack, s)
+                assert norms.shape == (3, 4)
+                assert np.array_equal(norms.ravel(), [sobolev_norm(f, s) for f in fields])
+            assert isinstance(sobolev_norm(fields[0].coeffs, 1), float)
 
 
 class TestHilbert:
