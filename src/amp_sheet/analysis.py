@@ -116,13 +116,6 @@ def _ratio(lhs, rhs):
     return 0.0 if lhs == 0 else float("inf")
 
 
-def _sample(source, grid, times):
-    """A base or forcing source (anything field_evaluator takes) at `times`,
-    as a (T, n-1) coefficient array."""
-    at = field_evaluator(source, grid)
-    return np.array([at(float(t)).coeffs for t in times])
-
-
 def _check_horizon(times, spec):
     if spec.horizon is not None:
         t_min, t_max = spec.horizon
@@ -224,10 +217,11 @@ def apply_linearized(phi0, traj, mu, dealias=True):
     """
     phitt = traj.second_difference()
     phi, times = traj.phi[1:-1], traj.times[1:-1]
+    base_at = field_evaluator(phi0, traj.grid)
     g = np.empty_like(phitt)
     for s in range(0, len(g), _NODE_BLOCK):
         sel = slice(s, s + _NODE_BLOCK)
-        base = _sample(phi0, traj.grid, times[sel])
+        base = base_at(times[sel])
         g[sel] = phitt[sel] - apply_linearized_operator(base, phi[sel], mu, dealias)
     return Trajectory(times, g)
 
@@ -252,7 +246,7 @@ def verify_energy_estimate(phi0, traj, mu, delta, gamma, dealias=True, seed=0):
     the trajectory; pass allows a 5 percent quadrature margin.
     """
     times = traj.times
-    _check_base_stability(_sample(phi0, traj.grid, times), mu, delta)
+    _check_base_stability(field_evaluator(phi0, traj.grid)(times), mu, delta)
     _check_zero_trace(times, [traj.phi, traj.phit])
     spec = WeightedNormSpec(gamma)
     lhs = gamma * (
@@ -289,12 +283,12 @@ def verify_tame_estimate(phi0, forcing, cfg, m, seed=0):
     traj, monitor = solve_linearized(cfg, base=phi0, forcing=forcing)
     times, gamma = traj.times, cfg.gamma
     spec = WeightedNormSpec(gamma)
-    g = _sample(forcing, traj.grid, times)
+    g = field_evaluator(forcing, traj.grid)(times)
     lhs = gamma * (
         _weighted_l2(times, traj.phit, spec, m) ** 2
         + _weighted_l2(times, derivative(traj.phi), spec, m) ** 2
     )
-    sup_base = _sup_sobolev(derivative(_sample(phi0, traj.grid, times)), m + 2)
+    sup_base = _sup_sobolev(derivative(field_evaluator(phi0, traj.grid)(times)), m + 2)
     rhs = (1.0 / gamma) * (
         sup_base**2 * _weighted_l2(times, g, spec, 2) ** 2
         + _weighted_l2(times, g, spec, m) ** 2
@@ -325,13 +319,13 @@ def verify_phitt_estimate(phi0, traj, forcing, mu, gamma, m, seed=0):
         raise ValueError("m must be at least 1")
     times = traj.times
     spec = WeightedNormSpec(gamma)
-    base = _sample(phi0, traj.grid, times)
+    base = field_evaluator(phi0, traj.grid)(times)
     phix = derivative(traj.phi)
     lhs = _weighted_l2(times, traj.phit_derivative(), spec, m - 1)
     rhs = (
         _weighted_l2(times, phix, spec, m) * (1.0 + _sup_sobolev(base, 3))
         + _sup_sobolev(derivative(base), m) * _weighted_l2(times, phix, spec, 2)
-        + _weighted_l2(times, _sample(forcing, traj.grid, times), spec, m - 1)
+        + _weighted_l2(times, field_evaluator(forcing, traj.grid)(times), spec, m - 1)
     )
     c1 = _ratio(lhs, rhs)
     return EstimateReport(

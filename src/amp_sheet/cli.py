@@ -51,7 +51,8 @@ __all__ = ["main"]
 
 
 def _load_config(path, allowed, required=()):
-    """Load a JSON config, rejecting unknown keys (fail-closed)."""
+    """Load a JSON config, rejecting unknown keys (fail-closed); with
+    `allowed` None the caller checks the keys itself (see _check_keys)."""
     if path is None:
         cfg = {}
     else:
@@ -62,25 +63,28 @@ def _load_config(path, allowed, required=()):
             raise click.UsageError(f"malformed config {path}: {exc}")
         if not isinstance(cfg, dict):
             raise click.UsageError(f"config {path} must hold a JSON object")
-    unknown = sorted(set(cfg) - set(allowed))
-    if unknown:
-        raise click.UsageError(f"unknown config keys: {', '.join(unknown)}")
+    if allowed is not None:
+        _check_keys(cfg, allowed)
     missing = sorted(set(required) - set(cfg))
     if missing:
         raise click.UsageError(f"missing config keys: {', '.join(missing)}")
     return cfg
 
 
+def _check_keys(cfg, allowed):
+    unknown = sorted(set(cfg) - set(allowed))
+    if unknown:
+        raise click.UsageError(f"unknown config keys: {', '.join(unknown)}")
+
+
 SIM_KEYS = (
     "mu", "delta", "grid_n", "galerkin_N", "dt", "t_final",
-    "gamma", "dealias", "cfl_safety", "seed",
+    "gamma", "dealias", "cfl_safety",
 )
 
 
-def _sim_config(cfg, seed_override=None):
+def _sim_config(cfg):
     kw = {k: cfg[k] for k in SIM_KEYS if k in cfg}
-    if seed_override is not None:
-        kw["seed"] = seed_override
     try:
         return SimConfig(**kw)
     except (TypeError, ValueError) as exc:
@@ -168,14 +172,27 @@ def _write_csv(path, header, rows, config, quiet):
         click.echo(f"wrote {path}")
 
 
-def _trajectory_rows(traj, monitor):
-    return zip(traj.times, sobolev_norm(traj.phi, 1), sobolev_norm(traj.phit, 1),
-               monitor["min_stability_coeff"])
-
-
-def _mode_rows(traj):
+def _write_modes(out, traj, config, quiet):
+    """final_modes.csv: phi and phi_t at the last node, mode by mode."""
     phi, phit = traj.phi[-1], traj.phit[-1]
-    return zip(traj.grid.modes.astype(float), phi.real, phi.imag, phit.real, phit.imag)
+    _write_csv(out / "final_modes.csv", ("k", "phi_re", "phi_im", "phit_re", "phit_im"),
+               zip(traj.grid.modes.astype(float), phi.real, phi.imag, phit.real, phit.imag),
+               config, quiet)
+
+
+def _write_solve(out, command, traj, monitor, config, quiet, **summary):
+    """trajectory.csv, final_modes.csv and summary.json of one solve."""
+    _write_csv(out / "trajectory.csv", ("t", "h1_phi", "h1_phit", "min_stability"),
+               zip(traj.times, sobolev_norm(traj.phi, 1), sobolev_norm(traj.phit, 1),
+                   monitor["min_stability_coeff"]), config, quiet)
+    _write_modes(out, traj, config, quiet)
+    _write_json(out / "summary.json", {
+        "command": command,
+        "steps_kept": len(traj),
+        "flags": monitor["flags"],
+        "final_h1": sobolev_norm(traj.phi[-1], 1),
+        **summary,
+    }, config, quiet)
 
 
 def _flag_exit(flags, benign=("elliptic_regime",)):
@@ -189,8 +206,6 @@ def _flag_exit(flags, benign=("elliptic_regime",)):
 
 def common_options(fn):
     fn = click.option("--quiet", is_flag=True, help="suppress progress output")(fn)
-    fn = click.option("--seed", type=int, default=None,
-                      help="override the config seed")(fn)
     fn = click.option("--output", "output_dir", envvar="AMP_SHEET_OUTPUT",
                       type=click.Path(file_okay=False),
                       help="artifact directory (env AMP_SHEET_OUTPUT)")(fn)
@@ -198,6 +213,11 @@ def common_options(fn):
                       type=click.Path(exists=True, dir_okay=False),
                       help="JSON config file")(fn)
     return fn
+
+
+#: only the commands that draw random numbers take a seed
+seed_option = click.option("--seed", type=int, default=None,
+                           help="override the config seed")
 
 
 @click.group()
@@ -209,10 +229,10 @@ def main():
 
 @main.command()
 @common_options
-def simulate(config_path, output_dir, seed, quiet):
+def simulate(config_path, output_dir, quiet):
     """Integrate the nonlinear equation from configured Cauchy data."""
     cfg = _load_config(config_path, SIM_KEYS + ("phi0", "phi1"))
-    sim = _sim_config(cfg, seed)
+    sim = _sim_config(cfg)
     grid = TorusGrid(sim.grid_n)
     data = _cauchy_data(grid, cfg)
     out = _resolve_output(output_dir)
@@ -222,31 +242,19 @@ def simulate(config_path, output_dir, seed, quiet):
     except ValueError as exc:
         raise click.UsageError(str(exc))
 
-    resolved = {**cfg, "seed": sim.seed}
-    _write_csv(out / "trajectory.csv",
-               ("t", "h1_phi", "h1_phit", "min_stability"),
-               _trajectory_rows(traj, monitor), resolved, quiet)
-    _write_csv(out / "final_modes.csv",
-               ("k", "phi_re", "phi_im", "phit_re", "phit_im"),
-               _mode_rows(traj), resolved, quiet)
-    _write_json(out / "summary.json", {
-        "command": "simulate",
-        "steps_kept": len(traj),
-        "flags": monitor["flags"],
-        "final_h1": sobolev_norm(traj.phi[-1], 1),
-        "min_stability": float(np.min(monitor["min_stability_coeff"])),
-    }, resolved, quiet)
+    _write_solve(out, "simulate", traj, monitor, cfg, quiet,
+                 min_stability=float(np.min(monitor["min_stability_coeff"])))
     sys.exit(_flag_exit(monitor["flags"]))
 
 
 @main.command()
 @common_options
-def linearized(config_path, output_dir, seed, quiet):
+def linearized(config_path, output_dir, quiet):
     """Integrate the linearized equation around a configured base."""
     keys = SIM_KEYS + ("base", "phi0", "phi1", "forcing_profile",
                        "envelope_center", "envelope_width")
     cfg = _load_config(config_path, keys)
-    sim = _sim_config(cfg, seed)
+    sim = _sim_config(cfg)
     grid = TorusGrid(sim.grid_n)
     base = _build_field(grid, cfg.get("base"), "base")
     profile = _build_field(grid, cfg.get("forcing_profile"), "forcing_profile")
@@ -254,11 +262,10 @@ def linearized(config_path, output_dir, seed, quiet):
     width = float(cfg.get("envelope_width", 0.0))
 
     if width > 0.0:
-        def forcing(t):
-            return profile * bump_window(t, center, width)[0]
+        def forcing(ts):
+            return _window(ts, center, width)[0] * profile.coeffs
     else:
-        def forcing(t):
-            return profile
+        forcing = profile
 
     initial = None
     if "phi0" in cfg or "phi1" in cfg:
@@ -271,30 +278,18 @@ def linearized(config_path, output_dir, seed, quiet):
     except ValueError as exc:
         raise click.UsageError(str(exc))
 
-    resolved = {**cfg, "seed": sim.seed}
-    _write_csv(out / "trajectory.csv",
-               ("t", "h1_phi", "h1_phit", "min_stability"),
-               _trajectory_rows(traj, monitor), resolved, quiet)
-    _write_csv(out / "final_modes.csv",
-               ("k", "phi_re", "phi_im", "phit_re", "phit_im"),
-               _mode_rows(traj), resolved, quiet)
-    _write_json(out / "summary.json", {
-        "command": "linearized",
-        "steps_kept": len(traj),
-        "flags": monitor["flags"],
-        "final_h1": sobolev_norm(traj.phi[-1], 1),
-    }, resolved, quiet)
+    _write_solve(out, "linearized", traj, monitor, cfg, quiet)
     sys.exit(_flag_exit(monitor["flags"]))
 
 
 @main.command()
 @common_options
-def growth(config_path, output_dir, seed, quiet):
+def growth(config_path, output_dir, quiet):
     """Measure modal growth rates of the linearized flow (the elliptic
     regime mu < 0 exhibits the |k| sqrt(|mu|) instability)."""
     keys = SIM_KEYS + ("modes", "epsilon")
     cfg = _load_config(config_path, keys, required=("mu",))
-    sim = _sim_config(cfg, seed)
+    sim = _sim_config(cfg)
     grid = TorusGrid(sim.grid_n)
     modes = [int(k) for k in cfg.get("modes", [4, 8, 16])]
     eps = float(cfg.get("epsilon", 1e-6))
@@ -315,7 +310,7 @@ def growth(config_path, output_dir, seed, quiet):
         rel = err / expected if expected else ""
         rows.append((float(k), rate, expected, err, rel))
 
-    resolved = {**cfg, "modes": modes, "epsilon": eps, "seed": sim.seed}
+    resolved = {**cfg, "modes": modes, "epsilon": eps}
     _write_csv(out / "rates.csv", ("k", "rate", "expected", "abs_err", "rel_err"),
                rows, resolved, quiet)
     _write_json(out / "summary.json", {
@@ -327,6 +322,7 @@ def growth(config_path, output_dir, seed, quiet):
 
 @main.command("verify-identities")
 @common_options
+@seed_option
 def verify_identities_cmd(config_path, output_dir, seed, quiet):
     """Run the Hilbert-transform identity battery."""
     cfg = _load_config(config_path, ("samples", "grid_n", "seed"))
@@ -485,34 +481,39 @@ def _run_forcing(cfg, used_seed):
     return payload, rep.passed
 
 
-_ESTIMATE_RUNNERS = {
-    "energy": _run_energy,
-    "tame": _run_tame,
-    "phitt": _run_phitt,
-    "der2": _run_der2,
-    "forcing": _run_forcing,
-}
+#: the keys of the two estimates that run a linearized solve
+_SOLVE_KEYS = ("mu", "delta", "grid_n", "galerkin_N", "dt", "t_final", "gamma", "base",
+               "forcing_profile", "envelope_center", "envelope_width")
 
-_ESTIMATE_KEYS = SIM_KEYS + (
-    "estimate", "pairs", "gammas", "m", "m_values", "base", "phi0", "phi1",
-    "forcing_profile", "envelope_center", "envelope_width", "nu",
-)
+#: each estimate's runner and the config keys it reads, besides `estimate`
+#: and `seed`; any other key is rejected
+_ESTIMATE_RUNNERS = {
+    "energy": (_run_energy, ("pairs", "gammas", "mu", "delta", "grid_n", "dt",
+                             "t_final", "envelope_center", "envelope_width")),
+    "tame": (_run_tame, _SOLVE_KEYS + ("m_values",)),
+    "phitt": (_run_phitt, _SOLVE_KEYS + ("m",)),
+    "der2": (_run_der2, ("grid_n", "gamma", "m", "dt", "t_final", "envelope_width")),
+    "forcing": (_run_forcing, ("mu", "delta", "nu", "gamma", "grid_n", "phi0", "phi1")),
+}
 
 
 @main.command("verify-estimates")
 @common_options
+@seed_option
 def verify_estimates_cmd(config_path, output_dir, seed, quiet):
     """Check one of the quantitative estimates empirically.
 
-    The config key `estimate` selects energy|tame|phitt|der2|forcing.
+    The config key `estimate` selects energy|tame|phitt|der2|forcing; the
+    other keys must be ones that estimate reads.
     """
-    cfg = _load_config(config_path, _ESTIMATE_KEYS, required=("estimate",))
+    cfg = _load_config(config_path, None, required=("estimate",))
     which = cfg["estimate"]
-    runner = _ESTIMATE_RUNNERS.get(which)
-    if runner is None:
+    if not isinstance(which, str) or which not in _ESTIMATE_RUNNERS:
         raise click.UsageError(
             f"estimate must be one of {', '.join(sorted(_ESTIMATE_RUNNERS))}"
         )
+    runner, keys = _ESTIMATE_RUNNERS[which]
+    _check_keys(cfg, ("estimate", "seed") + keys)
     used_seed = seed if seed is not None else int(cfg.get("seed", 0))
     out = _resolve_output(output_dir)
 
@@ -544,6 +545,7 @@ _DEFAULT_LEMMA_PARAMS = {
 
 @main.command("commutator-constants")
 @common_options
+@seed_option
 @click.option("--jobs", type=int, default=1, show_default=True,
               help="worker processes for the campaign samples")
 def commutator_constants_cmd(config_path, output_dir, seed, quiet, jobs):
@@ -611,12 +613,12 @@ def commutator_constants_cmd(config_path, output_dir, seed, quiet, jobs):
 
 @main.command("nash-moser")
 @common_options
-def nash_moser_cmd(config_path, output_dir, seed, quiet):
+def nash_moser_cmd(config_path, output_dir, quiet):
     """Run the smoothed Newton solve from configured Cauchy data."""
     keys = SIM_KEYS + ("phi0", "phi1", "theta0", "theta_growth", "max_iters",
                        "residual_tol", "auto", "max_halvings")
     cfg = _load_config(config_path, keys)
-    sim = _sim_config(cfg, seed)
+    sim = _sim_config(cfg)
     grid = TorusGrid(sim.grid_n)
     data = _cauchy_data(grid, cfg)
     try:
@@ -650,7 +652,6 @@ def nash_moser_cmd(config_path, output_dir, seed, quiet):
         traj, report = None, exc.report
         outcome = "diverged"
 
-    resolved = {**cfg, "seed": sim.seed}
     rows = []
     for i, r in enumerate(report.residual_norms):
         corr = report.correction_norms[i] if i < len(report.correction_norms) else ""
@@ -658,16 +659,14 @@ def nash_moser_cmd(config_path, output_dir, seed, quiet):
         rows.append((float(i), r, corr, theta, report.stability_mins[i]))
     _write_csv(out / "residuals.csv",
                ("sweep", "residual", "correction", "theta", "min_stability"),
-               rows, resolved, quiet)
+               rows, cfg, quiet)
     _write_json(out / "nash_moser.json", {
         "command": "nash-moser",
         "outcome": outcome,
         "report": json.loads(report.to_json()),
-    }, resolved, quiet)
+    }, cfg, quiet)
     if traj is not None:
-        _write_csv(out / "final_modes.csv",
-                   ("k", "phi_re", "phi_im", "phit_re", "phit_im"),
-                   _mode_rows(traj), resolved, quiet)
+        _write_modes(out, traj, cfg, quiet)
     if not quiet:
         click.echo(f"nash-moser: {outcome} after {report.iterations} corrections")
     sys.exit(0 if outcome == "converged" else 3)

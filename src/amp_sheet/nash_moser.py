@@ -225,11 +225,8 @@ def iterate(cfg, data):
 
         # linearize at phi^a + u and solve for the correction
         u_eval = field_evaluator(Trajectory(times, u[0]), grid, sim.t_final)
-
-        def base_profile(t, _u_eval=u_eval):
-            return lift.at(t)[0] + _u_eval(t)
-
-        v_traj, _ = solve_linearized(sim, base=base_profile, forcing=r_series)
+        v_traj, _ = solve_linearized(
+            sim, base=lambda ts: lift.states(ts)[0] + u_eval(ts), forcing=r_series)
         v_cut = smooth_cutoff(v_traj, theta)
         report.correction_norms.append(float(xm_norm(v_traj, spec, 2)["total"]))
         report.theta_values.append(float(theta))

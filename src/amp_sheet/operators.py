@@ -369,21 +369,17 @@ class Lifting:
         return _chi_parts(t, self.ramp_width)
 
     def at(self, t):
-        """phi_a(t) and its first and second analytic time derivatives."""
+        """phi_a(t) and its first and second analytic time derivatives, as
+        three fields (the rows of states([t]))."""
         grid = self.data.grid
-        parts = self._combine(t, *_chi_parts(t, self.ramp_width))
-        return tuple(SpectralField(grid, a, True) for a in parts)
+        return tuple(SpectralField(grid, a[0], True) for a in self.states([t]))
 
     def states(self, times):
         """phi_a and its first two time derivatives at each of `times`, as
         three coefficient arrays of shape (len(times), n-1)."""
         t = np.asarray(times, float).reshape(-1, 1)
         chi = np.array([_chi_parts(float(s), self.ramp_width) for s in t[:, 0]])
-        return self._combine(t, *chi.reshape(-1, 3).T[..., None])
-
-    def _combine(self, t, c, cp, cpp):
-        """The three coefficient combinations of at/states from the bump's
-        values c, c', c'' at t (scalars, or (T, 1) columns)."""
+        c, cp, cpp = chi.reshape(-1, 3).T[..., None]
         c0 = self.data.phi0.coeffs
         c1 = self.data.phi1.coeffs
         return (c * c0 + t * c * c1,

@@ -12,6 +12,11 @@ operators.quadratic_rhs).  The two systems are the full quadratically
 nonlinear equation, and its linearization around a prescribed
 time-dependent base profile with an optional forcing term.
 
+Base profiles and forcing terms of the linearized system are field
+sources (see field_evaluator): each maps a 1-D array of times to a
+(T, n-1) coefficient array, and solve_linearized evaluates them once per
+solve on its whole RK4 stage mesh.
+
 Both solvers return the trajectory together with a monitor dictionary
 holding the node times, the pointwise minimum of the stability
 coefficient mu - 2 (H phi)_x, and any flags raised.  The nonlinear solver
@@ -58,7 +63,6 @@ class SimConfig:
     gamma: float = 1.0
     dealias: bool = True
     cfl_safety: float = 0.5
-    seed: int = 0
 
     def __post_init__(self):
         if self.delta <= 0:
@@ -73,8 +77,6 @@ class SimConfig:
             raise ValueError("gamma must be positive")
         if not 0 < self.cfl_safety <= 1:
             raise ValueError("cfl_safety must lie in (0, 1]")
-        if self.seed < 0:
-            raise ValueError("seed must be nonnegative")
 
     def num_steps(self):
         m_real = self.t_final / self.dt
@@ -111,14 +113,16 @@ def _others(k):
 
 
 def _lagrange_weights(nodes, t):
-    """Lagrange basis weights w_j = prod_{m != j} (t - t_m)/(t_j - t_m)."""
-    tm = nodes[_others(len(nodes))]
-    return np.prod((t - tm) / (nodes[:, None] - tm), axis=1)
+    """Lagrange basis weights w_j = prod_{m != j} (t - t_m)/(t_j - t_m) for
+    node sets `nodes` of shape (..., k) and times `t` of shape (...)."""
+    tm = nodes[..., _others(nodes.shape[-1])]
+    return np.prod((np.asarray(t)[..., None, None] - tm) / (nodes[..., :, None] - tm),
+                   axis=-1)
 
 
 class _SeriesEvaluator:
     """Piecewise cubic (4-point Lagrange) interpolation of a series of
-    (T, n-1) coefficient rows.
+    (T, n-1) coefficient rows, evaluated on a 1-D array of times.
 
     Exact at the sample times; O(h^4) between them, matching the
     integrator's order so interpolated forcing does not degrade it.
@@ -126,40 +130,44 @@ class _SeriesEvaluator:
 
     def __init__(self, times, rows):
         self.times = np.asarray(times, float)
-        self.grid = TorusGrid(rows.shape[1] + 1)
         self.rows = rows
 
-    def __call__(self, t):
-        ts = self.times
-        n = ts.size
-        if n == 1:
-            return SpectralField(self.grid, self.rows[0], True)
-        i = int(np.searchsorted(ts, t)) - 1
+    def __call__(self, ts):
+        ts = np.asarray(ts, float)
+        nodes, rows = self.times, self.rows
+        n = nodes.size
         width = min(4, n)
-        j0 = min(max(i - 1, 0), n - width)
-        sel = slice(j0, j0 + width)
-        w = _lagrange_weights(ts[sel], t)
-        return SpectralField(self.grid, w @ self.rows[sel], True)
+        j0 = np.clip(np.searchsorted(nodes, ts) - 2, 0, n - width)
+        idx = j0[:, None] + np.arange(width)
+        w = _lagrange_weights(nodes[idx], ts)
+        # one weighted row gather at a time: no (T, 4, n-1) temporary
+        out = w[:, :1] * rows[idx[:, 0]]
+        for j in range(1, width):
+            out += w[:, j:j + 1] * rows[idx[:, j]]
+        return out
 
 
 def field_evaluator(source, grid, t_final=None):
-    """Coerce a base/forcing description into a callable t -> SpectralField.
+    """Coerce a base/forcing description into a map from a 1-D array of T
+    times to a (T, n-1) coefficient array.
 
-    Accepts None (zero field), a SpectralField (frozen in time), a Lifting
-    (analytic evaluation), a Trajectory (cubic interpolation of its phi;
-    must cover [0, t_final] when a horizon is given), or any callable.
+    Accepts None (zero), a SpectralField (frozen in time; a read-only
+    broadcast of its coefficients), a Lifting (analytic evaluation through
+    Lifting.states), a Trajectory (cubic interpolation of its phi; must
+    cover [0, t_final] when a horizon is given), or a callable, which is
+    called once with the whole time array and must return an array of
+    shape (T, n-1) (anything else raises TypeError).
     """
     if source is None:
-        z = zeros(grid)
-        return lambda t: z
+        source = zeros(grid)
     if isinstance(source, SpectralField):
         if source.grid.n != grid.n:
             raise ValueError("field grid does not match the solver grid")
-        return lambda t: source
+        return lambda ts: np.broadcast_to(source.coeffs, (len(ts), grid.n - 1))
     if isinstance(source, Lifting):
         if source.data.grid.n != grid.n:
             raise ValueError("lifting grid does not match the solver grid")
-        return lambda t: source.at(t)[0]
+        return lambda ts: source.states(ts)[0]
     if isinstance(source, Trajectory):
         if source.grid.n != grid.n:
             raise ValueError("series grid does not match the solver grid")
@@ -171,11 +179,12 @@ def field_evaluator(source, grid, t_final=None):
             )
         return _SeriesEvaluator(times, source.phi)
     if callable(source):
-        def wrapped(t):
-            f = source(t)
-            if not isinstance(f, SpectralField) or f.grid.n != grid.n:
-                raise TypeError("base/forcing callable must return a field on the solver grid")
-            return f
+        def wrapped(ts):
+            rows = source(ts)
+            if np.shape(rows) != (len(ts), grid.n - 1):
+                raise TypeError("base/forcing callable must return a (T, n-1) "
+                                "coefficient array on the solver grid")
+            return np.asarray(rows)
         return wrapped
     raise TypeError(f"cannot interpret {type(source).__name__} as a field source")
 
@@ -195,14 +204,14 @@ def semidiscrete_rhs_nonlinear(state, cfg):
     return mask * phit_hat, mask * acc
 
 
-def semidiscrete_rhs_linearized(state, phi0_at_t, g_at_t, cfg):
+def semidiscrete_rhs_linearized(state, base_row, g_row, cfg):
     """Galerkin right-hand side of the linearization at the frozen base
-    phi0_at_t with forcing g_at_t, both fields at a single instant; the
-    pair in and out as in semidiscrete_rhs_nonlinear."""
+    with forcing g, given as their (n-1) coefficient rows at a single
+    instant; the pair in and out as in semidiscrete_rhs_nonlinear."""
     phi_hat, phit_hat = state
     mask, _ = _galerkin_tables(cfg.grid_n, cfg.galerkin_N)
-    out = apply_linearized_operator(phi0_at_t, mask * phi_hat, cfg.mu, cfg.dealias)
-    return mask * phit_hat, mask * (out + g_at_t.coeffs)
+    out = apply_linearized_operator(base_row, mask * phi_hat, cfg.mu, cfg.dealias)
+    return mask * phit_hat, mask * (out + g_row)
 
 
 def rk4_step(t, dt, state, rhs, k1=None):
@@ -308,12 +317,17 @@ def solve_linearized(cfg, base=None, forcing=None, initial_state=None):
     """Integrate the linearization around `base` with forcing `forcing`.
 
     phi'_tt = (mu - 2 p0_x) phi'_xx + lower-order terms + g, p0 = H[base].
-    `base` and `forcing` accept anything field_evaluator understands.  The
-    solve starts from rest unless `initial_state` (CauchyData) is given.
+    `base` and `forcing` accept anything field_evaluator understands; each
+    is evaluated once, on the RK4 stage mesh arange(2m + 1) * dt/2 of the
+    m steps, and the right-hand side and the monitor read the row of their
+    stage time.  The solve starts from rest unless `initial_state`
+    (CauchyData) is given.
     """
     grid = TorusGrid(cfg.grid_n)
-    base_eval = field_evaluator(base, grid, cfg.t_final)
-    g_eval = field_evaluator(forcing, grid, cfg.t_final)
+    half = 0.5 * cfg.dt
+    stage_times = np.arange(2 * cfg.num_steps() + 1) * half
+    base_rows = field_evaluator(base, grid, cfg.t_final)(stage_times)
+    g_rows = field_evaluator(forcing, grid, cfg.t_final)(stage_times)
 
     if initial_state is None:
         phi0 = np.zeros(grid.n - 1, complex)
@@ -324,19 +338,12 @@ def solve_linearized(cfg, base=None, forcing=None, initial_state=None):
         phi0 = initial_state.phi0.coeffs
         phi1 = initial_state.phi1.coeffs
 
-    # the monitor and k1 share the node time, k2 and k3 the half step, and
-    # k4 the next node: evaluate base and forcing once per distinct time
-    frozen = [None, None]
-
-    def at(t):
-        if frozen[0] != t:
-            frozen[:] = t, (base_eval(t), g_eval(t))
-        return frozen[1]
-
     def rhs(t, state):
-        return semidiscrete_rhs_linearized(state, *at(t), cfg)
+        i = round(t / half)
+        return semidiscrete_rhs_linearized(state, base_rows[i], g_rows[i], cfg)
 
-    return _march(cfg, grid, rhs, phi0, phi1, lambda t, phi_hat: at(t)[0],
+    return _march(cfg, grid, rhs, phi0, phi1,
+                  lambda t, phi_hat: base_rows[round(t / half)],
                   abort_on_stability=False)
 
 

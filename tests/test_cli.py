@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -59,6 +60,24 @@ class TestConfigHandling:
         assert "--jobs" in out.output
         out = runner.invoke(main, ["commutator-constants", "--help"])
         assert out.exit_code == 0 and "--jobs" in out.output
+
+    def test_seed_only_on_rng_commands(self, runner, tmp_path):
+        # no solver draws random numbers: --seed and a "seed" key are usage
+        # errors there, and stay on the three commands that seed an RNG
+        cfg = write_config(tmp_path, "c.json", ZERO_SIM)
+        out = runner.invoke(main, ["simulate", "--config", cfg, "--seed", "3",
+                                   "--output", str(tmp_path / "o")])
+        assert out.exit_code == 2
+        assert "--seed" in out.output
+        cfg = write_config(tmp_path, "s.json", {**ZERO_SIM, "seed": 3})
+        out = runner.invoke(main, ["simulate", "--config", cfg,
+                                   "--output", str(tmp_path / "o")])
+        assert out.exit_code == 2
+        assert "seed" in out.output
+        for cmd in ("simulate", "linearized", "growth", "nash-moser"):
+            assert "--seed" not in runner.invoke(main, [cmd, "--help"]).output, cmd
+        for cmd in ("verify-identities", "verify-estimates", "commutator-constants"):
+            assert "--seed" in runner.invoke(main, [cmd, "--help"]).output, cmd
 
     def test_bad_mode_in_field_spec(self, runner, tmp_path):
         cfg = write_config(tmp_path, "c.json",
@@ -146,6 +165,23 @@ class TestLinearized:
         assert summary["final_h1"] > 0.0
 
 
+    def test_unwindowed_forcing_is_the_profile(self, runner, tmp_path):
+        # envelope width 0: constant forcing g = cos x from rest, whose
+        # solution at mu = 1 and base 0 is (1 - cos t) cos x
+        cfg = write_config(tmp_path, "c.json", {
+            "mu": 1.0, "delta": 0.9, "grid_n": 32, "galerkin_N": 8,
+            "dt": 0.002, "t_final": 0.3, "forcing_profile": {"cos": {"1": 1.0}},
+        })
+        dest = tmp_path / "o"
+        out = runner.invoke(main, ["linearized", "--config", cfg,
+                                   "--output", str(dest), "--quiet"])
+        assert out.exit_code == 0
+        lines = [ln for ln in (dest / "final_modes.csv").read_text().splitlines()
+                 if not ln.startswith("#")]
+        row = [ln.split(",") for ln in lines[1:] if float(ln.split(",")[0]) == 1.0][0]
+        assert float(row[1]) == pytest.approx(np.pi * (1.0 - np.cos(0.3)), rel=1e-6)
+
+
 class TestGrowth:
     def test_elliptic_rates(self, runner, tmp_path):
         cfg = write_config(tmp_path, "c.json", {
@@ -214,10 +250,11 @@ class TestVerifyIdentities:
 
 class TestVerifyEstimates:
     def test_unknown_selector(self, runner, tmp_path):
-        cfg = write_config(tmp_path, "c.json", {"estimate": "nope"})
-        out = runner.invoke(main, ["verify-estimates", "--config", cfg,
-                                   "--output", str(tmp_path / "o")])
-        assert out.exit_code == 2
+        for which in ("nope", ["tame"]):
+            cfg = write_config(tmp_path, "c.json", {"estimate": which})
+            out = runner.invoke(main, ["verify-estimates", "--config", cfg,
+                                       "--output", str(tmp_path / "o")])
+            assert out.exit_code == 2, which
 
     def test_selector_required(self, runner, tmp_path):
         cfg = write_config(tmp_path, "c.json", {})
@@ -237,6 +274,28 @@ class TestVerifyEstimates:
         report = json.loads((dest / "estimate_energy.json").read_text())
         assert report["passed"] is True
         assert len(report["pairs"]) == 2
+
+    def test_keys_of_other_estimates_rejected(self, runner, tmp_path):
+        # tame reads neither `pairs` (energy) nor `cfl_safety` (no runner)
+        cfg = write_config(tmp_path, "c.json", {
+            "estimate": "tame", "pairs": 3, "cfl_safety": 0.9,
+        })
+        out = runner.invoke(main, ["verify-estimates", "--config", cfg,
+                                   "--output", str(tmp_path / "o")])
+        assert out.exit_code == 2
+        assert "cfl_safety" in out.output and "pairs" in out.output
+
+    def test_benchmark_energy_keys_accepted(self, runner, tmp_path):
+        cfg = write_config(tmp_path, "c.json", {
+            "estimate": "energy", "grid_n": 32, "pairs": 1,
+            "gammas": [2.0, 4.0, 8.0, 16.0], "seed": 5,
+        })
+        dest = tmp_path / "o"
+        out = runner.invoke(main, ["verify-estimates", "--config", cfg,
+                                   "--output", str(dest), "--quiet"])
+        assert out.exit_code == 0
+        report = json.loads((dest / "estimate_energy.json").read_text())
+        assert report["config"]["seed"] == 5 and len(report["pairs"]) == 1
 
     def test_forcing_estimate(self, runner, tmp_path):
         cfg = write_config(tmp_path, "c.json", {

@@ -493,6 +493,15 @@ class TestLifting:
             worst = min(worst, mn)
         assert worst >= 0.75 * 0.9 - 1e-9
 
+    def test_at_equals_rows_of_states(self):
+        lift = build_lifting(self.make_data(), mu=1.0, delta=0.9)
+        r = lift.ramp_width
+        for t in (-2.5 * r, -1.3 * r, 0.0, 0.5 * r, 1.2 * r, 1.7 * r, 3.0 * r):
+            rows = lift.states([t])
+            for field, row in zip(lift.at(t), rows):
+                assert row.shape == (1, GRID.n - 1)
+                assert np.array_equal(field.coeffs, row[0])
+
     def test_ramp_shrinks_for_large_velocity(self):
         # phi1 large enough that t*chi*phi1 would break the margin at the
         # default ramp; the builder must shrink.

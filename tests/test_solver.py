@@ -101,7 +101,7 @@ class TestSemidiscreteRhs:
         cfg = SimConfig(mu=1.0, delta=0.9, grid_n=32, galerkin_N=10)
         z = zeros(GRID).coeffs
         out = semidiscrete_rhs_linearized(
-            (z, z), zeros(GRID), cosine(GRID, 1), cfg
+            (z, z), zeros(GRID).coeffs, cosine(GRID, 1).coeffs, cfg
         )
         assert np.max(np.abs(out[1] - cosine(GRID, 1).coeffs)) < 1e-14
 
@@ -117,10 +117,10 @@ class TestSemidiscreteRhs:
                 c[15 - k] = np.conj(a)
             return c
 
-        base = cosine(GRID, 1, 0.1)
+        base = cosine(GRID, 1, 0.1).coeffs
         s1 = (rand_state(), rand_state())
         s2 = (rand_state(), rand_state())
-        g1, g2 = cosine(GRID, 2), sine(GRID, 3)
+        g1, g2 = cosine(GRID, 2).coeffs, sine(GRID, 3).coeffs
         combo = (2.0 * s1[0] + 3.0 * s2[0], 2.0 * s1[1] + 3.0 * s2[1])
         out = semidiscrete_rhs_linearized(combo, base, 2.0 * g1 + 3.0 * g2, cfg)
         o1 = semidiscrete_rhs_linearized(s1, base, g1, cfg)
@@ -186,7 +186,8 @@ class TestLinearizedSolver:
         # phi0 = 0, mu = 1, g = cos x: exact solution (1 - cos t) cos x
         cfg = SimConfig(mu=1.0, delta=0.9, grid_n=32, galerkin_N=8,
                         dt=1e-3, t_final=1.0)
-        traj, _ = solve_linearized(cfg, forcing=lambda t: cosine(GRID, 1))
+        g = cosine(GRID, 1).coeffs
+        traj, _ = solve_linearized(cfg, forcing=lambda ts: np.tile(g, (len(ts), 1)))
         want = cosine(GRID, 1, 1.0 - np.cos(1.0))
         assert np.max(np.abs(traj.phis[-1].coeffs - want.coeffs)) < 1e-6
 
@@ -198,11 +199,11 @@ class TestLinearizedSolver:
         cfg = SimConfig(mu=1.0, delta=0.9, grid_n=32, galerkin_N=8,
                         dt=1e-3, t_final=1.0)
 
-        def g_call(t):
-            return cosine(GRID, 1, np.cos(2.0 * t))
+        def g_call(ts):
+            return np.cos(2.0 * np.asarray(ts))[:, None] * cosine(GRID, 1).coeffs
 
         coarse = np.arange(0.0, 1.0 + 1e-12, 1e-2)
-        series = FieldSeries(coarse, [g_call(t) for t in coarse])
+        series = Trajectory(coarse, g_call(coarse))
         traj_a, _ = solve_linearized(cfg, forcing=g_call)
         traj_b, _ = solve_linearized(cfg, forcing=series)
         want = cosine(GRID, 1, (np.cos(1.0) - np.cos(2.0)) / 3.0)
@@ -211,25 +212,25 @@ class TestLinearizedSolver:
         assert diff < 1e-7
 
     def test_base_and_forcing_evaluated_once_per_stage_time(self):
-        # per step RK4 needs the base at the node, the half step and the
-        # next node; the monitor shares the node with k1 and k3 shares the
-        # half step with k2, so at most 3 m + 1 evaluations for m steps
+        # RK4 needs the base at the nodes and the half steps; one call per
+        # solve covers the whole stage mesh arange(2 m + 1) * dt/2
         cfg = SimConfig(mu=1.0, delta=0.9, grid_n=32, galerkin_N=8,
                         dt=1e-2, t_final=0.2)
         calls = {"base": [], "forcing": []}
         base_field = cosine(GRID, 1, 0.01)
 
         def counted(name, field):
-            def at(t):
-                calls[name].append(t)
-                return field
+            def at(ts):
+                calls[name].append(np.array(ts))
+                return np.tile(field.coeffs, (len(ts), 1))
             return at
 
         traj, _ = solve_linearized(cfg, base=counted("base", base_field),
                                    forcing=counted("forcing", cosine(GRID, 2)))
         m = cfg.num_steps()
         for name in calls:
-            assert len(calls[name]) <= 3 * m + 1, name
+            assert len(calls[name]) == 1, name
+            assert np.array_equal(calls[name][0], np.arange(2 * m + 1) * cfg.dt / 2), name
         ref, _ = solve_linearized(cfg, base=base_field, forcing=cosine(GRID, 2))
         assert np.array_equal(traj.phi, ref.phi) and np.array_equal(traj.phit, ref.phit)
 
@@ -433,33 +434,76 @@ class TestFieldEvaluator:
         data = CauchyData(cosine(GRID, 1, 0.01), zeros(GRID))
         lift = build_lifting(data, 1.0, 0.9)
         ev = field_evaluator(lift, GRID)
-        assert np.max(np.abs(ev(0.0).coeffs - data.phi0.coeffs)) == 0.0
+        assert np.max(np.abs(ev(np.array([0.0]))[0] - data.phi0.coeffs)) == 0.0
 
     def test_series_exact_at_nodes(self):
         ts = np.linspace(0.0, 1.0, 11)
         fields = [cosine(GRID, 1, np.sin(t)) for t in ts]
         ev = field_evaluator(FieldSeries(ts, fields), GRID)
-        for i in (0, 5, 10):
-            assert np.max(np.abs(ev(ts[i]).coeffs - fields[i].coeffs)) == 0.0
+        got = ev(ts[[0, 5, 10]])
+        for row, i in zip(got, (0, 5, 10)):
+            assert np.max(np.abs(row - fields[i].coeffs)) == 0.0
 
     def test_series_quartic_accuracy(self):
         ts = np.linspace(0.0, 1.0, 101)
         fields = [cosine(GRID, 1, np.sin(3.0 * t)) for t in ts]
         ev = field_evaluator(FieldSeries(ts, fields), GRID)
         t = 0.5037
-        got = ev(t).coeff(1) / np.pi
+        got = ev(np.array([t]))[0, GRID.n // 2] / np.pi
         assert abs(got - np.sin(3.0 * t)) < 1e-7
 
     def test_lagrange_weights_match_literal_product(self):
-        # the vectorized weights against prod_{m != j} (t - t_m)/(t_j - t_m)
-        # multiplied out in the same order, for 1 to 4 nodes
+        # the vectorized weights of a batch of node sets against
+        # prod_{m != j} (t - t_m)/(t_j - t_m) multiplied out in the same
+        # order, for 1 to 4 nodes
         rng = np.random.default_rng(9)
         for k in (1, 2, 3, 4):
-            for _ in range(50):
-                nodes, t = np.sort(rng.random(k)), rng.random()
-                want = [np.prod([(t - nodes[m]) / (nodes[j] - nodes[m])
-                                 for m in range(k) if m != j]) for j in range(k)]
-                assert np.array_equal(_lagrange_weights(nodes, t), want)
+            nodes, ts = np.sort(rng.random((50, k)), axis=1), rng.random(50)
+            want = [[np.prod([(t - row[m]) / (row[j] - row[m])
+                              for m in range(k) if m != j]) for j in range(k)]
+                    for row, t in zip(nodes, ts)]
+            assert np.array_equal(_lagrange_weights(nodes, ts), want)
+
+    def test_every_source_kind_gives_rows(self):
+        data = CauchyData(cosine(GRID, 1, 0.01), zeros(GRID))
+        series = Trajectory(np.linspace(0.0, 1.0, 5),
+                            np.tile(cosine(GRID, 2).coeffs, (5, 1)))
+        sources = [None, cosine(GRID, 3), build_lifting(data, 1.0, 0.9), series,
+                   lambda ts: np.zeros((len(ts), GRID.n - 1), complex)]
+        ts = np.linspace(0.0, 1.0, 7)
+        for source in sources:
+            rows = field_evaluator(source, GRID, 1.0)(ts)
+            assert isinstance(rows, np.ndarray) and rows.shape == (7, GRID.n - 1)
+        assert np.array_equal(field_evaluator(None, GRID)(ts), np.zeros((7, GRID.n - 1)))
+        assert np.array_equal(field_evaluator(cosine(GRID, 3), GRID)(ts)[4],
+                              cosine(GRID, 3).coeffs)
+
+    def test_callable_of_wrong_shape_rejected(self):
+        ts = np.linspace(0.0, 1.0, 7)
+        bad = [lambda ts: cosine(GRID, 1),
+               lambda ts: np.zeros((len(ts) - 1, GRID.n - 1)),
+               lambda ts: np.zeros((len(ts), GRID.n)),
+               lambda ts: np.zeros(GRID.n - 1)]
+        for source in bad:
+            with pytest.raises(TypeError):
+                field_evaluator(source, GRID)(ts)
+
+    def test_vectorized_interpolation_matches_per_time_formula(self):
+        # 200 random times against the literal 4-point formula, window
+        # chosen per time as sum_j w_j row_j; exact at the nodes
+        rng = np.random.default_rng(4)
+        nodes = np.sort(rng.random(23))
+        rows = rng.standard_normal((23, GRID.n - 1)) + 1j * rng.standard_normal((23, GRID.n - 1))
+        ev = field_evaluator(Trajectory(nodes, rows), GRID)
+        ts = rng.uniform(nodes[0], nodes[-1], 200)
+        got = ev(ts)
+        for t, row in zip(ts, got):
+            j0 = min(max(int(np.searchsorted(nodes, t)) - 2, 0), len(nodes) - 4)
+            want = sum(np.prod([(t - nodes[m]) / (nodes[j] - nodes[m])
+                                for m in range(j0, j0 + 4) if m != j]) * rows[j]
+                       for j in range(j0, j0 + 4))
+            assert np.max(np.abs(row - want)) <= 1e-14 * np.max(np.abs(want))
+        assert np.array_equal(ev(nodes), rows)
 
     def test_rejects_junk(self):
         with pytest.raises(TypeError):
