@@ -15,16 +15,12 @@ __version__ = "0.1.0"
 from .spectral import (  # noqa: F401
     TorusGrid,
     SpectralField,
-    analyze,
     synthesize,
     hilbert,
     derivative,
-    project,
     pointwise_product,
     sobolev_norm,
-    homogeneous_norm,
     inner_product,
-    commutator_vh,
 )
 from .operators import (  # noqa: F401
     CauchyData,
@@ -37,7 +33,6 @@ from .operators import (  # noqa: F401
     second_derivative,
     apply_linearized_operator,
     stability_coefficient,
-    evolution_residual,
     build_lifting,
     lifting_forcing,
 )

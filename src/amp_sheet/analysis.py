@@ -20,7 +20,6 @@ explicit value to compare against.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
@@ -54,6 +53,10 @@ IDENTITY_TOL = 1e-11
 #: time nodes per linearized-kernel call in apply_linearized; bounds the
 #: kernel's temporaries on long trajectories
 _NODE_BLOCK = 64
+
+#: campaign samples per batched lemma call; bounds the batch's temporaries.
+#: The blocks depend on the sample count alone, never on `jobs`.
+_SAMPLE_BLOCK = 8
 
 
 @dataclass(frozen=True)
@@ -111,9 +114,12 @@ class EstimateReport:
 
 
 def _ratio(lhs, rhs):
-    if rhs > 0:
-        return lhs / rhs
-    return 0.0 if lhs == 0 else float("inf")
+    """lhs/rhs where rhs > 0, else 0 where lhs vanishes and inf otherwise;
+    elementwise over arrays, a float for scalars."""
+    lhs, rhs = np.asarray(lhs, float), np.asarray(rhs, float)
+    out = np.where(lhs == 0, 0.0, np.inf)
+    np.divide(lhs, rhs, out=out, where=rhs > 0)
+    return float(out) if out.ndim == 0 else out
 
 
 def _check_horizon(times, spec):
@@ -192,15 +198,22 @@ def ym_norm(series, spec, m):
 
 def random_trig_field(grid, kmax, rng, decay=2.0, amplitude=1.0):
     """Real zero-mean trig polynomial with Gaussian coefficients decaying
-    like (1+|k|)^-decay; the campaign ensemble."""
-    pairs = {}
-    for k in range(1, kmax + 1):
-        a = rng.standard_normal()
-        b = rng.standard_normal()
-        c = np.pi * amplitude * (a - 1j * b) / (1.0 + k) ** decay
-        pairs[k] = c
-        pairs[-k] = np.conj(c)
-    return from_modes(grid, pairs, real_flag=True)
+    like (1+|k|)^-decay; the campaign ensemble.  One draw of 2*kmax normals
+    (a_1, b_1, a_2, ...) gives c(k) = pi*amplitude*(a_k - i b_k)/(1+k)^decay,
+    rounded as complex scalar arithmetic rounds it: Python's float power,
+    real and imaginary parts divided separately (numpy's power and complex
+    division differ in the last bit)."""
+    half = grid.n // 2
+    if kmax > half - 1:
+        raise ValueError(f"mode {kmax} outside retained band")
+    a, b = rng.standard_normal(2 * kmax).reshape(kmax, 2).T
+    weight = ((1.0 + np.arange(1, kmax + 1)).astype(object) ** decay).astype(float)
+    scale = np.pi * amplitude
+    c = np.zeros(grid.n - 1, complex)
+    c[half:half + kmax].real = scale * a / weight
+    c[half:half + kmax].imag = scale * -b / weight
+    c[half - 1 - kmax:half - 1] = c[half + kmax - 1:half - 1:-1].conj()
+    return SpectralField(grid, c, True)
 
 
 # ---------------------------------------------------------------------------
@@ -506,17 +519,23 @@ def _validate_lemma_param(lemma, param):
     return (m, q)
 
 
-def _campaign_draw(lemma, param, seed_seq, kmax, grid_sizes, decay):
-    rng = np.random.default_rng(seed_seq)
+def _campaign_draw(lemma, param, seed_seqs, kmax, grid_sizes, decay):
+    """lhs/rhs of a block of samples at each grid size, (samples, sizes).
+    Sample i draws v, then f, from its generator seeded by seed_seqs[i]; the
+    lemma runs once per grid size on the stacked (samples, n-1) arrays."""
     grid = TorusGrid(grid_sizes[0])
-    v = random_trig_field(grid, kmax, rng, decay)
-    f = random_trig_field(grid, kmax, rng, decay)
+    pairs = np.empty((2, len(seed_seqs), grid.n - 1), complex)
+    for i, seq in enumerate(seed_seqs):
+        rng = np.random.default_rng(seq)
+        pairs[0, i] = random_trig_field(grid, kmax, rng, decay).coeffs
+        pairs[1, i] = random_trig_field(grid, kmax, rng, decay).coeffs
+    v, f = pairs
     fn = _LEMMAS[lemma][0]
     ratios = []
     for n in grid_sizes:
         lhs, rhs = fn(regrid(v, TorusGrid(n)), regrid(f, TorusGrid(n)), param)
         ratios.append(_ratio(lhs, rhs))
-    return ratios
+    return np.stack(ratios, axis=-1)
 
 
 def estimate_commutator_constant(
@@ -528,6 +547,11 @@ def estimate_commutator_constant(
     coefficients are re-evaluated at both grid resolutions, so drift
     isolates discretization error), reports the supremum of lhs/rhs at the
     fine resolution and the relative drift between resolutions.
+
+    Each sample draws from a child of SeedSequence(seed).  Blocks of
+    _SAMPLE_BLOCK samples run as one batch each, in `jobs` worker processes
+    when jobs > 1; the blocks do not depend on `jobs`, so neither do the
+    constants.
     """
     if lemma not in _LEMMAS:
         raise ValueError(f"unknown lemma {lemma!r}; choose from {sorted(_LEMMAS)}")
@@ -538,13 +562,16 @@ def estimate_commutator_constant(
         raise ValueError("n_hi must exceed n_lo")
     kmax = n_lo // 6
     children = np.random.SeedSequence(seed).spawn(samples)
-    args = [(lemma, param, child, kmax, (n_lo, n_hi), decay) for child in children]
+    args = [(lemma, param, children[i:i + _SAMPLE_BLOCK], kmax, (n_lo, n_hi), decay)
+            for i in range(0, samples, _SAMPLE_BLOCK)]
     if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor  # only here: a heavy import
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_campaign_draw, *zip(*args)))
     else:
         results = [_campaign_draw(*a) for a in args]
-    ratios = np.array(results)  # (samples, 2)
+    ratios = np.concatenate(results)  # (samples, 2)
     sup_lo = float(np.max(ratios[:, 0]))
     sup_hi = float(np.max(ratios[:, 1]))
     drift = abs(sup_hi - sup_lo) / max(sup_lo, 1e-300)

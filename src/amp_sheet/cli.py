@@ -351,21 +351,14 @@ def _window(times, center, width):
     return np.array([bump_window(float(t), center, width) for t in times]).T[..., None]
 
 
-def _run_energy(cfg, used_seed):
-    pairs = int(cfg.get("pairs", 20))
-    gammas = [float(g) for g in cfg.get("gammas", [2.0, 4.0, 8.0, 16.0])]
-    mu = float(cfg.get("mu", 1.0))
-    delta = float(cfg.get("delta", 0.9))
-    grid = TorusGrid(int(cfg.get("grid_n", 32)))
-    dt = float(cfg.get("dt", 2e-3))
-    t_final = float(cfg.get("t_final", 1.5))
-    center = float(cfg.get("envelope_center", 0.75))
-    width = float(cfg.get("envelope_width", 0.25))
+def _run_energy(p, used_seed):
+    grid = TorusGrid(p["grid_n"])
+    mu, delta, center, width = p["mu"], p["delta"], p["envelope_center"], p["envelope_width"]
     rng = np.random.default_rng(used_seed)
 
-    times = np.arange(-2.0 * width + center - width, t_final + 1e-12, dt)
+    times = np.arange(-2.0 * width + center - width, p["t_final"] + 1e-12, p["dt"])
     results = []
-    for _ in range(pairs):
+    for _ in range(p["pairs"]):
         # base profile small enough to keep the margin, resampled if not
         for _attempt in range(100):
             base = random_trig_field(grid, 4, rng, amplitude=0.02)
@@ -378,7 +371,7 @@ def _run_energy(cfg, used_seed):
         traj = Trajectory(times, w * profile.coeffs, wp * profile.coeffs)
         passing = None
         ratios = {}
-        for g in gammas:
+        for g in p["gammas"]:
             rep = verify_energy_estimate(base, traj, mu, delta, g)
             ratios[str(g)] = rep.ratio
             if rep.passed and passing is None:
@@ -388,26 +381,28 @@ def _run_energy(cfg, used_seed):
     return {"estimate": "energy", "pairs": results, "passed": ok}, ok
 
 
-def _run_tame(cfg, used_seed):
-    mu = float(cfg.get("mu", 1.0))
-    delta = float(cfg.get("delta", 0.8))
-    sim = SimConfig(mu=mu, delta=delta,
-                    grid_n=int(cfg.get("grid_n", 64)),
-                    galerkin_N=int(cfg.get("galerkin_N", 21)),
-                    dt=float(cfg.get("dt", 4e-3)),
-                    t_final=float(cfg.get("t_final", 0.8)),
-                    gamma=float(cfg.get("gamma", 2.0)))
+def _solve_setup(p):
+    """SimConfig, grid, base and forcing profile of the tame and phitt runners."""
+    sim = SimConfig(**{k: p[k] for k in ("mu", "delta", "grid_n", "galerkin_N",
+                                         "dt", "t_final", "gamma")})
     grid = TorusGrid(sim.grid_n)
-    base = _build_field(grid, cfg.get("base"), "base")
-    profile = _build_field(grid, cfg.get("forcing_profile"), "forcing_profile")
-    center = float(cfg.get("envelope_center", 0.4))
-    width = float(cfg.get("envelope_width", 0.15))
-    m_values = [int(m) for m in cfg.get("m_values", [1, 2, 3])]
+    base = _build_field(grid, p["base"], "base")
+    profile = _build_field(grid, p["forcing_profile"], "forcing_profile")
+    return sim, grid, base, profile
 
+
+def _forcing(sim, profile, p):
+    """The profile under the envelope window, on the solver's time steps."""
     ts = np.arange(0.0, sim.t_final + 1e-12, sim.dt)
-    g = Trajectory(ts, _window(ts, center, width)[0] * profile.coeffs)
+    return Trajectory(ts, _window(ts, p["envelope_center"], p["envelope_width"])[0]
+                      * profile.coeffs)
+
+
+def _run_tame(p, used_seed):
+    sim, _, base, profile = _solve_setup(p)
+    g = _forcing(sim, profile, p)
     reports = []
-    for m in m_values:
+    for m in p["m_values"]:
         rep = verify_tame_estimate(base, g, sim, m, seed=used_seed)
         reports.append({"m": m, "constant": rep.ratio, "passed": rep.passed,
                         "lhs": rep.lhs, "rhs": rep.rhs})
@@ -415,47 +410,28 @@ def _run_tame(cfg, used_seed):
     return {"estimate": "tame", "reports": reports, "passed": ok}, ok
 
 
-def _run_phitt(cfg, used_seed):
-    mu = float(cfg.get("mu", 1.0))
-    sim = SimConfig(mu=mu, delta=float(cfg.get("delta", 0.9)),
-                    grid_n=int(cfg.get("grid_n", 32)),
-                    galerkin_N=int(cfg.get("galerkin_N", 8)),
-                    dt=float(cfg.get("dt", 2e-3)),
-                    t_final=float(cfg.get("t_final", 0.8)),
-                    gamma=float(cfg.get("gamma", 2.0)))
-    grid = TorusGrid(sim.grid_n)
-    base = _build_field(grid, cfg.get("base"), "base")
-    profile = _build_field(grid, cfg.get("forcing_profile"), "forcing_profile")
+def _run_phitt(p, used_seed):
+    sim, grid, base, profile = _solve_setup(p)
     if np.max(np.abs(profile.coeffs)) == 0.0:
         profile = cosine(grid, 1)
-    center = float(cfg.get("envelope_center", 0.4))
-    width = float(cfg.get("envelope_width", 0.15))
-    m = int(cfg.get("m", 2))
-
-    ts = np.arange(0.0, sim.t_final + 1e-12, sim.dt)
-    g = Trajectory(ts, _window(ts, center, width)[0] * profile.coeffs)
+    g = _forcing(sim, profile, p)
     traj, _ = solve_linearized(sim, base=base, forcing=g)
-    rep = verify_phitt_estimate(base, traj, g, mu, sim.gamma, m, seed=used_seed)
+    rep = verify_phitt_estimate(base, traj, g, p["mu"], p["gamma"], p["m"], seed=used_seed)
     payload = {"estimate": "phitt", "constant": rep.ratio,
                "lhs": rep.lhs, "rhs": rep.rhs, "passed": rep.passed}
     return payload, rep.passed
 
 
-def _run_der2(cfg, used_seed):
-    grid = TorusGrid(int(cfg.get("grid_n", 32)))
-    gamma = float(cfg.get("gamma", 1.0))
-    m = int(cfg.get("m", 2))
-    dt = float(cfg.get("dt", 2e-3))
-    t_final = float(cfg.get("t_final", 1.0))
-    width = float(cfg.get("envelope_width", 0.2))
+def _run_der2(p, used_seed):
+    grid = TorusGrid(p["grid_n"])
     rng = np.random.default_rng(used_seed)
-    ts = np.arange(0.0, t_final + 1e-12, dt)
+    ts = np.arange(0.0, p["t_final"] + 1e-12, p["dt"])
 
     def series(center):
         profile = random_trig_field(grid, 4, rng)
-        return Trajectory(ts, _window(ts, center, width)[0] * profile.coeffs)
+        return Trajectory(ts, _window(ts, center, p["envelope_width"])[0] * profile.coeffs)
 
-    rep = verify_second_derivative_estimate(series(0.4), series(0.6), gamma, m,
+    rep = verify_second_derivative_estimate(series(0.4), series(0.6), p["gamma"], p["m"],
                                             seed=used_seed)
     payload = {"estimate": "der2", "constant": rep.ratio,
                "half_horizon_constant": rep.extras["half_horizon_constant"],
@@ -463,17 +439,13 @@ def _run_der2(cfg, used_seed):
     return payload, rep.passed
 
 
-def _run_forcing(cfg, used_seed):
-    mu = float(cfg.get("mu", 1.0))
-    delta = float(cfg.get("delta", 0.75))
-    nu = int(cfg.get("nu", 10))
-    gamma = float(cfg.get("gamma", 1.0))
-    grid = TorusGrid(int(cfg.get("grid_n", 32)))
+def _run_forcing(p, used_seed):
+    grid = TorusGrid(p["grid_n"])
     data = CauchyData(
-        _build_field(grid, cfg.get("phi0"), "phi0"),
-        _build_field(grid, cfg.get("phi1"), "phi1"),
+        _build_field(grid, p["phi0"], "phi0"),
+        _build_field(grid, p["phi1"], "phi1"),
     )
-    rep = verify_forcing_bound(data, mu, delta, nu=nu, gamma=gamma,
+    rep = verify_forcing_bound(data, p["mu"], p["delta"], nu=p["nu"], gamma=p["gamma"],
                                seed=used_seed)
     payload = {"estimate": "forcing", "order": rep.ratio,
                "shrink_ratios": rep.extras["horizon_shrink_ratios"],
@@ -481,19 +453,34 @@ def _run_forcing(cfg, used_seed):
     return payload, rep.passed
 
 
-#: the keys of the two estimates that run a linearized solve
-_SOLVE_KEYS = ("mu", "delta", "grid_n", "galerkin_N", "dt", "t_final", "gamma", "base",
-               "forcing_profile", "envelope_center", "envelope_width")
+def _read(value, default):
+    """A config value cast to the type of its default, elementwise for a
+    list; a None default marks a field spec, passed through as given."""
+    if default is None:
+        return value
+    if isinstance(default, list):
+        return [type(default[0])(x) for x in value]
+    return type(default)(value)
 
-#: each estimate's runner and the config keys it reads, besides `estimate`
-#: and `seed`; any other key is rejected
+
+#: each estimate's runner and the config keys it reads with their defaults,
+#: besides `estimate` and `seed`; any other key is rejected
 _ESTIMATE_RUNNERS = {
-    "energy": (_run_energy, ("pairs", "gammas", "mu", "delta", "grid_n", "dt",
-                             "t_final", "envelope_center", "envelope_width")),
-    "tame": (_run_tame, _SOLVE_KEYS + ("m_values",)),
-    "phitt": (_run_phitt, _SOLVE_KEYS + ("m",)),
-    "der2": (_run_der2, ("grid_n", "gamma", "m", "dt", "t_final", "envelope_width")),
-    "forcing": (_run_forcing, ("mu", "delta", "nu", "gamma", "grid_n", "phi0", "phi1")),
+    "energy": (_run_energy, {"pairs": 20, "gammas": [2.0, 4.0, 8.0, 16.0], "mu": 1.0,
+                             "delta": 0.9, "grid_n": 32, "dt": 2e-3, "t_final": 1.5,
+                             "envelope_center": 0.75, "envelope_width": 0.25}),
+    "tame": (_run_tame, {"mu": 1.0, "delta": 0.8, "grid_n": 64, "galerkin_N": 21,
+                         "dt": 4e-3, "t_final": 0.8, "gamma": 2.0, "base": None,
+                         "forcing_profile": None, "envelope_center": 0.4,
+                         "envelope_width": 0.15, "m_values": [1, 2, 3]}),
+    "phitt": (_run_phitt, {"mu": 1.0, "delta": 0.9, "grid_n": 32, "galerkin_N": 8,
+                           "dt": 2e-3, "t_final": 0.8, "gamma": 2.0, "base": None,
+                           "forcing_profile": None, "envelope_center": 0.4,
+                           "envelope_width": 0.15, "m": 2}),
+    "der2": (_run_der2, {"grid_n": 32, "gamma": 1.0, "m": 2, "dt": 2e-3, "t_final": 1.0,
+                         "envelope_width": 0.2}),
+    "forcing": (_run_forcing, {"mu": 1.0, "delta": 0.75, "nu": 10, "gamma": 1.0,
+                               "grid_n": 32, "phi0": None, "phi1": None}),
 }
 
 
@@ -512,13 +499,14 @@ def verify_estimates_cmd(config_path, output_dir, seed, quiet):
         raise click.UsageError(
             f"estimate must be one of {', '.join(sorted(_ESTIMATE_RUNNERS))}"
         )
-    runner, keys = _ESTIMATE_RUNNERS[which]
-    _check_keys(cfg, ("estimate", "seed") + keys)
+    runner, defaults = _ESTIMATE_RUNNERS[which]
+    _check_keys(cfg, ("estimate", "seed", *defaults))
     used_seed = seed if seed is not None else int(cfg.get("seed", 0))
     out = _resolve_output(output_dir)
 
     try:
-        payload, ok = runner(cfg, used_seed)
+        params = {k: _read(cfg.get(k, d), d) for k, d in defaults.items()}
+        payload, ok = runner(params, used_seed)
     except ValueError as exc:
         raise click.UsageError(str(exc))
     resolved = {**cfg, "seed": used_seed}

@@ -31,7 +31,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .spectral import SpectralField, TorusGrid, _coeffs, _padded_size, derivative
+from .spectral import SpectralField, TorusGrid, _coeffs, _padded_size
 from .spectral import pointwise_product  # noqa: F401  (perfbench/tests rebinds it here)
 
 _TWO_PI = 2.0 * np.pi
@@ -236,19 +236,6 @@ def second_derivative(phi, psi, dealias=True):
     map d2L(phi, psi) = -dN[phi]psi.  It does not depend on a base point,
     and 0.5 * d2L(phi, phi) = -N(phi)."""
     return -apply_linearized_operator(phi, psi, 0.0, dealias)
-
-
-def evolution_residual(traj, mu, index, dealias=True):
-    """phi_tt - mu phi_xx - N(phi) at an interior mesh index.
-
-    phi_tt is the centered second difference of the stored phi snapshots,
-    so the residual of an exact solution is O(dt^2).
-    """
-    if not 1 <= index <= len(traj) - 2:
-        raise ValueError(f"index {index} is not interior")
-    phi = traj.phi[index]
-    r = traj.second_difference()[index - 1] - mu * derivative(phi, 2) - quadratic_rhs(phi, dealias)
-    return SpectralField(traj.grid, r, True)
 
 
 def apply_linearized_operator(phi0, phiP, mu, dealias=True):

@@ -14,6 +14,13 @@ conjugate symmetry of real fields.
 Pointwise products go through zero-padded physical space (3/2 padding, the
 2/3 rule).  For two in-band factors the retained band is then exact; the
 test suite holds it against the literal convolution sum.
+
+Synthesis, the Hilbert transform, derivatives, products, Sobolev and sup
+norms and regridding take either a `SpectralField` or a (..., n-1) array
+of coefficients and return the same kind: a field or an array with the
+same leading batch axes, row for row bitwise equal to the one-field call.
+An array holds the coefficients of real fields, so its synthesis and sup
+norm read the real part.
 """
 
 from __future__ import annotations
@@ -28,17 +35,12 @@ _TWO_PI = 2.0 * np.pi
 __all__ = [
     "TorusGrid",
     "SpectralField",
-    "analyze",
     "synthesize",
     "hilbert",
     "derivative",
-    "project",
     "pointwise_product",
     "sobolev_norm",
-    "homogeneous_norm",
     "inner_product",
-    "commutator_vh",
-    "hermitian_defect",
     "linf_norm",
     "regrid",
     "zeros",
@@ -179,48 +181,53 @@ def sine(grid, k, amplitude=1.0):
     return from_modes(grid, {k: -1j * a, -k: 1j * a}, real_flag=True)
 
 
-def analyze(grid, samples):
-    """Fourier coefficients of nodal samples under the 2*pi/n normalization.
+def _coeffs(f):
+    """The coefficients of a field, or `f` itself as a (..., n-1) array."""
+    return f.coeffs if isinstance(f, SpectralField) else np.asarray(f)
 
-    Exact (to round-off) for trigonometric polynomials with bandwidth
-    below n/2.  The Nyquist bin is discarded.  Real input sets `real_flag`.
-    """
-    samples = np.asarray(samples)
-    if samples.shape != (grid.n,):
-        raise ValueError(f"expected {grid.n} samples, got shape {samples.shape}")
-    real = bool(np.isrealobj(samples))
-    full = np.fft.fft(samples) * (_TWO_PI / grid.n)
-    half = grid.n // 2
-    band = np.concatenate([full[grid.n - (half - 1):], full[:half]])
-    return SpectralField(grid, band, real)
+
+def _like(field, out):
+    """`out` as a field on the grid of `field`, with its real flag, when
+    `field` is a field; the array `out` otherwise."""
+    if isinstance(field, SpectralField):
+        return SpectralField(field.grid, out, field.real_flag)
+    return out
+
+
+def _rows(x):
+    """A per-row reduction: a float for one field, the array otherwise."""
+    return float(x) if x.ndim == 0 else x
 
 
 def synthesize(field):
-    """Nodal values f(x_j) = (1/2pi) sum_k c(k) e^{i k x_j}.
+    """Nodal values f(x_j) = (1/2pi) sum_k c(k) e^{i k x_j}, along the last
+    axis for an array.
 
-    Returns a real array when `real_flag` is set (the residual imaginary
-    part from round-off is dropped), complex otherwise.
+    Real when `real_flag` is set or the input is an array (the residual
+    imaginary part from round-off is dropped), complex otherwise.
     """
-    n = field.grid.n
-    vals = np.fft.ifft(_full_spectrum(field.coeffs, n, n)) * (n / _TWO_PI)
-    if field.real_flag:
-        return vals.real
-    return vals
+    c = _coeffs(field)
+    n = c.shape[-1] + 1
+    vals = np.fft.ifft(_full_spectrum(c, n, n)) * (n / _TWO_PI)
+    if isinstance(field, SpectralField) and not field.real_flag:
+        return vals
+    return vals.real
 
 
 def _full_spectrum(coeffs, n, m):
-    """Place band coefficients into a length-m FFT layout (m >= n)."""
+    """Place band coefficients into a length-m FFT layout (m >= n) along
+    the last axis."""
     half = n // 2
-    full = np.zeros(m, complex)
-    full[:half] = coeffs[half - 1:]
-    full[m - (half - 1):] = coeffs[:half - 1]
+    full = np.zeros(coeffs.shape[:-1] + (m,), complex)
+    full[..., :half] = coeffs[..., half - 1:]
+    full[..., m - (half - 1):] = coeffs[..., :half - 1]
     return full
 
 
 def _band_from_full(full, n):
     half = n // 2
-    m = full.shape[0]
-    return np.concatenate([full[m - (half - 1):], full[:half]])
+    m = full.shape[-1]
+    return np.concatenate([full[..., m - (half - 1):], full[..., :half]], axis=-1)
 
 
 @lru_cache(maxsize=128)
@@ -232,43 +239,22 @@ def _hilbert_values(n):
 
 def hilbert(field):
     """Periodic Hilbert transform, symbol -i*sgn(k) with sgn(0) = 0."""
-    out = _hilbert_values(field.grid.n) * field.coeffs
-    return SpectralField(field.grid, out, field.real_flag)
-
-
-def _coeffs(f):
-    """The coefficients of a field, or `f` itself as a (..., n-1) array."""
-    return f.coeffs if isinstance(f, SpectralField) else np.asarray(f)
+    c = _coeffs(field)
+    return _like(field, _hilbert_values(c.shape[-1] + 1) * c)
 
 
 def derivative(field, p=1):
-    """p-th spatial derivative, symbol (i k)^p, of a field or of a (..., n-1)
-    coefficient array; the result is of the same kind."""
+    """p-th spatial derivative, symbol (i k)^p."""
     if p < 0 or p != int(p):
         raise ValueError("derivative order must be a nonnegative integer")
     c = _coeffs(field)
-    out = (1j * _modes(c.shape[-1] + 1)) ** int(p) * c
-    if isinstance(field, SpectralField):
-        return SpectralField(field.grid, out, field.real_flag)
-    return out
-
-
-def project(field, cutoff):
-    """Galerkin projection: zero all modes with |k| > cutoff."""
-    n = field.grid.n
-    if not 1 <= cutoff <= n // 2 - 1:
-        raise ValueError(f"cutoff {cutoff} outside [1, {n // 2 - 1}]")
-    mask = np.abs(field.grid.modes) <= cutoff
-    return SpectralField(field.grid, field.coeffs * mask, field.real_flag)
+    return _like(field, (1j * _modes(c.shape[-1] + 1)) ** int(p) * c)
 
 
 def _padded_size(n):
-    m = (3 * n) // 2
-    if (3 * n) % 2:
-        m += 1
-    if m % 2:
-        m += 1
-    return m
+    """The even 3/2-padded grid size for the even n of a TorusGrid."""
+    m = 3 * n // 2
+    return m + m % 2
 
 
 def pointwise_product(f, g, dealias=True):
@@ -276,38 +262,27 @@ def pointwise_product(f, g, dealias=True):
 
     With 3/2 padding the retained band of the product of two in-band
     fields is exact; with dealias=False the product is formed on the
-    native grid and aliasing folds back the tail.
+    native grid and aliasing folds back the tail.  The leading axes of two
+    arrays broadcast; the result is a field when both factors are fields.
     """
-    if f.grid.n != g.grid.n:
+    cf, cg = _coeffs(f), _coeffs(g)
+    if cf.shape[-1] != cg.shape[-1]:
         raise ValueError("grid mismatch")
-    n = f.grid.n
+    n = cf.shape[-1] + 1
     m = _padded_size(n) if dealias else n
-    vf = np.fft.ifft(_full_spectrum(f.coeffs, n, m)) * (m / _TWO_PI)
-    vg = np.fft.ifft(_full_spectrum(g.coeffs, n, m)) * (m / _TWO_PI)
-    prod = np.fft.fft(vf * vg) * (_TWO_PI / m)
-    return SpectralField(f.grid, _band_from_full(prod, n),
-                         f.real_flag and g.real_flag)
+    vf = np.fft.ifft(_full_spectrum(cf, n, m)) * (m / _TWO_PI)
+    vg = np.fft.ifft(_full_spectrum(cg, n, m)) * (m / _TWO_PI)
+    prod = _band_from_full(np.fft.fft(vf * vg) * (_TWO_PI / m), n)
+    if isinstance(f, SpectralField) and isinstance(g, SpectralField):
+        return SpectralField(f.grid, prod, f.real_flag and g.real_flag)
+    return prod
 
 
 def sobolev_norm(field, s):
-    """|| f ||_{H^s} = sqrt( (1/2pi) sum_k (1+|k|)^{2s} |c(k)|^2 ) of a field,
-    or the array of norms of the rows of a (..., n-1) coefficient array."""
+    """|| f ||_{H^s} = sqrt( (1/2pi) sum_k (1+|k|)^{2s} |c(k)|^2 )."""
     c = _coeffs(field)
     w = (1.0 + np.abs(_modes(c.shape[-1] + 1))) ** (2.0 * s)
-    norms = np.sqrt(np.sum(w * np.abs(c) ** 2, axis=-1) / _TWO_PI)
-    return float(norms) if norms.ndim == 0 else norms
-
-
-def homogeneous_norm(field, s):
-    """|| f ||_s with weight |k|^{2s}; requires a zero-mean field."""
-    if s < 0 or s != int(s):
-        raise ValueError("homogeneous order must be a nonnegative integer")
-    c0 = abs(field.coeff(0))
-    scale = 1.0 + float(np.max(np.abs(field.coeffs), initial=0.0))
-    if c0 > 1e-9 * scale:
-        raise ValueError(f"field has nonzero mean (|c(0)| = {c0:.3e})")
-    w = np.abs(field.grid.modes) ** (2 * int(s))
-    return float(np.sqrt(np.sum(w * np.abs(field.coeffs) ** 2) / _TWO_PI))
+    return _rows(np.sqrt(np.sum(w * np.abs(c) ** 2, axis=-1) / _TWO_PI))
 
 
 def inner_product(f, g):
@@ -317,37 +292,19 @@ def inner_product(f, g):
     return complex(np.sum(f.coeffs * np.conj(g.coeffs)) / _TWO_PI)
 
 
-def commutator_vh(v, f, dealias=True):
-    """[v; H]f = v*H[f] - H[v*f].
-
-    The mean of the output is whatever the two dealiased products produce;
-    it is generally nonzero for complex inputs and is not forced to zero.
-    """
-    return pointwise_product(v, hilbert(f), dealias) - hilbert(
-        pointwise_product(v, f, dealias)
-    )
-
-
-def hermitian_defect(field):
-    """max_k | conj(c(k)) - c(-k) |, the distance from conjugate symmetry."""
-    return float(np.max(np.abs(np.conj(field.coeffs[::-1]) - field.coeffs)))
-
-
 def linf_norm(field):
     """Grid sup-norm of the synthesized field."""
-    return float(np.max(np.abs(synthesize(field))))
+    return _rows(np.max(np.abs(synthesize(field)), axis=-1))
 
 
 def regrid(field, grid):
     """Re-express the field on another grid: embed (finer) or truncate
     (coarser) the coefficient band."""
-    if grid.n == field.grid.n:
-        return SpectralField(grid, field.coeffs, field.real_flag)
-    half_old = field.grid.n // 2
-    half_new = grid.n // 2
-    out = np.zeros(grid.n - 1, complex)
+    c = _coeffs(field)
+    half_old, half_new = (c.shape[-1] + 1) // 2, grid.n // 2
     keep = min(half_old, half_new) - 1
-    old_mid = half_old - 1
-    new_mid = half_new - 1
-    out[new_mid - keep:new_mid + keep + 1] = field.coeffs[old_mid - keep:old_mid + keep + 1]
-    return SpectralField(grid, out, field.real_flag)
+    out = np.zeros(c.shape[:-1] + (grid.n - 1,), complex)
+    out[..., half_new - 1 - keep:half_new + keep] = c[..., half_old - 1 - keep:half_old + keep]
+    if isinstance(field, SpectralField):
+        return SpectralField(grid, out, field.real_flag)
+    return out

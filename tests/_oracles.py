@@ -9,15 +9,17 @@ package against them.
 
 The last routines run at production sizes instead.  They are built from
 the package's spectral primitives (complex FFTs, one dealiased product at a
-time) but not from its fused N(phi) and linearized kernels or its time
-stepper, so the kernels and the solvers can be held against them.
+time) but not from its fused N(phi) and linearized kernels, its time
+stepper or its batched random draws, so those can be held against them.
+The one exception, evolution_residual, measures a trajectory against the
+package's own N(phi).
 """
 
 import numpy as np
 
+from amp_sheet.operators import quadratic_rhs
 from amp_sheet.spectral import (
     SpectralField,
-    commutator_vh,
     derivative,
     from_modes,
     hilbert,
@@ -129,6 +131,78 @@ def coeffs_cos(k, amplitude=1.0):
 
 def coeffs_sin(k, amplitude=1.0):
     return {k: -1j * np.pi * amplitude, -k: 1j * np.pi * amplitude}
+
+
+def analyze(grid, samples):
+    """Fourier coefficients of nodal samples under the 2*pi/n normalization,
+    as a field; the inverse of spectral.synthesize.
+
+    Exact (to round-off) for trigonometric polynomials with bandwidth
+    below n/2.  The Nyquist bin is discarded.  Real input sets `real_flag`.
+    """
+    samples = np.asarray(samples)
+    if samples.shape != (grid.n,):
+        raise ValueError(f"expected {grid.n} samples, got shape {samples.shape}")
+    real = bool(np.isrealobj(samples))
+    full = np.fft.fft(samples) * (TWO_PI / grid.n)
+    half = grid.n // 2
+    band = np.concatenate([full[grid.n - (half - 1):], full[:half]])
+    return SpectralField(grid, band, real)
+
+
+def homogeneous_norm(field, s):
+    """|| f ||_s with weight |k|^{2s}; requires a zero-mean field."""
+    if s < 0 or s != int(s):
+        raise ValueError("homogeneous order must be a nonnegative integer")
+    c0 = abs(field.coeff(0))
+    scale = 1.0 + float(np.max(np.abs(field.coeffs), initial=0.0))
+    if c0 > 1e-9 * scale:
+        raise ValueError(f"field has nonzero mean (|c(0)| = {c0:.3e})")
+    w = np.abs(field.grid.modes) ** (2 * int(s))
+    return float(np.sqrt(np.sum(w * np.abs(field.coeffs) ** 2) / TWO_PI))
+
+
+def hermitian_defect(field):
+    """max_k | conj(c(k)) - c(-k) |, the distance from conjugate symmetry."""
+    return float(np.max(np.abs(np.conj(field.coeffs[::-1]) - field.coeffs)))
+
+
+def commutator_vh(v, f, dealias=True):
+    """[v; H]f = v*H[f] - H[v*f].
+
+    The mean of the output is whatever the two dealiased products produce;
+    it is generally nonzero for complex inputs and is not forced to zero.
+    """
+    return pointwise_product(v, hilbert(f), dealias) - hilbert(
+        pointwise_product(v, f, dealias)
+    )
+
+
+def evolution_residual(traj, mu, index, dealias=True):
+    """phi_tt - mu phi_xx - N(phi) at an interior mesh index, as a field.
+
+    phi_tt is the centered second difference of the stored phi snapshots,
+    so the residual of an exact solution is O(dt^2).
+    """
+    if not 1 <= index <= len(traj) - 2:
+        raise ValueError(f"index {index} is not interior")
+    phi = traj.phi[index]
+    r = traj.second_difference()[index - 1] - mu * derivative(phi, 2) - quadratic_rhs(phi, dealias)
+    return SpectralField(traj.grid, r, True)
+
+
+def random_trig_field_scalar(grid, kmax, rng, decay=2.0, amplitude=1.0):
+    """The campaign ensemble drawn mode by mode with scalar calls, in
+    complex scalar arithmetic: the reference for the package's one-draw
+    random_trig_field, which must match it bitwise."""
+    pairs = {}
+    for k in range(1, kmax + 1):
+        a = rng.standard_normal()
+        b = rng.standard_normal()
+        c = np.pi * amplitude * (a - 1j * b) / (1.0 + k) ** decay
+        pairs[k] = c
+        pairs[-k] = np.conj(c)
+    return from_modes(grid, pairs, real_flag=True)
 
 
 def quadratic_rhs_alt(phi, dealias=True):

@@ -26,7 +26,6 @@ from amp_sheet.operators import CauchyData, FieldSeries, Trajectory, bump_window
 from amp_sheet.solver import SimConfig, solve_linearized
 from amp_sheet.spectral import (
     TorusGrid,
-    commutator_vh,
     cosine,
     hilbert,
     sine,
@@ -34,7 +33,7 @@ from amp_sheet.spectral import (
     zeros,
 )
 
-from _oracles import apply_linearized_alt
+from _oracles import apply_linearized_alt, commutator_vh, random_trig_field_scalar
 
 
 GRID = TorusGrid(32)
@@ -321,11 +320,49 @@ class TestCommutatorCampaigns:
         assert 0.0 < rep.ratio < 10.0
 
     def test_parallel_matches_serial(self):
-        kw = dict(samples=8, seed=11, n_lo=64, n_hi=128)
+        # more than two blocks, the last one partial
+        from amp_sheet.analysis import _SAMPLE_BLOCK
+        kw = dict(samples=2 * _SAMPLE_BLOCK + 3, seed=11, n_lo=64, n_hi=128)
         serial = estimate_commutator_constant("A2", 2, jobs=1, **kw)
         parallel = estimate_commutator_constant("A2", 2, jobs=2, **kw)
         assert serial.ratio == parallel.ratio
-        assert serial.extras["sup_hi"] == parallel.extras["sup_hi"]
+        for key in ("sup_lo", "sup_hi", "resolution_drift"):
+            assert serial.extras[key] == parallel.extras[key]
+
+    def test_block_equals_one_field_per_sample(self):
+        # every lemma on a stacked block gives, bitwise, the ratios of its
+        # samples evaluated one SpectralField pair at a time
+        from amp_sheet.analysis import _LEMMAS, _campaign_draw, _ratio
+        from amp_sheet.spectral import regrid
+        params = {"s": 1.0, "m": 2, "mp": (2, 1), "mk": (2, 2)}
+        children = np.random.SeedSequence(5).spawn(5)
+        sizes = (64, 128)
+        for lemma, (fn, kind) in _LEMMAS.items():
+            param = params[kind]
+            block = _campaign_draw(lemma, param, children, 10, sizes, 2.0)
+            assert block.shape == (5, 2)
+            for child, row in zip(children, block):
+                rng = np.random.default_rng(child)
+                v = random_trig_field(TorusGrid(64), 10, rng)
+                f = random_trig_field(TorusGrid(64), 10, rng)
+                for n, got in zip(sizes, row):
+                    want = _ratio(*fn(regrid(v, TorusGrid(n)), regrid(f, TorusGrid(n)), param))
+                    assert got == want, (lemma, n)
+
+    def test_one_draw_equals_scalar_draws(self):
+        # coefficients bitwise equal to the per-mode scalar draws, and the
+        # generator left in the same state
+        for n, kmax, decay, amplitude in ((256, 42, 2.0, 1.0), (32, 4, 2.0, 0.02),
+                                          (64, 20, 1.5, 3.0), (16, 0, 2.0, 1.0)):
+            for seed in range(4):
+                r1, r2 = np.random.default_rng(seed), np.random.default_rng(seed)
+                want = random_trig_field_scalar(TorusGrid(n), kmax, r1, decay, amplitude)
+                got = random_trig_field(TorusGrid(n), kmax, r2, decay, amplitude)
+                assert got.real_flag
+                assert got.coeffs.tobytes() == want.coeffs.tobytes()
+                assert r2.bit_generator.state == r1.bit_generator.state
+        with pytest.raises(ValueError):
+            random_trig_field(TorusGrid(16), 8, np.random.default_rng(0))
 
     def test_constant_commutes_to_zero(self):
         # [H; c] = 0 for constant c, so the quotient never moves off zero

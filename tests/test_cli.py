@@ -1,6 +1,10 @@
 """CLI tests: exit codes, config validation, artifact shape, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -60,6 +64,17 @@ class TestConfigHandling:
         assert "--jobs" in out.output
         out = runner.invoke(main, ["commutator-constants", "--help"])
         assert out.exit_code == 0 and "--jobs" in out.output
+
+    def test_import_leaves_out_the_process_pool(self):
+        # the pool's modules load only when a campaign runs with --jobs > 1
+        import amp_sheet
+        src = str(Path(amp_sheet.__file__).resolve().parents[1])
+        code = ("import sys, amp_sheet.cli; "
+                "print('concurrent.futures.process' in sys.modules)")
+        env = {**os.environ, "PYTHONPATH": src}
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, check=True)
+        assert done.stdout.strip() == "False"
 
     def test_seed_only_on_rng_commands(self, runner, tmp_path):
         # no solver draws random numbers: --seed and a "seed" key are usage
@@ -323,6 +338,13 @@ class TestCommutatorConstants:
         assert report["passed"] is True
         rows = (dest / "constants.csv").read_text().splitlines()
         assert rows[3].startswith("A1_comm_1,")
+        # worker processes change nothing in the artifacts
+        pooled = tmp_path / "o2"
+        out = runner.invoke(main, ["commutator-constants", "--config", cfg,
+                                   "--output", str(pooled), "--quiet", "--jobs", "2"])
+        assert out.exit_code == 0
+        for name in ("constants.csv", "constants.json"):
+            assert (pooled / name).read_bytes() == (dest / name).read_bytes()
 
     def test_unknown_lemma(self, runner, tmp_path):
         cfg = write_config(tmp_path, "c.json", {"lemma": "A9"})

@@ -10,7 +10,6 @@ from amp_sheet.operators import (
     LiftingError,
     Trajectory,
     build_lifting,
-    evolution_residual,
     lifting_forcing,
     apply_linearized_operator,
     quadratic_rhs,
@@ -21,7 +20,6 @@ from amp_sheet.operators import (
 from amp_sheet.spectral import (
     SpectralField,
     TorusGrid,
-    analyze,
     cosine,
     derivative,
     from_modes,
@@ -34,9 +32,11 @@ from amp_sheet.spectral import (
 )
 
 from _oracles import (
+    analyze,
     apply_linearized_alt,
     coeffs_cos,
     direct_quadratic_rhs,
+    evolution_residual,
     linearized_parts,
     quadratic_rhs_alt,
 )

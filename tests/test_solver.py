@@ -27,13 +27,17 @@ from amp_sheet.spectral import (
     cosine,
     derivative,
     from_modes,
-    hermitian_defect,
     sine,
     synthesize,
     zeros,
 )
 
-from _oracles import apply_linearized_alt, projected_rk4, quadratic_rhs_alt
+from _oracles import (
+    apply_linearized_alt,
+    hermitian_defect,
+    projected_rk4,
+    quadratic_rhs_alt,
+)
 
 
 GRID = TorusGrid(32)

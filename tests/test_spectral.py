@@ -3,13 +3,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from amp_sheet.spectral import (
-    TorusGrid, SpectralField,
-    analyze, synthesize,
-    hilbert, derivative, project, pointwise_product,
-    sobolev_norm, homogeneous_norm, inner_product, commutator_vh,
-    hermitian_defect, linf_norm, regrid, zeros, from_modes, cosine, sine,
+    TorusGrid, SpectralField, synthesize,
+    hilbert, derivative, pointwise_product,
+    sobolev_norm, inner_product,
+    linf_norm, regrid, zeros, from_modes, cosine, sine,
 )
 import _oracles as oracle
+from _oracles import analyze, commutator_vh, hermitian_defect, homogeneous_norm
 
 TWO_PI = 2 * np.pi
 
@@ -120,6 +120,25 @@ class TestMultipliers:
                 assert norms.shape == (3, 4)
                 assert np.array_equal(norms.ravel(), [sobolev_norm(f, s) for f in fields])
             assert isinstance(sobolev_norm(fields[0].coeffs, 1), float)
+        # the Hilbert transform, products, synthesis, sup norms and regridding
+        # of a (7, n-1) batch equal seven one-field calls, bitwise
+        for n in (32, 64, 256):
+            g = TorusGrid(n)
+            rng = np.random.default_rng(n + 1)
+            fs = [random_band_field(g, n // 3, rng) for _ in range(7)]
+            hs = [random_band_field(g, n // 3, rng) for _ in range(7)]
+            fb, hb = np.array([f.coeffs for f in fs]), np.array([h.coeffs for h in hs])
+            pairs = [(hilbert(fb), [hilbert(f).coeffs for f in fs]),
+                     (synthesize(fb), [synthesize(f) for f in fs]),
+                     (linf_norm(fb), [linf_norm(f) for f in fs])]
+            for dealias in (True, False):
+                pairs.append((pointwise_product(fb, hb, dealias),
+                              [pointwise_product(f, h, dealias).coeffs for f, h in zip(fs, hs)]))
+            for m in (n // 2, 2 * n):  # truncate, embed
+                pairs.append((regrid(fb, TorusGrid(m)), [regrid(f, TorusGrid(m)).coeffs for f in fs]))
+            for batch, rows in pairs:
+                assert isinstance(batch, np.ndarray)
+                assert np.array_equal(batch, np.array(rows))
 
 
 class TestHilbert:
@@ -153,35 +172,15 @@ class TestHilbert:
             assert sobolev_norm(hilbert(f), 1.7) <= sobolev_norm(f, 1.7) + 1e-14
 
     def test_commutes_with_projection_and_derivative(self):
+        # truncation to a 22-point grid is the projection onto |k| <= 10
         g = TorusGrid(64)
         f = random_band_field(g, 30, np.random.default_rng(2))
-        a = project(hilbert(f), 10)
-        b = hilbert(project(f, 10))
+        a = regrid(hilbert(f), TorusGrid(22))
+        b = hilbert(regrid(f, TorusGrid(22)))
         assert np.max(np.abs(a.coeffs - b.coeffs)) == 0.0
         c = derivative(hilbert(f))
         d = hilbert(derivative(f))
         assert np.max(np.abs(c.coeffs - d.coeffs)) < 1e-14
-
-
-class TestProjection:
-    def test_idempotent(self):
-        g = TorusGrid(32)
-        f = random_band_field(g, 15, np.random.default_rng(4))
-        p = project(f, 7)
-        assert np.max(np.abs(project(p, 7).coeffs - p.coeffs)) == 0.0
-
-    def test_self_adjoint(self):
-        g = TorusGrid(32)
-        rng = np.random.default_rng(9)
-        f = random_band_field(g, 15, rng, real=False)
-        h = random_band_field(g, 15, rng, real=False)
-        assert inner_product(project(f, 6), h) == pytest.approx(
-            inner_product(f, project(h, 6)), abs=1e-13)
-
-    def test_out_of_range(self):
-        g = TorusGrid(16)
-        with pytest.raises(ValueError):
-            project(zeros(g), 8)
 
 
 class TestProducts:
@@ -222,7 +221,7 @@ class TestProducts:
         f = random_band_field(g, 20, rng)
         h = random_band_field(g, 20, rng)
         for out in [pointwise_product(f, h), hilbert(f), derivative(f, 3),
-                    project(f, 9), f + h, 2.5 * f]:
+                    regrid(f, TorusGrid(20)), f + h, 2.5 * f]:
             assert out.real_flag
             assert hermitian_defect(out) < 1e-12
 
