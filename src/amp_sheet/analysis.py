@@ -20,7 +20,7 @@ explicit value to compare against.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import asdict, dataclass, field as dataclass_field
 
 import numpy as np
 
@@ -99,18 +99,7 @@ class EstimateReport:
     extras: dict = dataclass_field(default_factory=dict)
 
     def to_json(self):
-        payload = {
-            "estimate_id": self.estimate_id,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "ratio": self.ratio,
-            "params": self.params,
-            "samples": self.samples,
-            "seed": self.seed,
-            "passed": self.passed,
-            "extras": self.extras,
-        }
-        return json.dumps(payload, sort_keys=True, default=float)
+        return json.dumps(asdict(self), sort_keys=True, default=float)
 
 
 def _ratio(lhs, rhs):
@@ -596,8 +585,8 @@ def estimate_commutator_constant(
 
 def kernel_commutator(v, f):
     """hat([H; v]f)(k) = (1/2pi) sum_l i (sgn l - sgn k) vhat(k-l) fhat(l),
-    evaluated literally from the kernel table.  Exact (no transforms), so
-    structural zeroes of the kernel come out as exact zeroes.
+    evaluated literally from the (k, l) kernel table.  Exact (no
+    transforms), so structural zeroes of the kernel come out as exact zeroes.
     """
     if v.grid.n != f.grid.n:
         raise ValueError("fields live on different grids")
@@ -607,19 +596,11 @@ def kernel_commutator(v, f):
         raise ValueError(
             "combined bandwidth exceeds the grid band; the convolution would alias"
         )
-    modes = grid.modes
-    out = np.zeros(grid.n - 1, complex)
-    for ik, k in enumerate(modes):
-        acc = 0.0 + 0.0j
-        for il, l in enumerate(modes):
-            kk = k - l
-            if abs(kk) > half - 1:
-                continue
-            lam = 1j * (np.sign(l) - np.sign(k))
-            if lam == 0:
-                continue
-            acc += lam * v.coeff(int(kk)) * f.coeff(int(l))
-        out[ik] = acc / (2.0 * np.pi)
+    k = grid.modes
+    kl = k[:, None] - k  # the (k, l) table of k - l
+    vkl = np.where(np.abs(kl) <= half - 1, v.coeffs[np.clip(kl + half - 1, 0, grid.n - 2)], 0.0)
+    lam = 1j * (np.sign(k) - np.sign(k)[:, None])
+    out = (lam * vkl) @ f.coeffs / (2.0 * np.pi)
     return SpectralField(grid, out, v.real_flag and f.real_flag)
 
 

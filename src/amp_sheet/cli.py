@@ -348,7 +348,7 @@ def verify_identities_cmd(config_path, output_dir, seed, quiet):
 def _window(times, center, width):
     """The bump window and its first two derivatives at `times`, as three
     (T, 1) columns that scale a profile's coefficients row by row."""
-    return np.array([bump_window(float(t), center, width) for t in times]).T[..., None]
+    return np.array(bump_window(np.asarray(times, float)[:, None], center, width))
 
 
 def _run_energy(p, used_seed):

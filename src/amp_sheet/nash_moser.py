@@ -16,7 +16,8 @@ what the smoothing compensates; the iteration itself only ever sees the
 discrete trajectories.
 """
 
-from dataclasses import dataclass, field, replace
+import json
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -109,21 +110,7 @@ class IterationReport:
     metadata: dict = field(default_factory=dict)
 
     def to_json(self):
-        import json
-
-        return json.dumps(
-            {
-                "residual_norms": [float(x) for x in self.residual_norms],
-                "correction_norms": [float(x) for x in self.correction_norms],
-                "stability_mins": [float(x) for x in self.stability_mins],
-                "theta_values": [float(x) for x in self.theta_values],
-                "converged": self.converged,
-                "iterations": self.iterations,
-                "metadata": self.metadata,
-            },
-            sort_keys=True,
-            default=float,
-        )
+        return json.dumps(asdict(self), sort_keys=True, default=float)
 
 
 def smooth_cutoff(obj, theta):

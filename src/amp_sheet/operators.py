@@ -31,7 +31,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .spectral import SpectralField, TorusGrid, _coeffs, _padded_size
+from .spectral import SpectralField, TorusGrid, _coeffs, _mirror, _padded_size
 from .spectral import pointwise_product  # noqa: F401  (perfbench/tests rebinds it here)
 
 _TWO_PI = 2.0 * np.pi
@@ -216,10 +216,7 @@ def quadratic_rhs(phi, dealias=True):
     ab[..., 0, :] += p * v[..., 2, :]
     np.multiply(p, v[..., 3, :], out=ab[..., 1, :])
     ab = np.fft.rfft(ab)
-    nk = down * (ab[..., 0, :half] - 1j * ab[..., 1, :half])
-    out = np.empty(c.shape, complex)
-    out[..., half - 1:] = nk
-    out[..., :half - 1] = nk[..., :0:-1].conj()
+    out = _mirror(down * (ab[..., 0, :half] - 1j * ab[..., 1, :half]))
     return SpectralField(phi.grid, out, True) if field else out
 
 
@@ -273,10 +270,7 @@ def apply_linearized_operator(phi0, phiP, mu, dealias=True):
     a = (2.0 * p0x - mu) * px + p0 * pxx + p * p0xx
     b = p0 * hpxx + p * hp0xx
     ab = np.fft.rfft(np.stack([a, b], axis=-2))
-    lk = down * (ab[..., 0, :half] - 1j * ab[..., 1, :half])
-    out = np.empty(lk.shape[:-1] + (n - 1,), complex)
-    out[..., half - 1:] = lk
-    out[..., :half - 1] = lk[..., :0:-1].conj()
+    out = _mirror(down * (ab[..., 0, :half] - 1j * ab[..., 1, :half]))
     return SpectralField(phiP.grid, out, True) if field else out
 
 
@@ -296,38 +290,37 @@ def stability_coefficient(phi, mu):
 
 
 def _B(x):
-    return np.exp(-1.0 / x) if x > 0.0 else 0.0
-
-
-def _Bp(x):
-    return _B(x) / x**2 if x > 0.0 else 0.0
-
-
-def _Bpp(x):
-    return _B(x) * (1.0 - 2.0 * x) / x**4 if x > 0.0 else 0.0
+    """B(x) = exp(-1/x) for x > 0, 0 otherwise, and its first two
+    derivatives, elementwise over an array."""
+    b, bp, bpp = np.zeros((3,) + x.shape)
+    p = x > 0.0
+    y = x[p]
+    b[p] = np.exp(-1.0 / y)
+    bp[p] = b[p] / y**2
+    bpp[p] = b[p] * (1.0 - 2.0 * y) / y**4
+    return b, bp, bpp
 
 
 def _chi_parts(t, r):
     """Smooth even bump: 1 on |t| <= r, 0 beyond 2r, C-infinity in between.
 
     Built from B(x) = exp(-1/x) as psi(s) = B(1-s)/(B(1-s)+B(s)) on the
-    transition s = (|t|-r)/r in (0,1).  Returns (chi, chi', chi'')."""
-    a = abs(t)
-    if a <= r:
-        return 1.0, 0.0, 0.0
-    if a >= 2.0 * r:
-        return 0.0, 0.0, 0.0
-    s = (a - r) / r
-    sg = 1.0 if t > 0 else -1.0
-    g, h = _B(1.0 - s), _B(s)
-    gp, hp = -_Bp(1.0 - s), _Bp(s)
-    gpp, hpp = _Bpp(1.0 - s), _Bpp(s)
+    transition s = (|t|-r)/r in (0,1).  Returns (chi, chi', chi''): three
+    floats for a scalar t, three arrays of the shape of t otherwise."""
+    t = np.asarray(t, float)
+    a = np.abs(t)
+    out = np.zeros((3,) + t.shape)
+    out[0] = a <= r
+    ramp = (a > r) & (a < 2.0 * r)
+    s = (a[ramp] - r) / r
+    (g, gp, gpp), (h, hp, hpp) = _B(1.0 - s), _B(s)
+    gp = -gp
     d = g + h
     num = gp * h - g * hp
-    psi = g / d
-    psip = num / d**2
-    psipp = ((gpp * h - g * hpp) * d - 2.0 * num * (gp + hp)) / d**3
-    return psi, psip * sg / r, psipp / r**2
+    out[:, ramp] = (g / d,
+                    num / d**2 * np.sign(t[ramp]) / r,
+                    ((gpp * h - g * hpp) * d - 2.0 * num * (gp + hp)) / d**3 / r**2)
+    return tuple(map(float, out)) if t.ndim == 0 else tuple(out)
 
 
 def bump_window(t, center, width):
@@ -365,8 +358,7 @@ class Lifting:
         """phi_a and its first two time derivatives at each of `times`, as
         three coefficient arrays of shape (len(times), n-1)."""
         t = np.asarray(times, float).reshape(-1, 1)
-        chi = np.array([_chi_parts(float(s), self.ramp_width) for s in t[:, 0]])
-        c, cp, cpp = chi.reshape(-1, 3).T[..., None]
+        c, cp, cpp = _chi_parts(t, self.ramp_width)
         c0 = self.data.phi0.coeffs
         c1 = self.data.phi1.coeffs
         return (c * c0 + t * c * c1,

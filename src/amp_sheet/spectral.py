@@ -11,6 +11,13 @@ unpaired Nyquist mode k = -n/2 is dropped on analysis: odd symbols such as
 the Hilbert transform's -i*sgn(k) cannot act on it without breaking the
 conjugate symmetry of real fields.
 
+Every transform is real.  A band goes to nodal values by one inverse real
+FFT of its k >= 0 half, and values come back by one real FFT kept to
+k < n/2 and mirrored by c(-k) = conj c(k).  So a field flagged real, and
+every coefficient array, is read from its k >= 0 half only.  A field not
+flagged real is split into the real fields R = (c(k) + conj c(-k))/2 and
+I = (c - R)/i, which go through the same transforms.
+
 Pointwise products go through zero-padded physical space (3/2 padding, the
 2/3 rule).  For two in-band factors the retained band is then exact; the
 test suite holds it against the literal convolution sum.
@@ -19,8 +26,7 @@ Synthesis, the Hilbert transform, derivatives, products, Sobolev and sup
 norms and regridding take either a `SpectralField` or a (..., n-1) array
 of coefficients and return the same kind: a field or an array with the
 same leading batch axes, row for row bitwise equal to the one-field call.
-An array holds the coefficients of real fields, so its synthesis and sup
-norm read the real part.
+An array holds the coefficients of real fields.
 """
 
 from __future__ import annotations
@@ -199,35 +205,47 @@ def _rows(x):
     return float(x) if x.ndim == 0 else x
 
 
+def _synthesis(c, m):
+    """Values on m >= n points of the real fields whose bands are the rows
+    of `c`: one inverse real FFT of the k >= 0 half."""
+    return np.fft.irfft(c[..., (c.shape[-1] - 1) // 2:], m) * (m / _TWO_PI)
+
+
+def _mirror(half):
+    """The (..., n-1) band of real fields from their k = 0..n/2-1 half
+    spectra, c(-k) = conj c(k)."""
+    h = half.shape[-1]
+    out = np.empty(half.shape[:-1] + (2 * h - 1,), complex)
+    out[..., h - 1:] = half
+    out[..., :h - 1] = half[..., :0:-1].conj()
+    return out
+
+
+def _analysis(vals, n):
+    """The n-grid band of real fields sampled on the m points of the last
+    axis: one real FFT, kept to k < n/2."""
+    m = vals.shape[-1]
+    return _mirror(np.fft.rfft(vals)[..., :n // 2] * (_TWO_PI / m))
+
+
+def _values(f, m):
+    """Values of `f` on m points; complex, R + iI, for a field not flagged
+    real (R and I as in the module docstring)."""
+    c = _coeffs(f)
+    if isinstance(f, SpectralField) and not f.real_flag:
+        re = 0.5 * (c + c[..., ::-1].conj())
+        return _synthesis(re, m) + 1j * _synthesis((c - re) / 1j, m)
+    return _synthesis(c, m)
+
+
 def synthesize(field):
     """Nodal values f(x_j) = (1/2pi) sum_k c(k) e^{i k x_j}, along the last
     axis for an array.
 
-    Real when `real_flag` is set or the input is an array (the residual
-    imaginary part from round-off is dropped), complex otherwise.
+    Real when `real_flag` is set or the input is an array (read from the
+    k >= 0 half of the band), complex otherwise.
     """
-    c = _coeffs(field)
-    n = c.shape[-1] + 1
-    vals = np.fft.ifft(_full_spectrum(c, n, n)) * (n / _TWO_PI)
-    if isinstance(field, SpectralField) and not field.real_flag:
-        return vals
-    return vals.real
-
-
-def _full_spectrum(coeffs, n, m):
-    """Place band coefficients into a length-m FFT layout (m >= n) along
-    the last axis."""
-    half = n // 2
-    full = np.zeros(coeffs.shape[:-1] + (m,), complex)
-    full[..., :half] = coeffs[..., half - 1:]
-    full[..., m - (half - 1):] = coeffs[..., :half - 1]
-    return full
-
-
-def _band_from_full(full, n):
-    half = n // 2
-    m = full.shape[-1]
-    return np.concatenate([full[..., m - (half - 1):], full[..., :half]], axis=-1)
+    return _values(field, _coeffs(field).shape[-1] + 1)
 
 
 @lru_cache(maxsize=128)
@@ -270,9 +288,10 @@ def pointwise_product(f, g, dealias=True):
         raise ValueError("grid mismatch")
     n = cf.shape[-1] + 1
     m = _padded_size(n) if dealias else n
-    vf = np.fft.ifft(_full_spectrum(cf, n, m)) * (m / _TWO_PI)
-    vg = np.fft.ifft(_full_spectrum(cg, n, m)) * (m / _TWO_PI)
-    prod = _band_from_full(np.fft.fft(vf * vg) * (_TWO_PI / m), n)
+    vals = _values(f, m) * _values(g, m)
+    prod = _analysis(vals.real, n)
+    if np.iscomplexobj(vals):
+        prod = prod + 1j * _analysis(vals.imag, n)
     if isinstance(f, SpectralField) and isinstance(g, SpectralField):
         return SpectralField(f.grid, prod, f.real_flag and g.real_flag)
     return prod

@@ -8,9 +8,10 @@ produced by these routines (or closed forms derived by hand) and hold the
 package against them.
 
 The last routines run at production sizes instead.  They are built from
-the package's spectral primitives (complex FFTs, one dealiased product at a
-time) but not from its fused N(phi) and linearized kernels, its time
-stepper or its batched random draws, so those can be held against them.
+the package's spectral primitives (one dealiased product at a time) but not
+from its fused N(phi) and linearized kernels, its time stepper, its batched
+random draws or its array-valued bump window, so those can be held against
+them.
 The one exception, evolution_residual, measures a trajectory against the
 package's own N(phi).
 """
@@ -205,14 +206,40 @@ def random_trig_field_scalar(grid, kmax, rng, decay=2.0, amplitude=1.0):
     return from_modes(grid, pairs, real_flag=True)
 
 
+def chi_parts_scalar(t, r):
+    """The lifting's bump (chi, chi', chi'') at one time t in scalar float
+    arithmetic, term by term: the reference for the package's array-valued
+    bump, which matches it to round-off."""
+    def b(x, order):
+        if x <= 0.0:
+            return 0.0
+        e = np.exp(-1.0 / x)
+        return (e, e / x**2, e * (1.0 - 2.0 * x) / x**4)[order]
+
+    a = abs(t)
+    if a <= r:
+        return 1.0, 0.0, 0.0
+    if a >= 2.0 * r:
+        return 0.0, 0.0, 0.0
+    s = (a - r) / r
+    sg = 1.0 if t > 0 else -1.0
+    g, h = b(1.0 - s, 0), b(s, 0)
+    gp, hp = -b(1.0 - s, 1), b(s, 1)
+    gpp, hpp = b(1.0 - s, 2), b(s, 2)
+    d = g + h
+    num = gp * h - g * hp
+    psipp = ((gpp * h - g * hpp) * d - 2.0 * num * (gp + hp)) / d**3
+    return g / d, num / d**2 * sg / r, psipp / r**2
+
+
 def quadratic_rhs_alt(phi, dealias=True):
     """N(phi) in the rearranged form d/dx( H[p^2]_xx / 2 + p * phi_xx ),
     p = H[phi].
 
     Algebraically identical to the package's quadratic_rhs, but evaluated
-    by a different route: other products, each through its own complex
-    FFTs.  With dealiasing, or without it for bandwidth at most n/4, the
-    two agree to round-off.
+    by a different route: other products, each through its own transforms.
+    With dealiasing, or without it for bandwidth at most n/4, the two agree
+    to round-off.
     """
     p = hilbert(phi)
     half_sq = 0.5 * derivative(hilbert(pointwise_product(p, p, dealias)), 2)
@@ -229,7 +256,7 @@ def linearized_parts(phi0, phiP, mu, dealias=True):
 
     so that the linearized equation reads phi'_tt = c2 phi'_xx + lower + g.
     A different grouping of the terms than the package's fused kernel, each
-    product through its own complex FFTs.
+    product through its own transforms.
     """
     grid = phi0.grid
     p0 = hilbert(phi0)

@@ -25,6 +25,7 @@ from amp_sheet.analysis import (
 from amp_sheet.operators import CauchyData, FieldSeries, Trajectory, bump_window
 from amp_sheet.solver import SimConfig, solve_linearized
 from amp_sheet.spectral import (
+    SpectralField,
     TorusGrid,
     cosine,
     hilbert,
@@ -33,7 +34,12 @@ from amp_sheet.spectral import (
     zeros,
 )
 
-from _oracles import apply_linearized_alt, commutator_vh, random_trig_field_scalar
+from _oracles import (
+    apply_linearized_alt,
+    commutator_vh,
+    kernel_commutator_hv,
+    random_trig_field_scalar,
+)
 
 
 GRID = TorusGrid(32)
@@ -389,6 +395,19 @@ class TestKernelRoute:
         f = from_modes(GRID, {3: 2.0 - 1.0j}, real_flag=False)
         out = kernel_commutator(v, f)
         assert np.max(np.abs(out.coeffs)) == 0.0
+
+    def test_matches_kernel_oracle_on_complex_fields(self):
+        # the (k, l) table against the term-by-term kernel sum
+        rng = np.random.default_rng(19)
+        mid = GRID.n // 2 - 1
+        for _ in range(3):
+            v, f = (SpectralField(GRID, np.pad(z, mid - 7)) for z in
+                    rng.standard_normal((2, 15)) + 1j * rng.standard_normal((2, 15)))
+            out = kernel_commutator(v, f)
+            assert not out.real_flag
+            cv, cf = ({int(k): x.coeff(int(k)) for k in GRID.modes} for x in (v, f))
+            ref = kernel_commutator_hv(cv, cf, mid)
+            assert max(abs(out.coeff(k) - ref[k]) for k in ref) < 1e-13
 
     def test_kernel_antisymmetry(self):
         for k in (-3, -1, 0, 2, 5):

@@ -10,6 +10,7 @@ from amp_sheet.operators import (
     LiftingError,
     Trajectory,
     build_lifting,
+    bump_window,
     lifting_forcing,
     apply_linearized_operator,
     quadratic_rhs,
@@ -34,6 +35,7 @@ from amp_sheet.spectral import (
 from _oracles import (
     analyze,
     apply_linearized_alt,
+    chi_parts_scalar,
     coeffs_cos,
     direct_quadratic_rhs,
     evolution_residual,
@@ -482,6 +484,20 @@ class TestLifting:
             cl = lift.chi(t + h)[0]
             assert (cl - cm) / (2 * h) == pytest.approx(cp, abs=5e-7)
             assert (cl - 2 * c + cm) / h**2 == pytest.approx(cpp, abs=5e-4)
+
+    def test_bump_matches_scalar_reference(self):
+        # the array bump equals the scalar reference to round-off, row by
+        # row; a scalar time still gives three floats
+        for r in (0.5, 0.013):
+            ts = np.linspace(-2.5 * r, 2.5 * r, 1001)
+            want = np.array([chi_parts_scalar(float(t), r) for t in ts]).T
+            for row, ref in zip(bump_window(ts, 0.0, r), want):
+                assert row.shape == ts.shape
+                assert np.max(np.abs(row - ref)) <= 1e-14 * np.max(np.abs(ref))
+            for t in (0.5 * r, 1.3 * r, -1.7 * r, 2.0 * r):
+                parts = bump_window(t, 0.0, r)
+                assert all(type(x) is float for x in parts)
+                assert parts == pytest.approx(chi_parts_scalar(t, r), rel=1e-14, abs=0.0)
 
     def test_stability_invariant_on_support(self):
         data = CauchyData(cosine(GRID, 1, 0.04), sine(GRID, 1, 0.08))

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from amp_sheet.analysis import estimate_commutator_constant, verify_hilbert_identities
+from amp_sheet.operators import apply_linearized_operator, quadratic_rhs
 from amp_sheet.spectral import (
     TorusGrid, SpectralField, synthesize,
     hilbert, derivative, pointwise_product,
@@ -82,6 +84,18 @@ class TestAnalyzeSynthesize:
         vals = synthesize(f)
         back = analyze(g, vals)
         assert np.max(np.abs(back.coeffs - f.coeffs)) < 1e-12
+
+    def test_matches_direct_synthesis(self):
+        # a field not flagged real synthesizes as R + iI
+        g = TorusGrid(32)
+        rng = np.random.default_rng(12)
+        for real in (True, False):
+            f = random_band_field(g, 12, rng, real=real, zero_mean=False)
+            vals = synthesize(f)
+            assert vals.dtype == (float if real else complex)
+            ref = oracle.direct_synthesis({int(k): f.coeff(int(k)) for k in g.modes}, g.n)
+            assert np.max(np.abs(vals - ref)) < 1e-13
+            assert linf_norm(f) == np.max(np.abs(vals))
 
     def test_real_flag_gives_real_output(self):
         g = TorusGrid(32)
@@ -194,17 +208,20 @@ class TestProducts:
         assert p.coeff(1) == pytest.approx(0.0, abs=1e-13)
 
     def test_matches_convolution_oracle(self):
+        # product bandwidth 22 <= n/2 - 1: the unpadded product does not alias
         g = TorusGrid(48)
         rng = np.random.default_rng(21)
-        for _ in range(5):
-            f = random_band_field(g, 11, rng, zero_mean=False)
-            h = random_band_field(g, 11, rng, zero_mean=False)
-            p = pointwise_product(f, h)
-            cf = {int(k): f.coeff(int(k)) for k in g.modes}
-            ch = {int(k): h.coeff(int(k)) for k in g.modes}
-            ref = oracle.direct_convolution(cf, ch, g.n // 2 - 1)
-            err = max(abs(p.coeff(k) - ref[k]) for k in ref)
-            assert err < 1e-12
+        for real in (True, False):
+            for _ in range(5):
+                f = random_band_field(g, 11, rng, real=real, zero_mean=False)
+                h = random_band_field(g, 11, rng, real=real, zero_mean=False)
+                cf = {int(k): f.coeff(int(k)) for k in g.modes}
+                ch = {int(k): h.coeff(int(k)) for k in g.modes}
+                ref = oracle.direct_convolution(cf, ch, g.n // 2 - 1)
+                for dealias in (True, False):
+                    p = pointwise_product(f, h, dealias)
+                    assert p.real_flag == real
+                    assert max(abs(p.coeff(k) - ref[k]) for k in ref) < 1e-12
 
     def test_aliasing_visible_without_padding(self):
         g = TorusGrid(16)
@@ -224,6 +241,46 @@ class TestProducts:
                     regrid(f, TorusGrid(20)), f + h, 2.5 * f]:
             assert out.real_flag
             assert hermitian_defect(out) < 1e-12
+
+
+class TestRealTransforms:
+    def test_no_complex_fft_anywhere(self, monkeypatch):
+        # every transform in the package is a real FFT of a half spectrum
+        def refuse(*args, **kwargs):
+            raise AssertionError("complex FFT called")
+
+        monkeypatch.setattr(np.fft, "fft", refuse)
+        monkeypatch.setattr(np.fft, "ifft", refuse)
+        g = TorusGrid(32)
+        rng = np.random.default_rng(4)
+        for real in (True, False):
+            f = random_band_field(g, 9, rng, real=real, zero_mean=False)
+            h = random_band_field(g, 9, rng, real=real, zero_mean=False)
+            synthesize(f)
+            linf_norm(f)
+            for dealias in (True, False):
+                pointwise_product(f, h, dealias)
+        phi0, phi = random_band_field(g, 9, rng), random_band_field(g, 9, rng)
+        quadratic_rhs(phi0)
+        apply_linearized_operator(phi0, phi, 1.0)
+        for lemma, param in (("A1_comm_1", 1.0), ("A3", (2, 1)), ("A4_prod", 2),
+                             ("A4_comm_5", (2, 2))):
+            rep = estimate_commutator_constant(lemma, param, samples=10, seed=1,
+                                               n_lo=64, n_hi=128)
+            assert rep.passed
+        assert verify_hilbert_identities(samples=3)["passed"]
+
+    def test_symmetric_field_flagged_complex_matches_real_twin(self):
+        g = TorusGrid(64)
+        rng = np.random.default_rng(9)
+        f = random_band_field(g, 20, rng, zero_mean=False)
+        h = random_band_field(g, 20, rng, zero_mean=False)
+        fc, hc = SpectralField(g, f.coeffs, False), SpectralField(g, h.coeffs, False)
+        want = pointwise_product(f, h).coeffs
+        for a, b in ((fc, hc), (fc, h), (f, hc)):
+            got = pointwise_product(a, b)
+            assert not got.real_flag
+            assert np.max(np.abs(got.coeffs - want)) <= 1e-15 * np.max(np.abs(want))
 
 
 class TestNormsAndInner:
