@@ -35,6 +35,7 @@ from .operators import (
 from .spectral import (
     SpectralField,
     TorusGrid,
+    _mirror,
     derivative,
     from_modes,
     hilbert,
@@ -111,13 +112,6 @@ def _ratio(lhs, rhs):
     return float(out) if out.ndim == 0 else out
 
 
-def _check_horizon(times, spec):
-    if spec.horizon is not None:
-        t_min, t_max = spec.horizon
-        if times[0] < t_min - 1e-9 or times[-1] > t_max + 1e-9:
-            raise ValueError("evaluation mesh lies outside the horizon")
-
-
 def _check_zero_trace(times, stacks, tol=1e-12):
     """Domain check for the zero-trace spaces: samples at t < 0 must vanish.
 
@@ -132,7 +126,10 @@ def _check_zero_trace(times, stacks, tol=1e-12):
 
 def _weighted_l2(times, coeffs, spec, m):
     """weighted_l2_norm of the (T, n-1) coefficient rows on the mesh `times`."""
-    _check_horizon(times, spec)
+    if spec.horizon is not None:
+        t_min, t_max = spec.horizon
+        if times[0] < t_min - 1e-9 or times[-1] > t_max + 1e-9:
+            raise ValueError("evaluation mesh lies outside the horizon")
     if len(times) == 1:
         return 0.0
     vals = np.exp(-2.0 * spec.gamma * times) * sobolev_norm(coeffs, m) ** 2
@@ -201,7 +198,7 @@ def random_trig_field(grid, kmax, rng, decay=2.0, amplitude=1.0):
     c = np.zeros(grid.n - 1, complex)
     c[half:half + kmax].real = scale * a / weight
     c[half:half + kmax].imag = scale * -b / weight
-    c[half - 1 - kmax:half - 1] = c[half + kmax - 1:half - 1:-1].conj()
+    c[half - 1 - kmax:half + kmax] = _mirror(c[half - 1:half + kmax])
     return SpectralField(grid, c, True)
 
 

@@ -133,10 +133,6 @@ def _cauchy_data(grid, cfg, phi0_key="phi0", phi1_key="phi1"):
 # artifact writers
 
 
-def _fmt(x):
-    return f"{float(x):.17g}"
-
-
 def _resolve_output(output_dir):
     out = Path(output_dir) if output_dir else Path(".")
     try:
@@ -166,7 +162,7 @@ def _write_csv(path, header, rows, config, quiet):
         fh.write(f"# config: {json.dumps(config, sort_keys=True, default=float)}\n")
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(x if isinstance(x, str) else _fmt(x) for x in row))
+            fh.write(",".join(x if isinstance(x, str) else f"{float(x):.17g}" for x in row))
             fh.write("\n")
     if not quiet:
         click.echo(f"wrote {path}")

@@ -31,7 +31,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .spectral import SpectralField, TorusGrid, _coeffs, _mirror, _padded_size
+from .spectral import SpectralField, TorusGrid, _coeffs, _half, _mirror, _padded_size
 from .spectral import pointwise_product  # noqa: F401  (perfbench/tests rebinds it here)
 
 _TWO_PI = 2.0 * np.pi
@@ -209,7 +209,7 @@ def quadratic_rhs(phi, dealias=True):
     n = c.shape[-1] + 1
     half = n // 2
     m, up, down = _fused_tables(n, dealias)
-    v = np.fft.irfft(c[..., None, half - 1:] * up, m)  # p, p_x, p_xx, H p_xx
+    v = np.fft.irfft(_half(c)[..., None, :] * up, m)  # p, p_x, p_xx, H p_xx
     p, px = v[..., 0, :], v[..., 1, :]
     ab = np.empty(v.shape[:-2] + (2, m))
     np.multiply(px, px, out=ab[..., 0, :])
@@ -262,8 +262,8 @@ def apply_linearized_operator(phi0, phiP, mu, dealias=True):
     half = n // 2
     m, up, down = _fused_tables(n, dealias)
     rows = np.empty(np.broadcast_shapes(c0.shape, c.shape)[:-1] + (2, 4, half), complex)
-    np.multiply(c0[..., None, half - 1:], up, out=rows[..., 0, :, :])
-    np.multiply(c[..., None, half - 1:], up, out=rows[..., 1, :, :])
+    np.multiply(_half(c0)[..., None, :], up, out=rows[..., 0, :, :])
+    np.multiply(_half(c)[..., None, :], up, out=rows[..., 1, :, :])
     v = np.fft.irfft(rows, m)
     (p0, p0x, p0xx, hp0xx), (p, px, pxx, hpxx) = (
         [v[..., i, j, :] for j in range(4)] for i in range(2))
@@ -285,7 +285,7 @@ def stability_coefficient(phi, mu):
     c = _coeffs(phi)
     n = c.shape[-1] + 1
     _, up, _ = _fused_tables(n, False)  # row 1: (H phi)_x scaled for n points
-    vals = mu - 2.0 * np.fft.irfft(c[..., n // 2 - 1:] * up[1], n)
+    vals = mu - 2.0 * np.fft.irfft(_half(c) * up[1], n)
     return vals, float(np.min(vals))
 
 

@@ -205,10 +205,15 @@ def _rows(x):
     return float(x) if x.ndim == 0 else x
 
 
+def _half(c):
+    """The k = 0..n/2-1 half of (..., n-1) bands, all a real transform reads."""
+    return c[..., (c.shape[-1] - 1) // 2:]
+
+
 def _synthesis(c, m):
     """Values on m >= n points of the real fields whose bands are the rows
     of `c`: one inverse real FFT of the k >= 0 half."""
-    return np.fft.irfft(c[..., (c.shape[-1] - 1) // 2:], m) * (m / _TWO_PI)
+    return np.fft.irfft(_half(c), m) * (m / _TWO_PI)
 
 
 def _mirror(half):
