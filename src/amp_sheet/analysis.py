@@ -20,6 +20,7 @@ explicit value to compare against.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import asdict, dataclass, field as dataclass_field
 
 import numpy as np
@@ -225,14 +226,19 @@ def apply_linearized(phi0, traj, mu, dealias=True):
     return Trajectory(times, g)
 
 
-def _check_base_stability(base, mu, delta, threshold_factor=0.5):
+#: a verified base may lose up to half of the stability margin delta
+_BASE_MARGIN_FACTOR = 0.5
+
+
+def _check_base_stability(base, mu, delta):
     """Minimum of the stability coefficient over the (T, n-1) base rows;
-    raises if it falls below threshold_factor * delta."""
+    raises if it falls below _BASE_MARGIN_FACTOR * delta."""
     _, worst = stability_coefficient(base, mu)
-    if worst < threshold_factor * delta - 1e-10:
+    floor = _BASE_MARGIN_FACTOR * delta
+    if worst < floor - 1e-10:
         raise ValueError(
             f"base profile violates the stability margin: min {worst:.6g} "
-            f"< {threshold_factor:.2g} * delta = {threshold_factor * delta:.6g}"
+            f"< {_BASE_MARGIN_FACTOR:.2g} * delta = {floor:.6g}"
         )
     return worst
 
@@ -471,37 +477,48 @@ def _lemma_a5(v, f, m):
     return lhs, rhs
 
 
+#: each lemma's batched evaluator, parameter kind and canonical parameter
 _LEMMAS = {
-    "A1_comm_1": (_lemma_comm1, "s"),
-    "A1_comm_2": (_lemma_comm2, "s"),
-    "A1_comm_3": (_lemma_comm3, "s"),
-    "A2": (_lemma_a2, "m"),
-    "A3": (_lemma_a3, "mp"),
-    "A4_prod": (_lemma_prod4, "m"),
-    "A4_comm_4": (_lemma_comm4, "mk"),
-    "A4_comm_5": (_lemma_comm5, "mk"),
-    "A5": (_lemma_a5, "m"),
+    "A1_comm_1": (_lemma_comm1, "s", 1.0),
+    "A1_comm_2": (_lemma_comm2, "s", 1.0),
+    "A1_comm_3": (_lemma_comm3, "s", 1.0),
+    "A2": (_lemma_a2, "m", 2),
+    "A3": (_lemma_a3, "mp", (2, 1)),
+    "A4_prod": (_lemma_prod4, "m", 2),
+    "A4_comm_4": (_lemma_comm4, "mk", (2, 2)),
+    "A4_comm_5": (_lemma_comm5, "mk", (2, 2)),
+    "A5": (_lemma_a5, "m", 2),
 }
 
 
+def _is_int(x):
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
 def _validate_lemma_param(lemma, param):
-    kind = _LEMMAS[lemma][1]
+    """The lemma's parameter (its canonical one for None): s > 1/2 for the
+    "s" lemmas, an integer m >= 1 for the "m" ones, and for the pair lemmas
+    an integer or a pair of positive integers, with k <= m for (m, k).
+    Raises ValueError on any other input."""
+    _, kind, canonical = _LEMMAS[lemma]
+    if param is None:
+        param = canonical
     if kind == "s":
-        s = float(param)
-        if s <= 0.5:
-            raise ValueError(f"{lemma} requires s > 1/2, got {s}")
-        return s
+        if not isinstance(param, numbers.Real) or isinstance(param, bool) or param <= 0.5:
+            raise ValueError(f"{lemma} param must be a number s > 1/2, got {param!r}")
+        return float(param)
     if kind == "m":
-        m = int(param)
-        if m < 1:
-            raise ValueError(f"{lemma} requires m >= 1, got {m}")
-        return m
-    # pairs (m, p) or (m, k)
-    m, q = (int(param[0]), int(param[1])) if not np.isscalar(param) else (int(param), int(param))
-    if m < 1 or q < 1:
-        raise ValueError(f"{lemma} requires positive integer parameters, got {param}")
+        if not _is_int(param) or param < 1:
+            raise ValueError(f"{lemma} param must be an integer m >= 1, got {param!r}")
+        return int(param)
+    # pairs (m, p) or (m, k); an integer m stands for (m, m)
+    pair = (param, param) if _is_int(param) else param
+    if (not isinstance(pair, (tuple, list)) or len(pair) != 2
+            or not all(_is_int(q) and q >= 1 for q in pair)):
+        raise ValueError(f"{lemma} param must be a pair of positive integers, got {param!r}")
+    m, q = int(pair[0]), int(pair[1])
     if kind == "mk" and q > m:
-        raise ValueError(f"{lemma} requires k <= m, got {param}")
+        raise ValueError(f"{lemma} param requires k <= m, got {param!r}")
     return (m, q)
 
 
@@ -534,9 +551,10 @@ def estimate_commutator_constant(
     isolates discretization error), reports the supremum of lhs/rhs at the
     fine resolution and the relative drift between resolutions.
 
-    Each sample draws from a child of SeedSequence(seed).  Blocks of
-    _SAMPLE_BLOCK samples run as one batch each, in `jobs` worker processes
-    when jobs > 1; the blocks do not depend on `jobs`, so neither do the
+    `param` None is the lemma's canonical parameter.  Each sample draws
+    from a child of SeedSequence(seed).  Blocks of _SAMPLE_BLOCK samples
+    run as one batch each, in min(jobs, blocks) worker processes when that
+    exceeds 1; the blocks do not depend on `jobs`, so neither do the
     constants.
     """
     if lemma not in _LEMMAS:
@@ -550,10 +568,11 @@ def estimate_commutator_constant(
     children = np.random.SeedSequence(seed).spawn(samples)
     args = [(lemma, param, children[i:i + _SAMPLE_BLOCK], kmax, (n_lo, n_hi), decay)
             for i in range(0, samples, _SAMPLE_BLOCK)]
-    if jobs > 1:
+    workers = min(jobs, len(args))
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # only here: a heavy import
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_campaign_draw, *zip(*args)))
     else:
         results = [_campaign_draw(*a) for a in args]

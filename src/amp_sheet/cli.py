@@ -1,14 +1,19 @@
 """Command-line orchestration: run simulations, verification campaigns,
 and the smoothed Newton solve from JSON configs; write CSV/JSON artifacts.
 
-Design rules: configs are fail-closed (unknown keys rejected), artifacts
-are deterministic (no timestamps, sorted JSON keys, 17-significant-digit
-CSV numbers) and every file embeds the resolved config and the package
-version.  Exit codes: 0 success, 1 hard verification failure, 2 config or
-usage error, 3 completed-with-flags (stability crossing, blow-up,
-non-convergence).
+Design rules: every command reads its config through one reader against
+one {key: default} table, and rejects unknown keys, missing required keys
+and values whose JSON type differs from the default's.  Artifacts are
+deterministic (no timestamps, sorted JSON keys, 17-significant-digit CSV
+numbers) and every file embeds the resolved config, every key with its
+default filled in, and the package version; that config fed back as
+--config reproduces the artifacts.  Exit codes: 0 success, 1 hard
+verification failure, 2 config or usage error, 3 completed-with-flags
+(stability crossing, blow-up, non-convergence).
 """
 
+import csv
+import inspect
 import json
 import sys
 from pathlib import Path
@@ -18,6 +23,7 @@ import numpy as np
 
 from . import __version__
 from .analysis import (
+    _LEMMAS,
     estimate_commutator_constant,
     random_trig_field,
     verify_energy_estimate,
@@ -50,83 +56,102 @@ __all__ = ["main"]
 # config plumbing
 
 
-def _load_config(path, allowed, required=()):
-    """Load a JSON config, rejecting unknown keys (fail-closed); with
-    `allowed` None the caller checks the keys itself (see _check_keys)."""
-    if path is None:
-        cfg = {}
-    else:
+def _defaults(fn, *names):
+    """{parameter: default} of a function or dataclass, over all or the
+    named parameters; a parameter without a default is a required key and
+    maps to its annotated type."""
+    params = inspect.signature(fn, eval_str=True).parameters
+    return {k: p.annotation if p.default is p.empty else p.default
+            for k, p in params.items() if not names or k in names}
+
+
+#: the solver keys: mu and delta required, the rest with SimConfig's defaults
+_SIM = _defaults(SimConfig)
+_NEWTON = _defaults(IterationConfig, "theta0", "theta_growth", "max_iters", "residual_tol")
+
+_KINDS = {int: "an integer", float: "a number", bool: "true or false",
+          str: "a string", list: "a list"}
+
+
+def _typed(key, value, default):
+    """`value` checked against the type of `default` (a required key's
+    default is the type itself): an int takes a JSON integer, a float any
+    number (cast to float), a bool true/false, a list a list of its first
+    element's type.  A None default passes the value on to its validator."""
+    if default is None:
+        return value
+    kind = default if isinstance(default, type) else type(default)
+    if kind is list and isinstance(value, list):
+        return [_typed(key, x, default[0]) for x in value]
+    accepted = (int, float) if kind is float else kind
+    if isinstance(value, accepted) and (kind is bool or not isinstance(value, bool)):
+        return float(value) if kind is float else value
+    raise ValueError(f"config key {key!r} holds {json.dumps(value)}, expected {_KINDS[kind]}")
+
+
+def _read_config(path, table, seed=None):
+    """The resolved config of a command: the JSON object at `path` (none:
+    {}) checked against `table`, {key: default} or a function of the raw
+    object that returns one, and completed with the defaults.  Unknown
+    keys, missing required keys and values of the wrong type raise
+    ValueError naming the key.  A `--seed` value overrides the config's."""
+    raw = {}
+    if path is not None:
         try:
             with open(path, "r", encoding="utf-8") as fh:
-                cfg = json.load(fh)
+                raw = json.load(fh)
         except json.JSONDecodeError as exc:
-            raise click.UsageError(f"malformed config {path}: {exc}")
-        if not isinstance(cfg, dict):
-            raise click.UsageError(f"config {path} must hold a JSON object")
-    if allowed is not None:
-        _check_keys(cfg, allowed)
-    missing = sorted(set(required) - set(cfg))
+            raise ValueError(f"malformed config {path}: {exc}") from None
+        if not isinstance(raw, dict):
+            raise ValueError(f"config {path} must hold a JSON object")
+    if callable(table):
+        table = table(raw)
+    unknown = sorted(set(raw) - set(table))
+    if unknown:
+        raise ValueError(f"unknown config keys: {', '.join(unknown)}")
+    missing = sorted(k for k, d in table.items() if isinstance(d, type) and k not in raw)
     if missing:
-        raise click.UsageError(f"missing config keys: {', '.join(missing)}")
+        raise ValueError(f"missing config keys: {', '.join(missing)}")
+    cfg = {k: _typed(k, raw[k], d) if k in raw else d for k, d in table.items()}
+    if seed is not None:
+        cfg["seed"] = seed
     return cfg
 
 
-def _check_keys(cfg, allowed):
-    unknown = sorted(set(cfg) - set(allowed))
-    if unknown:
-        raise click.UsageError(f"unknown config keys: {', '.join(unknown)}")
-
-
-SIM_KEYS = (
-    "mu", "delta", "grid_n", "galerkin_N", "dt", "t_final",
-    "gamma", "dealias", "cfl_safety",
-)
-
-
-def _sim_config(cfg):
-    kw = {k: cfg[k] for k in SIM_KEYS if k in cfg}
-    try:
-        return SimConfig(**kw)
-    except (TypeError, ValueError) as exc:
-        raise click.UsageError(f"invalid solver parameters: {exc}")
+def _pick(cfg, table):
+    """The entries of cfg whose keys are in table, as keyword arguments."""
+    return {k: cfg[k] for k in table if k in cfg}
 
 
 def _build_field(grid, spec, label):
-    """Field from {"cos": {"k": amp}, "sin": {"k": amp}} with string modes."""
+    """Field from {"cos": {"k": amp}, "sin": {"k": amp}} with string modes;
+    None is the zero field.  Raises ValueError on a malformed spec."""
+    out = zeros(grid)
     if spec is None:
-        return zeros(grid)
+        return out
     if not isinstance(spec, dict):
-        raise click.UsageError(f"{label} must be an object with cos/sin keys")
+        raise ValueError(f"{label} must be an object with cos/sin keys")
     unknown = sorted(set(spec) - {"cos", "sin"})
     if unknown:
-        raise click.UsageError(f"{label}: unknown keys {', '.join(unknown)}")
-    out = zeros(grid)
-    for kind in ("cos", "sin"):
+        raise ValueError(f"{label}: unknown keys {', '.join(unknown)}")
+    for kind, builder in (("cos", cosine), ("sin", sine)):
         table = spec.get(kind, {})
         if not isinstance(table, dict):
-            raise click.UsageError(f"{label}.{kind} must map mode -> amplitude")
+            raise ValueError(f"{label}.{kind} must map mode -> amplitude")
         for mode_str, amp in sorted(table.items()):
             try:
                 k = int(mode_str)
             except ValueError:
-                raise click.UsageError(f"{label}.{kind}: bad mode {mode_str!r}")
+                raise ValueError(f"{label}.{kind}: bad mode {mode_str!r}") from None
             if not 1 <= k <= grid.n // 2 - 1:
-                raise click.UsageError(
-                    f"{label}.{kind}: mode {k} outside [1, {grid.n // 2 - 1}]"
-                )
-            builder = cosine if kind == "cos" else sine
-            out = out + builder(grid, k, float(amp))
+                raise ValueError(f"{label}.{kind}: mode {k} outside [1, {grid.n // 2 - 1}]")
+            out = out + builder(grid, k, _typed(f"{label}.{kind}.{mode_str}", amp, 0.0))
     return out
 
 
-def _cauchy_data(grid, cfg, phi0_key="phi0", phi1_key="phi1"):
-    try:
-        return CauchyData(
-            _build_field(grid, cfg.get(phi0_key), phi0_key),
-            _build_field(grid, cfg.get(phi1_key), phi1_key),
-        )
-    except ValueError as exc:
-        raise click.UsageError(f"invalid Cauchy data: {exc}")
+def _cauchy_data(grid, cfg):
+    return CauchyData(_build_field(grid, cfg["phi0"], "phi0"),
+                      _build_field(grid, cfg["phi1"], "phi1"))
 
 
 # ---------------------------------------------------------------------------
@@ -157,13 +182,14 @@ def _write_json(path, payload, config, quiet):
 
 
 def _write_csv(path, header, rows, config, quiet):
+    """Numbers with 17 significant digits; a cell holding a comma is quoted."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"# version: {__version__}\n")
         fh.write(f"# config: {json.dumps(config, sort_keys=True, default=float)}\n")
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(x if isinstance(x, str) else f"{float(x):.17g}" for x in row))
-            fh.write("\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([x if isinstance(x, str) else f"{float(x):.17g}" for x in row]
+                         for row in rows)
     if not quiet:
         click.echo(f"wrote {path}")
 
@@ -216,7 +242,19 @@ seed_option = click.option("--seed", type=int, default=None,
                            help="override the config seed")
 
 
-@click.group()
+class _Commands(click.Group):
+    """The command group.  A ValueError out of a command, from the config
+    reader, a field spec or parameters the numerics reject, is a usage
+    error: exit code 2."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except ValueError as exc:
+            raise click.UsageError(str(exc)) from exc
+
+
+@click.group(cls=_Commands)
 @click.version_option(version=__version__, prog_name="amp-sheet")
 def main():
     """Simulator and verification harness for the nonlocal quadratic
@@ -227,17 +265,12 @@ def main():
 @common_options
 def simulate(config_path, output_dir, quiet):
     """Integrate the nonlinear equation from configured Cauchy data."""
-    cfg = _load_config(config_path, SIM_KEYS + ("phi0", "phi1"))
-    sim = _sim_config(cfg)
-    grid = TorusGrid(sim.grid_n)
-    data = _cauchy_data(grid, cfg)
+    cfg = _read_config(config_path, {**_SIM, "phi0": None, "phi1": None})
+    sim = SimConfig(**_pick(cfg, _SIM))
+    data = _cauchy_data(TorusGrid(sim.grid_n), cfg)
     out = _resolve_output(output_dir)
 
-    try:
-        traj, monitor = solve_nonlinear(sim, data)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
-
+    traj, monitor = solve_nonlinear(sim, data)
     _write_solve(out, "simulate", traj, monitor, cfg, quiet,
                  min_stability=float(np.min(monitor["min_stability_coeff"])))
     sys.exit(_flag_exit(monitor["flags"]))
@@ -247,15 +280,15 @@ def simulate(config_path, output_dir, quiet):
 @common_options
 def linearized(config_path, output_dir, quiet):
     """Integrate the linearized equation around a configured base."""
-    keys = SIM_KEYS + ("base", "phi0", "phi1", "forcing_profile",
-                       "envelope_center", "envelope_width")
-    cfg = _load_config(config_path, keys)
-    sim = _sim_config(cfg)
+    cfg = _read_config(config_path, {
+        **_SIM, "base": None, "phi0": None, "phi1": None, "forcing_profile": None,
+        "envelope_center": 0.0, "envelope_width": 0.0,
+    })
+    sim = SimConfig(**_pick(cfg, _SIM))
     grid = TorusGrid(sim.grid_n)
-    base = _build_field(grid, cfg.get("base"), "base")
-    profile = _build_field(grid, cfg.get("forcing_profile"), "forcing_profile")
-    center = float(cfg.get("envelope_center", 0.0))
-    width = float(cfg.get("envelope_width", 0.0))
+    base = _build_field(grid, cfg["base"], "base")
+    profile = _build_field(grid, cfg["forcing_profile"], "forcing_profile")
+    center, width = cfg["envelope_center"], cfg["envelope_width"]
 
     if width > 0.0:
         def forcing(ts):
@@ -263,17 +296,10 @@ def linearized(config_path, output_dir, quiet):
     else:
         forcing = profile
 
-    initial = None
-    if "phi0" in cfg or "phi1" in cfg:
-        initial = _cauchy_data(grid, cfg)
+    initial = _cauchy_data(grid, cfg)
     out = _resolve_output(output_dir)
 
-    try:
-        traj, monitor = solve_linearized(sim, base=base, forcing=forcing,
-                                         initial_state=initial)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
-
+    traj, monitor = solve_linearized(sim, base=base, forcing=forcing, initial_state=initial)
     _write_solve(out, "linearized", traj, monitor, cfg, quiet)
     sys.exit(_flag_exit(monitor["flags"]))
 
@@ -283,19 +309,17 @@ def linearized(config_path, output_dir, quiet):
 def growth(config_path, output_dir, quiet):
     """Measure modal growth rates of the linearized flow (the elliptic
     regime mu < 0 exhibits the |k| sqrt(|mu|) instability)."""
-    keys = SIM_KEYS + ("modes", "epsilon")
-    cfg = _load_config(config_path, keys, required=("mu",))
-    sim = _sim_config(cfg)
+    cfg = _read_config(config_path, {**_SIM, "modes": [4, 8, 16], "epsilon": 1e-6})
+    sim = SimConfig(**_pick(cfg, _SIM))
     grid = TorusGrid(sim.grid_n)
-    modes = [int(k) for k in cfg.get("modes", [4, 8, 16])]
-    eps = float(cfg.get("epsilon", 1e-6))
+    eps = cfg["epsilon"]
     out = _resolve_output(output_dir)
 
     rows = []
     speed = np.sqrt(abs(sim.mu))
-    for k in modes:
+    for k in cfg["modes"]:
         if not 1 <= k <= sim.galerkin_N:
-            raise click.UsageError(f"mode {k} outside the Galerkin band")
+            raise ValueError(f"mode {k} outside the Galerkin band")
         # seed the pure-growth branch: phi1 = rate * phi0
         data = CauchyData(cosine(grid, k, eps), cosine(grid, k, eps * k * speed))
         traj, _ = solve_linearized(sim, initial_state=data)
@@ -306,13 +330,12 @@ def growth(config_path, output_dir, quiet):
         rel = err / expected if expected else ""
         rows.append((float(k), rate, expected, err, rel))
 
-    resolved = {**cfg, "modes": modes, "epsilon": eps}
     _write_csv(out / "rates.csv", ("k", "rate", "expected", "abs_err", "rel_err"),
-               rows, resolved, quiet)
+               rows, cfg, quiet)
     _write_json(out / "summary.json", {
         "command": "growth",
         "rates": {str(int(r[0])): r[1] for r in rows},
-    }, resolved, quiet)
+    }, cfg, quiet)
     sys.exit(0)
 
 
@@ -321,19 +344,14 @@ def growth(config_path, output_dir, quiet):
 @seed_option
 def verify_identities_cmd(config_path, output_dir, seed, quiet):
     """Run the Hilbert-transform identity battery."""
-    cfg = _load_config(config_path, ("samples", "grid_n", "seed"))
-    samples = int(cfg.get("samples", 100))
-    grid_n = int(cfg.get("grid_n", 128))
-    used_seed = seed if seed is not None else int(cfg.get("seed", 0))
+    cfg = _read_config(config_path, _defaults(verify_hilbert_identities), seed)
     out = _resolve_output(output_dir)
 
-    report = verify_hilbert_identities(samples=samples, grid_n=grid_n,
-                                       seed=used_seed)
-    resolved = {"samples": samples, "grid_n": grid_n, "seed": used_seed}
+    report = verify_hilbert_identities(**cfg)
     _write_json(out / "identities.json", {
         "command": "verify-identities",
         "report": report,
-    }, resolved, quiet)
+    }, cfg, quiet)
     if not quiet:
         worst = max(report["identities"].values())
         click.echo(f"identities: {'PASS' if report['passed'] else 'FAIL'} "
@@ -347,10 +365,10 @@ def _window(times, center, width):
     return np.array(bump_window(np.asarray(times, float)[:, None], center, width))
 
 
-def _run_energy(p, used_seed):
+def _run_energy(p):
     grid = TorusGrid(p["grid_n"])
     mu, delta, center, width = p["mu"], p["delta"], p["envelope_center"], p["envelope_width"]
-    rng = np.random.default_rng(used_seed)
+    rng = np.random.default_rng(p["seed"])
 
     times = np.arange(-2.0 * width + center - width, p["t_final"] + 1e-12, p["dt"])
     results = []
@@ -379,8 +397,7 @@ def _run_energy(p, used_seed):
 
 def _solve_setup(p):
     """SimConfig, grid, base and forcing profile of the tame and phitt runners."""
-    sim = SimConfig(**{k: p[k] for k in ("mu", "delta", "grid_n", "galerkin_N",
-                                         "dt", "t_final", "gamma")})
+    sim = SimConfig(**_pick(p, _SIM))
     grid = TorusGrid(sim.grid_n)
     base = _build_field(grid, p["base"], "base")
     profile = _build_field(grid, p["forcing_profile"], "forcing_profile")
@@ -394,33 +411,33 @@ def _forcing(sim, profile, p):
                       * profile.coeffs)
 
 
-def _run_tame(p, used_seed):
+def _run_tame(p):
     sim, _, base, profile = _solve_setup(p)
     g = _forcing(sim, profile, p)
     reports = []
     for m in p["m_values"]:
-        rep = verify_tame_estimate(base, g, sim, m, seed=used_seed)
+        rep = verify_tame_estimate(base, g, sim, m, seed=p["seed"])
         reports.append({"m": m, "constant": rep.ratio, "passed": rep.passed,
                         "lhs": rep.lhs, "rhs": rep.rhs})
     ok = all(r["passed"] for r in reports)
     return {"estimate": "tame", "reports": reports, "passed": ok}, ok
 
 
-def _run_phitt(p, used_seed):
+def _run_phitt(p):
     sim, grid, base, profile = _solve_setup(p)
     if np.max(np.abs(profile.coeffs)) == 0.0:
         profile = cosine(grid, 1)
     g = _forcing(sim, profile, p)
     traj, _ = solve_linearized(sim, base=base, forcing=g)
-    rep = verify_phitt_estimate(base, traj, g, p["mu"], p["gamma"], p["m"], seed=used_seed)
+    rep = verify_phitt_estimate(base, traj, g, p["mu"], p["gamma"], p["m"], seed=p["seed"])
     payload = {"estimate": "phitt", "constant": rep.ratio,
                "lhs": rep.lhs, "rhs": rep.rhs, "passed": rep.passed}
     return payload, rep.passed
 
 
-def _run_der2(p, used_seed):
+def _run_der2(p):
     grid = TorusGrid(p["grid_n"])
-    rng = np.random.default_rng(used_seed)
+    rng = np.random.default_rng(p["seed"])
     ts = np.arange(0.0, p["t_final"] + 1e-12, p["dt"])
 
     def series(center):
@@ -428,35 +445,21 @@ def _run_der2(p, used_seed):
         return Trajectory(ts, _window(ts, center, p["envelope_width"])[0] * profile.coeffs)
 
     rep = verify_second_derivative_estimate(series(0.4), series(0.6), p["gamma"], p["m"],
-                                            seed=used_seed)
+                                            seed=p["seed"])
     payload = {"estimate": "der2", "constant": rep.ratio,
                "half_horizon_constant": rep.extras["half_horizon_constant"],
                "passed": rep.passed}
     return payload, rep.passed
 
 
-def _run_forcing(p, used_seed):
-    grid = TorusGrid(p["grid_n"])
-    data = CauchyData(
-        _build_field(grid, p["phi0"], "phi0"),
-        _build_field(grid, p["phi1"], "phi1"),
-    )
+def _run_forcing(p):
+    data = _cauchy_data(TorusGrid(p["grid_n"]), p)
     rep = verify_forcing_bound(data, p["mu"], p["delta"], nu=p["nu"], gamma=p["gamma"],
-                               seed=used_seed)
+                               seed=p["seed"])
     payload = {"estimate": "forcing", "order": rep.ratio,
                "shrink_ratios": rep.extras["horizon_shrink_ratios"],
                "passed": rep.passed}
     return payload, rep.passed
-
-
-def _read(value, default):
-    """A config value cast to the type of its default, elementwise for a
-    list; a None default marks a field spec, passed through as given."""
-    if default is None:
-        return value
-    if isinstance(default, list):
-        return [type(default[0])(x) for x in value]
-    return type(default)(value)
 
 
 #: each estimate's runner and the config keys it reads with their defaults,
@@ -475,9 +478,19 @@ _ESTIMATE_RUNNERS = {
                            "envelope_width": 0.15, "m": 2}),
     "der2": (_run_der2, {"grid_n": 32, "gamma": 1.0, "m": 2, "dt": 2e-3, "t_final": 1.0,
                          "envelope_width": 0.2}),
-    "forcing": (_run_forcing, {"mu": 1.0, "delta": 0.75, "nu": 10, "gamma": 1.0,
-                               "grid_n": 32, "phi0": None, "phi1": None}),
+    "forcing": (_run_forcing, {"mu": 1.0, "delta": 0.75, "grid_n": 32, "phi0": None,
+                               "phi1": None,
+                               **_defaults(verify_forcing_bound, "nu", "gamma")}),
 }
+
+
+def _estimate_table(raw):
+    """The keys of the estimate that the raw config's `estimate` selects."""
+    which = raw.get("estimate")
+    if not isinstance(which, str) or which not in _ESTIMATE_RUNNERS:
+        raise ValueError(f"config key 'estimate' must be one of "
+                         f"{', '.join(sorted(_ESTIMATE_RUNNERS))}")
+    return {"estimate": str, "seed": 0, **_ESTIMATE_RUNNERS[which][1]}
 
 
 @main.command("verify-estimates")
@@ -489,89 +502,48 @@ def verify_estimates_cmd(config_path, output_dir, seed, quiet):
     The config key `estimate` selects energy|tame|phitt|der2|forcing; the
     other keys must be ones that estimate reads.
     """
-    cfg = _load_config(config_path, None, required=("estimate",))
+    cfg = _read_config(config_path, _estimate_table, seed)
     which = cfg["estimate"]
-    if not isinstance(which, str) or which not in _ESTIMATE_RUNNERS:
-        raise click.UsageError(
-            f"estimate must be one of {', '.join(sorted(_ESTIMATE_RUNNERS))}"
-        )
-    runner, defaults = _ESTIMATE_RUNNERS[which]
-    _check_keys(cfg, ("estimate", "seed", *defaults))
-    used_seed = seed if seed is not None else int(cfg.get("seed", 0))
     out = _resolve_output(output_dir)
 
-    try:
-        params = {k: _read(cfg.get(k, d), d) for k, d in defaults.items()}
-        payload, ok = runner(params, used_seed)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
-    resolved = {**cfg, "seed": used_seed}
+    payload, ok = _ESTIMATE_RUNNERS[which][0](cfg)
     _write_json(out / f"estimate_{which}.json",
-                {"command": "verify-estimates", **payload}, resolved, quiet)
+                {"command": "verify-estimates", **payload}, cfg, quiet)
     if not quiet:
         click.echo(f"estimate {which}: {'PASS' if ok else 'FAIL'}")
     sys.exit(0 if ok else 1)
 
 
-#: canonical lemma parameters used when the config does not pin them
-_DEFAULT_LEMMA_PARAMS = {
-    "A1_comm_1": 1.0,
-    "A1_comm_2": 1.0,
-    "A1_comm_3": 1.0,
-    "A2": 2,
-    "A3": (2, 1),
-    "A4_prod": 2,
-    "A4_comm_4": (2, 2),
-    "A4_comm_5": (2, 2),
-    "A5": 2,
-}
-
-
 @main.command("commutator-constants")
 @common_options
 @seed_option
-@click.option("--jobs", type=int, default=1, show_default=True,
-              help="worker processes for the campaign samples")
+@click.option("--jobs", type=click.IntRange(min=1), default=1, show_default=True,
+              help="worker processes for the campaign samples (at least 1)")
 def commutator_constants_cmd(config_path, output_dir, seed, quiet, jobs):
     """Estimate the constants of the commutator/product inequalities by
     randomized campaign, with a two-resolution drift check."""
-    keys = ("lemma", "param", "samples", "n_lo", "n_hi", "decay", "seed")
-    cfg = _load_config(config_path, keys)
-    which = cfg.get("lemma", "all")
-    samples = int(cfg.get("samples", 200))
-    n_lo = int(cfg.get("n_lo", 256))
-    n_hi = int(cfg.get("n_hi", 512))
-    decay = float(cfg.get("decay", 2.0))
-    used_seed = seed if seed is not None else int(cfg.get("seed", 0))
+    cfg = _read_config(config_path, {
+        "lemma": "all", "param": None, "samples": 200, "seed": 0,
+        **_defaults(estimate_commutator_constant, "n_lo", "n_hi", "decay"),
+    }, seed)
     out = _resolve_output(output_dir)
 
-    if which == "all":
-        targets = sorted(_DEFAULT_LEMMA_PARAMS)
-    elif which in _DEFAULT_LEMMA_PARAMS:
-        targets = [which]
-    else:
-        raise click.UsageError(f"unknown lemma {which!r}")
-
+    targets = sorted(_LEMMAS) if cfg["lemma"] == "all" else [cfg["lemma"]]
     rows = []
     reports = {}
     all_ok = True
     for name in targets:
-        param = cfg.get("param", _DEFAULT_LEMMA_PARAMS[name])
-        if isinstance(param, list):
-            param = tuple(param)
-        try:
-            rep = estimate_commutator_constant(
-                name, param, samples=samples, seed=used_seed,
-                n_lo=n_lo, n_hi=n_hi, decay=decay, jobs=jobs,
-            )
-        except ValueError as exc:
-            raise click.UsageError(str(exc))
+        rep = estimate_commutator_constant(
+            name, cfg["param"], cfg["samples"], cfg["seed"], n_lo=cfg["n_lo"],
+            n_hi=cfg["n_hi"], decay=cfg["decay"], jobs=jobs,
+        )
+        param = rep.params["param"]
         all_ok = all_ok and rep.passed
         rows.append((name, json.dumps(param), rep.extras["sup_lo"],
                      rep.extras["sup_hi"], rep.extras["resolution_drift"],
                      str(rep.passed)))
         reports[name] = {
-            "param": list(param) if isinstance(param, tuple) else param,
+            "param": param,
             "sup_lo": rep.extras["sup_lo"],
             "sup_hi": rep.extras["sup_hi"],
             "resolution_drift": rep.extras["resolution_drift"],
@@ -582,16 +554,14 @@ def commutator_constants_cmd(config_path, output_dir, seed, quiet, jobs):
                        f"drift {rep.extras['resolution_drift']:.3e} "
                        f"{'PASS' if rep.passed else 'FAIL'}")
 
-    resolved = {**cfg, "samples": samples, "n_lo": n_lo, "n_hi": n_hi,
-                "decay": decay, "seed": used_seed}
     _write_csv(out / "constants.csv",
                ("lemma", "param", "sup_lo", "sup_hi", "drift", "passed"),
-               rows, resolved, quiet)
+               rows, cfg, quiet)
     _write_json(out / "constants.json", {
         "command": "commutator-constants",
         "reports": reports,
         "passed": all_ok,
-    }, resolved, quiet)
+    }, cfg, quiet)
     sys.exit(0 if all_ok else 1)
 
 
@@ -599,36 +569,23 @@ def commutator_constants_cmd(config_path, output_dir, seed, quiet, jobs):
 @common_options
 def nash_moser_cmd(config_path, output_dir, quiet):
     """Run the smoothed Newton solve from configured Cauchy data."""
-    keys = SIM_KEYS + ("phi0", "phi1", "theta0", "theta_growth", "max_iters",
-                       "residual_tol", "auto", "max_halvings")
-    cfg = _load_config(config_path, keys)
-    sim = _sim_config(cfg)
-    grid = TorusGrid(sim.grid_n)
-    data = _cauchy_data(grid, cfg)
-    try:
-        run_cfg = IterationConfig(
-            sim=sim,
-            theta0=float(cfg.get("theta0", 4.0)),
-            theta_growth=float(cfg.get("theta_growth", 1.5)),
-            max_iters=int(cfg.get("max_iters", 20)),
-            residual_tol=float(cfg.get("residual_tol", 1e-8)),
-        )
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
-    auto = bool(cfg.get("auto", False))
-    max_halvings = int(cfg.get("max_halvings", 6))
+    cfg = _read_config(config_path, {
+        **_SIM, "phi0": None, "phi1": None, **_NEWTON, "auto": False,
+        **_defaults(iterate_auto, "max_halvings"),
+    })
+    sim = SimConfig(**_pick(cfg, _SIM))
+    data = _cauchy_data(TorusGrid(sim.grid_n), cfg)
+    run_cfg = IterationConfig(sim=sim, **_pick(cfg, _NEWTON))
     out = _resolve_output(output_dir)
 
     outcome = "converged"
     try:
-        if auto:
-            traj, report = iterate_auto(run_cfg, data, max_halvings=max_halvings)
+        if cfg["auto"]:
+            traj, report = iterate_auto(run_cfg, data, max_halvings=cfg["max_halvings"])
         else:
             traj, report = iterate(run_cfg, data)
         if not report.converged:
             outcome = "exhausted_max_iters"
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
     except IterationAborted as exc:
         traj, report = None, exc.report
         outcome = "stability_aborted"

@@ -289,6 +289,16 @@ def stability_coefficient(phi, mu):
     return vals, float(np.min(vals))
 
 
+def require_data_margin(phi0, mu, delta):
+    """Raise ValueError unless the initial position meets the stability
+    margin mu - 2 (H phi0)_x >= delta at every grid node."""
+    _, mn = stability_coefficient(phi0, mu)
+    if mn < delta - 1e-12:
+        raise ValueError(
+            f"initial data violates the stability margin: min {mn:.6g} < delta {delta:.6g}"
+        )
+
+
 def _B(x):
     """B(x) = exp(-1/x) for x > 0, 0 otherwise, and its first two
     derivatives, elementwise over an array."""
@@ -375,11 +385,7 @@ def build_lifting(data, mu, delta, ramp_width=0.5, floor=1e-4):
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
-    _, mn = stability_coefficient(data.phi0, mu)
-    if mn < delta - 1e-12:
-        raise ValueError(
-            f"initial data violates the stability margin: min {mn:.6g} < delta {delta:.6g}"
-        )
+    require_data_margin(data.phi0, mu, delta)
     r = float(ramp_width)
     target = 0.75 * delta - 1e-10
     while r >= floor:

@@ -39,6 +39,7 @@ from .operators import (
     Trajectory,
     apply_linearized_operator,
     quadratic_rhs,
+    require_data_margin,
     stability_coefficient,
 )
 from .spectral import SpectralField, TorusGrid, zeros
@@ -301,11 +302,7 @@ def solve_nonlinear(cfg, data):
     grid = TorusGrid(cfg.grid_n)
     if data.grid.n != cfg.grid_n:
         raise ValueError("data grid does not match the configured grid")
-    _, mn = stability_coefficient(data.phi0, cfg.mu)
-    if mn < cfg.delta - 1e-12:
-        raise ValueError(
-            f"initial data violates the stability margin: min {mn:.6g} < delta {cfg.delta:.6g}"
-        )
+    require_data_margin(data.phi0, cfg.mu, cfg.delta)
     return _march(
         cfg, grid, lambda t, y: semidiscrete_rhs_nonlinear(y, cfg),
         data.phi0.coeffs, data.phi1.coeffs, lambda t, phi_hat: phi_hat,

@@ -315,6 +315,14 @@ class TestCommutatorCampaigns:
             estimate_commutator_constant("A4_comm_4", (2, 3), samples=2, seed=0)
         with pytest.raises(ValueError):
             estimate_commutator_constant("no_such_lemma", 1.0, samples=2, seed=0)
+        # malformed parameters are ValueErrors too, never TypeError or IndexError
+        for lemma, param in (("A3", {}), ("A3", [1]), ("A3", (1, 2, 3)), ("A2", 2.5),
+                             ("A2", True), ("A1_comm_1", "1.0"), ("A4_comm_5", ["2", 2])):
+            with pytest.raises(ValueError, match="param"):
+                estimate_commutator_constant(lemma, param, samples=2, seed=0)
+        # None is the lemma's canonical parameter
+        rep = estimate_commutator_constant("A3", None, samples=1, seed=0, n_lo=32, n_hi=64)
+        assert rep.params["param"] == (2, 1)
 
     def test_small_campaign_drift_free(self):
         rep = estimate_commutator_constant("A1_comm_1", 1.0, samples=12, seed=3,
@@ -335,16 +343,43 @@ class TestCommutatorCampaigns:
         for key in ("sup_lo", "sup_hi", "resolution_drift"):
             assert serial.extras[key] == parallel.extras[key]
 
+    def test_pool_never_larger_than_the_blocks(self, monkeypatch):
+        # a stand-in pool records its size and maps in this process, so no
+        # worker is ever started
+        import concurrent.futures
+        from amp_sheet.analysis import _SAMPLE_BLOCK
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        kw = dict(seed=0, n_lo=32, n_hi=64)
+        three = estimate_commutator_constant("A2", 2, samples=3 * _SAMPLE_BLOCK, jobs=64, **kw)
+        estimate_commutator_constant("A2", 2, samples=3 * _SAMPLE_BLOCK, jobs=2, **kw)
+        estimate_commutator_constant("A2", 2, samples=_SAMPLE_BLOCK, jobs=8, **kw)
+        assert sizes == [3, 2]
+        serial = estimate_commutator_constant("A2", 2, samples=3 * _SAMPLE_BLOCK, **kw)
+        assert three.extras == serial.extras
+
     def test_block_equals_one_field_per_sample(self):
         # every lemma on a stacked block gives, bitwise, the ratios of its
         # samples evaluated one SpectralField pair at a time
         from amp_sheet.analysis import _LEMMAS, _campaign_draw, _ratio
         from amp_sheet.spectral import regrid
-        params = {"s": 1.0, "m": 2, "mp": (2, 1), "mk": (2, 2)}
         children = np.random.SeedSequence(5).spawn(5)
         sizes = (64, 128)
-        for lemma, (fn, kind) in _LEMMAS.items():
-            param = params[kind]
+        for lemma, (fn, _, param) in _LEMMAS.items():
             block = _campaign_draw(lemma, param, children, 10, sizes, 2.0)
             assert block.shape == (5, 2)
             for child, row in zip(children, block):

@@ -1,5 +1,6 @@
 """CLI tests: exit codes, config validation, artifact shape, determinism."""
 
+import csv
 import json
 import os
 import subprocess
@@ -64,6 +65,13 @@ class TestConfigHandling:
         assert "--jobs" in out.output
         out = runner.invoke(main, ["commutator-constants", "--help"])
         assert out.exit_code == 0 and "--jobs" in out.output
+        # at least one worker: 0 and -1 are usage errors, not a serial run
+        small = write_config(tmp_path, "small.json", {"lemma": "A2", "samples": 2,
+                                                       "n_lo": 32, "n_hi": 64})
+        for jobs in ("0", "-1"):
+            out = runner.invoke(main, ["commutator-constants", "--config", small,
+                                       "--jobs", jobs, "--output", str(tmp_path / "o")])
+            assert out.exit_code == 2 and "--jobs" in out.output, jobs
 
     def test_import_leaves_out_the_process_pool(self):
         # the pool's modules load only when a campaign runs with --jobs > 1
@@ -105,6 +113,131 @@ class TestConfigHandling:
         out = runner.invoke(main, ["--version"])
         assert out.exit_code == 0
         assert "amp-sheet" in out.output
+
+
+#: a small valid config of each command; the malformed matrix edits one key
+VALID = {
+    "simulate": ZERO_SIM,
+    "linearized": ZERO_SIM,
+    "growth": {**ZERO_SIM, "mu": -1.0, "modes": [4]},
+    "verify-identities": {"samples": 2, "grid_n": 32},
+    "verify-estimates": {"estimate": "energy", "pairs": 1, "gammas": [2.0]},
+    "commutator-constants": {"lemma": "A2", "samples": 2, "n_lo": 32, "n_hi": 64},
+    "nash-moser": ZERO_SIM,
+}
+
+#: (command, keys replaced in its valid config, the key the error must name)
+MALFORMED = [
+    # values that crashed with a traceback or were silently coerced
+    ("commutator-constants", {"samples": "abc"}, "samples"),
+    ("verify-identities", {"samples": "abc"}, "samples"),
+    ("nash-moser", {"max_halvings": "x"}, "max_halvings"),
+    ("simulate", {"grid_n": 32.0}, "grid_n"),
+    ("growth", {"modes": ["a"]}, "modes"),
+    ("linearized", {"envelope_width": "wide"}, "envelope_width"),
+    ("linearized", {"base": {"cos": {"1": "x"}}}, "base"),
+    ("commutator-constants", {"lemma": "A3", "param": {}}, "param"),
+    ("commutator-constants", {"lemma": "A3", "param": [1]}, "param"),
+    ("commutator-constants", {"lemma": ["A2"]}, "lemma"),
+    ("verify-estimates", {"gammas": 2.0}, "gammas"),
+    ("nash-moser", {"auto": "no"}, "auto"),
+    ("simulate", {"dealias": "no"}, "dealias"),
+    ("verify-estimates", {"pairs": 1.7}, "pairs"),
+    ("verify-identities", {"seed": "7"}, "seed"),
+    ("verify-estimates", {"seed": "7"}, "seed"),
+    ("commutator-constants", {"seed": "7"}, "seed"),
+    # one wrong-typed int, float, bool and list key per command
+    ("simulate", {"galerkin_N": "8"}, "galerkin_N"),
+    ("simulate", {"dt": "0.005"}, "dt"),
+    ("simulate", {"dealias": 1}, "dealias"),
+    ("simulate", {"phi0": {"cos": {"1": [0.01]}}}, "phi0"),
+    ("linearized", {"grid_n": 32.5}, "grid_n"),
+    ("linearized", {"mu": True}, "mu"),
+    ("linearized", {"dealias": 0}, "dealias"),
+    ("linearized", {"forcing_profile": [1.0]}, "forcing_profile"),
+    ("growth", {"galerkin_N": 8.0}, "galerkin_N"),
+    ("growth", {"epsilon": "1e-6"}, "epsilon"),
+    ("growth", {"dealias": "true"}, "dealias"),
+    ("growth", {"modes": 4}, "modes"),
+    ("verify-identities", {"grid_n": 64.0}, "grid_n"),
+    ("verify-identities", {"samples": True}, "samples"),
+    ("verify-estimates", {"grid_n": "32"}, "grid_n"),
+    ("verify-estimates", {"mu": "1"}, "mu"),
+    ("verify-estimates", {"gammas": [True]}, "gammas"),
+    ("verify-estimates", {"estimate": "tame", "pairs": None, "gammas": None,
+                          "m_values": [1.5]}, "m_values"),
+    ("commutator-constants", {"n_lo": 32.0}, "n_lo"),
+    ("commutator-constants", {"decay": "2"}, "decay"),
+    ("commutator-constants", {"lemma": "A2", "param": True}, "param"),
+    ("commutator-constants", {"lemma": "A1_comm_1", "param": "1.0"}, "param"),
+    ("nash-moser", {"max_iters": 2.5}, "max_iters"),
+    ("nash-moser", {"theta0": "4"}, "theta0"),
+    ("nash-moser", {"auto": 0}, "auto"),
+    ("nash-moser", {"phi1": {"sin": [1]}}, "phi1"),
+    # keys missing or unknown
+    ("simulate", {"mu": None}, "mu"),
+    ("nash-moser", {"theta": 4.0}, "theta"),
+]
+
+
+class TestConfigContract:
+    @pytest.mark.parametrize("command,edit,key", MALFORMED,
+                             ids=[f"{c}-{k}-{i}" for i, (c, _, k) in enumerate(MALFORMED)])
+    def test_malformed_value_exits_two_naming_the_key(self, runner, tmp_path, command,
+                                                      edit, key):
+        # a None in the edit drops that key from the valid config
+        cfg = {**VALID[command], **edit}
+        cfg = {k: v for k, v in cfg.items() if v is not None}
+        path = write_config(tmp_path, "c.json", cfg)
+        out = runner.invoke(main, [command, "--config", path,
+                                   "--output", str(tmp_path / "o"), "--quiet"])
+        assert out.exit_code == 2, out.output
+        assert key in out.output
+
+    @pytest.mark.parametrize("command,cfg,flags", [
+        ("simulate", {**ZERO_SIM, "mu": 1, "phi0": {"cos": {"1": 0.01}}}, []),
+        ("linearized", {**ZERO_SIM, "base": {"cos": {"1": 0.02}},
+                        "forcing_profile": {"sin": {"2": 0.5}}, "envelope_center": 0.1,
+                        "envelope_width": 0.05}, []),
+        ("growth", {**ZERO_SIM, "mu": -1, "modes": [2, 4]}, []),
+        ("verify-identities", {"samples": 3, "grid_n": 32}, ["--seed", "4"]),
+        ("verify-estimates", {"estimate": "energy", "pairs": 1, "gammas": [2, 8],
+                              "dt": 0.004}, []),
+        ("commutator-constants", {"lemma": "A3", "samples": 3, "n_lo": 32,
+                                  "n_hi": 64}, []),
+        ("nash-moser", {**ZERO_SIM, "galerkin_N": 10, "phi0": {"cos": {"1": 0.01}},
+                        "max_iters": 3}, []),
+    ])
+    def test_embedded_config_reproduces_the_artifacts(self, runner, tmp_path, command,
+                                                      cfg, flags):
+        first, second = tmp_path / "first", tmp_path / "second"
+        path = write_config(tmp_path, "c.json", cfg)
+        code = runner.invoke(main, [command, "--config", path, "--output", str(first),
+                                    "--quiet", *flags]).exit_code
+        names = sorted(p.name for p in first.iterdir())
+        (artifact,) = [n for n in names if n.endswith(".json")]
+        embedded = json.loads((first / artifact).read_text())["config"]
+        path = write_config(tmp_path, "embedded.json", embedded)
+        again = runner.invoke(main, [command, "--config", path, "--output", str(second),
+                                     "--quiet"])
+        assert again.exit_code == code
+        assert sorted(p.name for p in second.iterdir()) == names
+        for name in names:
+            assert (second / name).read_bytes() == (first / name).read_bytes(), name
+
+    def test_embedded_config_is_the_resolved_one(self, runner, tmp_path):
+        # every key with its default filled in and numbers cast, not the raw file
+        from amp_sheet.solver import SimConfig
+        path = write_config(tmp_path, "c.json", {**ZERO_SIM, "mu": 1})
+        dest = tmp_path / "o"
+        assert runner.invoke(main, ["simulate", "--config", path, "--output", str(dest),
+                                    "--quiet"]).exit_code == 0
+        embedded = json.loads((dest / "summary.json").read_text())["config"]
+        assert set(embedded) == set(SimConfig.__dataclass_fields__) | {"phi0", "phi1"}
+        assert embedded["mu"] == 1.0 and isinstance(embedded["mu"], float)
+        assert embedded["cfl_safety"] == SimConfig.cfl_safety and embedded["phi0"] is None
+        header = (dest / "trajectory.csv").read_text().splitlines()[1]
+        assert json.loads(header[len("# config: "):]) == embedded
 
 
 class TestSimulate:
@@ -345,6 +478,20 @@ class TestCommutatorConstants:
         assert out.exit_code == 0
         for name in ("constants.csv", "constants.json"):
             assert (pooled / name).read_bytes() == (dest / name).read_bytes()
+
+    def test_csv_cells_of_pair_params(self, runner, tmp_path):
+        # the pair lemmas' param [m, q] holds a comma; csv.reader must still
+        # read six cells on their rows
+        cfg = write_config(tmp_path, "c.json", {"samples": 2, "n_lo": 32, "n_hi": 64})
+        dest = tmp_path / "o"
+        runner.invoke(main, ["commutator-constants", "--config", cfg,
+                             "--output", str(dest), "--quiet"])
+        with open(dest / "constants.csv", newline="") as fh:
+            rows = {r[0]: r for r in csv.reader(fh) if not r[0].startswith("#")}
+        assert len(rows["lemma"]) == 6
+        for name in ("A3", "A4_comm_4", "A4_comm_5"):
+            assert len(rows[name]) == 6, rows[name]
+            assert json.loads(rows[name][1]) == [2, 1 if name == "A3" else 2]
 
     def test_unknown_lemma(self, runner, tmp_path):
         cfg = write_config(tmp_path, "c.json", {"lemma": "A9"})
