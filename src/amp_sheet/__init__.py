@@ -31,6 +31,7 @@ from .operators import (  # noqa: F401
     quadratic_rhs,
     quadratic_rhs_derivative,
     second_derivative,
+    nonlinear_operator,
     apply_linearized_operator,
     stability_coefficient,
     build_lifting,

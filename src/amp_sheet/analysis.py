@@ -63,23 +63,14 @@ _SAMPLE_BLOCK = 8
 
 @dataclass(frozen=True)
 class WeightedNormSpec:
-    """Weight and time window for the exponentially weighted norms.
-
-    gamma >= 1 is the standing assumption of the whole theory; horizon,
-    when given, is (t_min, T) with t_min <= 0 and every evaluation mesh
-    must lie inside it.
-    """
+    """Weight of the exponentially weighted norms; gamma >= 1 is the
+    standing assumption of the whole theory."""
 
     gamma: float
-    horizon: tuple | None = None
 
     def __post_init__(self):
         if self.gamma < 1.0:
             raise ValueError("gamma must be at least 1")
-        if self.horizon is not None:
-            t_min, t_max = self.horizon
-            if t_min > 0 or t_max <= t_min:
-                raise ValueError("horizon must be (t_min <= 0, T > t_min)")
 
 
 @dataclass
@@ -127,10 +118,6 @@ def _check_zero_trace(times, stacks, tol=1e-12):
 
 def _weighted_l2(times, coeffs, spec, m):
     """weighted_l2_norm of the (T, n-1) coefficient rows on the mesh `times`."""
-    if spec.horizon is not None:
-        t_min, t_max = spec.horizon
-        if times[0] < t_min - 1e-9 or times[-1] > t_max + 1e-9:
-            raise ValueError("evaluation mesh lies outside the horizon")
     if len(times) == 1:
         return 0.0
     vals = np.exp(-2.0 * spec.gamma * times) * sobolev_norm(coeffs, m) ** 2
@@ -207,7 +194,7 @@ def random_trig_field(grid, kmax, rng, decay=2.0, amplitude=1.0):
 # the assembled linearized operator on trajectories
 
 
-def apply_linearized(phi0, traj, mu, dealias=True):
+def apply_linearized(phi0, traj, mu):
     """Reconstruct g = L'[phi0] phi' on the interior mesh nodes.
 
     phi'_tt comes from the centered second difference of the phi
@@ -222,7 +209,7 @@ def apply_linearized(phi0, traj, mu, dealias=True):
     for s in range(0, len(g), _NODE_BLOCK):
         sel = slice(s, s + _NODE_BLOCK)
         base = base_at(times[sel])
-        g[sel] = phitt[sel] - apply_linearized_operator(base, phi[sel], mu, dealias)
+        g[sel] = phitt[sel] - apply_linearized_operator(base, phi[sel], mu)
     return Trajectory(times, g)
 
 
@@ -243,7 +230,7 @@ def _check_base_stability(base, mu, delta):
     return worst
 
 
-def verify_energy_estimate(phi0, traj, mu, delta, gamma, dealias=True, seed=0):
+def verify_energy_estimate(phi0, traj, mu, delta, gamma, seed=0):
     """Check gamma (||phi'_t||^2 + ||phi'_x||^2) <= (C0/gamma) ||g||^2
     in the weighted L2 norms, with C0 = 2/min{1, delta} explicit.
 
@@ -259,7 +246,7 @@ def verify_energy_estimate(phi0, traj, mu, delta, gamma, dealias=True, seed=0):
         + _weighted_l2(times[1:-1], derivative(traj.phi[1:-1]), spec, 0) ** 2
     )
     c0 = 2.0 / min(1.0, delta)
-    g = apply_linearized(phi0, traj, mu, dealias)
+    g = apply_linearized(phi0, traj, mu)
     rhs = (c0 / gamma) * weighted_l2_norm(g, spec, 0) ** 2
     return EstimateReport(
         estimate_id="energy",
@@ -393,18 +380,14 @@ def verify_second_derivative_estimate(phi_series, psi_series, gamma, m, seed=0):
 # commutator/product inequality campaigns
 
 
-def _hilbert_commutator(v, f, dealias=True):
+def _hilbert_commutator(v, f):
     """[H; v]f = H[vf] - v H[f]."""
-    return hilbert(pointwise_product(v, f, dealias)) - pointwise_product(
-        v, hilbert(f), dealias
-    )
+    return hilbert(pointwise_product(v, f)) - pointwise_product(v, hilbert(f))
 
 
-def _derivative_commutator(k, v, f, dealias=True):
+def _derivative_commutator(k, v, f):
     """[d^k; v]f = d^k(vf) - v d^k f."""
-    return derivative(pointwise_product(v, f, dealias), k) - pointwise_product(
-        v, derivative(f, k), dealias
-    )
+    return derivative(pointwise_product(v, f), k) - pointwise_product(v, derivative(f, k))
 
 
 def _lemma_comm1(v, f, s):
@@ -620,10 +603,10 @@ def kernel_commutator(v, f):
     return SpectralField(grid, out, v.real_flag and f.real_flag)
 
 
-def lambda_kernel_check(v, f, dealias=True):
+def lambda_kernel_check(v, f):
     """Max discrepancy between the transform route and the kernel sum for
     [H; v]f.  Bandlimitation is enforced so the comparison is alias-free."""
-    direct = _hilbert_commutator(v, f, dealias)
+    direct = _hilbert_commutator(v, f)
     kernel = kernel_commutator(v, f)
     return float(np.max(np.abs(direct.coeffs - kernel.coeffs)))
 

@@ -379,7 +379,7 @@ def _run_energy(p):
             if stability_coefficient(base, mu)[1] >= delta:
                 break
         else:
-            raise click.ClickException("could not draw a base with margin")
+            raise ValueError(f"could not draw a base with margin delta = {delta:.6g}")
         profile = random_trig_field(grid, 4, rng)
         w, wp, _ = _window(times, center, width)
         traj = Trajectory(times, w * profile.coeffs, wp * profile.coeffs)

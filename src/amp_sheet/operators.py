@@ -16,7 +16,9 @@ real FFT of (p, p_x, p_xx, H p_xx) on the 3/2-padded grid and one batched
 real FFT of the two products, on a field or on coefficient arrays with
 any leading batch axes.  The linearized operator mu phi_xx + dN[phi0]phi
 is the same kernel polarized (eight synthesized rows, two analyzed), and
-the first and second derivatives of N are that kernel with mu = 0.
+the first and second derivatives of N are that kernel with mu = 0.  The
+spatial part of the equation itself, mu phi_xx + N(phi), is
+nonlinear_operator, the one place it is formed.
 
 Besides N and its first and second derivatives this module owns the
 Cauchy data container, time-sampled trajectories, the smooth compactly
@@ -37,8 +39,14 @@ from .spectral import pointwise_product  # noqa: F401  (perfbench/tests rebinds 
 _TWO_PI = 2.0 * np.pi
 
 
-class LiftingError(RuntimeError):
-    """No ramp width down to the floor met the stability margin."""
+#: build_lifting starts from this ramp width and halves it down to the floor
+_RAMP_WIDTH = 0.5
+_RAMP_FLOOR = 1e-4
+
+
+class LiftingError(ValueError):
+    """No ramp width down to the floor met the stability margin: data the
+    lifting cannot handle, rejected like any other invalid input."""
 
 
 def _require_real_zero_mean(f, name):
@@ -170,16 +178,16 @@ FieldSeries = Trajectory
 
 
 @lru_cache(maxsize=64)
-def _fused_tables(n, dealias):
+def _fused_tables(n):
     """Tables of the fused kernels on an n-point grid.
 
-    Returns (m, up, down): the transform length (the 3/2-padded size when
-    dealiasing), the (4, n/2) symbols taking phi^(k), k = 0..n/2-1, to the
-    half spectra of (p, p_x, p_xx, H p_xx) with p = H phi, scaled for
-    synthesis on m points, and the (n/2,) symbol k * 2pi/m that takes the
-    half spectrum of a - i b back to N^(k).
+    Returns (m, up, down): the 3/2-padded transform length, the (4, n/2)
+    symbols taking phi^(k), k = 0..n/2-1, to the half spectra of
+    (p, p_x, p_xx, H p_xx) with p = H phi, scaled for synthesis on m
+    points, and the (n/2,) symbol k * 2pi/m that takes the half spectrum
+    of a - i b back to N^(k).
     """
-    m = _padded_size(n) if dealias else n
+    m = _padded_size(n)
     k = np.arange(n // 2, dtype=float)
     up = np.array([-1j * np.sign(k), k, 1j * k**2, k**2]) * (m / _TWO_PI)
     down = k * (_TWO_PI / m)
@@ -188,7 +196,19 @@ def _fused_tables(n, dealias):
     return m, up, down
 
 
-def quadratic_rhs(phi, dealias=True):
+@lru_cache(maxsize=64)
+def _grid_symbols(n):
+    """Symbols applied on the n-point grid itself: -k^2 of d^2/dx^2 over
+    the (n-1) band, and k * n/2pi, which takes phi^(k), k = 0..n/2-1, to
+    the half spectrum of (H phi)_x scaled for synthesis on the n nodes."""
+    lap = -(TorusGrid(n).modes.astype(float) ** 2)
+    slope = np.arange(n // 2, dtype=float) * (n / _TWO_PI)
+    for a in (lap, slope):
+        a.flags.writeable = False
+    return lap, slope
+
+
+def quadratic_rhs(phi):
     """N(phi) = d/dx( H[p_x^2] - [p; H]p_xx ) with p = H[phi].
 
     `phi` is a real zero-mean SpectralField, or its coefficient array with
@@ -197,9 +217,9 @@ def quadratic_rhs(phi, dealias=True):
 
     The kernel uses H[p_x^2] - [p; H]p_xx = H[a] - b with
     a = p_x^2 + p p_xx and b = p H[p_xx]: one batched inverse real FFT
-    synthesizes (p, p_x, p_xx, H p_xx) on the m-point grid (m = 3n/2 when
-    dealiasing, so the retained band of both products is exact), and one
-    batched real FFT analyzes (a, b).  For k >= 0 the result is
+    synthesizes (p, p_x, p_xx, H p_xx) on the m-point grid (m = 3n/2, so
+    the retained band of both products is exact), and one batched real
+    FFT analyzes (a, b).  For k >= 0 the result is
     N^(k) = k (a^(k) - i b^(k)); the k < 0 half follows by conjugate
     symmetry, which is why the input must be conjugate symmetric.
     """
@@ -208,7 +228,7 @@ def quadratic_rhs(phi, dealias=True):
     c = _coeffs(phi)
     n = c.shape[-1] + 1
     half = n // 2
-    m, up, down = _fused_tables(n, dealias)
+    m, up, down = _fused_tables(n)
     v = np.fft.irfft(_half(c)[..., None, :] * up, m)  # p, p_x, p_xx, H p_xx
     p, px = v[..., 0, :], v[..., 1, :]
     ab = np.empty(v.shape[:-2] + (2, m))
@@ -220,22 +240,31 @@ def quadratic_rhs(phi, dealias=True):
     return SpectralField(phi.grid, out, True) if field else out
 
 
-def quadratic_rhs_derivative(phi0, phi, dealias=True):
+def quadratic_rhs_derivative(phi0, phi):
     """Directional derivative dN[phi0] phi, the linearized kernel with mu = 0.
 
     Since N is quadratic this is exact: N(phi0 + phi) = N(phi0) + dN[phi0]phi + N(phi).
     """
-    return apply_linearized_operator(phi0, phi, 0.0, dealias)
+    return apply_linearized_operator(phi0, phi, 0.0)
 
 
-def second_derivative(phi, psi, dealias=True):
+def second_derivative(phi, psi):
     """Second derivative of the evolution operator, the symmetric bilinear
     map d2L(phi, psi) = -dN[phi]psi.  It does not depend on a base point,
     and 0.5 * d2L(phi, phi) = -N(phi)."""
-    return -apply_linearized_operator(phi, psi, 0.0, dealias)
+    return -apply_linearized_operator(phi, psi, 0.0)
 
 
-def apply_linearized_operator(phi0, phiP, mu, dealias=True):
+def nonlinear_operator(phi, mu):
+    """The spatial part of the equation, mu phi_xx + N(phi), on a (..., n-1)
+    coefficient array of real zero-mean fields: the nonlinear counterpart
+    of apply_linearized_operator.  The solver's right-hand side, the
+    lifting forcing and the Newton residual all evaluate it here."""
+    lap, _ = _grid_symbols(phi.shape[-1] + 1)
+    return mu * lap * phi + quadratic_rhs(phi)
+
+
+def apply_linearized_operator(phi0, phiP, mu):
     """The spatial part of the linearization at phi0 applied to phiP,
     mu phiP_xx + dN[phi0]phiP.
 
@@ -260,7 +289,7 @@ def apply_linearized_operator(phi0, phiP, mu, dealias=True):
     c0, c = _coeffs(phi0), _coeffs(phiP)
     n = c.shape[-1] + 1
     half = n // 2
-    m, up, down = _fused_tables(n, dealias)
+    m, up, down = _fused_tables(n)
     rows = np.empty(np.broadcast_shapes(c0.shape, c.shape)[:-1] + (2, 4, half), complex)
     np.multiply(_half(c0)[..., None, :], up, out=rows[..., 0, :, :])
     np.multiply(_half(c)[..., None, :], up, out=rows[..., 1, :, :])
@@ -284,8 +313,8 @@ def stability_coefficient(phi, mu):
     """
     c = _coeffs(phi)
     n = c.shape[-1] + 1
-    _, up, _ = _fused_tables(n, False)  # row 1: (H phi)_x scaled for n points
-    vals = mu - 2.0 * np.fft.irfft(_half(c) * up[1], n)
+    _, slope = _grid_symbols(n)
+    vals = mu - 2.0 * np.fft.irfft(_half(c) * slope, n)
     return vals, float(np.min(vals))
 
 
@@ -376,40 +405,38 @@ class Lifting:
                 cpp * c0 + (2.0 * cp + t * cpp) * c1)
 
 
-def build_lifting(data, mu, delta, ramp_width=0.5, floor=1e-4):
+def build_lifting(data, mu, delta):
     """Construct a Lifting whose stability margin never drops below 3*delta/4.
 
     Requires the data itself to satisfy the margin delta.  The ramp width
-    is halved until the sampled margin holds; below `floor` the data is
-    declared too large and LiftingError is raised.
+    is halved from _RAMP_WIDTH until the sampled margin holds; below
+    _RAMP_FLOOR the data is declared too large and LiftingError is raised.
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
     require_data_margin(data.phi0, mu, delta)
-    r = float(ramp_width)
+    r = _RAMP_WIDTH
     target = 0.75 * delta - 1e-10
-    while r >= floor:
+    while r >= _RAMP_FLOOR:
         lift = Lifting(data, mu, delta, r)
         phi, _, _ = lift.states(np.linspace(-2.0 * r, 2.0 * r, 129))
         if stability_coefficient(phi, mu)[1] >= target:
             return lift
         r *= 0.5
     raise LiftingError(
-        f"no ramp width above {floor} keeps the margin 3*delta/4 = {0.75 * delta:.6g}"
+        f"no ramp width above {_RAMP_FLOOR} keeps the margin 3*delta/4 = {0.75 * delta:.6g}"
     )
 
 
-def lifting_forcing(lift, mu, times, dealias=True):
+def lifting_forcing(lift, mu, times):
     """Forcing series F(t) = -(phi_a_tt - mu phi_a_xx - N(phi_a)) for t >= 0.
 
     Identically zero for t < 0.  At t = 0 the value is the limit from
     above (the lifting's plateau makes phi_a_tt(0) = 0), so forward
     quadrature on [0, T] sees the jump correctly.
     """
-    grid = lift.data.grid
     times = np.asarray(times, float)
     phi, _, phitt = lift.states(times)
-    lap = -(grid.modes.astype(float) ** 2)
-    f = mu * (lap * phi) + quadratic_rhs(phi, dealias) - phitt
+    f = nonlinear_operator(phi, mu) - phitt
     f[times < 0.0] = 0.0
     return Trajectory(times, f)

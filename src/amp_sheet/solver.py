@@ -6,11 +6,12 @@ Runge-Kutta scheme on the Galerkin space, the zero-mean modes
 semidiscrete_rhs_nonlinear or semidiscrete_rhs_linearized, which
 projects its input and its output at every RK4 stage, so the stepped
 system is exactly the documented projected one and not only its node
-states are projected.  The nonlinearity is evaluated pseudospectrally on
-the 3/2-padded grid (one inverse and one forward real FFT per call, see
-operators.quadratic_rhs).  The two systems are the full quadratically
-nonlinear equation, and its linearization around a prescribed
-time-dependent base profile with an optional forcing term.
+states are projected.  The nonlinear system's spatial operator is
+operators.nonlinear_operator, whose N(phi) is evaluated pseudospectrally
+on the 3/2-padded grid (one inverse and one forward real FFT per call).
+The two systems are the full quadratically nonlinear equation, and its
+linearization around a prescribed time-dependent base profile with an
+optional forcing term.
 
 Base profiles and forcing terms of the linearized system are field
 sources (see field_evaluator): each maps a 1-D array of times to a
@@ -35,10 +36,9 @@ from functools import lru_cache
 import numpy as np
 
 from .operators import (
-    Lifting,
     Trajectory,
     apply_linearized_operator,
-    quadratic_rhs,
+    nonlinear_operator,
     require_data_margin,
     stability_coefficient,
 )
@@ -62,7 +62,6 @@ class SimConfig:
     dt: float = 1e-3
     t_final: float = 1.0
     gamma: float = 1.0
-    dealias: bool = True
     cfl_safety: float = 0.5
 
     def __post_init__(self):
@@ -92,16 +91,13 @@ class SimConfig:
 
 
 @lru_cache(maxsize=64)
-def _galerkin_tables(n, cutoff):
+def _galerkin_mask(n, cutoff):
     """The projection onto the Galerkin space, zero-mean trigonometric
-    polynomials of degree <= cutoff, as a 0/1 mask over the band, and the
-    symbol -k^2 of d^2/dx^2."""
+    polynomials of degree <= cutoff, as a 0/1 mask over the band."""
     k = TorusGrid(n).modes
     mask = ((np.abs(k) >= 1) & (np.abs(k) <= cutoff)).astype(float)
-    lap = -(k.astype(float) ** 2)
-    for a in (mask, lap):
-        a.flags.writeable = False
-    return mask, lap
+    mask.flags.writeable = False
+    return mask
 
 
 @lru_cache(maxsize=8)
@@ -153,11 +149,10 @@ def field_evaluator(source, grid, t_final=None):
     times to a (T, n-1) coefficient array.
 
     Accepts None (zero), a SpectralField (frozen in time; a read-only
-    broadcast of its coefficients), a Lifting (analytic evaluation through
-    Lifting.states), a Trajectory (cubic interpolation of its phi; must
-    cover [0, t_final] when a horizon is given), or a callable, which is
-    called once with the whole time array and must return an array of
-    shape (T, n-1) (anything else raises TypeError).
+    broadcast of its coefficients), a Trajectory (cubic interpolation of
+    its phi; must cover [0, t_final] when a horizon is given), or a
+    callable, which is called once with the whole time array and must
+    return an array of shape (T, n-1) (anything else raises TypeError).
     """
     if source is None:
         source = zeros(grid)
@@ -165,10 +160,6 @@ def field_evaluator(source, grid, t_final=None):
         if source.grid.n != grid.n:
             raise ValueError("field grid does not match the solver grid")
         return lambda ts: np.broadcast_to(source.coeffs, (len(ts), grid.n - 1))
-    if isinstance(source, Lifting):
-        if source.data.grid.n != grid.n:
-            raise ValueError("lifting grid does not match the solver grid")
-        return lambda ts: source.states(ts)[0]
     if isinstance(source, Trajectory):
         if source.grid.n != grid.n:
             raise ValueError("series grid does not match the solver grid")
@@ -199,10 +190,8 @@ def semidiscrete_rhs_nonlinear(state, cfg):
     terms.
     """
     phi_hat, phit_hat = state
-    mask, lap = _galerkin_tables(cfg.grid_n, cfg.galerkin_N)
-    phi = mask * phi_hat
-    acc = cfg.mu * lap * phi + quadratic_rhs(phi, cfg.dealias)
-    return mask * phit_hat, mask * acc
+    mask = _galerkin_mask(cfg.grid_n, cfg.galerkin_N)
+    return mask * phit_hat, mask * nonlinear_operator(mask * phi_hat, cfg.mu)
 
 
 def semidiscrete_rhs_linearized(state, base_row, g_row, cfg):
@@ -210,8 +199,8 @@ def semidiscrete_rhs_linearized(state, base_row, g_row, cfg):
     with forcing g, given as their (n-1) coefficient rows at a single
     instant; the pair in and out as in semidiscrete_rhs_nonlinear."""
     phi_hat, phit_hat = state
-    mask, _ = _galerkin_tables(cfg.grid_n, cfg.galerkin_N)
-    out = apply_linearized_operator(base_row, mask * phi_hat, cfg.mu, cfg.dealias)
+    mask = _galerkin_mask(cfg.grid_n, cfg.galerkin_N)
+    out = apply_linearized_operator(base_row, mask * phi_hat, cfg.mu)
     return mask * phit_hat, mask * (out + g_row)
 
 
@@ -241,7 +230,7 @@ def _march(cfg, grid, rhs, phi, phit, stability_source, abort_on_stability):
     state itself for the nonlinear equation, the base profile for the
     linearized one.
     """
-    mask, _ = _galerkin_tables(grid.n, cfg.galerkin_N)
+    mask = _galerkin_mask(grid.n, cfg.galerkin_N)
     m = cfg.num_steps()
     times = np.arange(m + 1) * cfg.dt
     state = (mask * np.asarray(phi, complex), mask * np.asarray(phit, complex))

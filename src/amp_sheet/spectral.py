@@ -161,8 +161,8 @@ class SpectralField:
     __rmul__ = __mul__
 
 
-def zeros(grid, real=True):
-    return SpectralField(grid, np.zeros(grid.n - 1, complex), real)
+def zeros(grid):
+    return SpectralField(grid, np.zeros(grid.n - 1, complex), True)
 
 
 def from_modes(grid, pairs, real_flag=False):
@@ -280,19 +280,18 @@ def _padded_size(n):
     return m + m % 2
 
 
-def pointwise_product(f, g, dealias=True):
-    """Coefficients of f*g via physical space on a zero-padded grid.
+def pointwise_product(f, g):
+    """Coefficients of f*g via physical space on the 3/2-padded grid.
 
-    With 3/2 padding the retained band of the product of two in-band
-    fields is exact; with dealias=False the product is formed on the
-    native grid and aliasing folds back the tail.  The leading axes of two
-    arrays broadcast; the result is a field when both factors are fields.
+    The retained band of the product of two in-band fields is exact.  The
+    leading axes of two arrays broadcast; the result is a field when both
+    factors are fields.
     """
     cf, cg = _coeffs(f), _coeffs(g)
     if cf.shape[-1] != cg.shape[-1]:
         raise ValueError("grid mismatch")
     n = cf.shape[-1] + 1
-    m = _padded_size(n) if dealias else n
+    m = _padded_size(n)
     vals = _values(f, m) * _values(g, m)
     prod = _analysis(vals.real, n)
     if np.iscomplexobj(vals):

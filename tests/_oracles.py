@@ -8,17 +8,17 @@ produced by these routines (or closed forms derived by hand) and hold the
 package against them.
 
 The last routines run at production sizes instead.  They are built from
-the package's spectral primitives (one dealiased product at a time) but not
+the package's spectral primitives (one 3/2-padded product at a time) but not
 from its fused N(phi) and linearized kernels, its time stepper, its batched
 random draws or its array-valued bump window, so those can be held against
 them.
 The one exception, evolution_residual, measures a trajectory against the
-package's own N(phi).
+package's own mu phi_xx + N(phi).
 """
 
 import numpy as np
 
-from amp_sheet.operators import quadratic_rhs
+from amp_sheet.operators import nonlinear_operator
 from amp_sheet.spectral import (
     SpectralField,
     derivative,
@@ -168,18 +168,16 @@ def hermitian_defect(field):
     return float(np.max(np.abs(np.conj(field.coeffs[::-1]) - field.coeffs)))
 
 
-def commutator_vh(v, f, dealias=True):
+def commutator_vh(v, f):
     """[v; H]f = v*H[f] - H[v*f].
 
     The mean of the output is whatever the two dealiased products produce;
     it is generally nonzero for complex inputs and is not forced to zero.
     """
-    return pointwise_product(v, hilbert(f), dealias) - hilbert(
-        pointwise_product(v, f, dealias)
-    )
+    return pointwise_product(v, hilbert(f)) - hilbert(pointwise_product(v, f))
 
 
-def evolution_residual(traj, mu, index, dealias=True):
+def evolution_residual(traj, mu, index):
     """phi_tt - mu phi_xx - N(phi) at an interior mesh index, as a field.
 
     phi_tt is the centered second difference of the stored phi snapshots,
@@ -188,7 +186,7 @@ def evolution_residual(traj, mu, index, dealias=True):
     if not 1 <= index <= len(traj) - 2:
         raise ValueError(f"index {index} is not interior")
     phi = traj.phi[index]
-    r = traj.second_difference()[index - 1] - mu * derivative(phi, 2) - quadratic_rhs(phi, dealias)
+    r = traj.second_difference()[index - 1] - nonlinear_operator(phi, mu)
     return SpectralField(traj.grid, r, True)
 
 
@@ -232,21 +230,20 @@ def chi_parts_scalar(t, r):
     return g / d, num / d**2 * sg / r, psipp / r**2
 
 
-def quadratic_rhs_alt(phi, dealias=True):
+def quadratic_rhs_alt(phi):
     """N(phi) in the rearranged form d/dx( H[p^2]_xx / 2 + p * phi_xx ),
     p = H[phi].
 
     Algebraically identical to the package's quadratic_rhs, but evaluated
     by a different route: other products, each through its own transforms.
-    With dealiasing, or without it for bandwidth at most n/4, the two agree
-    to round-off.
+    The two agree to round-off.
     """
     p = hilbert(phi)
-    half_sq = 0.5 * derivative(hilbert(pointwise_product(p, p, dealias)), 2)
-    return derivative(half_sq + pointwise_product(p, derivative(phi, 2), dealias))
+    half_sq = 0.5 * derivative(hilbert(pointwise_product(p, p)), 2)
+    return derivative(half_sq + pointwise_product(p, derivative(phi, 2)))
 
 
-def linearized_parts(phi0, phiP, mu, dealias=True):
+def linearized_parts(phi0, phiP, mu):
     """Coefficient and lower-order pieces of the linearization at phi0.
 
     Returns (c2, lower) with c2 the variable coefficient mu - 2 p0_x as a
@@ -267,18 +264,18 @@ def linearized_parts(phi0, phiP, mu, dealias=True):
     pPxx = derivative(pP, 2)
     c2 = from_modes(grid, {0: TWO_PI * mu}, real_flag=True) - 2.0 * p0x
     lower = (
-        -2.0 * commutator_vh(p0x, pPxx, dealias)
-        + 2.0 * hilbert(pointwise_product(p0xx, pPx, dealias))
-        - derivative(commutator_vh(pP, p0xx, dealias) + commutator_vh(p0, pPxx, dealias))
+        -2.0 * commutator_vh(p0x, pPxx)
+        + 2.0 * hilbert(pointwise_product(p0xx, pPx))
+        - derivative(commutator_vh(pP, p0xx) + commutator_vh(p0, pPxx))
     )
     return c2, lower
 
 
-def apply_linearized_alt(phi0, phiP, mu, dealias=True):
+def apply_linearized_alt(phi0, phiP, mu):
     """mu phiP_xx + dN[phi0]phiP assembled as c2 * phiP_xx + lower, the
     oracle for the package's apply_linearized_operator."""
-    c2, lower = linearized_parts(phi0, phiP, mu, dealias)
-    return pointwise_product(c2, derivative(phiP, 2), dealias) + lower
+    c2, lower = linearized_parts(phi0, phiP, mu)
+    return pointwise_product(c2, derivative(phiP, 2)) + lower
 
 
 def projected_rk4(phi, phit, accel, cutoff, dt, steps):

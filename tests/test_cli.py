@@ -141,7 +141,6 @@ MALFORMED = [
     ("commutator-constants", {"lemma": ["A2"]}, "lemma"),
     ("verify-estimates", {"gammas": 2.0}, "gammas"),
     ("nash-moser", {"auto": "no"}, "auto"),
-    ("simulate", {"dealias": "no"}, "dealias"),
     ("verify-estimates", {"pairs": 1.7}, "pairs"),
     ("verify-identities", {"seed": "7"}, "seed"),
     ("verify-estimates", {"seed": "7"}, "seed"),
@@ -149,15 +148,12 @@ MALFORMED = [
     # one wrong-typed int, float, bool and list key per command
     ("simulate", {"galerkin_N": "8"}, "galerkin_N"),
     ("simulate", {"dt": "0.005"}, "dt"),
-    ("simulate", {"dealias": 1}, "dealias"),
     ("simulate", {"phi0": {"cos": {"1": [0.01]}}}, "phi0"),
     ("linearized", {"grid_n": 32.5}, "grid_n"),
     ("linearized", {"mu": True}, "mu"),
-    ("linearized", {"dealias": 0}, "dealias"),
     ("linearized", {"forcing_profile": [1.0]}, "forcing_profile"),
     ("growth", {"galerkin_N": 8.0}, "galerkin_N"),
     ("growth", {"epsilon": "1e-6"}, "epsilon"),
-    ("growth", {"dealias": "true"}, "dealias"),
     ("growth", {"modes": 4}, "modes"),
     ("verify-identities", {"grid_n": 64.0}, "grid_n"),
     ("verify-identities", {"samples": True}, "samples"),
@@ -174,8 +170,9 @@ MALFORMED = [
     ("nash-moser", {"theta0": "4"}, "theta0"),
     ("nash-moser", {"auto": 0}, "auto"),
     ("nash-moser", {"phi1": {"sin": [1]}}, "phi1"),
-    # keys missing or unknown
+    # keys missing or unknown (products are always 3/2-padded: no dealias key)
     ("simulate", {"mu": None}, "mu"),
+    ("simulate", {"dealias": True}, "dealias"),
     ("nash-moser", {"theta": 4.0}, "theta"),
 ]
 
@@ -423,6 +420,15 @@ class TestVerifyEstimates:
         assert report["passed"] is True
         assert len(report["pairs"]) == 2
 
+    def test_unreachable_energy_margin_is_config_error(self, runner, tmp_path):
+        # delta > mu: no base can keep the margin, whatever is drawn
+        cfg = write_config(tmp_path, "c.json", {"estimate": "energy", "delta": 1.5,
+                                                "pairs": 1})
+        out = runner.invoke(main, ["verify-estimates", "--config", cfg,
+                                   "--output", str(tmp_path / "o"), "--quiet"])
+        assert out.exit_code == 2, out.output
+        assert "margin" in out.output
+
     def test_keys_of_other_estimates_rejected(self, runner, tmp_path):
         # tame reads neither `pairs` (energy) nor `cfl_safety` (no runner)
         cfg = write_config(tmp_path, "c.json", {
@@ -517,6 +523,15 @@ class TestNashMoser:
         line = (dest / "residuals.csv").read_text().splitlines()[3]
         first_residual = float(line.split(",")[1])
         assert first_residual == report["report"]["residual_norms"][0]
+
+    def test_data_the_lifting_cannot_handle_exits_two(self, runner, tmp_path):
+        # a velocity no ramp width can absorb within the 3 delta/4 margin
+        cfg = write_config(tmp_path, "c.json", {**ZERO_SIM, "delta": 0.5,
+                                                "phi1": {"cos": {"1": 100000.0}}})
+        out = runner.invoke(main, ["nash-moser", "--config", cfg,
+                                   "--output", str(tmp_path / "o"), "--quiet"])
+        assert out.exit_code == 2, out.output
+        assert "ramp width" in out.output
 
     def test_exhausted_iterations_flagged(self, runner, tmp_path):
         cfg = write_config(tmp_path, "c.json", {**self.NM, "max_iters": 1})

@@ -13,7 +13,14 @@ from amp_sheet.nash_moser import (
     iterate_auto,
     smooth_cutoff,
 )
-from amp_sheet.operators import CauchyData, FieldSeries, Trajectory
+from amp_sheet.analysis import WeightedNormSpec, ym_norm
+from amp_sheet.operators import (
+    CauchyData,
+    FieldSeries,
+    Trajectory,
+    build_lifting,
+    lifting_forcing,
+)
 from amp_sheet.solver import SimConfig, solve_nonlinear
 from amp_sheet.spectral import (
     TorusGrid,
@@ -130,6 +137,17 @@ class TestIterate:
         ref, _ = solve_nonlinear(sim, data)
         num = sobolev_norm(traj.phi[-1] - ref.phi[-1], 1)
         assert num / sobolev_norm(ref.phi[-1], 1) < 1e-4
+
+    def test_first_residual_is_the_lifting_forcing(self):
+        # with u = 0 the residual mu phi_xx + N(phi) - phi_tt of phi^a is
+        # the lifting forcing F^a, to the last bit
+        sim = small_sim()
+        data = CauchyData(cosine(GRID, 1, 0.01), sine(GRID, 2, 0.02))
+        _, rep = iterate(IterationConfig(sim=sim), data)
+        lift = build_lifting(data, sim.mu, sim.delta)
+        times = np.arange(sim.num_steps() + 1) * sim.dt
+        forcing = lifting_forcing(lift, sim.mu, times)
+        assert rep.residual_norms[0] == ym_norm(forcing, WeightedNormSpec(sim.gamma), 2)
 
     def test_initial_data_reproduced_exactly(self):
         data = CauchyData(cosine(GRID, 1, 0.01), sine(GRID, 2, 0.02))

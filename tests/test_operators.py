@@ -13,6 +13,7 @@ from amp_sheet.operators import (
     bump_window,
     lifting_forcing,
     apply_linearized_operator,
+    nonlinear_operator,
     quadratic_rhs,
     quadratic_rhs_derivative,
     second_derivative,
@@ -111,11 +112,10 @@ class TestFusedKernel:
     """The real-transform N(phi) kernel against the independent route
     quadratic_rhs_alt, on arrays with a batch axis, and on bad input."""
 
-    @pytest.mark.parametrize("dealias", [True, False])
     @pytest.mark.parametrize("n", [32, 64, 256, 1024])
-    def test_matches_oracle(self, n, dealias):
-        # Bandwidth 8 <= n/4 keeps aliased products out of the band, so
-        # both routes evaluate the same N, which lives on |k| <= 16.
+    def test_matches_oracle(self, n):
+        # Both routes evaluate the same N of a bandwidth-8 field, which
+        # lives on |k| <= 16.
         # Beyond that the exact value is 0 and both outputs are round-off;
         # the oracle's is amplified by its third derivative (about 1e-9
         # relative at n = 1024), so there only the kernel is bounded.
@@ -124,8 +124,8 @@ class TestFusedKernel:
         rng = np.random.default_rng(n)
         for _ in range(5):
             f = random_field(grid, 8, rng)
-            got = quadratic_rhs(f, dealias).coeffs
-            want = quadratic_rhs_alt(f, dealias).coeffs
+            got = quadratic_rhs(f).coeffs
+            want = quadratic_rhs_alt(f).coeffs
             scale = np.max(np.abs(want))
             assert np.max(np.abs(got - want)[support]) <= 1e-12 * scale
             assert np.max(np.abs(got[~support]), initial=0.0) <= 1e-12 * scale
@@ -146,6 +146,20 @@ class TestFusedKernel:
             quadratic_rhs(f)
         with pytest.raises(ValueError, match="conjugate symmetric"):
             quadratic_rhs(np.stack([cosine(GRID, 1).coeffs, f.coeffs]))
+
+
+class TestNonlinearOperator:
+    def test_batch_equals_row_by_row(self):
+        # mu phi_xx + N(phi) on a (T, n-1) batch is, row for row and
+        # bitwise, mu * (-k^2) * phi plus the one-row quadratic_rhs
+        rng = np.random.default_rng(14)
+        rows = np.stack([random_field(GRID, 12, rng).coeffs for _ in range(7)])
+        lap = -(GRID.modes.astype(float) ** 2)
+        for mu in (1.0, 0.83, -0.3):
+            batch = nonlinear_operator(rows, mu)
+            assert batch.shape == rows.shape
+            for got, row in zip(batch, rows):
+                assert np.array_equal(got, mu * lap * row + quadratic_rhs(row))
 
 
 class TestDerivatives:
@@ -198,22 +212,21 @@ class TestFusedLinearized:
     apply_linearized_alt, on batches, with a broadcast base, and on bad
     input."""
 
-    @pytest.mark.parametrize("dealias", [True, False])
     @pytest.mark.parametrize("n", [32, 64, 256, 1024])
-    def test_matches_oracle(self, n, dealias):
-        # Bandwidth 8 <= n/4 keeps aliased products out of the band, so
-        # both routes evaluate the same operator, which lives on |k| <= 16;
-        # beyond that only the kernel's round-off is bounded, as for N.
+    def test_matches_oracle(self, n):
+        # Both routes evaluate the same operator on bandwidth-8 fields,
+        # which lives on |k| <= 16; beyond that only the kernel's
+        # round-off is bounded, as for N.
         grid = TorusGrid(n)
         support = np.abs(grid.modes) <= 16
         rng = np.random.default_rng(n + 1)
         for mu in (1.3, 0.0):
             u, v = random_field(grid, 8, rng), random_field(grid, 8, rng)
-            want = apply_linearized_alt(u, v, mu, dealias).coeffs
+            want = apply_linearized_alt(u, v, mu).coeffs
             scale = np.max(np.abs(want))
-            for got in (apply_linearized_operator(u, v, mu, dealias).coeffs,
+            for got in (apply_linearized_operator(u, v, mu).coeffs,
                         mu * derivative(v, 2).coeffs
-                        + quadratic_rhs_derivative(u, v, dealias).coeffs):
+                        + quadratic_rhs_derivative(u, v).coeffs):
                 assert np.max(np.abs(got - want)[support]) <= 1e-12 * scale
                 assert np.max(np.abs(got[~support]), initial=0.0) <= 1e-12 * scale
 

@@ -144,10 +144,9 @@ class TestMultipliers:
             fb, hb = np.array([f.coeffs for f in fs]), np.array([h.coeffs for h in hs])
             pairs = [(hilbert(fb), [hilbert(f).coeffs for f in fs]),
                      (synthesize(fb), [synthesize(f) for f in fs]),
-                     (linf_norm(fb), [linf_norm(f) for f in fs])]
-            for dealias in (True, False):
-                pairs.append((pointwise_product(fb, hb, dealias),
-                              [pointwise_product(f, h, dealias).coeffs for f, h in zip(fs, hs)]))
+                     (linf_norm(fb), [linf_norm(f) for f in fs]),
+                     (pointwise_product(fb, hb),
+                      [pointwise_product(f, h).coeffs for f, h in zip(fs, hs)])]
             for m in (n // 2, 2 * n):  # truncate, embed
                 pairs.append((regrid(fb, TorusGrid(m)), [regrid(f, TorusGrid(m)).coeffs for f in fs]))
             for batch, rows in pairs:
@@ -208,7 +207,7 @@ class TestProducts:
         assert p.coeff(1) == pytest.approx(0.0, abs=1e-13)
 
     def test_matches_convolution_oracle(self):
-        # product bandwidth 22 <= n/2 - 1: the unpadded product does not alias
+        # product bandwidth 22 <= n/2 - 1: the retained band holds all of it
         g = TorusGrid(48)
         rng = np.random.default_rng(21)
         for real in (True, False):
@@ -218,19 +217,17 @@ class TestProducts:
                 cf = {int(k): f.coeff(int(k)) for k in g.modes}
                 ch = {int(k): h.coeff(int(k)) for k in g.modes}
                 ref = oracle.direct_convolution(cf, ch, g.n // 2 - 1)
-                for dealias in (True, False):
-                    p = pointwise_product(f, h, dealias)
-                    assert p.real_flag == real
-                    assert max(abs(p.coeff(k) - ref[k]) for k in ref) < 1e-12
+                p = pointwise_product(f, h)
+                assert p.real_flag == real
+                assert max(abs(p.coeff(k) - ref[k]) for k in ref) < 1e-12
 
-    def test_aliasing_visible_without_padding(self):
+    def test_padded_product_does_not_alias(self):
         g = TorusGrid(16)
         f = cosine(g, 5)
         clean = pointwise_product(f, f)
-        dirty = pointwise_product(f, f, dealias=False)
-        # cos(5x)^2 has a cos(10x) component; mode 10 aliases onto 10-16=-6
+        # cos(5x)^2 has a cos(10x) component, which would alias onto
+        # 10-16=-6 on the 16-point grid itself
         assert abs(clean.coeff(6)) < 1e-13
-        assert abs(dirty.coeff(-6)) > 0.1
 
     def test_reality_closure(self):
         g = TorusGrid(64)
@@ -258,8 +255,7 @@ class TestRealTransforms:
             h = random_band_field(g, 9, rng, real=real, zero_mean=False)
             synthesize(f)
             linf_norm(f)
-            for dealias in (True, False):
-                pointwise_product(f, h, dealias)
+            pointwise_product(f, h)
         phi0, phi = random_band_field(g, 9, rng), random_band_field(g, 9, rng)
         quadratic_rhs(phi0)
         apply_linearized_operator(phi0, phi, 1.0)
