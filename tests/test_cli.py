@@ -174,6 +174,9 @@ MALFORMED = [
     ("simulate", {"mu": None}, "mu"),
     ("simulate", {"dealias": True}, "dealias"),
     ("nash-moser", {"theta": 4.0}, "theta"),
+    ("linearized", {"dealias": True}, "dealias"),
+    ("growth", {"dealias": False}, "dealias"),
+    ("nash-moser", {"dealias": True}, "dealias"),
 ]
 
 

@@ -161,6 +161,37 @@ class TestNonlinearOperator:
             for got, row in zip(batch, rows):
                 assert np.array_equal(got, mu * lap * row + quadratic_rhs(row))
 
+    def test_matches_independent_route(self):
+        # mu phi_xx + N(phi) against mu * derivative(phi, 2) plus the
+        # rearranged oracle for N, on fields and on their coefficient rows
+        rng = np.random.default_rng(15)
+        for mu in (1.0, 0.0, -0.7):
+            f = random_field(GRID, 10, rng)
+            want = (mu * derivative(f, 2) + quadratic_rhs_alt(f)).coeffs
+            scale = np.max(np.abs(want))
+            for got in (nonlinear_operator(f.coeffs, mu),
+                        nonlinear_operator(np.stack([f.coeffs, f.coeffs]), mu)[1]):
+                assert np.max(np.abs(got - want)) <= 1e-12 * scale
+
+    def test_increment_is_linearized_operator_plus_n_of_increment(self):
+        # N is quadratic, so the increment of mu phi_xx + N(phi) along v is
+        # exactly the linearization at phi applied to v plus N(v)
+        rng = np.random.default_rng(16)
+        u, v = random_field(GRID, 10, rng), random_field(GRID, 10, rng)
+        mu = 0.9
+        got = nonlinear_operator(u.coeffs + v.coeffs, mu) - nonlinear_operator(u.coeffs, mu)
+        want = apply_linearized_operator(u, v, mu).coeffs + quadratic_rhs(v).coeffs
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_rejects_fields_the_kernel_cannot_read(self):
+        # nonzero mean, and flagged real but c(-1) != conj(c(1))
+        mean = from_modes(GRID, {0: 1.0, 1: np.pi, -1: np.pi}, real_flag=True)
+        with pytest.raises(ValueError):
+            nonlinear_operator(mean.coeffs, 1.0)
+        bad = from_modes(GRID, {1: np.pi, -1: 0.5 * np.pi}, real_flag=True)
+        with pytest.raises(ValueError, match="conjugate symmetric"):
+            nonlinear_operator(np.stack([cosine(GRID, 1).coeffs, bad.coeffs]), 1.0)
+
 
 class TestDerivatives:
     def test_taylor_expansion_is_exact(self):
