@@ -169,6 +169,8 @@ def iterate(cfg, data):
     times = np.arange(steps + 1) * sim.dt
     lift_states = lift.states(times)  # phi^a and its time derivatives, (T, n-1) each
     phi_a, _, phitt_a = lift_states
+    # phi^a on the RK4 stage mesh, where every linearized solve reads its base
+    phi_a_stages = lift.states(np.arange(2 * steps + 1) * (0.5 * sim.dt))[0]
 
     # the correction u and its first two time derivatives on the mesh
     u = [np.zeros_like(phi_a) for _ in range(3)]
@@ -209,7 +211,7 @@ def iterate(cfg, data):
         # linearize at phi^a + u and solve for the correction
         u_eval = field_evaluator(Trajectory(times, u[0]), grid, sim.t_final)
         v_traj, _ = solve_linearized(
-            sim, base=lambda ts: lift.states(ts)[0] + u_eval(ts), forcing=r_series)
+            sim, base=lambda ts: phi_a_stages + u_eval(ts), forcing=r_series)
         v_cut = smooth_cutoff(v_traj, theta)
         report.correction_norms.append(float(xm_norm(v_traj, spec, 2)["total"]))
         report.theta_values.append(float(theta))

@@ -208,6 +208,16 @@ def _grid_symbols(n):
     return lap, slope
 
 
+def _band_of_products(ab, down):
+    """The band of d/dx(H[a] - b) from the values of (a, b) on the padded
+    grid, a (..., 2, m) buffer: one batched real FFT, then
+    k (a^(k) - i b^(k)) for k >= 0 (the symbol `down`) and the conjugate
+    mirror for k < 0."""
+    ab = np.fft.rfft(ab)
+    half = down.size
+    return _mirror(down * (ab[..., 0, :half] - 1j * ab[..., 1, :half]))
+
+
 def quadratic_rhs(phi):
     """N(phi) = d/dx( H[p_x^2] - [p; H]p_xx ) with p = H[phi].
 
@@ -226,17 +236,14 @@ def quadratic_rhs(phi):
     _require_real_zero_mean(phi, "phi")
     field = isinstance(phi, SpectralField)
     c = _coeffs(phi)
-    n = c.shape[-1] + 1
-    half = n // 2
-    m, up, down = _fused_tables(n)
+    m, up, down = _fused_tables(c.shape[-1] + 1)
     v = np.fft.irfft(_half(c)[..., None, :] * up, m)  # p, p_x, p_xx, H p_xx
     p, px = v[..., 0, :], v[..., 1, :]
     ab = np.empty(v.shape[:-2] + (2, m))
     np.multiply(px, px, out=ab[..., 0, :])
     ab[..., 0, :] += p * v[..., 2, :]
     np.multiply(p, v[..., 3, :], out=ab[..., 1, :])
-    ab = np.fft.rfft(ab)
-    out = _mirror(down * (ab[..., 0, :half] - 1j * ab[..., 1, :half]))
+    out = _band_of_products(ab, down)
     return SpectralField(phi.grid, out, True) if field else out
 
 
@@ -287,19 +294,21 @@ def apply_linearized_operator(phi0, phiP, mu):
     _require_real_zero_mean(phiP, "phiP")
     field = isinstance(phi0, SpectralField) and isinstance(phiP, SpectralField)
     c0, c = _coeffs(phi0), _coeffs(phiP)
-    n = c.shape[-1] + 1
-    half = n // 2
-    m, up, down = _fused_tables(n)
-    rows = np.empty(np.broadcast_shapes(c0.shape, c.shape)[:-1] + (2, 4, half), complex)
+    m, up, down = _fused_tables(c.shape[-1] + 1)
+    batch = np.broadcast_shapes(c0.shape, c.shape)[:-1]
+    rows = np.empty(batch + (2, 4, down.size), complex)
     np.multiply(_half(c0)[..., None, :], up, out=rows[..., 0, :, :])
     np.multiply(_half(c)[..., None, :], up, out=rows[..., 1, :, :])
     v = np.fft.irfft(rows, m)
     (p0, p0x, p0xx, hp0xx), (p, px, pxx, hpxx) = (
         [v[..., i, j, :] for j in range(4)] for i in range(2))
-    a = (2.0 * p0x - mu) * px + p0 * pxx + p * p0xx
-    b = p0 * hpxx + p * hp0xx
-    ab = np.fft.rfft(np.stack([a, b], axis=-2))
-    out = _mirror(down * (ab[..., 0, :half] - 1j * ab[..., 1, :half]))
+    ab = np.empty(batch + (2, m))
+    np.multiply(2.0 * p0x - mu, px, out=ab[..., 0, :])
+    ab[..., 0, :] += p0 * pxx
+    ab[..., 0, :] += p * p0xx
+    np.multiply(p0, hpxx, out=ab[..., 1, :])
+    ab[..., 1, :] += p * hp0xx
+    out = _band_of_products(ab, down)
     return SpectralField(phiP.grid, out, True) if field else out
 
 
@@ -380,8 +389,6 @@ class Lifting:
     """
 
     data: CauchyData
-    mu: float
-    delta: float
     ramp_width: float
 
     def chi(self, t):
@@ -418,7 +425,7 @@ def build_lifting(data, mu, delta):
     r = _RAMP_WIDTH
     target = 0.75 * delta - 1e-10
     while r >= _RAMP_FLOOR:
-        lift = Lifting(data, mu, delta, r)
+        lift = Lifting(data, r)
         phi, _, _ = lift.states(np.linspace(-2.0 * r, 2.0 * r, 129))
         if stability_coefficient(phi, mu)[1] >= target:
             return lift

@@ -18,9 +18,10 @@ sources (see field_evaluator): each maps a 1-D array of times to a
 (T, n-1) coefficient array, and solve_linearized evaluates them once per
 solve on its whole RK4 stage mesh.
 
-Both solvers return the trajectory together with a monitor dictionary
-holding the node times, the pointwise minimum of the stability
-coefficient mu - 2 (H phi)_x, and any flags raised.  The nonlinear solver
+Both solvers return the trajectory together with a monitor dictionary:
+"min_stability_coeff", the minimum of the stability coefficient
+mu - 2 (H phi)_x at each kept node (the node times are the trajectory's),
+and "flags", the list of flags raised.  The nonlinear solver
 truncates the run when the coefficient drops below delta/2 or the state
 blows up; the linearized solver records the base coefficient but only
 aborts on blow-up, since ill-posed constant-coefficient runs (mu < 0) are
@@ -273,12 +274,7 @@ def _march(cfg, grid, rhs, phi, phit, stability_source, abort_on_stability):
         state = rk4_step(t, cfg.dt, state, rhs, k1)
 
     traj = Trajectory(times[:kept], *rows[:, :kept])
-    monitor = {
-        "t_grid": times[:kept],
-        "min_stability_coeff": np.array(stab),
-        "flags": flags,
-    }
-    return traj, monitor
+    return traj, {"min_stability_coeff": np.array(stab), "flags": flags}
 
 
 def solve_nonlinear(cfg, data):

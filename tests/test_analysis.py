@@ -230,6 +230,17 @@ class TestEnergyEstimate:
         rep = verify_energy_estimate(None, traj, mu=1.0, delta=0.9, gamma=2.0)
         blob = rep.to_json()
         assert '"estimate_id"' in blob and '"ratio"' in blob
+        assert rep.seed is None and '"seed": null' in blob
+
+
+@pytest.mark.parametrize("verify", [
+    verify_energy_estimate, verify_tame_estimate, verify_phitt_estimate,
+    verify_second_derivative_estimate, verify_forcing_bound,
+], ids=lambda fn: fn.__name__)
+def test_deterministic_verifier_takes_no_seed(verify):
+    # they draw no random numbers: a seed is rejected when the call binds
+    with pytest.raises(TypeError, match="unexpected keyword argument 'seed'"):
+        verify(seed=0)
 
 
 class TestTameEstimate:
@@ -332,6 +343,7 @@ class TestCommutatorCampaigns:
         # see the same functions and the sup can drift only by roundoff
         assert rep.extras["resolution_drift"] < 1e-12
         assert 0.0 < rep.ratio < 10.0
+        assert rep.seed == 3  # the campaign is the one seeded report
 
     def test_parallel_matches_serial(self):
         # more than two blocks, the last one partial
@@ -500,5 +512,7 @@ class TestForcingBound:
         rep = verify_forcing_bound(data, mu=1.0, delta=0.75, nu=8)
         assert rep.passed
         assert 0.95 <= rep.ratio <= 2.2  # ratio carries the log-log order
+        assert rep.lhs == rep.extras["values"][0]
+        assert rep.rhs == sobolev_norm(data.phi0, 9) + sobolev_norm(data.phi1, 8)
         ratios = rep.extras["horizon_shrink_ratios"]
         assert all(r <= 0.85 for r in ratios)

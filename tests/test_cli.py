@@ -99,6 +99,12 @@ class TestConfigHandling:
         assert "seed" in out.output
         for cmd in ("simulate", "linearized", "growth", "nash-moser"):
             assert "--seed" not in runner.invoke(main, [cmd, "--help"]).output, cmd
+        # verify-estimates takes it only for the estimates that draw: energy, der2
+        for which in ("tame", "phitt", "forcing"):
+            cfg = write_config(tmp_path, f"{which}.json", {"estimate": which})
+            out = runner.invoke(main, ["verify-estimates", "--config", cfg, "--seed", "3",
+                                       "--output", str(tmp_path / "o")])
+            assert out.exit_code == 2 and "--seed" in out.output, which
         for cmd in ("verify-identities", "verify-estimates", "commutator-constants"):
             assert "--seed" in runner.invoke(main, [cmd, "--help"]).output, cmd
 
@@ -180,19 +186,55 @@ MALFORMED = [
 ]
 
 
+#: keys a command's run never reads: simulate, linearized and growth take
+#: no weighted norm, and tame, phitt and forcing draw no random numbers
+UNREAD = [
+    ("simulate", {"gamma": 2.0}, "gamma"),
+    ("linearized", {"gamma": 2.0}, "gamma"),
+    ("growth", {"gamma": 2.0}, "gamma"),
+    ("verify-estimates", {"estimate": "tame", "pairs": None, "gammas": None, "seed": 3},
+     "seed"),
+    ("verify-estimates", {"estimate": "phitt", "pairs": None, "gammas": None, "seed": 3},
+     "seed"),
+    ("verify-estimates", {"estimate": "forcing", "pairs": None, "gammas": None, "seed": 3},
+     "seed"),
+]
+
+
+def case_id(command, edit, key):
+    """A matrix row's test id from its command and edited keys and values
+    (a dropped key shows only when it is the one named), so inserting or
+    deleting a row renames no other case."""
+    return "-".join([command, *(f"{k}={json.dumps(v, separators=(',', ':'))}"
+                                for k, v in edit.items() if v is not None or k == key)])
+
+
+def exits_two_naming(runner, tmp_path, command, edit, key):
+    # a None in the edit drops that key from the valid config
+    cfg = {**VALID[command], **edit}
+    cfg = {k: v for k, v in cfg.items() if v is not None}
+    path = write_config(tmp_path, "c.json", cfg)
+    out = runner.invoke(main, [command, "--config", path,
+                               "--output", str(tmp_path / "o"), "--quiet"])
+    assert out.exit_code == 2, out.output
+    assert key in out.output
+
+
 class TestConfigContract:
     @pytest.mark.parametrize("command,edit,key", MALFORMED,
-                             ids=[f"{c}-{k}-{i}" for i, (c, _, k) in enumerate(MALFORMED)])
+                             ids=[case_id(*row) for row in MALFORMED])
     def test_malformed_value_exits_two_naming_the_key(self, runner, tmp_path, command,
                                                       edit, key):
-        # a None in the edit drops that key from the valid config
-        cfg = {**VALID[command], **edit}
-        cfg = {k: v for k, v in cfg.items() if v is not None}
-        path = write_config(tmp_path, "c.json", cfg)
-        out = runner.invoke(main, [command, "--config", path,
-                                   "--output", str(tmp_path / "o"), "--quiet"])
-        assert out.exit_code == 2, out.output
-        assert key in out.output
+        exits_two_naming(runner, tmp_path, command, edit, key)
+
+    def test_case_ids_are_unique(self):
+        ids = [case_id(*row) for row in MALFORMED + UNREAD]
+        assert len(set(ids)) == len(ids)
+
+    @pytest.mark.parametrize("command,edit,key", UNREAD,
+                             ids=[case_id(*row) for row in UNREAD])
+    def test_unread_key_exits_two_naming_it(self, runner, tmp_path, command, edit, key):
+        exits_two_naming(runner, tmp_path, command, edit, key)
 
     @pytest.mark.parametrize("command,cfg,flags", [
         ("simulate", {**ZERO_SIM, "mu": 1, "phi0": {"cos": {"1": 0.01}}}, []),
@@ -233,7 +275,9 @@ class TestConfigContract:
         assert runner.invoke(main, ["simulate", "--config", path, "--output", str(dest),
                                     "--quiet"]).exit_code == 0
         embedded = json.loads((dest / "summary.json").read_text())["config"]
-        assert set(embedded) == set(SimConfig.__dataclass_fields__) | {"phi0", "phi1"}
+        # gamma is the one SimConfig field simulate never reads
+        want = set(SimConfig.__dataclass_fields__) - {"gamma"} | {"phi0", "phi1"}
+        assert set(embedded) == want
         assert embedded["mu"] == 1.0 and isinstance(embedded["mu"], float)
         assert embedded["cfl_safety"] == SimConfig.cfl_safety and embedded["phi0"] is None
         header = (dest / "trajectory.csv").read_text().splitlines()[1]
