@@ -106,12 +106,16 @@ def _ratio(lhs, rhs):
     return float(out) if out.ndim == 0 else out
 
 
-def _check_zero_trace(times, stacks, tol=1e-12):
+#: samples at t < 0 above this fraction of max(1, peak) break a zero trace
+_ZERO_TRACE_TOL = 1e-12
+
+
+def _check_zero_trace(times, stacks):
     """Domain check for the zero-trace spaces: samples at t < 0 must vanish.
 
     `stacks` are (T, n-1) coefficient arrays on the mesh `times`."""
     peaks = [np.max(np.abs(c), axis=-1) for c in stacks]
-    bound = tol * max(1.0, *(float(np.max(p)) for p in peaks))
+    bound = _ZERO_TRACE_TOL * max(1.0, *(float(np.max(p)) for p in peaks))
     for peak in peaks:
         bad = (times < 0) & (peak > bound)
         if bad.any():

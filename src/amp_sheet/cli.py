@@ -24,6 +24,7 @@ import numpy as np
 from . import __version__
 from .analysis import (
     _LEMMAS,
+    _check_base_stability,
     estimate_commutator_constant,
     random_trig_field,
     verify_energy_estimate,
@@ -222,8 +223,12 @@ def _write_solve(out, command, traj, monitor, config, quiet, **summary):
     }, config, quiet)
 
 
-def _flag_exit(flags, benign=("elliptic_regime",)):
-    serious = [f for f in flags if f["type"] not in benign]
+#: monitor flags that do not fail a run
+_BENIGN_FLAGS = ("elliptic_regime",)
+
+
+def _flag_exit(flags):
+    serious = [f for f in flags if f["type"] not in _BENIGN_FLAGS]
     return 3 if serious else 0
 
 
@@ -284,7 +289,8 @@ def simulate(config_path, output_dir, quiet):
 @main.command()
 @common_options
 def linearized(config_path, output_dir, quiet):
-    """Integrate the linearized equation around a configured base."""
+    """Integrate the linearized equation around a configured base, whose
+    stability coefficient must stay at or above delta/2 (exit 2 if not)."""
     cfg = _read_config(config_path, {
         **_SOLVE, "base": None, "phi0": None, "phi1": None, "forcing_profile": None,
         "envelope_center": 0.0, "envelope_width": 0.0,
@@ -292,6 +298,7 @@ def linearized(config_path, output_dir, quiet):
     sim = SimConfig(**_pick(cfg, _SOLVE))
     grid = TorusGrid(sim.grid_n)
     base = _build_field(grid, cfg["base"], "base")
+    _check_base_stability(base, sim.mu, sim.delta)
     profile = _build_field(grid, cfg["forcing_profile"], "forcing_profile")
     center, width = cfg["envelope_center"], cfg["envelope_width"]
 
@@ -430,6 +437,7 @@ def _run_tame(p):
 
 def _run_phitt(p):
     sim, grid, base, profile = _solve_setup(p)
+    _check_base_stability(base, sim.mu, sim.delta)
     if np.max(np.abs(profile.coeffs)) == 0.0:
         profile = cosine(grid, 1)
     g = _forcing(sim, profile, p)

@@ -15,10 +15,16 @@ H[p_x^2] - [p; H]p_xx = H[p_x^2 + p p_xx] - p H[p_xx]: one batched inverse
 real FFT of (p, p_x, p_xx, H p_xx) on the 3/2-padded grid and one batched
 real FFT of the two products, on a field or on coefficient arrays with
 any leading batch axes.  The linearized operator mu phi_xx + dN[phi0]phi
-is the same kernel polarized (eight synthesized rows, two analyzed), and
-the first and second derivatives of N are that kernel with mu = 0.  The
-spatial part of the equation itself, mu phi_xx + N(phi), is
-nonlinear_operator, the one place it is formed.
+is the same kernel polarized (four synthesized rows of the base, four of
+the unknown, two analyzed), and the first and second derivatives of N
+are that kernel with mu = 0.  The spatial part of the equation itself,
+mu phi_xx + N(phi), is nonlinear_operator, the one place it is formed.
+
+Each kernel is a private function on half spectra, the coefficients
+k = 1..K of real zero-mean fields, which holds no check: the solvers step
+such arrays directly.  The public operators take (..., n-1) bands, check
+them, run the kernel on k = 1..n/2-1 and mirror the result back into a
+band by c(-k) = conj c(k).
 
 Besides N and its first and second derivatives this module owns the
 Cauchy data container, time-sampled trajectories, the smooth compactly
@@ -33,7 +39,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .spectral import SpectralField, TorusGrid, _coeffs, _half, _mirror, _padded_size
+from .spectral import SpectralField, TorusGrid, _coeffs, _padded_size
 from .spectral import pointwise_product  # noqa: F401  (perfbench/tests rebinds it here)
 
 _TWO_PI = 2.0 * np.pi
@@ -49,10 +55,10 @@ class LiftingError(ValueError):
     lifting cannot handle, rejected like any other invalid input."""
 
 
-def _require_real_zero_mean(f, name):
+def _require_real(f, name):
     """Reject a field, or a coefficient array of any batch shape, that is
-    not real (flag and conjugate symmetry) or has a nonzero mean; both
-    tolerances are relative to 1 + max |c| over the whole input."""
+    not real (flag and conjugate symmetry), with a tolerance relative to
+    1 + max |c| over the whole input.  Returns |c| and that scale."""
     if isinstance(f, SpectralField):
         if not f.real_flag:
             raise ValueError(f"{name} must be a real field")
@@ -61,11 +67,17 @@ def _require_real_zero_mean(f, name):
         c = np.asarray(f)
     a = np.abs(c)
     scale = 1.0 + a.max()
-    if a[..., c.shape[-1] // 2].max() > 1e-9 * scale:
-        raise ValueError(f"{name} must have zero mean")
     if np.abs(c - c[..., ::-1].conj()).max() > 1e-12 * scale:
         raise ValueError(f"{name} is flagged real but its coefficients are "
                          "not conjugate symmetric")
+    return a, scale
+
+
+def _require_real_zero_mean(f, name):
+    """_require_real, and reject a nonzero mean (relative tolerance 1e-9)."""
+    a, scale = _require_real(f, name)
+    if a[..., a.shape[-1] // 2].max() > 1e-9 * scale:
+        raise ValueError(f"{name} must have zero mean")
 
 
 @dataclass(frozen=True)
@@ -178,18 +190,18 @@ FieldSeries = Trajectory
 
 
 @lru_cache(maxsize=64)
-def _fused_tables(n):
-    """Tables of the fused kernels on an n-point grid.
+def _fused_tables(n, K):
+    """Tables of the fused kernels on an n-point grid, for the coefficients
+    k = 1..K (K <= n/2 - 1) of real zero-mean fields.
 
-    Returns (m, up, down): the 3/2-padded transform length, the (4, n/2)
-    symbols taking phi^(k), k = 0..n/2-1, to the half spectra of
-    (p, p_x, p_xx, H p_xx) with p = H phi, scaled for synthesis on m
-    points, and the (n/2,) symbol k * 2pi/m that takes the half spectrum
-    of a - i b back to N^(k).
+    Returns (m, up, down): the 3/2-padded transform length, the (4, K)
+    symbols taking phi^(k) to the half spectra of (p, p_x, p_xx, H p_xx)
+    with p = H phi, scaled for synthesis on m points, and the (K,) symbol
+    k * 2pi/m that takes the half spectrum of a - i b back to N^(k).
     """
     m = _padded_size(n)
-    k = np.arange(n // 2, dtype=float)
-    up = np.array([-1j * np.sign(k), k, 1j * k**2, k**2]) * (m / _TWO_PI)
+    k = np.arange(1, K + 1, dtype=float)
+    up = np.array([-1j * np.ones(K), k, 1j * k**2, k**2]) * (m / _TWO_PI)
     down = k * (_TWO_PI / m)
     for a in (up, down):
         a.flags.writeable = False
@@ -197,25 +209,100 @@ def _fused_tables(n):
 
 
 @lru_cache(maxsize=64)
-def _grid_symbols(n):
-    """Symbols applied on the n-point grid itself: -k^2 of d^2/dx^2 over
-    the (n-1) band, and k * n/2pi, which takes phi^(k), k = 0..n/2-1, to
-    the half spectrum of (H phi)_x scaled for synthesis on the n nodes."""
-    lap = -(TorusGrid(n).modes.astype(float) ** 2)
-    slope = np.arange(n // 2, dtype=float) * (n / _TWO_PI)
+def _grid_symbols(n, K):
+    """Symbols of the coefficients k = 1..K applied on the n-point grid
+    itself: -k^2 of d^2/dx^2, and k * n/2pi, which takes phi^(k) to the
+    half spectrum of (H phi)_x scaled for synthesis on the n nodes."""
+    k = np.arange(1, K + 1, dtype=float)
+    lap, slope = -(k**2), k * (n / _TWO_PI)
     for a in (lap, slope):
         a.flags.writeable = False
     return lap, slope
 
 
-def _band_of_products(ab, down):
-    """The band of d/dx(H[a] - b) from the values of (a, b) on the padded
-    grid, a (..., 2, m) buffer: one batched real FFT, then
-    k (a^(k) - i b^(k)) for k >= 0 (the symbol `down`) and the conjugate
-    mirror for k < 0."""
-    ab = np.fft.rfft(ab)
-    half = down.size
-    return _mirror(down * (ab[..., 0, :half] - 1j * ab[..., 1, :half]))
+def _positive(c):
+    """The coefficients k = 1..n/2-1 of (..., n-1) bands: a view."""
+    return c[..., c.shape[-1] // 2 + 1:]
+
+
+def _band(h, n):
+    """The (..., n-1) bands of the real zero-mean fields whose coefficients
+    k = 1..K are the last axis of `h`, c(-k) = conj c(k): zero at k = 0 and
+    beyond K."""
+    K, mid = h.shape[-1], n // 2 - 1
+    out = np.zeros(h.shape[:-1] + (n - 1,), complex)
+    out[..., mid + 1:mid + 1 + K] = h
+    out[..., mid - K:mid] = h[..., ::-1].conj()
+    return out
+
+
+def _synthesis(h, symbol, m):
+    """Values on m points of the real fields whose half spectra are zero at
+    k = 0 and h * symbol at k = 1..K; irfft pads k > K with zeros itself."""
+    spec = np.zeros(np.broadcast(h, symbol).shape[:-1] + (h.shape[-1] + 1,), complex)
+    np.multiply(h, symbol, out=spec[..., 1:])
+    return np.fft.irfft(spec, m)
+
+
+def _synthesis_rows(h, n):
+    """(p, p_x, p_xx, H p_xx), p = H phi, on the 3/2-padded grid of an
+    n-point grid, for the fields phi whose coefficients k = 1..K are the
+    last axis of `h`: one batched inverse real FFT, shape (..., 4, m)."""
+    m, up, _ = _fused_tables(n, h.shape[-1])
+    return _synthesis(h[..., None, :], up, m)
+
+
+def _analysis_of_products(ab, n, K):
+    """The coefficients k = 1..K of d/dx(H[a] - b) from the values of (a, b)
+    on the padded grid of an n-point grid, a (..., 2, m) buffer: one
+    batched real FFT, then k (a^(k) - i b^(k)) (the symbol `down`)."""
+    _, _, down = _fused_tables(n, K)
+    ab = np.fft.rfft(ab)[..., 1:K + 1]
+    return down * (ab[..., 0, :] - 1j * ab[..., 1, :])
+
+
+def _quadratic_half(h, n):
+    """N(phi)^(k), k = 1..K, from the coefficients k = 1..K of phi (the last
+    axis of `h`): the fused kernel of quadratic_rhs, with no check."""
+    v = _synthesis_rows(h, n)
+    p, px, pxx, hpxx = v.swapaxes(0, -2)
+    ab = np.empty(v.shape[:-2] + (2, v.shape[-1]))
+    np.multiply(px, px, out=ab[..., 0, :])
+    ab[..., 0, :] += p * pxx
+    np.multiply(p, hpxx, out=ab[..., 1, :])
+    return _analysis_of_products(ab, n, h.shape[-1])
+
+
+def _nonlinear_half(h, mu, n):
+    """(mu phi_xx + N(phi))^(k), k = 1..K, from the coefficients k = 1..K of
+    phi: the kernel of nonlinear_operator, with no check."""
+    lap, _ = _grid_symbols(n, h.shape[-1])
+    return mu * lap * h + _quadratic_half(h, n)
+
+
+def _stability_values(h, mu, n):
+    """Values of mu - 2 (H phi)_x at the n grid nodes, shape (..., n), for
+    the fields phi whose coefficients k = 1..K are the last axis of `h`:
+    the kernel of stability_coefficient."""
+    _, slope = _grid_symbols(n, h.shape[-1])
+    return mu - 2.0 * _synthesis(h, slope, n)
+
+
+def _linearized_half(v0, h, mu, n):
+    """(mu phi_xx + dN[phi0]phi)^(k), k = 1..K, from the synthesized base
+    rows v0 = _synthesis_rows of phi0, shape (..., 4, m), and the
+    coefficients k = 1..K of phi: the kernel of apply_linearized_operator,
+    with no check.  The leading axes of v0 and h broadcast."""
+    v = _synthesis_rows(h, n)
+    p0, p0x, p0xx, hp0xx = v0.swapaxes(0, -2)
+    p, px, pxx, hpxx = v.swapaxes(0, -2)
+    ab = np.empty(np.broadcast(v0, v).shape[:-2] + (2, v.shape[-1]))
+    np.multiply(2.0 * p0x - mu, px, out=ab[..., 0, :])
+    ab[..., 0, :] += p0 * pxx
+    ab[..., 0, :] += p * p0xx
+    np.multiply(p0, hpxx, out=ab[..., 1, :])
+    ab[..., 1, :] += p * hp0xx
+    return _analysis_of_products(ab, n, h.shape[-1])
 
 
 def quadratic_rhs(phi):
@@ -234,17 +321,10 @@ def quadratic_rhs(phi):
     symmetry, which is why the input must be conjugate symmetric.
     """
     _require_real_zero_mean(phi, "phi")
-    field = isinstance(phi, SpectralField)
     c = _coeffs(phi)
-    m, up, down = _fused_tables(c.shape[-1] + 1)
-    v = np.fft.irfft(_half(c)[..., None, :] * up, m)  # p, p_x, p_xx, H p_xx
-    p, px = v[..., 0, :], v[..., 1, :]
-    ab = np.empty(v.shape[:-2] + (2, m))
-    np.multiply(px, px, out=ab[..., 0, :])
-    ab[..., 0, :] += p * v[..., 2, :]
-    np.multiply(p, v[..., 3, :], out=ab[..., 1, :])
-    out = _band_of_products(ab, down)
-    return SpectralField(phi.grid, out, True) if field else out
+    n = c.shape[-1] + 1
+    out = _band(_quadratic_half(_positive(c), n), n)
+    return SpectralField(phi.grid, out, True) if isinstance(phi, SpectralField) else out
 
 
 def quadratic_rhs_derivative(phi0, phi):
@@ -265,10 +345,12 @@ def second_derivative(phi, psi):
 def nonlinear_operator(phi, mu):
     """The spatial part of the equation, mu phi_xx + N(phi), on a (..., n-1)
     coefficient array of real zero-mean fields: the nonlinear counterpart
-    of apply_linearized_operator.  The solver's right-hand side, the
-    lifting forcing and the Newton residual all evaluate it here."""
-    lap, _ = _grid_symbols(phi.shape[-1] + 1)
-    return mu * lap * phi + quadratic_rhs(phi)
+    of apply_linearized_operator.  The lifting forcing and the Newton
+    residual evaluate it here, and the solver's right-hand side runs its
+    kernel _nonlinear_half."""
+    _require_real_zero_mean(phi, "phi")
+    n = phi.shape[-1] + 1
+    return _band(_nonlinear_half(_positive(phi), mu, n), n)
 
 
 def apply_linearized_operator(phi0, phiP, mu):
@@ -286,30 +368,18 @@ def apply_linearized_operator(phi0, phiP, mu):
         a = 2 p0_x p_x + p0 p_xx + p p0_xx - mu p_x,
         b = p0 H[p_xx] + p H[p0_xx]:
 
-    one batched inverse real FFT of the eight rows (p0, p0_x, p0_xx, H p0_xx,
-    p, p_x, p_xx, H p_xx) on the m-point grid and one batched real FFT of
-    (a, b).
+    one batched inverse real FFT of each argument's four rows (p0, p0_x,
+    p0_xx, H p0_xx and p, p_x, p_xx, H p_xx) on the m-point grid and one
+    batched real FFT of (a, b).
     """
     _require_real_zero_mean(phi0, "phi0")
     _require_real_zero_mean(phiP, "phiP")
-    field = isinstance(phi0, SpectralField) and isinstance(phiP, SpectralField)
     c0, c = _coeffs(phi0), _coeffs(phiP)
-    m, up, down = _fused_tables(c.shape[-1] + 1)
-    batch = np.broadcast_shapes(c0.shape, c.shape)[:-1]
-    rows = np.empty(batch + (2, 4, down.size), complex)
-    np.multiply(_half(c0)[..., None, :], up, out=rows[..., 0, :, :])
-    np.multiply(_half(c)[..., None, :], up, out=rows[..., 1, :, :])
-    v = np.fft.irfft(rows, m)
-    (p0, p0x, p0xx, hp0xx), (p, px, pxx, hpxx) = (
-        [v[..., i, j, :] for j in range(4)] for i in range(2))
-    ab = np.empty(batch + (2, m))
-    np.multiply(2.0 * p0x - mu, px, out=ab[..., 0, :])
-    ab[..., 0, :] += p0 * pxx
-    ab[..., 0, :] += p * p0xx
-    np.multiply(p0, hpxx, out=ab[..., 1, :])
-    ab[..., 1, :] += p * hp0xx
-    out = _band_of_products(ab, down)
-    return SpectralField(phiP.grid, out, True) if field else out
+    n = c.shape[-1] + 1
+    out = _band(_linearized_half(_synthesis_rows(_positive(c0), n), _positive(c), mu, n), n)
+    if isinstance(phi0, SpectralField) and isinstance(phiP, SpectralField):
+        return SpectralField(phiP.grid, out, True)
+    return out
 
 
 def stability_coefficient(phi, mu):
@@ -318,12 +388,10 @@ def stability_coefficient(phi, mu):
     `phi` is a real field or a coefficient array of shape (..., n-1); the
     values have shape (..., n) and the minimum is taken over all of them.
     (H phi)_x has symbol |k|, so the values come from one inverse real FFT
-    of the half spectrum (only k >= 0 is read) times k.
+    of the half spectrum (only k >= 1 is read) times k.
     """
     c = _coeffs(phi)
-    n = c.shape[-1] + 1
-    _, slope = _grid_symbols(n)
-    vals = mu - 2.0 * np.fft.irfft(_half(c) * slope, n)
+    vals = _stability_values(_positive(c), mu, c.shape[-1] + 1)
     return vals, float(np.min(vals))
 
 

@@ -1,31 +1,37 @@
 """Galerkin pseudospectral time integration.
 
 The state (phi, phi_t) is advanced with the classical fourth-order
-Runge-Kutta scheme on the Galerkin space, the zero-mean modes
-1 <= |k| <= N.  Each solver integrates one semidiscrete right-hand side,
-semidiscrete_rhs_nonlinear or semidiscrete_rhs_linearized, which
-projects its input and its output at every RK4 stage, so the stepped
-system is exactly the documented projected one and not only its node
-states are projected.  The nonlinear system's spatial operator is
-operators.nonlinear_operator, whose N(phi) is evaluated pseudospectrally
-on the 3/2-padded grid (one inverse and one forward real FFT per call).
-The two systems are the full quadratically nonlinear equation, and its
-linearization around a prescribed time-dependent base profile with an
-optional forcing term.
+Runge-Kutta scheme on the Galerkin space, the real zero-mean modes
+1 <= |k| <= N.  The solvers step only the coefficients k = 1..N, a pair
+of (N,) complex arrays: every such array is a real zero-mean field in the
+Galerkin space, so conjugate symmetry, zero mean and the projection hold
+by construction at every RK4 stage, and no stage is masked, mirrored or
+checked.  Each solver integrates one semidiscrete right-hand side,
+semidiscrete_rhs_nonlinear or semidiscrete_rhs_linearized, on that state
+through the private half-spectrum kernels of operators (the public
+operators are those kernels plus checks): synthesis is one inverse real
+FFT of the k = 1..N half spectrum on the 3/2-padded grid, which zero-pads
+k > N itself, and analysis keeps the coefficients k = 1..N of one real
+FFT.  The two systems are the full quadratically nonlinear equation, and
+its linearization around a prescribed time-dependent base profile with
+an optional forcing term.
 
 Base profiles and forcing terms of the linearized system are field
 sources (see field_evaluator): each maps a 1-D array of times to a
-(T, n-1) coefficient array, and solve_linearized evaluates them once per
-solve on its whole RK4 stage mesh.
+(T, n-1) coefficient array.  solve_linearized evaluates and checks them
+once per solve on its whole RK4 stage mesh, and synthesizes the base's
+four rows (p0, p0_x, p0_xx, H p0_xx) there once, from its full band
+k < n/2: a Newton base or a configured one can carry modes above N.
 
-Both solvers return the trajectory together with a monitor dictionary:
+Each solve mirrors its (T, N) rows once into the (T, n-1) arrays of the
+Trajectory it returns, together with a monitor dictionary:
 "min_stability_coeff", the minimum of the stability coefficient
 mu - 2 (H phi)_x at each kept node (the node times are the trajectory's),
-and "flags", the list of flags raised.  The nonlinear solver
-truncates the run when the coefficient drops below delta/2 or the state
-blows up; the linearized solver records the base coefficient but only
-aborts on blow-up, since ill-posed constant-coefficient runs (mu < 0) are
-a legitimate diagnostic and are merely flagged.
+and "flags", the list of flags raised.  The nonlinear solver truncates
+the run when the coefficient drops below delta/2 or the state blows up;
+the linearized solver records the base coefficient but only aborts on
+blow-up, since ill-posed constant-coefficient runs (mu < 0) are a
+legitimate diagnostic and are merely flagged.
 """
 
 from __future__ import annotations
@@ -38,10 +44,15 @@ import numpy as np
 
 from .operators import (
     Trajectory,
-    apply_linearized_operator,
-    nonlinear_operator,
+    _band,
+    _linearized_half,
+    _nonlinear_half,
+    _positive,
+    _require_real,
+    _require_real_zero_mean,
+    _stability_values,
+    _synthesis_rows,
     require_data_margin,
-    stability_coefficient,
 )
 from .spectral import SpectralField, TorusGrid, zeros
 
@@ -89,16 +100,6 @@ class SimConfig:
     def cfl_limit(self, sup_c2):
         """Largest admissible dt for wave speed sqrt(max(1, sup c^2))."""
         return self.cfl_safety / (self.galerkin_N * math.sqrt(max(1.0, sup_c2)))
-
-
-@lru_cache(maxsize=64)
-def _galerkin_mask(n, cutoff):
-    """The projection onto the Galerkin space, zero-mean trigonometric
-    polynomials of degree <= cutoff, as a 0/1 mask over the band."""
-    k = TorusGrid(n).modes
-    mask = ((np.abs(k) >= 1) & (np.abs(k) <= cutoff)).astype(float)
-    mask.flags.writeable = False
-    return mask
 
 
 @lru_cache(maxsize=8)
@@ -185,24 +186,27 @@ def field_evaluator(source, grid, t_final=None):
 def semidiscrete_rhs_nonlinear(state, cfg):
     """Galerkin right-hand side of the nonlinear system.
 
-    Maps the pair (phi_hat, phi_t_hat) to (P phi_t, P[mu phi_xx + N(P phi)]),
-    P the projection onto the zero-mean band 1 <= |k| <= N; the input is
-    projected first so out-of-band junk cannot leak through the product
-    terms.
+    Maps the pair (phi_hat, phi_t_hat) of (..., N) arrays, the coefficients
+    k = 1..N of real zero-mean fields, to the pair
+    (phi_t_hat, mu phi_xx + N(phi)) of the same kind: the second member is
+    kept to k = 1..N, which is the projection onto the Galerkin space.
+    The input is trusted, not checked.
     """
     phi_hat, phit_hat = state
-    mask = _galerkin_mask(cfg.grid_n, cfg.galerkin_N)
-    return mask * phit_hat, mask * nonlinear_operator(mask * phi_hat, cfg.mu)
+    return phit_hat, _nonlinear_half(phi_hat, cfg.mu, cfg.grid_n)
 
 
-def semidiscrete_rhs_linearized(state, base_row, g_row, cfg):
-    """Galerkin right-hand side of the linearization at the frozen base
-    with forcing g, given as their (n-1) coefficient rows at a single
-    instant; the pair in and out as in semidiscrete_rhs_nonlinear."""
+def semidiscrete_rhs_linearized(state, base_rows, g_hat, cfg):
+    """Galerkin right-hand side of the linearization at a frozen base with
+    forcing g, at a single instant; the pair in and out as in
+    semidiscrete_rhs_nonlinear.
+
+    `base_rows` are the base's (p0, p0_x, p0_xx, H p0_xx) on the padded
+    grid, shape (4, m) as operators._synthesis_rows returns them, and
+    `g_hat` the coefficients k = 1..N of the forcing.
+    """
     phi_hat, phit_hat = state
-    mask = _galerkin_mask(cfg.grid_n, cfg.galerkin_N)
-    out = apply_linearized_operator(base_row, mask * phi_hat, cfg.mu)
-    return mask * phit_hat, mask * (out + g_row)
+    return phit_hat, _linearized_half(base_rows, phi_hat, cfg.mu, cfg.grid_n) + g_hat
 
 
 def rk4_step(t, dt, state, rhs, k1=None):
@@ -221,20 +225,19 @@ def rk4_step(t, dt, state, rhs, k1=None):
             phit + w * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1]))
 
 
-def _march(cfg, grid, rhs, phi, phit, stability_source, abort_on_stability):
+def _march(cfg, rhs, state, stability_values, abort_on_stability):
     """Shared stepping loop.  Returns (Trajectory, monitor).
 
-    `rhs(t, state)` is the projected semidiscrete right-hand side, so
-    every RK4 stage, not only the accepted node, lies in the Galerkin
-    space.  `stability_source(t, phi_hat)` supplies the field or
-    coefficient array whose coefficient mu - 2 (H .)_x is monitored: the
-    state itself for the nonlinear equation, the base profile for the
-    linearized one.
+    `state` is the initial (phi, phi_t) pair of (N,) arrays, the
+    coefficients k = 1..N, and `rhs(t, state)` the semidiscrete right-hand
+    side on such pairs.  `stability_values(i, phi_hat)` gives the values of
+    the monitored coefficient mu - 2 (H .)_x at node i, of the state itself
+    for the nonlinear equation and of the base profile for the linearized
+    one.  The stepped rows are mirrored into the trajectory's (T, n-1)
+    arrays once, at the end.
     """
-    mask = _galerkin_mask(grid.n, cfg.galerkin_N)
     m = cfg.num_steps()
     times = np.arange(m + 1) * cfg.dt
-    state = (mask * np.asarray(phi, complex), mask * np.asarray(phit, complex))
 
     flags = []
     if cfg.mu <= 0:
@@ -242,20 +245,20 @@ def _march(cfg, grid, rhs, phi, phit, stability_source, abort_on_stability):
 
     # (phi, phi_t, phi_tt) rows; the recorded second derivative is exactly
     # the Galerkin right-hand side at the node
-    rows = np.empty((3, m + 1, grid.n - 1), complex)
+    rows = np.empty((3, m + 1, cfg.galerkin_N), complex)
     stab = []
     kept = 0
     for i, t in enumerate(times):
         t = float(t)
         phi, phit = state
-        mon = stability_source(t, phi)
-        vals, mn = stability_coefficient(mon, cfg.mu)
+        vals = stability_values(i, phi)
+        mn = float(vals.min())
         k1 = rhs(t, state)
         rows[:, i] = phi, phit, k1[1]
         stab.append(mn)
         kept = i + 1
 
-        amp = max(np.max(np.abs(phi)), np.max(np.abs(phit)))
+        amp = np.abs(rows[:2, i]).max()
         if not np.isfinite(amp) or amp > BLOW_UP_THRESHOLD:
             flags.append({"type": "blow_up", "time": t})
             break
@@ -265,7 +268,7 @@ def _march(cfg, grid, rhs, phi, phit, stability_source, abort_on_stability):
         if i == m:
             break
 
-        limit = cfg.cfl_limit(float(np.max(vals)))
+        limit = cfg.cfl_limit(float(vals.max()))
         if cfg.dt > limit * (1.0 + 1e-12):
             raise CflError(
                 f"dt = {cfg.dt:.6g} exceeds the CFL limit {limit:.6g} "
@@ -273,8 +276,13 @@ def _march(cfg, grid, rhs, phi, phit, stability_source, abort_on_stability):
             )
         state = rk4_step(t, cfg.dt, state, rhs, k1)
 
-    traj = Trajectory(times[:kept], *rows[:, :kept])
+    traj = Trajectory(times[:kept], *_band(rows[:, :kept], cfg.grid_n))
     return traj, {"min_stability_coeff": np.array(stab), "flags": flags}
+
+
+def _galerkin_state(data, cfg):
+    """The (phi, phi_t) state of Cauchy data: their coefficients k = 1..N."""
+    return tuple(_positive(f.coeffs)[:cfg.galerkin_N] for f in (data.phi0, data.phi1))
 
 
 def solve_nonlinear(cfg, data):
@@ -284,13 +292,12 @@ def solve_nonlinear(cfg, data):
     the monitor then tracks the coefficient along the flow and the run is
     truncated (flagged, not raised) if it ever falls below delta/2.
     """
-    grid = TorusGrid(cfg.grid_n)
     if data.grid.n != cfg.grid_n:
         raise ValueError("data grid does not match the configured grid")
     require_data_margin(data.phi0, cfg.mu, cfg.delta)
     return _march(
-        cfg, grid, lambda t, y: semidiscrete_rhs_nonlinear(y, cfg),
-        data.phi0.coeffs, data.phi1.coeffs, lambda t, phi_hat: phi_hat,
+        cfg, lambda t, y: semidiscrete_rhs_nonlinear(y, cfg), _galerkin_state(data, cfg),
+        lambda i, phi_hat: _stability_values(phi_hat, cfg.mu, cfg.grid_n),
         abort_on_stability=True,
     )
 
@@ -302,30 +309,38 @@ def solve_linearized(cfg, base=None, forcing=None, initial_state=None):
     `base` and `forcing` accept anything field_evaluator understands; each
     is evaluated once, on the RK4 stage mesh arange(2m + 1) * dt/2 of the
     m steps, and the right-hand side and the monitor read the row of their
-    stage time.  The solve starts from rest unless `initial_state`
-    (CauchyData) is given.
+    stage time.  The evaluated rows are checked once, before the first
+    step: the base must be real with zero mean and the forcing real (its
+    k = 0 mode, like every mode above N, is dropped by the projection).
+    The solve starts from rest unless `initial_state` (CauchyData) is
+    given.
     """
     grid = TorusGrid(cfg.grid_n)
+    n, N = cfg.grid_n, cfg.galerkin_N
     half = 0.5 * cfg.dt
     stage_times = np.arange(2 * cfg.num_steps() + 1) * half
     base_rows = field_evaluator(base, grid, cfg.t_final)(stage_times)
     g_rows = field_evaluator(forcing, grid, cfg.t_final)(stage_times)
+    _require_real_zero_mean(base_rows, "base")
+    _require_real(g_rows, "forcing")
 
     if initial_state is None:
-        phi0 = np.zeros(grid.n - 1, complex)
-        phi1 = np.zeros(grid.n - 1, complex)
+        state = (np.zeros(N, complex), np.zeros(N, complex))
     else:
         if initial_state.grid.n != cfg.grid_n:
             raise ValueError("initial state grid does not match the configured grid")
-        phi0 = initial_state.phi0.coeffs
-        phi1 = initial_state.phi1.coeffs
+        state = _galerkin_state(initial_state, cfg)
+
+    base_pos = _positive(base_rows)
+    base_synth = _synthesis_rows(base_pos, n)
+    base_vals = _stability_values(base_pos[::2], cfg.mu, n)
+    g_hat = _positive(g_rows)[:, :N]
 
     def rhs(t, state):
         i = round(t / half)
-        return semidiscrete_rhs_linearized(state, base_rows[i], g_rows[i], cfg)
+        return semidiscrete_rhs_linearized(state, base_synth[i], g_hat[i], cfg)
 
-    return _march(cfg, grid, rhs, phi0, phi1,
-                  lambda t, phi_hat: base_rows[round(t / half)],
+    return _march(cfg, rhs, state, lambda i, phi_hat: base_vals[i],
                   abort_on_stability=False)
 
 

@@ -14,13 +14,27 @@ random draws or its array-valued bump window, so those can be held against
 them.
 The one exception, evolution_residual, measures a trajectory against the
 package's own mu phi_xx + N(phi).
+
+The masked_* routines at the end are the solvers as they were when they
+stepped the whole (n-1) band: every RK4 stage masked to the Galerkin space
+and evaluated by the public, checked operators.  They share those operators
+and rk4_step with the package, so the solvers' k = 1..N stepping can be held
+against them bitwise.
 """
 
 import numpy as np
 
-from amp_sheet.operators import nonlinear_operator
+from amp_sheet.operators import (
+    Trajectory,
+    apply_linearized_operator,
+    nonlinear_operator,
+    require_data_margin,
+    stability_coefficient,
+)
+from amp_sheet.solver import BLOW_UP_THRESHOLD, CflError, field_evaluator, rk4_step
 from amp_sheet.spectral import (
     SpectralField,
+    TorusGrid,
     derivative,
     from_modes,
     hilbert,
@@ -306,3 +320,94 @@ def projected_rk4(phi, phit, accel, cutoff, dt, steps):
         x = x + dt / 6 * (v + 2 * v2 + 2 * v3 + v4)
         v = v + dt / 6 * (a1 + 2 * a2 + 2 * a3 + a4)
     return x, v
+
+
+def galerkin_mask(n, cutoff):
+    """The projection onto the zero-mean modes 1 <= |k| <= cutoff, as a 0/1
+    mask over the (n-1) band."""
+    k = np.abs(TorusGrid(n).modes)
+    return ((k >= 1) & (k <= cutoff)).astype(float)
+
+
+def masked_rhs_nonlinear(state, cfg):
+    """(P phi_t, P[mu phi_xx + N(P phi)]) on (n-1) bands."""
+    phi_hat, phit_hat = state
+    mask = galerkin_mask(cfg.grid_n, cfg.galerkin_N)
+    return mask * phit_hat, mask * nonlinear_operator(mask * phi_hat, cfg.mu)
+
+
+def masked_rhs_linearized(state, base_row, g_row, cfg):
+    """The linearization at the (n-1) base row with forcing row g, masked
+    like masked_rhs_nonlinear."""
+    phi_hat, phit_hat = state
+    mask = galerkin_mask(cfg.grid_n, cfg.galerkin_N)
+    out = apply_linearized_operator(base_row, mask * phi_hat, cfg.mu)
+    return mask * phit_hat, mask * (out + g_row)
+
+
+def masked_march(cfg, rhs, phi, phit, stability_source, abort_on_stability):
+    """The stepping loop on (n-1) bands; returns (Trajectory, monitor) like
+    the package's solvers."""
+    n = cfg.grid_n
+    mask = galerkin_mask(n, cfg.galerkin_N)
+    m = cfg.num_steps()
+    times = np.arange(m + 1) * cfg.dt
+    state = (mask * np.asarray(phi, complex), mask * np.asarray(phit, complex))
+    flags = []
+    if cfg.mu <= 0:
+        flags.append({"type": "elliptic_regime", "time": 0.0})
+    rows = np.empty((3, m + 1, n - 1), complex)
+    stab = []
+    kept = 0
+    for i, t in enumerate(times):
+        t = float(t)
+        phi, phit = state
+        vals, mn = stability_coefficient(stability_source(t, phi), cfg.mu)
+        k1 = rhs(t, state)
+        rows[:, i] = phi, phit, k1[1]
+        stab.append(mn)
+        kept = i + 1
+        amp = max(np.max(np.abs(phi)), np.max(np.abs(phit)))
+        if not np.isfinite(amp) or amp > BLOW_UP_THRESHOLD:
+            flags.append({"type": "blow_up", "time": t})
+            break
+        if abort_on_stability and mn < 0.5 * cfg.delta:
+            flags.append({"type": "stability_below_half_delta", "time": t})
+            break
+        if i == m:
+            break
+        limit = cfg.cfl_limit(float(np.max(vals)))
+        if cfg.dt > limit * (1.0 + 1e-12):
+            raise CflError(f"dt = {cfg.dt:.6g} exceeds the CFL limit {limit:.6g}")
+        state = rk4_step(t, cfg.dt, state, rhs, k1)
+    traj = Trajectory(times[:kept], *rows[:, :kept])
+    return traj, {"min_stability_coeff": np.array(stab), "flags": flags}
+
+
+def masked_solve_nonlinear(cfg, data):
+    """solve_nonlinear on (n-1) bands, masked at every stage."""
+    require_data_margin(data.phi0, cfg.mu, cfg.delta)
+    return masked_march(cfg, lambda t, y: masked_rhs_nonlinear(y, cfg),
+                        data.phi0.coeffs, data.phi1.coeffs, lambda t, phi: phi,
+                        abort_on_stability=True)
+
+
+def masked_solve_linearized(cfg, base=None, forcing=None, initial_state=None):
+    """solve_linearized on (n-1) bands: the base and forcing rows are read
+    per stage, the base checked by the public linearized operator."""
+    grid = TorusGrid(cfg.grid_n)
+    half = 0.5 * cfg.dt
+    stage_times = np.arange(2 * cfg.num_steps() + 1) * half
+    base_rows = field_evaluator(base, grid, cfg.t_final)(stage_times)
+    g_rows = field_evaluator(forcing, grid, cfg.t_final)(stage_times)
+    if initial_state is None:
+        phi0 = phi1 = np.zeros(grid.n - 1, complex)
+    else:
+        phi0, phi1 = initial_state.phi0.coeffs, initial_state.phi1.coeffs
+
+    def rhs(t, state):
+        i = round(t / half)
+        return masked_rhs_linearized(state, base_rows[i], g_rows[i], cfg)
+
+    return masked_march(cfg, rhs, phi0, phi1, lambda t, phi: base_rows[round(t / half)],
+                        abort_on_stability=False)

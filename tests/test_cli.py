@@ -374,6 +374,33 @@ class TestLinearized:
         assert float(row[1]) == pytest.approx(np.pi * (1.0 - np.cos(0.3)), rel=1e-6)
 
 
+class TestBaseAgainstDelta:
+    """linearized and verify-estimates phitt check their base against the
+    floor delta/2 on entry: 0.2 cos x at mu = 1 has minimum 0.6."""
+
+    BASE = {"mu": 1.0, "grid_n": 32, "galerkin_N": 8, "dt": 0.002,
+            "base": {"cos": {"1": 0.2}}}
+
+    @pytest.mark.parametrize("command,cfg", [
+        ("linearized", {**BASE, "t_final": 0.1}),
+        ("verify-estimates", {**BASE, "estimate": "phitt", "t_final": 0.2}),
+    ])
+    @pytest.mark.parametrize("delta,code", [(1.5, 2), (0.9, 0)])
+    def test_exit_code(self, runner, tmp_path, command, cfg, delta, code):
+        path = write_config(tmp_path, "c.json", {**cfg, "delta": delta})
+        out = runner.invoke(main, [command, "--config", path,
+                                   "--output", str(tmp_path / "o"), "--quiet"])
+        assert out.exit_code == code, out.output
+        if code == 2:
+            assert "stability margin" in out.output
+
+    def test_elliptic_linearized_run_exits_two(self, runner, tmp_path):
+        path = write_config(tmp_path, "c.json", {**ZERO_SIM, "mu": 0.0})
+        out = runner.invoke(main, ["linearized", "--config", path,
+                                   "--output", str(tmp_path / "o")])
+        assert out.exit_code == 2
+
+
 class TestGrowth:
     def test_elliptic_rates(self, runner, tmp_path):
         cfg = write_config(tmp_path, "c.json", {

@@ -4,11 +4,19 @@ monitoring/flags, and mode-growth measurement."""
 import numpy as np
 import pytest
 
+import amp_sheet.operators as operators
+import amp_sheet.solver as solver
+
 from amp_sheet.operators import (
     CauchyData,
     FieldSeries,
     Trajectory,
+    _band,
+    _positive,
+    _synthesis_rows,
+    apply_linearized_operator,
     build_lifting,
+    nonlinear_operator,
 )
 from amp_sheet.solver import (
     CflError,
@@ -35,6 +43,8 @@ from amp_sheet.spectral import (
 from _oracles import (
     apply_linearized_alt,
     hermitian_defect,
+    masked_solve_linearized,
+    masked_solve_nonlinear,
     projected_rk4,
     quadratic_rhs_alt,
 )
@@ -78,53 +88,95 @@ class TestConfig:
         assert cfg.cfl_limit(-3.0) == cfg.cfl_limit(0.5) == 0.5 / 10
 
 
+def random_modes(rng, grid, kmax):
+    """Modes 1..kmax with amplitude 0.03/k and random phases."""
+    pairs = {}
+    for k in range(1, kmax + 1):
+        z = np.pi * 0.03 / k * np.exp(2j * np.pi * rng.random())
+        pairs[k], pairs[-k] = z, np.conj(z)
+    return from_modes(grid, pairs, real_flag=True)
+
+
+def pos(c, N):
+    """The coefficients k = 1..N of (..., n-1) bands: the solver state."""
+    return _positive(np.asarray(c))[..., :N]
+
+
 class TestSemidiscreteRhs:
+    """The right-hand sides act on the coefficients k = 1..N."""
+
     def test_nonlinear_single_mode(self):
         cfg = SimConfig(mu=1.0, delta=0.9, grid_n=32, galerkin_N=10)
-        state = (cosine(GRID, 1).coeffs, zeros(GRID).coeffs)
+        state = (pos(cosine(GRID, 1).coeffs, 10), np.zeros(10, complex))
         out = semidiscrete_rhs_nonlinear(state, cfg)
         want = -1.0 * cosine(GRID, 1).coeffs + cosine(GRID, 2).coeffs
-        assert np.max(np.abs(out[1] - want)) < 1e-13
+        assert out[1].shape == (10,)
+        assert np.max(np.abs(out[1] - pos(want, 10))) < 1e-13
         assert np.max(np.abs(out[0])) == 0.0
 
     def test_nonlinear_truncation_drops_mode_two(self):
         cfg = SimConfig(mu=1.0, delta=0.9, grid_n=32, galerkin_N=1)
-        state = (cosine(GRID, 1).coeffs, zeros(GRID).coeffs)
+        state = (pos(cosine(GRID, 1).coeffs, 1), np.zeros(1, complex))
         out = semidiscrete_rhs_nonlinear(state, cfg)
-        want = -1.0 * cosine(GRID, 1).coeffs
-        assert np.max(np.abs(out[1] - want)) < 1e-13
+        assert out[1].shape == (1,)
+        assert abs(out[1][0] + np.pi) < 1e-13
 
     def test_zero_state(self):
         cfg = SimConfig(mu=1.0, delta=0.9, grid_n=32, galerkin_N=10)
-        z = zeros(GRID).coeffs
+        z = np.zeros(10, complex)
         out = semidiscrete_rhs_nonlinear((z, z), cfg)
         assert np.max(np.abs(out[0])) == 0.0
         assert np.max(np.abs(out[1])) == 0.0
 
+    def test_nonlinear_batch_equals_row_by_row(self):
+        # a leading batch axis on the state, row for row bitwise
+        cfg = SimConfig(mu=0.8, delta=0.5, grid_n=32, galerkin_N=10)
+        rng = np.random.default_rng(5)
+        phi = rng.standard_normal((3, 10)) + 1j * rng.standard_normal((3, 10))
+        out = semidiscrete_rhs_nonlinear((phi, phi), cfg)[1]
+        for row, got in zip(phi, out):
+            assert np.array_equal(semidiscrete_rhs_nonlinear((row, row), cfg)[1], got)
+
+    def test_nonlinear_is_the_operator_kept_to_the_band(self):
+        # the coefficients k = 1..N of mu phi_xx + N(phi) on the band
+        cfg = SimConfig(mu=1.1, delta=0.5, grid_n=32, galerkin_N=7)
+        f = random_modes(np.random.default_rng(8), GRID, 7)
+        out = semidiscrete_rhs_nonlinear((pos(f.coeffs, 7), pos(f.coeffs, 7)), cfg)[1]
+        assert np.array_equal(out, pos(nonlinear_operator(f.coeffs, cfg.mu), 7))
+
     def test_linearized_forcing_only(self):
         cfg = SimConfig(mu=1.0, delta=0.9, grid_n=32, galerkin_N=10)
-        z = zeros(GRID).coeffs
-        out = semidiscrete_rhs_linearized(
-            (z, z), zeros(GRID).coeffs, cosine(GRID, 1).coeffs, cfg
-        )
-        assert np.max(np.abs(out[1] - cosine(GRID, 1).coeffs)) < 1e-14
+        z = np.zeros(10, complex)
+        base = _synthesis_rows(pos(zeros(GRID).coeffs, 15), 32)
+        out = semidiscrete_rhs_linearized((z, z), base, pos(cosine(GRID, 1).coeffs, 10), cfg)
+        assert np.max(np.abs(out[1] - pos(cosine(GRID, 1).coeffs, 10))) < 1e-14
+
+    def test_linearized_is_the_operator_kept_to_the_band(self):
+        # base with modes above N: its synthesized rows keep the full band
+        cfg = SimConfig(mu=0.7, delta=0.5, grid_n=32, galerkin_N=6)
+        rng = np.random.default_rng(9)
+        base = random_modes(rng, GRID, 14)
+        f = random_modes(rng, GRID, 6)
+        g = sine(GRID, 3).coeffs
+        rows = _synthesis_rows(pos(base.coeffs, 15), 32)
+        out = semidiscrete_rhs_linearized((pos(f.coeffs, 6), np.zeros(6, complex)), rows,
+                                          pos(g, 6), cfg)[1]
+        want = apply_linearized_operator(base.coeffs, f.coeffs, cfg.mu) + g
+        assert np.array_equal(out, pos(want, 6))
 
     def test_linearized_superposition(self):
         cfg = SimConfig(mu=1.3, delta=0.9, grid_n=32, galerkin_N=10)
         rng = np.random.default_rng(6)
 
         def rand_state():
-            c = np.zeros(31, complex)
-            for k in range(1, 6):
-                a = rng.normal() + 1j * rng.normal()
-                c[15 + k] = a
-                c[15 - k] = np.conj(a)
+            c = np.zeros(10, complex)
+            c[:5] = rng.normal(size=5) + 1j * rng.normal(size=5)
             return c
 
-        base = cosine(GRID, 1, 0.1).coeffs
+        base = _synthesis_rows(pos(cosine(GRID, 1, 0.1).coeffs, 15), 32)
         s1 = (rand_state(), rand_state())
         s2 = (rand_state(), rand_state())
-        g1, g2 = cosine(GRID, 2).coeffs, sine(GRID, 3).coeffs
+        g1, g2 = pos(cosine(GRID, 2).coeffs, 10), pos(sine(GRID, 3).coeffs, 10)
         combo = (2.0 * s1[0] + 3.0 * s2[0], 2.0 * s1[1] + 3.0 * s2[1])
         out = semidiscrete_rhs_linearized(combo, base, 2.0 * g1 + 3.0 * g2, cfg)
         o1 = semidiscrete_rhs_linearized(s1, base, g1, cfg)
@@ -284,10 +336,9 @@ class TestNonlinearSolver:
         cfg = self.small_cfg()
         data = CauchyData(cosine(GRID, 1, 0.05), zeros(GRID))
         traj, _ = solve_nonlinear(cfg, data)
-        i = len(traj) // 2
-        out = semidiscrete_rhs_nonlinear(
-            (traj.phis[i].coeffs, traj.phits[i].coeffs), cfg)
-        assert np.max(np.abs(traj.phitts[i].coeffs - out[1])) == 0.0
+        i, N = len(traj) // 2, cfg.galerkin_N
+        out = semidiscrete_rhs_nonlinear((pos(traj.phi[i], N), pos(traj.phit[i], N)), cfg)
+        assert np.array_equal(traj.phitt[i], _band(out[1], cfg.grid_n))
 
     def test_mean_and_reality_preserved(self):
         data = CauchyData(cosine(GRID, 1, 0.05), sine(GRID, 2, 0.02))
@@ -352,12 +403,7 @@ class TestStageProjection:
                          dt=4e-3, t_final=0.4)
 
     def random_modes(self, rng):
-        # modes 1-10, amplitude 0.03/k, random phases
-        pairs = {}
-        for k in range(1, 11):
-            z = np.pi * 0.03 / k * np.exp(2j * np.pi * rng.random())
-            pairs[k], pairs[-k] = z, np.conj(z)
-        return from_modes(self.GRID64, pairs, real_flag=True)
+        return random_modes(rng, self.GRID64, 10)
 
     def gap(self, traj, ref):
         return max(np.max(np.abs(traj.phis[-1].coeffs - ref[0])),
@@ -387,6 +433,125 @@ class TestStageProjection:
             lambda t, f: apply_linearized_alt(base, f, cfg.mu),
             cfg.galerkin_N, cfg.dt, cfg.num_steps())
         assert self.gap(traj, ref) <= 1e-12
+
+
+class TestMaskedOracle:
+    """The solvers step the coefficients k = 1..N; the old stepping of the
+    whole (n-1) band, masked at every stage, gives the same rows bitwise."""
+
+    GRID64 = TorusGrid(64)
+    CFG = SimConfig(mu=1.0, delta=0.9, grid_n=64, galerkin_N=21, dt=1e-3, t_final=0.05)
+
+    def low_modes(self, rng, amp):
+        # modes 1-3, amplitude amp/k^2, random phases
+        pairs = {}
+        for k in range(1, 4):
+            z = np.pi * amp / k**2 * np.exp(2j * np.pi * rng.random())
+            pairs[k], pairs[-k] = z, np.conj(z)
+        return from_modes(self.GRID64, pairs, real_flag=True)
+
+    def data(self, seed):
+        rng = np.random.default_rng(seed)
+        return CauchyData(self.low_modes(rng, 0.01), self.low_modes(rng, 0.003))
+
+    def assert_same(self, got, want):
+        (traj, mon), (ref, ref_mon) = got, want
+        assert np.array_equal(traj.times, ref.times)
+        for name in ("phi", "phit", "phitt"):
+            assert np.array_equal(getattr(traj, name), getattr(ref, name)), name
+        assert np.array_equal(mon["min_stability_coeff"], ref_mon["min_stability_coeff"])
+        assert mon["flags"] == ref_mon["flags"]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_nonlinear(self, seed):
+        data = self.data(seed)
+        self.assert_same(solve_nonlinear(self.CFG, data),
+                         masked_solve_nonlinear(self.CFG, data))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_linearized_with_base_above_n_and_forcing(self, seed):
+        # a time-dependent base carrying modes 25 and 30 > N, and a forcing
+        # with modes past N and a mean, which the projection drops
+        data = self.data(seed)
+        rng = np.random.default_rng(100 + seed)
+        low = self.low_modes(rng, 0.01).coeffs
+        high = from_modes(self.GRID64, {25: 1e-3, -25: 1e-3, 30: 2e-3j, -30: -2e-3j},
+                          real_flag=True).coeffs
+        g = self.low_modes(rng, 0.5).coeffs + cosine(self.GRID64, 26, 0.2).coeffs
+        g[self.GRID64.n // 2 - 1] = 0.3
+
+        def base(ts):
+            return np.cos(ts)[:, None] * low + np.sin(3.0 * ts)[:, None] * high
+
+        def forcing(ts):
+            return np.exp(-ts)[:, None] * g
+
+        kw = dict(base=base, forcing=forcing, initial_state=data)
+        self.assert_same(solve_linearized(self.CFG, **kw),
+                         masked_solve_linearized(self.CFG, **kw))
+
+
+class TestEntryValidation:
+    """Inputs are checked once, on entry, not at every RK4 stage."""
+
+    CFG = dict(mu=1.0, delta=0.9, grid_n=32, galerkin_N=8, dt=1e-3)
+
+    def test_check_count_does_not_scale_with_steps(self, monkeypatch):
+        data = CauchyData(cosine(GRID, 1, 0.01), sine(GRID, 2, 0.01))
+        base, g = cosine(GRID, 1, 0.02).coeffs, cosine(GRID, 3).coeffs
+        calls = []
+        real = operators._require_real_zero_mean
+
+        def counted(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(operators, "_require_real_zero_mean", counted)
+        monkeypatch.setattr(solver, "_require_real_zero_mean", counted, raising=False)
+        counts = {}
+        for t_final in (0.01, 0.02):
+            cfg = SimConfig(**self.CFG, t_final=t_final)
+            del calls[:]
+            solve_nonlinear(cfg, data)
+            nonlinear = len(calls)
+            del calls[:]
+            solve_linearized(cfg, base=lambda ts: np.cos(ts)[:, None] * base,
+                             forcing=lambda ts: np.sin(ts)[:, None] * g, initial_state=data)
+            counts[t_final] = (nonlinear, len(calls))
+        assert counts[0.01] == counts[0.02]
+
+    def test_asymmetric_base_or_forcing_raises_before_the_first_step(self, monkeypatch):
+        cfg = SimConfig(**self.CFG, t_final=0.01)
+        bad = from_modes(GRID, {1: 0.1, -1: 0.05}, real_flag=True).coeffs
+        calls = []
+        real = solver.semidiscrete_rhs_linearized
+
+        def counted(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(solver, "semidiscrete_rhs_linearized", counted)
+        for kw in ({"base": lambda ts: np.cos(ts)[:, None] * bad},
+                   {"forcing": lambda ts: np.cos(ts)[:, None] * bad}):
+            with pytest.raises(ValueError, match="conjugate symmetric"):
+                solve_linearized(cfg, **kw)
+        assert calls == []
+
+    def test_base_with_mean_rejected(self):
+        cfg = SimConfig(**self.CFG, t_final=0.01)
+        with pytest.raises(ValueError, match="zero mean"):
+            solve_linearized(cfg, base=from_modes(GRID, {0: 0.5}, real_flag=True))
+
+    def test_forcing_mean_is_dropped(self):
+        cfg = SimConfig(**self.CFG, t_final=0.05)
+        g = cosine(GRID, 1).coeffs
+        with_mean = g.copy()
+        with_mean[GRID.n // 2 - 1] = 5.0
+        a, _ = solve_linearized(cfg, forcing=lambda ts: np.cos(ts)[:, None] * g)
+        b, _ = solve_linearized(cfg, forcing=lambda ts: np.cos(ts)[:, None] * with_mean)
+        for name in ("phi", "phit", "phitt"):
+            assert np.array_equal(getattr(a, name), getattr(b, name)), name
+        assert np.max(np.abs(a.phi[-1])) > 0.0
 
 
 class TestGrowth:
