@@ -58,6 +58,7 @@ from .analysis import (  # noqa: F401
     verify_hilbert_identities,
     verify_forcing_bound,
     estimate_commutator_constant,
+    estimate_commutator_constants,
     kernel_commutator,
 )
 from .nash_moser import (  # noqa: F401

@@ -22,6 +22,7 @@ from __future__ import annotations
 import json
 import numbers
 from dataclasses import asdict, dataclass, field as dataclass_field
+from functools import lru_cache
 
 import numpy as np
 
@@ -79,7 +80,7 @@ class EstimateReport:
 
     ratio is lhs/rhs when rhs > 0 (0 when both vanish); for campaign-style
     reports it carries the empirical constant instead, as noted in params.
-    seed is the campaign seed of estimate_commutator_constant, and None for
+    seed is the campaign seed of estimate_commutator_constants, and None for
     the deterministic verifiers, which draw no random numbers.
     """
 
@@ -176,6 +177,15 @@ def ym_norm(series, spec, m):
 # random ensemble
 
 
+@lru_cache(maxsize=16)
+def _trig_weights(kmax, decay):
+    """(1+k)^decay for k = 1..kmax, rounded as Python's float power rounds
+    it; read-only, since every call with these arguments shares it."""
+    weight = ((1.0 + np.arange(1, kmax + 1)).astype(object) ** decay).astype(float)
+    weight.flags.writeable = False
+    return weight
+
+
 def random_trig_field(grid, kmax, rng, decay=2.0, amplitude=1.0):
     """Real zero-mean trig polynomial with Gaussian coefficients decaying
     like (1+|k|)^-decay; the campaign ensemble.  One draw of 2*kmax normals
@@ -187,7 +197,7 @@ def random_trig_field(grid, kmax, rng, decay=2.0, amplitude=1.0):
     if kmax > half - 1:
         raise ValueError(f"mode {kmax} outside retained band")
     a, b = rng.standard_normal(2 * kmax).reshape(kmax, 2).T
-    weight = ((1.0 + np.arange(1, kmax + 1)).astype(object) ** decay).astype(float)
+    weight = _trig_weights(kmax, decay)
     scale = np.pi * amplitude
     c = np.zeros(grid.n - 1, complex)
     c[half:half + kmax].real = scale * a / weight
@@ -503,77 +513,99 @@ def _validate_lemma_param(lemma, param):
     return (m, q)
 
 
-def _campaign_draw(lemma, param, seed_seqs, kmax, grid_sizes, decay):
-    """lhs/rhs of a block of samples at each grid size, (samples, sizes).
-    Sample i draws v, then f, from its generator seeded by seed_seqs[i]; the
-    lemma runs once per grid size on the stacked (samples, n-1) arrays."""
+def _campaign_block(lemmas, seed_seqs, kmax, grid_sizes, decay):
+    """{lemma: lhs/rhs of a block of samples at each grid size, (samples,
+    sizes)} for each (lemma, param) pair of `lemmas`.  Sample i draws v,
+    then f, from its generator seeded by seed_seqs[i], once for every
+    lemma; the stacked pair is regridded once per grid size, and each
+    lemma runs on its (samples, n-1) arrays."""
     grid = TorusGrid(grid_sizes[0])
     pairs = np.empty((2, len(seed_seqs), grid.n - 1), complex)
     for i, seq in enumerate(seed_seqs):
         rng = np.random.default_rng(seq)
         pairs[0, i] = random_trig_field(grid, kmax, rng, decay).coeffs
         pairs[1, i] = random_trig_field(grid, kmax, rng, decay).coeffs
-    v, f = pairs
-    fn = _LEMMAS[lemma][0]
-    ratios = []
+    ratios = {lemma: [] for lemma, _ in lemmas}
     for n in grid_sizes:
-        lhs, rhs = fn(regrid(v, TorusGrid(n)), regrid(f, TorusGrid(n)), param)
-        ratios.append(_ratio(lhs, rhs))
-    return np.stack(ratios, axis=-1)
+        v, f = regrid(pairs, TorusGrid(n))
+        for lemma, param in lemmas:
+            ratios[lemma].append(_ratio(*_LEMMAS[lemma][0](v, f, param)))
+    return {lemma: np.stack(r, axis=-1) for lemma, r in ratios.items()}
 
 
-def estimate_commutator_constant(
-    lemma, param, samples, seed, n_lo=256, n_hi=512, decay=2.0, jobs=1
+def estimate_commutator_constants(
+    params, samples, seed, n_lo=256, n_hi=512, decay=2.0, jobs=1
 ):
-    """Empirical constant for one of the commutator/product inequalities.
+    """Empirical constants of the commutator/product inequalities, as
+    {lemma: EstimateReport} for each lemma of `params`, {lemma: param},
+    in its order.
 
-    Draws `samples` random pairs (v, f) banded to n_lo/6 (the same
-    coefficients are re-evaluated at both grid resolutions, so drift
-    isolates discretization error), reports the supremum of lhs/rhs at the
-    fine resolution and the relative drift between resolutions.
+    Draws `samples` random pairs (v, f) banded to n_lo/6, once for all the
+    lemmas (the same coefficients are re-evaluated at both grid
+    resolutions, so drift isolates discretization error), and reports per
+    lemma the supremum of lhs/rhs at the fine resolution and the relative
+    drift between resolutions.
 
-    `param` None is the lemma's canonical parameter.  Each sample draws
+    A param None is the lemma's canonical parameter.  Each sample draws
     from a child of SeedSequence(seed).  Blocks of _SAMPLE_BLOCK samples
-    run as one batch each, in min(jobs, blocks) worker processes when that
-    exceeds 1; the blocks do not depend on `jobs`, so neither do the
-    constants.
+    run every lemma as one batch each, in one pool of min(jobs, blocks)
+    worker processes when that exceeds 1; the blocks do not depend on
+    `jobs` or on the other lemmas, so neither do the constants.
     """
-    if lemma not in _LEMMAS:
-        raise ValueError(f"unknown lemma {lemma!r}; choose from {sorted(_LEMMAS)}")
-    param = _validate_lemma_param(lemma, param)
+    for lemma in params:
+        if lemma not in _LEMMAS:
+            raise ValueError(f"unknown lemma {lemma!r}; choose from {sorted(_LEMMAS)}")
+    lemmas = tuple((lemma, _validate_lemma_param(lemma, p)) for lemma, p in params.items())
+    if not lemmas:
+        raise ValueError("need at least one lemma")
     if samples < 1:
         raise ValueError("need at least one sample")
     if n_hi <= n_lo:
         raise ValueError("n_hi must exceed n_lo")
     kmax = n_lo // 6
     children = np.random.SeedSequence(seed).spawn(samples)
-    args = [(lemma, param, children[i:i + _SAMPLE_BLOCK], kmax, (n_lo, n_hi), decay)
+    args = [(lemmas, children[i:i + _SAMPLE_BLOCK], kmax, (n_lo, n_hi), decay)
             for i in range(0, samples, _SAMPLE_BLOCK)]
     workers = min(jobs, len(args))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # only here: a heavy import
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_campaign_draw, *zip(*args)))
+            results = list(pool.map(_campaign_block, *zip(*args)))
     else:
-        results = [_campaign_draw(*a) for a in args]
-    ratios = np.concatenate(results)  # (samples, 2)
-    sup_lo = float(np.max(ratios[:, 0]))
-    sup_hi = float(np.max(ratios[:, 1]))
-    drift = abs(sup_hi - sup_lo) / max(sup_lo, 1e-300)
-    return EstimateReport(
-        estimate_id=f"lemma_{lemma}",
-        lhs=sup_hi,
-        rhs=1.0,
-        ratio=sup_hi,
-        params={"lemma": lemma, "param": param, "n_lo": n_lo, "n_hi": n_hi,
-                "decay": decay, "kmax": kmax,
-                "note": "ratio is the empirical sup of lhs/rhs at n_hi"},
-        samples=samples,
-        seed=seed,
-        passed=bool(np.isfinite(sup_hi) and drift < 0.10),
-        extras={"sup_lo": sup_lo, "sup_hi": sup_hi, "resolution_drift": drift},
-    )
+        results = [_campaign_block(*a) for a in args]
+    reports = {}
+    for lemma, param in lemmas:
+        ratios = np.concatenate([r[lemma] for r in results])  # (samples, 2)
+        sup_lo = float(np.max(ratios[:, 0]))
+        sup_hi = float(np.max(ratios[:, 1]))
+        drift = abs(sup_hi - sup_lo) / max(sup_lo, 1e-300)
+        reports[lemma] = EstimateReport(
+            estimate_id=f"lemma_{lemma}",
+            lhs=sup_hi,
+            rhs=1.0,
+            ratio=sup_hi,
+            params={"lemma": lemma, "param": param, "n_lo": n_lo, "n_hi": n_hi,
+                    "decay": decay, "kmax": kmax,
+                    "note": "ratio is the empirical sup of lhs/rhs at n_hi"},
+            samples=samples,
+            seed=seed,
+            passed=bool(np.isfinite(sup_hi) and drift < 0.10),
+            extras={"sup_lo": sup_lo, "sup_hi": sup_hi, "resolution_drift": drift},
+        )
+    return reports
+
+
+def estimate_commutator_constant(
+    lemma, param, samples, seed, n_lo=256, n_hi=512, decay=2.0, jobs=1
+):
+    """Empirical constant for one of the commutator/product inequalities:
+    the report of estimate_commutator_constants({lemma: param}, ...), equal
+    to that lemma's report in any multi-lemma call with the same arguments.
+    Each call draws its samples and starts its pool anew, so a campaign
+    over several lemmas is cheaper as one call of the plural function."""
+    return estimate_commutator_constants(
+        {lemma: param}, samples, seed, n_lo, n_hi, decay, jobs)[lemma]
 
 
 # ---------------------------------------------------------------------------

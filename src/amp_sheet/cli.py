@@ -25,7 +25,7 @@ from . import __version__
 from .analysis import (
     _LEMMAS,
     _check_base_stability,
-    estimate_commutator_constant,
+    estimate_commutator_constants,
     random_trig_field,
     verify_energy_estimate,
     verify_forcing_bound,
@@ -67,9 +67,11 @@ def _defaults(fn, *names):
 
 
 #: the solver keys: mu and delta required, the rest with SimConfig's defaults;
-#: _SOLVE leaves out gamma, the norm weight that only Newton and tame read
+#: _SOLVE leaves out gamma, the norm weight that only Newton and tame read,
+#: and _GROWTH also delta, the margin that a run without a base never reads
 _SIM = _defaults(SimConfig)
 _SOLVE = {k: d for k, d in _SIM.items() if k != "gamma"}
+_GROWTH = {k: d for k, d in _SOLVE.items() if k != "delta"}
 _NEWTON = _defaults(IterationConfig, "theta0", "theta_growth", "max_iters", "residual_tol")
 
 _KINDS = {int: "an integer", float: "a number", bool: "true or false",
@@ -223,15 +225,6 @@ def _write_solve(out, command, traj, monitor, config, quiet, **summary):
     }, config, quiet)
 
 
-#: monitor flags that do not fail a run
-_BENIGN_FLAGS = ("elliptic_regime",)
-
-
-def _flag_exit(flags):
-    serious = [f for f in flags if f["type"] not in _BENIGN_FLAGS]
-    return 3 if serious else 0
-
-
 # ---------------------------------------------------------------------------
 # the command group
 
@@ -283,7 +276,7 @@ def simulate(config_path, output_dir, quiet):
     traj, monitor = solve_nonlinear(sim, data)
     _write_solve(out, "simulate", traj, monitor, cfg, quiet,
                  min_stability=float(np.min(monitor["min_stability_coeff"])))
-    sys.exit(_flag_exit(monitor["flags"]))
+    sys.exit(3 if monitor["flags"] else 0)
 
 
 @main.command()
@@ -313,7 +306,7 @@ def linearized(config_path, output_dir, quiet):
 
     traj, monitor = solve_linearized(sim, base=base, forcing=forcing, initial_state=initial)
     _write_solve(out, "linearized", traj, monitor, cfg, quiet)
-    sys.exit(_flag_exit(monitor["flags"]))
+    sys.exit(3 if monitor["flags"] else 0)
 
 
 @main.command()
@@ -321,8 +314,9 @@ def linearized(config_path, output_dir, quiet):
 def growth(config_path, output_dir, quiet):
     """Measure modal growth rates of the linearized flow (the elliptic
     regime mu < 0 exhibits the |k| sqrt(|mu|) instability)."""
-    cfg = _read_config(config_path, {**_SOLVE, "modes": [4, 8, 16], "epsilon": 1e-6})
-    sim = SimConfig(**_pick(cfg, _SOLVE))
+    cfg = _read_config(config_path, {**_GROWTH, "modes": [4, 8, 16], "epsilon": 1e-6})
+    # its linearized solves never abort on the margin, so delta is not read
+    sim = SimConfig(**_pick(cfg, _GROWTH), delta=1.0)
     grid = TorusGrid(sim.grid_n)
     eps = cfg["epsilon"]
     out = _resolve_output(output_dir)
@@ -537,19 +531,19 @@ def commutator_constants_cmd(config_path, output_dir, seed, quiet, jobs):
     randomized campaign, with a two-resolution drift check."""
     cfg = _read_config(config_path, {
         "lemma": "all", "param": None, "samples": 200, "seed": 0,
-        **_defaults(estimate_commutator_constant, "n_lo", "n_hi", "decay"),
+        **_defaults(estimate_commutator_constants, "n_lo", "n_hi", "decay"),
     }, seed)
     out = _resolve_output(output_dir)
 
     targets = sorted(_LEMMAS) if cfg["lemma"] == "all" else [cfg["lemma"]]
+    estimates = estimate_commutator_constants(
+        {name: cfg["param"] for name in targets}, cfg["samples"], cfg["seed"],
+        n_lo=cfg["n_lo"], n_hi=cfg["n_hi"], decay=cfg["decay"], jobs=jobs,
+    )
     rows = []
     reports = {}
     all_ok = True
-    for name in targets:
-        rep = estimate_commutator_constant(
-            name, cfg["param"], cfg["samples"], cfg["seed"], n_lo=cfg["n_lo"],
-            n_hi=cfg["n_hi"], decay=cfg["decay"], jobs=jobs,
-        )
+    for name, rep in estimates.items():
         param = rep.params["param"]
         all_ok = all_ok and rep.passed
         rows.append((name, json.dumps(param), rep.extras["sup_lo"],

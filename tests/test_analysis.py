@@ -8,6 +8,7 @@ from amp_sheet.analysis import (
     WeightedNormSpec,
     apply_linearized,
     estimate_commutator_constant,
+    estimate_commutator_constants,
     kernel_commutator,
     lambda_kernel_check,
     random_trig_field,
@@ -316,6 +317,31 @@ class TestSecondDerivativeEstimate:
         assert np.isfinite(rep.extras["half_horizon_constant"])
 
 
+@pytest.fixture
+def recording_pool(monkeypatch):
+    """The sizes of the process pools built while the test runs.  A
+    stand-in pool records its size and maps in this process, so no worker
+    is ever started."""
+    import concurrent.futures
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    return sizes
+
+
 class TestCommutatorCampaigns:
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
@@ -334,6 +360,10 @@ class TestCommutatorCampaigns:
         # None is the lemma's canonical parameter
         rep = estimate_commutator_constant("A3", None, samples=1, seed=0, n_lo=32, n_hi=64)
         assert rep.params["param"] == (2, 1)
+        # the plural checks every lemma before it draws, and needs one
+        for params in ({"A2": 2, "no_such_lemma": None}, {"A2": 2, "A3": [1]}, {}):
+            with pytest.raises(ValueError, match="lemma|param"):
+                estimate_commutator_constants(params, samples=2, seed=0)
 
     def test_small_campaign_drift_free(self):
         rep = estimate_commutator_constant("A1_comm_1", 1.0, samples=12, seed=3,
@@ -355,46 +385,67 @@ class TestCommutatorCampaigns:
         for key in ("sup_lo", "sup_hi", "resolution_drift"):
             assert serial.extras[key] == parallel.extras[key]
 
-    def test_pool_never_larger_than_the_blocks(self, monkeypatch):
-        # a stand-in pool records its size and maps in this process, so no
-        # worker is ever started
-        import concurrent.futures
+    def test_pool_never_larger_than_the_blocks(self, recording_pool):
         from amp_sheet.analysis import _SAMPLE_BLOCK
-        sizes = []
-
-        class RecordingPool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *iterables):
-                return map(fn, *iterables)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         kw = dict(seed=0, n_lo=32, n_hi=64)
         three = estimate_commutator_constant("A2", 2, samples=3 * _SAMPLE_BLOCK, jobs=64, **kw)
         estimate_commutator_constant("A2", 2, samples=3 * _SAMPLE_BLOCK, jobs=2, **kw)
         estimate_commutator_constant("A2", 2, samples=_SAMPLE_BLOCK, jobs=8, **kw)
-        assert sizes == [3, 2]
+        assert recording_pool == [3, 2]
         serial = estimate_commutator_constant("A2", 2, samples=3 * _SAMPLE_BLOCK, **kw)
         assert three.extras == serial.extras
 
+    def test_command_draws_once_in_one_pool(self, recording_pool, monkeypatch, tmp_path):
+        # every lemma of `lemma: all` runs on one draw per sample, through
+        # one pool over the blocks
+        import json
+        from click.testing import CliRunner
+        from amp_sheet import analysis
+        from amp_sheet.cli import main
+        draws = []
+
+        def counted(*args, **kwargs):
+            draws.append(1)
+            return random_trig_field(*args, **kwargs)
+
+        monkeypatch.setattr(analysis, "random_trig_field", counted)
+        samples = 2 * analysis._SAMPLE_BLOCK + 3
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"lemma": "all", "samples": samples,
+                                   "n_lo": 32, "n_hi": 64}))
+        out = CliRunner().invoke(main, ["commutator-constants", "--config", str(cfg),
+                                        "--jobs", "2", "--output", str(tmp_path / "o"),
+                                        "--quiet"])
+        assert out.exit_code == 0, out.output
+        assert recording_pool == [2]
+        assert len(draws) == 2 * samples
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_every_lemma_at_once_equals_one_at_a_time(self, jobs):
+        # more than two blocks, the last one partial
+        from amp_sheet.analysis import _LEMMAS, _SAMPLE_BLOCK
+        kw = dict(samples=2 * _SAMPLE_BLOCK + 3, seed=13, n_lo=32, n_hi=64, jobs=jobs)
+        every = estimate_commutator_constants(dict.fromkeys(_LEMMAS), **kw)
+        assert list(every) == list(_LEMMAS)
+        for lemma in _LEMMAS:
+            one = estimate_commutator_constant(lemma, None, **kw)
+            assert every[lemma].ratio == one.ratio, lemma
+            assert every[lemma].extras == one.extras, lemma
+            assert every[lemma].params == one.params, lemma
+
     def test_block_equals_one_field_per_sample(self):
-        # every lemma on a stacked block gives, bitwise, the ratios of its
+        # every lemma on one stacked block gives, bitwise, the ratios of its
         # samples evaluated one SpectralField pair at a time
-        from amp_sheet.analysis import _LEMMAS, _campaign_draw, _ratio
+        from amp_sheet.analysis import _LEMMAS, _campaign_block, _ratio
         from amp_sheet.spectral import regrid
         children = np.random.SeedSequence(5).spawn(5)
         sizes = (64, 128)
+        lemmas = tuple((lemma, param) for lemma, (_, _, param) in _LEMMAS.items())
+        block = _campaign_block(lemmas, children, 10, sizes, 2.0)
+        assert list(block) == list(_LEMMAS)
         for lemma, (fn, _, param) in _LEMMAS.items():
-            block = _campaign_draw(lemma, param, children, 10, sizes, 2.0)
-            assert block.shape == (5, 2)
-            for child, row in zip(children, block):
+            assert block[lemma].shape == (5, 2)
+            for child, row in zip(children, block[lemma]):
                 rng = np.random.default_rng(child)
                 v = random_trig_field(TorusGrid(64), 10, rng)
                 f = random_trig_field(TorusGrid(64), 10, rng)

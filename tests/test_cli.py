@@ -27,6 +27,8 @@ def write_config(tmp_path, name, payload):
 
 ZERO_SIM = {"mu": 1.0, "delta": 0.9, "grid_n": 32, "galerkin_N": 8,
             "dt": 0.005, "t_final": 0.2}
+#: growth takes the solver keys without delta: no base, no margin
+GROWTH_SIM = {k: v for k, v in ZERO_SIM.items() if k != "delta"}
 
 
 class TestConfigHandling:
@@ -125,7 +127,7 @@ class TestConfigHandling:
 VALID = {
     "simulate": ZERO_SIM,
     "linearized": ZERO_SIM,
-    "growth": {**ZERO_SIM, "mu": -1.0, "modes": [4]},
+    "growth": {**GROWTH_SIM, "mu": -1.0, "modes": [4]},
     "verify-identities": {"samples": 2, "grid_n": 32},
     "verify-estimates": {"estimate": "energy", "pairs": 1, "gammas": [2.0]},
     "commutator-constants": {"lemma": "A2", "samples": 2, "n_lo": 32, "n_hi": 64},
@@ -187,11 +189,13 @@ MALFORMED = [
 
 
 #: keys a command's run never reads: simulate, linearized and growth take
-#: no weighted norm, and tame, phitt and forcing draw no random numbers
+#: no weighted norm, growth no margin, and tame, phitt and forcing draw no
+#: random numbers
 UNREAD = [
     ("simulate", {"gamma": 2.0}, "gamma"),
     ("linearized", {"gamma": 2.0}, "gamma"),
     ("growth", {"gamma": 2.0}, "gamma"),
+    ("growth", {"delta": 0.9}, "delta"),
     ("verify-estimates", {"estimate": "tame", "pairs": None, "gammas": None, "seed": 3},
      "seed"),
     ("verify-estimates", {"estimate": "phitt", "pairs": None, "gammas": None, "seed": 3},
@@ -241,7 +245,7 @@ class TestConfigContract:
         ("linearized", {**ZERO_SIM, "base": {"cos": {"1": 0.02}},
                         "forcing_profile": {"sin": {"2": 0.5}}, "envelope_center": 0.1,
                         "envelope_width": 0.05}, []),
-        ("growth", {**ZERO_SIM, "mu": -1, "modes": [2, 4]}, []),
+        ("growth", {**GROWTH_SIM, "mu": -1, "modes": [2, 4]}, []),
         ("verify-identities", {"samples": 3, "grid_n": 32}, ["--seed", "4"]),
         ("verify-estimates", {"estimate": "energy", "pairs": 1, "gammas": [2, 8],
                               "dt": 0.004}, []),
@@ -404,7 +408,7 @@ class TestBaseAgainstDelta:
 class TestGrowth:
     def test_elliptic_rates(self, runner, tmp_path):
         cfg = write_config(tmp_path, "c.json", {
-            "mu": -1.0, "delta": 0.9, "grid_n": 32, "galerkin_N": 10,
+            "mu": -1.0, "grid_n": 32, "galerkin_N": 10,
             "dt": 0.002, "t_final": 0.5, "modes": [4, 8], "epsilon": 1e-6,
         })
         dest = tmp_path / "o"
@@ -418,7 +422,7 @@ class TestGrowth:
     def test_hyperbolic_rates_have_no_relative_error(self, runner, tmp_path):
         # mu = 1: the expected rate is 0, so the error is absolute only
         cfg = write_config(tmp_path, "c.json", {
-            "mu": 1.0, "delta": 0.9, "grid_n": 32, "galerkin_N": 10,
+            "mu": 1.0, "grid_n": 32, "galerkin_N": 10,
             "dt": 0.002, "t_final": 0.5, "modes": [4, 8], "epsilon": 1e-6,
         })
         dest = tmp_path / "o"
@@ -436,7 +440,7 @@ class TestGrowth:
 
     def test_mode_outside_band_rejected(self, runner, tmp_path):
         cfg = write_config(tmp_path, "c.json", {
-            "mu": -1.0, "delta": 0.9, "grid_n": 32, "galerkin_N": 8,
+            "mu": -1.0, "grid_n": 32, "galerkin_N": 8,
             "dt": 0.002, "t_final": 0.2, "modes": [12],
         })
         out = runner.invoke(main, ["growth", "--config", cfg,
