@@ -52,6 +52,7 @@ from .analysis import (  # noqa: F401
     xm_norm,
     ym_norm,
     verify_energy_estimate,
+    verify_energy_estimates,
     verify_tame_estimate,
     verify_phitt_estimate,
     verify_second_derivative_estimate,

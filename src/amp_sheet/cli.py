@@ -24,10 +24,9 @@ import numpy as np
 from . import __version__
 from .analysis import (
     _LEMMAS,
-    _check_base_stability,
     estimate_commutator_constants,
     random_trig_field,
-    verify_energy_estimate,
+    verify_energy_estimates,
     verify_forcing_bound,
     verify_hilbert_identities,
     verify_phitt_estimate,
@@ -38,10 +37,9 @@ from .nash_moser import (
     IterationAborted,
     IterationConfig,
     IterationDiverged,
-    iterate,
     iterate_auto,
 )
-from .operators import CauchyData, Trajectory, bump_window, stability_coefficient
+from .operators import CauchyData, Trajectory, bump_window, require_margin, stability_coefficient
 from .solver import (
     SimConfig,
     measure_mode_growth,
@@ -94,13 +92,12 @@ def _typed(key, value, default):
     raise ValueError(f"config key {key!r} holds {json.dumps(value)}, expected {_KINDS[kind]}")
 
 
-def _read_config(path, table, seed=None):
+def _read_config(path, table):
     """The resolved config of a command: the JSON object at `path` (none:
     {}) checked against `table`, {key: default} or a function of the raw
     object that returns one, and completed with the defaults.  Unknown
     keys, missing required keys and values of the wrong type raise
-    ValueError naming the key.  A `--seed` value overrides the config's,
-    and is rejected where the table has no seed."""
+    ValueError naming the key."""
     raw = {}
     if path is not None:
         try:
@@ -118,12 +115,7 @@ def _read_config(path, table, seed=None):
     missing = sorted(k for k, d in table.items() if isinstance(d, type) and k not in raw)
     if missing:
         raise ValueError(f"missing config keys: {', '.join(missing)}")
-    cfg = {k: _typed(k, raw[k], d) if k in raw else d for k, d in table.items()}
-    if seed is not None:
-        if "seed" not in table:
-            raise ValueError("--seed does not apply: this run draws no random numbers")
-        cfg["seed"] = seed
-    return cfg
+    return {k: _typed(k, raw[k], d) if k in raw else d for k, d in table.items()}
 
 
 def _pick(cfg, table):
@@ -240,11 +232,6 @@ def common_options(fn):
     return fn
 
 
-#: only the commands that draw random numbers take a seed
-seed_option = click.option("--seed", type=int, default=None,
-                           help="override the config seed")
-
-
 class _Commands(click.Group):
     """The command group.  A ValueError out of a command, from the config
     reader, a field spec or parameters the numerics reject, is a usage
@@ -291,7 +278,7 @@ def linearized(config_path, output_dir, quiet):
     sim = SimConfig(**_pick(cfg, _SOLVE))
     grid = TorusGrid(sim.grid_n)
     base = _build_field(grid, cfg["base"], "base")
-    _check_base_stability(base, sim.mu, sim.delta)
+    require_margin(base, sim.mu, 0.5 * sim.delta, "base profile")
     profile = _build_field(grid, cfg["forcing_profile"], "forcing_profile")
     center, width = cfg["envelope_center"], cfg["envelope_width"]
 
@@ -347,10 +334,9 @@ def growth(config_path, output_dir, quiet):
 
 @main.command("verify-identities")
 @common_options
-@seed_option
-def verify_identities_cmd(config_path, output_dir, seed, quiet):
+def verify_identities_cmd(config_path, output_dir, quiet):
     """Run the Hilbert-transform identity battery."""
-    cfg = _read_config(config_path, _defaults(verify_hilbert_identities), seed)
+    cfg = _read_config(config_path, _defaults(verify_hilbert_identities))
     out = _resolve_output(output_dir)
 
     report = verify_hilbert_identities(**cfg)
@@ -377,6 +363,8 @@ def _run_energy(p):
     rng = np.random.default_rng(p["seed"])
 
     times = np.arange(-2.0 * width + center - width, p["t_final"] + 1e-12, p["dt"])
+    w, wp, _ = _window(times, center, width)
+    gammas = p["gammas"]
     results = []
     for _ in range(p["pairs"]):
         # base profile small enough to keep the margin, resampled if not
@@ -387,27 +375,26 @@ def _run_energy(p):
         else:
             raise ValueError(f"could not draw a base with margin delta = {delta:.6g}")
         profile = random_trig_field(grid, 4, rng)
-        w, wp, _ = _window(times, center, width)
         traj = Trajectory(times, w * profile.coeffs, wp * profile.coeffs)
-        passing = None
-        ratios = {}
-        for g in p["gammas"]:
-            rep = verify_energy_estimate(base, traj, mu, delta, g)
-            ratios[str(g)] = rep.ratio
-            if rep.passed and passing is None:
-                passing = g
-        results.append({"first_passing_gamma": passing, "ratios": ratios})
+        reports = verify_energy_estimates(base, traj, mu, delta, gammas)
+        passing = next((g for g, rep in zip(gammas, reports) if rep.passed), None)
+        results.append({"first_passing_gamma": passing,
+                        "ratios": {str(g): rep.ratio for g, rep in zip(gammas, reports)}})
     ok = all(r["first_passing_gamma"] is not None for r in results)
     return {"estimate": "energy", "pairs": results, "passed": ok}, ok
 
 
 def _solve_setup(p):
-    """SimConfig, grid, base and forcing profile of the tame and phitt runners."""
+    """SimConfig, base and forcing profile of the tame and phitt runners:
+    the base must keep the margin delta/2, and a zero profile is cos x."""
     sim = SimConfig(**_pick(p, _SIM))
     grid = TorusGrid(sim.grid_n)
     base = _build_field(grid, p["base"], "base")
+    require_margin(base, sim.mu, 0.5 * sim.delta, "base profile")
     profile = _build_field(grid, p["forcing_profile"], "forcing_profile")
-    return sim, grid, base, profile
+    if np.max(np.abs(profile.coeffs)) == 0.0:
+        profile = cosine(grid, 1)
+    return sim, base, profile
 
 
 def _forcing(sim, profile, p):
@@ -418,7 +405,7 @@ def _forcing(sim, profile, p):
 
 
 def _run_tame(p):
-    sim, _, base, profile = _solve_setup(p)
+    sim, base, profile = _solve_setup(p)
     g = _forcing(sim, profile, p)
     reports = []
     for m in p["m_values"]:
@@ -430,10 +417,7 @@ def _run_tame(p):
 
 
 def _run_phitt(p):
-    sim, grid, base, profile = _solve_setup(p)
-    _check_base_stability(base, sim.mu, sim.delta)
-    if np.max(np.abs(profile.coeffs)) == 0.0:
-        profile = cosine(grid, 1)
+    sim, base, profile = _solve_setup(p)
     g = _forcing(sim, profile, p)
     traj, _ = solve_linearized(sim, base=base, forcing=g)
     rep = verify_phitt_estimate(base, traj, g, p["mu"], p["gamma"], p["m"])
@@ -502,14 +486,13 @@ def _estimate_table(raw):
 
 @main.command("verify-estimates")
 @common_options
-@seed_option
-def verify_estimates_cmd(config_path, output_dir, seed, quiet):
+def verify_estimates_cmd(config_path, output_dir, quiet):
     """Check one of the quantitative estimates empirically.
 
     The config key `estimate` selects energy|tame|phitt|der2|forcing; the
     other keys must be ones that estimate reads.
     """
-    cfg = _read_config(config_path, _estimate_table, seed)
+    cfg = _read_config(config_path, _estimate_table)
     which = cfg["estimate"]
     out = _resolve_output(output_dir)
 
@@ -523,16 +506,15 @@ def verify_estimates_cmd(config_path, output_dir, seed, quiet):
 
 @main.command("commutator-constants")
 @common_options
-@seed_option
 @click.option("--jobs", type=click.IntRange(min=1), default=1, show_default=True,
               help="worker processes for the campaign samples (at least 1)")
-def commutator_constants_cmd(config_path, output_dir, seed, quiet, jobs):
+def commutator_constants_cmd(config_path, output_dir, quiet, jobs):
     """Estimate the constants of the commutator/product inequalities by
     randomized campaign, with a two-resolution drift check."""
     cfg = _read_config(config_path, {
         "lemma": "all", "param": None, "samples": 200, "seed": 0,
         **_defaults(estimate_commutator_constants, "n_lo", "n_hi", "decay"),
-    }, seed)
+    })
     out = _resolve_output(output_dir)
 
     targets = sorted(_LEMMAS) if cfg["lemma"] == "all" else [cfg["lemma"]]
@@ -575,9 +557,10 @@ def commutator_constants_cmd(config_path, output_dir, seed, quiet, jobs):
 @main.command("nash-moser")
 @common_options
 def nash_moser_cmd(config_path, output_dir, quiet):
-    """Run the smoothed Newton solve from configured Cauchy data."""
+    """Run the smoothed Newton solve from configured Cauchy data; on
+    divergence, halve the horizon and restart, up to max_halvings times."""
     cfg = _read_config(config_path, {
-        **_SIM, "phi0": None, "phi1": None, **_NEWTON, "auto": False,
+        **_SIM, "phi0": None, "phi1": None, **_NEWTON,
         **_defaults(iterate_auto, "max_halvings"),
     })
     sim = SimConfig(**_pick(cfg, _SIM))
@@ -587,10 +570,7 @@ def nash_moser_cmd(config_path, output_dir, quiet):
 
     outcome = "converged"
     try:
-        if cfg["auto"]:
-            traj, report = iterate_auto(run_cfg, data, max_halvings=cfg["max_halvings"])
-        else:
-            traj, report = iterate(run_cfg, data)
+        traj, report = iterate_auto(run_cfg, data, max_halvings=cfg["max_halvings"])
         if not report.converged:
             outcome = "exhausted_max_iters"
     except IterationAborted as exc:

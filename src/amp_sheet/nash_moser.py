@@ -165,12 +165,13 @@ def iterate(cfg, data):
         raise ValueError("data grid does not match the configured grid")
 
     lift = build_lifting(data, sim.mu, sim.delta)
-    steps = sim.num_steps()
-    times = np.arange(steps + 1) * sim.dt
-    lift_states = lift.states(times)  # phi^a and its time derivatives, (T, n-1) each
+    # phi^a and its time derivatives on the RK4 stage mesh, where every
+    # linearized solve reads its base, and at the nodes, every second stage
+    stage_times = sim.stage_times()
+    lift_stages = lift.states(stage_times)
+    phi_a_stages = lift_stages[0]
+    times, lift_states = stage_times[::2], tuple(a[::2] for a in lift_stages)
     phi_a, _, phitt_a = lift_states
-    # phi^a on the RK4 stage mesh, where every linearized solve reads its base
-    phi_a_stages = lift.states(np.arange(2 * steps + 1) * (0.5 * sim.dt))[0]
 
     # the correction u and its first two time derivatives on the mesh
     u = [np.zeros_like(phi_a) for _ in range(3)]
@@ -224,23 +225,24 @@ def iterate(cfg, data):
     return traj, report
 
 
-def iterate_auto(cfg, data, max_halvings=6):
+def iterate_auto(cfg, data, max_halvings=0):
     """iterate with automatic horizon reduction.
 
     On divergence the time horizon is halved (keeping the node count an
     integer by adjusting dt with it) and the solve restarted, up to
     max_halvings times; the last IterationDiverged is re-raised if none of
-    the shorter horizons settles.
+    the shorter horizons settles.  With max_halvings 0 this is iterate.
     """
+    if max_halvings < 0:
+        raise ValueError("max_halvings must be nonnegative")
     current = cfg
-    last = None
-    for _ in range(max_halvings + 1):
+    for halvings in range(max_halvings + 1):
         try:
             return iterate(current, data)
-        except IterationDiverged as exc:
-            last = exc
+        except IterationDiverged:
+            if halvings == max_halvings:
+                raise
             sim = current.sim
             steps = max(2, sim.num_steps() // 2)
             half = sim.t_final / 2.0
             current = replace(current, sim=replace(sim, t_final=half, dt=half / steps))
-    raise last

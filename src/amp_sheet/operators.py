@@ -40,7 +40,6 @@ from functools import lru_cache
 import numpy as np
 
 from .spectral import SpectralField, TorusGrid, _coeffs, _padded_size
-from .spectral import pointwise_product  # noqa: F401  (perfbench/tests rebinds it here)
 
 _TWO_PI = 2.0 * np.pi
 
@@ -183,7 +182,6 @@ class Trajectory:
     # field lists, read-only, for callers written against per-node fields
     phis = property(lambda self: self._fields(self.phi))
     phits = property(lambda self: self._fields(self.phit))
-    phitts = property(lambda self: self._fields(self.phitt))
 
 
 FieldSeries = Trajectory
@@ -395,13 +393,16 @@ def stability_coefficient(phi, mu):
     return vals, float(np.min(vals))
 
 
-def require_data_margin(phi0, mu, delta):
-    """Raise ValueError unless the initial position meets the stability
-    margin mu - 2 (H phi0)_x >= delta at every grid node."""
-    _, mn = stability_coefficient(phi0, mu)
-    if mn < delta - 1e-12:
+def require_margin(phi, mu, floor, what):
+    """Raise ValueError unless mu - 2 (H phi)_x >= floor at every grid node,
+    up to a tolerance of 1e-10; `phi` is a field or a (..., n-1) coefficient
+    array, and `what` names it in the message.  The one check of the
+    stability margin on inputs: initial data against delta, bases against
+    delta/2."""
+    _, mn = stability_coefficient(phi, mu)
+    if mn < floor - 1e-10:
         raise ValueError(
-            f"initial data violates the stability margin: min {mn:.6g} < delta {delta:.6g}"
+            f"{what} violates the stability margin: min {mn:.6g} < {floor:.6g}"
         )
 
 
@@ -489,7 +490,7 @@ def build_lifting(data, mu, delta):
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
-    require_data_margin(data.phi0, mu, delta)
+    require_margin(data.phi0, mu, delta, "initial data")
     r = _RAMP_WIDTH
     target = 0.75 * delta - 1e-10
     while r >= _RAMP_FLOOR:

@@ -52,7 +52,7 @@ from .operators import (
     _require_real_zero_mean,
     _stability_values,
     _synthesis_rows,
-    require_data_margin,
+    require_margin,
 )
 from .spectral import SpectralField, TorusGrid, zeros
 
@@ -96,6 +96,11 @@ class SimConfig:
         if m < 1 or abs(m_real - m) > 1e-8 * max(1.0, m):
             raise ValueError("t_final must be an integer multiple of dt")
         return m
+
+    def stage_times(self):
+        """The RK4 stage mesh k dt/2, k = 0, ..., 2m, of the m steps; its even
+        entries are the node times k dt, bitwise."""
+        return np.arange(2 * self.num_steps() + 1) * (0.5 * self.dt)
 
     def cfl_limit(self, sup_c2):
         """Largest admissible dt for wave speed sqrt(max(1, sup c^2))."""
@@ -294,7 +299,7 @@ def solve_nonlinear(cfg, data):
     """
     if data.grid.n != cfg.grid_n:
         raise ValueError("data grid does not match the configured grid")
-    require_data_margin(data.phi0, cfg.mu, cfg.delta)
+    require_margin(data.phi0, cfg.mu, cfg.delta, "initial data")
     return _march(
         cfg, lambda t, y: semidiscrete_rhs_nonlinear(y, cfg), _galerkin_state(data, cfg),
         lambda i, phi_hat: _stability_values(phi_hat, cfg.mu, cfg.grid_n),
@@ -307,9 +312,9 @@ def solve_linearized(cfg, base=None, forcing=None, initial_state=None):
 
     phi'_tt = (mu - 2 p0_x) phi'_xx + lower-order terms + g, p0 = H[base].
     `base` and `forcing` accept anything field_evaluator understands; each
-    is evaluated once, on the RK4 stage mesh arange(2m + 1) * dt/2 of the
-    m steps, and the right-hand side and the monitor read the row of their
-    stage time.  The evaluated rows are checked once, before the first
+    is evaluated once, on the RK4 stage mesh cfg.stage_times(), and the
+    right-hand side and the monitor read the row of their stage time.
+    The evaluated rows are checked once, before the first
     step: the base must be real with zero mean and the forcing real (its
     k = 0 mode, like every mode above N, is dropped by the projection).
     The solve starts from rest unless `initial_state` (CauchyData) is
@@ -318,7 +323,7 @@ def solve_linearized(cfg, base=None, forcing=None, initial_state=None):
     grid = TorusGrid(cfg.grid_n)
     n, N = cfg.grid_n, cfg.galerkin_N
     half = 0.5 * cfg.dt
-    stage_times = np.arange(2 * cfg.num_steps() + 1) * half
+    stage_times = cfg.stage_times()
     base_rows = field_evaluator(base, grid, cfg.t_final)(stage_times)
     g_rows = field_evaluator(forcing, grid, cfg.t_final)(stage_times)
     _require_real_zero_mean(base_rows, "base")

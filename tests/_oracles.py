@@ -28,7 +28,7 @@ from amp_sheet.operators import (
     Trajectory,
     apply_linearized_operator,
     nonlinear_operator,
-    require_data_margin,
+    require_margin,
     stability_coefficient,
 )
 from amp_sheet.solver import BLOW_UP_THRESHOLD, CflError, field_evaluator, rk4_step
@@ -386,7 +386,7 @@ def masked_march(cfg, rhs, phi, phit, stability_source, abort_on_stability):
 
 def masked_solve_nonlinear(cfg, data):
     """solve_nonlinear on (n-1) bands, masked at every stage."""
-    require_data_margin(data.phi0, cfg.mu, cfg.delta)
+    require_margin(data.phi0, cfg.mu, cfg.delta, "initial data")
     return masked_march(cfg, lambda t, y: masked_rhs_nonlinear(y, cfg),
                         data.phi0.coeffs, data.phi1.coeffs, lambda t, phi: phi,
                         abort_on_stability=True)
@@ -397,7 +397,7 @@ def masked_solve_linearized(cfg, base=None, forcing=None, initial_state=None):
     per stage, the base checked by the public linearized operator."""
     grid = TorusGrid(cfg.grid_n)
     half = 0.5 * cfg.dt
-    stage_times = np.arange(2 * cfg.num_steps() + 1) * half
+    stage_times = cfg.stage_times()
     base_rows = field_evaluator(base, grid, cfg.t_final)(stage_times)
     g_rows = field_evaluator(forcing, grid, cfg.t_final)(stage_times)
     if initial_state is None:

@@ -14,6 +14,7 @@ from amp_sheet.analysis import (
     random_trig_field,
     sup_sobolev_norm,
     verify_energy_estimate,
+    verify_energy_estimates,
     verify_forcing_bound,
     verify_hilbert_identities,
     verify_phitt_estimate,
@@ -226,6 +227,29 @@ class TestEnergyEstimate:
         with pytest.raises(ValueError):
             verify_energy_estimate(steep, traj, mu=1.0, delta=0.9, gamma=2.0)
 
+    def test_sweep_equals_one_gamma_at_a_time(self, monkeypatch):
+        # one reconstruction of g serves every gamma, report for report
+        import amp_sheet.analysis as analysis
+        rng = np.random.default_rng(71)
+        base = random_trig_field(GRID, 4, rng, amplitude=0.02)
+        traj = window_trajectory(GRID, dt=4e-3, t0=-0.5, profile=random_trig_field(GRID, 4, rng))
+        gammas = [2.0, 4.0, 8.0, 16.0]
+        single = [verify_energy_estimate(base, traj, 1.0, 0.9, g).to_json() for g in gammas]
+        calls = []
+        real = analysis.apply_linearized
+
+        def counted(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(analysis, "apply_linearized", counted)
+        reports = verify_energy_estimates(base, traj, 1.0, 0.9, gammas)
+        assert [r.to_json() for r in reports] == single
+        assert len(calls) == 1
+        with pytest.raises(ValueError, match="gamma"):
+            verify_energy_estimates(base, traj, 1.0, 0.9, [2.0, 0.5])
+        assert len(calls) == 1
+
     def test_report_serializes(self):
         traj = window_trajectory(GRID, dt=5e-3)
         rep = verify_energy_estimate(None, traj, mu=1.0, delta=0.9, gamma=2.0)
@@ -235,7 +259,8 @@ class TestEnergyEstimate:
 
 
 @pytest.mark.parametrize("verify", [
-    verify_energy_estimate, verify_tame_estimate, verify_phitt_estimate,
+    verify_energy_estimate, verify_energy_estimates, verify_tame_estimate,
+    verify_phitt_estimate,
     verify_second_derivative_estimate, verify_forcing_bound,
 ], ids=lambda fn: fn.__name__)
 def test_deterministic_verifier_takes_no_seed(verify):

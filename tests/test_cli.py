@@ -86,11 +86,13 @@ class TestConfigHandling:
                               capture_output=True, text=True, check=True)
         assert done.stdout.strip() == "False"
 
-    def test_seed_only_on_rng_commands(self, runner, tmp_path):
-        # no solver draws random numbers: --seed and a "seed" key are usage
-        # errors there, and stay on the three commands that seed an RNG
-        cfg = write_config(tmp_path, "c.json", ZERO_SIM)
-        out = runner.invoke(main, ["simulate", "--config", cfg, "--seed", "3",
+    def test_seed_only_as_a_config_key(self, runner, tmp_path):
+        # the config is the one writer of a seed: no command has --seed, and
+        # a "seed" key is a usage error where the run draws no random numbers
+        for cmd in main.commands:
+            assert "--seed" not in runner.invoke(main, [cmd, "--help"]).output, cmd
+        cfg = write_config(tmp_path, "i.json", {"samples": 2, "grid_n": 32})
+        out = runner.invoke(main, ["verify-identities", "--config", cfg, "--seed", "3",
                                    "--output", str(tmp_path / "o")])
         assert out.exit_code == 2
         assert "--seed" in out.output
@@ -99,16 +101,6 @@ class TestConfigHandling:
                                    "--output", str(tmp_path / "o")])
         assert out.exit_code == 2
         assert "seed" in out.output
-        for cmd in ("simulate", "linearized", "growth", "nash-moser"):
-            assert "--seed" not in runner.invoke(main, [cmd, "--help"]).output, cmd
-        # verify-estimates takes it only for the estimates that draw: energy, der2
-        for which in ("tame", "phitt", "forcing"):
-            cfg = write_config(tmp_path, f"{which}.json", {"estimate": which})
-            out = runner.invoke(main, ["verify-estimates", "--config", cfg, "--seed", "3",
-                                       "--output", str(tmp_path / "o")])
-            assert out.exit_code == 2 and "--seed" in out.output, which
-        for cmd in ("verify-identities", "verify-estimates", "commutator-constants"):
-            assert "--seed" in runner.invoke(main, [cmd, "--help"]).output, cmd
 
     def test_bad_mode_in_field_spec(self, runner, tmp_path):
         cfg = write_config(tmp_path, "c.json",
@@ -148,7 +140,7 @@ MALFORMED = [
     ("commutator-constants", {"lemma": "A3", "param": [1]}, "param"),
     ("commutator-constants", {"lemma": ["A2"]}, "lemma"),
     ("verify-estimates", {"gammas": 2.0}, "gammas"),
-    ("nash-moser", {"auto": "no"}, "auto"),
+    ("nash-moser", {"max_halvings": -1}, "max_halvings"),
     ("verify-estimates", {"pairs": 1.7}, "pairs"),
     ("verify-identities", {"seed": "7"}, "seed"),
     ("verify-estimates", {"seed": "7"}, "seed"),
@@ -176,12 +168,12 @@ MALFORMED = [
     ("commutator-constants", {"lemma": "A1_comm_1", "param": "1.0"}, "param"),
     ("nash-moser", {"max_iters": 2.5}, "max_iters"),
     ("nash-moser", {"theta0": "4"}, "theta0"),
-    ("nash-moser", {"auto": 0}, "auto"),
     ("nash-moser", {"phi1": {"sin": [1]}}, "phi1"),
     # keys missing or unknown (products are always 3/2-padded: no dealias key)
     ("simulate", {"mu": None}, "mu"),
     ("simulate", {"dealias": True}, "dealias"),
     ("nash-moser", {"theta": 4.0}, "theta"),
+    ("nash-moser", {"auto": True}, "auto"),
     ("linearized", {"dealias": True}, "dealias"),
     ("growth", {"dealias": False}, "dealias"),
     ("nash-moser", {"dealias": True}, "dealias"),
@@ -246,7 +238,7 @@ class TestConfigContract:
                         "forcing_profile": {"sin": {"2": 0.5}}, "envelope_center": 0.1,
                         "envelope_width": 0.05}, []),
         ("growth", {**GROWTH_SIM, "mu": -1, "modes": [2, 4]}, []),
-        ("verify-identities", {"samples": 3, "grid_n": 32}, ["--seed", "4"]),
+        ("verify-identities", {"samples": 3, "grid_n": 32, "seed": 4}, []),
         ("verify-estimates", {"estimate": "energy", "pairs": 1, "gammas": [2, 8],
                               "dt": 0.004}, []),
         ("commutator-constants", {"lemma": "A3", "samples": 3, "n_lo": 32,
@@ -379,8 +371,8 @@ class TestLinearized:
 
 
 class TestBaseAgainstDelta:
-    """linearized and verify-estimates phitt check their base against the
-    floor delta/2 on entry: 0.2 cos x at mu = 1 has minimum 0.6."""
+    """linearized and verify-estimates tame and phitt check their base
+    against the floor delta/2 on entry: 0.2 cos x at mu = 1 has minimum 0.6."""
 
     BASE = {"mu": 1.0, "grid_n": 32, "galerkin_N": 8, "dt": 0.002,
             "base": {"cos": {"1": 0.2}}}
@@ -388,6 +380,7 @@ class TestBaseAgainstDelta:
     @pytest.mark.parametrize("command,cfg", [
         ("linearized", {**BASE, "t_final": 0.1}),
         ("verify-estimates", {**BASE, "estimate": "phitt", "t_final": 0.2}),
+        ("verify-estimates", {**BASE, "estimate": "tame", "t_final": 0.2}),
     ])
     @pytest.mark.parametrize("delta,code", [(1.5, 2), (0.9, 0)])
     def test_exit_code(self, runner, tmp_path, command, cfg, delta, code):
@@ -460,15 +453,16 @@ class TestVerifyIdentities:
         assert report["report"]["passed"] is True
         assert report["version"]
 
-    def test_seed_override_lands_in_config(self, runner, tmp_path):
-        cfg = write_config(tmp_path, "c.json",
-                           {"samples": 5, "grid_n": 64, "seed": 5})
-        dest = tmp_path / "o"
-        out = runner.invoke(main, ["verify-identities", "--config", cfg,
-                                   "--output", str(dest), "--seed", "7"])
-        assert out.exit_code == 0
-        report = json.loads((dest / "identities.json").read_text())
-        assert report["config"]["seed"] == 7
+    def test_seed_key_reaches_the_run(self, runner, tmp_path):
+        for seed in (5, 7):
+            cfg = write_config(tmp_path, "c.json",
+                               {"samples": 5, "grid_n": 64, "seed": seed})
+            dest = tmp_path / f"o{seed}"
+            out = runner.invoke(main, ["verify-identities", "--config", cfg,
+                                       "--output", str(dest)])
+            assert out.exit_code == 0
+            report = json.loads((dest / "identities.json").read_text())
+            assert report["config"]["seed"] == report["report"]["seed"] == seed
 
 
 class TestVerifyEstimates:
@@ -528,6 +522,39 @@ class TestVerifyEstimates:
         assert out.exit_code == 0
         report = json.loads((dest / "estimate_energy.json").read_text())
         assert report["config"]["seed"] == 5 and len(report["pairs"]) == 1
+
+    def test_energy_reconstructs_g_once_per_pair(self, runner, tmp_path, monkeypatch):
+        # g = L'[phi0]phi' does not depend on gamma: one reconstruction per
+        # pair, whatever the number of gammas
+        import amp_sheet.analysis as analysis
+        calls = []
+        real = analysis.apply_linearized
+
+        def counted(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(analysis, "apply_linearized", counted)
+        cfg = write_config(tmp_path, "c.json", {
+            "estimate": "energy", "pairs": 2, "gammas": [2.0, 4.0, 8.0, 16.0],
+            "dt": 0.004,
+        })
+        out = runner.invoke(main, ["verify-estimates", "--config", cfg,
+                                   "--output", str(tmp_path / "o"), "--quiet"])
+        assert out.exit_code == 0, out.output
+        assert len(calls) == 2
+
+    def test_default_tame_run_is_forced(self, runner, tmp_path):
+        # no forcing_profile: cos x, as for phitt, so both sides are positive
+        cfg = write_config(tmp_path, "c.json", {"estimate": "tame", "t_final": 0.2})
+        dest = tmp_path / "o"
+        out = runner.invoke(main, ["verify-estimates", "--config", cfg,
+                                   "--output", str(dest), "--quiet"])
+        assert out.exit_code == 0, out.output
+        report = json.loads((dest / "estimate_tame.json").read_text())
+        assert [r["m"] for r in report["reports"]] == [1, 2, 3]
+        for r in report["reports"]:
+            assert r["lhs"] > 0.0 and r["rhs"] > 0.0 and r["constant"] > 0.0, r
 
     def test_forcing_estimate(self, runner, tmp_path):
         cfg = write_config(tmp_path, "c.json", {
@@ -610,6 +637,32 @@ class TestNashMoser:
                                    "--output", str(tmp_path / "o"), "--quiet"])
         assert out.exit_code == 2, out.output
         assert "ramp width" in out.output
+
+    @pytest.mark.parametrize("halvings,attempts", [(None, 1), (0, 1), (2, 3)])
+    def test_max_halvings_bounds_the_restarts(self, runner, tmp_path, monkeypatch,
+                                              halvings, attempts):
+        # a run that always diverges: max_halvings restarts, each on half the
+        # horizon, then the outcome is "diverged"; none without the key
+        import amp_sheet.nash_moser as nm
+        horizons = []
+
+        def diverges(cfg, data):
+            horizons.append(cfg.sim.t_final)
+            raise nm.IterationDiverged("no", nm.IterationReport(residual_norms=[1.0],
+                                                                stability_mins=[1.0]))
+
+        monkeypatch.setattr(nm, "iterate", diverges)
+        extra = {} if halvings is None else {"max_halvings": halvings}
+        cfg = write_config(tmp_path, "c.json", {**self.NM, **extra})
+        dest = tmp_path / "o"
+        out = runner.invoke(main, ["nash-moser", "--config", cfg,
+                                   "--output", str(dest), "--quiet"])
+        assert out.exit_code == 3, out.output
+        assert horizons == [0.5 / 2**i for i in range(attempts)]
+        report = json.loads((dest / "nash_moser.json").read_text())
+        assert report["outcome"] == "diverged"
+        assert report["config"]["max_halvings"] == (halvings or 0)
+        assert "auto" not in report["config"]
 
     def test_exhausted_iterations_flagged(self, runner, tmp_path):
         cfg = write_config(tmp_path, "c.json", {**self.NM, "max_iters": 1})

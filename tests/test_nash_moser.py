@@ -17,6 +17,7 @@ from amp_sheet.analysis import WeightedNormSpec, ym_norm
 from amp_sheet.operators import (
     CauchyData,
     FieldSeries,
+    Lifting,
     Trajectory,
     build_lifting,
     lifting_forcing,
@@ -163,6 +164,30 @@ class TestIterate:
         forcing = lifting_forcing(lift, sim.mu, times)
         assert rep.residual_norms[0] == ym_norm(forcing, WeightedNormSpec(sim.gamma), 2)
 
+    def test_one_lifting_evaluation_on_the_stage_mesh(self, monkeypatch):
+        # after build_lifting's ramp search, iterate evaluates phi^a once, on
+        # the stage mesh, and reads the nodes off its even rows
+        seen = []
+        real_build, real_states = nm.build_lifting, Lifting.states
+
+        def build(*args):
+            lift = real_build(*args)
+            seen.clear()
+            return lift
+
+        def states(lift, times):
+            seen.append(len(times))
+            return real_states(lift, times)
+
+        monkeypatch.setattr(nm, "build_lifting", build)
+        monkeypatch.setattr(Lifting, "states", states)
+        sim = small_sim(t_final=0.1)
+        data = CauchyData(cosine(GRID, 1, 0.01), sine(GRID, 2, 0.02))
+        traj, rep = iterate(IterationConfig(sim=sim), data)
+        assert rep.iterations >= 1
+        assert seen == [2 * sim.num_steps() + 1]
+        assert np.array_equal(traj.times, np.arange(sim.num_steps() + 1) * sim.dt)
+
     def test_initial_data_reproduced_exactly(self):
         data = CauchyData(cosine(GRID, 1, 0.01), sine(GRID, 2, 0.02))
         traj, rep = iterate(IterationConfig(sim=small_sim()), data)
@@ -239,7 +264,7 @@ class TestIterateAuto:
 
         monkeypatch.setattr(nm, "iterate", fake_iterate)
         cfg = IterationConfig(sim=small_sim(t_final=1.0, dt=2e-3))
-        out = iterate_auto(cfg, CauchyData(zeros(GRID), zeros(GRID)))
+        out = iterate_auto(cfg, CauchyData(zeros(GRID), zeros(GRID)), max_halvings=6)
         assert out == sentinel
         assert [t for t, _ in calls] == [1.0, 0.5, 0.25]
         # node count stays integral after each halving
@@ -255,3 +280,19 @@ class TestIterateAuto:
         cfg = IterationConfig(sim=small_sim())
         with pytest.raises(IterationDiverged):
             iterate_auto(cfg, CauchyData(zeros(GRID), zeros(GRID)), max_halvings=2)
+
+    def test_default_is_one_attempt(self, monkeypatch):
+        # max_halvings defaults to 0: iterate once, and its divergence stands
+        calls = []
+
+        def always_diverges(cfg, data):
+            calls.append(cfg.sim.t_final)
+            raise IterationDiverged("no", IterationReport())
+
+        monkeypatch.setattr(nm, "iterate", always_diverges)
+        with pytest.raises(IterationDiverged):
+            iterate_auto(IterationConfig(sim=small_sim()), CauchyData(zeros(GRID), zeros(GRID)))
+        assert calls == [0.5]
+        with pytest.raises(ValueError, match="max_halvings"):
+            iterate_auto(IterationConfig(sim=small_sim()),
+                         CauchyData(zeros(GRID), zeros(GRID)), max_halvings=-1)

@@ -16,6 +16,7 @@ from amp_sheet.operators import (
     nonlinear_operator,
     quadratic_rhs,
     quadratic_rhs_derivative,
+    require_margin,
     second_derivative,
     stability_coefficient,
 )
@@ -349,6 +350,20 @@ class TestStability:
             assert np.max(np.abs(row - single)) <= 1e-14 * np.max(np.abs(want))
             mins.append(m)
         assert mn == pytest.approx(min(mins), rel=1e-14)
+
+    def test_require_margin_tolerance_and_message(self):
+        # accepted down to 1e-10 below the floor; beyond that the message
+        # names the input
+        phi = sine(GRID, 1, 0.2)
+        _, mn = stability_coefficient(phi, mu=1.0)
+        require_margin(phi, 1.0, mn + 0.9e-10, "probe")
+        with pytest.raises(ValueError, match="probe violates the stability margin"):
+            require_margin(phi, 1.0, mn + 1.1e-10, "probe")
+        # a (T, n-1) stack is held to the floor at its worst row
+        stack = np.stack([zeros(GRID).coeffs, phi.coeffs])
+        require_margin(stack, 1.0, mn, "base")
+        with pytest.raises(ValueError, match="base violates"):
+            require_margin(stack, 1.0, 0.7, "base")
 
     def test_mean_zero_profile_cannot_raise_minimum_above_mu(self):
         rng = np.random.default_rng(40)

@@ -82,6 +82,20 @@ class TestConfig:
         with pytest.raises(ValueError):
             SimConfig(mu=1.0, delta=0.9, dt=3e-3, t_final=1.0).num_steps()
 
+    def test_stage_times(self):
+        # the RK4 stage mesh k dt/2, whose even entries are the node times
+        # of the solvers bitwise
+        for dt, t_final in ((1e-3, 1.0), (2e-3, 0.5), (0.1, 0.3), (1.0 / 3.0, 1.0),
+                            (1e-3, 4.096)):
+            cfg = SimConfig(mu=1.0, delta=0.9, dt=dt, t_final=t_final)
+            m = cfg.num_steps()
+            stages = cfg.stage_times()
+            assert stages.shape == (2 * m + 1,) and stages[0] == 0.0
+            assert np.array_equal(stages[::2], np.arange(m + 1) * dt)
+        cfg = SimConfig(mu=1.0, delta=0.9, grid_n=32, galerkin_N=8, dt=0.05, t_final=0.3)
+        traj, _ = solve_linearized(cfg)
+        assert np.array_equal(traj.times, cfg.stage_times()[::2])
+
     def test_cfl_limit_floor(self):
         cfg = SimConfig(mu=1.0, delta=0.9, galerkin_N=10)
         # elliptic or small sup c^2 is floored at wave speed 1
