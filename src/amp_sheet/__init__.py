@@ -54,6 +54,7 @@ from .analysis import (  # noqa: F401
     verify_energy_estimate,
     verify_energy_estimates,
     verify_tame_estimate,
+    verify_tame_estimates,
     verify_phitt_estimate,
     verify_second_derivative_estimate,
     verify_hilbert_identities,

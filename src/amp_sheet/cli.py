@@ -31,7 +31,7 @@ from .analysis import (
     verify_hilbert_identities,
     verify_phitt_estimate,
     verify_second_derivative_estimate,
-    verify_tame_estimate,
+    verify_tame_estimates,
 )
 from .nash_moser import (
     IterationAborted,
@@ -358,6 +358,10 @@ def _window(times, center, width):
 
 
 def _run_energy(p):
+    if p["pairs"] < 1:
+        raise ValueError("config key 'pairs' must be at least 1")
+    if not p["gammas"]:
+        raise ValueError("config key 'gammas' must hold at least one value")
     grid = TorusGrid(p["grid_n"])
     mu, delta, center, width = p["mu"], p["delta"], p["envelope_center"], p["envelope_width"]
     rng = np.random.default_rng(p["seed"])
@@ -405,13 +409,13 @@ def _forcing(sim, profile, p):
 
 
 def _run_tame(p):
+    if not p["m_values"]:
+        raise ValueError("config key 'm_values' must hold at least one value")
     sim, base, profile = _solve_setup(p)
     g = _forcing(sim, profile, p)
-    reports = []
-    for m in p["m_values"]:
-        rep = verify_tame_estimate(base, g, sim, m)
-        reports.append({"m": m, "constant": rep.ratio, "passed": rep.passed,
-                        "lhs": rep.lhs, "rhs": rep.rhs})
+    reports = [{"m": rep.params["m"], "constant": rep.ratio, "passed": rep.passed,
+                "lhs": rep.lhs, "rhs": rep.rhs}
+               for rep in verify_tame_estimates(base, g, sim, p["m_values"])]
     ok = all(r["passed"] for r in reports)
     return {"estimate": "tame", "reports": reports, "passed": ok}, ok
 

@@ -11,13 +11,13 @@ linearized problem: positive keeps it hyperbolic, negative makes the
 initial value problem ill posed.
 
 N is evaluated by one fused kernel through the identity
-H[p_x^2] - [p; H]p_xx = H[p_x^2 + p p_xx] - p H[p_xx]: one batched inverse
-real FFT of (p, p_x, p_xx, H p_xx) on the 3/2-padded grid and one batched
-real FFT of the two products, on a field or on coefficient arrays with
-any leading batch axes.  The linearized operator mu phi_xx + dN[phi0]phi
-is the same kernel polarized (four synthesized rows of the base, four of
-the unknown, two analyzed), and the first and second derivatives of N
-are that kernel with mu = 0.  The spatial part of the equation itself,
+H[p_x^2] - [p; H]p_xx = H[p_x^2 + p p_xx] - p H[p_xx]: one synthesis of
+(p, p_x, p_xx, H p_xx) on the 3/2-padded grid and one analysis of the two
+products, on a field or on coefficient arrays with any leading batch
+axes.  The linearized operator mu phi_xx + dN[phi0]phi is the same kernel
+polarized (four synthesized rows of the base, four of the unknown, two
+analyzed), and the first and second derivatives of N are that kernel with
+mu = 0.  The spatial part of the equation itself,
 mu phi_xx + N(phi), is nonlinear_operator, the one place it is formed.
 
 Each kernel is a private function on half spectra, the coefficients
@@ -25,6 +25,18 @@ k = 1..K of real zero-mean fields, which holds no check: the solvers step
 such arrays directly.  The public operators take (..., n-1) bands, check
 them, run the kernel on k = 1..n/2-1 and mirror the result back into a
 band by c(-k) = conj c(k).
+
+The kernels' transforms depend on the grid size n.  Above _DENSE_MAX_N
+points they are batched real FFTs.  Up to it, where an FFT call costs its
+fixed overhead rather than arithmetic, each is a product with a real table
+(the matrix multiplication transform of Boyd, Chebyshev and Fourier
+Spectral Methods, ch. 10): the half spectrum is read as interleaved
+(Re, Im) floats, and the symbols are folded into the tables, which
+_dense_tables builds once per n, on first use, for the whole band
+k = 1..n/2-1.  The product runs one vector-matrix BLAS call per row, so a
+row of a batch gives the bits of that row alone, and the analysis always
+produces the whole band before keeping k <= K, so a kernel on K = N gives
+the bits of the public operator on the band kept to N.
 
 Besides N and its first and second derivatives this module owns the
 Cauchy data container, time-sampled trajectories, the smooth compactly
@@ -187,35 +199,89 @@ class Trajectory:
 FieldSeries = Trajectory
 
 
-@lru_cache(maxsize=64)
-def _fused_tables(n, K):
-    """Tables of the fused kernels on an n-point grid, for the coefficients
-    k = 1..K (K <= n/2 - 1) of real zero-mean fields.
+#: grids of at most this many points run the kernels' transforms as
+#: products with the cached real tables of _dense_tables; larger grids use
+#: the real FFT, whose cost there is arithmetic rather than call overhead
+_DENSE_MAX_N = 64
 
-    Returns (m, up, down): the 3/2-padded transform length, the (4, K)
-    symbols taking phi^(k) to the half spectra of (p, p_x, p_xx, H p_xx)
-    with p = H phi, scaled for synthesis on m points, and the (K,) symbol
-    k * 2pi/m that takes the half spectrum of a - i b back to N^(k).
+
+@lru_cache(maxsize=16)
+def _symbols(n):
+    """Symbols of the kernels on an n-point grid, for the coefficients
+    k = 1..n/2-1 of real zero-mean fields; a kernel on k = 1..K reads the
+    first K columns.
+
+    Returns (m, up, down, lap, slope): the 3/2-padded transform length; the
+    (4, n/2-1) symbols taking phi^(k) to the half spectra of
+    (p, p_x, p_xx, H p_xx), p = H phi, scaled for synthesis on m points;
+    k * 2pi/m, which takes the half spectrum of a - i b back to N^(k);
+    -k^2, the symbol of d^2/dx^2; and k * n/2pi, which takes phi^(k) to the
+    half spectrum of (H phi)_x scaled for synthesis on the n nodes.
     """
     m = _padded_size(n)
-    k = np.arange(1, K + 1, dtype=float)
-    up = np.array([-1j * np.ones(K), k, 1j * k**2, k**2]) * (m / _TWO_PI)
-    down = k * (_TWO_PI / m)
-    for a in (up, down):
+    k = np.arange(1, n // 2, dtype=float)
+    up = np.array([-1j * np.ones_like(k), k, 1j * k**2, k**2]) * (m / _TWO_PI)
+    down, lap, slope = k * (_TWO_PI / m), -(k**2), k * (n / _TWO_PI)
+    for a in (up, down, lap, slope):
         a.flags.writeable = False
-    return m, up, down
+    return m, up, down, lap, slope
 
 
-@lru_cache(maxsize=64)
-def _grid_symbols(n, K):
-    """Symbols of the coefficients k = 1..K applied on the n-point grid
-    itself: -k^2 of d^2/dx^2, and k * n/2pi, which takes phi^(k) to the
-    half spectrum of (H phi)_x scaled for synthesis on the n nodes."""
-    k = np.arange(1, K + 1, dtype=float)
-    lap, slope = -(k**2), k * (n / _TWO_PI)
-    for a in (lap, slope):
+def _phases(n, m):
+    """e^{2 pi i k j / m} for k = 1..n/2-1 (rows) and j = 0..m-1, the phase
+    taken from the integer k j mod m, which keeps its argument below 2 pi."""
+    k = np.arange(1, n // 2)
+    return np.exp((_TWO_PI / m) * 1j * (np.outer(k, np.arange(m)) % m))
+
+
+def _interleaved(z):
+    """Real rows (Re z, -Im z) for each row of the complex `z`: the table
+    that takes an interleaved (Re h, Im h) row to sum_k Re(h_k z_k)."""
+    out = np.empty((z.shape[0], 2) + z.shape[1:])
+    out[:, 0], out[:, 1] = z.real, -z.imag
+    return out.reshape((2 * z.shape[0],) + z.shape[1:])
+
+
+@lru_cache(maxsize=8)
+def _dense_tables(n):
+    """Real tables of the kernels' transforms on an n-point grid, for the
+    coefficients k = 1..n/2-1 of real zero-mean fields read as interleaved
+    (Re, Im) floats; a kernel on k = 1..K reads the first 2K rows.
+
+    Returns (synthesis, analysis, stability):
+    - (n-2, 4m): the values of (p, p_x, p_xx, H p_xx) on the padded grid,
+      the symbols `up` folded into the inverse transform;
+    - (2m, n-2): the interleaved N^(k) = k 2pi/m (a^(k) - i b^(k)) of the
+      values of (a, b), the forward transform and `down` folded together;
+    - (n-2, n): the values of -2 (H phi)_x at the n grid nodes.
+    """
+    m, up, down, _, slope = _symbols(n)
+    e = _phases(n, m)
+    synthesis = _interleaved((2.0 / m) * up.T[:, :, None] * e[:, None, :])
+    # node j adds (a_j - i b_j) w_jk to N^(k), w_jk = down_k e^{-2 pi i k j / m}
+    w = down * e.T.conj()
+    z = np.array([w, -1j * w])
+    analysis = np.stack([z.real, z.imag], axis=-1)
+    stability = _interleaved((-4.0 / n) * slope[:, None] * _phases(n, n))
+    tables = (synthesis.reshape(n - 2, 4 * m), analysis.reshape(2 * m, n - 2), stability)
+    for a in tables:
         a.flags.writeable = False
-    return lap, slope
+    return tables
+
+
+def _row_products(x, table):
+    """x @ table over the last axis of `x`, one vector-matrix product per
+    row, so every row of a batch gives the bits of that row alone."""
+    return (x[..., None, :] @ table)[..., 0, :]
+
+
+def _floats(h):
+    """The complex half spectra `h` as interleaved (Re, Im) floats: a view
+    once the last axis is contiguous."""
+    h = np.asarray(h, complex)
+    if h.strides[-1] != h.itemsize:
+        h = np.ascontiguousarray(h)
+    return h.view(float)
 
 
 def _positive(c):
@@ -245,18 +311,30 @@ def _synthesis(h, symbol, m):
 def _synthesis_rows(h, n):
     """(p, p_x, p_xx, H p_xx), p = H phi, on the 3/2-padded grid of an
     n-point grid, for the fields phi whose coefficients k = 1..K are the
-    last axis of `h`: one batched inverse real FFT, shape (..., 4, m)."""
-    m, up, _ = _fused_tables(n, h.shape[-1])
-    return _synthesis(h[..., None, :], up, m)
+    last axis of `h`, shape (..., 4, m): one table product per row on
+    small grids, one batched inverse real FFT on large ones."""
+    m, up, *_ = _symbols(n)
+    K = h.shape[-1]
+    if n <= _DENSE_MAX_N:
+        synthesis, _, _ = _dense_tables(n)
+        rows = _row_products(_floats(h), synthesis[:2 * K])
+        return rows.reshape(rows.shape[:-1] + (4, m))
+    return _synthesis(h[..., None, :], up[:, :K], m)
 
 
 def _analysis_of_products(ab, n, K):
     """The coefficients k = 1..K of d/dx(H[a] - b) from the values of (a, b)
-    on the padded grid of an n-point grid, a (..., 2, m) buffer: one
-    batched real FFT, then k (a^(k) - i b^(k)) (the symbol `down`)."""
-    _, _, down = _fused_tables(n, K)
+    on the padded grid of an n-point grid, a (..., 2, m) buffer: on small
+    grids one table product per row over the whole band k = 1..n/2-1, kept
+    to k <= K; on large ones one batched real FFT, then k (a^(k) - i b^(k))
+    (the symbol `down`)."""
+    if n <= _DENSE_MAX_N:
+        _, analysis, _ = _dense_tables(n)
+        flat = ab.reshape(ab.shape[:-2] + (-1,))
+        return _row_products(flat, analysis).view(complex)[..., :K]
+    _, _, down, _, _ = _symbols(n)
     ab = np.fft.rfft(ab)[..., 1:K + 1]
-    return down * (ab[..., 0, :] - 1j * ab[..., 1, :])
+    return down[:K] * (ab[..., 0, :] - 1j * ab[..., 1, :])
 
 
 def _quadratic_half(h, n):
@@ -274,16 +352,21 @@ def _quadratic_half(h, n):
 def _nonlinear_half(h, mu, n):
     """(mu phi_xx + N(phi))^(k), k = 1..K, from the coefficients k = 1..K of
     phi: the kernel of nonlinear_operator, with no check."""
-    lap, _ = _grid_symbols(n, h.shape[-1])
-    return mu * lap * h + _quadratic_half(h, n)
+    _, _, _, lap, _ = _symbols(n)
+    return mu * lap[:h.shape[-1]] * h + _quadratic_half(h, n)
 
 
 def _stability_values(h, mu, n):
     """Values of mu - 2 (H phi)_x at the n grid nodes, shape (..., n), for
     the fields phi whose coefficients k = 1..K are the last axis of `h`:
-    the kernel of stability_coefficient."""
-    _, slope = _grid_symbols(n, h.shape[-1])
-    return mu - 2.0 * _synthesis(h, slope, n)
+    the kernel of stability_coefficient: one table product per row on small
+    grids, one batched inverse real FFT on large ones."""
+    K = h.shape[-1]
+    if n <= _DENSE_MAX_N:
+        _, _, stability = _dense_tables(n)
+        return mu + _row_products(_floats(h), stability[:2 * K])
+    _, _, _, _, slope = _symbols(n)
+    return mu - 2.0 * _synthesis(h, slope[:K], n)
 
 
 def _linearized_half(v0, h, mu, n):
@@ -311,10 +394,11 @@ def quadratic_rhs(phi):
     kind and shape, again real with zero mean (an exact x-derivative).
 
     The kernel uses H[p_x^2] - [p; H]p_xx = H[a] - b with
-    a = p_x^2 + p p_xx and b = p H[p_xx]: one batched inverse real FFT
-    synthesizes (p, p_x, p_xx, H p_xx) on the m-point grid (m = 3n/2, so
-    the retained band of both products is exact), and one batched real
-    FFT analyzes (a, b).  For k >= 0 the result is
+    a = p_x^2 + p p_xx and b = p H[p_xx]: one synthesis of
+    (p, p_x, p_xx, H p_xx) on the m-point grid (m = 3n/2, so the retained
+    band of both products is exact) and one analysis of (a, b), each a
+    table product per row on grids of at most _DENSE_MAX_N points and a
+    batched real FFT on larger ones.  For k >= 0 the result is
     N^(k) = k (a^(k) - i b^(k)); the k < 0 half follows by conjugate
     symmetry, which is why the input must be conjugate symmetric.
     """
@@ -366,9 +450,9 @@ def apply_linearized_operator(phi0, phiP, mu):
         a = 2 p0_x p_x + p0 p_xx + p p0_xx - mu p_x,
         b = p0 H[p_xx] + p H[p0_xx]:
 
-    one batched inverse real FFT of each argument's four rows (p0, p0_x,
-    p0_xx, H p0_xx and p, p_x, p_xx, H p_xx) on the m-point grid and one
-    batched real FFT of (a, b).
+    one synthesis of each argument's four rows (p0, p0_x, p0_xx, H p0_xx
+    and p, p_x, p_xx, H p_xx) on the m-point grid and one analysis of
+    (a, b), by table products or real FFTs as in quadratic_rhs.
     """
     _require_real_zero_mean(phi0, "phi0")
     _require_real_zero_mean(phiP, "phiP")
@@ -385,8 +469,10 @@ def stability_coefficient(phi, mu):
 
     `phi` is a real field or a coefficient array of shape (..., n-1); the
     values have shape (..., n) and the minimum is taken over all of them.
-    (H phi)_x has symbol |k|, so the values come from one inverse real FFT
-    of the half spectrum (only k >= 1 is read) times k.
+    (H phi)_x has symbol |k|, so the values are the synthesis of the half
+    spectrum (only k >= 1 is read) times k: a table product per row on
+    grids of at most _DENSE_MAX_N points, one batched inverse real FFT on
+    larger ones.
     """
     c = _coeffs(phi)
     vals = _stability_values(_positive(c), mu, c.shape[-1] + 1)

@@ -9,10 +9,10 @@ by construction at every RK4 stage, and no stage is masked, mirrored or
 checked.  Each solver integrates one semidiscrete right-hand side,
 semidiscrete_rhs_nonlinear or semidiscrete_rhs_linearized, on that state
 through the private half-spectrum kernels of operators (the public
-operators are those kernels plus checks): synthesis is one inverse real
-FFT of the k = 1..N half spectrum on the 3/2-padded grid, which zero-pads
-k > N itself, and analysis keeps the coefficients k = 1..N of one real
-FFT.  The two systems are the full quadratically nonlinear equation, and
+operators are those kernels plus checks): synthesis reads only the
+k = 1..N half spectrum on the 3/2-padded grid (a table product reads the
+table's first 2N rows, an inverse real FFT zero-pads k > N itself), and
+analysis keeps the coefficients k = 1..N of its result.  The two systems are the full quadratically nonlinear equation, and
 its linearization around a prescribed time-dependent base profile with
 an optional forcing term.
 

@@ -20,6 +20,7 @@ from amp_sheet.analysis import (
     verify_phitt_estimate,
     verify_second_derivative_estimate,
     verify_tame_estimate,
+    verify_tame_estimates,
     weighted_l2_norm,
     xm_norm,
     ym_norm,
@@ -260,7 +261,7 @@ class TestEnergyEstimate:
 
 @pytest.mark.parametrize("verify", [
     verify_energy_estimate, verify_energy_estimates, verify_tame_estimate,
-    verify_phitt_estimate,
+    verify_tame_estimates, verify_phitt_estimate,
     verify_second_derivative_estimate, verify_forcing_bound,
 ], ids=lambda fn: fn.__name__)
 def test_deterministic_verifier_takes_no_seed(verify):
@@ -298,6 +299,19 @@ class TestTameEstimate:
         # tame structure: the empirical constant must not explode with m
         assert reps[1].ratio <= 10.0 * reps[0].ratio
         assert reps[0].extras["min_base_stability"] > 0.4
+
+    def test_sweep_equals_one_m_at_a_time(self):
+        reps = verify_tame_estimates(self.BASE, self.g_series(), self.cfg(), [3, 1, 2])
+        assert [r.params["m"] for r in reps] == [3, 1, 2]
+        for rep in reps:
+            one = verify_tame_estimate(self.BASE, self.g_series(), self.cfg(), rep.params["m"])
+            assert rep.to_json() == one.to_json()
+
+    def test_sweep_rejects_m_below_one_before_solving(self, monkeypatch):
+        import amp_sheet.analysis as analysis
+        monkeypatch.setattr(analysis, "solve_linearized", None)
+        with pytest.raises(ValueError, match="m must be at least 1"):
+            verify_tame_estimates(self.BASE, self.g_series(), self.cfg(), [2, 0])
 
 
 class TestPhittEstimate:

@@ -556,6 +556,38 @@ class TestVerifyEstimates:
         for r in report["reports"]:
             assert r["lhs"] > 0.0 and r["rhs"] > 0.0 and r["constant"] > 0.0, r
 
+    @pytest.mark.parametrize("payload, key", [
+        ({"estimate": "energy", "pairs": 0}, "pairs"),
+        ({"estimate": "tame", "t_final": 0.2, "m_values": []}, "m_values"),
+        ({"estimate": "energy", "pairs": 1, "gammas": []}, "gammas"),
+    ], ids=["energy-no-pairs", "tame-no-m", "energy-no-gammas"])
+    def test_empty_sweep_is_config_error(self, runner, tmp_path, payload, key):
+        # a sweep over nothing verifies nothing: neither a pass nor a failure
+        cfg = write_config(tmp_path, "c.json", payload)
+        dest = tmp_path / "o"
+        out = runner.invoke(main, ["verify-estimates", "--config", cfg,
+                                   "--output", str(dest), "--quiet"])
+        assert out.exit_code == 2, out.output
+        assert repr(key) in out.output
+        assert not (dest / f"estimate_{payload['estimate']}.json").exists()
+
+    def test_tame_solves_once(self, runner, tmp_path, monkeypatch):
+        # every m reads the same linearized solution
+        import amp_sheet.analysis as analysis
+        calls = []
+        real = analysis.solve_linearized
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(analysis, "solve_linearized", counted)
+        cfg = write_config(tmp_path, "c.json", {"estimate": "tame", "t_final": 0.2})
+        out = runner.invoke(main, ["verify-estimates", "--config", cfg,
+                                   "--output", str(tmp_path / "o"), "--quiet"])
+        assert out.exit_code == 0, out.output
+        assert len(calls) == 1
+
     def test_forcing_estimate(self, runner, tmp_path):
         cfg = write_config(tmp_path, "c.json", {
             "estimate": "forcing", "delta": 0.75, "nu": 6,

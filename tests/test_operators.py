@@ -1,8 +1,14 @@
 """Tests for the nonlinearity, its derivatives, stability, and lifting."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import amp_sheet.operators as ops
 from amp_sheet.operators import (
     CauchyData,
     FieldSeries,
@@ -292,6 +298,80 @@ class TestFusedLinearized:
                      (np.stack([good.coeffs, bad.coeffs]), good.coeffs)):
             with pytest.raises(ValueError, match="conjugate symmetric"):
                 apply_linearized_operator(*args, 1.0)
+
+
+class TestTransformPaths:
+    """On grids of at most operators._DENSE_MAX_N points the kernels
+    transform by products with cached real tables, one per row; on larger
+    grids by real FFTs.  Each side of the bound is run on both paths."""
+
+    @staticmethod
+    def half(grid, kmax, rng, rows):
+        return ops._positive(np.stack([random_field(grid, kmax, rng).coeffs
+                                       for _ in range(rows)]))
+
+    @pytest.mark.parametrize("n", [ops._DENSE_MAX_N, 2 * ops._DENSE_MAX_N])
+    def test_table_agrees_with_fft(self, n, monkeypatch):
+        grid = TorusGrid(n)
+        rng = np.random.default_rng(n + 7)
+        base = self.half(grid, n // 2 - 1, rng, 1)[0]
+        for K in (10, 21, n // 2 - 1):
+            h = self.half(grid, K, rng, 3)[..., :K]
+            got = {}
+            for bound in (n, n - 1):
+                monkeypatch.setattr(ops, "_DENSE_MAX_N", bound)
+                v0 = ops._synthesis_rows(base, n)
+                got[bound] = (ops._nonlinear_half(h, 0.9, n),
+                              ops._linearized_half(v0, h, 0.9, n),
+                              ops._stability_values(h, 0.9, n))
+            for table, fft in zip(got[n], got[n - 1]):
+                assert table.shape == fft.shape
+                assert np.max(np.abs(table - fft)) <= 1e-13 * np.max(np.abs(fft)), K
+
+    @pytest.mark.parametrize("n, ffts", [(ops._DENSE_MAX_N, 0), (2 * ops._DENSE_MAX_N, 2)])
+    def test_bound_selects_the_path(self, n, ffts, monkeypatch):
+        calls = []
+        for name in ("rfft", "irfft"):
+            real = getattr(np.fft, name)
+            monkeypatch.setattr(np.fft, name,
+                                lambda *a, _real=real, **kw: calls.append(1) or _real(*a, **kw))
+        quadratic_rhs(cosine(TorusGrid(n), 1, 0.1))
+        assert len(calls) == ffts
+
+    def test_strided_and_broadcast_rows(self):
+        # a row gives the same bits whether it stands alone, sits in a
+        # contiguous batch, in every other row of one, or is broadcast
+        n = GRID.n
+        rng = np.random.default_rng(16)
+        base_pos = self.half(GRID, 12, rng, 6)
+        strided_last = np.repeat(base_pos, 2, axis=-1)[..., ::2]
+        for h in (base_pos[::2], np.broadcast_to(base_pos[1], (4, n // 2 - 1)), strided_last):
+            dense = np.ascontiguousarray(h)
+            for kernel in (lambda x: ops._synthesis_rows(x, n),
+                           lambda x: ops._nonlinear_half(x, 0.7, n),
+                           lambda x: ops._stability_values(x, 0.7, n)):
+                out = kernel(h)
+                assert np.array_equal(out, kernel(dense))
+                for row, x in zip(out, dense):
+                    assert np.array_equal(row, kernel(x))
+        # a broadcast base against a batch, in the kernel and the public operator
+        v0 = ops._synthesis_rows(np.broadcast_to(base_pos[0], base_pos.shape), n)
+        lin = ops._linearized_half(v0, base_pos, 0.7, n)
+        single = ops._synthesis_rows(base_pos[0], n)
+        for row, x in zip(lin, base_pos):
+            assert np.array_equal(row, ops._linearized_half(single, x, 0.7, n))
+        u = random_field(GRID, 8, rng).coeffs
+        dirs = np.stack([random_field(GRID, 8, rng).coeffs for _ in range(3)])
+        assert np.array_equal(apply_linearized_operator(np.broadcast_to(u, dirs.shape), dirs, 1.1),
+                              apply_linearized_operator(u, dirs, 1.1))
+
+    def test_import_builds_no_table(self):
+        src = str(Path(ops.__file__).resolve().parents[1])
+        code = ("import amp_sheet.operators as o; "
+                "print(o._symbols.cache_info().currsize, o._dense_tables.cache_info().currsize)")
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src}, check=True)
+        assert done.stdout.split() == ["0", "0"]
 
 
 class TestLinearizedParts:
