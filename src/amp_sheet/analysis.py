@@ -37,7 +37,7 @@ from .operators import (
 from .spectral import (
     SpectralField,
     TorusGrid,
-    _mirror,
+    _band,
     derivative,
     from_modes,
     hilbert,
@@ -193,17 +193,15 @@ def random_trig_field(grid, kmax, rng, decay=2.0, amplitude=1.0):
     rounded as complex scalar arithmetic rounds it: Python's float power,
     real and imaginary parts divided separately (numpy's power and complex
     division differ in the last bit)."""
-    half = grid.n // 2
-    if kmax > half - 1:
+    if kmax > grid.n // 2 - 1:
         raise ValueError(f"mode {kmax} outside retained band")
     a, b = rng.standard_normal(2 * kmax).reshape(kmax, 2).T
     weight = _trig_weights(kmax, decay)
     scale = np.pi * amplitude
-    c = np.zeros(grid.n - 1, complex)
-    c[half:half + kmax].real = scale * a / weight
-    c[half:half + kmax].imag = scale * -b / weight
-    c[half - 1 - kmax:half + kmax] = _mirror(c[half - 1:half + kmax])
-    return SpectralField(grid, c, True)
+    h = np.empty(kmax, complex)
+    h.real = scale * a / weight
+    h.imag = scale * -b / weight
+    return SpectralField(grid, _band(h, grid.n), True)
 
 
 # ---------------------------------------------------------------------------

@@ -304,6 +304,11 @@ def growth(config_path, output_dir, quiet):
     cfg = _read_config(config_path, {**_GROWTH, "modes": [4, 8, 16], "epsilon": 1e-6})
     # its linearized solves never abort on the margin, so delta is not read
     sim = SimConfig(**_pick(cfg, _GROWTH), delta=1.0)
+    if not cfg["modes"]:
+        raise ValueError("config key 'modes' must hold at least one value")
+    for k in cfg["modes"]:
+        if not 1 <= k <= sim.galerkin_N:
+            raise ValueError(f"mode {k} outside the Galerkin band")
     grid = TorusGrid(sim.grid_n)
     eps = cfg["epsilon"]
     out = _resolve_output(output_dir)
@@ -311,8 +316,6 @@ def growth(config_path, output_dir, quiet):
     rows = []
     speed = np.sqrt(abs(sim.mu))
     for k in cfg["modes"]:
-        if not 1 <= k <= sim.galerkin_N:
-            raise ValueError(f"mode {k} outside the Galerkin band")
         # seed the pure-growth branch: phi1 = rate * phi0
         data = CauchyData(cosine(grid, k, eps), cosine(grid, k, eps * k * speed))
         traj, _ = solve_linearized(sim, initial_state=data)
@@ -337,6 +340,8 @@ def growth(config_path, output_dir, quiet):
 def verify_identities_cmd(config_path, output_dir, quiet):
     """Run the Hilbert-transform identity battery."""
     cfg = _read_config(config_path, _defaults(verify_hilbert_identities))
+    if cfg["samples"] < 1:
+        raise ValueError("config key 'samples' must be at least 1")
     out = _resolve_output(output_dir)
 
     report = verify_hilbert_identities(**cfg)

@@ -24,15 +24,15 @@ Each kernel is a private function on half spectra, the coefficients
 k = 1..K of real zero-mean fields, which holds no check: the solvers step
 such arrays directly.  The public operators take (..., n-1) bands, check
 them, run the kernel on k = 1..n/2-1 and mirror the result back into a
-band by c(-k) = conj c(k).
+band by c(-k) = conj c(k) (spectral._band).
 
-The kernels' transforms depend on the grid size n.  Above _DENSE_MAX_N
-points they are batched real FFTs.  Up to it, where an FFT call costs its
-fixed overhead rather than arithmetic, each is a product with a real table
-(the matrix multiplication transform of Boyd, Chebyshev and Fourier
-Spectral Methods, ch. 10): the half spectrum is read as interleaved
-(Re, Im) floats, and the symbols are folded into the tables, which
-_dense_tables builds once per n, on first use, for the whole band
+The kernels' three transforms are each defined once, as a batched real
+FFT, which grids of more than _DENSE_MAX_N points call.  Up to it, where
+an FFT call costs its fixed overhead rather than arithmetic, each is a
+product with a real table (the matrix multiplication transform of Boyd,
+Chebyshev and Fourier Spectral Methods, ch. 10): the half spectrum is read
+as interleaved (Re, Im) floats, and _dense_tables builds each table once
+per n, on first use, as the FFT at the unit inputs of the whole band
 k = 1..n/2-1.  The product runs one vector-matrix BLAS call per row, so a
 row of a batch gives the bits of that row alone, and the analysis always
 produces the whole band before keeping k <= K, so a kernel on K = N gives
@@ -51,7 +51,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .spectral import SpectralField, TorusGrid, _coeffs, _padded_size
+from .spectral import SpectralField, TorusGrid, _band, _coeffs, _padded_size, _positive
 
 _TWO_PI = 2.0 * np.pi
 
@@ -227,19 +227,37 @@ def _symbols(n):
     return m, up, down, lap, slope
 
 
-def _phases(n, m):
-    """e^{2 pi i k j / m} for k = 1..n/2-1 (rows) and j = 0..m-1, the phase
-    taken from the integer k j mod m, which keeps its argument below 2 pi."""
-    k = np.arange(1, n // 2)
-    return np.exp((_TWO_PI / m) * 1j * (np.outer(k, np.arange(m)) % m))
+def _synthesis(h, symbol, m):
+    """Values on m points of the real fields whose half spectra are zero at
+    k = 0 and h * symbol at k = 1..K; irfft pads k > K with zeros itself."""
+    spec = np.zeros(np.broadcast(h, symbol).shape[:-1] + (h.shape[-1] + 1,), complex)
+    np.multiply(h, symbol, out=spec[..., 1:])
+    return np.fft.irfft(spec, m)
 
 
-def _interleaved(z):
-    """Real rows (Re z, -Im z) for each row of the complex `z`: the table
-    that takes an interleaved (Re h, Im h) row to sum_k Re(h_k z_k)."""
-    out = np.empty((z.shape[0], 2) + z.shape[1:])
-    out[:, 0], out[:, 1] = z.real, -z.imag
-    return out.reshape((2 * z.shape[0],) + z.shape[1:])
+def _synthesis_fft(h, n):
+    """(p, p_x, p_xx, H p_xx), p = H phi, on the 3/2-padded grid of an
+    n-point grid, shape (..., 4, m), for the fields phi whose coefficients
+    k = 1..K are the last axis of `h`: one batched inverse real FFT."""
+    m, up, *_ = _symbols(n)
+    return _synthesis(h[..., None, :], up[:, :h.shape[-1]], m)
+
+
+def _analysis_fft(ab, n, K):
+    """The coefficients k = 1..K of d/dx(H[a] - b) from the values of (a, b)
+    on the padded grid of an n-point grid, a (..., 2, m) buffer: one batched
+    real FFT, then k (a^(k) - i b^(k)) (the symbol `down`)."""
+    _, _, down, _, _ = _symbols(n)
+    ab = np.fft.rfft(ab)[..., 1:K + 1]
+    return down[:K] * (ab[..., 0, :] - 1j * ab[..., 1, :])
+
+
+def _slope_fft(h, n):
+    """Values of -2 (H phi)_x at the n grid nodes, shape (..., n), for the
+    fields phi whose coefficients k = 1..K are the last axis of `h`: one
+    batched inverse real FFT."""
+    _, _, _, _, slope = _symbols(n)
+    return -2.0 * _synthesis(h, slope[:h.shape[-1]], n)
 
 
 @lru_cache(maxsize=8)
@@ -248,22 +266,16 @@ def _dense_tables(n):
     coefficients k = 1..n/2-1 of real zero-mean fields read as interleaved
     (Re, Im) floats; a kernel on k = 1..K reads the first 2K rows.
 
-    Returns (synthesis, analysis, stability):
-    - (n-2, 4m): the values of (p, p_x, p_xx, H p_xx) on the padded grid,
-      the symbols `up` folded into the inverse transform;
-    - (2m, n-2): the interleaved N^(k) = k 2pi/m (a^(k) - i b^(k)) of the
-      values of (a, b), the forward transform and `down` folded together;
-    - (n-2, n): the values of -2 (H phi)_x at the n grid nodes.
+    Returns (synthesis, analysis, stability), of shapes (n-2, 4m), (2m, n-2)
+    and (n-2, n): _synthesis_fft, _analysis_fft over the whole band and
+    _slope_fft at the unit inputs, row j the image of the j-th unit float
+    (the rows of an identity, read as complex for e_k and i e_k).
     """
-    m, up, down, _, slope = _symbols(n)
-    e = _phases(n, m)
-    synthesis = _interleaved((2.0 / m) * up.T[:, :, None] * e[:, None, :])
-    # node j adds (a_j - i b_j) w_jk to N^(k), w_jk = down_k e^{-2 pi i k j / m}
-    w = down * e.T.conj()
-    z = np.array([w, -1j * w])
-    analysis = np.stack([z.real, z.imag], axis=-1)
-    stability = _interleaved((-4.0 / n) * slope[:, None] * _phases(n, n))
-    tables = (synthesis.reshape(n - 2, 4 * m), analysis.reshape(2 * m, n - 2), stability)
+    m = _padded_size(n)
+    unit = np.eye(n - 2).view(complex)
+    tables = (_synthesis_fft(unit, n).reshape(n - 2, 4 * m),
+              _analysis_fft(np.eye(2 * m).reshape(2 * m, 2, m), n, n // 2 - 1).view(float),
+              _slope_fft(unit, n))
     for a in tables:
         a.flags.writeable = False
     return tables
@@ -284,89 +296,50 @@ def _floats(h):
     return h.view(float)
 
 
-def _positive(c):
-    """The coefficients k = 1..n/2-1 of (..., n-1) bands: a view."""
-    return c[..., c.shape[-1] // 2 + 1:]
-
-
-def _band(h, n):
-    """The (..., n-1) bands of the real zero-mean fields whose coefficients
-    k = 1..K are the last axis of `h`, c(-k) = conj c(k): zero at k = 0 and
-    beyond K."""
-    K, mid = h.shape[-1], n // 2 - 1
-    out = np.zeros(h.shape[:-1] + (n - 1,), complex)
-    out[..., mid + 1:mid + 1 + K] = h
-    out[..., mid - K:mid] = h[..., ::-1].conj()
-    return out
-
-
-def _synthesis(h, symbol, m):
-    """Values on m points of the real fields whose half spectra are zero at
-    k = 0 and h * symbol at k = 1..K; irfft pads k > K with zeros itself."""
-    spec = np.zeros(np.broadcast(h, symbol).shape[:-1] + (h.shape[-1] + 1,), complex)
-    np.multiply(h, symbol, out=spec[..., 1:])
-    return np.fft.irfft(spec, m)
-
-
 def _synthesis_rows(h, n):
-    """(p, p_x, p_xx, H p_xx), p = H phi, on the 3/2-padded grid of an
-    n-point grid, for the fields phi whose coefficients k = 1..K are the
-    last axis of `h`, shape (..., 4, m): one table product per row on
-    small grids, one batched inverse real FFT on large ones."""
-    m, up, *_ = _symbols(n)
-    K = h.shape[-1]
-    if n <= _DENSE_MAX_N:
-        synthesis, _, _ = _dense_tables(n)
-        rows = _row_products(_floats(h), synthesis[:2 * K])
-        return rows.reshape(rows.shape[:-1] + (4, m))
-    return _synthesis(h[..., None, :], up[:, :K], m)
+    """(p, p_x, p_xx, H p_xx) of _synthesis_fft, shape (..., 4, m): one
+    table product per row on small grids, the FFT on large ones."""
+    if n > _DENSE_MAX_N:
+        return _synthesis_fft(h, n)
+    synthesis, _, _ = _dense_tables(n)
+    rows = _row_products(_floats(h), synthesis[:2 * h.shape[-1]])
+    return rows.reshape(rows.shape[:-1] + (4, _padded_size(n)))
 
 
 def _analysis_of_products(ab, n, K):
-    """The coefficients k = 1..K of d/dx(H[a] - b) from the values of (a, b)
-    on the padded grid of an n-point grid, a (..., 2, m) buffer: on small
-    grids one table product per row over the whole band k = 1..n/2-1, kept
-    to k <= K; on large ones one batched real FFT, then k (a^(k) - i b^(k))
-    (the symbol `down`)."""
-    if n <= _DENSE_MAX_N:
-        _, analysis, _ = _dense_tables(n)
-        flat = ab.reshape(ab.shape[:-2] + (-1,))
-        return _row_products(flat, analysis).view(complex)[..., :K]
-    _, _, down, _, _ = _symbols(n)
-    ab = np.fft.rfft(ab)[..., 1:K + 1]
-    return down[:K] * (ab[..., 0, :] - 1j * ab[..., 1, :])
+    """The coefficients k = 1..K of _analysis_fft: on small grids one table
+    product per row over the whole band k = 1..n/2-1, kept to k <= K; the
+    FFT on large ones."""
+    if n > _DENSE_MAX_N:
+        return _analysis_fft(ab, n, K)
+    _, analysis, _ = _dense_tables(n)
+    flat = ab.reshape(ab.shape[:-2] + (-1,))
+    return _row_products(flat, analysis).view(complex)[..., :K]
 
 
-def _quadratic_half(h, n):
-    """N(phi)^(k), k = 1..K, from the coefficients k = 1..K of phi (the last
-    axis of `h`): the fused kernel of quadratic_rhs, with no check."""
+def _nonlinear_half(h, mu, n):
+    """(mu phi_xx + N(phi))^(k), k = 1..K, from the coefficients k = 1..K of
+    phi (the last axis of `h`): the fused kernel of nonlinear_operator and,
+    with mu = 0, of quadratic_rhs, with no check."""
+    _, _, _, lap, _ = _symbols(n)
     v = _synthesis_rows(h, n)
     p, px, pxx, hpxx = v.swapaxes(0, -2)
     ab = np.empty(v.shape[:-2] + (2, v.shape[-1]))
     np.multiply(px, px, out=ab[..., 0, :])
     ab[..., 0, :] += p * pxx
     np.multiply(p, hpxx, out=ab[..., 1, :])
-    return _analysis_of_products(ab, n, h.shape[-1])
-
-
-def _nonlinear_half(h, mu, n):
-    """(mu phi_xx + N(phi))^(k), k = 1..K, from the coefficients k = 1..K of
-    phi: the kernel of nonlinear_operator, with no check."""
-    _, _, _, lap, _ = _symbols(n)
-    return mu * lap[:h.shape[-1]] * h + _quadratic_half(h, n)
+    return mu * lap[:h.shape[-1]] * h + _analysis_of_products(ab, n, h.shape[-1])
 
 
 def _stability_values(h, mu, n):
     """Values of mu - 2 (H phi)_x at the n grid nodes, shape (..., n), for
     the fields phi whose coefficients k = 1..K are the last axis of `h`:
-    the kernel of stability_coefficient: one table product per row on small
-    grids, one batched inverse real FFT on large ones."""
-    K = h.shape[-1]
-    if n <= _DENSE_MAX_N:
-        _, _, stability = _dense_tables(n)
-        return mu + _row_products(_floats(h), stability[:2 * K])
-    _, _, _, _, slope = _symbols(n)
-    return mu - 2.0 * _synthesis(h, slope[:K], n)
+    the kernel of stability_coefficient, by one table product per row on
+    small grids and _slope_fft on large ones."""
+    if n > _DENSE_MAX_N:
+        return mu + _slope_fft(h, n)
+    _, _, stability = _dense_tables(n)
+    return mu + _row_products(_floats(h), stability[:2 * h.shape[-1]])
 
 
 def _linearized_half(v0, h, mu, n):
@@ -393,19 +366,18 @@ def quadratic_rhs(phi):
     any leading batch axes (shape (..., n-1)); the result has the same
     kind and shape, again real with zero mean (an exact x-derivative).
 
-    The kernel uses H[p_x^2] - [p; H]p_xx = H[a] - b with
-    a = p_x^2 + p p_xx and b = p H[p_xx]: one synthesis of
-    (p, p_x, p_xx, H p_xx) on the m-point grid (m = 3n/2, so the retained
-    band of both products is exact) and one analysis of (a, b), each a
-    table product per row on grids of at most _DENSE_MAX_N points and a
-    batched real FFT on larger ones.  For k >= 0 the result is
+    It runs the kernel of nonlinear_operator with mu = 0, which uses
+    H[p_x^2] - [p; H]p_xx = H[a] - b with a = p_x^2 + p p_xx and
+    b = p H[p_xx]: one synthesis of (p, p_x, p_xx, H p_xx) on the m-point
+    grid (m = 3n/2, so the retained band of both products is exact) and
+    one analysis of (a, b).  For k >= 0 the result is
     N^(k) = k (a^(k) - i b^(k)); the k < 0 half follows by conjugate
     symmetry, which is why the input must be conjugate symmetric.
     """
     _require_real_zero_mean(phi, "phi")
     c = _coeffs(phi)
     n = c.shape[-1] + 1
-    out = _band(_quadratic_half(_positive(c), n), n)
+    out = _band(_nonlinear_half(_positive(c), 0.0, n), n)
     return SpectralField(phi.grid, out, True) if isinstance(phi, SpectralField) else out
 
 
@@ -452,7 +424,7 @@ def apply_linearized_operator(phi0, phiP, mu):
 
     one synthesis of each argument's four rows (p0, p0_x, p0_xx, H p0_xx
     and p, p_x, p_xx, H p_xx) on the m-point grid and one analysis of
-    (a, b), by table products or real FFTs as in quadratic_rhs.
+    (a, b), by table products or real FFTs (see the module docstring).
     """
     _require_real_zero_mean(phi0, "phi0")
     _require_real_zero_mean(phiP, "phiP")
@@ -545,9 +517,6 @@ class Lifting:
 
     data: CauchyData
     ramp_width: float
-
-    def chi(self, t):
-        return _chi_parts(t, self.ramp_width)
 
     def at(self, t):
         """phi_a(t) and its first and second analytic time derivatives, as

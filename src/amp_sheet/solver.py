@@ -12,9 +12,10 @@ through the private half-spectrum kernels of operators (the public
 operators are those kernels plus checks): synthesis reads only the
 k = 1..N half spectrum on the 3/2-padded grid (a table product reads the
 table's first 2N rows, an inverse real FFT zero-pads k > N itself), and
-analysis keeps the coefficients k = 1..N of its result.  The two systems are the full quadratically nonlinear equation, and
-its linearization around a prescribed time-dependent base profile with
-an optional forcing term.
+analysis keeps the coefficients k = 1..N of its result.  The two systems
+are the full quadratically nonlinear equation, and its linearization
+around a prescribed time-dependent base profile with an optional forcing
+term.
 
 Base profiles and forcing terms of the linearized system are field
 sources (see field_evaluator): each maps a 1-D array of times to a
@@ -44,17 +45,15 @@ import numpy as np
 
 from .operators import (
     Trajectory,
-    _band,
     _linearized_half,
     _nonlinear_half,
-    _positive,
     _require_real,
     _require_real_zero_mean,
     _stability_values,
     _synthesis_rows,
     require_margin,
 )
-from .spectral import SpectralField, TorusGrid, zeros
+from .spectral import SpectralField, TorusGrid, _band, _positive, zeros
 
 BLOW_UP_THRESHOLD = 1e12
 

@@ -216,21 +216,30 @@ def _synthesis(c, m):
     return np.fft.irfft(_half(c), m) * (m / _TWO_PI)
 
 
-def _mirror(half):
-    """The (..., n-1) band of real fields from their k = 0..n/2-1 half
-    spectra, c(-k) = conj c(k)."""
-    h = half.shape[-1]
-    out = np.empty(half.shape[:-1] + (2 * h - 1,), complex)
-    out[..., h - 1:] = half
-    out[..., :h - 1] = half[..., :0:-1].conj()
+def _positive(c):
+    """The coefficients k = 1..n/2-1 of (..., n-1) bands: a view."""
+    return c[..., c.shape[-1] // 2 + 1:]
+
+
+def _band(h, n):
+    """The (..., n-1) bands of the real fields whose coefficients k = 1..K
+    are the last axis of `h`, c(-k) = conj c(k): zero at k = 0 and beyond
+    K.  The one place a band is mirrored."""
+    K, mid = h.shape[-1], n // 2 - 1
+    out = np.zeros(h.shape[:-1] + (n - 1,), complex)
+    out[..., mid + 1:mid + 1 + K] = h
+    out[..., mid - K:mid] = h[..., ::-1].conj()
     return out
 
 
 def _analysis(vals, n):
     """The n-grid band of real fields sampled on the m points of the last
-    axis: one real FFT, kept to k < n/2."""
+    axis: one real FFT, kept to k < n/2 and mirrored."""
     m = vals.shape[-1]
-    return _mirror(np.fft.rfft(vals)[..., :n // 2] * (_TWO_PI / m))
+    half = np.fft.rfft(vals)[..., :n // 2] * (_TWO_PI / m)
+    out = _band(half[..., 1:], n)
+    out[..., n // 2 - 1] = half[..., 0]
+    return out
 
 
 def _values(f, m):

@@ -441,7 +441,29 @@ class TestGrowth:
         assert out.exit_code == 2
 
 
+    def test_no_modes_is_config_error(self, runner, tmp_path):
+        # a sweep over no mode measures nothing: rejected before any solve
+        cfg = write_config(tmp_path, "c.json", {**GROWTH_SIM, "mu": -1.0, "modes": []})
+        dest = tmp_path / "o"
+        out = runner.invoke(main, ["growth", "--config", cfg,
+                                   "--output", str(dest), "--quiet"])
+        assert out.exit_code == 2, out.output
+        assert "'modes'" in out.output
+        assert not dest.exists()
+
+
 class TestVerifyIdentities:
+    @pytest.mark.parametrize("samples", [0, -3])
+    def test_no_samples_is_config_error(self, runner, tmp_path, samples):
+        # a battery over no sample checks nothing: neither a pass nor a failure
+        cfg = write_config(tmp_path, "c.json", {"samples": samples, "grid_n": 32})
+        dest = tmp_path / "o"
+        out = runner.invoke(main, ["verify-identities", "--config", cfg,
+                                   "--output", str(dest)])
+        assert out.exit_code == 2, out.output
+        assert "'samples'" in out.output
+        assert not dest.exists()
+
     def test_battery_passes(self, runner, tmp_path):
         cfg = write_config(tmp_path, "c.json", {"samples": 10, "grid_n": 64})
         dest = tmp_path / "o"

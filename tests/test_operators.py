@@ -29,6 +29,7 @@ from amp_sheet.operators import (
 from amp_sheet.spectral import (
     SpectralField,
     TorusGrid,
+    _padded_size,
     cosine,
     derivative,
     from_modes,
@@ -167,6 +168,14 @@ class TestNonlinearOperator:
             assert batch.shape == rows.shape
             for got, row in zip(batch, rows):
                 assert np.array_equal(got, mu * lap * row + quadratic_rhs(row))
+
+    def test_quadratic_rhs_is_the_operator_at_mu_zero(self):
+        # N(phi) is the kernel of mu phi_xx + N(phi) with mu = 0, on one row
+        # and on a batch
+        rng = np.random.default_rng(17)
+        rows = np.stack([random_field(GRID, 12, rng).coeffs for _ in range(5)])
+        for phi in (rows[0], rows):
+            assert np.array_equal(quadratic_rhs(phi), nonlinear_operator(phi, 0.0))
 
     def test_matches_independent_route(self):
         # mu phi_xx + N(phi) against mu * derivative(phi, 2) plus the
@@ -328,14 +337,30 @@ class TestTransformPaths:
                 assert table.shape == fft.shape
                 assert np.max(np.abs(table - fft)) <= 1e-13 * np.max(np.abs(fft)), K
 
+    @pytest.mark.parametrize("n", [4, 32, ops._DENSE_MAX_N])
+    def test_tables_are_the_fft_at_unit_inputs(self, n):
+        # rows 2k-2, 2k-1 of a synthesis table are e_k and i e_k; row j of
+        # the analysis table is the j-th point value of the (a, b) buffer
+        m = _padded_size(n)
+        unit = np.eye(n - 2).view(complex)
+        synthesis, analysis, stability = ops._dense_tables(n)
+        assert np.array_equal(synthesis, ops._synthesis_fft(unit, n).reshape(n - 2, 4 * m))
+        assert np.array_equal(analysis, ops._analysis_fft(
+            np.eye(2 * m).reshape(2 * m, 2, m), n, n // 2 - 1).view(float))
+        assert np.array_equal(stability, ops._slope_fft(unit, n))
+
     @pytest.mark.parametrize("n, ffts", [(ops._DENSE_MAX_N, 0), (2 * ops._DENSE_MAX_N, 2)])
     def test_bound_selects_the_path(self, n, ffts, monkeypatch):
+        # a table is built once per process, by its FFT function: count the
+        # transforms of a call after the first
+        phi = cosine(TorusGrid(n), 1, 0.1)
+        quadratic_rhs(phi)
         calls = []
         for name in ("rfft", "irfft"):
             real = getattr(np.fft, name)
             monkeypatch.setattr(np.fft, name,
                                 lambda *a, _real=real, **kw: calls.append(1) or _real(*a, **kw))
-        quadratic_rhs(cosine(TorusGrid(n), 1, 0.1))
+        quadratic_rhs(phi)
         assert len(calls) == ffts
 
     def test_strided_and_broadcast_rows(self):
@@ -618,9 +643,9 @@ class TestLifting:
         r = lift.ramp_width
         h = 1e-6
         for t in (1.2 * r, 1.7 * r, -1.4 * r):
-            c, cp, cpp = lift.chi(t)
-            cm = lift.chi(t - h)[0]
-            cl = lift.chi(t + h)[0]
+            c, cp, cpp = bump_window(t, 0.0, r)
+            cm = bump_window(t - h, 0.0, r)[0]
+            cl = bump_window(t + h, 0.0, r)[0]
             assert (cl - cm) / (2 * h) == pytest.approx(cp, abs=5e-7)
             assert (cl - 2 * c + cm) / h**2 == pytest.approx(cpp, abs=5e-4)
 
