@@ -47,15 +47,11 @@ from .spectral import (
     regrid,
     sobolev_norm,
 )
-from .solver import field_evaluator, solve_linearized
+from .solver import _NODE_BLOCK, field_evaluator, solve_linearized
 
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
 IDENTITY_TOL = 1e-11
-
-#: time nodes per linearized-kernel call in apply_linearized; bounds the
-#: kernel's temporaries on long trajectories
-_NODE_BLOCK = 64
 
 #: campaign samples per batched lemma call; bounds the batch's temporaries.
 #: The blocks depend on the sample count alone, never on `jobs`.
@@ -656,6 +652,8 @@ def verify_hilbert_identities(samples=100, grid_n=128, seed=0):
     Returns a report dict with the max defect per identity; everything
     must come in below 1e-11 for `passed`.
     """
+    if samples < 1:
+        raise ValueError("need at least one sample")
     grid = TorusGrid(grid_n)
     kmax = grid_n // 6
     rng = np.random.default_rng(seed)

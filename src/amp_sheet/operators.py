@@ -188,12 +188,8 @@ class Trajectory:
         out[-1] = h * (3.0 * q[-1] - 4.0 * q[-2] + q[-3])
         return out
 
-    def _fields(self, rows):
-        return None if rows is None else [SpectralField(self.grid, r, True) for r in rows]
-
-    # field lists, read-only, for callers written against per-node fields
-    phis = property(lambda self: self._fields(self.phi))
-    phits = property(lambda self: self._fields(self.phit))
+    # a field list, read-only, for callers written against per-node fields
+    phis = property(lambda self: [SpectralField(self.grid, r, True) for r in self.phi])
 
 
 FieldSeries = Trajectory

@@ -1,9 +1,9 @@
 """Galerkin pseudospectral time integration.
 
-The state (phi, phi_t) is advanced with the classical fourth-order
-Runge-Kutta scheme on the Galerkin space, the real zero-mean modes
-1 <= |k| <= N.  The solvers step only the coefficients k = 1..N, a pair
-of (N,) complex arrays: every such array is a real zero-mean field in the
+The state is advanced with the classical fourth-order Runge-Kutta scheme
+on the Galerkin space, the real zero-mean modes 1 <= |k| <= N.  The
+solvers step only the coefficients k = 1..N, one (2, N) complex array
+with rows phi and phi_t: every such row is a real zero-mean field in the
 Galerkin space, so conjugate symmetry, zero mean and the projection hold
 by construction at every RK4 stage, and no stage is masked, mirrored or
 checked.  Each solver integrates one semidiscrete right-hand side,
@@ -24,20 +24,20 @@ once per solve on its whole RK4 stage mesh, and synthesizes the base's
 four rows (p0, p0_x, p0_xx, H p0_xx) there once, from its full band
 k < n/2: a Newton base or a configured one can carry modes above N.
 
-Each solve mirrors its (T, N) rows once into the (T, n-1) arrays of the
-Trajectory it returns, together with a monitor dictionary:
+Each solve mirrors its (T, 3, N) rows once into the (T, n-1) arrays of
+the Trajectory it returns, together with a monitor dictionary:
 "min_stability_coeff", the minimum of the stability coefficient
 mu - 2 (H phi)_x at each kept node (the node times are the trajectory's),
-and "flags", the list of flags raised.  The nonlinear solver truncates
-the run when the coefficient drops below delta/2 or the state blows up;
-the linearized solver records the base coefficient but only aborts on
-blow-up, since ill-posed constant-coefficient runs (mu < 0) are a
-legitimate diagnostic and are merely flagged.
+and "flags", the list of flags raised.  The monitor judges a block of
+_NODE_BLOCK nodes at once, after they are stepped.  The nonlinear solver
+truncates the run when the coefficient drops below delta/2 or the state
+blows up; the linearized solver records the base coefficient but only
+aborts on blow-up, since ill-posed constant-coefficient runs (mu < 0) are
+a legitimate diagnostic and are merely flagged.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -56,6 +56,11 @@ from .operators import (
 from .spectral import SpectralField, TorusGrid, _band, _positive, zeros
 
 BLOW_UP_THRESHOLD = 1e12
+
+#: time nodes per batched call: _march steps this many nodes, then judges
+#: them with one monitor call; analysis.apply_linearized applies its kernel
+#: to this many nodes at once
+_NODE_BLOCK = 64
 
 
 class CflError(RuntimeError):
@@ -103,7 +108,7 @@ class SimConfig:
 
     def cfl_limit(self, sup_c2):
         """Largest admissible dt for wave speed sqrt(max(1, sup c^2))."""
-        return self.cfl_safety / (self.galerkin_N * math.sqrt(max(1.0, sup_c2)))
+        return self.cfl_safety / (self.galerkin_N * np.sqrt(np.fmax(1.0, sup_c2)))
 
 
 @lru_cache(maxsize=8)
@@ -187,106 +192,105 @@ def field_evaluator(source, grid, t_final=None):
     raise TypeError(f"cannot interpret {type(source).__name__} as a field source")
 
 
+def _stacked(velocity, acceleration):
+    """The (..., 2, N) time derivative of a state: rows phi_t, phi_tt."""
+    return np.concatenate((velocity, acceleration), axis=-1).reshape(
+        velocity.shape[:-1] + (2, velocity.shape[-1]))
+
+
 def semidiscrete_rhs_nonlinear(state, cfg):
     """Galerkin right-hand side of the nonlinear system.
 
-    Maps the pair (phi_hat, phi_t_hat) of (..., N) arrays, the coefficients
-    k = 1..N of real zero-mean fields, to the pair
-    (phi_t_hat, mu phi_xx + N(phi)) of the same kind: the second member is
-    kept to k = 1..N, which is the projection onto the Galerkin space.
-    The input is trusted, not checked.
+    Maps a (..., 2, N) state, rows phi_hat and phi_t_hat, the coefficients
+    k = 1..N of real zero-mean fields, to the (..., 2, N) array with rows
+    phi_t_hat and (mu phi_xx + N(phi))^(k): the second row is kept to
+    k = 1..N, which is the projection onto the Galerkin space.  The input
+    is trusted, not checked.
     """
-    phi_hat, phit_hat = state
-    return phit_hat, _nonlinear_half(phi_hat, cfg.mu, cfg.grid_n)
+    return _stacked(state[..., 1, :],
+                    _nonlinear_half(state[..., 0, :], cfg.mu, cfg.grid_n))
 
 
 def semidiscrete_rhs_linearized(state, base_rows, g_hat, cfg):
     """Galerkin right-hand side of the linearization at a frozen base with
-    forcing g, at a single instant; the pair in and out as in
+    forcing g, at a single instant; (..., 2, N) states in and out as in
     semidiscrete_rhs_nonlinear.
 
     `base_rows` are the base's (p0, p0_x, p0_xx, H p0_xx) on the padded
     grid, shape (4, m) as operators._synthesis_rows returns them, and
     `g_hat` the coefficients k = 1..N of the forcing.
     """
-    phi_hat, phit_hat = state
-    return phit_hat, _linearized_half(base_rows, phi_hat, cfg.mu, cfg.grid_n) + g_hat
+    return _stacked(state[..., 1, :], _linearized_half(
+        base_rows, state[..., 0, :], cfg.mu, cfg.grid_n) + g_hat)
 
 
-def rk4_step(t, dt, state, rhs, k1=None):
-    """One classical RK4 step of y' = rhs(t, y) for a pair y = (phi, phi_t)
-    of coefficient arrays; returns the new pair.  `k1` may pass in a
-    precomputed rhs(t, state)."""
-    phi, phit = state
+def rk4_step(t, dt, y, rhs, k1=None):
+    """One classical RK4 step of y' = rhs(t, y) for a (2, N) state y, rows
+    phi and phi_t; returns the new state.  `k1` may pass in a precomputed
+    rhs(t, y)."""
     h = 0.5 * dt
     if k1 is None:
-        k1 = rhs(t, state)
-    k2 = rhs(t + h, (phi + h * k1[0], phit + h * k1[1]))
-    k3 = rhs(t + h, (phi + h * k2[0], phit + h * k2[1]))
-    k4 = rhs(t + dt, (phi + dt * k3[0], phit + dt * k3[1]))
-    w = dt / 6.0
-    return (phi + w * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0]),
-            phit + w * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1]))
+        k1 = rhs(t, y)
+    k2 = rhs(t + h, y + h * k1)
+    k3 = rhs(t + h, y + h * k2)
+    k4 = rhs(t + dt, y + dt * k3)
+    return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _march(cfg, rhs, state, stability_values, abort_on_stability):
-    """Shared stepping loop.  Returns (Trajectory, monitor).
-
-    `state` is the initial (phi, phi_t) pair of (N,) arrays, the
-    coefficients k = 1..N, and `rhs(t, state)` the semidiscrete right-hand
-    side on such pairs.  `stability_values(i, phi_hat)` gives the values of
-    the monitored coefficient mu - 2 (H .)_x at node i, of the state itself
-    for the nonlinear equation and of the base profile for the linearized
-    one.  The stepped rows are mirrored into the trajectory's (T, n-1)
-    arrays once, at the end.
+def _march(cfg, rhs, y, stability_values, abort_on_stability):
+    """Shared stepping loop from the (2, N) state `y` under `rhs(t, y)`:
+    step a block of _NODE_BLOCK nodes, then judge it.  Returns (Trajectory,
+    monitor).  `stability_values(nodes, phi_rows)` gives the (B, n) values
+    of mu - 2 (H .)_x at the nodes of the slice `nodes`, of the state for
+    the nonlinear equation and of the base for the linearized one.  The
+    block's first node that blows up, drops below delta/2 (if
+    `abort_on_stability`) or, before node m, breaks the CFL limit ends the
+    run, in that order at one node; the nodes stepped past it are dropped.
     """
     m = cfg.num_steps()
     times = np.arange(m + 1) * cfg.dt
+    flags = [{"type": "elliptic_regime", "time": 0.0}] if cfg.mu <= 0 else []
 
-    flags = []
-    if cfg.mu <= 0:
-        flags.append({"type": "elliptic_regime", "time": 0.0})
+    # (phi, phi_t, phi_tt) at each node, phi_tt the Galerkin right-hand side
+    rows = np.empty((m + 1, 3, cfg.galerkin_N), complex)
+    stab = np.empty(m + 1)
+    kept = m + 1
+    # past a flagged node the stepping may overflow; those rows are dropped
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, m + 1, _NODE_BLOCK):
+            block = slice(start, min(start + _NODE_BLOCK, m + 1))
+            for i in range(block.start, block.stop):
+                t = float(times[i])
+                k1 = rhs(t, y)
+                rows[i, :2], rows[i, 2] = y, k1[1]
+                if i < m:
+                    y = rk4_step(t, cfg.dt, y, rhs, k1)
+            vals = stability_values(block, rows[block, 0])
+            stab[block] = vals.min(axis=-1)
+            blow_up = ~(np.abs(rows[block, :2]).max(axis=(1, 2)) <= BLOW_UP_THRESHOLD)
+            abort = abort_on_stability & (stab[block] < 0.5 * cfg.delta)
+            limit = cfg.cfl_limit(vals.max(axis=-1))
+            cfl = (cfg.dt > limit * (1.0 + 1e-12)) & (np.arange(block.start, block.stop) < m)
+            hit = np.flatnonzero(blow_up | abort | cfl)
+            if hit.size:
+                j = hit[0]
+                kept, t = block.start + j + 1, float(times[block.start + j])
+                if not (blow_up[j] or abort[j]):
+                    raise CflError(
+                        f"dt = {cfg.dt:.6g} exceeds the CFL limit {limit[j]:.6g} "
+                        f"at t = {t:.6g} (N = {cfg.galerkin_N})"
+                    )
+                kind = "blow_up" if blow_up[j] else "stability_below_half_delta"
+                flags.append({"type": kind, "time": t})
+                break
 
-    # (phi, phi_t, phi_tt) rows; the recorded second derivative is exactly
-    # the Galerkin right-hand side at the node
-    rows = np.empty((3, m + 1, cfg.galerkin_N), complex)
-    stab = []
-    kept = 0
-    for i, t in enumerate(times):
-        t = float(t)
-        phi, phit = state
-        vals = stability_values(i, phi)
-        mn = float(vals.min())
-        k1 = rhs(t, state)
-        rows[:, i] = phi, phit, k1[1]
-        stab.append(mn)
-        kept = i + 1
-
-        amp = np.abs(rows[:2, i]).max()
-        if not np.isfinite(amp) or amp > BLOW_UP_THRESHOLD:
-            flags.append({"type": "blow_up", "time": t})
-            break
-        if abort_on_stability and mn < 0.5 * cfg.delta:
-            flags.append({"type": "stability_below_half_delta", "time": t})
-            break
-        if i == m:
-            break
-
-        limit = cfg.cfl_limit(float(vals.max()))
-        if cfg.dt > limit * (1.0 + 1e-12):
-            raise CflError(
-                f"dt = {cfg.dt:.6g} exceeds the CFL limit {limit:.6g} "
-                f"at t = {t:.6g} (N = {cfg.galerkin_N})"
-            )
-        state = rk4_step(t, cfg.dt, state, rhs, k1)
-
-    traj = Trajectory(times[:kept], *_band(rows[:, :kept], cfg.grid_n))
-    return traj, {"min_stability_coeff": np.array(stab), "flags": flags}
+    traj = Trajectory(times[:kept], *_band(rows[:kept].swapaxes(0, 1), cfg.grid_n))
+    return traj, {"min_stability_coeff": stab[:kept], "flags": flags}
 
 
 def _galerkin_state(data, cfg):
-    """The (phi, phi_t) state of Cauchy data: their coefficients k = 1..N."""
-    return tuple(_positive(f.coeffs)[:cfg.galerkin_N] for f in (data.phi0, data.phi1))
+    """The (2, N) state of Cauchy data: phi0, phi1 at k = 1..N."""
+    return np.array([_positive(f.coeffs)[:cfg.galerkin_N] for f in (data.phi0, data.phi1)])
 
 
 def solve_nonlinear(cfg, data):
@@ -299,11 +303,9 @@ def solve_nonlinear(cfg, data):
     if data.grid.n != cfg.grid_n:
         raise ValueError("data grid does not match the configured grid")
     require_margin(data.phi0, cfg.mu, cfg.delta, "initial data")
-    return _march(
-        cfg, lambda t, y: semidiscrete_rhs_nonlinear(y, cfg), _galerkin_state(data, cfg),
-        lambda i, phi_hat: _stability_values(phi_hat, cfg.mu, cfg.grid_n),
-        abort_on_stability=True,
-    )
+    return _march(cfg, lambda t, y: semidiscrete_rhs_nonlinear(y, cfg), _galerkin_state(data, cfg),
+                  lambda nodes, phi_rows: _stability_values(phi_rows, cfg.mu, cfg.grid_n),
+                  abort_on_stability=True)
 
 
 def solve_linearized(cfg, base=None, forcing=None, initial_state=None):
@@ -329,7 +331,7 @@ def solve_linearized(cfg, base=None, forcing=None, initial_state=None):
     _require_real(g_rows, "forcing")
 
     if initial_state is None:
-        state = (np.zeros(N, complex), np.zeros(N, complex))
+        state = np.zeros((2, N), complex)
     else:
         if initial_state.grid.n != cfg.grid_n:
             raise ValueError("initial state grid does not match the configured grid")
@@ -344,7 +346,7 @@ def solve_linearized(cfg, base=None, forcing=None, initial_state=None):
         i = round(t / half)
         return semidiscrete_rhs_linearized(state, base_synth[i], g_hat[i], cfg)
 
-    return _march(cfg, rhs, state, lambda i, phi_hat: base_vals[i],
+    return _march(cfg, rhs, state, lambda nodes, phi_rows: base_vals[nodes],
                   abort_on_stability=False)
 
 

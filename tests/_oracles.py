@@ -17,10 +17,15 @@ package's own mu phi_xx + N(phi).
 
 The masked_* routines at the end are the solvers as they were when they
 stepped the whole (n-1) band: every RK4 stage masked to the Galerkin space
-and evaluated by the public, checked operators.  They share those operators
-and rk4_step with the package, so the solvers' k = 1..N stepping can be held
-against them bitwise.
+and evaluated by the public, checked operators, stepped by pair_rk4_step on
+(phi, phi_t) pairs and monitored node by node.  They share only those
+operators with the package, so the solvers' k = 1..N block stepping can be
+held against them bitwise.  node_march is the solvers' stepping loop as it
+was when it judged one node at a time, for synthetic right-hand sides and
+monitors.
 """
+
+import math
 
 import numpy as np
 
@@ -31,10 +36,11 @@ from amp_sheet.operators import (
     require_margin,
     stability_coefficient,
 )
-from amp_sheet.solver import BLOW_UP_THRESHOLD, CflError, field_evaluator, rk4_step
+from amp_sheet.solver import BLOW_UP_THRESHOLD, CflError, field_evaluator
 from amp_sheet.spectral import (
     SpectralField,
     TorusGrid,
+    _band,
     derivative,
     from_modes,
     hilbert,
@@ -345,6 +351,65 @@ def masked_rhs_linearized(state, base_row, g_row, cfg):
     return mask * phit_hat, mask * (out + g_row)
 
 
+def pair_rk4_step(t, dt, state, rhs, k1=None):
+    """One classical RK4 step of y' = rhs(t, y) for a pair y = (phi, phi_t)
+    of coefficient arrays, the two halves added separately; returns the new
+    pair.  `k1` may pass in a precomputed rhs(t, state)."""
+    phi, phit = state
+    h = 0.5 * dt
+    if k1 is None:
+        k1 = rhs(t, state)
+    k2 = rhs(t + h, (phi + h * k1[0], phit + h * k1[1]))
+    k3 = rhs(t + h, (phi + h * k2[0], phit + h * k2[1]))
+    k4 = rhs(t + dt, (phi + dt * k3[0], phit + dt * k3[1]))
+    w = dt / 6.0
+    return (phi + w * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0]),
+            phit + w * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1]))
+
+
+def node_march(cfg, rhs, state, stability_values, abort_on_stability):
+    """The solvers' stepping loop judging one node at a time: the monitor
+    `stability_values(i, phi_hat)` and the blow-up, delta/2 and CFL checks
+    run at node i before the step from it.  `state` is a (phi, phi_t) pair
+    of (N,) arrays; returns (Trajectory, monitor) like the solvers."""
+    m = cfg.num_steps()
+    times = np.arange(m + 1) * cfg.dt
+    flags = []
+    if cfg.mu <= 0:
+        flags.append({"type": "elliptic_regime", "time": 0.0})
+    rows = np.empty((3, m + 1, cfg.galerkin_N), complex)
+    stab = []
+    kept = 0
+    for i, t in enumerate(times):
+        t = float(t)
+        phi, phit = state
+        vals = stability_values(i, phi)
+        mn = float(vals.min())
+        k1 = rhs(t, state)
+        rows[:, i] = phi, phit, k1[1]
+        stab.append(mn)
+        kept = i + 1
+        amp = np.abs(rows[:2, i]).max()
+        if not np.isfinite(amp) or amp > BLOW_UP_THRESHOLD:
+            flags.append({"type": "blow_up", "time": t})
+            break
+        if abort_on_stability and mn < 0.5 * cfg.delta:
+            flags.append({"type": "stability_below_half_delta", "time": t})
+            break
+        if i == m:
+            break
+        # the limit written out with scalar math, not SimConfig.cfl_limit
+        limit = cfg.cfl_safety / (cfg.galerkin_N * math.sqrt(max(1.0, float(vals.max()))))
+        if cfg.dt > limit * (1.0 + 1e-12):
+            raise CflError(
+                f"dt = {cfg.dt:.6g} exceeds the CFL limit {limit:.6g} "
+                f"at t = {t:.6g} (N = {cfg.galerkin_N})"
+            )
+        state = pair_rk4_step(t, cfg.dt, state, rhs, k1)
+    traj = Trajectory(times[:kept], *_band(rows[:, :kept], cfg.grid_n))
+    return traj, {"min_stability_coeff": np.array(stab), "flags": flags}
+
+
 def masked_march(cfg, rhs, phi, phit, stability_source, abort_on_stability):
     """The stepping loop on (n-1) bands; returns (Trajectory, monitor) like
     the package's solvers."""
@@ -379,7 +444,7 @@ def masked_march(cfg, rhs, phi, phit, stability_source, abort_on_stability):
         limit = cfg.cfl_limit(float(np.max(vals)))
         if cfg.dt > limit * (1.0 + 1e-12):
             raise CflError(f"dt = {cfg.dt:.6g} exceeds the CFL limit {limit:.6g}")
-        state = rk4_step(t, cfg.dt, state, rhs, k1)
+        state = pair_rk4_step(t, cfg.dt, state, rhs, k1)
     traj = Trajectory(times[:kept], *rows[:, :kept])
     return traj, {"min_stability_coeff": np.array(stab), "flags": flags}
 

@@ -568,6 +568,12 @@ class TestIdentityBattery:
         for name, defect in rep["identities"].items():
             assert defect < rep["tolerance"], name
 
+    @pytest.mark.parametrize("samples", [0, -2])
+    def test_no_samples_rejected(self, samples):
+        # an empty battery checks nothing, so it must not report a pass
+        with pytest.raises(ValueError, match="need at least one sample"):
+            verify_hilbert_identities(samples=samples, grid_n=32)
+
     def test_product_identity_spot_check(self):
         # H[fg - H f H g] = f H g + g H f on a concrete pair
         f = cosine(GRID, 1) + sine(GRID, 3, 0.5)

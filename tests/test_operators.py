@@ -539,7 +539,7 @@ class TestContainers:
         # the read-only field lists give back the fields put in
         assert all(np.array_equal(f.coeffs, g.coeffs) and f.real_flag
                    for f, g in zip(b.phis, phis))
-        assert Trajectory(ts, phis).phit is None and Trajectory(ts, phis).phits is None
+        assert Trajectory(ts, phis).phit is None
 
     def test_non_real_field_rejected(self):
         ts = np.linspace(0.0, 1.0, 3)

@@ -31,6 +31,7 @@ from amp_sheet.solver import (
     solve_nonlinear,
 )
 from amp_sheet.spectral import (
+    SpectralField,
     TorusGrid,
     cosine,
     derivative,
@@ -45,6 +46,7 @@ from _oracles import (
     hermitian_defect,
     masked_solve_linearized,
     masked_solve_nonlinear,
+    node_march,
     projected_rk4,
     quadratic_rhs_alt,
 )
@@ -121,7 +123,7 @@ class TestSemidiscreteRhs:
 
     def test_nonlinear_single_mode(self):
         cfg = SimConfig(mu=1.0, delta=0.9, grid_n=32, galerkin_N=10)
-        state = (pos(cosine(GRID, 1).coeffs, 10), np.zeros(10, complex))
+        state = np.array([pos(cosine(GRID, 1).coeffs, 10), np.zeros(10, complex)])
         out = semidiscrete_rhs_nonlinear(state, cfg)
         want = -1.0 * cosine(GRID, 1).coeffs + cosine(GRID, 2).coeffs
         assert out[1].shape == (10,)
@@ -130,15 +132,15 @@ class TestSemidiscreteRhs:
 
     def test_nonlinear_truncation_drops_mode_two(self):
         cfg = SimConfig(mu=1.0, delta=0.9, grid_n=32, galerkin_N=1)
-        state = (pos(cosine(GRID, 1).coeffs, 1), np.zeros(1, complex))
+        state = np.array([pos(cosine(GRID, 1).coeffs, 1), np.zeros(1, complex)])
         out = semidiscrete_rhs_nonlinear(state, cfg)
         assert out[1].shape == (1,)
         assert abs(out[1][0] + np.pi) < 1e-13
 
     def test_zero_state(self):
         cfg = SimConfig(mu=1.0, delta=0.9, grid_n=32, galerkin_N=10)
-        z = np.zeros(10, complex)
-        out = semidiscrete_rhs_nonlinear((z, z), cfg)
+        z = np.zeros((2, 10), complex)
+        out = semidiscrete_rhs_nonlinear(z, cfg)
         assert np.max(np.abs(out[0])) == 0.0
         assert np.max(np.abs(out[1])) == 0.0
 
@@ -147,22 +149,22 @@ class TestSemidiscreteRhs:
         cfg = SimConfig(mu=0.8, delta=0.5, grid_n=32, galerkin_N=10)
         rng = np.random.default_rng(5)
         phi = rng.standard_normal((3, 10)) + 1j * rng.standard_normal((3, 10))
-        out = semidiscrete_rhs_nonlinear((phi, phi), cfg)[1]
+        out = semidiscrete_rhs_nonlinear(np.stack((phi, phi), axis=1), cfg)[:, 1]
         for row, got in zip(phi, out):
-            assert np.array_equal(semidiscrete_rhs_nonlinear((row, row), cfg)[1], got)
+            assert np.array_equal(semidiscrete_rhs_nonlinear(np.array([row, row]), cfg)[1], got)
 
     def test_nonlinear_is_the_operator_kept_to_the_band(self):
         # the coefficients k = 1..N of mu phi_xx + N(phi) on the band
         cfg = SimConfig(mu=1.1, delta=0.5, grid_n=32, galerkin_N=7)
         f = random_modes(np.random.default_rng(8), GRID, 7)
-        out = semidiscrete_rhs_nonlinear((pos(f.coeffs, 7), pos(f.coeffs, 7)), cfg)[1]
+        out = semidiscrete_rhs_nonlinear(np.array([pos(f.coeffs, 7), pos(f.coeffs, 7)]), cfg)[1]
         assert np.array_equal(out, pos(nonlinear_operator(f.coeffs, cfg.mu), 7))
 
     def test_linearized_forcing_only(self):
         cfg = SimConfig(mu=1.0, delta=0.9, grid_n=32, galerkin_N=10)
-        z = np.zeros(10, complex)
+        z = np.zeros((2, 10), complex)
         base = _synthesis_rows(pos(zeros(GRID).coeffs, 15), 32)
-        out = semidiscrete_rhs_linearized((z, z), base, pos(cosine(GRID, 1).coeffs, 10), cfg)
+        out = semidiscrete_rhs_linearized(z, base, pos(cosine(GRID, 1).coeffs, 10), cfg)
         assert np.max(np.abs(out[1] - pos(cosine(GRID, 1).coeffs, 10))) < 1e-14
 
     def test_linearized_is_the_operator_kept_to_the_band(self):
@@ -173,7 +175,7 @@ class TestSemidiscreteRhs:
         f = random_modes(rng, GRID, 6)
         g = sine(GRID, 3).coeffs
         rows = _synthesis_rows(pos(base.coeffs, 15), 32)
-        out = semidiscrete_rhs_linearized((pos(f.coeffs, 6), np.zeros(6, complex)), rows,
+        out = semidiscrete_rhs_linearized(np.array([pos(f.coeffs, 6), np.zeros(6, complex)]), rows,
                                           pos(g, 6), cfg)[1]
         want = apply_linearized_operator(base.coeffs, f.coeffs, cfg.mu) + g
         assert np.array_equal(out, pos(want, 6))
@@ -188,14 +190,19 @@ class TestSemidiscreteRhs:
             return c
 
         base = _synthesis_rows(pos(cosine(GRID, 1, 0.1).coeffs, 15), 32)
-        s1 = (rand_state(), rand_state())
-        s2 = (rand_state(), rand_state())
+        s1 = np.array([rand_state(), rand_state()])
+        s2 = np.array([rand_state(), rand_state()])
         g1, g2 = pos(cosine(GRID, 2).coeffs, 10), pos(sine(GRID, 3).coeffs, 10)
-        combo = (2.0 * s1[0] + 3.0 * s2[0], 2.0 * s1[1] + 3.0 * s2[1])
+        combo = 2.0 * s1 + 3.0 * s2
         out = semidiscrete_rhs_linearized(combo, base, 2.0 * g1 + 3.0 * g2, cfg)
         o1 = semidiscrete_rhs_linearized(s1, base, g1, cfg)
         o2 = semidiscrete_rhs_linearized(s2, base, g2, cfg)
         assert np.max(np.abs(out[1] - 2.0 * o1[1] - 3.0 * o2[1])) < 1e-12
+
+
+def oscillator(t, y):
+    """y'' = -y as a first-order system on (2, K) states."""
+    return np.array([y[1], -y[0]])
 
 
 class TestRk4:
@@ -204,30 +211,26 @@ class TestRk4:
         # period the amplitude error of classical RK4 at dt = 2pi/1000
         # sits far below 1e-8.
         dt = 2.0 * np.pi / 1000.0
-        phi = np.array([1.0 + 0.0j])
-        phit = np.array([0.0 + 0.0j])
-
-        def oscillator(t, y):
-            return y[1], -y[0]
+        y = np.array([[1.0 + 0.0j], [0.0 + 0.0j]])
 
         for i in range(1000):
-            phi, phit = rk4_step(i * dt, dt, (phi, phit), oscillator)
+            y = rk4_step(i * dt, dt, y, oscillator)
+        phi, phit = y
         assert abs(phi[0] - 1.0) < 1e-8
         assert abs(phit[0]) < 1e-8
 
     def test_zero_state_fixed_point(self):
-        z = np.zeros(5, complex)
-        phi, phit = rk4_step(0.0, 0.1, (z, z), lambda t, y: (y[1], -y[0]))
+        z = np.zeros((2, 5), complex)
+        phi, phit = rk4_step(0.0, 0.1, z, oscillator)
         assert np.max(np.abs(phi)) == 0.0 and np.max(np.abs(phit)) == 0.0
 
     def test_order_four(self):
         def run(dt):
-            phi = np.array([1.0 + 0.0j]); phit = np.array([0.0j])
+            y = np.array([[1.0 + 0.0j], [0.0j]])
             steps = int(round(1.0 / dt))
             for i in range(steps):
-                phi, phit = rk4_step(i * dt, dt, (phi, phit),
-                                     lambda t, y: (y[1], -y[0]))
-            return abs(phi[0] - np.cos(1.0))
+                y = rk4_step(i * dt, dt, y, oscillator)
+            return abs(y[0, 0] - np.cos(1.0))
 
         ratio = run(2e-2) / run(1e-2)
         assert 12.0 <= ratio <= 20.0
@@ -351,13 +354,15 @@ class TestNonlinearSolver:
         data = CauchyData(cosine(GRID, 1, 0.05), zeros(GRID))
         traj, _ = solve_nonlinear(cfg, data)
         i, N = len(traj) // 2, cfg.galerkin_N
-        out = semidiscrete_rhs_nonlinear((pos(traj.phi[i], N), pos(traj.phit[i], N)), cfg)
+        out = semidiscrete_rhs_nonlinear(np.array([pos(traj.phi[i], N), pos(traj.phit[i], N)]),
+                                         cfg)
         assert np.array_equal(traj.phitt[i], _band(out[1], cfg.grid_n))
 
     def test_mean_and_reality_preserved(self):
         data = CauchyData(cosine(GRID, 1, 0.05), sine(GRID, 2, 0.02))
         traj, _ = solve_nonlinear(self.small_cfg(), data)
-        for p in (traj.phis[-1], traj.phits[-1]):
+        for c in (traj.phi[-1], traj.phit[-1]):
+            p = SpectralField(GRID, c)
             assert abs(p.coeff(0)) == 0.0
             assert hermitian_defect(p) < 1e-12
 
@@ -421,7 +426,7 @@ class TestStageProjection:
 
     def gap(self, traj, ref):
         return max(np.max(np.abs(traj.phis[-1].coeffs - ref[0])),
-                   np.max(np.abs(traj.phits[-1].coeffs - ref[1])))
+                   np.max(np.abs(traj.phit[-1] - ref[1])))
 
     def test_nonlinear_matches_projected_rk4(self):
         cfg = self.cfg()
@@ -450,8 +455,10 @@ class TestStageProjection:
 
 
 class TestMaskedOracle:
-    """The solvers step the coefficients k = 1..N; the old stepping of the
-    whole (n-1) band, masked at every stage, gives the same rows bitwise."""
+    """The solvers step the coefficients k = 1..N as one (2, N) state and
+    judge their nodes in blocks; the old stepping of the whole (n-1) band,
+    masked at every stage, stepped as a (phi, phi_t) pair and judged node
+    by node, gives the same rows, monitor and flags bitwise."""
 
     GRID64 = TorusGrid(64)
     CFG = SimConfig(mu=1.0, delta=0.9, grid_n=64, galerkin_N=21, dt=1e-3, t_final=0.05)
@@ -503,6 +510,204 @@ class TestMaskedOracle:
         kw = dict(base=base, forcing=forcing, initial_state=data)
         self.assert_same(solve_linearized(self.CFG, **kw),
                          masked_solve_linearized(self.CFG, **kw))
+
+    def test_nonlinear_abort_mid_block(self):
+        # the margin falls below delta/2 at node 218, inside the block
+        # [192, 256): the nodes stepped past it are dropped
+        cfg = SimConfig(mu=1.0, delta=0.55, grid_n=64, galerkin_N=21, dt=1e-3, t_final=0.3)
+        data = CauchyData(cosine(self.GRID64, 1, 0.2), sine(self.GRID64, 2, 0.5))
+        got = solve_nonlinear(cfg, data)
+        self.assert_same(got, masked_solve_nonlinear(cfg, data))
+        assert got[1]["flags"] == [{"type": "stability_below_half_delta", "time": 0.218}]
+
+    def test_linearized_blow_up_mid_block(self):
+        # mu < 0: mode 21 grows like e^(21 t) past the threshold inside a
+        # block; the nodes stepped past it are dropped
+        cfg = SimConfig(mu=-1.0, delta=0.5, grid_n=64, galerkin_N=21, dt=1e-3, t_final=0.4)
+        data = CauchyData(cosine(self.GRID64, 21, 1e10), sine(self.GRID64, 21, 1e10))
+        got = solve_linearized(cfg, initial_state=data)
+        self.assert_same(got, masked_solve_linearized(cfg, initial_state=data))
+        (kind, t), = [(f["type"], f["time"]) for f in got[1]["flags"] if f["type"] != "elliptic_regime"]
+        assert kind == "blow_up" and 0 < round(t / cfg.dt) % 64 < 63
+
+
+class TestBlockMarch:
+    """_march steps a block of _NODE_BLOCK nodes, then judges it.  With a
+    synthetic y' = lam y and a synthetic monitor that dips at chosen nodes,
+    every exit at and around the block edges matches the node-by-node march
+    of the oracle: rows, monitor, flags and the CflError message."""
+
+    DT, N, LAM = 0.01, 3, 50.0
+    # per-step RK4 growth factor of y' = LAM y at z = LAM dt = 0.5
+    GROWTH = 1.0 + 0.5 + 0.5**2 / 2 + 0.5**3 / 6 + 0.5**4 / 24
+
+    def cfg(self, m):
+        return SimConfig(mu=1.0, delta=0.5, grid_n=8, galerkin_N=self.N,
+                         dt=self.DT, t_final=m * self.DT)
+
+    def state(self, amplitude):
+        # unit-modulus entries: the state's max modulus is `amplitude`
+        phases = np.exp(1j * np.arange(2 * self.N).reshape(2, self.N))
+        return amplitude * phases
+
+    def table(self, m, abort=(), cfl=()):
+        """Monitor values per node: 1.0, a dip to 0.1 < delta/2 at the
+        nodes `abort`, a spike to 1e4 past the CFL limit at the nodes `cfl`."""
+        vals = np.ones((m + 1, 8))
+        vals[list(abort), 3] = 0.1
+        vals[list(cfl), 5] = 1e4
+        return vals
+
+    def run_both(self, m, table, blow_up_at=None, nan_at=None, abort_on_stability=True):
+        """(package, oracle) results of one synthetic run: (traj, monitor)
+        or the CflError message.  The state crosses the blow-up threshold
+        at node `blow_up_at`, or turns NaN at node `nan_at`."""
+        cfg, lam = self.cfg(m), self.LAM
+        amplitude = 1e-20  # at most 2e8 after 130 steps
+        if blow_up_at is not None:
+            amplitude = solver.BLOW_UP_THRESHOLD * self.GROWTH ** (0.5 - blow_up_at)
+        t_nan = np.inf if nan_at is None else (nan_at - 0.5) * self.DT
+
+        def rhs(t, y):
+            return lam * np.asarray(y) if t < t_nan else np.full((2, self.N), np.nan + 0j)
+
+        y0 = self.state(amplitude)
+        out = []
+        for march, y, monitor in (
+                (solver._march, y0, lambda nodes, phi_rows: table[nodes]),
+                (node_march, (y0[0], y0[1]), lambda i, phi: table[i])):
+            try:
+                out.append(march(cfg, rhs, y, monitor, abort_on_stability))
+            except CflError as err:
+                out.append(str(err))
+        return out
+
+    def assert_same(self, got, want):
+        assert type(got) is type(want)
+        if isinstance(got, str):
+            assert got == want
+            return
+        (traj, mon), (ref, ref_mon) = got, want
+        # a blown-up node may hold NaN, which equals NaN here
+        for name in ("times", "phi", "phit", "phitt"):
+            assert np.array_equal(getattr(traj, name), getattr(ref, name), equal_nan=True), name
+        assert np.array_equal(mon["min_stability_coeff"], ref_mon["min_stability_coeff"])
+        assert mon["flags"] == ref_mon["flags"]
+
+    def flags(self, result):
+        return [(f["type"], f["time"]) for f in result[1]["flags"]]
+
+    @pytest.mark.parametrize("node", [0, 63, 64, 65, 130])
+    def test_abort(self, node):
+        got, want = self.run_both(130, self.table(130, abort=[node]))
+        self.assert_same(got, want)
+        assert len(got[0]) == node + 1
+        assert self.flags(got) == [("stability_below_half_delta", node * self.DT)]
+
+    @pytest.mark.parametrize("node", [0, 63, 64, 65, 130])
+    def test_blow_up(self, node):
+        got, want = self.run_both(130, self.table(130), blow_up_at=node)
+        self.assert_same(got, want)
+        assert len(got[0]) == node + 1
+        assert self.flags(got) == [("blow_up", node * self.DT)]
+
+    @pytest.mark.parametrize("node", [1, 63, 64, 65, 130])
+    def test_nan_state_is_a_blow_up(self, node):
+        # the step into `node` meets a NaN right-hand side
+        got, want = self.run_both(130, self.table(130), nan_at=node)
+        self.assert_same(got, want)
+        assert self.flags(got) == [("blow_up", node * self.DT)]
+
+    def test_overflow_past_a_blow_up_is_silent(self):
+        # at z = lam dt = 50 each step multiplies the state by about 2.8e5:
+        # it crosses the threshold at node 3 and overflows to inf and NaN
+        # before the block ends, which warns nothing (warnings are errors
+        # in this suite)
+        cfg, table = self.cfg(130), self.table(130)
+
+        def rhs(t, y):
+            return 5000.0 * np.asarray(y)
+
+        got = solver._march(cfg, rhs, self.state(1.0), lambda nodes, rows: table[nodes], True)
+        want = node_march(cfg, rhs, tuple(self.state(1.0)), lambda i, phi: table[i], True)
+        self.assert_same(got, want)
+        assert self.flags(got) == [("blow_up", 3 * self.DT)]
+
+    @pytest.mark.parametrize("node", [0, 63, 64, 65, 130])
+    def test_cfl(self, node):
+        got, want = self.run_both(130, self.table(130, cfl=[node]))
+        self.assert_same(got, want)
+        if node == 130:
+            # the last node is never stepped from, so its CFL limit is moot
+            assert len(got[0]) == 131 and self.flags(got) == []
+        else:
+            assert f"at t = {node * self.DT:.6g} " in got
+
+    def test_blow_up_before_cfl_in_one_block(self):
+        got, want = self.run_both(130, self.table(130, cfl=[72]), blow_up_at=70)
+        self.assert_same(got, want)
+        assert self.flags(got) == [("blow_up", 70 * self.DT)]
+
+    def test_cfl_before_blow_up_in_one_block(self):
+        got, want = self.run_both(130, self.table(130, cfl=[70]), blow_up_at=72)
+        self.assert_same(got, want)
+        assert "at t = 0.7 " in got
+
+    def test_precedence_at_one_node(self):
+        # blow-up, then the delta/2 abort, then the CFL raise
+        table = self.table(130, abort=[66], cfl=[66])
+        got, want = self.run_both(130, table, blow_up_at=66)
+        self.assert_same(got, want)
+        assert self.flags(got) == [("blow_up", 66 * self.DT)]
+        got, want = self.run_both(130, table)
+        self.assert_same(got, want)
+        assert self.flags(got) == [("stability_below_half_delta", 66 * self.DT)]
+        got, want = self.run_both(130, table, abort_on_stability=False)
+        self.assert_same(got, want)
+        assert isinstance(got, str) and "at t = 0.66 " in got
+
+    def test_dip_without_abort_runs_through(self):
+        got, want = self.run_both(130, self.table(130, abort=[64]), abort_on_stability=False)
+        self.assert_same(got, want)
+        assert len(got[0]) == 131 and self.flags(got) == []
+        assert got[1]["min_stability_coeff"][64] == 0.1
+
+    @pytest.mark.parametrize("m", [1, 62, 63, 64, 127, 128, 130])
+    def test_one_monitor_call_per_block(self, m):
+        calls = []
+        table = self.table(m)
+
+        def monitor(nodes, phi_rows):
+            calls.append((nodes.start, nodes.stop))
+            return table[nodes]
+
+        traj, mon = solver._march(self.cfg(m), lambda t, y: self.LAM * y,
+                                  self.state(1e-20), monitor, True)
+        assert len(traj) == m + 1 and mon["flags"] == []
+        assert len(calls) == -(-(m + 1) // solver._NODE_BLOCK)
+        assert calls == [(s, min(s + 64, m + 1)) for s in range(0, m + 1, 64)]
+
+    def test_solver_monitor_calls(self, monkeypatch):
+        calls = []
+        real = solver._stability_values
+
+        def counted(h, mu, n):
+            calls.append(h.shape)
+            return real(h, mu, n)
+
+        monkeypatch.setattr(solver, "_stability_values", counted)
+        cfg = SimConfig(mu=1.0, delta=0.9, grid_n=32, galerkin_N=8, dt=1e-3, t_final=0.13)
+        traj, mon = solve_nonlinear(cfg, CauchyData(cosine(GRID, 1, 0.01), zeros(GRID)))
+        assert len(traj) == 131 and mon["flags"] == []
+        assert calls == [(64, 8), (64, 8), (3, 8)]
+
+    def test_cfl_limit_on_arrays_is_the_scalar_formula(self):
+        cfg = SimConfig(mu=1.0, delta=0.5, galerkin_N=7, cfl_safety=0.3)
+        sup = np.array([-2.0, 0.0, 0.5, 1.0, 1.7, 250.0, np.nan])
+        want = [0.3 / (7 * np.sqrt(max(1.0, float(v)))) for v in sup]
+        got = cfg.cfl_limit(sup)
+        assert np.array_equal(got, want)
+        assert [cfg.cfl_limit(float(v)) for v in sup] == want
 
 
 class TestEntryValidation:
