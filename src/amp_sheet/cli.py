@@ -7,9 +7,12 @@ and values whose JSON type differs from the default's.  Artifacts are
 deterministic (no timestamps, sorted JSON keys, 17-significant-digit CSV
 numbers) and every file embeds the resolved config, every key with its
 default filled in, and the package version; that config fed back as
---config reproduces the artifacts.  Exit codes: 0 success, 1 hard
-verification failure, 2 config or usage error, 3 completed-with-flags
-(stability crossing, blow-up, non-convergence).
+--config reproduces the artifacts byte for byte on the same machine and
+BLAS kernel (grids of at most 64 points transform by BLAS table
+products, whose last bits depend on the kernel).  Exit codes: 0 success,
+1 hard verification failure, 2 config or usage error (a time step above
+the CFL limit included), 3 completed-with-flags (stability crossing,
+blow-up, non-convergence).
 """
 
 import csv
@@ -277,17 +280,8 @@ def linearized(config_path, output_dir, quiet):
     })
     sim = SimConfig(**_pick(cfg, _SOLVE))
     grid = TorusGrid(sim.grid_n)
-    base = _build_field(grid, cfg["base"], "base")
-    require_margin(base, sim.mu, 0.5 * sim.delta, "base profile")
-    profile = _build_field(grid, cfg["forcing_profile"], "forcing_profile")
-    center, width = cfg["envelope_center"], cfg["envelope_width"]
-
-    if width > 0.0:
-        def forcing(ts):
-            return _window(ts, center, width)[0] * profile.coeffs
-    else:
-        forcing = profile
-
+    base, forcing = _base_and_forcing(cfg, sim, _build_field(
+        grid, cfg["forcing_profile"], "forcing_profile"))
     initial = _cauchy_data(grid, cfg)
     out = _resolve_output(output_dir)
 
@@ -313,26 +307,30 @@ def growth(config_path, output_dir, quiet):
     eps = cfg["epsilon"]
     out = _resolve_output(output_dir)
 
-    rows = []
+    rows, solves = [], {}
     speed = np.sqrt(abs(sim.mu))
     for k in cfg["modes"]:
         # seed the pure-growth branch: phi1 = rate * phi0
         data = CauchyData(cosine(grid, k, eps), cosine(grid, k, eps * k * speed))
-        traj, _ = solve_linearized(sim, initial_state=data)
+        traj, monitor = solve_linearized(sim, initial_state=data)
         rate = measure_mode_growth(traj, [k])[k]
         expected = k * speed if sim.mu < 0 else 0.0
         err = abs(rate - expected)
         # no relative error against a zero expected rate (mu >= 0)
         rel = err / expected if expected else ""
         rows.append((float(k), rate, expected, err, rel))
+        solves[str(k)] = {"flags": monitor["flags"], "t_kept": float(traj.times[-1])}
 
     _write_csv(out / "rates.csv", ("k", "rate", "expected", "abs_err", "rel_err"),
                rows, cfg, quiet)
     _write_json(out / "summary.json", {
         "command": "growth",
         "rates": {str(int(r[0])): r[1] for r in rows},
+        "solves": solves,
     }, cfg, quiet)
-    sys.exit(0)
+    # elliptic_regime marks every mu <= 0 run; any other flag cut a solve short
+    cut = any(f["type"] != "elliptic_regime" for s in solves.values() for f in s["flags"])
+    sys.exit(3 if cut else 0)
 
 
 @main.command("verify-identities")
@@ -393,31 +391,38 @@ def _run_energy(p):
     return {"estimate": "energy", "pairs": results, "passed": ok}, ok
 
 
+def _base_and_forcing(p, sim, profile):
+    """Base and forcing of the linearized runs from their config keys: the
+    base must keep the margin delta/2, and the forcing is `profile` under
+    the envelope window, a callable of the solver's stage times, or the
+    constant profile for a window of width 0 or less."""
+    base = _build_field(profile.grid, p["base"], "base")
+    require_margin(base, sim.mu, 0.5 * sim.delta, "base profile")
+    center, width = p["envelope_center"], p["envelope_width"]
+    if width <= 0.0:
+        return base, profile
+
+    def forcing(ts):
+        return _window(ts, center, width)[0] * profile.coeffs
+
+    return base, forcing
+
+
 def _solve_setup(p):
-    """SimConfig, base and forcing profile of the tame and phitt runners:
-    the base must keep the margin delta/2, and a zero profile is cos x."""
+    """SimConfig, base and forcing of the tame and phitt runners; a zero
+    forcing profile is cos x."""
     sim = SimConfig(**_pick(p, _SIM))
     grid = TorusGrid(sim.grid_n)
-    base = _build_field(grid, p["base"], "base")
-    require_margin(base, sim.mu, 0.5 * sim.delta, "base profile")
     profile = _build_field(grid, p["forcing_profile"], "forcing_profile")
     if np.max(np.abs(profile.coeffs)) == 0.0:
         profile = cosine(grid, 1)
-    return sim, base, profile
-
-
-def _forcing(sim, profile, p):
-    """The profile under the envelope window, on the solver's time steps."""
-    ts = np.arange(0.0, sim.t_final + 1e-12, sim.dt)
-    return Trajectory(ts, _window(ts, p["envelope_center"], p["envelope_width"])[0]
-                      * profile.coeffs)
+    return (sim, *_base_and_forcing(p, sim, profile))
 
 
 def _run_tame(p):
     if not p["m_values"]:
         raise ValueError("config key 'm_values' must hold at least one value")
-    sim, base, profile = _solve_setup(p)
-    g = _forcing(sim, profile, p)
+    sim, base, g = _solve_setup(p)
     reports = [{"m": rep.params["m"], "constant": rep.ratio, "passed": rep.passed,
                 "lhs": rep.lhs, "rhs": rep.rhs}
                for rep in verify_tame_estimates(base, g, sim, p["m_values"])]
@@ -426,8 +431,7 @@ def _run_tame(p):
 
 
 def _run_phitt(p):
-    sim, base, profile = _solve_setup(p)
-    g = _forcing(sim, profile, p)
+    sim, base, g = _solve_setup(p)
     traj, _ = solve_linearized(sim, base=base, forcing=g)
     rep = verify_phitt_estimate(base, traj, g, p["mu"], p["gamma"], p["m"])
     payload = {"estimate": "phitt", "constant": rep.ratio,

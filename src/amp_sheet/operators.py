@@ -51,7 +51,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .spectral import SpectralField, TorusGrid, _band, _coeffs, _padded_size, _positive
+from .spectral import SpectralField, TorusGrid, _band, _coeffs, _like, _padded_size, _positive
 
 _TWO_PI = 2.0 * np.pi
 
@@ -315,8 +315,8 @@ def _analysis_of_products(ab, n, K):
 
 def _nonlinear_half(h, mu, n):
     """(mu phi_xx + N(phi))^(k), k = 1..K, from the coefficients k = 1..K of
-    phi (the last axis of `h`): the fused kernel of nonlinear_operator and,
-    with mu = 0, of quadratic_rhs, with no check."""
+    phi (the last axis of `h`): the fused kernel of nonlinear_operator,
+    with no check."""
     _, _, _, lap, _ = _symbols(n)
     v = _synthesis_rows(h, n)
     p, px, pxx, hpxx = v.swapaxes(0, -2)
@@ -356,25 +356,11 @@ def _linearized_half(v0, h, mu, n):
 
 
 def quadratic_rhs(phi):
-    """N(phi) = d/dx( H[p_x^2] - [p; H]p_xx ) with p = H[phi].
-
-    `phi` is a real zero-mean SpectralField, or its coefficient array with
-    any leading batch axes (shape (..., n-1)); the result has the same
-    kind and shape, again real with zero mean (an exact x-derivative).
-
-    It runs the kernel of nonlinear_operator with mu = 0, which uses
-    H[p_x^2] - [p; H]p_xx = H[a] - b with a = p_x^2 + p p_xx and
-    b = p H[p_xx]: one synthesis of (p, p_x, p_xx, H p_xx) on the m-point
-    grid (m = 3n/2, so the retained band of both products is exact) and
-    one analysis of (a, b).  For k >= 0 the result is
-    N^(k) = k (a^(k) - i b^(k)); the k < 0 half follows by conjugate
-    symmetry, which is why the input must be conjugate symmetric.
-    """
-    _require_real_zero_mean(phi, "phi")
-    c = _coeffs(phi)
-    n = c.shape[-1] + 1
-    out = _band(_nonlinear_half(_positive(c), 0.0, n), n)
-    return SpectralField(phi.grid, out, True) if isinstance(phi, SpectralField) else out
+    """N(phi) = d/dx( H[p_x^2] - [p; H]p_xx ) with p = H[phi]: the
+    nonlinear_operator with mu = 0, on a real zero-mean field or a
+    (..., n-1) coefficient array; the result, of the same kind, is again
+    real with zero mean (an exact x-derivative)."""
+    return nonlinear_operator(phi, 0.0)
 
 
 def quadratic_rhs_derivative(phi0, phi):
@@ -393,14 +379,24 @@ def second_derivative(phi, psi):
 
 
 def nonlinear_operator(phi, mu):
-    """The spatial part of the equation, mu phi_xx + N(phi), on a (..., n-1)
-    coefficient array of real zero-mean fields: the nonlinear counterpart
-    of apply_linearized_operator.  The lifting forcing and the Newton
-    residual evaluate it here, and the solver's right-hand side runs its
-    kernel _nonlinear_half."""
+    """The spatial part of the equation, mu phi_xx + N(phi), on a real
+    zero-mean field or a (..., n-1) coefficient array of such fields; the
+    result has the same kind and shape.  The nonlinear counterpart of
+    apply_linearized_operator: the lifting forcing and the Newton residual
+    evaluate it here, and the solver's right-hand side runs its kernel
+    _nonlinear_half.
+
+    N uses H[p_x^2] - [p; H]p_xx = H[a] - b with a = p_x^2 + p p_xx and
+    b = p H[p_xx]: one synthesis of (p, p_x, p_xx, H p_xx) on the m-point
+    grid (m = 3n/2, so the retained band of both products is exact) and
+    one analysis of (a, b).  For k >= 0 the result is
+    N^(k) = k (a^(k) - i b^(k)); the k < 0 half follows by conjugate
+    symmetry, which is why the input must be conjugate symmetric.
+    """
     _require_real_zero_mean(phi, "phi")
-    n = phi.shape[-1] + 1
-    return _band(_nonlinear_half(_positive(phi), mu, n), n)
+    c = _coeffs(phi)
+    n = c.shape[-1] + 1
+    return _like(phi, _band(_nonlinear_half(_positive(c), mu, n), n))
 
 
 def apply_linearized_operator(phi0, phiP, mu):
@@ -411,9 +407,9 @@ def apply_linearized_operator(phi0, phiP, mu):
     (..., n-1) whose leading axes broadcast, so one base can act on a whole
     batch; the result is a field when both are fields, an array otherwise.
 
-    The kernel polarizes the identity of quadratic_rhs.  With p0 = H phi0,
-    p = H phiP and phiP = -H p (so mu phiP_xx = d/dx H[-mu p_x]) it is
-    d/dx( H[a] - b ) with
+    The kernel polarizes the identity of nonlinear_operator.  With
+    p0 = H phi0, p = H phiP and phiP = -H p (so mu phiP_xx = d/dx H[-mu p_x])
+    it is d/dx( H[a] - b ) with
 
         a = 2 p0_x p_x + p0 p_xx + p p0_xx - mu p_x,
         b = p0 H[p_xx] + p H[p0_xx]:

@@ -63,8 +63,9 @@ BLOW_UP_THRESHOLD = 1e12
 _NODE_BLOCK = 64
 
 
-class CflError(RuntimeError):
-    """The requested time step exceeds the advective stability limit."""
+class CflError(ValueError):
+    """The requested time step exceeds the advective stability limit: a
+    parameter the numerics reject, like any other invalid input."""
 
 
 @dataclass(frozen=True)

@@ -11,22 +11,24 @@ unpaired Nyquist mode k = -n/2 is dropped on analysis: odd symbols such as
 the Hilbert transform's -i*sgn(k) cannot act on it without breaking the
 conjugate symmetry of real fields.
 
-Every transform is real.  A band goes to nodal values by one inverse real
-FFT of its k >= 0 half, and values come back by one real FFT kept to
-k < n/2 and mirrored by c(-k) = conj c(k).  So a field flagged real, and
-every coefficient array, is read from its k >= 0 half only.  A field not
-flagged real is split into the real fields R = (c(k) + conj c(-k))/2 and
-I = (c - R)/i, which go through the same transforms.
+Every transform is real and takes real fields only.  A band goes to nodal
+values by one inverse real FFT of its k >= 0 half, and values come back by
+one real FFT kept to k < n/2 and mirrored by c(-k) = conj c(k).  So a
+field flagged real, and every coefficient array, is read from its k >= 0
+half only; synthesis, sup norms and products reject a field not flagged
+real.  The multipliers (Hilbert transform, derivatives), regridding,
+inner products and the field arithmetic transform nothing and take any
+field.
 
 Pointwise products go through zero-padded physical space (3/2 padding, the
 2/3 rule).  For two in-band factors the retained band is then exact; the
 test suite holds it against the literal convolution sum.
 
 Synthesis, the Hilbert transform, derivatives, products, Sobolev and sup
-norms and regridding take either a `SpectralField` or a (..., n-1) array
-of coefficients and return the same kind: a field or an array with the
-same leading batch axes, row for row bitwise equal to the one-field call.
-An array holds the coefficients of real fields.
+norms, inner products and regridding take either a `SpectralField` or a
+(..., n-1) array of coefficients and return the same kind: a field or an
+array with the same leading batch axes, row for row bitwise equal to the
+one-field call.  An array holds the coefficients of real fields.
 """
 
 from __future__ import annotations
@@ -97,8 +99,8 @@ class SpectralField:
     `coeffs` is ordered by ascending wavenumber and is made read-only on
     construction, so fields can be shared across workers without copies.
     `real_flag` records that the field came from real samples (or from
-    operations preserving conjugate symmetry); synthesis then returns a
-    real array.
+    operations preserving conjugate symmetry); only such a field goes
+    through a transform (synthesis, products, sup norms).
     """
 
     grid: TorusGrid
@@ -242,24 +244,19 @@ def _analysis(vals, n):
     return out
 
 
-def _values(f, m):
-    """Values of `f` on m points; complex, R + iI, for a field not flagged
-    real (R and I as in the module docstring)."""
-    c = _coeffs(f)
+def _real_coeffs(f):
+    """The coefficients of `f` for a transform: ValueError on a field not
+    flagged real."""
     if isinstance(f, SpectralField) and not f.real_flag:
-        re = 0.5 * (c + c[..., ::-1].conj())
-        return _synthesis(re, m) + 1j * _synthesis((c - re) / 1j, m)
-    return _synthesis(c, m)
+        raise ValueError("transforms take real fields; this field is not flagged real")
+    return _coeffs(f)
 
 
 def synthesize(field):
-    """Nodal values f(x_j) = (1/2pi) sum_k c(k) e^{i k x_j}, along the last
-    axis for an array.
-
-    Real when `real_flag` is set or the input is an array (read from the
-    k >= 0 half of the band), complex otherwise.
-    """
-    return _values(field, _coeffs(field).shape[-1] + 1)
+    """Nodal values f(x_j) = (1/2pi) sum_k c(k) e^{i k x_j} of a real field,
+    along the last axis for an array; read from the k >= 0 half of the band."""
+    c = _real_coeffs(field)
+    return _synthesis(c, c.shape[-1] + 1)
 
 
 @lru_cache(maxsize=128)
@@ -290,23 +287,21 @@ def _padded_size(n):
 
 
 def pointwise_product(f, g):
-    """Coefficients of f*g via physical space on the 3/2-padded grid.
+    """Coefficients of f*g for real f and g via physical space on the
+    3/2-padded grid.
 
     The retained band of the product of two in-band fields is exact.  The
     leading axes of two arrays broadcast; the result is a field when both
     factors are fields.
     """
-    cf, cg = _coeffs(f), _coeffs(g)
+    cf, cg = _real_coeffs(f), _real_coeffs(g)
     if cf.shape[-1] != cg.shape[-1]:
         raise ValueError("grid mismatch")
     n = cf.shape[-1] + 1
     m = _padded_size(n)
-    vals = _values(f, m) * _values(g, m)
-    prod = _analysis(vals.real, n)
-    if np.iscomplexobj(vals):
-        prod = prod + 1j * _analysis(vals.imag, n)
+    prod = _analysis(_synthesis(cf, m) * _synthesis(cg, m), n)
     if isinstance(f, SpectralField) and isinstance(g, SpectralField):
-        return SpectralField(f.grid, prod, f.real_flag and g.real_flag)
+        return SpectralField(f.grid, prod, True)
     return prod
 
 
@@ -318,10 +313,13 @@ def sobolev_norm(field, s):
 
 
 def inner_product(f, g):
-    """(f, g) = (1/2pi) sum_k f^(k) conj(g^(k)); equals int f conj(g) dx."""
-    if f.grid.n != g.grid.n:
+    """(f, g) = (1/2pi) sum_k f^(k) conj(g^(k)); equals int f conj(g) dx.
+    A complex number for two fields, one per row for arrays."""
+    cf, cg = _coeffs(f), _coeffs(g)
+    if cf.shape[-1] != cg.shape[-1]:
         raise ValueError("grid mismatch")
-    return complex(np.sum(f.coeffs * np.conj(g.coeffs)) / _TWO_PI)
+    out = np.sum(cf * np.conj(cg), axis=-1) / _TWO_PI
+    return complex(out) if out.ndim == 0 else out
 
 
 def linf_norm(field):

@@ -14,6 +14,8 @@ random draws or its array-valued bump window, so those can be held against
 them.
 The one exception, evolution_residual, measures a trajectory against the
 package's own mu phi_xx + N(phi).
+hilbert_identities_per_sample is the identity battery as it was when it
+drew and checked one sample at a time, for the batched battery.
 
 The masked_* routines at the end are the solvers as they were when they
 stepped the whole (n-1) band: every RK4 stage masked to the Galerkin space
@@ -29,6 +31,7 @@ import math
 
 import numpy as np
 
+from amp_sheet.analysis import random_trig_field
 from amp_sheet.operators import (
     Trajectory,
     apply_linearized_operator,
@@ -44,6 +47,7 @@ from amp_sheet.spectral import (
     derivative,
     from_modes,
     hilbert,
+    inner_product,
     pointwise_product,
 )
 
@@ -208,6 +212,46 @@ def evolution_residual(traj, mu, index):
     phi = traj.phi[index]
     r = traj.second_difference()[index - 1] - nonlinear_operator(phi, mu)
     return SpectralField(traj.grid, r, True)
+
+
+def hilbert_identities_per_sample(samples, grid_n, seed):
+    """{identity: max defect} of analysis.verify_hilbert_identities, one
+    sample of fields (f, g, h) and mean shift at a time, each identity
+    checked on that sample's fields, inner products taken by Python's abs."""
+    grid = TorusGrid(grid_n)
+    kmax = grid_n // 6
+    rng = np.random.default_rng(seed)
+    defects = dict.fromkeys(
+        ("derivative_commutation", "product_identity", "involution", "skew_adjoint",
+         "commutator_self_adjoint", "mean_correction", "exponential_symbol"), 0.0)
+
+    def upd(key, val):
+        defects[key] = max(defects[key], float(val))
+
+    for _ in range(samples):
+        f = random_trig_field(grid, kmax, rng)
+        g = random_trig_field(grid, kmax, rng)
+        h = random_trig_field(grid, kmax, rng)
+        upd("derivative_commutation",
+            np.max(np.abs(hilbert(derivative(f)).coeffs - derivative(hilbert(f)).coeffs)))
+        lhsp = hilbert(pointwise_product(f, g) - pointwise_product(hilbert(f), hilbert(g)))
+        rhsp = pointwise_product(f, hilbert(g)) + pointwise_product(hilbert(f), g)
+        upd("product_identity", np.max(np.abs(lhsp.coeffs - rhsp.coeffs)))
+        upd("involution", np.max(np.abs(hilbert(hilbert(f)).coeffs + f.coeffs)))
+        upd("skew_adjoint", abs(inner_product(hilbert(f), g) + inner_product(f, hilbert(g))))
+        comm_f = pointwise_product(h, hilbert(f)) - hilbert(pointwise_product(h, f))
+        comm_g = pointwise_product(h, hilbert(g)) - hilbert(pointwise_product(h, g))
+        upd("commutator_self_adjoint", abs(inner_product(comm_f, g) - inner_product(f, comm_g)))
+        shift = rng.standard_normal()
+        shifted = f + from_modes(grid, {0: 2.0 * np.pi * shift}, real_flag=True)
+        mean_field = from_modes(grid, {0: shifted.coeff(0)}, real_flag=True)
+        corr = hilbert(hilbert(shifted)) + shifted - mean_field
+        upd("mean_correction", np.max(np.abs(corr.coeffs)))
+    for k in range(-5, 6):
+        e_k = from_modes(grid, {k: 1.0})
+        want = from_modes(grid, {k: -1j * np.sign(k)})
+        upd("exponential_symbol", np.max(np.abs(hilbert(e_k).coeffs - want.coeffs)))
+    return defects
 
 
 def random_trig_field_scalar(grid, kmax, rng, decay=2.0, amplitude=1.0):

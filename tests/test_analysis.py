@@ -40,6 +40,7 @@ from amp_sheet.spectral import (
 from _oracles import (
     apply_linearized_alt,
     commutator_vh,
+    hilbert_identities_per_sample,
     kernel_commutator_hv,
     random_trig_field_scalar,
 )
@@ -567,6 +568,21 @@ class TestIdentityBattery:
         assert rep["passed"]
         for name, defect in rep["identities"].items():
             assert defect < rep["tolerance"], name
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("samples, grid_n", [(100, 128), (7, 32), (3, 64)])
+    def test_batch_matches_per_sample_loop(self, seed, samples, grid_n):
+        # the stacks give each coefficient defect bitwise.  The two inner
+        # product identities take |z| by numpy's complex abs instead of
+        # Python's hypot; each is within 1 ulp of |z|, so at most 2 apart
+        got = verify_hilbert_identities(samples, grid_n, seed)["identities"]
+        want = hilbert_identities_per_sample(samples, grid_n, seed)
+        assert got.keys() == want.keys()
+        for key, ref in want.items():
+            if key in ("skew_adjoint", "commutator_self_adjoint"):
+                assert abs(got[key] - ref) <= 2 * np.spacing(ref), key
+            else:
+                assert got[key] == ref, key
 
     @pytest.mark.parametrize("samples", [0, -2])
     def test_no_samples_rejected(self, samples):

@@ -327,6 +327,19 @@ class TestSimulate:
         for name in ("trajectory.csv", "final_modes.csv", "summary.json"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
+    @pytest.mark.parametrize("command", ["simulate", "linearized", "nash-moser"])
+    def test_dt_above_the_cfl_limit_exits_two(self, runner, tmp_path, command):
+        # the limit 0.5/(N sqrt(max c)) is about 0.024 here: a rejected
+        # parameter with the solver's one-line message, not a traceback
+        cfg = write_config(tmp_path, "c.json", {
+            "mu": 1.0, "delta": 0.9, "grid_n": 64, "galerkin_N": 21, "dt": 0.05,
+            "t_final": 1.0, "phi0": {"cos": {"1": 0.01}}})
+        out = runner.invoke(main, [command, "--config", cfg,
+                                   "--output", str(tmp_path / "o"), "--quiet"])
+        assert out.exit_code == 2, out.output
+        assert "exceeds the CFL limit" in out.output
+        assert "Traceback" not in out.output
+
     def test_output_env_var(self, runner, tmp_path):
         cfg = write_config(tmp_path, "c.json", ZERO_SIM)
         dest = tmp_path / "from_env"
@@ -411,6 +424,9 @@ class TestGrowth:
         summary = json.loads((dest / "summary.json").read_text())
         assert summary["rates"]["4"] == pytest.approx(4.0, rel=0.05)
         assert summary["rates"]["8"] == pytest.approx(8.0, rel=0.05)
+        # every mu <= 0 run carries elliptic_regime; it cuts nothing short
+        assert summary["solves"]["4"] == {
+            "flags": [{"time": 0.0, "type": "elliptic_regime"}], "t_kept": 0.5}
 
     def test_hyperbolic_rates_have_no_relative_error(self, runner, tmp_path):
         # mu = 1: the expected rate is 0, so the error is absolute only
@@ -430,6 +446,22 @@ class TestGrowth:
             assert float(expected) == 0.0
             assert float(abs_err) == abs(float(rate))
             assert rel_err == ""
+
+    def test_cut_solve_exits_three(self, runner, tmp_path):
+        # modes 20 and 21 grow like e^{kt} from 1e-6 and blow up near
+        # t = 2: each solve's flags and kept horizon reach summary.json
+        cfg = write_config(tmp_path, "c.json", {
+            "mu": -1.0, "grid_n": 64, "galerkin_N": 21, "dt": 0.002,
+            "t_final": 3.0, "modes": [20, 21]})
+        dest = tmp_path / "o"
+        out = runner.invoke(main, ["growth", "--config", cfg,
+                                   "--output", str(dest), "--quiet"])
+        assert out.exit_code == 3, out.output
+        solves = json.loads((dest / "summary.json").read_text())["solves"]
+        assert sorted(solves) == ["20", "21"]
+        for solve in solves.values():
+            assert [f["type"] for f in solve["flags"]] == ["elliptic_regime", "blow_up"]
+            assert solve["t_kept"] == solve["flags"][1]["time"] < 3.0
 
     def test_mode_outside_band_rejected(self, runner, tmp_path):
         cfg = write_config(tmp_path, "c.json", {
@@ -577,6 +609,32 @@ class TestVerifyEstimates:
         assert [r["m"] for r in report["reports"]] == [1, 2, 3]
         for r in report["reports"]:
             assert r["lhs"] > 0.0 and r["rhs"] > 0.0 and r["constant"] > 0.0, r
+
+    @pytest.mark.parametrize("estimate", ["tame", "phitt"])
+    def test_unwindowed_forcing_is_the_profile(self, runner, tmp_path, estimate):
+        # envelope width 0: the constant profile, as for linearized
+        from amp_sheet.analysis import verify_phitt_estimate, verify_tame_estimates
+        from amp_sheet.solver import SimConfig, solve_linearized
+        from amp_sheet.spectral import TorusGrid, cosine, zeros
+
+        cfg = write_config(tmp_path, "c.json", {"estimate": estimate, "t_final": 0.2,
+                                                 "envelope_width": 0.0})
+        dest = tmp_path / "o"
+        out = runner.invoke(main, ["verify-estimates", "--config", cfg,
+                                   "--output", str(dest), "--quiet"])
+        assert out.exit_code == 0, out.output
+        got = json.loads((dest / f"estimate_{estimate}.json").read_text())
+        p = got["config"]
+        sim = SimConfig(**{k: p[k] for k in ("mu", "delta", "grid_n", "galerkin_N", "dt",
+                                             "t_final", "gamma")})
+        base, g = zeros(TorusGrid(sim.grid_n)), cosine(TorusGrid(sim.grid_n), 1)
+        if estimate == "tame":
+            want = [r.ratio for r in verify_tame_estimates(base, g, sim, p["m_values"])]
+            assert [r["constant"] for r in got["reports"]] == want
+        else:
+            traj, _ = solve_linearized(sim, base=base, forcing=g)
+            rep = verify_phitt_estimate(base, traj, g, sim.mu, sim.gamma, p["m"])
+            assert got["constant"] == rep.ratio
 
     @pytest.mark.parametrize("payload, key", [
         ({"estimate": "energy", "pairs": 0}, "pairs"),

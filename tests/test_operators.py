@@ -176,6 +176,27 @@ class TestNonlinearOperator:
         rows = np.stack([random_field(GRID, 12, rng).coeffs for _ in range(5)])
         for phi in (rows[0], rows):
             assert np.array_equal(quadratic_rhs(phi), nonlinear_operator(phi, 0.0))
+        f = SpectralField(GRID, rows[0], True)
+        assert np.array_equal(quadratic_rhs(f).coeffs, nonlinear_operator(f, 0.0).coeffs)
+
+    def test_quadratic_rhs_enters_through_the_operator(self, monkeypatch):
+        # quadratic_rhs holds no check or kernel call of its own
+        seen = []
+        monkeypatch.setattr(ops, "nonlinear_operator", lambda phi, mu: seen.append(mu) or "N")
+        assert quadratic_rhs(cosine(GRID, 1)) == "N"
+        assert seen == [0.0]
+
+    def test_field_in_field_out(self):
+        # a field gives a real field on its grid, bitwise the array result
+        rng = np.random.default_rng(18)
+        f = random_field(GRID, 12, rng)
+        for mu in (1.0, -0.4):
+            out = nonlinear_operator(f, mu)
+            assert isinstance(out, SpectralField)
+            assert out.real_flag and out.grid == GRID
+            assert np.array_equal(out.coeffs, nonlinear_operator(f.coeffs, mu))
+        with pytest.raises(ValueError, match="real"):
+            nonlinear_operator(SpectralField(GRID, f.coeffs, False), 1.0)
 
     def test_matches_independent_route(self):
         # mu phi_xx + N(phi) against mu * derivative(phi, 2) plus the
