@@ -66,8 +66,6 @@ from .analysis import (  # noqa: F401
 from .nash_moser import (  # noqa: F401
     IterationConfig,
     IterationReport,
-    IterationAborted,
-    IterationDiverged,
     smooth_cutoff,
     iterate,
     iterate_auto,

@@ -233,6 +233,8 @@ def verify_energy_estimates(phi0, traj, mu, delta, gammas):
     to the trajectory, and only the weighted norms depend on gamma; pass
     allows a 5 percent quadrature margin.
     """
+    if not gammas:
+        raise ValueError("need at least one gamma")
     times = traj.times
     require_margin(field_evaluator(phi0, traj.grid)(times), mu, 0.5 * delta, "base profile")
     _check_zero_trace(times, [traj.phi, traj.phit])
@@ -275,6 +277,8 @@ def verify_tame_estimates(phi0, forcing, cfg, m_values):
     the first right-hand term: the base regularity is measured at m+2
     while g enters at H^2 only.
     """
+    if not m_values:
+        raise ValueError("need at least one m")
     if any(m < 1 for m in m_values):
         raise ValueError("m must be at least 1")
     traj, monitor = solve_linearized(cfg, base=phi0, forcing=forcing)

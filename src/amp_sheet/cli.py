@@ -36,12 +36,7 @@ from .analysis import (
     verify_second_derivative_estimate,
     verify_tame_estimates,
 )
-from .nash_moser import (
-    IterationAborted,
-    IterationConfig,
-    IterationDiverged,
-    iterate_auto,
-)
+from .nash_moser import IterationConfig, iterate_auto
 from .operators import CauchyData, Trajectory, bump_window, require_margin, stability_coefficient
 from .solver import (
     SimConfig,
@@ -356,7 +351,10 @@ def verify_identities_cmd(config_path, output_dir, quiet):
 
 def _window(times, center, width):
     """The bump window and its first two derivatives at `times`, as three
-    (T, 1) columns that scale a profile's coefficients row by row."""
+    (T, 1) columns that scale a profile's coefficients row by row; a width
+    of 0 or less, which would window the profile away, is a config error."""
+    if width <= 0.0:
+        raise ValueError("config key 'envelope_width' must be positive")
     return np.array(bump_window(np.asarray(times, float)[:, None], center, width))
 
 
@@ -440,15 +438,12 @@ def _run_phitt(p):
 
 
 def _run_der2(p):
+    ts = np.arange(0.0, p["t_final"] + 1e-12, p["dt"])
+    windows = [_window(ts, center, p["envelope_width"])[0] for center in (0.4, 0.6)]
     grid = TorusGrid(p["grid_n"])
     rng = np.random.default_rng(p["seed"])
-    ts = np.arange(0.0, p["t_final"] + 1e-12, p["dt"])
-
-    def series(center):
-        profile = random_trig_field(grid, 4, rng)
-        return Trajectory(ts, _window(ts, center, p["envelope_width"])[0] * profile.coeffs)
-
-    rep = verify_second_derivative_estimate(series(0.4), series(0.6), p["gamma"], p["m"])
+    phi, psi = (Trajectory(ts, w * random_trig_field(grid, 4, rng).coeffs) for w in windows)
+    rep = verify_second_derivative_estimate(phi, psi, p["gamma"], p["m"])
     payload = {"estimate": "der2", "constant": rep.ratio,
                "half_horizon_constant": rep.extras["half_horizon_constant"],
                "passed": rep.passed}
@@ -571,7 +566,8 @@ def commutator_constants_cmd(config_path, output_dir, quiet, jobs):
 @common_options
 def nash_moser_cmd(config_path, output_dir, quiet):
     """Run the smoothed Newton solve from configured Cauchy data; on
-    divergence, halve the horizon and restart, up to max_halvings times."""
+    divergence, halve the horizon and restart, up to max_halvings times.
+    Exits 0 if the last run converged and 3 on any other outcome."""
     cfg = _read_config(config_path, {
         **_SIM, "phi0": None, "phi1": None, **_NEWTON,
         **_defaults(iterate_auto, "max_halvings"),
@@ -581,36 +577,26 @@ def nash_moser_cmd(config_path, output_dir, quiet):
     run_cfg = IterationConfig(sim=sim, **_pick(cfg, _NEWTON))
     out = _resolve_output(output_dir)
 
-    outcome = "converged"
-    try:
-        traj, report = iterate_auto(run_cfg, data, max_halvings=cfg["max_halvings"])
-        if not report.converged:
-            outcome = "exhausted_max_iters"
-    except IterationAborted as exc:
-        traj, report = None, exc.report
-        outcome = "stability_aborted"
-    except IterationDiverged as exc:
-        traj, report = None, exc.report
-        outcome = "diverged"
+    traj, report = iterate_auto(run_cfg, data, max_halvings=cfg["max_halvings"])
 
-    rows = []
-    for i, r in enumerate(report.residual_norms):
-        corr = report.correction_norms[i] if i < len(report.correction_norms) else ""
-        theta = report.theta_values[i] if i < len(report.theta_values) else ""
-        rows.append((float(i), r, corr, theta, report.stability_mins[i]))
+    # one residual more than corrections, whatever the outcome
+    rows = [(float(i), *cells) for i, cells in enumerate(zip(
+        report.residual_norms, report.correction_norms + [""], report.theta_values + [""],
+        report.stability_mins))]
     _write_csv(out / "residuals.csv",
                ("sweep", "residual", "correction", "theta", "min_stability"),
                rows, cfg, quiet)
     _write_json(out / "nash_moser.json", {
         "command": "nash-moser",
-        "outcome": outcome,
+        "outcome": report.outcome,
         "report": json.loads(report.to_json()),
     }, cfg, quiet)
-    if traj is not None:
+    # a diverged or aborted run's last iterate is no solution worth keeping
+    if report.outcome not in ("diverged", "stability_aborted"):
         _write_modes(out, traj, cfg, quiet)
     if not quiet:
-        click.echo(f"nash-moser: {outcome} after {report.iterations} corrections")
-    sys.exit(0 if outcome == "converged" else 3)
+        click.echo(f"nash-moser: {report.outcome} after {report.iterations} corrections")
+    sys.exit(0 if report.converged else 3)
 
 
 if __name__ == "__main__":

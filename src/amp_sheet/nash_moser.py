@@ -14,6 +14,13 @@ disappears in the limit.  The loss of derivatives of the linearized solve
 (solution order 7 against forcing order 9 in the underlying estimates) is
 what the smoothing compensates; the iteration itself only ever sees the
 discrete trajectories.
+
+Every run ends through one return; report.outcome names the first check
+that holds at a residual evaluation: "stability_aborted" (the working
+profile lost the margin delta/2), "converged" (residual below
+residual_tol), "diverged" (three rises in a row), "stalled" (the last
+correction is at most STALL_RATIO times the largest: the residual left is
+out of the Galerkin band's reach) or "exhausted_max_iters".
 """
 
 import json
@@ -34,8 +41,6 @@ from .analysis import WeightedNormSpec, xm_norm, ym_norm
 __all__ = [
     "IterationConfig",
     "IterationReport",
-    "IterationDiverged",
-    "IterationAborted",
     "smooth_cutoff",
     "iterate",
     "iterate_auto",
@@ -46,23 +51,9 @@ __all__ = [
 SOLUTION_SPACE_ORDER = 7
 FORCING_SPACE_ORDER = 9
 
-
-class IterationDiverged(RuntimeError):
-    """Residual norms rose three sweeps in a row.  Carries the partial
-    report as .report."""
-
-    def __init__(self, message, report):
-        super().__init__(message)
-        self.report = report
-
-
-class IterationAborted(RuntimeError):
-    """The working profile lost the stability margin delta/2.  Carries the
-    partial report as .report."""
-
-    def __init__(self, message, report):
-        super().__init__(message)
-        self.report = report
+#: a correction at most this share of the largest one so far, with the
+#: residual still above tolerance, ends the run as "stalled"
+STALL_RATIO = 1e-12
 
 
 @dataclass(frozen=True)
@@ -95,9 +86,11 @@ class IterationConfig:
 class IterationReport:
     """Per-sweep diagnostics of one smoothed Newton run.
 
-    residual_norms has one entry per residual evaluation; the correction
-    and theta lists have one entry per accepted correction (one fewer on a
-    converged run).
+    residual_norms and stability_mins have one entry per residual
+    evaluation; the correction and theta lists have one entry per accepted
+    correction, one fewer whatever the outcome, and iterations counts
+    them.  outcome names how the run ended (see the module docstring);
+    converged is outcome == "converged".
     """
 
     residual_norms: list = field(default_factory=list)
@@ -106,6 +99,7 @@ class IterationReport:
     theta_values: list = field(default_factory=list)
     converged: bool = False
     iterations: int = 0
+    outcome: str = ""
     metadata: dict = field(default_factory=dict)
 
     def to_json(self):
@@ -153,11 +147,9 @@ def _metadata(cfg):
 def iterate(cfg, data):
     """Run the smoothed Newton solve from the given Cauchy data.
 
-    Returns (trajectory, report) where the trajectory is phi^a + u on the
-    solver mesh.  Raises IterationDiverged after three consecutive
-    residual increases and IterationAborted if the stability coefficient
-    of the working profile falls below delta/2; a run that merely exhausts
-    max_iters comes back with report.converged False.
+    Returns (trajectory, report) on every outcome, where the trajectory
+    is phi^a + u on the solver mesh with the corrections accepted so far
+    and report.outcome says how the run ended.
     """
     sim = cfg.sim
     grid = TorusGrid(sim.grid_n)
@@ -180,33 +172,28 @@ def iterate(cfg, data):
     theta = cfg.theta0
     report = IterationReport(metadata=_metadata(cfg))
 
-    for _ in range(cfg.max_iters + 1):
+    while True:
         # residual F^a - L[u] = mu phi_xx + N(phi) - phi_tt of phi = phi^a + u,
         # and the stability of phi, all nodes at once
         phi_tot = phi_a + u[0]
         _, stab_min = stability_coefficient(phi_tot, sim.mu)
         r_series = Trajectory(
             times, nonlinear_operator(phi_tot, sim.mu) - (phitt_a + u[2]))
-        r_norm = ym_norm(r_series, spec, 2)
-        report.residual_norms.append(float(r_norm))
+        rs, cs = report.residual_norms, report.correction_norms
+        rs.append(float(ym_norm(r_series, spec, 2)))
         report.stability_mins.append(float(stab_min))
-
+        # the first check that holds names the outcome
         if stab_min < 0.5 * sim.delta:
-            raise IterationAborted(
-                f"stability coefficient fell to {stab_min:.6g} "
-                f"(threshold {0.5 * sim.delta:.6g})",
-                report,
-            )
-        if r_norm < cfg.residual_tol:
-            report.converged = True
-            break
-        rs = report.residual_norms
-        if len(rs) >= 4 and rs[-1] > rs[-2] > rs[-3] > rs[-4]:
-            raise IterationDiverged(
-                f"residual rose three sweeps in a row ({rs[-4]:.3e} -> {rs[-1]:.3e})",
-                report,
-            )
-        if len(report.correction_norms) >= cfg.max_iters:
+            report.outcome = "stability_aborted"
+        elif rs[-1] < cfg.residual_tol:
+            report.outcome = "converged"
+        elif len(rs) >= 4 and rs[-1] > rs[-2] > rs[-3] > rs[-4]:
+            report.outcome = "diverged"
+        elif cs and cs[-1] <= STALL_RATIO * max(cs):
+            report.outcome = "stalled"
+        elif len(cs) >= cfg.max_iters:
+            report.outcome = "exhausted_max_iters"
+        if report.outcome:
             break
 
         # linearize at phi^a + u and solve for the correction
@@ -220,6 +207,7 @@ def iterate(cfg, data):
         u = [a + v for a, v in zip(u, (v_cut.phi, v_cut.phit, v_cut.phitt))]
         theta *= cfg.theta_growth
 
+    report.converged = report.outcome == "converged"
     report.iterations = len(report.correction_norms)
     traj = Trajectory(times, *(s + a for s, a in zip(lift_states, u)))
     return traj, report
@@ -228,21 +216,21 @@ def iterate(cfg, data):
 def iterate_auto(cfg, data, max_halvings=0):
     """iterate with automatic horizon reduction.
 
-    On divergence the time horizon is halved (keeping the node count an
-    integer by adjusting dt with it) and the solve restarted, up to
-    max_halvings times; the last IterationDiverged is re-raised if none of
-    the shorter horizons settles.  With max_halvings 0 this is iterate.
+    While the outcome is "diverged" the time horizon is halved (keeping
+    the node count an integer by adjusting dt with it) and the solve
+    restarted, up to max_halvings times; returns the last run's
+    (trajectory, report), whatever its outcome.  With max_halvings 0 this
+    is iterate.
     """
     if max_halvings < 0:
         raise ValueError("max_halvings must be nonnegative")
-    current = cfg
-    for halvings in range(max_halvings + 1):
-        try:
-            return iterate(current, data)
-        except IterationDiverged:
-            if halvings == max_halvings:
-                raise
-            sim = current.sim
-            steps = max(2, sim.num_steps() // 2)
-            half = sim.t_final / 2.0
-            current = replace(current, sim=replace(sim, t_final=half, dt=half / steps))
+    traj, report = iterate(cfg, data)
+    for _ in range(max_halvings):
+        if report.outcome != "diverged":
+            break
+        sim = cfg.sim
+        steps = max(2, sim.num_steps() // 2)
+        half = sim.t_final / 2.0
+        cfg = replace(cfg, sim=replace(sim, t_final=half, dt=half / steps))
+        traj, report = iterate(cfg, data)
+    return traj, report

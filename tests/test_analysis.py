@@ -252,6 +252,14 @@ class TestEnergyEstimate:
             verify_energy_estimates(base, traj, 1.0, 0.9, [2.0, 0.5])
         assert len(calls) == 1
 
+    def test_empty_sweep_rejected_before_any_work(self, monkeypatch):
+        import amp_sheet.analysis as analysis
+        for name in ("require_margin", "apply_linearized"):
+            monkeypatch.setattr(analysis, name, None)
+        traj = window_trajectory(GRID, dt=5e-3)
+        with pytest.raises(ValueError, match="need at least one gamma"):
+            verify_energy_estimates(None, traj, 1.0, 0.9, [])
+
     def test_report_serializes(self):
         traj = window_trajectory(GRID, dt=5e-3)
         rep = verify_energy_estimate(None, traj, mu=1.0, delta=0.9, gamma=2.0)
@@ -313,6 +321,8 @@ class TestTameEstimate:
         monkeypatch.setattr(analysis, "solve_linearized", None)
         with pytest.raises(ValueError, match="m must be at least 1"):
             verify_tame_estimates(self.BASE, self.g_series(), self.cfg(), [2, 0])
+        with pytest.raises(ValueError, match="need at least one m"):
+            verify_tame_estimates(self.BASE, self.g_series(), self.cfg(), [])
 
 
 class TestPhittEstimate:

@@ -651,6 +651,30 @@ class TestVerifyEstimates:
         assert repr(key) in out.output
         assert not (dest / f"estimate_{payload['estimate']}.json").exists()
 
+    @pytest.mark.parametrize("payload", [
+        {"estimate": "der2", "envelope_width": 0.0},
+        {"estimate": "der2", "envelope_width": -0.2},
+        {"estimate": "energy", "pairs": 1, "envelope_width": 0.0},
+        {"estimate": "energy", "pairs": 1, "envelope_width": -0.1},
+    ], ids=["der2-zero", "der2-negative", "energy-zero", "energy-negative"])
+    def test_windowless_series_is_config_error(self, runner, tmp_path, payload,
+                                                monkeypatch):
+        # a width of 0 or less windows the profile away: every ratio would
+        # be 0 and the check would pass on nothing; rejected before any work
+        import amp_sheet.cli as cli
+
+        def no_draws(*args, **kwargs):
+            raise AssertionError("a random field was drawn")
+
+        monkeypatch.setattr(cli, "random_trig_field", no_draws)
+        cfg = write_config(tmp_path, "c.json", payload)
+        dest = tmp_path / "o"
+        out = runner.invoke(main, ["verify-estimates", "--config", cfg,
+                                   "--output", str(dest), "--quiet"])
+        assert out.exit_code == 2, out.output
+        assert "envelope_width" in out.output
+        assert not (dest / f"estimate_{payload['estimate']}.json").exists()
+
     def test_tame_solves_once(self, runner, tmp_path, monkeypatch):
         # every m reads the same linearized solution
         import amp_sheet.analysis as analysis
@@ -760,8 +784,8 @@ class TestNashMoser:
 
         def diverges(cfg, data):
             horizons.append(cfg.sim.t_final)
-            raise nm.IterationDiverged("no", nm.IterationReport(residual_norms=[1.0],
-                                                                stability_mins=[1.0]))
+            return None, nm.IterationReport(residual_norms=[1.0], stability_mins=[1.0],
+                                            outcome="diverged")
 
         monkeypatch.setattr(nm, "iterate", diverges)
         extra = {} if halvings is None else {"max_halvings": halvings}
@@ -775,6 +799,43 @@ class TestNashMoser:
         assert report["outcome"] == "diverged"
         assert report["config"]["max_halvings"] == (halvings or 0)
         assert "auto" not in report["config"]
+        assert not (dest / "final_modes.csv").exists()
+
+    def test_stalled_run_exits_three(self, runner, tmp_path):
+        # the residual sits at the out-of-band floor and the corrections
+        # vanish: the run ends as stalled after 5 of its 6 corrections,
+        # without a restart, and keeps its final state
+        cfg = write_config(tmp_path, "c.json", {
+            "mu": 4.0, "delta": 2.0, "grid_n": 32, "galerkin_N": 8, "dt": 0.002,
+            "t_final": 1.0, "gamma": 1.0, "max_iters": 6, "max_halvings": 2,
+            "phi0": {"cos": {"1": 0.8}}})
+        dest = tmp_path / "o"
+        out = runner.invoke(main, ["nash-moser", "--config", cfg,
+                                   "--output", str(dest), "--quiet"])
+        assert out.exit_code == 3, out.output
+        body = json.loads((dest / "nash_moser.json").read_text())
+        assert body["outcome"] == body["report"]["outcome"] == "stalled"
+        assert body["report"]["iterations"] == 5
+        assert body["report"]["metadata"]["t_final"] == 1.0
+        assert len(body["report"]["residual_norms"]) == 6
+        assert (dest / "final_modes.csv").exists()
+
+    def test_aborted_run_counts_its_correction(self, runner, tmp_path):
+        # the second residual finds the margin lost: one correction, two
+        # residuals, no final state
+        cfg = write_config(tmp_path, "c.json", {
+            "mu": 1.0, "delta": 0.99, "grid_n": 32, "galerkin_N": 8, "dt": 0.002,
+            "t_final": 0.8, "gamma": 1.0, "phi1": {"cos": {"1": 1.0}}})
+        dest = tmp_path / "o"
+        out = runner.invoke(main, ["nash-moser", "--config", cfg,
+                                   "--output", str(dest), "--quiet"])
+        assert out.exit_code == 3, out.output
+        body = json.loads((dest / "nash_moser.json").read_text())
+        assert body["outcome"] == body["report"]["outcome"] == "stability_aborted"
+        rep = body["report"]
+        assert rep["iterations"] == len(rep["correction_norms"]) == 1
+        assert len(rep["residual_norms"]) == 2
+        assert not (dest / "final_modes.csv").exists()
 
     def test_exhausted_iterations_flagged(self, runner, tmp_path):
         cfg = write_config(tmp_path, "c.json", {**self.NM, "max_iters": 1})
@@ -784,3 +845,4 @@ class TestNashMoser:
         assert out.exit_code == 3
         report = json.loads((dest / "nash_moser.json").read_text())
         assert report["outcome"] == "exhausted_max_iters"
+        assert (dest / "final_modes.csv").exists()

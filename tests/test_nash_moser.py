@@ -1,13 +1,13 @@
 """Tests for the smoothed Newton solve and the frequency cutoff."""
 
+import json
+
 import numpy as np
 import pytest
 
 import amp_sheet.nash_moser as nm
 from amp_sheet.nash_moser import (
-    IterationAborted,
     IterationConfig,
-    IterationDiverged,
     IterationReport,
     iterate,
     iterate_auto,
@@ -41,6 +41,18 @@ def small_sim(**kw):
                 dt=2e-3, t_final=0.5, gamma=1.0)
     args.update(kw)
     return SimConfig(**args)
+
+
+def flip_corrections(monkeypatch):
+    """Make iterate apply every correction with the wrong sign, which
+    roughly doubles the residual every sweep."""
+    cut = nm.smooth_cutoff
+
+    def flipped(obj, theta):
+        v = cut(obj, theta)
+        return Trajectory(v.times, -v.phi, -v.phit, -v.phitt)
+
+    monkeypatch.setattr(nm, "smooth_cutoff", flipped)
 
 
 class TestConfig:
@@ -210,9 +222,8 @@ class TestIterate:
     def test_stability_abort(self):
         sim = small_sim(delta=0.99, galerkin_N=8, t_final=0.8)
         data = CauchyData(zeros(GRID), cosine(GRID, 1))
-        with pytest.raises(IterationAborted) as exc:
-            iterate(IterationConfig(sim=sim), data)
-        rep = exc.value.report
+        _, rep = iterate(IterationConfig(sim=sim), data)
+        assert rep.outcome == "stability_aborted"
         assert rep.stability_mins[-1] < 0.495
         assert not rep.converged
 
@@ -220,17 +231,11 @@ class TestIterate:
         # a correction applied with the wrong sign roughly doubles the
         # residual every sweep, which is what the three-increase rule is
         # there to catch
-        cut = nm.smooth_cutoff
-
-        def flipped(obj, theta):
-            v = cut(obj, theta)
-            return Trajectory(v.times, -v.phi, -v.phit, -v.phitt)
-
-        monkeypatch.setattr(nm, "smooth_cutoff", flipped)
+        flip_corrections(monkeypatch)
         data = CauchyData(cosine(GRID, 1, 0.01), zeros(GRID))
-        with pytest.raises(IterationDiverged) as exc:
-            iterate(IterationConfig(sim=small_sim(t_final=0.2), max_iters=8), data)
-        rs = exc.value.report.residual_norms
+        _, rep = iterate(IterationConfig(sim=small_sim(t_final=0.2), max_iters=8), data)
+        assert rep.outcome == "diverged" and not rep.converged
+        rs = rep.residual_norms
         assert len(rs) >= 4
         assert rs[-1] > rs[-2] > rs[-3] > rs[-4]
 
@@ -239,47 +244,111 @@ class TestIterate:
         # residual left outside the Galerkin band.  The linearized solves
         # step the projected system at every stage, so once the in-band
         # residual is gone the corrections vanish and the residual stays
-        # flat instead of creeping upward; the run ends unconverged
+        # flat instead of creeping upward.  The fifth correction is below
+        # STALL_RATIO times the first, so the run stops there instead of
+        # spending its last sweep on a solve with nothing to correct
         sim = SimConfig(mu=4.0, delta=2.0, grid_n=32, galerkin_N=8,
                         dt=2e-3, t_final=1.0, gamma=1.0)
         data = CauchyData(cosine(GRID, 1, 0.8), zeros(GRID))
         _, rep = iterate(IterationConfig(sim=sim, max_iters=6), data)
-        assert not rep.converged and rep.iterations == 6
+        assert rep.outcome == "stalled" and not rep.converged
+        assert rep.iterations == 5 and len(rep.residual_norms) == 6
         rs = rep.residual_norms
         assert rs[-1] > 1e-3
-        assert max(rs[-3:]) - min(rs[-3:]) <= 1e-12 * rs[-1]
-        assert max(rep.correction_norms[-2:]) < 1e-10
+        assert max(rs[-2:]) - min(rs[-2:]) <= 1e-12 * rs[-1]
+        assert rep.correction_norms[-1] <= nm.STALL_RATIO * max(rep.correction_norms)
+        assert rep.correction_norms[-2] > nm.STALL_RATIO * max(rep.correction_norms)
+
+
+def _run_to(outcome, monkeypatch):
+    """A small iterate run that ends with `outcome`."""
+    kw, data = {}, CauchyData(cosine(GRID, 1, 0.01), zeros(GRID))
+    if outcome == "exhausted_max_iters":
+        kw = {"max_iters": 1}
+    elif outcome == "stability_aborted":
+        kw = {"sim": small_sim(delta=0.99, galerkin_N=8, t_final=0.8)}
+        data = CauchyData(zeros(GRID), cosine(GRID, 1))
+    elif outcome == "diverged":
+        flip_corrections(monkeypatch)
+        kw = {"sim": small_sim(t_final=0.2), "max_iters": 8}
+    elif outcome == "stalled":
+        # every solve after the first returns a zero correction
+        real, solves = nm.solve_linearized, []
+
+        def vanishing(*args, **kwargs):
+            v, monitor = real(*args, **kwargs)
+            scale = 0.0 if solves else 1.0
+            solves.append(scale)
+            return Trajectory(v.times, scale * v.phi, scale * v.phit, scale * v.phitt), monitor
+
+        monkeypatch.setattr(nm, "solve_linearized", vanishing)
+    cfg = IterationConfig(**{"sim": small_sim(), **kw})
+    return iterate(cfg, data)
+
+
+@pytest.mark.parametrize("outcome", ["converged", "exhausted_max_iters", "stalled",
+                                     "diverged", "stability_aborted"])
+def test_every_outcome_counts_its_corrections(outcome, monkeypatch):
+    # one return path: whatever the ending, iterations counts the accepted
+    # corrections, there is one more residual, and the trajectory comes back
+    traj, rep = _run_to(outcome, monkeypatch)
+    assert rep.outcome == outcome
+    assert rep.converged == (outcome == "converged")
+    assert rep.iterations == len(rep.correction_norms) >= 1
+    assert len(rep.residual_norms) == rep.iterations + 1 == len(rep.stability_mins)
+    assert len(rep.theta_values) == rep.iterations
+    assert np.array_equal(traj.times, np.arange(traj.phi.shape[0]) * rep.metadata["dt"])
+    assert json.loads(rep.to_json())["outcome"] == outcome
+
+
+def _report(outcome):
+    return IterationReport(outcome=outcome, converged=outcome == "converged")
 
 
 class TestIterateAuto:
     def test_halves_horizon_until_success(self, monkeypatch):
         calls = []
-        sentinel = ("traj", "report")
 
         def fake_iterate(cfg, data):
             calls.append((cfg.sim.t_final, cfg.sim.dt))
-            if cfg.sim.t_final > 0.3:
-                raise IterationDiverged("no", IterationReport())
-            return sentinel
+            return "traj", _report("diverged" if cfg.sim.t_final > 0.3 else "converged")
 
         monkeypatch.setattr(nm, "iterate", fake_iterate)
         cfg = IterationConfig(sim=small_sim(t_final=1.0, dt=2e-3))
-        out = iterate_auto(cfg, CauchyData(zeros(GRID), zeros(GRID)), max_halvings=6)
-        assert out == sentinel
+        traj, rep = iterate_auto(cfg, CauchyData(zeros(GRID), zeros(GRID)), max_halvings=6)
+        assert traj == "traj" and rep.outcome == "converged"
         assert [t for t, _ in calls] == [1.0, 0.5, 0.25]
         # node count stays integral after each halving
         for t_final, dt in calls:
             steps = t_final / dt
             assert abs(steps - round(steps)) < 1e-9
 
-    def test_reraises_after_exhaustion(self, monkeypatch):
+    def test_returns_the_last_divergence_after_exhaustion(self, monkeypatch):
+        calls = []
+
         def always_diverges(cfg, data):
-            raise IterationDiverged("no", IterationReport())
+            calls.append(cfg.sim.t_final)
+            return "traj", _report("diverged")
 
         monkeypatch.setattr(nm, "iterate", always_diverges)
         cfg = IterationConfig(sim=small_sim())
-        with pytest.raises(IterationDiverged):
-            iterate_auto(cfg, CauchyData(zeros(GRID), zeros(GRID)), max_halvings=2)
+        _, rep = iterate_auto(cfg, CauchyData(zeros(GRID), zeros(GRID)), max_halvings=2)
+        assert rep.outcome == "diverged"
+        assert calls == [0.5, 0.25, 0.125]
+
+    @pytest.mark.parametrize("outcome", ["exhausted_max_iters", "stalled", "stability_aborted"])
+    def test_halves_only_on_divergence(self, monkeypatch, outcome):
+        # a stall or an abort is not cured by a shorter horizon: no restart
+        calls = []
+
+        def ends(cfg, data):
+            calls.append(cfg.sim.t_final)
+            return "traj", _report(outcome)
+
+        monkeypatch.setattr(nm, "iterate", ends)
+        cfg = IterationConfig(sim=small_sim())
+        _, rep = iterate_auto(cfg, CauchyData(zeros(GRID), zeros(GRID)), max_halvings=3)
+        assert rep.outcome == outcome and calls == [0.5]
 
     def test_default_is_one_attempt(self, monkeypatch):
         # max_halvings defaults to 0: iterate once, and its divergence stands
@@ -287,11 +356,12 @@ class TestIterateAuto:
 
         def always_diverges(cfg, data):
             calls.append(cfg.sim.t_final)
-            raise IterationDiverged("no", IterationReport())
+            return "traj", _report("diverged")
 
         monkeypatch.setattr(nm, "iterate", always_diverges)
-        with pytest.raises(IterationDiverged):
-            iterate_auto(IterationConfig(sim=small_sim()), CauchyData(zeros(GRID), zeros(GRID)))
+        _, rep = iterate_auto(IterationConfig(sim=small_sim()),
+                              CauchyData(zeros(GRID), zeros(GRID)))
+        assert rep.outcome == "diverged"
         assert calls == [0.5]
         with pytest.raises(ValueError, match="max_halvings"):
             iterate_auto(IterationConfig(sim=small_sim()),
