@@ -20,23 +20,22 @@ analyzed), and the first and second derivatives of N are that kernel with
 mu = 0.  The spatial part of the equation itself,
 mu phi_xx + N(phi), is nonlinear_operator, the one place it is formed.
 
-Each kernel is a private function on half spectra, the coefficients
-k = 1..K of real zero-mean fields, which holds no check: the solvers step
-such arrays directly.  The public operators take (..., n-1) bands, check
-them, run the kernel on k = 1..n/2-1 and mirror the result back into a
-band by c(-k) = conj c(k) (spectral._band).
+Each kernel is a private, unchecked function on float rows, the
+interleaved (Re, Im) floats of the coefficients k = 1..K of real zero-mean
+fields, reading the cached _plan of (n, K); the solvers step such rows
+directly.  The public operators check (..., n-1) bands, run the kernel on
+k = 1..n/2-1 and mirror the result back by c(-k) = conj c(k) (spectral._band).
 
 The kernels' three transforms are each defined once, as a batched real
 FFT, which grids of more than _DENSE_MAX_N points call.  Up to it, where
 an FFT call costs its fixed overhead rather than arithmetic, each is a
-product with a real table (the matrix multiplication transform of Boyd,
-Chebyshev and Fourier Spectral Methods, ch. 10): the half spectrum is read
-as interleaved (Re, Im) floats, and _dense_tables builds each table once
-per n, on first use, as the FFT at the unit inputs of the whole band
-k = 1..n/2-1.  The product runs one vector-matrix BLAS call per row, so a
-row of a batch gives the bits of that row alone, and the analysis always
-produces the whole band before keeping k <= K, so a kernel on K = N gives
-the bits of the public operator on the band kept to N.
+product of the float rows with a real table (the matrix multiplication
+transform of Boyd, Chebyshev and Fourier Spectral Methods, ch. 10), which
+_dense_tables builds once per n as the FFT at the unit inputs of the
+whole band.  One vector-matrix BLAS call per row gives each row of a
+batch the bits of that row alone, and the analysis always produces the
+whole band before keeping k <= K, so a kernel on K = N gives the bits of
+the public operator kept to N.
 
 Besides N and its first and second derivatives this module owns the
 Cauchy data container, time-sampled trajectories, the smooth compactly
@@ -47,6 +46,7 @@ lifted problem into one with zero trace in the past.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 import numpy as np
@@ -207,20 +207,20 @@ def _symbols(n):
     k = 1..n/2-1 of real zero-mean fields; a kernel on k = 1..K reads the
     first K columns.
 
-    Returns (m, up, down, lap, slope): the 3/2-padded transform length; the
+    Returns (m, up, down, slope): the 3/2-padded transform length; the
     (4, n/2-1) symbols taking phi^(k) to the half spectra of
     (p, p_x, p_xx, H p_xx), p = H phi, scaled for synthesis on m points;
-    k * 2pi/m, which takes the half spectrum of a - i b back to N^(k);
-    -k^2, the symbol of d^2/dx^2; and k * n/2pi, which takes phi^(k) to the
-    half spectrum of (H phi)_x scaled for synthesis on the n nodes.
+    k * 2pi/m, which takes the half spectrum of a - i b back to N^(k); and
+    k * n/2pi, which takes phi^(k) to the half spectrum of (H phi)_x scaled
+    for synthesis on the n nodes.
     """
     m = _padded_size(n)
     k = np.arange(1, n // 2, dtype=float)
     up = np.array([-1j * np.ones_like(k), k, 1j * k**2, k**2]) * (m / _TWO_PI)
-    down, lap, slope = k * (_TWO_PI / m), -(k**2), k * (n / _TWO_PI)
-    for a in (up, down, lap, slope):
+    down, slope = k * (_TWO_PI / m), k * (n / _TWO_PI)
+    for a in (up, down, slope):
         a.flags.writeable = False
-    return m, up, down, lap, slope
+    return m, up, down, slope
 
 
 def _synthesis(h, symbol, m):
@@ -243,7 +243,7 @@ def _analysis_fft(ab, n, K):
     """The coefficients k = 1..K of d/dx(H[a] - b) from the values of (a, b)
     on the padded grid of an n-point grid, a (..., 2, m) buffer: one batched
     real FFT, then k (a^(k) - i b^(k)) (the symbol `down`)."""
-    _, _, down, _, _ = _symbols(n)
+    _, _, down, _ = _symbols(n)
     ab = np.fft.rfft(ab)[..., 1:K + 1]
     return down[:K] * (ab[..., 0, :] - 1j * ab[..., 1, :])
 
@@ -252,7 +252,7 @@ def _slope_fft(h, n):
     """Values of -2 (H phi)_x at the n grid nodes, shape (..., n), for the
     fields phi whose coefficients k = 1..K are the last axis of `h`: one
     batched inverse real FFT."""
-    _, _, _, _, slope = _symbols(n)
+    _, _, _, slope = _symbols(n)
     return -2.0 * _synthesis(h, slope[:h.shape[-1]], n)
 
 
@@ -277,73 +277,87 @@ def _dense_tables(n):
     return tables
 
 
+_Plan = namedtuple("_Plan", "n m lap synthesis analysis")
+
+
+@lru_cache(maxsize=32)
+def _plan(n, K):
+    """The kernels' data on k = 1..K of an n-point grid, built once: m, the
+    interleaved symbol -k^2 (2K floats) and, up to _DENSE_MAX_N points, the
+    synthesis table's rows [:2K] and the analysis table, which stays
+    whole-band so a kernel gives the public operator's bits (None above,
+    where the FFTs read _symbols)."""
+    lap = np.repeat(-np.arange(1.0, K + 1) ** 2, 2)
+    lap.flags.writeable = False
+    if n > _DENSE_MAX_N:
+        return _Plan(n, _padded_size(n), lap, None, None)
+    synthesis, analysis, _ = _dense_tables(n)
+    return _Plan(n, _padded_size(n), lap, synthesis[:2 * K], analysis)
+
+
 def _row_products(x, table):
     """x @ table over the last axis of `x`, one vector-matrix product per
     row, so every row of a batch gives the bits of that row alone."""
+    if x.ndim == 1:
+        return x @ table
     return (x[..., None, :] @ table)[..., 0, :]
 
 
-def _floats(h):
-    """The complex half spectra `h` as interleaved (Re, Im) floats: a view
-    once the last axis is contiguous."""
-    h = np.asarray(h, complex)
+def _float_rows(c, K=None):
+    """The float rows of (..., n-1) bands: interleaved (Re, Im) floats of
+    k = 1..K (k >= 1 by default), a view once the last axis is contiguous."""
+    h = _positive(np.asarray(c, complex))[..., :K]
     if h.strides[-1] != h.itemsize:
         h = np.ascontiguousarray(h)
     return h.view(float)
 
 
-def _synthesis_rows(h, n):
-    """(p, p_x, p_xx, H p_xx) of _synthesis_fft, shape (..., 4, m): one
-    table product per row on small grids, the FFT on large ones."""
-    if n > _DENSE_MAX_N:
-        return _synthesis_fft(h, n)
-    synthesis, _, _ = _dense_tables(n)
-    rows = _row_products(_floats(h), synthesis[:2 * h.shape[-1]])
-    return rows.reshape(rows.shape[:-1] + (4, _padded_size(n)))
+def _synthesized(x, plan):
+    """(p, p_x, p_xx, H p_xx), p = H phi, on the padded grid, shape
+    (..., 4, m), for the fields phi with the float rows `x`: one table
+    product per row on small grids, the FFT on large ones."""
+    if plan.synthesis is None:
+        return _synthesis_fft(np.ascontiguousarray(x).view(complex), plan.n)
+    v = _row_products(x, plan.synthesis)
+    return v.reshape(v.shape[:-1] + (4, plan.m))
 
 
-def _analysis_of_products(ab, n, K):
-    """The coefficients k = 1..K of _analysis_fft: on small grids one table
-    product per row over the whole band k = 1..n/2-1, kept to k <= K; the
-    FFT on large ones."""
-    if n > _DENSE_MAX_N:
-        return _analysis_fft(ab, n, K)
-    _, analysis, _ = _dense_tables(n)
-    flat = ab.reshape(ab.shape[:-2] + (-1,))
-    return _row_products(flat, analysis).view(complex)[..., :K]
+def _analyzed(ab, plan):
+    """The float rows of d/dx(H[a] - b) from the (..., 2, m) values of
+    (a, b): on small grids one table product per row over the whole band,
+    kept to k <= K; the FFT on large ones."""
+    if plan.analysis is None:
+        return _analysis_fft(ab, plan.n, plan.lap.size // 2).view(float)
+    return _row_products(ab.reshape(ab.shape[:-2] + (-1,)), plan.analysis)[..., :plan.lap.size]
 
 
-def _nonlinear_half(h, mu, n):
-    """(mu phi_xx + N(phi))^(k), k = 1..K, from the coefficients k = 1..K of
-    phi (the last axis of `h`): the fused kernel of nonlinear_operator,
-    with no check."""
-    _, _, _, lap, _ = _symbols(n)
-    v = _synthesis_rows(h, n)
+def _nonlinear_rows(x, mu_lap, plan):
+    """The float rows of mu phi_xx + N(phi) from those of phi, `x`, with
+    mu_lap = mu * plan.lap: the fused kernel of nonlinear_operator, unchecked."""
+    v = _synthesized(x, plan)
     p, px, pxx, hpxx = v.swapaxes(0, -2)
     ab = np.empty(v.shape[:-2] + (2, v.shape[-1]))
     np.multiply(px, px, out=ab[..., 0, :])
     ab[..., 0, :] += p * pxx
     np.multiply(p, hpxx, out=ab[..., 1, :])
-    return mu * lap[:h.shape[-1]] * h + _analysis_of_products(ab, n, h.shape[-1])
+    return mu_lap * x + _analyzed(ab, plan)
 
 
-def _stability_values(h, mu, n):
-    """Values of mu - 2 (H phi)_x at the n grid nodes, shape (..., n), for
-    the fields phi whose coefficients k = 1..K are the last axis of `h`:
-    the kernel of stability_coefficient, by one table product per row on
-    small grids and _slope_fft on large ones."""
+def _stability_values(x, mu, n):
+    """Values of mu - 2 (H phi)_x at the n grid nodes, shape (..., n), from
+    the float rows `x` of phi: the kernel of stability_coefficient, by one
+    table product per row on small grids and _slope_fft on large ones."""
     if n > _DENSE_MAX_N:
-        return mu + _slope_fft(h, n)
+        return mu + _slope_fft(np.ascontiguousarray(x).view(complex), n)
     _, _, stability = _dense_tables(n)
-    return mu + _row_products(_floats(h), stability[:2 * h.shape[-1]])
+    return mu + _row_products(x, stability[:x.shape[-1]])
 
 
-def _linearized_half(v0, h, mu, n):
-    """(mu phi_xx + dN[phi0]phi)^(k), k = 1..K, from the synthesized base
-    rows v0 = _synthesis_rows of phi0, shape (..., 4, m), and the
-    coefficients k = 1..K of phi: the kernel of apply_linearized_operator,
-    with no check.  The leading axes of v0 and h broadcast."""
-    v = _synthesis_rows(h, n)
+def _linearized_rows(v0, x, mu, plan):
+    """The float rows of mu phi_xx + dN[phi0]phi from v0 = _synthesized of
+    phi0, shape (..., 4, m), and the float rows `x` of phi: the kernel of
+    apply_linearized_operator, with no check.  v0 and x broadcast."""
+    v = _synthesized(x, plan)
     p0, p0x, p0xx, hp0xx = v0.swapaxes(0, -2)
     p, px, pxx, hpxx = v.swapaxes(0, -2)
     ab = np.empty(np.broadcast(v0, v).shape[:-2] + (2, v.shape[-1]))
@@ -352,7 +366,7 @@ def _linearized_half(v0, h, mu, n):
     ab[..., 0, :] += p * p0xx
     np.multiply(p0, hpxx, out=ab[..., 1, :])
     ab[..., 1, :] += p * hp0xx
-    return _analysis_of_products(ab, n, h.shape[-1])
+    return _analyzed(ab, plan)
 
 
 def quadratic_rhs(phi):
@@ -383,8 +397,8 @@ def nonlinear_operator(phi, mu):
     zero-mean field or a (..., n-1) coefficient array of such fields; the
     result has the same kind and shape.  The nonlinear counterpart of
     apply_linearized_operator: the lifting forcing and the Newton residual
-    evaluate it here, and the solver's right-hand side runs its kernel
-    _nonlinear_half.
+    evaluate it here, and the solver's acceleration map runs its kernel
+    _nonlinear_rows.
 
     N uses H[p_x^2] - [p; H]p_xx = H[a] - b with a = p_x^2 + p p_xx and
     b = p H[p_xx]: one synthesis of (p, p_x, p_xx, H p_xx) on the m-point
@@ -396,7 +410,9 @@ def nonlinear_operator(phi, mu):
     _require_real_zero_mean(phi, "phi")
     c = _coeffs(phi)
     n = c.shape[-1] + 1
-    return _like(phi, _band(_nonlinear_half(_positive(c), mu, n), n))
+    plan = _plan(n, n // 2 - 1)
+    out = _nonlinear_rows(_float_rows(c), mu * plan.lap, plan)
+    return _like(phi, _band(out.view(complex), n))
 
 
 def apply_linearized_operator(phi0, phiP, mu):
@@ -422,7 +438,9 @@ def apply_linearized_operator(phi0, phiP, mu):
     _require_real_zero_mean(phiP, "phiP")
     c0, c = _coeffs(phi0), _coeffs(phiP)
     n = c.shape[-1] + 1
-    out = _band(_linearized_half(_synthesis_rows(_positive(c0), n), _positive(c), mu, n), n)
+    plan = _plan(n, n // 2 - 1)
+    v0 = _synthesized(_float_rows(c0), plan)
+    out = _band(_linearized_rows(v0, _float_rows(c), mu, plan).view(complex), n)
     if isinstance(phi0, SpectralField) and isinstance(phiP, SpectralField):
         return SpectralField(phiP.grid, out, True)
     return out
@@ -434,12 +452,10 @@ def stability_coefficient(phi, mu):
     `phi` is a real field or a coefficient array of shape (..., n-1); the
     values have shape (..., n) and the minimum is taken over all of them.
     (H phi)_x has symbol |k|, so the values are the synthesis of the half
-    spectrum (only k >= 1 is read) times k: a table product per row on
-    grids of at most _DENSE_MAX_N points, one batched inverse real FFT on
-    larger ones.
+    spectrum (only k >= 1 is read) times k, by _stability_values.
     """
     c = _coeffs(phi)
-    vals = _stability_values(_positive(c), mu, c.shape[-1] + 1)
+    vals = _stability_values(_float_rows(c), mu, c.shape[-1] + 1)
     return vals, float(np.min(vals))
 
 

@@ -2,29 +2,29 @@
 
 The state is advanced with the classical fourth-order Runge-Kutta scheme
 on the Galerkin space, the real zero-mean modes 1 <= |k| <= N.  The
-solvers step only the coefficients k = 1..N, one (2, N) complex array
-with rows phi and phi_t: every such row is a real zero-mean field in the
-Galerkin space, so conjugate symmetry, zero mean and the projection hold
-by construction at every RK4 stage, and no stage is masked, mirrored or
-checked.  Each solver integrates one semidiscrete right-hand side,
-semidiscrete_rhs_nonlinear or semidiscrete_rhs_linearized, on that state
-through the private half-spectrum kernels of operators (the public
-operators are those kernels plus checks): synthesis reads only the
-k = 1..N half spectrum on the 3/2-padded grid (a table product reads the
-table's first 2N rows, an inverse real FFT zero-pads k > N itself), and
-analysis keeps the coefficients k = 1..N of its result.  The two systems
-are the full quadratically nonlinear equation, and its linearization
-around a prescribed time-dependent base profile with an optional forcing
-term.
+solvers step only the coefficients k = 1..N, as two float rows phi and
+phi_t of interleaved (Re, Im) floats: every such row is a real zero-mean
+field in the Galerkin space, so conjugate symmetry, zero mean and the
+projection hold by construction at every RK4 stage, and no stage is
+masked, mirrored or checked.  Each stage calls one acceleration map
+(stage index, phi row) -> phi_tt row, semidiscrete_rhs_nonlinear or
+semidiscrete_rhs_linearized, which runs the private float-row kernels of
+operators (the public operators are those kernels plus checks) against
+their cached per-(n, N) plan: synthesis reads only k = 1..N on the
+3/2-padded grid, and analysis keeps k = 1..N of its result.  The two
+systems are the full quadratically nonlinear equation, and its
+linearization around a prescribed time-dependent base profile with an
+optional forcing term.
 
 Base profiles and forcing terms of the linearized system are field
 sources (see field_evaluator): each maps a 1-D array of times to a
 (T, n-1) coefficient array.  solve_linearized evaluates and checks them
-once per solve on its whole RK4 stage mesh, and synthesizes the base's
-four rows (p0, p0_x, p0_xx, H p0_xx) there once, from its full band
-k < n/2: a Newton base or a configured one can carry modes above N.
+once per solve on its whole RK4 stage mesh, and its acceleration map
+synthesizes the base's four rows (p0, p0_x, p0_xx, H p0_xx) there once,
+from its full band k < n/2: a Newton base or a configured one can carry
+modes above N.
 
-Each solve mirrors its (T, 3, N) rows once into the (T, n-1) arrays of
+Each solve mirrors its (T, 3, 2N) rows once into the (T, n-1) arrays of
 the Trajectory it returns, together with a monitor dictionary:
 "min_stability_coeff", the minimum of the stability coefficient
 mu - 2 (H phi)_x at each kept node (the node times are the trajectory's),
@@ -45,15 +45,17 @@ import numpy as np
 
 from .operators import (
     Trajectory,
-    _linearized_half,
-    _nonlinear_half,
+    _float_rows,
+    _linearized_rows,
+    _nonlinear_rows,
+    _plan,
     _require_real,
     _require_real_zero_mean,
     _stability_values,
-    _synthesis_rows,
+    _synthesized,
     require_margin,
 )
-from .spectral import SpectralField, TorusGrid, _band, _positive, zeros
+from .spectral import SpectralField, TorusGrid, _band, zeros
 
 BLOW_UP_THRESHOLD = 1e12
 
@@ -193,67 +195,59 @@ def field_evaluator(source, grid, t_final=None):
     raise TypeError(f"cannot interpret {type(source).__name__} as a field source")
 
 
-def _stacked(velocity, acceleration):
-    """The (..., 2, N) time derivative of a state: rows phi_t, phi_tt."""
-    return np.concatenate((velocity, acceleration), axis=-1).reshape(
-        velocity.shape[:-1] + (2, velocity.shape[-1]))
+def semidiscrete_rhs_nonlinear(cfg):
+    """The acceleration map (stage index, phi row) -> phi_tt row of the
+    nonlinear Galerkin system: mu phi_xx + N(phi) kept to k = 1..N, the
+    projection onto the Galerkin space, on float rows with any leading
+    batch axes.  The stage index is not read, and rows are not checked."""
+    plan = _plan(cfg.grid_n, cfg.galerkin_N)
+    mu_lap = cfg.mu * plan.lap
+    return lambda s, x: _nonlinear_rows(x, mu_lap, plan)
 
 
-def semidiscrete_rhs_nonlinear(state, cfg):
-    """Galerkin right-hand side of the nonlinear system.
-
-    Maps a (..., 2, N) state, rows phi_hat and phi_t_hat, the coefficients
-    k = 1..N of real zero-mean fields, to the (..., 2, N) array with rows
-    phi_t_hat and (mu phi_xx + N(phi))^(k): the second row is kept to
-    k = 1..N, which is the projection onto the Galerkin space.  The input
-    is trusted, not checked.
-    """
-    return _stacked(state[..., 1, :],
-                    _nonlinear_half(state[..., 0, :], cfg.mu, cfg.grid_n))
-
-
-def semidiscrete_rhs_linearized(state, base_rows, g_hat, cfg):
-    """Galerkin right-hand side of the linearization at a frozen base with
-    forcing g, at a single instant; (..., 2, N) states in and out as in
-    semidiscrete_rhs_nonlinear.
-
-    `base_rows` are the base's (p0, p0_x, p0_xx, H p0_xx) on the padded
-    grid, shape (4, m) as operators._synthesis_rows returns them, and
-    `g_hat` the coefficients k = 1..N of the forcing.
-    """
-    return _stacked(state[..., 1, :], _linearized_half(
-        base_rows, state[..., 0, :], cfg.mu, cfg.grid_n) + g_hat)
+def semidiscrete_rhs_linearized(base_rows, g_rows, cfg):
+    """The acceleration map of the linearization at a base with forcing g,
+    as in semidiscrete_rhs_nonlinear.  `base_rows` and `g_rows` are (S, n-1)
+    coefficient arrays on the stage mesh, and stage s reads row s of each.
+    The base is synthesized here once, from its full band k < n/2: it may
+    carry modes above N."""
+    plan = _plan(cfg.grid_n, cfg.galerkin_N)
+    base = _synthesized(_float_rows(base_rows), _plan(cfg.grid_n, cfg.grid_n // 2 - 1))
+    g = _float_rows(g_rows, cfg.galerkin_N)
+    return lambda s, x: _linearized_rows(base[s], x, cfg.mu, plan) + g[s]
 
 
-def rk4_step(t, dt, y, rhs, k1=None):
-    """One classical RK4 step of y' = rhs(t, y) for a (2, N) state y, rows
-    phi and phi_t; returns the new state.  `k1` may pass in a precomputed
-    rhs(t, y)."""
-    h = 0.5 * dt
-    if k1 is None:
-        k1 = rhs(t, y)
-    k2 = rhs(t + h, y + h * k1)
-    k3 = rhs(t + h, y + h * k2)
-    k4 = rhs(t + dt, y + dt * k3)
-    return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+def rk4_step(i, dt, phi, phit, accel, a1=None):
+    """One classical RK4 step of phi_tt = accel(s, phi) from node i, whose
+    stages read the indices s = 2i, 2i+1, 2i+2 of the stage mesh k dt/2;
+    the rows phi and phi_t are added separately.  Returns the new
+    (phi, phi_t).  `a1` may pass in a precomputed accel(2i, phi)."""
+    h, s, w = 0.5 * dt, 2 * i, dt / 6.0
+    a1 = accel(s, phi) if a1 is None else a1
+    v2, a2 = phit + h * a1, accel(s + 1, phi + h * phit)
+    v3, a3 = phit + h * a2, accel(s + 1, phi + h * v2)
+    v4, a4 = phit + dt * a3, accel(s + 2, phi + dt * v3)
+    return (phi + w * (phit + 2.0 * v2 + 2.0 * v3 + v4),
+            phit + w * (a1 + 2.0 * a2 + 2.0 * a3 + a4))
 
 
-def _march(cfg, rhs, y, stability_values, abort_on_stability):
-    """Shared stepping loop from the (2, N) state `y` under `rhs(t, y)`:
-    step a block of _NODE_BLOCK nodes, then judge it.  Returns (Trajectory,
-    monitor).  `stability_values(nodes, phi_rows)` gives the (B, n) values
-    of mu - 2 (H .)_x at the nodes of the slice `nodes`, of the state for
-    the nonlinear equation and of the base for the linearized one.  The
-    block's first node that blows up, drops below delta/2 (if
-    `abort_on_stability`) or, before node m, breaks the CFL limit ends the
-    run, in that order at one node; the nodes stepped past it are dropped.
+def _march(cfg, accel, phi, phit, stability_values, abort_on_stability):
+    """Shared stepping loop from the rows `phi`, `phit` under
+    phi_tt = accel(s, phi): step a block of _NODE_BLOCK nodes, then judge
+    it.  Returns (Trajectory, monitor).  `stability_values(nodes, phi_rows)`
+    gives the (B, n) values of mu - 2 (H .)_x at the nodes of the slice
+    `nodes`, of the state for the nonlinear equation and of the base for
+    the linearized one.  The block's first node that blows up, drops below
+    delta/2 (if `abort_on_stability`) or, before node m, breaks the CFL
+    limit ends the run, in that order at one node; the nodes stepped past
+    it are dropped.
     """
     m = cfg.num_steps()
     times = np.arange(m + 1) * cfg.dt
     flags = [{"type": "elliptic_regime", "time": 0.0}] if cfg.mu <= 0 else []
 
-    # (phi, phi_t, phi_tt) at each node, phi_tt the Galerkin right-hand side
-    rows = np.empty((m + 1, 3, cfg.galerkin_N), complex)
+    # (phi, phi_t, phi_tt) at each node, phi_tt the acceleration
+    rows = np.empty((m + 1, 3, phi.shape[-1]))
     stab = np.empty(m + 1)
     kept = m + 1
     # past a flagged node the stepping may overflow; those rows are dropped
@@ -261,14 +255,14 @@ def _march(cfg, rhs, y, stability_values, abort_on_stability):
         for start in range(0, m + 1, _NODE_BLOCK):
             block = slice(start, min(start + _NODE_BLOCK, m + 1))
             for i in range(block.start, block.stop):
-                t = float(times[i])
-                k1 = rhs(t, y)
-                rows[i, :2], rows[i, 2] = y, k1[1]
+                a1 = accel(2 * i, phi)
+                rows[i, 0], rows[i, 1], rows[i, 2] = phi, phit, a1
                 if i < m:
-                    y = rk4_step(t, cfg.dt, y, rhs, k1)
+                    phi, phit = rk4_step(i, cfg.dt, phi, phit, accel, a1)
             vals = stability_values(block, rows[block, 0])
             stab[block] = vals.min(axis=-1)
-            blow_up = ~(np.abs(rows[block, :2]).max(axis=(1, 2)) <= BLOW_UP_THRESHOLD)
+            modulus = np.abs(rows[block, :2].view(complex))
+            blow_up = ~(modulus.max(axis=(1, 2)) <= BLOW_UP_THRESHOLD)
             abort = abort_on_stability & (stab[block] < 0.5 * cfg.delta)
             limit = cfg.cfl_limit(vals.max(axis=-1))
             cfl = (cfg.dt > limit * (1.0 + 1e-12)) & (np.arange(block.start, block.stop) < m)
@@ -285,13 +279,13 @@ def _march(cfg, rhs, y, stability_values, abort_on_stability):
                 flags.append({"type": kind, "time": t})
                 break
 
-    traj = Trajectory(times[:kept], *_band(rows[:kept].swapaxes(0, 1), cfg.grid_n))
-    return traj, {"min_stability_coeff": stab[:kept], "flags": flags}
+    bands = _band(rows[:kept].view(complex).swapaxes(0, 1), cfg.grid_n)
+    return Trajectory(times[:kept], *bands), {"min_stability_coeff": stab[:kept], "flags": flags}
 
 
 def _galerkin_state(data, cfg):
-    """The (2, N) state of Cauchy data: phi0, phi1 at k = 1..N."""
-    return np.array([_positive(f.coeffs)[:cfg.galerkin_N] for f in (data.phi0, data.phi1)])
+    """The rows phi0, phi1 of Cauchy data: interleaved floats of k = 1..N."""
+    return [_float_rows(f.coeffs, cfg.galerkin_N) for f in (data.phi0, data.phi1)]
 
 
 def solve_nonlinear(cfg, data):
@@ -304,7 +298,7 @@ def solve_nonlinear(cfg, data):
     if data.grid.n != cfg.grid_n:
         raise ValueError("data grid does not match the configured grid")
     require_margin(data.phi0, cfg.mu, cfg.delta, "initial data")
-    return _march(cfg, lambda t, y: semidiscrete_rhs_nonlinear(y, cfg), _galerkin_state(data, cfg),
+    return _march(cfg, semidiscrete_rhs_nonlinear(cfg), *_galerkin_state(data, cfg),
                   lambda nodes, phi_rows: _stability_values(phi_rows, cfg.mu, cfg.grid_n),
                   abort_on_stability=True)
 
@@ -315,7 +309,7 @@ def solve_linearized(cfg, base=None, forcing=None, initial_state=None):
     phi'_tt = (mu - 2 p0_x) phi'_xx + lower-order terms + g, p0 = H[base].
     `base` and `forcing` accept anything field_evaluator understands; each
     is evaluated once, on the RK4 stage mesh cfg.stage_times(), and the
-    right-hand side and the monitor read the row of their stage time.
+    acceleration and the monitor read the row of their stage index.
     The evaluated rows are checked once, before the first
     step: the base must be real with zero mean and the forcing real (its
     k = 0 mode, like every mode above N, is dropped by the projection).
@@ -323,8 +317,6 @@ def solve_linearized(cfg, base=None, forcing=None, initial_state=None):
     given.
     """
     grid = TorusGrid(cfg.grid_n)
-    n, N = cfg.grid_n, cfg.galerkin_N
-    half = 0.5 * cfg.dt
     stage_times = cfg.stage_times()
     base_rows = field_evaluator(base, grid, cfg.t_final)(stage_times)
     g_rows = field_evaluator(forcing, grid, cfg.t_final)(stage_times)
@@ -332,23 +324,15 @@ def solve_linearized(cfg, base=None, forcing=None, initial_state=None):
     _require_real(g_rows, "forcing")
 
     if initial_state is None:
-        state = np.zeros((2, N), complex)
+        state = np.zeros((2, 2 * cfg.galerkin_N))
     else:
         if initial_state.grid.n != cfg.grid_n:
             raise ValueError("initial state grid does not match the configured grid")
         state = _galerkin_state(initial_state, cfg)
 
-    base_pos = _positive(base_rows)
-    base_synth = _synthesis_rows(base_pos, n)
-    base_vals = _stability_values(base_pos[::2], cfg.mu, n)
-    g_hat = _positive(g_rows)[:, :N]
-
-    def rhs(t, state):
-        i = round(t / half)
-        return semidiscrete_rhs_linearized(state, base_synth[i], g_hat[i], cfg)
-
-    return _march(cfg, rhs, state, lambda nodes, phi_rows: base_vals[nodes],
-                  abort_on_stability=False)
+    base_vals = _stability_values(_float_rows(base_rows[::2]), cfg.mu, cfg.grid_n)
+    return _march(cfg, semidiscrete_rhs_linearized(base_rows, g_rows, cfg), *state,
+                  lambda nodes, phi_rows: base_vals[nodes], abort_on_stability=False)
 
 
 def measure_mode_growth(traj, modes):

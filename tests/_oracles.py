@@ -23,8 +23,8 @@ and evaluated by the public, checked operators, stepped by pair_rk4_step on
 (phi, phi_t) pairs and monitored node by node.  They share only those
 operators with the package, so the solvers' k = 1..N block stepping can be
 held against them bitwise.  node_march is the solvers' stepping loop as it
-was when it judged one node at a time, for synthetic right-hand sides and
-monitors.
+was when it judged one node at a time, on the solvers' float rows and
+acceleration maps, for synthetic accelerations and monitors.
 """
 
 import math
@@ -411,17 +411,25 @@ def pair_rk4_step(t, dt, state, rhs, k1=None):
             phit + w * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1]))
 
 
-def node_march(cfg, rhs, state, stability_values, abort_on_stability):
+def node_march(cfg, accel, state, stability_values, abort_on_stability):
     """The solvers' stepping loop judging one node at a time: the monitor
-    `stability_values(i, phi_hat)` and the blow-up, delta/2 and CFL checks
-    run at node i before the step from it.  `state` is a (phi, phi_t) pair
-    of (N,) arrays; returns (Trajectory, monitor) like the solvers."""
+    `stability_values(i, phi)` and the blow-up, delta/2 and CFL checks run
+    at node i before the step from it.  `state` is a (phi, phi_t) pair of
+    (2N,) rows of interleaved (Re, Im) floats and `accel(s, phi)` the
+    acceleration at index s of the stage mesh k dt/2, stepped as the
+    first-order pair (phi_t, accel) by pair_rk4_step; returns
+    (Trajectory, monitor) like the solvers."""
     m = cfg.num_steps()
+    half = 0.5 * cfg.dt
     times = np.arange(m + 1) * cfg.dt
     flags = []
     if cfg.mu <= 0:
         flags.append({"type": "elliptic_regime", "time": 0.0})
-    rows = np.empty((3, m + 1, cfg.galerkin_N), complex)
+
+    def rhs(t, y):
+        return y[1], accel(round(t / half), y[0])
+
+    rows = np.empty((3, m + 1, 2 * cfg.galerkin_N))
     stab = []
     kept = 0
     for i, t in enumerate(times):
@@ -433,7 +441,8 @@ def node_march(cfg, rhs, state, stability_values, abort_on_stability):
         rows[:, i] = phi, phit, k1[1]
         stab.append(mn)
         kept = i + 1
-        amp = np.abs(rows[:2, i]).max()
+        # the modulus of each complex coefficient
+        amp = np.abs(rows[:2, i].view(complex)).max()
         if not np.isfinite(amp) or amp > BLOW_UP_THRESHOLD:
             flags.append({"type": "blow_up", "time": t})
             break
@@ -450,7 +459,7 @@ def node_march(cfg, rhs, state, stability_values, abort_on_stability):
                 f"at t = {t:.6g} (N = {cfg.galerkin_N})"
             )
         state = pair_rk4_step(t, cfg.dt, state, rhs, k1)
-    traj = Trajectory(times[:kept], *_band(rows[:, :kept], cfg.grid_n))
+    traj = Trajectory(times[:kept], *_band(rows[:, :kept].view(complex), cfg.grid_n))
     return traj, {"min_stability_coeff": np.array(stab), "flags": flags}
 
 

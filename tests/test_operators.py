@@ -1,5 +1,6 @@
 """Tests for the nonlinearity, its derivatives, stability, and lifting."""
 
+import functools
 import os
 import subprocess
 import sys
@@ -336,24 +337,26 @@ class TestTransformPaths:
     grids by real FFTs.  Each side of the bound is run on both paths."""
 
     @staticmethod
-    def half(grid, kmax, rng, rows):
-        return ops._positive(np.stack([random_field(grid, kmax, rng).coeffs
-                                       for _ in range(rows)]))
+    def bands(grid, kmax, rng, rows):
+        return np.stack([random_field(grid, kmax, rng).coeffs for _ in range(rows)])
 
     @pytest.mark.parametrize("n", [ops._DENSE_MAX_N, 2 * ops._DENSE_MAX_N])
     def test_table_agrees_with_fft(self, n, monkeypatch):
         grid = TorusGrid(n)
         rng = np.random.default_rng(n + 7)
-        base = self.half(grid, n // 2 - 1, rng, 1)[0]
+        base = ops._float_rows(self.bands(grid, n // 2 - 1, rng, 1)[0])
         for K in (10, 21, n // 2 - 1):
-            h = self.half(grid, K, rng, 3)[..., :K]
+            x = ops._float_rows(self.bands(grid, K, rng, 3), K)
             got = {}
             for bound in (n, n - 1):
+                # a plan picks its path when built: a fresh cache per bound
                 monkeypatch.setattr(ops, "_DENSE_MAX_N", bound)
-                v0 = ops._synthesis_rows(base, n)
-                got[bound] = (ops._nonlinear_half(h, 0.9, n),
-                              ops._linearized_half(v0, h, 0.9, n),
-                              ops._stability_values(h, 0.9, n))
+                monkeypatch.setattr(ops, "_plan", functools.lru_cache(ops._plan.__wrapped__))
+                plan = ops._plan(n, K)
+                v0 = ops._synthesized(base, ops._plan(n, n // 2 - 1))
+                got[bound] = (ops._nonlinear_rows(x, 0.9 * plan.lap, plan).view(complex),
+                              ops._linearized_rows(v0, x, 0.9, plan).view(complex),
+                              ops._stability_values(x, 0.9, n))
             for table, fft in zip(got[n], got[n - 1]):
                 assert table.shape == fft.shape
                 assert np.max(np.abs(table - fft)) <= 1e-13 * np.max(np.abs(fft)), K
@@ -385,39 +388,52 @@ class TestTransformPaths:
         assert len(calls) == ffts
 
     def test_strided_and_broadcast_rows(self):
-        # a row gives the same bits whether it stands alone, sits in a
-        # contiguous batch, in every other row of one, or is broadcast
-        n = GRID.n
-        rng = np.random.default_rng(16)
-        base_pos = self.half(GRID, 12, rng, 6)
-        strided_last = np.repeat(base_pos, 2, axis=-1)[..., ::2]
-        for h in (base_pos[::2], np.broadcast_to(base_pos[1], (4, n // 2 - 1)), strided_last):
-            dense = np.ascontiguousarray(h)
-            for kernel in (lambda x: ops._synthesis_rows(x, n),
-                           lambda x: ops._nonlinear_half(x, 0.7, n),
-                           lambda x: ops._stability_values(x, 0.7, n)):
-                out = kernel(h)
-                assert np.array_equal(out, kernel(dense))
-                for row, x in zip(out, dense):
-                    assert np.array_equal(row, kernel(x))
-        # a broadcast base against a batch, in the kernel and the public operator
-        v0 = ops._synthesis_rows(np.broadcast_to(base_pos[0], base_pos.shape), n)
-        lin = ops._linearized_half(v0, base_pos, 0.7, n)
-        single = ops._synthesis_rows(base_pos[0], n)
-        for row, x in zip(lin, base_pos):
-            assert np.array_equal(row, ops._linearized_half(single, x, 0.7, n))
-        u = random_field(GRID, 8, rng).coeffs
-        dirs = np.stack([random_field(GRID, 8, rng).coeffs for _ in range(3)])
-        assert np.array_equal(apply_linearized_operator(np.broadcast_to(u, dirs.shape), dirs, 1.1),
-                              apply_linearized_operator(u, dirs, 1.1))
+        # on both transform paths a row gives the same bits whether it
+        # stands alone, sits in a contiguous batch, in every other row of
+        # one, or is broadcast, and the float-row kernels on k = 1..K < n/2-1
+        # give the bits of the public operators kept to K
+        for n in (32, 64, 128):
+            grid = TorusGrid(n)
+            rng = np.random.default_rng(16 + n)
+            K = 12
+            plan, full = ops._plan(n, K), ops._plan(n, n // 2 - 1)
+            c = self.bands(grid, K, rng, 6)
+            c0 = random_field(grid, n // 2 - 1, rng).coeffs
+            x = ops._float_rows(c, K)
+            v0 = ops._synthesized(ops._float_rows(c0), full)
+            kernels = (lambda y: ops._synthesized(y, plan),
+                       lambda y: ops._nonlinear_rows(y, 0.7 * plan.lap, plan),
+                       lambda y: ops._linearized_rows(v0, y, 0.7, plan),
+                       lambda y: ops._stability_values(y, 0.7, n))
+            strided_last = ops._float_rows(np.repeat(c, 2, axis=-1)[..., ::2], K)
+            for h in (x, x[::2], np.broadcast_to(x[1], (4, 2 * K)), strided_last):
+                dense = np.ascontiguousarray(h)
+                for kernel in kernels:
+                    out = kernel(h)
+                    assert np.array_equal(out, kernel(dense))
+                    for row, y in zip(out, dense):
+                        assert np.array_equal(row, kernel(y))
+            # the kernels are the public operators kept to K, bitwise
+            keep = ops._positive
+            assert np.array_equal(kernels[1](x).view(complex),
+                                  keep(nonlinear_operator(c, 0.7))[..., :K])
+            assert np.array_equal(kernels[2](x).view(complex),
+                                  keep(apply_linearized_operator(c0, c, 0.7))[..., :K])
+            assert np.array_equal(kernels[3](x), stability_coefficient(c, 0.7)[0])
+            # a broadcast base against a batch, in the kernel and the public operator
+            many = ops._synthesized(np.broadcast_to(ops._float_rows(c0), (6, n - 2)), full)
+            assert np.array_equal(ops._linearized_rows(many, x, 0.7, plan), kernels[2](x))
+            u = random_field(grid, 8, rng).coeffs
+            assert np.array_equal(apply_linearized_operator(np.broadcast_to(u, c.shape), c, 1.1),
+                                  apply_linearized_operator(u, c, 1.1))
 
     def test_import_builds_no_table(self):
         src = str(Path(ops.__file__).resolve().parents[1])
-        code = ("import amp_sheet.operators as o; "
-                "print(o._symbols.cache_info().currsize, o._dense_tables.cache_info().currsize)")
+        code = ("import amp_sheet.operators as o; print(*(f.cache_info().currsize "
+                "for f in (o._symbols, o._dense_tables, o._plan)))")
         done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               env={**os.environ, "PYTHONPATH": src}, check=True)
-        assert done.stdout.split() == ["0", "0"]
+        assert done.stdout.split() == ["0", "0", "0"]
 
 
 class TestLinearizedParts:

@@ -13,7 +13,6 @@ from amp_sheet.operators import (
     Trajectory,
     _band,
     _positive,
-    _synthesis_rows,
     apply_linearized_operator,
     build_lifting,
     nonlinear_operator,
@@ -47,6 +46,7 @@ from _oracles import (
     masked_solve_linearized,
     masked_solve_nonlinear,
     node_march,
+    pair_rk4_step,
     projected_rk4,
     quadratic_rhs_alt,
 )
@@ -114,58 +114,64 @@ def random_modes(rng, grid, kmax):
 
 
 def pos(c, N):
-    """The coefficients k = 1..N of (..., n-1) bands: the solver state."""
+    """The coefficients k = 1..N of (..., n-1) bands."""
     return _positive(np.asarray(c))[..., :N]
 
 
+def row(c, N):
+    """The solver's row of (..., n-1) bands: the interleaved (Re, Im) floats
+    of the coefficients k = 1..N."""
+    return np.ascontiguousarray(pos(c, N)).view(float)
+
+
 class TestSemidiscreteRhs:
-    """The right-hand sides act on the coefficients k = 1..N."""
+    """The acceleration maps act on the rows of the coefficients k = 1..N."""
 
     def test_nonlinear_single_mode(self):
         cfg = SimConfig(mu=1.0, delta=0.9, grid_n=32, galerkin_N=10)
-        state = np.array([pos(cosine(GRID, 1).coeffs, 10), np.zeros(10, complex)])
-        out = semidiscrete_rhs_nonlinear(state, cfg)
+        accel = semidiscrete_rhs_nonlinear(cfg)
+        x = row(cosine(GRID, 1).coeffs, 10)
+        out = accel(0, x)
         want = -1.0 * cosine(GRID, 1).coeffs + cosine(GRID, 2).coeffs
-        assert out[1].shape == (10,)
-        assert np.max(np.abs(out[1] - pos(want, 10))) < 1e-13
-        assert np.max(np.abs(out[0])) == 0.0
+        assert out.shape == (20,)
+        assert np.max(np.abs(out.view(complex) - pos(want, 10))) < 1e-13
+        # the nonlinear map does not read the stage index
+        assert np.array_equal(accel(7, x), out)
 
     def test_nonlinear_truncation_drops_mode_two(self):
         cfg = SimConfig(mu=1.0, delta=0.9, grid_n=32, galerkin_N=1)
-        state = np.array([pos(cosine(GRID, 1).coeffs, 1), np.zeros(1, complex)])
-        out = semidiscrete_rhs_nonlinear(state, cfg)
-        assert out[1].shape == (1,)
-        assert abs(out[1][0] + np.pi) < 1e-13
+        out = semidiscrete_rhs_nonlinear(cfg)(0, row(cosine(GRID, 1).coeffs, 1))
+        assert out.shape == (2,)
+        assert abs(out.view(complex)[0] + np.pi) < 1e-13
 
     def test_zero_state(self):
         cfg = SimConfig(mu=1.0, delta=0.9, grid_n=32, galerkin_N=10)
-        z = np.zeros((2, 10), complex)
-        out = semidiscrete_rhs_nonlinear(z, cfg)
-        assert np.max(np.abs(out[0])) == 0.0
-        assert np.max(np.abs(out[1])) == 0.0
+        out = semidiscrete_rhs_nonlinear(cfg)(0, np.zeros(20))
+        assert np.max(np.abs(out)) == 0.0
 
     def test_nonlinear_batch_equals_row_by_row(self):
-        # a leading batch axis on the state, row for row bitwise
+        # a leading batch axis on the rows, row for row bitwise
         cfg = SimConfig(mu=0.8, delta=0.5, grid_n=32, galerkin_N=10)
+        accel = semidiscrete_rhs_nonlinear(cfg)
         rng = np.random.default_rng(5)
-        phi = rng.standard_normal((3, 10)) + 1j * rng.standard_normal((3, 10))
-        out = semidiscrete_rhs_nonlinear(np.stack((phi, phi), axis=1), cfg)[:, 1]
-        for row, got in zip(phi, out):
-            assert np.array_equal(semidiscrete_rhs_nonlinear(np.array([row, row]), cfg)[1], got)
+        phi = rng.standard_normal((3, 20))
+        out = accel(0, phi)
+        for x, got in zip(phi, out):
+            assert np.array_equal(accel(0, x), got)
 
     def test_nonlinear_is_the_operator_kept_to_the_band(self):
         # the coefficients k = 1..N of mu phi_xx + N(phi) on the band
         cfg = SimConfig(mu=1.1, delta=0.5, grid_n=32, galerkin_N=7)
         f = random_modes(np.random.default_rng(8), GRID, 7)
-        out = semidiscrete_rhs_nonlinear(np.array([pos(f.coeffs, 7), pos(f.coeffs, 7)]), cfg)[1]
-        assert np.array_equal(out, pos(nonlinear_operator(f.coeffs, cfg.mu), 7))
+        out = semidiscrete_rhs_nonlinear(cfg)(0, row(f.coeffs, 7))
+        assert np.array_equal(out.view(complex), pos(nonlinear_operator(f.coeffs, cfg.mu), 7))
 
     def test_linearized_forcing_only(self):
         cfg = SimConfig(mu=1.0, delta=0.9, grid_n=32, galerkin_N=10)
-        z = np.zeros((2, 10), complex)
-        base = _synthesis_rows(pos(zeros(GRID).coeffs, 15), 32)
-        out = semidiscrete_rhs_linearized(z, base, pos(cosine(GRID, 1).coeffs, 10), cfg)
-        assert np.max(np.abs(out[1] - pos(cosine(GRID, 1).coeffs, 10))) < 1e-14
+        accel = semidiscrete_rhs_linearized(zeros(GRID).coeffs[None], cosine(GRID, 1).coeffs[None],
+                                            cfg)
+        out = accel(0, np.zeros(20))
+        assert np.max(np.abs(out.view(complex) - pos(cosine(GRID, 1).coeffs, 10))) < 1e-14
 
     def test_linearized_is_the_operator_kept_to_the_band(self):
         # base with modes above N: its synthesized rows keep the full band
@@ -174,35 +180,44 @@ class TestSemidiscreteRhs:
         base = random_modes(rng, GRID, 14)
         f = random_modes(rng, GRID, 6)
         g = sine(GRID, 3).coeffs
-        rows = _synthesis_rows(pos(base.coeffs, 15), 32)
-        out = semidiscrete_rhs_linearized(np.array([pos(f.coeffs, 6), np.zeros(6, complex)]), rows,
-                                          pos(g, 6), cfg)[1]
+        out = semidiscrete_rhs_linearized(base.coeffs[None], g[None], cfg)(0, row(f.coeffs, 6))
         want = apply_linearized_operator(base.coeffs, f.coeffs, cfg.mu) + g
-        assert np.array_equal(out, pos(want, 6))
+        assert np.array_equal(out.view(complex), pos(want, 6))
+
+    def test_linearized_reads_the_row_of_its_stage_index(self):
+        # stage s reads row s of the base and of the forcing
+        cfg = SimConfig(mu=0.7, delta=0.5, grid_n=32, galerkin_N=6)
+        rng = np.random.default_rng(10)
+        bases = np.stack([random_modes(rng, GRID, 14).coeffs for _ in range(3)])
+        gs = np.stack([random_modes(rng, GRID, 9).coeffs for _ in range(3)])
+        x = row(random_modes(rng, GRID, 6).coeffs, 6)
+        accel = semidiscrete_rhs_linearized(bases, gs, cfg)
+        for s in range(3):
+            one = semidiscrete_rhs_linearized(bases[s:s + 1], gs[s:s + 1], cfg)
+            assert np.array_equal(accel(s, x), one(0, x))
 
     def test_linearized_superposition(self):
         cfg = SimConfig(mu=1.3, delta=0.9, grid_n=32, galerkin_N=10)
         rng = np.random.default_rng(6)
 
-        def rand_state():
+        def rand_row():
             c = np.zeros(10, complex)
             c[:5] = rng.normal(size=5) + 1j * rng.normal(size=5)
-            return c
+            return c.view(float)
 
-        base = _synthesis_rows(pos(cosine(GRID, 1, 0.1).coeffs, 15), 32)
-        s1 = np.array([rand_state(), rand_state()])
-        s2 = np.array([rand_state(), rand_state()])
-        g1, g2 = pos(cosine(GRID, 2).coeffs, 10), pos(sine(GRID, 3).coeffs, 10)
+        base = cosine(GRID, 1, 0.1).coeffs[None]
+        s1, s2 = rand_row(), rand_row()
+        g1, g2 = cosine(GRID, 2).coeffs[None], sine(GRID, 3).coeffs[None]
         combo = 2.0 * s1 + 3.0 * s2
-        out = semidiscrete_rhs_linearized(combo, base, 2.0 * g1 + 3.0 * g2, cfg)
-        o1 = semidiscrete_rhs_linearized(s1, base, g1, cfg)
-        o2 = semidiscrete_rhs_linearized(s2, base, g2, cfg)
-        assert np.max(np.abs(out[1] - 2.0 * o1[1] - 3.0 * o2[1])) < 1e-12
+        out = semidiscrete_rhs_linearized(base, 2.0 * g1 + 3.0 * g2, cfg)(0, combo)
+        o1 = semidiscrete_rhs_linearized(base, g1, cfg)(0, s1)
+        o2 = semidiscrete_rhs_linearized(base, g2, cfg)(0, s2)
+        assert np.max(np.abs(out - 2.0 * o1 - 3.0 * o2)) < 1e-12
 
 
-def oscillator(t, y):
-    """y'' = -y as a first-order system on (2, K) states."""
-    return np.array([y[1], -y[0]])
+def oscillator(s, x):
+    """phi'' = -phi on rows of any length."""
+    return -x
 
 
 class TestRk4:
@@ -211,29 +226,67 @@ class TestRk4:
         # period the amplitude error of classical RK4 at dt = 2pi/1000
         # sits far below 1e-8.
         dt = 2.0 * np.pi / 1000.0
-        y = np.array([[1.0 + 0.0j], [0.0 + 0.0j]])
+        phi, phit = np.array([1.0, 0.0]), np.zeros(2)
 
         for i in range(1000):
-            y = rk4_step(i * dt, dt, y, oscillator)
-        phi, phit = y
-        assert abs(phi[0] - 1.0) < 1e-8
-        assert abs(phit[0]) < 1e-8
+            phi, phit = rk4_step(i, dt, phi, phit, oscillator)
+        assert abs(phi[0] - 1.0) < 1e-8 and phi[1] == 0.0
+        assert np.max(np.abs(phit)) < 1e-8
 
     def test_zero_state_fixed_point(self):
-        z = np.zeros((2, 5), complex)
-        phi, phit = rk4_step(0.0, 0.1, z, oscillator)
+        z = np.zeros(10)
+        phi, phit = rk4_step(0, 0.1, z, z, oscillator)
         assert np.max(np.abs(phi)) == 0.0 and np.max(np.abs(phit)) == 0.0
 
     def test_order_four(self):
         def run(dt):
-            y = np.array([[1.0 + 0.0j], [0.0j]])
+            phi, phit = np.array([1.0, 0.0]), np.zeros(2)
             steps = int(round(1.0 / dt))
             for i in range(steps):
-                y = rk4_step(i * dt, dt, y, oscillator)
-            return abs(y[0, 0] - np.cos(1.0))
+                phi, phit = rk4_step(i, dt, phi, phit, oscillator)
+            return abs(phi[0] - np.cos(1.0))
 
         ratio = run(2e-2) / run(1e-2)
         assert 12.0 <= ratio <= 20.0
+
+    def test_stage_indices_and_the_pair_oracle(self):
+        # the stages of the step from node i read 2i, 2i+1, 2i+1, 2i+2, and
+        # the step is the first-order pair step of (phi_t, accel) bitwise
+        seen = []
+
+        def accel(s, x):
+            seen.append(s)
+            return np.sin(s + x)
+
+        rng = np.random.default_rng(3)
+        phi, phit = rng.standard_normal(6), rng.standard_normal(6)
+        got = rk4_step(5, 0.1, phi, phit, accel)
+        assert seen == [10, 11, 11, 12]
+        want = pair_rk4_step(0.5, 0.1, (phi, phit),
+                             lambda t, y: (y[1], accel(round(t / 0.05), y[0])))
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+    @pytest.mark.parametrize("which", ["nonlinear", "linearized"])
+    def test_a_solve_of_m_steps_makes_4m_plus_1_accelerations(self, which, monkeypatch):
+        # k1 of each step is the acceleration the node stored
+        cfg = SimConfig(mu=1.0, delta=0.9, grid_n=32, galerkin_N=8, dt=1e-3, t_final=0.07)
+        name = f"semidiscrete_rhs_{which}"
+        real, calls = getattr(solver, name), []
+
+        def counted(*args):
+            accel = real(*args)
+            return lambda s, x: calls.append(s) or accel(s, x)
+
+        monkeypatch.setattr(solver, name, counted)
+        data = CauchyData(cosine(GRID, 1, 0.01), sine(GRID, 2, 0.01))
+        if which == "nonlinear":
+            traj, _ = solve_nonlinear(cfg, data)
+        else:
+            traj, _ = solve_linearized(cfg, base=cosine(GRID, 1, 0.02), initial_state=data)
+        m = cfg.num_steps()
+        assert len(traj) == m + 1 and len(calls) == 4 * m + 1
+        assert sorted(calls) == sorted([2 * i for i in range(m + 1)]
+                                       + [2 * i + d for i in range(m) for d in (1, 1, 2)])
 
 
 class TestLinearizedSolver:
@@ -354,9 +407,8 @@ class TestNonlinearSolver:
         data = CauchyData(cosine(GRID, 1, 0.05), zeros(GRID))
         traj, _ = solve_nonlinear(cfg, data)
         i, N = len(traj) // 2, cfg.galerkin_N
-        out = semidiscrete_rhs_nonlinear(np.array([pos(traj.phi[i], N), pos(traj.phit[i], N)]),
-                                         cfg)
-        assert np.array_equal(traj.phitt[i], _band(out[1], cfg.grid_n))
+        out = semidiscrete_rhs_nonlinear(cfg)(2 * i, row(traj.phi[i], N))
+        assert np.array_equal(traj.phitt[i], _band(out.view(complex), cfg.grid_n))
 
     def test_mean_and_reality_preserved(self):
         data = CauchyData(cosine(GRID, 1, 0.05), sine(GRID, 2, 0.02))
@@ -533,22 +585,24 @@ class TestMaskedOracle:
 
 class TestBlockMarch:
     """_march steps a block of _NODE_BLOCK nodes, then judges it.  With a
-    synthetic y' = lam y and a synthetic monitor that dips at chosen nodes,
+    synthetic phi_tt = lam^2 phi started on its growing branch
+    phi_t = lam phi and a synthetic monitor that dips at chosen nodes,
     every exit at and around the block edges matches the node-by-node march
     of the oracle: rows, monitor, flags and the CflError message."""
 
     DT, N, LAM = 0.01, 3, 50.0
-    # per-step RK4 growth factor of y' = LAM y at z = LAM dt = 0.5
+    # per-step RK4 growth factor of the branch phi_t = LAM phi at z = LAM dt = 0.5
     GROWTH = 1.0 + 0.5 + 0.5**2 / 2 + 0.5**3 / 6 + 0.5**4 / 24
 
     def cfg(self, m):
         return SimConfig(mu=1.0, delta=0.5, grid_n=8, galerkin_N=self.N,
                          dt=self.DT, t_final=m * self.DT)
 
-    def state(self, amplitude):
-        # unit-modulus entries: the state's max modulus is `amplitude`
-        phases = np.exp(1j * np.arange(2 * self.N).reshape(2, self.N))
-        return amplitude * phases
+    def state(self, amplitude, lam=LAM):
+        # rows (phi, phi_t) on the branch phi_t = lam phi: unit-modulus
+        # coefficients times `amplitude` in phi_t, the state's max modulus
+        phit = amplitude * np.exp(1j * np.arange(self.N))
+        return (phit / lam).view(float), phit.view(float)
 
     def table(self, m, abort=(), cfl=()):
         """Monitor values per node: 1.0, a dip to 0.1 < delta/2 at the
@@ -561,23 +615,25 @@ class TestBlockMarch:
     def run_both(self, m, table, blow_up_at=None, nan_at=None, abort_on_stability=True):
         """(package, oracle) results of one synthetic run: (traj, monitor)
         or the CflError message.  The state crosses the blow-up threshold
-        at node `blow_up_at`, or turns NaN at node `nan_at`."""
-        cfg, lam = self.cfg(m), self.LAM
+        at node `blow_up_at`, or turns NaN at node `nan_at`: the stages
+        from time (nan_at - 1/2) dt on, index 2 nan_at - 1 of the stage
+        mesh, return NaN."""
+        cfg, lam2 = self.cfg(m), self.LAM**2
         amplitude = 1e-20  # at most 2e8 after 130 steps
         if blow_up_at is not None:
             amplitude = solver.BLOW_UP_THRESHOLD * self.GROWTH ** (0.5 - blow_up_at)
-        t_nan = np.inf if nan_at is None else (nan_at - 0.5) * self.DT
+        s_nan = np.inf if nan_at is None else 2 * nan_at - 1
 
-        def rhs(t, y):
-            return lam * np.asarray(y) if t < t_nan else np.full((2, self.N), np.nan + 0j)
+        def accel(s, x):
+            return lam2 * x if s < s_nan else np.full(2 * self.N, np.nan)
 
         y0 = self.state(amplitude)
         out = []
         for march, y, monitor in (
                 (solver._march, y0, lambda nodes, phi_rows: table[nodes]),
-                (node_march, (y0[0], y0[1]), lambda i, phi: table[i])):
+                (node_march, (y0,), lambda i, phi: table[i])):
             try:
-                out.append(march(cfg, rhs, y, monitor, abort_on_stability))
+                out.append(march(cfg, accel, *y, monitor, abort_on_stability))
             except CflError as err:
                 out.append(str(err))
         return out
@@ -619,17 +675,19 @@ class TestBlockMarch:
         assert self.flags(got) == [("blow_up", node * self.DT)]
 
     def test_overflow_past_a_blow_up_is_silent(self):
-        # at z = lam dt = 50 each step multiplies the state by about 2.8e5:
+        # on the branch phi_t = lam phi at z = lam dt = 50 each step
+        # multiplies the state by about 2.8e5:
         # it crosses the threshold at node 3 and overflows to inf and NaN
         # before the block ends, which warns nothing (warnings are errors
         # in this suite)
         cfg, table = self.cfg(130), self.table(130)
 
-        def rhs(t, y):
-            return 5000.0 * np.asarray(y)
+        def accel(s, x):
+            return 5000.0**2 * x
 
-        got = solver._march(cfg, rhs, self.state(1.0), lambda nodes, rows: table[nodes], True)
-        want = node_march(cfg, rhs, tuple(self.state(1.0)), lambda i, phi: table[i], True)
+        y0 = self.state(1.0, lam=5000.0)
+        got = solver._march(cfg, accel, *y0, lambda nodes, rows: table[nodes], True)
+        want = node_march(cfg, accel, y0, lambda i, phi: table[i], True)
         self.assert_same(got, want)
         assert self.flags(got) == [("blow_up", 3 * self.DT)]
 
@@ -681,8 +739,8 @@ class TestBlockMarch:
             calls.append((nodes.start, nodes.stop))
             return table[nodes]
 
-        traj, mon = solver._march(self.cfg(m), lambda t, y: self.LAM * y,
-                                  self.state(1e-20), monitor, True)
+        traj, mon = solver._march(self.cfg(m), lambda s, x: self.LAM**2 * x,
+                                  *self.state(1e-20), monitor, True)
         assert len(traj) == m + 1 and mon["flags"] == []
         assert len(calls) == -(-(m + 1) // solver._NODE_BLOCK)
         assert calls == [(s, min(s + 64, m + 1)) for s in range(0, m + 1, 64)]
@@ -699,7 +757,7 @@ class TestBlockMarch:
         cfg = SimConfig(mu=1.0, delta=0.9, grid_n=32, galerkin_N=8, dt=1e-3, t_final=0.13)
         traj, mon = solve_nonlinear(cfg, CauchyData(cosine(GRID, 1, 0.01), zeros(GRID)))
         assert len(traj) == 131 and mon["flags"] == []
-        assert calls == [(64, 8), (64, 8), (3, 8)]
+        assert calls == [(64, 16), (64, 16), (3, 16)]
 
     def test_cfl_limit_on_arrays_is_the_scalar_formula(self):
         cfg = SimConfig(mu=1.0, delta=0.5, galerkin_N=7, cfl_safety=0.3)
