@@ -22,7 +22,7 @@ mu phi_xx + N(phi), is nonlinear_operator, the one place it is formed.
 
 Each kernel is a private, unchecked function on float rows, the
 interleaved (Re, Im) floats of the coefficients k = 1..K of real zero-mean
-fields, reading the cached _plan of (n, K); the solvers step such rows
+fields, reading the _plan of (n, K); the solvers step such rows
 directly.  The public operators check (..., n-1) bands, run the kernel on
 k = 1..n/2-1 and mirror the result back by c(-k) = conj c(k) (spectral._band).
 
@@ -277,29 +277,25 @@ def _dense_tables(n):
     return tables
 
 
-_Plan = namedtuple("_Plan", "n m lap synthesis analysis")
+_Plan = namedtuple("_Plan", "n m lap synthesis analysis stability")
 
 
-@lru_cache(maxsize=32)
 def _plan(n, K):
-    """The kernels' data on k = 1..K of an n-point grid, built once: m, the
-    interleaved symbol -k^2 (2K floats) and, up to _DENSE_MAX_N points, the
-    synthesis table's rows [:2K] and the analysis table, which stays
-    whole-band so a kernel gives the public operator's bits (None above,
-    where the FFTs read _symbols)."""
+    """The kernels' data on k = 1..K of an n-point grid: m, the interleaved
+    symbol -k^2 (2K floats) and, up to _DENSE_MAX_N points, the rows [:2K]
+    of the synthesis and stability tables and the analysis table, which
+    stays whole-band so a kernel gives the public operator's bits (None
+    above, where the FFTs read _symbols).  The solvers build one per solve."""
     lap = np.repeat(-np.arange(1.0, K + 1) ** 2, 2)
-    lap.flags.writeable = False
     if n > _DENSE_MAX_N:
-        return _Plan(n, _padded_size(n), lap, None, None)
-    synthesis, analysis, _ = _dense_tables(n)
-    return _Plan(n, _padded_size(n), lap, synthesis[:2 * K], analysis)
+        return _Plan(n, _padded_size(n), lap, None, None, None)
+    synthesis, analysis, stability = _dense_tables(n)
+    return _Plan(n, _padded_size(n), lap, synthesis[:2 * K], analysis, stability[:2 * K])
 
 
 def _row_products(x, table):
     """x @ table over the last axis of `x`, one vector-matrix product per
     row, so every row of a batch gives the bits of that row alone."""
-    if x.ndim == 1:
-        return x @ table
     return (x[..., None, :] @ table)[..., 0, :]
 
 
@@ -343,14 +339,13 @@ def _nonlinear_rows(x, mu_lap, plan):
     return mu_lap * x + _analyzed(ab, plan)
 
 
-def _stability_values(x, mu, n):
+def _stability_values(x, mu, plan):
     """Values of mu - 2 (H phi)_x at the n grid nodes, shape (..., n), from
     the float rows `x` of phi: the kernel of stability_coefficient, by one
     table product per row on small grids and _slope_fft on large ones."""
-    if n > _DENSE_MAX_N:
-        return mu + _slope_fft(np.ascontiguousarray(x).view(complex), n)
-    _, _, stability = _dense_tables(n)
-    return mu + _row_products(x, stability[:x.shape[-1]])
+    if plan.stability is None:
+        return mu + _slope_fft(np.ascontiguousarray(x).view(complex), plan.n)
+    return mu + _row_products(x, plan.stability)
 
 
 def _linearized_rows(v0, x, mu, plan):
@@ -455,7 +450,8 @@ def stability_coefficient(phi, mu):
     spectrum (only k >= 1 is read) times k, by _stability_values.
     """
     c = _coeffs(phi)
-    vals = _stability_values(_float_rows(c), mu, c.shape[-1] + 1)
+    n = c.shape[-1] + 1
+    vals = _stability_values(_float_rows(c), mu, _plan(n, n // 2 - 1))
     return vals, float(np.min(vals))
 
 

@@ -298,8 +298,9 @@ def solve_nonlinear(cfg, data):
     if data.grid.n != cfg.grid_n:
         raise ValueError("data grid does not match the configured grid")
     require_margin(data.phi0, cfg.mu, cfg.delta, "initial data")
+    plan = _plan(cfg.grid_n, cfg.galerkin_N)
     return _march(cfg, semidiscrete_rhs_nonlinear(cfg), *_galerkin_state(data, cfg),
-                  lambda nodes, phi_rows: _stability_values(phi_rows, cfg.mu, cfg.grid_n),
+                  lambda nodes, phi_rows: _stability_values(phi_rows, cfg.mu, plan),
                   abort_on_stability=True)
 
 
@@ -330,7 +331,8 @@ def solve_linearized(cfg, base=None, forcing=None, initial_state=None):
             raise ValueError("initial state grid does not match the configured grid")
         state = _galerkin_state(initial_state, cfg)
 
-    base_vals = _stability_values(_float_rows(base_rows[::2]), cfg.mu, cfg.grid_n)
+    base_vals = _stability_values(_float_rows(base_rows[::2]), cfg.mu,
+                                  _plan(cfg.grid_n, cfg.grid_n // 2 - 1))
     return _march(cfg, semidiscrete_rhs_linearized(base_rows, g_rows, cfg), *state,
                   lambda nodes, phi_rows: base_vals[nodes], abort_on_stability=False)
 

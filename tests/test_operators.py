@@ -1,6 +1,5 @@
 """Tests for the nonlinearity, its derivatives, stability, and lifting."""
 
-import functools
 import os
 import subprocess
 import sys
@@ -349,14 +348,13 @@ class TestTransformPaths:
             x = ops._float_rows(self.bands(grid, K, rng, 3), K)
             got = {}
             for bound in (n, n - 1):
-                # a plan picks its path when built: a fresh cache per bound
+                # a plan picks its path when built
                 monkeypatch.setattr(ops, "_DENSE_MAX_N", bound)
-                monkeypatch.setattr(ops, "_plan", functools.lru_cache(ops._plan.__wrapped__))
                 plan = ops._plan(n, K)
                 v0 = ops._synthesized(base, ops._plan(n, n // 2 - 1))
                 got[bound] = (ops._nonlinear_rows(x, 0.9 * plan.lap, plan).view(complex),
                               ops._linearized_rows(v0, x, 0.9, plan).view(complex),
-                              ops._stability_values(x, 0.9, n))
+                              ops._stability_values(x, 0.9, plan))
             for table, fft in zip(got[n], got[n - 1]):
                 assert table.shape == fft.shape
                 assert np.max(np.abs(table - fft)) <= 1e-13 * np.max(np.abs(fft)), K
@@ -404,7 +402,7 @@ class TestTransformPaths:
             kernels = (lambda y: ops._synthesized(y, plan),
                        lambda y: ops._nonlinear_rows(y, 0.7 * plan.lap, plan),
                        lambda y: ops._linearized_rows(v0, y, 0.7, plan),
-                       lambda y: ops._stability_values(y, 0.7, n))
+                       lambda y: ops._stability_values(y, 0.7, plan))
             strided_last = ops._float_rows(np.repeat(c, 2, axis=-1)[..., ::2], K)
             for h in (x, x[::2], np.broadcast_to(x[1], (4, 2 * K)), strided_last):
                 dense = np.ascontiguousarray(h)
@@ -429,11 +427,11 @@ class TestTransformPaths:
 
     def test_import_builds_no_table(self):
         src = str(Path(ops.__file__).resolve().parents[1])
-        code = ("import amp_sheet.operators as o; print(*(f.cache_info().currsize "
-                "for f in (o._symbols, o._dense_tables, o._plan)))")
+        code = ("import amp_sheet.operators as o; "
+                "print(o._symbols.cache_info().currsize, o._dense_tables.cache_info().currsize)")
         done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               env={**os.environ, "PYTHONPATH": src}, check=True)
-        assert done.stdout.split() == ["0", "0", "0"]
+        assert done.stdout.split() == ["0", "0"]
 
 
 class TestLinearizedParts:

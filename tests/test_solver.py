@@ -749,9 +749,9 @@ class TestBlockMarch:
         calls = []
         real = solver._stability_values
 
-        def counted(h, mu, n):
+        def counted(h, mu, plan):
             calls.append(h.shape)
-            return real(h, mu, n)
+            return real(h, mu, plan)
 
         monkeypatch.setattr(solver, "_stability_values", counted)
         cfg = SimConfig(mu=1.0, delta=0.9, grid_n=32, galerkin_N=8, dt=1e-3, t_final=0.13)
