@@ -50,6 +50,9 @@ __all__ = [
 #: quantitative scheme; recorded in every report for downstream tooling.
 SOLUTION_SPACE_ORDER = 7
 FORCING_SPACE_ORDER = 9
+#: Sobolev order of the weighted norms that measure the residuals (Y_m)
+#: and the corrections (X_m) a report lists
+NORM_ORDER = 2
 
 #: a correction at most this share of the largest one so far, with the
 #: residual still above tolerance, ends the run as "stalled"
@@ -131,6 +134,7 @@ def _metadata(cfg):
     return {
         "solution_space_order": SOLUTION_SPACE_ORDER,
         "forcing_space_order": FORCING_SPACE_ORDER,
+        "norm_order": NORM_ORDER,
         "mu": sim.mu,
         "delta": sim.delta,
         "gamma": sim.gamma,
@@ -180,7 +184,7 @@ def iterate(cfg, data):
         r_series = Trajectory(
             times, nonlinear_operator(phi_tot, sim.mu) - (phitt_a + u[2]))
         rs, cs = report.residual_norms, report.correction_norms
-        rs.append(float(ym_norm(r_series, spec, 2)))
+        rs.append(float(ym_norm(r_series, spec, NORM_ORDER)))
         report.stability_mins.append(float(stab_min))
         # the first check that holds names the outcome
         if stab_min < 0.5 * sim.delta:
@@ -201,7 +205,7 @@ def iterate(cfg, data):
         v_traj, _ = solve_linearized(
             sim, base=lambda ts: phi_a_stages + u_eval(ts), forcing=r_series)
         v_cut = smooth_cutoff(v_traj, theta)
-        report.correction_norms.append(float(xm_norm(v_traj, spec, 2)["total"]))
+        report.correction_norms.append(float(xm_norm(v_traj, spec, NORM_ORDER)["total"]))
         report.theta_values.append(float(theta))
 
         u = [a + v for a, v in zip(u, (v_cut.phi, v_cut.phit, v_cut.phitt))]

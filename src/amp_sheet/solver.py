@@ -338,11 +338,13 @@ def solve_linearized(cfg, base=None, forcing=None, initial_state=None):
 
 
 def measure_mode_growth(traj, modes):
-    """Least-squares exponential growth rate of |phi_hat(k, t)| per mode.
+    """Least-squares exponential growth rate of |phi_hat(k, t)| per mode;
+    the rows of traj.phi may hold any amplitude, as `amp-sheet growth`'s do.
 
     The fit uses the second half of the trajectory (transients from mixed
-    initial data decay in relative weight there) and drops samples below
-    1e-14 of the peak; a mode with fewer than two usable samples gets NaN.
+    initial data decay in relative weight there) and drops samples at or
+    below 1e-14 times the larger of the peak and 1; a mode with fewer than
+    two usable samples (one node, or a mode that stays zero) gets NaN.
     """
     ts = traj.times
     half = len(ts) // 2
@@ -353,10 +355,7 @@ def measure_mode_growth(traj, modes):
             raise ValueError(f"mode {k} outside retained band")
         amps = np.abs(traj.phi[half:, k + band])
         tt = ts[half:]
-        if amps.size < 2 or np.max(amps) <= 0.0:
-            rates[k] = float("nan")
-            continue
-        keep = amps > 1e-14 * max(1.0, float(np.max(amps)))
+        keep = amps > 1e-14 * np.max(amps, initial=1.0)
         if np.count_nonzero(keep) < 2:
             rates[k] = float("nan")
             continue

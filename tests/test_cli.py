@@ -177,6 +177,8 @@ MALFORMED = [
     ("linearized", {"dealias": True}, "dealias"),
     ("growth", {"dealias": False}, "dealias"),
     ("nash-moser", {"dealias": True}, "dealias"),
+    # one superposed solve would seed a repeated mode twice
+    ("growth", {"modes": [4, 4]}, "modes"),
 ]
 
 
@@ -425,8 +427,9 @@ class TestGrowth:
         assert summary["rates"]["4"] == pytest.approx(4.0, rel=0.05)
         assert summary["rates"]["8"] == pytest.approx(8.0, rel=0.05)
         # every mu <= 0 run carries elliptic_regime; it cuts nothing short
-        assert summary["solves"]["4"] == {
-            "flags": [{"time": 0.0, "type": "elliptic_regime"}], "t_kept": 0.5}
+        assert summary["flags"] == [{"time": 0.0, "type": "elliptic_regime"}]
+        assert summary["t_kept"] == 0.5
+        assert summary["passed"] is True
 
     def test_hyperbolic_rates_have_no_relative_error(self, runner, tmp_path):
         # mu = 1: the expected rate is 0, so the error is absolute only
@@ -449,7 +452,7 @@ class TestGrowth:
 
     def test_cut_solve_exits_three(self, runner, tmp_path):
         # modes 20 and 21 grow like e^{kt} from 1e-6 and blow up near
-        # t = 2: each solve's flags and kept horizon reach summary.json
+        # t = 2: the solve's flags and kept horizon reach summary.json
         cfg = write_config(tmp_path, "c.json", {
             "mu": -1.0, "grid_n": 64, "galerkin_N": 21, "dt": 0.002,
             "t_final": 3.0, "modes": [20, 21]})
@@ -457,11 +460,76 @@ class TestGrowth:
         out = runner.invoke(main, ["growth", "--config", cfg,
                                    "--output", str(dest), "--quiet"])
         assert out.exit_code == 3, out.output
-        solves = json.loads((dest / "summary.json").read_text())["solves"]
-        assert sorted(solves) == ["20", "21"]
-        for solve in solves.values():
-            assert [f["type"] for f in solve["flags"]] == ["elliptic_regime", "blow_up"]
-            assert solve["t_kept"] == solve["flags"][1]["time"] < 3.0
+        summary = json.loads((dest / "summary.json").read_text())
+        assert sorted(summary["rates"]) == ["20", "21"]
+        assert [f["type"] for f in summary["flags"]] == ["elliptic_regime", "blow_up"]
+        assert summary["t_kept"] == summary["flags"][1]["time"] < 3.0
+        assert summary["passed"] is True
+
+    @pytest.mark.parametrize("mu", [1.0, 0.0])
+    def test_neutral_rates_read_zero(self, runner, tmp_path, mu):
+        # the fitted amplitude (|phi_k|^2 + |phi_k,t|^2/(k^2 mu))^(1/2) is
+        # conserved; a fit of the oscillating |phi_k| reads 2.77 and 0.61 at mu = 1
+        cfg = write_config(tmp_path, "c.json", {
+            "mu": mu, "grid_n": 32, "galerkin_N": 8, "dt": 0.005, "t_final": 2.0,
+            "modes": [2, 4]})
+        dest = tmp_path / "o"
+        out = runner.invoke(main, ["growth", "--config", cfg,
+                                   "--output", str(dest), "--quiet"])
+        assert out.exit_code == 0, out.output
+        summary = json.loads((dest / "summary.json").read_text())
+        assert all(abs(rate) <= 1e-9 for rate in summary["rates"].values()), summary
+        assert summary["passed"] is True
+
+    def test_one_solve_for_all_modes(self, runner, tmp_path, monkeypatch):
+        import amp_sheet.cli as cli
+        real, calls = cli.solve_linearized, []
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "solve_linearized", counting)
+        cfg = write_config(tmp_path, "c.json", {"mu": -1.0, "t_final": 0.2})
+        out = runner.invoke(main, ["growth", "--config", cfg,
+                                   "--output", str(tmp_path / "o"), "--quiet"])
+        assert out.exit_code == 0, out.output
+        assert len(calls) == 1
+
+    def test_superposed_rates_match_single_mode_runs(self, runner, tmp_path):
+        # without a base the Galerkin system is diagonal in k: the modes of
+        # one solve do not feel each other beyond the transforms' round-off
+        base = {"mu": -1.0, "grid_n": 64, "galerkin_N": 21, "dt": 0.002,
+                "t_final": 0.5}
+
+        def rates(modes):
+            cfg = write_config(tmp_path, "c.json", {**base, "modes": modes})
+            dest = tmp_path / "-".join(map(str, modes))
+            out = runner.invoke(main, ["growth", "--config", cfg,
+                                       "--output", str(dest), "--quiet"])
+            assert out.exit_code == 0, out.output
+            return json.loads((dest / "summary.json").read_text())["rates"]
+
+        together = rates([4, 8, 16])
+        for k in (4, 8, 16):
+            assert together[str(k)] == pytest.approx(rates([k])[str(k)], rel=1e-12)
+
+    @pytest.mark.parametrize("t_final,miss", [(0.5, 1.06), (0.5, float("nan")),
+                                              (3.0, 1.06)])
+    def test_missed_rate_exits_one(self, runner, tmp_path, monkeypatch, t_final, miss):
+        # no valid config misses: a fit 6% off or NaN stands in for one, and
+        # a miss outranks a cut solve (t_final 3 blows mode 21 up)
+        import amp_sheet.cli as cli
+        monkeypatch.setattr(cli, "measure_mode_growth",
+                            lambda traj, modes: {k: k * miss for k in modes})
+        cfg = write_config(tmp_path, "c.json", {
+            "mu": -1.0, "grid_n": 64, "galerkin_N": 21, "dt": 0.002,
+            "t_final": t_final, "modes": [4, 21]})
+        dest = tmp_path / "o"
+        out = runner.invoke(main, ["growth", "--config", cfg,
+                                   "--output", str(dest), "--quiet"])
+        assert out.exit_code == 1, out.output
+        assert json.loads((dest / "summary.json").read_text())["passed"] is False
 
     def test_mode_outside_band_rejected(self, runner, tmp_path):
         cfg = write_config(tmp_path, "c.json", {

@@ -212,6 +212,8 @@ class TestIterate:
         _, rep = iterate(IterationConfig(sim=small_sim()), data)
         assert rep.metadata["solution_space_order"] == 7
         assert rep.metadata["forcing_space_order"] == 9
+        # the order of the norms the residuals and corrections are measured in
+        assert rep.metadata["norm_order"] == 2
 
     def test_grid_mismatch(self):
         other = TorusGrid(64)

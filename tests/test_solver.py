@@ -860,10 +860,13 @@ class TestGrowth:
         assert abs(rates[1]) < 0.05
 
     def test_dead_mode_is_nan(self):
+        # a mode that stays zero, and a single node: no two usable samples
         ts = np.linspace(0.0, 1.0, 11)
-        traj = Trajectory(ts, [zeros(GRID)] * 11, [zeros(GRID)] * 11)
-        rates = measure_mode_growth(traj, [3])
-        assert np.isnan(rates[3])
+        dead = Trajectory(ts, [zeros(GRID)] * 11, [zeros(GRID)] * 11)
+        single = Trajectory([0.0], [cosine(GRID, 3)], [zeros(GRID)])
+        for traj in (dead, single):
+            rates = measure_mode_growth(traj, [3])
+            assert np.isnan(rates[3])
 
     def test_blow_up_flag(self):
         cfg = SimConfig(mu=-1.0, delta=0.9, grid_n=32, galerkin_N=10,
