@@ -5,9 +5,10 @@ The equation is
     phi_tt - mu * phi_xx = d/dx( H[(H phi_x)^2] - [H phi; H](H phi)_xx )
 
 with H the periodic Hilbert transform.  The package provides the spectral
-primitives, the nonlinear and linearized right-hand sides, a Galerkin RK4
-solver with a stability monitor, weighted-norm estimate verification
-campaigns, and a smoothed Newton iteration for the full nonlinear problem.
+primitives, the nonlinear and linearized right-hand sides, a Galerkin
+solver stepped by a fourth-order Runge-Kutta-Nystrom scheme with a
+stability monitor, weighted-norm estimate verification campaigns, and a
+smoothed Newton iteration for the full nonlinear problem.
 """
 
 __version__ = "0.1.0"

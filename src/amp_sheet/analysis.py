@@ -210,15 +210,18 @@ def apply_linearized(phi0, traj, mu):
     phi'_tt comes from the centered second difference of the phi
     snapshots, the spatial part from the fused linearized kernel, applied
     to _NODE_BLOCK interior nodes per call, so the reconstruction error is
-    O(dt^2) plus truncation.
+    O(dt^2) plus truncation.  A base frozen in time (None or a field) is
+    passed as its one row, which the kernel synthesizes once and
+    broadcasts over the block.
     """
     phitt = traj.second_difference()
     phi, times = traj.phi[1:-1], traj.times[1:-1]
     base_at = field_evaluator(phi0, traj.grid)
+    frozen = phi0 is None or isinstance(phi0, SpectralField)
     g = np.empty_like(phitt)
     for s in range(0, len(g), _NODE_BLOCK):
         sel = slice(s, s + _NODE_BLOCK)
-        base = base_at(times[sel])
+        base = base_at(times[s:s + 1] if frozen else times[sel])
         g[sel] = phitt[sel] - apply_linearized_operator(base, phi[sel], mu)
     return Trajectory(times, g)
 

@@ -161,7 +161,7 @@ def iterate(cfg, data):
         raise ValueError("data grid does not match the configured grid")
 
     lift = build_lifting(data, sim.mu, sim.delta)
-    # phi^a and its time derivatives on the RK4 stage mesh, where every
+    # phi^a and its time derivatives on the solver stage mesh, where every
     # linearized solve reads its base, and at the nodes, every second stage
     stage_times = sim.stage_times()
     lift_stages = lift.states(stage_times)

@@ -348,20 +348,22 @@ def _stability_values(x, mu, plan):
     return mu + _row_products(x, plan.stability)
 
 
-def _linearized_rows(v0, x, mu, plan):
+def _linearized_rows(v0, x, mu_lap, plan):
     """The float rows of mu phi_xx + dN[phi0]phi from v0 = _synthesized of
-    phi0, shape (..., 4, m), and the float rows `x` of phi: the kernel of
-    apply_linearized_operator, with no check.  v0 and x broadcast."""
+    phi0, shape (..., 4, m), and the float rows `x` of phi, with
+    mu_lap = mu * plan.lap: the kernel of apply_linearized_operator, with no
+    check.  v0 and x broadcast.  Like _nonlinear_rows it applies mu phi_xx
+    exactly, so with phi0 = 0 the result is diagonal in k bitwise."""
     v = _synthesized(x, plan)
     p0, p0x, p0xx, hp0xx = v0.swapaxes(0, -2)
     p, px, pxx, hpxx = v.swapaxes(0, -2)
     ab = np.empty(np.broadcast(v0, v).shape[:-2] + (2, v.shape[-1]))
-    np.multiply(2.0 * p0x - mu, px, out=ab[..., 0, :])
+    np.multiply(2.0 * p0x, px, out=ab[..., 0, :])
     ab[..., 0, :] += p0 * pxx
     ab[..., 0, :] += p * p0xx
     np.multiply(p0, hpxx, out=ab[..., 1, :])
     ab[..., 1, :] += p * hp0xx
-    return _analyzed(ab, plan)
+    return mu_lap * x + _analyzed(ab, plan)
 
 
 def quadratic_rhs(phi):
@@ -419,10 +421,10 @@ def apply_linearized_operator(phi0, phiP, mu):
     batch; the result is a field when both are fields, an array otherwise.
 
     The kernel polarizes the identity of nonlinear_operator.  With
-    p0 = H phi0, p = H phiP and phiP = -H p (so mu phiP_xx = d/dx H[-mu p_x])
-    it is d/dx( H[a] - b ) with
+    p0 = H phi0 and p = H phiP it is mu phiP_xx, applied exactly by the
+    symbol -mu k^2, plus d/dx( H[a] - b ) with
 
-        a = 2 p0_x p_x + p0 p_xx + p p0_xx - mu p_x,
+        a = 2 p0_x p_x + p0 p_xx + p p0_xx,
         b = p0 H[p_xx] + p H[p0_xx]:
 
     one synthesis of each argument's four rows (p0, p0_x, p0_xx, H p0_xx
@@ -435,7 +437,7 @@ def apply_linearized_operator(phi0, phiP, mu):
     n = c.shape[-1] + 1
     plan = _plan(n, n // 2 - 1)
     v0 = _synthesized(_float_rows(c0), plan)
-    out = _band(_linearized_rows(v0, _float_rows(c), mu, plan).view(complex), n)
+    out = _band(_linearized_rows(v0, _float_rows(c), mu * plan.lap, plan).view(complex), n)
     if isinstance(phi0, SpectralField) and isinstance(phiP, SpectralField):
         return SpectralField(phiP.grid, out, True)
     return out

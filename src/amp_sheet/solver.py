@@ -1,12 +1,14 @@
 """Galerkin pseudospectral time integration.
 
-The state is advanced with the classical fourth-order Runge-Kutta scheme
-on the Galerkin space, the real zero-mean modes 1 <= |k| <= N.  The
-solvers step only the coefficients k = 1..N, as two float rows phi and
-phi_t of interleaved (Re, Im) floats: every such row is a real zero-mean
-field in the Galerkin space, so conjugate symmetry, zero mean and the
-projection hold by construction at every RK4 stage, and no stage is
-masked, mirrored or checked.  Each stage calls one acceleration map
+Neither system reads phi_t on its right-hand side, so the state is
+advanced on the Galerkin space, the real zero-mean modes 1 <= |k| <= N,
+by Nystrom's 3-stage fourth-order scheme (rkn_step): three accelerations
+per step, the first of them the one stored at the node.  The solvers
+step only the coefficients k = 1..N, as two float rows phi and phi_t of
+interleaved (Re, Im) floats: every such row is a real zero-mean field in
+the Galerkin space, so conjugate symmetry, zero mean and the projection
+hold by construction at every stage, and no stage is masked, mirrored or
+checked.  Each stage calls one acceleration map
 (stage index, phi row) -> phi_tt row, semidiscrete_rhs_nonlinear or
 semidiscrete_rhs_linearized, which runs the private float-row kernels of
 operators (the public operators are those kernels plus checks) against
@@ -19,7 +21,7 @@ optional forcing term.
 Base profiles and forcing terms of the linearized system are field
 sources (see field_evaluator): each maps a 1-D array of times to a
 (T, n-1) coefficient array.  solve_linearized evaluates and checks them
-once per solve on its whole RK4 stage mesh, and its acceleration map
+once per solve on its whole stage mesh, and its acceleration map
 synthesizes the base's four rows (p0, p0_x, p0_xx, H p0_xx) there once,
 from its full band k < n/2: a Newton base or a configured one can carry
 modes above N.
@@ -105,8 +107,9 @@ class SimConfig:
         return m
 
     def stage_times(self):
-        """The RK4 stage mesh k dt/2, k = 0, ..., 2m, of the m steps; its even
-        entries are the node times k dt, bitwise."""
+        """The stage mesh k dt/2, k = 0, ..., 2m, of the m steps: the step
+        from node i reads its entries 2i, 2i+1 and 2i+2.  Its even entries
+        are the node times k dt, bitwise."""
         return np.arange(2 * self.num_steps() + 1) * (0.5 * self.dt)
 
     def cfl_limit(self, sup_c2):
@@ -212,23 +215,23 @@ def semidiscrete_rhs_linearized(base_rows, g_rows, cfg):
     The base is synthesized here once, from its full band k < n/2: it may
     carry modes above N."""
     plan = _plan(cfg.grid_n, cfg.galerkin_N)
+    mu_lap = cfg.mu * plan.lap
     base = _synthesized(_float_rows(base_rows), _plan(cfg.grid_n, cfg.grid_n // 2 - 1))
     g = _float_rows(g_rows, cfg.galerkin_N)
-    return lambda s, x: _linearized_rows(base[s], x, cfg.mu, plan) + g[s]
+    return lambda s, x: _linearized_rows(base[s], x, mu_lap, plan) + g[s]
 
 
-def rk4_step(i, dt, phi, phit, accel, a1=None):
-    """One classical RK4 step of phi_tt = accel(s, phi) from node i, whose
-    stages read the indices s = 2i, 2i+1, 2i+2 of the stage mesh k dt/2;
-    the rows phi and phi_t are added separately.  Returns the new
-    (phi, phi_t).  `a1` may pass in a precomputed accel(2i, phi)."""
-    h, s, w = 0.5 * dt, 2 * i, dt / 6.0
+def rkn_step(i, dt, phi, phit, accel, a1=None):
+    """One step of Nystrom's 3-stage fourth-order scheme (Hairer, Norsett &
+    Wanner, Solving ODEs I, II.14) for phi_tt = accel(s, phi) from node i,
+    whose stages read the indices s = 2i, 2i+1, 2i+2 of the stage mesh
+    k dt/2.  Returns the new (phi, phi_t); `a1` may pass in accel(2i, phi)."""
+    s, dt2 = 2 * i, dt * dt
     a1 = accel(s, phi) if a1 is None else a1
-    v2, a2 = phit + h * a1, accel(s + 1, phi + h * phit)
-    v3, a3 = phit + h * a2, accel(s + 1, phi + h * v2)
-    v4, a4 = phit + dt * a3, accel(s + 2, phi + dt * v3)
-    return (phi + w * (phit + 2.0 * v2 + 2.0 * v3 + v4),
-            phit + w * (a1 + 2.0 * a2 + 2.0 * a3 + a4))
+    a2 = accel(s + 1, phi + 0.5 * dt * phit + dt2 / 8.0 * a1)
+    drift = phi + dt * phit
+    a3 = accel(s + 2, drift + 0.5 * dt2 * a2)
+    return drift + dt2 / 6.0 * (a1 + 2.0 * a2), phit + dt / 6.0 * (a1 + 4.0 * a2 + a3)
 
 
 def _march(cfg, accel, phi, phit, stability_values, abort_on_stability):
@@ -258,7 +261,7 @@ def _march(cfg, accel, phi, phit, stability_values, abort_on_stability):
                 a1 = accel(2 * i, phi)
                 rows[i, 0], rows[i, 1], rows[i, 2] = phi, phit, a1
                 if i < m:
-                    phi, phit = rk4_step(i, cfg.dt, phi, phit, accel, a1)
+                    phi, phit = rkn_step(i, cfg.dt, phi, phit, accel, a1)
             vals = stability_values(block, rows[block, 0])
             stab[block] = vals.min(axis=-1)
             modulus = np.abs(rows[block, :2].view(complex))
@@ -309,7 +312,7 @@ def solve_linearized(cfg, base=None, forcing=None, initial_state=None):
 
     phi'_tt = (mu - 2 p0_x) phi'_xx + lower-order terms + g, p0 = H[base].
     `base` and `forcing` accept anything field_evaluator understands; each
-    is evaluated once, on the RK4 stage mesh cfg.stage_times(), and the
+    is evaluated once, on the stage mesh cfg.stage_times(), and the
     acceleration and the monitor read the row of their stage index.
     The evaluated rows are checked once, before the first
     step: the base must be real with zero mean and the forcing real (its

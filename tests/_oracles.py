@@ -18,8 +18,8 @@ hilbert_identities_per_sample is the identity battery as it was when it
 drew and checked one sample at a time, for the batched battery.
 
 The masked_* routines at the end are the solvers as they were when they
-stepped the whole (n-1) band: every RK4 stage masked to the Galerkin space
-and evaluated by the public, checked operators, stepped by pair_rk4_step on
+stepped the whole (n-1) band: every stage masked to the Galerkin space
+and evaluated by the public, checked operators, stepped by pair_rkn_step on
 (phi, phi_t) pairs and monitored node by node.  They share only those
 operators with the package, so the solvers' k = 1..N block stepping can be
 held against them bitwise.  node_march is the solvers' stepping loop as it
@@ -342,10 +342,11 @@ def apply_linearized_alt(phi0, phiP, mu):
     return pointwise_product(c2, derivative(phiP, 2)) + lower
 
 
-def projected_rk4(phi, phit, accel, cutoff, dt, steps):
-    """Classical RK4 for phi_tt = accel(t, phi) on the Galerkin space
-    1 <= |k| <= cutoff, written out stage by stage: every stage's input
-    and every stage's acceleration are projected, not only the nodes.
+def projected_rkn(phi, phit, accel, cutoff, dt, steps):
+    """Nystrom's 3-stage fourth-order scheme for phi_tt = accel(t, phi) on
+    the Galerkin space 1 <= |k| <= cutoff, written out stage by stage:
+    every stage's input and every stage's acceleration are projected, not
+    only the nodes.
 
     `phi`, `phit` are real fields; `accel(t, phi_field)` returns a field.
     Returns the final (phi, phit) coefficient arrays.
@@ -361,14 +362,10 @@ def projected_rk4(phi, phit, accel, cutoff, dt, steps):
     for i in range(steps):
         t = i * dt
         a1 = a(t, x)
-        a2 = a(t + dt / 2, x + dt / 2 * v)
-        v2 = v + dt / 2 * a1
-        a3 = a(t + dt / 2, x + dt / 2 * v2)
-        v3 = v + dt / 2 * a2
-        a4 = a(t + dt, x + dt * v3)
-        v4 = v + dt * a3
-        x = x + dt / 6 * (v + 2 * v2 + 2 * v3 + v4)
-        v = v + dt / 6 * (a1 + 2 * a2 + 2 * a3 + a4)
+        a2 = a(t + dt / 2, x + dt / 2 * v + dt**2 / 8 * a1)
+        a3 = a(t + dt, x + dt * v + dt**2 / 2 * a2)
+        x = x + dt * v + dt**2 / 6 * (a1 + 2 * a2)
+        v = v + dt / 6 * (a1 + 4 * a2 + a3)
     return x, v
 
 
@@ -379,36 +376,40 @@ def galerkin_mask(n, cutoff):
     return ((k >= 1) & (k <= cutoff)).astype(float)
 
 
-def masked_rhs_nonlinear(state, cfg):
-    """(P phi_t, P[mu phi_xx + N(P phi)]) on (n-1) bands."""
-    phi_hat, phit_hat = state
+def masked_accel_nonlinear(phi_hat, cfg):
+    """P[mu phi_xx + N(P phi)] on (n-1) bands."""
     mask = galerkin_mask(cfg.grid_n, cfg.galerkin_N)
-    return mask * phit_hat, mask * nonlinear_operator(mask * phi_hat, cfg.mu)
+    return mask * nonlinear_operator(mask * phi_hat, cfg.mu)
 
 
-def masked_rhs_linearized(state, base_row, g_row, cfg):
+def masked_accel_linearized(phi_hat, base_row, g_row, cfg):
     """The linearization at the (n-1) base row with forcing row g, masked
-    like masked_rhs_nonlinear."""
-    phi_hat, phit_hat = state
+    like masked_accel_nonlinear."""
     mask = galerkin_mask(cfg.grid_n, cfg.galerkin_N)
     out = apply_linearized_operator(base_row, mask * phi_hat, cfg.mu)
-    return mask * phit_hat, mask * (out + g_row)
+    return mask * (out + g_row)
 
 
-def pair_rk4_step(t, dt, state, rhs, k1=None):
-    """One classical RK4 step of y' = rhs(t, y) for a pair y = (phi, phi_t)
-    of coefficient arrays, the two halves added separately; returns the new
-    pair.  `k1` may pass in a precomputed rhs(t, state)."""
+def pair_rkn_step(t, dt, state, accel, a1=None):
+    """One step of Nystrom's 3-stage fourth-order scheme for
+    phi_tt = accel(t, phi) on a pair (phi, phi_t) of coefficient arrays,
+    with stages at t, t + dt/2 and t + dt; returns the new pair.  `a1` may
+    pass in a precomputed accel(t, phi).  Written out stage by stage, in
+    the operand order of solver.rkn_step, so the two agree bitwise:
+
+        a2 = accel(t + dt/2, phi + (dt/2) phi_t + (dt^2/8) a1)
+        a3 = accel(t + dt, phi + dt phi_t + (dt^2/2) a2)
+        phi   <- phi + dt phi_t + (dt^2/6) (a1 + 2 a2)
+        phi_t <- phi_t + (dt/6) (a1 + 4 a2 + a3)
+    """
     phi, phit = state
-    h = 0.5 * dt
-    if k1 is None:
-        k1 = rhs(t, state)
-    k2 = rhs(t + h, (phi + h * k1[0], phit + h * k1[1]))
-    k3 = rhs(t + h, (phi + h * k2[0], phit + h * k2[1]))
-    k4 = rhs(t + dt, (phi + dt * k3[0], phit + dt * k3[1]))
-    w = dt / 6.0
-    return (phi + w * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0]),
-            phit + w * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1]))
+    h, dt2 = 0.5 * dt, dt * dt
+    if a1 is None:
+        a1 = accel(t, phi)
+    a2 = accel(t + h, phi + h * phit + dt2 / 8.0 * a1)
+    a3 = accel(t + dt, phi + dt * phit + 0.5 * dt2 * a2)
+    return (phi + dt * phit + dt2 / 6.0 * (a1 + 2.0 * a2),
+            phit + dt / 6.0 * (a1 + 4.0 * a2 + a3))
 
 
 def node_march(cfg, accel, state, stability_values, abort_on_stability):
@@ -416,9 +417,8 @@ def node_march(cfg, accel, state, stability_values, abort_on_stability):
     `stability_values(i, phi)` and the blow-up, delta/2 and CFL checks run
     at node i before the step from it.  `state` is a (phi, phi_t) pair of
     (2N,) rows of interleaved (Re, Im) floats and `accel(s, phi)` the
-    acceleration at index s of the stage mesh k dt/2, stepped as the
-    first-order pair (phi_t, accel) by pair_rk4_step; returns
-    (Trajectory, monitor) like the solvers."""
+    acceleration at index s of the stage mesh k dt/2, stepped by
+    pair_rkn_step; returns (Trajectory, monitor) like the solvers."""
     m = cfg.num_steps()
     half = 0.5 * cfg.dt
     times = np.arange(m + 1) * cfg.dt
@@ -426,8 +426,8 @@ def node_march(cfg, accel, state, stability_values, abort_on_stability):
     if cfg.mu <= 0:
         flags.append({"type": "elliptic_regime", "time": 0.0})
 
-    def rhs(t, y):
-        return y[1], accel(round(t / half), y[0])
+    def accel_at(t, phi):
+        return accel(round(t / half), phi)
 
     rows = np.empty((3, m + 1, 2 * cfg.galerkin_N))
     stab = []
@@ -437,8 +437,8 @@ def node_march(cfg, accel, state, stability_values, abort_on_stability):
         phi, phit = state
         vals = stability_values(i, phi)
         mn = float(vals.min())
-        k1 = rhs(t, state)
-        rows[:, i] = phi, phit, k1[1]
+        a1 = accel_at(t, phi)
+        rows[:, i] = phi, phit, a1
         stab.append(mn)
         kept = i + 1
         # the modulus of each complex coefficient
@@ -458,14 +458,14 @@ def node_march(cfg, accel, state, stability_values, abort_on_stability):
                 f"dt = {cfg.dt:.6g} exceeds the CFL limit {limit:.6g} "
                 f"at t = {t:.6g} (N = {cfg.galerkin_N})"
             )
-        state = pair_rk4_step(t, cfg.dt, state, rhs, k1)
+        state = pair_rkn_step(t, cfg.dt, state, accel_at, a1)
     traj = Trajectory(times[:kept], *_band(rows[:, :kept].view(complex), cfg.grid_n))
     return traj, {"min_stability_coeff": np.array(stab), "flags": flags}
 
 
-def masked_march(cfg, rhs, phi, phit, stability_source, abort_on_stability):
-    """The stepping loop on (n-1) bands; returns (Trajectory, monitor) like
-    the package's solvers."""
+def masked_march(cfg, accel, phi, phit, stability_source, abort_on_stability):
+    """The stepping loop on (n-1) bands for phi_tt = accel(t, phi); returns
+    (Trajectory, monitor) like the package's solvers."""
     n = cfg.grid_n
     mask = galerkin_mask(n, cfg.galerkin_N)
     m = cfg.num_steps()
@@ -481,8 +481,8 @@ def masked_march(cfg, rhs, phi, phit, stability_source, abort_on_stability):
         t = float(t)
         phi, phit = state
         vals, mn = stability_coefficient(stability_source(t, phi), cfg.mu)
-        k1 = rhs(t, state)
-        rows[:, i] = phi, phit, k1[1]
+        a1 = accel(t, phi)
+        rows[:, i] = phi, phit, a1
         stab.append(mn)
         kept = i + 1
         amp = max(np.max(np.abs(phi)), np.max(np.abs(phit)))
@@ -497,7 +497,7 @@ def masked_march(cfg, rhs, phi, phit, stability_source, abort_on_stability):
         limit = cfg.cfl_limit(float(np.max(vals)))
         if cfg.dt > limit * (1.0 + 1e-12):
             raise CflError(f"dt = {cfg.dt:.6g} exceeds the CFL limit {limit:.6g}")
-        state = pair_rk4_step(t, cfg.dt, state, rhs, k1)
+        state = pair_rkn_step(t, cfg.dt, state, accel, a1)
     traj = Trajectory(times[:kept], *rows[:, :kept])
     return traj, {"min_stability_coeff": np.array(stab), "flags": flags}
 
@@ -505,7 +505,7 @@ def masked_march(cfg, rhs, phi, phit, stability_source, abort_on_stability):
 def masked_solve_nonlinear(cfg, data):
     """solve_nonlinear on (n-1) bands, masked at every stage."""
     require_margin(data.phi0, cfg.mu, cfg.delta, "initial data")
-    return masked_march(cfg, lambda t, y: masked_rhs_nonlinear(y, cfg),
+    return masked_march(cfg, lambda t, phi: masked_accel_nonlinear(phi, cfg),
                         data.phi0.coeffs, data.phi1.coeffs, lambda t, phi: phi,
                         abort_on_stability=True)
 
@@ -523,9 +523,9 @@ def masked_solve_linearized(cfg, base=None, forcing=None, initial_state=None):
     else:
         phi0, phi1 = initial_state.phi0.coeffs, initial_state.phi1.coeffs
 
-    def rhs(t, state):
+    def accel(t, phi):
         i = round(t / half)
-        return masked_rhs_linearized(state, base_rows[i], g_rows[i], cfg)
+        return masked_accel_linearized(phi, base_rows[i], g_rows[i], cfg)
 
-    return masked_march(cfg, rhs, phi0, phi1, lambda t, phi: base_rows[round(t / half)],
+    return masked_march(cfg, accel, phi0, phi1, lambda t, phi: base_rows[round(t / half)],
                         abort_on_stability=False)

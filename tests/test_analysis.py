@@ -198,6 +198,34 @@ class TestApplyLinearized:
             want = phitt - apply_linearized_alt(base.phis[i], traj.phis[i], 1.2).coeffs
             assert np.max(np.abs(row - want)) <= 1e-13 * np.max(np.abs(want))
 
+    @pytest.mark.parametrize("n", [32, 128])
+    def test_frozen_base_is_synthesized_as_one_row(self, n, monkeypatch):
+        # a base frozen in time is synthesized once per block, as one row,
+        # and g keeps the bits of that base broadcast over the block (here
+        # through a callable source), on the table and the FFT path
+        import amp_sheet.operators as operators
+        grid = TorusGrid(n)
+        rng = np.random.default_rng(62)
+        ts = np.linspace(0.0, 1.5, 151)  # 149 interior nodes: three blocks
+        profile = random_trig_field(grid, 6, rng)
+        traj = Trajectory(ts, [profile * float(np.sin(3.0 * t)) for t in ts])
+        for base in (random_trig_field(grid, 4, rng, amplitude=0.05), None):
+            coeffs = zeros(grid).coeffs if base is None else base.coeffs
+            broadcast = apply_linearized(
+                lambda t, c=coeffs: np.broadcast_to(c, (len(t), n - 1)), traj, 1.2)
+            shapes = []
+            real = operators._synthesized
+
+            def counted(x, plan, real=real):
+                shapes.append(x.shape)
+                return real(x, plan)
+
+            monkeypatch.setattr(operators, "_synthesized", counted)
+            frozen = apply_linearized(base, traj, 1.2)
+            monkeypatch.undo()
+            assert np.array_equal(frozen.phi, broadcast.phi)
+            assert shapes[::2] == [(1, n - 2)] * 3
+
 
 class TestEnergyEstimate:
     def test_zero_solution_passes(self):

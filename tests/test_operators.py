@@ -353,7 +353,7 @@ class TestTransformPaths:
                 plan = ops._plan(n, K)
                 v0 = ops._synthesized(base, ops._plan(n, n // 2 - 1))
                 got[bound] = (ops._nonlinear_rows(x, 0.9 * plan.lap, plan).view(complex),
-                              ops._linearized_rows(v0, x, 0.9, plan).view(complex),
+                              ops._linearized_rows(v0, x, 0.9 * plan.lap, plan).view(complex),
                               ops._stability_values(x, 0.9, plan))
             for table, fft in zip(got[n], got[n - 1]):
                 assert table.shape == fft.shape
@@ -401,7 +401,7 @@ class TestTransformPaths:
             v0 = ops._synthesized(ops._float_rows(c0), full)
             kernels = (lambda y: ops._synthesized(y, plan),
                        lambda y: ops._nonlinear_rows(y, 0.7 * plan.lap, plan),
-                       lambda y: ops._linearized_rows(v0, y, 0.7, plan),
+                       lambda y: ops._linearized_rows(v0, y, 0.7 * plan.lap, plan),
                        lambda y: ops._stability_values(y, 0.7, plan))
             strided_last = ops._float_rows(np.repeat(c, 2, axis=-1)[..., ::2], K)
             for h in (x, x[::2], np.broadcast_to(x[1], (4, 2 * K)), strided_last):
@@ -420,7 +420,7 @@ class TestTransformPaths:
             assert np.array_equal(kernels[3](x), stability_coefficient(c, 0.7)[0])
             # a broadcast base against a batch, in the kernel and the public operator
             many = ops._synthesized(np.broadcast_to(ops._float_rows(c0), (6, n - 2)), full)
-            assert np.array_equal(ops._linearized_rows(many, x, 0.7, plan), kernels[2](x))
+            assert np.array_equal(ops._linearized_rows(many, x, 0.7 * plan.lap, plan), kernels[2](x))
             u = random_field(grid, 8, rng).coeffs
             assert np.array_equal(apply_linearized_operator(np.broadcast_to(u, c.shape), c, 1.1),
                                   apply_linearized_operator(u, c, 1.1))

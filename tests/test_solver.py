@@ -1,4 +1,4 @@
-"""Solver tests: semidiscrete right-hand sides, RK4, the two integrators,
+"""Solver tests: semidiscrete right-hand sides, the RKN step, the two integrators,
 monitoring/flags, and mode-growth measurement."""
 
 import numpy as np
@@ -23,7 +23,7 @@ from amp_sheet.solver import (
     SimConfig,
     field_evaluator,
     measure_mode_growth,
-    rk4_step,
+    rkn_step,
     semidiscrete_rhs_linearized,
     semidiscrete_rhs_nonlinear,
     solve_linearized,
@@ -46,8 +46,8 @@ from _oracles import (
     masked_solve_linearized,
     masked_solve_nonlinear,
     node_march,
-    pair_rk4_step,
-    projected_rk4,
+    pair_rkn_step,
+    projected_rkn,
     quadratic_rhs_alt,
 )
 
@@ -85,7 +85,7 @@ class TestConfig:
             SimConfig(mu=1.0, delta=0.9, dt=3e-3, t_final=1.0).num_steps()
 
     def test_stage_times(self):
-        # the RK4 stage mesh k dt/2, whose even entries are the node times
+        # the stage mesh k dt/2, whose even entries are the node times
         # of the solvers bitwise
         for dt, t_final in ((1e-3, 1.0), (2e-3, 0.5), (0.1, 0.3), (1.0 / 3.0, 1.0),
                             (1e-3, 4.096)):
@@ -220,22 +220,27 @@ def oscillator(s, x):
     return -x
 
 
-class TestRk4:
+def oscillator_of(omega):
+    """y'' = -omega^2 y on rows of any length."""
+    return lambda s, x: -omega**2 * x
+
+
+class TestRkn:
     def test_harmonic_oscillator_period(self):
         # mode-1 wave with mu = 1 reduces to y'' = -y; after one full
-        # period the amplitude error of classical RK4 at dt = 2pi/1000
-        # sits far below 1e-8.
+        # period the amplitude error of the fourth-order step at
+        # dt = 2pi/1000 sits far below 1e-8.
         dt = 2.0 * np.pi / 1000.0
         phi, phit = np.array([1.0, 0.0]), np.zeros(2)
 
         for i in range(1000):
-            phi, phit = rk4_step(i, dt, phi, phit, oscillator)
+            phi, phit = rkn_step(i, dt, phi, phit, oscillator)
         assert abs(phi[0] - 1.0) < 1e-8 and phi[1] == 0.0
         assert np.max(np.abs(phit)) < 1e-8
 
     def test_zero_state_fixed_point(self):
         z = np.zeros(10)
-        phi, phit = rk4_step(0, 0.1, z, z, oscillator)
+        phi, phit = rkn_step(0, 0.1, z, z, oscillator)
         assert np.max(np.abs(phi)) == 0.0 and np.max(np.abs(phit)) == 0.0
 
     def test_order_four(self):
@@ -243,15 +248,47 @@ class TestRk4:
             phi, phit = np.array([1.0, 0.0]), np.zeros(2)
             steps = int(round(1.0 / dt))
             for i in range(steps):
-                phi, phit = rk4_step(i, dt, phi, phit, oscillator)
+                phi, phit = rkn_step(i, dt, phi, phit, oscillator)
             return abs(phi[0] - np.cos(1.0))
 
         ratio = run(2e-2) / run(1e-2)
         assert 12.0 <= ratio <= 20.0
 
+    @pytest.mark.parametrize("omega", [0.7, 3.0])
+    def test_observed_order_against_the_exact_cosine(self, omega):
+        # y'' = -omega^2 y from (1, 0) to t = 2 against cos(omega t) and
+        # -omega sin(omega t), over three halvings of dt; every error sits
+        # far above round-off
+        def error(dt):
+            phi, phit = np.array([1.0]), np.array([0.0])
+            steps = int(round(2.0 / dt))
+            for i in range(steps):
+                phi, phit = rkn_step(i, dt, phi, phit, oscillator_of(omega))
+            t = steps * dt
+            return max(abs(phi[0] - np.cos(omega * t)),
+                       abs(phit[0] + omega * np.sin(omega * t)) / omega)
+
+        errors = [error(0.1 / omega / 2**j) for j in range(4)]
+        orders = np.log2(np.array(errors[:-1]) / errors[1:])
+        assert min(errors) > 1e-11
+        assert np.all((3.5 <= orders) & (orders <= 4.5)), orders
+
+    def test_amplification_within_the_unit_circle(self):
+        # on y'' = -y the step's eigenvalues are a conjugate pair of modulus
+        # sqrt(1 - z^6/288), z = omega dt: at most 1 on the whole CFL range
+        # omega dt <= cfl_safety <= 1
+        for z in np.linspace(0.0, 1.0, 101)[1:]:
+            # the step's matrix on (y, y_t): its columns step (1, 0) and (0, 1)
+            steps = [rkn_step(0, z, np.array([p]), np.array([v]), oscillator)
+                     for p, v in np.eye(2)]
+            lam = np.abs(np.linalg.eigvals(np.array([[p[0], v[0]] for p, v in steps]).T))
+            assert np.allclose(lam, np.sqrt(1.0 - z**6 / 288.0), rtol=0.0, atol=1e-14), z
+            if z >= 0.1:  # where 1 - |lambda| > 1e-9, far above round-off
+                assert np.all(lam <= 1.0), (z, lam)
+
     def test_stage_indices_and_the_pair_oracle(self):
-        # the stages of the step from node i read 2i, 2i+1, 2i+1, 2i+2, and
-        # the step is the first-order pair step of (phi_t, accel) bitwise
+        # the stages of the step from node i read 2i, 2i+1, 2i+2, and the
+        # step is the oracle's pair step bitwise
         seen = []
 
         def accel(s, x):
@@ -260,14 +297,13 @@ class TestRk4:
 
         rng = np.random.default_rng(3)
         phi, phit = rng.standard_normal(6), rng.standard_normal(6)
-        got = rk4_step(5, 0.1, phi, phit, accel)
-        assert seen == [10, 11, 11, 12]
-        want = pair_rk4_step(0.5, 0.1, (phi, phit),
-                             lambda t, y: (y[1], accel(round(t / 0.05), y[0])))
+        got = rkn_step(5, 0.1, phi, phit, accel)
+        assert seen == [10, 11, 12]
+        want = pair_rkn_step(0.5, 0.1, (phi, phit), lambda t, x: accel(round(t / 0.05), x))
         assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
     @pytest.mark.parametrize("which", ["nonlinear", "linearized"])
-    def test_a_solve_of_m_steps_makes_4m_plus_1_accelerations(self, which, monkeypatch):
+    def test_a_solve_of_m_steps_makes_3m_plus_1_accelerations(self, which, monkeypatch):
         # k1 of each step is the acceleration the node stored
         cfg = SimConfig(mu=1.0, delta=0.9, grid_n=32, galerkin_N=8, dt=1e-3, t_final=0.07)
         name = f"semidiscrete_rhs_{which}"
@@ -284,9 +320,9 @@ class TestRk4:
         else:
             traj, _ = solve_linearized(cfg, base=cosine(GRID, 1, 0.02), initial_state=data)
         m = cfg.num_steps()
-        assert len(traj) == m + 1 and len(calls) == 4 * m + 1
+        assert len(traj) == m + 1 and len(calls) == 3 * m + 1
         assert sorted(calls) == sorted([2 * i for i in range(m + 1)]
-                                       + [2 * i + d for i in range(m) for d in (1, 1, 2)])
+                                       + [2 * i + d for i in range(m) for d in (1, 2)])
 
 
 class TestLinearizedSolver:
@@ -338,7 +374,7 @@ class TestLinearizedSolver:
         assert diff < 1e-7
 
     def test_base_and_forcing_evaluated_once_per_stage_time(self):
-        # RK4 needs the base at the nodes and the half steps; one call per
+        # the step reads the base at the nodes and the half steps; one call per
         # solve covers the whole stage mesh arange(2 m + 1) * dt/2
         cfg = SimConfig(mu=1.0, delta=0.9, grid_n=32, galerkin_N=8,
                         dt=1e-2, t_final=0.2)
@@ -457,9 +493,9 @@ class TestNonlinearSolver:
 
 
 class TestStageProjection:
-    """The solvers step the projected system at every RK4 stage.
+    """The solvers step the projected system at every stage.
 
-    The reference is a stage-by-stage RK4 loop that projects the input and
+    The reference is a stage-by-stage RKN loop that projects the input and
     the acceleration of each stage and evaluates N by the rearranged form,
     so it shares neither the fused kernel nor the solver's stepper.  At
     this amplitude a solver that projected only the nodes sits 4e-7
@@ -480,26 +516,26 @@ class TestStageProjection:
         return max(np.max(np.abs(traj.phis[-1].coeffs - ref[0])),
                    np.max(np.abs(traj.phit[-1] - ref[1])))
 
-    def test_nonlinear_matches_projected_rk4(self):
+    def test_nonlinear_matches_projected_rkn(self):
         cfg = self.cfg()
         rng = np.random.default_rng(0)
         data = CauchyData(self.random_modes(rng), self.random_modes(rng))
         traj, mon = solve_nonlinear(cfg, data)
         assert len(traj) == cfg.num_steps() + 1 and mon["flags"] == []
-        ref = projected_rk4(
+        ref = projected_rkn(
             data.phi0, data.phi1,
             lambda t, f: cfg.mu * derivative(f, 2) + quadratic_rhs_alt(f),
             cfg.galerkin_N, cfg.dt, cfg.num_steps())
         assert self.gap(traj, ref) <= 1e-12
 
-    def test_linearized_matches_projected_rk4(self):
+    def test_linearized_matches_projected_rkn(self):
         cfg = self.cfg()
         rng = np.random.default_rng(1)
         base = self.random_modes(rng)
         data = CauchyData(self.random_modes(rng), self.random_modes(rng))
         traj, _ = solve_linearized(cfg, base=base, initial_state=data)
         assert len(traj) == cfg.num_steps() + 1
-        ref = projected_rk4(
+        ref = projected_rkn(
             data.phi0, data.phi1,
             lambda t, f: apply_linearized_alt(base, f, cfg.mu),
             cfg.galerkin_N, cfg.dt, cfg.num_steps())
@@ -591,8 +627,10 @@ class TestBlockMarch:
     of the oracle: rows, monitor, flags and the CflError message."""
 
     DT, N, LAM = 0.01, 3, 50.0
-    # per-step RK4 growth factor of the branch phi_t = LAM phi at z = LAM dt = 0.5
-    GROWTH = 1.0 + 0.5 + 0.5**2 / 2 + 0.5**3 / 6 + 0.5**4 / 24
+    # per-step growth factor of the branch phi_t = LAM phi at z = LAM dt = 0.5:
+    # the larger eigenvalue of the RKN step on phi_tt = LAM^2 phi
+    Z = LAM * DT
+    GROWTH = 1.0 + Z**2 / 2 + Z**4 / 24 + Z * np.sqrt((1 + Z**2 / 6) * (1 + Z**2 / 6 + Z**4 / 96))
 
     def cfg(self, m):
         return SimConfig(mu=1.0, delta=0.5, grid_n=8, galerkin_N=self.N,
@@ -676,8 +714,8 @@ class TestBlockMarch:
 
     def test_overflow_past_a_blow_up_is_silent(self):
         # on the branch phi_t = lam phi at z = lam dt = 50 each step
-        # multiplies the state by about 2.8e5:
-        # it crosses the threshold at node 3 and overflows to inf and NaN
+        # multiplies the state by about 5.2e5:
+        # it crosses the threshold at node 2 and overflows to inf and NaN
         # before the block ends, which warns nothing (warnings are errors
         # in this suite)
         cfg, table = self.cfg(130), self.table(130)
@@ -689,7 +727,7 @@ class TestBlockMarch:
         got = solver._march(cfg, accel, *y0, lambda nodes, rows: table[nodes], True)
         want = node_march(cfg, accel, y0, lambda i, phi: table[i], True)
         self.assert_same(got, want)
-        assert self.flags(got) == [("blow_up", 3 * self.DT)]
+        assert self.flags(got) == [("blow_up", 2 * self.DT)]
 
     @pytest.mark.parametrize("node", [0, 63, 64, 65, 130])
     def test_cfl(self, node):
@@ -769,7 +807,7 @@ class TestBlockMarch:
 
 
 class TestEntryValidation:
-    """Inputs are checked once, on entry, not at every RK4 stage."""
+    """Inputs are checked once, on entry, not at every stage."""
 
     CFG = dict(mu=1.0, delta=0.9, grid_n=32, galerkin_N=8, dt=1e-3)
 
@@ -867,6 +905,29 @@ class TestGrowth:
         for traj in (dead, single):
             rates = measure_mode_growth(traj, [3])
             assert np.isnan(rates[3])
+
+    @pytest.mark.parametrize("n", [64, 128])
+    def test_superposed_modes_step_as_their_single_mode_solves(self, n):
+        # with no base the linearized system is diagonal in k: mu phi_xx is
+        # applied exactly, so each mode of one superposed solve is its own
+        # single-mode solve bitwise, on the table (n = 64) and FFT paths
+        grid = TorusGrid(n)
+        cfg = SimConfig(mu=-1.0, delta=0.9, grid_n=n, galerkin_N=21, dt=2e-3, t_final=0.5)
+        modes, eps = (1, 2, 4, 21), 1e-6
+
+        def solve(ks):
+            phi0 = sum((cosine(grid, k, eps) for k in ks), zeros(grid))
+            phi1 = sum((cosine(grid, k, eps * k) for k in ks), zeros(grid))
+            return solve_linearized(cfg, initial_state=CauchyData(phi0, phi1))[0]
+
+        together = solve(modes)
+        assert len(together) == cfg.num_steps() + 1
+        for k in modes:
+            alone = solve([k])
+            cols = [n // 2 - 1 - k, n // 2 - 1 + k]
+            for name in ("phi", "phit", "phitt"):
+                assert np.array_equal(getattr(together, name)[:, cols],
+                                      getattr(alone, name)[:, cols]), (k, name)
 
     def test_blow_up_flag(self):
         cfg = SimConfig(mu=-1.0, delta=0.9, grid_n=32, galerkin_N=10,
