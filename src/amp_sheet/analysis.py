@@ -19,9 +19,8 @@ explicit value to compare against.
 
 from __future__ import annotations
 
-import json
 import numbers
-from dataclasses import asdict, dataclass, field as dataclass_field
+from dataclasses import dataclass, field as dataclass_field
 from functools import lru_cache
 
 import numpy as np
@@ -89,9 +88,6 @@ class EstimateReport:
     passed: bool
     seed: int | None = None
     extras: dict = dataclass_field(default_factory=dict)
-
-    def to_json(self):
-        return json.dumps(asdict(self), sort_keys=True, default=float)
 
 
 def _ratio(lhs, rhs):
@@ -321,8 +317,9 @@ def verify_tame_estimate(phi0, forcing, cfg, m):
     return verify_tame_estimates(phi0, forcing, cfg, [m])[0]
 
 
-def verify_phitt_estimate(phi0, traj, forcing, mu, gamma, m):
+def verify_phitt_estimate(phi0, traj, forcing, gamma, m):
     """Report the empirical constant C1 in the second-time-derivative bound
+    on the mesh of `traj`, which a Trajectory base or forcing must cover:
 
     ||phi'_tt||_{L2_gamma H^{m-1}} <= C1 { ||phi'_x||_{L2_gamma H^m} (1 + ||phi0||_{Linf H^3})
         + ||phi0_x||_{Linf H^m} ||phi'_x||_{L2_gamma H^2} + ||g||_{L2_gamma H^{m-1}} }.
@@ -345,8 +342,7 @@ def verify_phitt_estimate(phi0, traj, forcing, mu, gamma, m):
         lhs=lhs,
         rhs=rhs,
         ratio=c1,
-        params={"mu": mu, "gamma": gamma, "m": m,
-                "note": "ratio is the empirical constant C1"},
+        params={"gamma": gamma, "m": m, "note": "ratio is the empirical constant C1"},
         samples=1,
         passed=bool(np.isfinite(c1)),
     )
@@ -449,6 +445,7 @@ def _lemma_prod4(v, f, m):
 
 
 def _lemma_comm4(v, f, mk):
+    """[d^k; v]f in L2; the m of (m, k) only bounds k (k <= m), and is not read."""
     _, k = mk
     lhs = sobolev_norm(_derivative_commutator(k, v, f), 0)
     rhs = linf_norm(v) * sobolev_norm(f, k) + sobolev_norm(v, k) * linf_norm(f)
@@ -456,6 +453,7 @@ def _lemma_comm4(v, f, mk):
 
 
 def _lemma_comm5(v, f, mk):
+    """[d^k; v]f in L2 against v_x in Linf; m of (m, k) only bounds k, as in comm4."""
     _, k = mk
     lhs = sobolev_norm(_derivative_commutator(k, v, f), 0)
     rhs = linf_norm(derivative(v)) * sobolev_norm(f, k - 1) + sobolev_norm(
@@ -495,8 +493,8 @@ def _is_int(x):
 def _validate_lemma_param(lemma, param):
     """The lemma's parameter (its canonical one for None): s > 1/2 for the
     "s" lemmas, an integer m >= 1 for the "m" ones, and for the pair lemmas
-    an integer or a pair of positive integers, with k <= m for (m, k).
-    Raises ValueError on any other input."""
+    an integer or a pair of positive integers, with k <= m for (m, k), an m
+    that only bounds k.  Raises ValueError on any other input."""
     _, kind, canonical = _LEMMAS[lemma]
     if param is None:
         param = canonical
@@ -566,6 +564,8 @@ def estimate_commutator_constants(
         raise ValueError("need at least one lemma")
     if samples < 1:
         raise ValueError("need at least one sample")
+    if n_lo < 6:
+        raise ValueError(f"n_lo must be at least 6, got {n_lo}: the draws are banded to n_lo // 6")
     if n_hi <= n_lo:
         raise ValueError("n_hi must exceed n_lo")
     kmax = n_lo // 6
@@ -663,6 +663,8 @@ def verify_hilbert_identities(samples=100, grid_n=128, seed=0):
     """
     if samples < 1:
         raise ValueError("need at least one sample")
+    if grid_n < 12:
+        raise ValueError(f"grid_n must be at least 12 for the e_k check's |k| <= 5, got {grid_n}")
     grid = TorusGrid(grid_n)
     kmax, mid = grid_n // 6, grid_n // 2 - 1
     rng = np.random.default_rng(seed)

@@ -19,6 +19,7 @@ import csv
 import inspect
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import click
@@ -309,6 +310,8 @@ def growth(config_path, output_dir, quiet):
             raise ValueError(f"mode {k} outside the Galerkin band")
     grid = TorusGrid(sim.grid_n)
     eps = cfg["epsilon"]
+    if eps == 0.0:
+        raise ValueError("config key 'epsilon' must be nonzero: a zero seed has no rate")
     out = _resolve_output(output_dir)
 
     speed = np.sqrt(abs(sim.mu))
@@ -446,7 +449,7 @@ def _run_tame(p):
 def _run_phitt(p):
     sim, base, g = _solve_setup(p)
     traj, _ = solve_linearized(sim, base=base, forcing=g)
-    rep = verify_phitt_estimate(base, traj, g, p["mu"], p["gamma"], p["m"])
+    rep = verify_phitt_estimate(base, traj, g, p["gamma"], p["m"])
     payload = {"estimate": "phitt", "constant": rep.ratio,
                "lhs": rep.lhs, "rhs": rep.rhs, "passed": rep.passed}
     return payload, rep.passed
@@ -545,26 +548,16 @@ def commutator_constants_cmd(config_path, output_dir, quiet, jobs):
         {name: cfg["param"] for name in targets}, cfg["samples"], cfg["seed"],
         n_lo=cfg["n_lo"], n_hi=cfg["n_hi"], decay=cfg["decay"], jobs=jobs,
     )
-    rows = []
-    reports = {}
-    all_ok = True
+    rows, reports = [], {}
     for name, rep in estimates.items():
-        param = rep.params["param"]
-        all_ok = all_ok and rep.passed
-        rows.append((name, json.dumps(param), rep.extras["sup_lo"],
-                     rep.extras["sup_hi"], rep.extras["resolution_drift"],
-                     str(rep.passed)))
-        reports[name] = {
-            "param": param,
-            "sup_lo": rep.extras["sup_lo"],
-            "sup_hi": rep.extras["sup_hi"],
-            "resolution_drift": rep.extras["resolution_drift"],
-            "passed": rep.passed,
-        }
+        # (param, sup_lo, sup_hi, resolution_drift, passed): the CSV columns
+        entry = reports[name] = {"param": rep.params["param"], **rep.extras, "passed": rep.passed}
+        param, *sups, passed = entry.values()
+        rows.append((name, json.dumps(param), *sups, str(passed)))
         if not quiet:
-            click.echo(f"{name}: sup {rep.extras['sup_hi']:.6g} "
-                       f"drift {rep.extras['resolution_drift']:.3e} "
-                       f"{'PASS' if rep.passed else 'FAIL'}")
+            click.echo(f"{name}: sup {entry['sup_hi']:.6g} "
+                       f"drift {entry['resolution_drift']:.3e} {'PASS' if passed else 'FAIL'}")
+    all_ok = all(rep.passed for rep in estimates.values())
 
     _write_csv(out / "constants.csv",
                ("lemma", "param", "sup_lo", "sup_hi", "drift", "passed"),
@@ -604,7 +597,7 @@ def nash_moser_cmd(config_path, output_dir, quiet):
     _write_json(out / "nash_moser.json", {
         "command": "nash-moser",
         "outcome": report.outcome,
-        "report": json.loads(report.to_json()),
+        "report": asdict(report),
     }, cfg, quiet)
     # a diverged or aborted run's last iterate is no solution worth keeping
     if report.outcome not in ("diverged", "stability_aborted"):

@@ -23,8 +23,7 @@ correction is at most STALL_RATIO times the largest: the residual left is
 out of the Galerkin band's reach) or "exhausted_max_iters".
 """
 
-import json
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -104,9 +103,6 @@ class IterationReport:
     iterations: int = 0
     outcome: str = ""
     metadata: dict = field(default_factory=dict)
-
-    def to_json(self):
-        return json.dumps(asdict(self), sort_keys=True, default=float)
 
 
 def smooth_cutoff(obj, theta):
@@ -201,7 +197,7 @@ def iterate(cfg, data):
             break
 
         # linearize at phi^a + u and solve for the correction
-        u_eval = field_evaluator(Trajectory(times, u[0]), grid, sim.t_final)
+        u_eval = field_evaluator(Trajectory(times, u[0]), grid)
         v_traj, _ = solve_linearized(
             sim, base=lambda ts: phi_a_stages + u_eval(ts), forcing=r_series)
         v_cut = smooth_cutoff(v_traj, theta)

@@ -139,7 +139,8 @@ class _SeriesEvaluator:
     (T, n-1) coefficient rows, evaluated on a 1-D array of times.
 
     Exact at the sample times; O(h^4) between them, matching the
-    integrator's order so interpolated forcing does not degrade it.
+    integrator's order so interpolated forcing does not degrade it.  A time
+    outside the span of the samples, by more than 1e-9, raises ValueError.
     """
 
     def __init__(self, times, rows):
@@ -149,6 +150,9 @@ class _SeriesEvaluator:
     def __call__(self, ts):
         ts = np.asarray(ts, float)
         nodes, rows = self.times, self.rows
+        if np.any(ts < nodes[0] - 1e-9) or np.any(ts > nodes[-1] + 1e-9):
+            raise ValueError(f"series covers [{nodes[0]:.6g}, {nodes[-1]:.6g}] but is "
+                             f"evaluated on [{ts.min():.6g}, {ts.max():.6g}]")
         n = nodes.size
         width = min(4, n)
         j0 = np.clip(np.searchsorted(nodes, ts) - 2, 0, n - width)
@@ -161,15 +165,15 @@ class _SeriesEvaluator:
         return out
 
 
-def field_evaluator(source, grid, t_final=None):
+def field_evaluator(source, grid):
     """Coerce a base/forcing description into a map from a 1-D array of T
     times to a (T, n-1) coefficient array.
 
     Accepts None (zero), a SpectralField (frozen in time; a read-only
     broadcast of its coefficients), a Trajectory (cubic interpolation of
-    its phi; must cover [0, t_final] when a horizon is given), or a
-    callable, which is called once with the whole time array and must
-    return an array of shape (T, n-1) (anything else raises TypeError).
+    its phi; a time outside its span raises ValueError), or a callable,
+    which is called once with the whole time array and must return an
+    array of shape (T, n-1) (anything else raises TypeError).
     """
     if source is None:
         source = zeros(grid)
@@ -180,13 +184,7 @@ def field_evaluator(source, grid, t_final=None):
     if isinstance(source, Trajectory):
         if source.grid.n != grid.n:
             raise ValueError("series grid does not match the solver grid")
-        times = source.times
-        if t_final is not None and (times[0] > 1e-9 or times[-1] < t_final - 1e-9):
-            raise ValueError(
-                f"series covers [{times[0]:.6g}, {times[-1]:.6g}] "
-                f"but the solve needs [0, {t_final:.6g}]"
-            )
-        return _SeriesEvaluator(times, source.phi)
+        return _SeriesEvaluator(source.times, source.phi)
     if callable(source):
         def wrapped(ts):
             rows = source(ts)
@@ -221,13 +219,12 @@ def semidiscrete_rhs_linearized(base_rows, g_rows, cfg):
     return lambda s, x: _linearized_rows(base[s], x, mu_lap, plan) + g[s]
 
 
-def rkn_step(i, dt, phi, phit, accel, a1=None):
+def rkn_step(i, dt, phi, phit, accel, a1):
     """One step of Nystrom's 3-stage fourth-order scheme (Hairer, Norsett &
     Wanner, Solving ODEs I, II.14) for phi_tt = accel(s, phi) from node i,
     whose stages read the indices s = 2i, 2i+1, 2i+2 of the stage mesh
-    k dt/2.  Returns the new (phi, phi_t); `a1` may pass in accel(2i, phi)."""
+    k dt/2, the first of them `a1` = accel(2i, phi).  Returns the new (phi, phi_t)."""
     s, dt2 = 2 * i, dt * dt
-    a1 = accel(s, phi) if a1 is None else a1
     a2 = accel(s + 1, phi + 0.5 * dt * phit + dt2 / 8.0 * a1)
     drift = phi + dt * phit
     a3 = accel(s + 2, drift + 0.5 * dt2 * a2)
@@ -311,19 +308,18 @@ def solve_linearized(cfg, base=None, forcing=None, initial_state=None):
     """Integrate the linearization around `base` with forcing `forcing`.
 
     phi'_tt = (mu - 2 p0_x) phi'_xx + lower-order terms + g, p0 = H[base].
-    `base` and `forcing` accept anything field_evaluator understands; each
-    is evaluated once, on the stage mesh cfg.stage_times(), and the
-    acceleration and the monitor read the row of their stage index.
-    The evaluated rows are checked once, before the first
-    step: the base must be real with zero mean and the forcing real (its
-    k = 0 mode, like every mode above N, is dropped by the projection).
-    The solve starts from rest unless `initial_state` (CauchyData) is
-    given.
+    `base` and `forcing` accept anything field_evaluator understands; each is
+    evaluated once, on the stage mesh cfg.stage_times(), which a Trajectory
+    must cover, and the acceleration and the monitor read the row of their
+    stage index.  The evaluated rows are checked once, before the first step:
+    the base must be real with zero mean and the forcing real (its k = 0 mode,
+    like every mode above N, is dropped by the projection).  The solve starts
+    from rest unless `initial_state` (CauchyData) is given.
     """
     grid = TorusGrid(cfg.grid_n)
     stage_times = cfg.stage_times()
-    base_rows = field_evaluator(base, grid, cfg.t_final)(stage_times)
-    g_rows = field_evaluator(forcing, grid, cfg.t_final)(stage_times)
+    base_rows = field_evaluator(base, grid)(stage_times)
+    g_rows = field_evaluator(forcing, grid)(stage_times)
     _require_real_zero_mean(base_rows, "base")
     _require_real(g_rows, "forcing")
 

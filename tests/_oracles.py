@@ -516,8 +516,8 @@ def masked_solve_linearized(cfg, base=None, forcing=None, initial_state=None):
     grid = TorusGrid(cfg.grid_n)
     half = 0.5 * cfg.dt
     stage_times = cfg.stage_times()
-    base_rows = field_evaluator(base, grid, cfg.t_final)(stage_times)
-    g_rows = field_evaluator(forcing, grid, cfg.t_final)(stage_times)
+    base_rows = field_evaluator(base, grid)(stage_times)
+    g_rows = field_evaluator(forcing, grid)(stage_times)
     if initial_state is None:
         phi0 = phi1 = np.zeros(grid.n - 1, complex)
     else:

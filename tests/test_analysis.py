@@ -1,6 +1,9 @@
 """Analysis tests: weighted norms, the estimate verifiers, the commutator
 constant campaigns, kernel checks, and the transform identity battery."""
 
+import json
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -47,6 +50,11 @@ from _oracles import (
 
 
 GRID = TorusGrid(32)
+
+
+def serialized(report):
+    """The report as the command line writes it: its fields as JSON."""
+    return json.dumps(asdict(report), sort_keys=True, default=float)
 
 
 def window_trajectory(grid, gamma=1.0, dt=1e-3, t0=-1.0, t1=1.5,
@@ -174,6 +182,17 @@ class TestApplyLinearized:
         err = np.max(np.abs(out.phi[k] - want.coeffs))
         assert err < 5e-3 * max(1.0, abs(wpp))
 
+    def test_series_base_must_cover_the_mesh(self):
+        # a base series that ends at t = 0.5 is not extrapolated to the
+        # trajectory's interior nodes up to t = 0.95
+        ts = np.linspace(0.0, 1.0, 21)
+        traj = Trajectory(ts, [cosine(GRID, 1, float(t)) for t in ts], [zeros(GRID)] * 21)
+        short = Trajectory(ts[:11], [cosine(GRID, 2, 0.01)] * 11)
+        with pytest.raises(ValueError, match="series covers"):
+            apply_linearized(short, traj, mu=1.0)
+        covering = Trajectory(ts, [cosine(GRID, 2, 0.01)] * 21)
+        assert np.all(np.isfinite(apply_linearized(covering, traj, mu=1.0).phi))
+
     def test_zero_trajectory_gives_zero(self):
         ts = np.linspace(0.0, 1.0, 21)
         traj = Trajectory(ts, [zeros(GRID)] * 21, [zeros(GRID)] * 21)
@@ -264,7 +283,7 @@ class TestEnergyEstimate:
         base = random_trig_field(GRID, 4, rng, amplitude=0.02)
         traj = window_trajectory(GRID, dt=4e-3, t0=-0.5, profile=random_trig_field(GRID, 4, rng))
         gammas = [2.0, 4.0, 8.0, 16.0]
-        single = [verify_energy_estimate(base, traj, 1.0, 0.9, g).to_json() for g in gammas]
+        single = [serialized(verify_energy_estimate(base, traj, 1.0, 0.9, g)) for g in gammas]
         calls = []
         real = analysis.apply_linearized
 
@@ -274,7 +293,7 @@ class TestEnergyEstimate:
 
         monkeypatch.setattr(analysis, "apply_linearized", counted)
         reports = verify_energy_estimates(base, traj, 1.0, 0.9, gammas)
-        assert [r.to_json() for r in reports] == single
+        assert [serialized(r) for r in reports] == single
         assert len(calls) == 1
         with pytest.raises(ValueError, match="gamma"):
             verify_energy_estimates(base, traj, 1.0, 0.9, [2.0, 0.5])
@@ -291,7 +310,7 @@ class TestEnergyEstimate:
     def test_report_serializes(self):
         traj = window_trajectory(GRID, dt=5e-3)
         rep = verify_energy_estimate(None, traj, mu=1.0, delta=0.9, gamma=2.0)
-        blob = rep.to_json()
+        blob = serialized(rep)
         assert '"estimate_id"' in blob and '"ratio"' in blob
         assert rep.seed is None and '"seed": null' in blob
 
@@ -342,7 +361,7 @@ class TestTameEstimate:
         assert [r.params["m"] for r in reps] == [3, 1, 2]
         for rep in reps:
             one = verify_tame_estimate(self.BASE, self.g_series(), self.cfg(), rep.params["m"])
-            assert rep.to_json() == one.to_json()
+            assert serialized(rep) == serialized(one)
 
     def test_sweep_rejects_m_below_one_before_solving(self, monkeypatch):
         import amp_sheet.analysis as analysis
@@ -360,11 +379,26 @@ class TestPhittEstimate:
         ts = np.arange(0.0, 0.8 + 1e-12, 2e-3)
         g = FieldSeries(ts, [cosine(GRID, 1, bump_window(t, 0.4, 0.15)[0]) for t in ts])
         traj, _ = solve_linearized(cfg, forcing=g)
-        rep = verify_phitt_estimate(None, traj, g, mu=1.0, gamma=2.0, m=2)
+        rep = verify_phitt_estimate(None, traj, g, gamma=2.0, m=2)
         assert rep.passed
         # with base 0 the bound reduces to the wave equation where the
         # sharp constant is max(1, |mu|) = 1
         assert 0.0 < rep.ratio <= 1.5
+
+    def test_forcing_must_cover_the_mesh(self):
+        # a forcing series over [0, 0.4] is not extrapolated to the
+        # trajectory's mesh [0, 0.8]: it raises instead of verifying the
+        # bound against a forcing nobody gave
+        cfg = SimConfig(mu=1.0, delta=0.9, grid_n=32, galerkin_N=8,
+                        dt=2e-3, t_final=0.8, gamma=2.0)
+        ts = np.arange(0.0, 0.8 + 1e-12, 2e-3)
+        g = FieldSeries(ts, [cosine(GRID, 1, np.sin(3.0 * t)) for t in ts])
+        traj, _ = solve_linearized(cfg, forcing=g)
+        half = FieldSeries(ts[:201], g.phi[:201])
+        with pytest.raises(ValueError, match="series covers"):
+            verify_phitt_estimate(None, traj, half, gamma=2.0, m=2)
+        with pytest.raises(ValueError, match="series covers"):
+            verify_phitt_estimate(half, traj, None, gamma=2.0, m=2)
 
 
 class TestSecondDerivativeEstimate:
@@ -421,6 +455,16 @@ def recording_pool(monkeypatch):
 
 
 class TestCommutatorCampaigns:
+    @pytest.mark.parametrize("n_lo", [4, 5])
+    def test_band_of_zero_modes_rejected(self, n_lo):
+        # below 6 points the draws are banded to n_lo // 6 = 0 modes: every
+        # sample is the zero field, and every sup a vacuous 0
+        with pytest.raises(ValueError, match="n_lo"):
+            estimate_commutator_constants({"A2": None}, samples=3, seed=0,
+                                          n_lo=n_lo, n_hi=8)
+        rep = estimate_commutator_constant("A2", None, samples=3, seed=0, n_lo=6, n_hi=8)
+        assert rep.params["kmax"] == 1 and rep.extras["sup_hi"] > 0.0
+
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             estimate_commutator_constant("A1_comm_1", 0.5, samples=2, seed=0)
@@ -627,6 +671,13 @@ class TestIdentityBattery:
         # an empty battery checks nothing, so it must not report a pass
         with pytest.raises(ValueError, match="need at least one sample"):
             verify_hilbert_identities(samples=samples, grid_n=32)
+
+    @pytest.mark.parametrize("grid_n", [4, 10])
+    def test_grid_below_twelve_rejected(self, grid_n):
+        # the e_k check reads the modes |k| <= 5, so the band must reach 5
+        with pytest.raises(ValueError, match="grid_n must be at least 12"):
+            verify_hilbert_identities(samples=3, grid_n=grid_n)
+        assert verify_hilbert_identities(samples=3, grid_n=12)["passed"]
 
     def test_product_identity_spot_check(self):
         # H[fg - H f H g] = f H g + g H f on a concrete pair

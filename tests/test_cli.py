@@ -541,6 +541,18 @@ class TestGrowth:
         assert out.exit_code == 2
 
 
+    def test_zero_epsilon_is_config_error(self, runner, tmp_path):
+        # a zero seed has no rate to measure: every fit would be NaN, which
+        # would read as a failed verification (exit 1)
+        cfg = write_config(tmp_path, "c.json", {**GROWTH_SIM, "mu": -1.0, "modes": [4],
+                                                 "epsilon": 0.0})
+        dest = tmp_path / "o"
+        out = runner.invoke(main, ["growth", "--config", cfg,
+                                   "--output", str(dest), "--quiet"])
+        assert out.exit_code == 2, out.output
+        assert "'epsilon'" in out.output
+        assert not dest.exists()
+
     def test_no_modes_is_config_error(self, runner, tmp_path):
         # a sweep over no mode measures nothing: rejected before any solve
         cfg = write_config(tmp_path, "c.json", {**GROWTH_SIM, "mu": -1.0, "modes": []})
@@ -563,6 +575,13 @@ class TestVerifyIdentities:
         assert out.exit_code == 2, out.output
         assert "'samples'" in out.output
         assert not dest.exists()
+
+    def test_grid_below_twelve_is_config_error(self, runner, tmp_path):
+        cfg = write_config(tmp_path, "c.json", {"samples": 3, "grid_n": 4})
+        out = runner.invoke(main, ["verify-identities", "--config", cfg,
+                                   "--output", str(tmp_path / "o")])
+        assert out.exit_code == 2, out.output
+        assert "grid_n must be at least 12" in out.output
 
     def test_battery_passes(self, runner, tmp_path):
         cfg = write_config(tmp_path, "c.json", {"samples": 10, "grid_n": 64})
@@ -701,7 +720,7 @@ class TestVerifyEstimates:
             assert [r["constant"] for r in got["reports"]] == want
         else:
             traj, _ = solve_linearized(sim, base=base, forcing=g)
-            rep = verify_phitt_estimate(base, traj, g, sim.mu, sim.gamma, p["m"])
+            rep = verify_phitt_estimate(base, traj, g, sim.gamma, p["m"])
             assert got["constant"] == rep.ratio
 
     @pytest.mark.parametrize("payload, key", [
@@ -807,6 +826,16 @@ class TestCommutatorConstants:
         for name in ("A3", "A4_comm_4", "A4_comm_5"):
             assert len(rows[name]) == 6, rows[name]
             assert json.loads(rows[name][1]) == [2, 1 if name == "A3" else 2]
+
+    def test_band_of_zero_modes_is_config_error(self, runner, tmp_path):
+        # n_lo = 4 bands the draws to 4 // 6 = 0 modes: all zero fields
+        cfg = write_config(tmp_path, "c.json", {"samples": 3, "n_lo": 4, "n_hi": 8})
+        dest = tmp_path / "o"
+        out = runner.invoke(main, ["commutator-constants", "--config", cfg,
+                                   "--output", str(dest), "--quiet"])
+        assert out.exit_code == 2, out.output
+        assert "n_lo" in out.output
+        assert not (dest / "constants.json").exists()
 
     def test_unknown_lemma(self, runner, tmp_path):
         cfg = write_config(tmp_path, "c.json", {"lemma": "A9"})

@@ -1,6 +1,7 @@
 """Tests for the smoothed Newton solve and the frequency cutoff."""
 
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -72,7 +73,7 @@ class TestConfig:
     def test_report_serializes(self):
         rep = IterationReport(residual_norms=[1.0, 0.1], converged=True,
                               iterations=1, metadata={"mu": 1.0})
-        blob = rep.to_json()
+        blob = json.dumps(asdict(rep), sort_keys=True, default=float)
         assert '"converged": true' in blob
 
 
@@ -300,7 +301,7 @@ def test_every_outcome_counts_its_corrections(outcome, monkeypatch):
     assert len(rep.residual_norms) == rep.iterations + 1 == len(rep.stability_mins)
     assert len(rep.theta_values) == rep.iterations
     assert np.array_equal(traj.times, np.arange(traj.phi.shape[0]) * rep.metadata["dt"])
-    assert json.loads(rep.to_json())["outcome"] == outcome
+    assert json.loads(json.dumps(asdict(rep), default=float))["outcome"] == outcome
 
 
 def _report(outcome):

@@ -234,13 +234,13 @@ class TestRkn:
         phi, phit = np.array([1.0, 0.0]), np.zeros(2)
 
         for i in range(1000):
-            phi, phit = rkn_step(i, dt, phi, phit, oscillator)
+            phi, phit = rkn_step(i, dt, phi, phit, oscillator, oscillator(2 * i, phi))
         assert abs(phi[0] - 1.0) < 1e-8 and phi[1] == 0.0
         assert np.max(np.abs(phit)) < 1e-8
 
     def test_zero_state_fixed_point(self):
         z = np.zeros(10)
-        phi, phit = rkn_step(0, 0.1, z, z, oscillator)
+        phi, phit = rkn_step(0, 0.1, z, z, oscillator, oscillator(0, z))
         assert np.max(np.abs(phi)) == 0.0 and np.max(np.abs(phit)) == 0.0
 
     def test_order_four(self):
@@ -248,7 +248,7 @@ class TestRkn:
             phi, phit = np.array([1.0, 0.0]), np.zeros(2)
             steps = int(round(1.0 / dt))
             for i in range(steps):
-                phi, phit = rkn_step(i, dt, phi, phit, oscillator)
+                phi, phit = rkn_step(i, dt, phi, phit, oscillator, oscillator(2 * i, phi))
             return abs(phi[0] - np.cos(1.0))
 
         ratio = run(2e-2) / run(1e-2)
@@ -261,9 +261,9 @@ class TestRkn:
         # far above round-off
         def error(dt):
             phi, phit = np.array([1.0]), np.array([0.0])
-            steps = int(round(2.0 / dt))
+            steps, accel = int(round(2.0 / dt)), oscillator_of(omega)
             for i in range(steps):
-                phi, phit = rkn_step(i, dt, phi, phit, oscillator_of(omega))
+                phi, phit = rkn_step(i, dt, phi, phit, accel, accel(2 * i, phi))
             t = steps * dt
             return max(abs(phi[0] - np.cos(omega * t)),
                        abs(phit[0] + omega * np.sin(omega * t)) / omega)
@@ -279,7 +279,8 @@ class TestRkn:
         # omega dt <= cfl_safety <= 1
         for z in np.linspace(0.0, 1.0, 101)[1:]:
             # the step's matrix on (y, y_t): its columns step (1, 0) and (0, 1)
-            steps = [rkn_step(0, z, np.array([p]), np.array([v]), oscillator)
+            steps = [rkn_step(0, z, np.array([p]), np.array([v]), oscillator,
+                              oscillator(0, np.array([p])))
                      for p, v in np.eye(2)]
             lam = np.abs(np.linalg.eigvals(np.array([[p[0], v[0]] for p, v in steps]).T))
             assert np.allclose(lam, np.sqrt(1.0 - z**6 / 288.0), rtol=0.0, atol=1e-14), z
@@ -297,7 +298,7 @@ class TestRkn:
 
         rng = np.random.default_rng(3)
         phi, phit = rng.standard_normal(6), rng.standard_normal(6)
-        got = rkn_step(5, 0.1, phi, phit, accel)
+        got = rkn_step(5, 0.1, phi, phit, accel, accel(10, phi))
         assert seen == [10, 11, 12]
         want = pair_rkn_step(0.5, 0.1, (phi, phit), lambda t, x: accel(round(t / 0.05), x))
         assert all(np.array_equal(a, b) for a, b in zip(got, want))
@@ -976,11 +977,21 @@ class TestFieldEvaluator:
                    lambda ts: np.zeros((len(ts), GRID.n - 1), complex)]
         ts = np.linspace(0.0, 1.0, 7)
         for source in sources:
-            rows = field_evaluator(source, GRID, 1.0)(ts)
+            rows = field_evaluator(source, GRID)(ts)
             assert isinstance(rows, np.ndarray) and rows.shape == (7, GRID.n - 1)
         assert np.array_equal(field_evaluator(None, GRID)(ts), np.zeros((7, GRID.n - 1)))
         assert np.array_equal(field_evaluator(cosine(GRID, 3), GRID)(ts)[4],
                               cosine(GRID, 3).coeffs)
+
+    def test_series_rejects_times_outside_its_span(self):
+        # no extrapolation: a time past either end by more than 1e-9 raises,
+        # round-off at the ends does not
+        nodes = np.linspace(0.2, 0.6, 9)
+        ev = field_evaluator(Trajectory(nodes, np.tile(cosine(GRID, 2).coeffs, (9, 1))), GRID)
+        for ts in ([0.0, 0.3], [0.3, 0.8], [0.2 - 2e-9], [0.6 + 2e-9]):
+            with pytest.raises(ValueError, match=r"series covers \[0.2, 0.6\]"):
+                ev(np.array(ts))
+        assert ev(np.array([0.2 - 1e-10, 0.6 + 1e-10])).shape == (2, GRID.n - 1)
 
     def test_callable_of_wrong_shape_rejected(self):
         ts = np.linspace(0.0, 1.0, 7)
