@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass, field as dataclass_field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -36,7 +36,10 @@ from .operators import (
 from .spectral import (
     SpectralField,
     TorusGrid,
+    _analysis,
     _band,
+    _padded_size,
+    _synthesis,
     derivative,
     from_modes,
     hilbert,
@@ -399,77 +402,99 @@ def _hilbert_commutator(v, f):
     return hilbert(pointwise_product(v, f)) - pointwise_product(v, hilbert(f))
 
 
-def _derivative_commutator(k, v, f):
-    """[d^k; v]f = d^k(vf) - v d^k f."""
-    return derivative(pointwise_product(v, f), k) - pointwise_product(v, derivative(f, k))
+class _Pair:
+    """The (samples, n-1) stacks v and f on one grid as the lemmas read
+    them: v synthesized once on the 3/2-padded grid, each product v g
+    formed once, and the sup norms of v and f taken once.  An image g of
+    f is named by the operations that build it from f, in order: p for
+    d^p, "H" for the Hilbert transform, so (1, "H") is H f_x.  Built by
+    those operations, v g is bitwise pointwise_product(v, g)."""
+
+    def __init__(self, v, f):
+        self.v, self.f = v, f
+        self._m = _padded_size(v.shape[-1] + 1)
+        self._v_vals = _synthesis(v, self._m)
+        self._products = {}
+
+    def product(self, *key):
+        """v g for the image g of f that `key` names."""
+        if key not in self._products:
+            g = self.f
+            for op in key:
+                g = hilbert(g) if op == "H" else derivative(g, op)
+            vals = self._v_vals * _synthesis(g, self._m)
+            self._products[key] = _analysis(vals, self.v.shape[-1] + 1)
+        return self._products[key]
+
+    def hilbert_commutator(self, *key):
+        """[H; v]g = H[vg] - v H[g]."""
+        return hilbert(self.product(*key)) - self.product(*key, "H")
+
+    def derivative_commutator(self, k, *key):
+        """[d^k; v]g = d^k(vg) - v d^k g."""
+        return derivative(self.product(*key), k) - self.product(*key, k)
+
+    @cached_property
+    def sup_v(self):
+        return linf_norm(self.v)
+
+    @cached_property
+    def sup_f(self):
+        return linf_norm(self.f)
 
 
-def _lemma_comm1(v, f, s):
-    lhs = sobolev_norm(_hilbert_commutator(v, f), 0)
-    rhs = sobolev_norm(v, s) * sobolev_norm(f, 0)
-    return lhs, rhs
+def _lemma_comm1(pair, s):
+    lhs = sobolev_norm(pair.hilbert_commutator(), 0)
+    return lhs, sobolev_norm(pair.v, s) * sobolev_norm(pair.f, 0)
 
 
-def _lemma_comm2(v, f, s):
-    lhs = sobolev_norm(_hilbert_commutator(v, derivative(f)), 0)
-    rhs = sobolev_norm(derivative(v), s) * sobolev_norm(f, 0)
-    return lhs, rhs
+def _lemma_comm2(pair, s):
+    lhs = sobolev_norm(pair.hilbert_commutator(1), 0)
+    return lhs, sobolev_norm(derivative(pair.v), s) * sobolev_norm(pair.f, 0)
 
 
-def _lemma_comm3(v, f, s):
-    fx = derivative(f)
-    inner = _hilbert_commutator(v, fx)
-    outer = hilbert(inner) - _hilbert_commutator(v, hilbert(fx))
+def _lemma_comm3(pair, s):
+    outer = hilbert(pair.hilbert_commutator(1)) - pair.hilbert_commutator(1, "H")
     lhs = sobolev_norm(derivative(outer), 0)
-    rhs = sobolev_norm(derivative(v, 2), s) * sobolev_norm(f, 0)
-    return lhs, rhs
+    return lhs, sobolev_norm(derivative(pair.v, 2), s) * sobolev_norm(pair.f, 0)
 
 
-def _lemma_a2(v, f, m):
-    lhs = sobolev_norm(_hilbert_commutator(v, f), m)
-    rhs = sobolev_norm(derivative(v, m), 0) * sobolev_norm(f, 1)
-    return lhs, rhs
+def _lemma_a2(pair, m):
+    lhs = sobolev_norm(pair.hilbert_commutator(), m)
+    return lhs, sobolev_norm(derivative(pair.v, m), 0) * sobolev_norm(pair.f, 1)
 
 
-def _lemma_a3(v, f, mp):
+def _lemma_a3(pair, mp):
     m, p = mp
-    lhs = sobolev_norm(_hilbert_commutator(v, derivative(f, p)), m)
-    rhs = sobolev_norm(derivative(v, m + p), 0) * sobolev_norm(f, 1)
-    return lhs, rhs
+    lhs = sobolev_norm(pair.hilbert_commutator(p), m)
+    return lhs, sobolev_norm(derivative(pair.v, m + p), 0) * sobolev_norm(pair.f, 1)
 
 
-def _lemma_prod4(v, f, m):
-    lhs = sobolev_norm(pointwise_product(v, f), m)
-    rhs = linf_norm(v) * sobolev_norm(f, m) + sobolev_norm(v, m) * linf_norm(f)
-    return lhs, rhs
+def _lemma_prod4(pair, m):
+    lhs = sobolev_norm(pair.product(), m)
+    return lhs, pair.sup_v * sobolev_norm(pair.f, m) + sobolev_norm(pair.v, m) * pair.sup_f
 
 
-def _lemma_comm4(v, f, mk):
+def _lemma_comm4(pair, mk):
     """[d^k; v]f in L2; the m of (m, k) only bounds k (k <= m), and is not read."""
     _, k = mk
-    lhs = sobolev_norm(_derivative_commutator(k, v, f), 0)
-    rhs = linf_norm(v) * sobolev_norm(f, k) + sobolev_norm(v, k) * linf_norm(f)
-    return lhs, rhs
+    lhs = sobolev_norm(pair.derivative_commutator(k), 0)
+    return lhs, pair.sup_v * sobolev_norm(pair.f, k) + sobolev_norm(pair.v, k) * pair.sup_f
 
 
-def _lemma_comm5(v, f, mk):
+def _lemma_comm5(pair, mk):
     """[d^k; v]f in L2 against v_x in Linf; m of (m, k) only bounds k, as in comm4."""
     _, k = mk
-    lhs = sobolev_norm(_derivative_commutator(k, v, f), 0)
-    rhs = linf_norm(derivative(v)) * sobolev_norm(f, k - 1) + sobolev_norm(
-        v, k
-    ) * linf_norm(f)
+    lhs = sobolev_norm(pair.derivative_commutator(k), 0)
+    rhs = (linf_norm(derivative(pair.v)) * sobolev_norm(pair.f, k - 1)
+           + sobolev_norm(pair.v, k) * pair.sup_f)
     return lhs, rhs
 
 
-def _lemma_a5(v, f, m):
-    fxx = derivative(f, 2)
-    lhs_field = hilbert(_derivative_commutator(m, v, fxx)) - _derivative_commutator(
-        m, v, hilbert(fxx)
-    )
-    lhs = sobolev_norm(lhs_field, 0)
-    rhs = sobolev_norm(derivative(v), m) * sobolev_norm(derivative(f), 1)
-    return lhs, rhs
+def _lemma_a5(pair, m):
+    outer = hilbert(pair.derivative_commutator(m, 2)) - pair.derivative_commutator(m, 2, "H")
+    lhs = sobolev_norm(outer, 0)
+    return lhs, sobolev_norm(derivative(pair.v), m) * sobolev_norm(derivative(pair.f), 1)
 
 
 #: each lemma's batched evaluator, parameter kind and canonical parameter
@@ -521,8 +546,9 @@ def _campaign_block(lemmas, seed_seqs, kmax, grid_sizes, decay):
     """{lemma: lhs/rhs of a block of samples at each grid size, (samples,
     sizes)} for each (lemma, param) pair of `lemmas`.  Sample i draws v,
     then f, from its generator seeded by seed_seqs[i], once for every
-    lemma; the stacked pair is regridded once per grid size, and each
-    lemma runs on its (samples, n-1) arrays."""
+    lemma; the stacked pair is regridded once per grid size into one
+    _Pair, whose products every lemma shares, and that _Pair is freed
+    before the next grid's is built."""
     grid = TorusGrid(grid_sizes[0])
     pairs = np.empty((2, len(seed_seqs), grid.n - 1), complex)
     for i, seq in enumerate(seed_seqs):
@@ -531,9 +557,10 @@ def _campaign_block(lemmas, seed_seqs, kmax, grid_sizes, decay):
         pairs[1, i] = random_trig_field(grid, kmax, rng, decay).coeffs
     ratios = {lemma: [] for lemma, _ in lemmas}
     for n in grid_sizes:
-        v, f = regrid(pairs, TorusGrid(n))
+        pair = _Pair(*regrid(pairs, TorusGrid(n)))
         for lemma, param in lemmas:
-            ratios[lemma].append(_ratio(*_LEMMAS[lemma][0](v, f, param)))
+            ratios[lemma].append(_ratio(*_LEMMAS[lemma][0](pair, param)))
+        del pair
     return {lemma: np.stack(r, axis=-1) for lemma, r in ratios.items()}
 
 
@@ -552,9 +579,11 @@ def estimate_commutator_constants(
 
     A param None is the lemma's canonical parameter.  Each sample draws
     from a child of SeedSequence(seed).  Blocks of _SAMPLE_BLOCK samples
-    run every lemma as one batch each, in one pool of min(jobs, blocks)
-    worker processes when that exceeds 1; the blocks do not depend on
-    `jobs` or on the other lemmas, so neither do the constants.
+    run every lemma as one batch each on products the lemmas share (see
+    _campaign_block), in one pool of min(jobs, blocks) worker processes
+    when that exceeds 1; the blocks do not depend on `jobs`, and a shared
+    product is bitwise the one a lemma forms alone, so the constants
+    depend on neither `jobs` nor the other lemmas.
     """
     for lemma in params:
         if lemma not in _LEMMAS:

@@ -342,8 +342,8 @@ def measure_mode_growth(traj, modes):
 
     The fit uses the second half of the trajectory (transients from mixed
     initial data decay in relative weight there) and drops samples at or
-    below 1e-14 times the larger of the peak and 1; a mode with fewer than
-    two usable samples (one node, or a mode that stays zero) gets NaN.
+    below 1e-14 times the mode's own peak there, however small; a mode with
+    fewer than two usable samples (one node, or a zero mode) gets NaN.
     """
     ts = traj.times
     half = len(ts) // 2
@@ -354,7 +354,7 @@ def measure_mode_growth(traj, modes):
             raise ValueError(f"mode {k} outside retained band")
         amps = np.abs(traj.phi[half:, k + band])
         tt = ts[half:]
-        keep = amps > 1e-14 * np.max(amps, initial=1.0)
+        keep = amps > 1e-14 * np.max(amps, initial=0.0)
         if np.count_nonzero(keep) < 2:
             rates[k] = float("nan")
             continue

@@ -78,18 +78,20 @@ class TorusGrid:
         return _modes(self.n)
 
 
+def _frozen(a):
+    """`a`, made read-only: a cached table is shared by every caller."""
+    a.flags.writeable = False
+    return a
+
+
 @lru_cache(maxsize=128)
 def _nodes(n):
-    x = _TWO_PI * np.arange(n) / n
-    x.flags.writeable = False
-    return x
+    return _frozen(_TWO_PI * np.arange(n) / n)
 
 
 @lru_cache(maxsize=128)
 def _modes(n):
-    k = np.arange(-(n // 2 - 1), n // 2)
-    k.flags.writeable = False
-    return k
+    return _frozen(np.arange(-(n // 2 - 1), n // 2))
 
 
 @dataclass(frozen=True, eq=False)
@@ -261,9 +263,7 @@ def synthesize(field):
 
 @lru_cache(maxsize=128)
 def _hilbert_values(n):
-    v = -1j * np.sign(_modes(n)).astype(complex)
-    v.flags.writeable = False
-    return v
+    return _frozen(-1j * np.sign(_modes(n)).astype(complex))
 
 
 def hilbert(field):
@@ -272,12 +272,17 @@ def hilbert(field):
     return _like(field, _hilbert_values(c.shape[-1] + 1) * c)
 
 
+@lru_cache(maxsize=128)
+def _derivative_values(n, p):
+    return _frozen((1j * _modes(n)) ** p)
+
+
 def derivative(field, p=1):
     """p-th spatial derivative, symbol (i k)^p."""
     if p < 0 or p != int(p):
         raise ValueError("derivative order must be a nonnegative integer")
     c = _coeffs(field)
-    return _like(field, (1j * _modes(c.shape[-1] + 1)) ** int(p) * c)
+    return _like(field, _derivative_values(c.shape[-1] + 1, int(p)) * c)
 
 
 def _padded_size(n):
@@ -305,10 +310,15 @@ def pointwise_product(f, g):
     return prod
 
 
+@lru_cache(maxsize=128)
+def _sobolev_weights(n, s):
+    return _frozen((1.0 + np.abs(_modes(n))) ** (2.0 * s))
+
+
 def sobolev_norm(field, s):
     """|| f ||_{H^s} = sqrt( (1/2pi) sum_k (1+|k|)^{2s} |c(k)|^2 )."""
     c = _coeffs(field)
-    w = (1.0 + np.abs(_modes(c.shape[-1] + 1))) ** (2.0 * s)
+    w = _sobolev_weights(c.shape[-1] + 1, s)
     return _rows(np.sqrt(np.sum(w * np.abs(c) ** 2, axis=-1) / _TWO_PI))
 
 

@@ -16,6 +16,9 @@ The one exception, evolution_residual, measures a trajectory against the
 package's own mu phi_xx + N(phi).
 hilbert_identities_per_sample is the identity battery as it was when it
 drew and checked one sample at a time, for the batched battery.
+LEMMA_ORACLES holds the commutator campaign's nine evaluators as they were
+when each composed its own products by pointwise_product, (v, f, param) ->
+(lhs, rhs), for the campaign's shared per-grid products.
 
 The masked_* routines at the end are the solvers as they were when they
 stepped the whole (n-1) band: every stage masked to the Galerkin space
@@ -48,7 +51,9 @@ from amp_sheet.spectral import (
     from_modes,
     hilbert,
     inner_product,
+    linf_norm,
     pointwise_product,
+    sobolev_norm,
 )
 
 TWO_PI = 2.0 * np.pi
@@ -252,6 +257,84 @@ def hilbert_identities_per_sample(samples, grid_n, seed):
         want = from_modes(grid, {k: -1j * np.sign(k)})
         upd("exponential_symbol", np.max(np.abs(hilbert(e_k).coeffs - want.coeffs)))
     return defects
+
+
+def hilbert_commutator(v, f):
+    """[H; v]f = H[vf] - v H[f]."""
+    return hilbert(pointwise_product(v, f)) - pointwise_product(v, hilbert(f))
+
+
+def derivative_commutator(k, v, f):
+    """[d^k; v]f = d^k(vf) - v d^k f."""
+    return derivative(pointwise_product(v, f), k) - pointwise_product(v, derivative(f, k))
+
+
+def lemma_comm1(v, f, s):
+    lhs = sobolev_norm(hilbert_commutator(v, f), 0)
+    return lhs, sobolev_norm(v, s) * sobolev_norm(f, 0)
+
+
+def lemma_comm2(v, f, s):
+    lhs = sobolev_norm(hilbert_commutator(v, derivative(f)), 0)
+    return lhs, sobolev_norm(derivative(v), s) * sobolev_norm(f, 0)
+
+
+def lemma_comm3(v, f, s):
+    fx = derivative(f)
+    inner = hilbert_commutator(v, fx)
+    outer = hilbert(inner) - hilbert_commutator(v, hilbert(fx))
+    lhs = sobolev_norm(derivative(outer), 0)
+    return lhs, sobolev_norm(derivative(v, 2), s) * sobolev_norm(f, 0)
+
+
+def lemma_a2(v, f, m):
+    lhs = sobolev_norm(hilbert_commutator(v, f), m)
+    return lhs, sobolev_norm(derivative(v, m), 0) * sobolev_norm(f, 1)
+
+
+def lemma_a3(v, f, mp):
+    m, p = mp
+    lhs = sobolev_norm(hilbert_commutator(v, derivative(f, p)), m)
+    return lhs, sobolev_norm(derivative(v, m + p), 0) * sobolev_norm(f, 1)
+
+
+def lemma_prod4(v, f, m):
+    lhs = sobolev_norm(pointwise_product(v, f), m)
+    return lhs, linf_norm(v) * sobolev_norm(f, m) + sobolev_norm(v, m) * linf_norm(f)
+
+
+def lemma_comm4(v, f, mk):
+    _, k = mk
+    lhs = sobolev_norm(derivative_commutator(k, v, f), 0)
+    return lhs, linf_norm(v) * sobolev_norm(f, k) + sobolev_norm(v, k) * linf_norm(f)
+
+
+def lemma_comm5(v, f, mk):
+    _, k = mk
+    lhs = sobolev_norm(derivative_commutator(k, v, f), 0)
+    rhs = linf_norm(derivative(v)) * sobolev_norm(f, k - 1) + sobolev_norm(v, k) * linf_norm(f)
+    return lhs, rhs
+
+
+def lemma_a5(v, f, m):
+    fxx = derivative(f, 2)
+    lhs_field = hilbert(derivative_commutator(m, v, fxx)) - derivative_commutator(
+        m, v, hilbert(fxx))
+    lhs = sobolev_norm(lhs_field, 0)
+    return lhs, sobolev_norm(derivative(v), m) * sobolev_norm(derivative(f), 1)
+
+
+LEMMA_ORACLES = {
+    "A1_comm_1": lemma_comm1,
+    "A1_comm_2": lemma_comm2,
+    "A1_comm_3": lemma_comm3,
+    "A2": lemma_a2,
+    "A3": lemma_a3,
+    "A4_prod": lemma_prod4,
+    "A4_comm_4": lemma_comm4,
+    "A4_comm_5": lemma_comm5,
+    "A5": lemma_a5,
+}
 
 
 def random_trig_field_scalar(grid, kmax, rng, decay=2.0, amplitude=1.0):

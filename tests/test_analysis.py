@@ -41,6 +41,7 @@ from amp_sheet.spectral import (
 )
 
 from _oracles import (
+    LEMMA_ORACLES,
     apply_linearized_alt,
     commutator_vh,
     hilbert_identities_per_sample,
@@ -555,25 +556,48 @@ class TestCommutatorCampaigns:
             assert every[lemma].extras == one.extras, lemma
             assert every[lemma].params == one.params, lemma
 
-    def test_block_equals_one_field_per_sample(self):
-        # every lemma on one stacked block gives, bitwise, the ratios of its
-        # samples evaluated one SpectralField pair at a time
+    @pytest.mark.parametrize("params", [
+        None,
+        {"A1_comm_1": 1.5, "A1_comm_2": 1.5, "A1_comm_3": 1.5, "A2": 3, "A3": (3, 2),
+         "A4_prod": 3, "A4_comm_4": (3, 1), "A4_comm_5": (3, 1), "A5": 3},
+    ], ids=["canonical", "other"])
+    def test_block_equals_one_field_per_sample(self, params):
+        # every lemma on one stacked block, its products shared, gives bitwise
+        # the ratios of its samples evaluated one SpectralField pair at a time
+        # by the evaluators that composed their own products
         from amp_sheet.analysis import _LEMMAS, _campaign_block, _ratio
         from amp_sheet.spectral import regrid
         children = np.random.SeedSequence(5).spawn(5)
         sizes = (64, 128)
-        lemmas = tuple((lemma, param) for lemma, (_, _, param) in _LEMMAS.items())
-        block = _campaign_block(lemmas, children, 10, sizes, 2.0)
+        params = params or {lemma: canonical for lemma, (_, _, canonical) in _LEMMAS.items()}
+        block = _campaign_block(tuple(params.items()), children, 10, sizes, 2.0)
         assert list(block) == list(_LEMMAS)
-        for lemma, (fn, _, param) in _LEMMAS.items():
+        for lemma, param in params.items():
             assert block[lemma].shape == (5, 2)
             for child, row in zip(children, block[lemma]):
                 rng = np.random.default_rng(child)
                 v = random_trig_field(TorusGrid(64), 10, rng)
                 f = random_trig_field(TorusGrid(64), 10, rng)
                 for n, got in zip(sizes, row):
-                    want = _ratio(*fn(regrid(v, TorusGrid(n)), regrid(f, TorusGrid(n)), param))
+                    grid = TorusGrid(n)
+                    want = _ratio(*LEMMA_ORACLES[lemma](regrid(v, grid), regrid(f, grid), param))
                     assert got == want, (lemma, n)
+
+    def test_block_transform_budget(self, monkeypatch):
+        # one 8-sample block of the nine canonical lemmas on (256, 512): one
+        # synthesis of v and one product per image of f on each grid, plus the
+        # sup norms (138 transforms when each lemma formed its own products)
+        from amp_sheet.analysis import _LEMMAS, _campaign_block
+        calls = []
+        for name in ("rfft", "irfft"):
+            def counted(*args, _fn=getattr(np.fft, name), **kwargs):
+                calls.append(1)
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(np.fft, name, counted)
+        lemmas = tuple((lemma, canonical) for lemma, (_, _, canonical) in _LEMMAS.items())
+        children = np.random.SeedSequence(0).spawn(8)
+        _campaign_block(lemmas, children, 256 // 6, (256, 512), 2.0)
+        assert 0 < len(calls) <= 50
 
     def test_one_draw_equals_scalar_draws(self):
         # coefficients bitwise equal to the per-mode scalar draws, and the

@@ -553,6 +553,18 @@ class TestGrowth:
         assert "'epsilon'" in out.output
         assert not dest.exists()
 
+    def test_tiny_epsilon_measures_the_rate(self, runner, tmp_path):
+        # a seed far below 1 grows like any other: its samples stay above a
+        # floor set by their own peak, so the rate is measured and passes
+        cfg = write_config(tmp_path, "c.json", {**GROWTH_SIM, "mu": -1.0, "modes": [4],
+                                                 "epsilon": 1e-20})
+        dest = tmp_path / "o"
+        out = runner.invoke(main, ["growth", "--config", cfg,
+                                   "--output", str(dest), "--quiet"])
+        assert out.exit_code == 0, out.output
+        rate = json.loads((dest / "summary.json").read_text())["rates"]["4"]
+        assert rate == pytest.approx(4.0, rel=1e-6)
+
     def test_no_modes_is_config_error(self, runner, tmp_path):
         # a sweep over no mode measures nothing: rejected before any solve
         cfg = write_config(tmp_path, "c.json", {**GROWTH_SIM, "mu": -1.0, "modes": []})

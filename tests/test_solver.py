@@ -878,6 +878,15 @@ class TestGrowth:
         rates = measure_mode_growth(traj, [2])
         assert rates[2] == pytest.approx(3.0, rel=1e-6)
 
+    @pytest.mark.parametrize("amplitude", [1e-20, 1e-6, 1e3])
+    def test_rate_does_not_depend_on_the_amplitude(self, amplitude):
+        # the floor that drops samples is relative to the peak: a seed far
+        # below 1 keeps every sample, as a large one does
+        ts = np.linspace(0.0, 1.0, 51)
+        phis = [cosine(GRID, 2, amplitude * np.exp(3.0 * t)) for t in ts]
+        traj = Trajectory(ts, phis, [zeros(GRID)] * 51)
+        assert measure_mode_growth(traj, [2])[2] == pytest.approx(3.0, rel=1e-6)
+
     def test_elliptic_rates(self):
         # mu = -1, base 0: seeding (eps cos kx, eps k cos kx) selects the
         # pure e^{kt} branch with rate exactly |k| sqrt(|mu|)

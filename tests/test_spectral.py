@@ -116,6 +116,22 @@ class TestMultipliers:
         f2 = cosine(g, 2)
         assert np.max(np.abs(derivative(f2, 2).coeffs - (-4.0 * f2).coeffs)) < 1e-13
 
+    def test_cached_symbols_equal_the_literal_formulas(self):
+        # derivative and sobolev_norm read their symbols from per-(n, p) and
+        # per-(n, s) caches: bitwise the formulas they replace, and read-only
+        from amp_sheet.spectral import _derivative_values, _sobolev_weights
+        for n in (32, 256, 512):
+            k = TorusGrid(n).modes
+            c = random_band_field(TorusGrid(n), n // 3, np.random.default_rng(n)).coeffs
+            for p in (0, 1, 2, 3, 5):
+                assert np.array_equal(derivative(c, p), (1j * k) ** p * c)
+                assert not _derivative_values(n, p).flags.writeable
+            for s in (0, 1, 1.5, 2, 3):
+                w = (1.0 + np.abs(k)) ** (2.0 * s)
+                want = np.sqrt(np.sum(w * np.abs(c) ** 2, axis=-1) / TWO_PI)
+                assert sobolev_norm(c, s) == want
+                assert not _sobolev_weights(n, s).flags.writeable
+
     def test_batched_derivative_and_norm_equal_per_row(self):
         # a (..., n-1) coefficient array goes through the same code as one
         # field, row by row, bitwise
