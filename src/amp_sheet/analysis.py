@@ -748,8 +748,10 @@ def verify_forcing_bound(data, mu, delta, nu=10, gamma=1.0):
     polynomial with no constant term in the data norms H^{nu+1} x H^nu);
     lhs is the unscaled forcing norm and rhs the unscaled data size.
     Extras carry the forcing norm at each scale and the horizon-shrink
-    ratios of the weighted norm, which decay like sqrt(T) inside the plateau.
+    ratios of the weighted norm, which decay like sqrt(T) inside the plateau;
+    its weight gamma must be at least 1, as in every weighted norm.
     """
+    spec = WeightedNormSpec(gamma)
     scales = (1.0, 0.5, 0.25, 0.125)
     lifts = [build_lifting(data.scaled(a), mu, delta) for a in scales]
     values = np.array([
@@ -761,7 +763,6 @@ def verify_forcing_bound(data, mu, delta, nu=10, gamma=1.0):
     else:
         order = float(np.polyfit(np.log(scales), np.log(values), 1)[0])
 
-    spec = WeightedNormSpec(max(gamma, 1.0))
     r = lifts[0].ramp_width
     horizon_norms = []
     for horizon in (r, r / 2.0, r / 4.0):

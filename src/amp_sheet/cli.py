@@ -91,17 +91,22 @@ def _typed(key, value, default):
     raise ValueError(f"config key {key!r} holds {json.dumps(value)}, expected {_KINDS[kind]}")
 
 
+def _not_json(name):
+    raise ValueError(f"config holds {name}, which is not JSON")
+
+
 def _read_config(path, table):
     """The resolved config of a command: the JSON object at `path` (none:
     {}) checked against `table`, {key: default} or a function of the raw
     object that returns one, and completed with the defaults.  Unknown
     keys, missing required keys and values of the wrong type raise
-    ValueError naming the key."""
+    ValueError naming the key, and NaN or Infinity, which are not JSON,
+    ValueError naming the constant."""
     raw = {}
     if path is not None:
         try:
             with open(path, "r", encoding="utf-8") as fh:
-                raw = json.load(fh)
+                raw = json.load(fh, parse_constant=_not_json)
         except json.JSONDecodeError as exc:
             raise ValueError(f"malformed config {path}: {exc}") from None
         if not isinstance(raw, dict):

@@ -26,16 +26,17 @@ fields, reading the _plan of (n, K); the solvers step such rows
 directly.  The public operators check (..., n-1) bands, run the kernel on
 k = 1..n/2-1 and mirror the result back by c(-k) = conj c(k) (spectral._band).
 
-The kernels' three transforms are each defined once, as a batched real
-FFT, which grids of more than _DENSE_MAX_N points call.  Up to it, where
-an FFT call costs its fixed overhead rather than arithmetic, each is a
+The kernels' two transforms, the synthesis of (p, p_x, p_xx, H p_xx) and
+the analysis of (a, b), are each defined once as a batched real FFT, and
+_plan picks how to run them: the FFT above _DENSE_MAX_N points; up to
+it, where an FFT call costs its fixed overhead rather than arithmetic, a
 product of the float rows with a real table (the matrix multiplication
-transform of Boyd, Chebyshev and Fourier Spectral Methods, ch. 10), which
-_dense_tables builds once per n as the FFT at the unit inputs of the
-whole band.  One vector-matrix BLAS call per row gives each row of a
-batch the bits of that row alone, and the analysis always produces the
-whole band before keeping k <= K, so a kernel on K = N gives the bits of
-the public operator kept to N.
+transform of Boyd, Chebyshev and Fourier Spectral Methods, ch. 10) that
+_dense_tables builds once per n from the FFT at the unit inputs.  One
+vector-matrix BLAS call per row gives each row of a batch the bits of
+that row alone, and the analysis always produces the whole band before
+keeping k <= K, so a kernel on K = N gives the bits of the public
+operator kept to N.  The stability coefficient is one FFT on every grid.
 
 Besides N and its first and second derivatives this module owns the
 Cauchy data container, time-sampled trajectories, the smooth compactly
@@ -47,7 +48,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from collections import namedtuple
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -231,72 +232,66 @@ def _synthesis(h, symbol, m):
     return np.fft.irfft(spec, m)
 
 
-def _synthesis_fft(h, n):
+def _synthesis_fft(x, n):
     """(p, p_x, p_xx, H p_xx), p = H phi, on the 3/2-padded grid of an
-    n-point grid, shape (..., 4, m), for the fields phi whose coefficients
-    k = 1..K are the last axis of `h`: one batched inverse real FFT."""
+    n-point grid, shape (..., 4, m), for the fields phi with the float rows
+    `x` (any K <= n/2-1): one batched inverse real FFT."""
     m, up, *_ = _symbols(n)
+    h = np.ascontiguousarray(x).view(complex)
     return _synthesis(h[..., None, :], up[:, :h.shape[-1]], m)
 
 
 def _analysis_fft(ab, n, K):
-    """The coefficients k = 1..K of d/dx(H[a] - b) from the values of (a, b)
+    """The float rows, k = 1..K, of d/dx(H[a] - b) from the values of (a, b)
     on the padded grid of an n-point grid, a (..., 2, m) buffer: one batched
     real FFT, then k (a^(k) - i b^(k)) (the symbol `down`)."""
     _, _, down, _ = _symbols(n)
     ab = np.fft.rfft(ab)[..., 1:K + 1]
-    return down[:K] * (ab[..., 0, :] - 1j * ab[..., 1, :])
-
-
-def _slope_fft(h, n):
-    """Values of -2 (H phi)_x at the n grid nodes, shape (..., n), for the
-    fields phi whose coefficients k = 1..K are the last axis of `h`: one
-    batched inverse real FFT."""
-    _, _, _, slope = _symbols(n)
-    return -2.0 * _synthesis(h, slope[:h.shape[-1]], n)
+    return (down[:K] * (ab[..., 0, :] - 1j * ab[..., 1, :])).view(float)
 
 
 @lru_cache(maxsize=8)
 def _dense_tables(n):
     """Real tables of the kernels' transforms on an n-point grid, for the
-    coefficients k = 1..n/2-1 of real zero-mean fields read as interleaved
-    (Re, Im) floats; a kernel on k = 1..K reads the first 2K rows.
+    coefficients k = 1..n/2-1 of real zero-mean fields read as float rows;
+    a kernel on k = 1..K reads the first 2K rows of the synthesis table.
 
-    Returns (synthesis, analysis, stability), of shapes (n-2, 4m), (2m, n-2)
-    and (n-2, n): _synthesis_fft, _analysis_fft over the whole band and
-    _slope_fft at the unit inputs, row j the image of the j-th unit float
-    (the rows of an identity, read as complex for e_k and i e_k).
+    Returns (synthesis, analysis), of shapes (n-2, 4m) and (2m, n-2):
+    _synthesis_fft and _analysis_fft over the whole band at the unit inputs,
+    row j the image of the j-th unit float (the rows of an identity).
     """
     m = _padded_size(n)
-    unit = np.eye(n - 2).view(complex)
-    tables = (_synthesis_fft(unit, n).reshape(n - 2, 4 * m),
-              _analysis_fft(np.eye(2 * m).reshape(2 * m, 2, m), n, n // 2 - 1).view(float),
-              _slope_fft(unit, n))
+    tables = (_synthesis_fft(np.eye(n - 2), n).reshape(n - 2, 4 * m),
+              _analysis_fft(np.eye(2 * m).reshape(2 * m, 2, m), n, n // 2 - 1))
     for a in tables:
         a.flags.writeable = False
     return tables
 
 
-_Plan = namedtuple("_Plan", "n m lap synthesis analysis stability")
-
-
-def _plan(n, K):
-    """The kernels' data on k = 1..K of an n-point grid: m, the interleaved
-    symbol -k^2 (2K floats) and, up to _DENSE_MAX_N points, the rows [:2K]
-    of the synthesis and stability tables and the analysis table, which
-    stays whole-band so a kernel gives the public operator's bits (None
-    above, where the FFTs read _symbols).  The solvers build one per solve."""
-    lap = np.repeat(-np.arange(1.0, K + 1) ** 2, 2)
-    if n > _DENSE_MAX_N:
-        return _Plan(n, _padded_size(n), lap, None, None, None)
-    synthesis, analysis, stability = _dense_tables(n)
-    return _Plan(n, _padded_size(n), lap, synthesis[:2 * K], analysis, stability[:2 * K])
+_Plan = namedtuple("_Plan", "lap synthesis analysis")
 
 
 def _row_products(x, table):
     """x @ table over the last axis of `x`, one vector-matrix product per
     row, so every row of a batch gives the bits of that row alone."""
     return (x[..., None, :] @ table)[..., 0, :]
+
+
+def _plan(n, K):
+    """The kernels' data on k = 1..K of an n-point grid: the interleaved
+    symbol -k^2 (2K floats) and the synthesis and analysis the kernels
+    call, those of _synthesis_fft and _analysis_fft.  Up to _DENSE_MAX_N
+    points they are products with the rows [:2K] of the synthesis table
+    and with the whole-band analysis table kept to k <= K, which gives the
+    public operator's bits; above, the FFTs.  The solvers build one per solve."""
+    lap = np.repeat(-np.arange(1.0, K + 1) ** 2, 2)
+    if n > _DENSE_MAX_N:
+        return _Plan(lap, partial(_synthesis_fft, n=n), partial(_analysis_fft, n=n, K=K))
+    synthesis, analysis = _dense_tables(n)
+    synthesis, m = synthesis[:2 * K], _padded_size(n)
+    return _Plan(lap,
+                 lambda x: _row_products(x, synthesis).reshape(x.shape[:-1] + (4, m)),
+                 lambda ab: _row_products(ab.reshape(ab.shape[:-2] + (-1,)), analysis)[..., :2 * K])
 
 
 def _float_rows(c, K=None):
@@ -308,53 +303,34 @@ def _float_rows(c, K=None):
     return h.view(float)
 
 
-def _synthesized(x, plan):
-    """(p, p_x, p_xx, H p_xx), p = H phi, on the padded grid, shape
-    (..., 4, m), for the fields phi with the float rows `x`: one table
-    product per row on small grids, the FFT on large ones."""
-    if plan.synthesis is None:
-        return _synthesis_fft(np.ascontiguousarray(x).view(complex), plan.n)
-    v = _row_products(x, plan.synthesis)
-    return v.reshape(v.shape[:-1] + (4, plan.m))
-
-
-def _analyzed(ab, plan):
-    """The float rows of d/dx(H[a] - b) from the (..., 2, m) values of
-    (a, b): on small grids one table product per row over the whole band,
-    kept to k <= K; the FFT on large ones."""
-    if plan.analysis is None:
-        return _analysis_fft(ab, plan.n, plan.lap.size // 2).view(float)
-    return _row_products(ab.reshape(ab.shape[:-2] + (-1,)), plan.analysis)[..., :plan.lap.size]
-
-
 def _nonlinear_rows(x, mu_lap, plan):
     """The float rows of mu phi_xx + N(phi) from those of phi, `x`, with
     mu_lap = mu * plan.lap: the fused kernel of nonlinear_operator, unchecked."""
-    v = _synthesized(x, plan)
+    v = plan.synthesis(x)
     p, px, pxx, hpxx = v.swapaxes(0, -2)
     ab = np.empty(v.shape[:-2] + (2, v.shape[-1]))
     np.multiply(px, px, out=ab[..., 0, :])
     ab[..., 0, :] += p * pxx
     np.multiply(p, hpxx, out=ab[..., 1, :])
-    return mu_lap * x + _analyzed(ab, plan)
+    return mu_lap * x + plan.analysis(ab)
 
 
-def _stability_values(x, mu, plan):
+def _stability_values(x, mu, n):
     """Values of mu - 2 (H phi)_x at the n grid nodes, shape (..., n), from
-    the float rows `x` of phi: the kernel of stability_coefficient, by one
-    table product per row on small grids and _slope_fft on large ones."""
-    if plan.stability is None:
-        return mu + _slope_fft(np.ascontiguousarray(x).view(complex), plan.n)
-    return mu + _row_products(x, plan.stability)
+    the float rows `x` of phi: the kernel of stability_coefficient, one
+    batched inverse real FFT of k phi^(k) (the symbol `slope`) on every grid."""
+    *_, slope = _symbols(n)
+    h = np.ascontiguousarray(x).view(complex)
+    return mu - 2.0 * _synthesis(h, slope[:h.shape[-1]], n)
 
 
 def _linearized_rows(v0, x, mu_lap, plan):
-    """The float rows of mu phi_xx + dN[phi0]phi from v0 = _synthesized of
-    phi0, shape (..., 4, m), and the float rows `x` of phi, with
+    """The float rows of mu phi_xx + dN[phi0]phi from v0, the (..., 4, m)
+    synthesis of phi0, and the float rows `x` of phi, with
     mu_lap = mu * plan.lap: the kernel of apply_linearized_operator, with no
     check.  v0 and x broadcast.  Like _nonlinear_rows it applies mu phi_xx
     exactly, so with phi0 = 0 the result is diagonal in k bitwise."""
-    v = _synthesized(x, plan)
+    v = plan.synthesis(x)
     p0, p0x, p0xx, hp0xx = v0.swapaxes(0, -2)
     p, px, pxx, hpxx = v.swapaxes(0, -2)
     ab = np.empty(np.broadcast(v0, v).shape[:-2] + (2, v.shape[-1]))
@@ -363,7 +339,7 @@ def _linearized_rows(v0, x, mu_lap, plan):
     ab[..., 0, :] += p * p0xx
     np.multiply(p0, hpxx, out=ab[..., 1, :])
     ab[..., 1, :] += p * hp0xx
-    return mu_lap * x + _analyzed(ab, plan)
+    return mu_lap * x + plan.analysis(ab)
 
 
 def quadratic_rhs(phi):
@@ -436,7 +412,7 @@ def apply_linearized_operator(phi0, phiP, mu):
     c0, c = _coeffs(phi0), _coeffs(phiP)
     n = c.shape[-1] + 1
     plan = _plan(n, n // 2 - 1)
-    v0 = _synthesized(_float_rows(c0), plan)
+    v0 = plan.synthesis(_float_rows(c0))
     out = _band(_linearized_rows(v0, _float_rows(c), mu * plan.lap, plan).view(complex), n)
     if isinstance(phi0, SpectralField) and isinstance(phiP, SpectralField):
         return SpectralField(phiP.grid, out, True)
@@ -453,7 +429,7 @@ def stability_coefficient(phi, mu):
     """
     c = _coeffs(phi)
     n = c.shape[-1] + 1
-    vals = _stability_values(_float_rows(c), mu, _plan(n, n // 2 - 1))
+    vals = _stability_values(_float_rows(c), mu, n)
     return vals, float(np.min(vals))
 
 

@@ -11,9 +11,9 @@ hold by construction at every stage, and no stage is masked, mirrored or
 checked.  Each stage calls one acceleration map
 (stage index, phi row) -> phi_tt row, semidiscrete_rhs_nonlinear or
 semidiscrete_rhs_linearized, which runs the private float-row kernels of
-operators (the public operators are those kernels plus checks) against
-their cached per-(n, N) plan: synthesis reads only k = 1..N on the
-3/2-padded grid, and analysis keeps k = 1..N of its result.  The two
+operators (the public operators are those kernels plus checks) with the
+_plan of (n, N) that the map builds once: synthesis reads only k = 1..N
+on the 3/2-padded grid, and analysis keeps k = 1..N of its result.  The two
 systems are the full quadratically nonlinear equation, and its
 linearization around a prescribed time-dependent base profile with an
 optional forcing term.
@@ -54,7 +54,6 @@ from .operators import (
     _require_real,
     _require_real_zero_mean,
     _stability_values,
-    _synthesized,
     require_margin,
 )
 from .spectral import SpectralField, TorusGrid, _band, zeros
@@ -214,7 +213,7 @@ def semidiscrete_rhs_linearized(base_rows, g_rows, cfg):
     carry modes above N."""
     plan = _plan(cfg.grid_n, cfg.galerkin_N)
     mu_lap = cfg.mu * plan.lap
-    base = _synthesized(_float_rows(base_rows), _plan(cfg.grid_n, cfg.grid_n // 2 - 1))
+    base = _plan(cfg.grid_n, cfg.grid_n // 2 - 1).synthesis(_float_rows(base_rows))
     g = _float_rows(g_rows, cfg.galerkin_N)
     return lambda s, x: _linearized_rows(base[s], x, mu_lap, plan) + g[s]
 
@@ -298,9 +297,8 @@ def solve_nonlinear(cfg, data):
     if data.grid.n != cfg.grid_n:
         raise ValueError("data grid does not match the configured grid")
     require_margin(data.phi0, cfg.mu, cfg.delta, "initial data")
-    plan = _plan(cfg.grid_n, cfg.galerkin_N)
     return _march(cfg, semidiscrete_rhs_nonlinear(cfg), *_galerkin_state(data, cfg),
-                  lambda nodes, phi_rows: _stability_values(phi_rows, cfg.mu, plan),
+                  lambda nodes, phi_rows: _stability_values(phi_rows, cfg.mu, cfg.grid_n),
                   abort_on_stability=True)
 
 
@@ -330,8 +328,7 @@ def solve_linearized(cfg, base=None, forcing=None, initial_state=None):
             raise ValueError("initial state grid does not match the configured grid")
         state = _galerkin_state(initial_state, cfg)
 
-    base_vals = _stability_values(_float_rows(base_rows[::2]), cfg.mu,
-                                  _plan(cfg.grid_n, cfg.grid_n // 2 - 1))
+    base_vals = _stability_values(_float_rows(base_rows[::2]), cfg.mu, cfg.grid_n)
     return _march(cfg, semidiscrete_rhs_linearized(base_rows, g_rows, cfg), *state,
                   lambda nodes, phi_rows: base_vals[nodes], abort_on_stability=False)
 

@@ -234,13 +234,14 @@ class TestApplyLinearized:
             broadcast = apply_linearized(
                 lambda t, c=coeffs: np.broadcast_to(c, (len(t), n - 1)), traj, 1.2)
             shapes = []
-            real = operators._synthesized
+            real = operators._plan
 
-            def counted(x, plan, real=real):
-                shapes.append(x.shape)
-                return real(x, plan)
+            def counted(n, K, real=real):
+                plan = real(n, K)
+                return plan._replace(
+                    synthesis=lambda x: shapes.append(x.shape) or plan.synthesis(x))
 
-            monkeypatch.setattr(operators, "_synthesized", counted)
+            monkeypatch.setattr(operators, "_plan", counted)
             frozen = apply_linearized(base, traj, 1.2)
             monkeypatch.undo()
             assert np.array_equal(frozen.phi, broadcast.phi)

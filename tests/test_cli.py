@@ -179,6 +179,16 @@ MALFORMED = [
     ("nash-moser", {"dealias": True}, "dealias"),
     # one superposed solve would seed a repeated mode twice
     ("growth", {"modes": [4, 4]}, "modes"),
+    # NaN and Infinity, which Python's JSON reader takes, are not JSON: the
+    # error names the constant
+    ("simulate", {"delta": float("nan")}, "NaN"),
+    ("simulate", {"mu": float("nan")}, "NaN"),
+    ("simulate", {"phi0": {"cos": {"1": float("nan")}}}, "NaN"),
+    ("verify-estimates", {"estimate": "forcing", "pairs": None, "gammas": None,
+                          "gamma": float("inf")}, "Infinity"),
+    # gamma >= 1, as in every weighted norm, rather than raised to 1
+    ("verify-estimates", {"estimate": "forcing", "pairs": None, "gammas": None,
+                          "gamma": 0.5}, "gamma"),
 ]
 
 

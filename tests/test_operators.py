@@ -351,10 +351,10 @@ class TestTransformPaths:
                 # a plan picks its path when built
                 monkeypatch.setattr(ops, "_DENSE_MAX_N", bound)
                 plan = ops._plan(n, K)
-                v0 = ops._synthesized(base, ops._plan(n, n // 2 - 1))
+                v0 = ops._plan(n, n // 2 - 1).synthesis(base)
                 got[bound] = (ops._nonlinear_rows(x, 0.9 * plan.lap, plan).view(complex),
                               ops._linearized_rows(v0, x, 0.9 * plan.lap, plan).view(complex),
-                              ops._stability_values(x, 0.9, plan))
+                              ops._stability_values(x, 0.9, n))
             for table, fft in zip(got[n], got[n - 1]):
                 assert table.shape == fft.shape
                 assert np.max(np.abs(table - fft)) <= 1e-13 * np.max(np.abs(fft)), K
@@ -364,12 +364,10 @@ class TestTransformPaths:
         # rows 2k-2, 2k-1 of a synthesis table are e_k and i e_k; row j of
         # the analysis table is the j-th point value of the (a, b) buffer
         m = _padded_size(n)
-        unit = np.eye(n - 2).view(complex)
-        synthesis, analysis, stability = ops._dense_tables(n)
-        assert np.array_equal(synthesis, ops._synthesis_fft(unit, n).reshape(n - 2, 4 * m))
+        synthesis, analysis = ops._dense_tables(n)
+        assert np.array_equal(synthesis, ops._synthesis_fft(np.eye(n - 2), n).reshape(n - 2, 4 * m))
         assert np.array_equal(analysis, ops._analysis_fft(
-            np.eye(2 * m).reshape(2 * m, 2, m), n, n // 2 - 1).view(float))
-        assert np.array_equal(stability, ops._slope_fft(unit, n))
+            np.eye(2 * m).reshape(2 * m, 2, m), n, n // 2 - 1))
 
     @pytest.mark.parametrize("n, ffts", [(ops._DENSE_MAX_N, 0), (2 * ops._DENSE_MAX_N, 2)])
     def test_bound_selects_the_path(self, n, ffts, monkeypatch):
@@ -385,6 +383,18 @@ class TestTransformPaths:
         quadratic_rhs(phi)
         assert len(calls) == ffts
 
+    @pytest.mark.parametrize("n", [32, 64, 128])
+    def test_stability_is_one_fft_and_builds_no_table(self, n, monkeypatch):
+        # mu - 2 (H phi)_x is one inverse real FFT on both sides of the
+        # bound, and reads no cached table
+        phi = cosine(TorusGrid(n), 1, 0.1)
+        calls, tables = [], []
+        real = np.fft.irfft
+        monkeypatch.setattr(np.fft, "irfft", lambda *a, **kw: calls.append(1) or real(*a, **kw))
+        monkeypatch.setattr(ops, "_dense_tables", lambda n: tables.append(n))
+        stability_coefficient(phi, 1.0)
+        assert len(calls) == 1 and tables == []
+
     def test_strided_and_broadcast_rows(self):
         # on both transform paths a row gives the same bits whether it
         # stands alone, sits in a contiguous batch, in every other row of
@@ -398,11 +408,11 @@ class TestTransformPaths:
             c = self.bands(grid, K, rng, 6)
             c0 = random_field(grid, n // 2 - 1, rng).coeffs
             x = ops._float_rows(c, K)
-            v0 = ops._synthesized(ops._float_rows(c0), full)
-            kernels = (lambda y: ops._synthesized(y, plan),
+            v0 = full.synthesis(ops._float_rows(c0))
+            kernels = (plan.synthesis,
                        lambda y: ops._nonlinear_rows(y, 0.7 * plan.lap, plan),
                        lambda y: ops._linearized_rows(v0, y, 0.7 * plan.lap, plan),
-                       lambda y: ops._stability_values(y, 0.7, plan))
+                       lambda y: ops._stability_values(y, 0.7, n))
             strided_last = ops._float_rows(np.repeat(c, 2, axis=-1)[..., ::2], K)
             for h in (x, x[::2], np.broadcast_to(x[1], (4, 2 * K)), strided_last):
                 dense = np.ascontiguousarray(h)
@@ -419,7 +429,7 @@ class TestTransformPaths:
                                   keep(apply_linearized_operator(c0, c, 0.7))[..., :K])
             assert np.array_equal(kernels[3](x), stability_coefficient(c, 0.7)[0])
             # a broadcast base against a batch, in the kernel and the public operator
-            many = ops._synthesized(np.broadcast_to(ops._float_rows(c0), (6, n - 2)), full)
+            many = full.synthesis(np.broadcast_to(ops._float_rows(c0), (6, n - 2)))
             assert np.array_equal(ops._linearized_rows(many, x, 0.7 * plan.lap, plan), kernels[2](x))
             u = random_field(grid, 8, rng).coeffs
             assert np.array_equal(apply_linearized_operator(np.broadcast_to(u, c.shape), c, 1.1),
