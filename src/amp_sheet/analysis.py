@@ -68,7 +68,7 @@ class WeightedNormSpec:
     gamma: float
 
     def __post_init__(self):
-        if self.gamma < 1.0:
+        if not self.gamma >= 1.0:
             raise ValueError("gamma must be at least 1")
 
 

@@ -8,7 +8,7 @@ deterministic (no timestamps, sorted JSON keys, 17-significant-digit CSV
 numbers) and every file embeds the resolved config, every key with its
 default filled in, and the package version; that config fed back as
 --config reproduces the artifacts byte for byte on the same machine and
-BLAS kernel (grids of at most 64 points transform by BLAS table
+BLAS kernel (kernels with K m <= 10000 transform by BLAS table
 products, whose last bits depend on the kernel).  Exit codes: 0 success,
 1 hard verification failure, 2 config or usage error (a time step above
 the CFL limit included), 3 completed-with-flags (stability crossing,

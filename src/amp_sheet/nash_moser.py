@@ -74,13 +74,13 @@ class IterationConfig:
     residual_tol: float = 1e-8
 
     def __post_init__(self):
-        if self.theta0 < 1.0:
+        if not self.theta0 >= 1.0:
             raise ValueError("theta0 must be at least 1")
         if not 1.0 < self.theta_growth <= 4.0:
             raise ValueError("theta_growth must lie in (1, 4]")
-        if self.max_iters < 1:
+        if not self.max_iters >= 1:
             raise ValueError("max_iters must be positive")
-        if self.residual_tol <= 0.0:
+        if not self.residual_tol > 0.0:
             raise ValueError("residual_tol must be positive")
 
 

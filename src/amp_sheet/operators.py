@@ -12,13 +12,13 @@ initial value problem ill posed.
 
 N is evaluated by one fused kernel through the identity
 H[p_x^2] - [p; H]p_xx = H[p_x^2 + p p_xx] - p H[p_xx]: one synthesis of
-(p, p_x, p_xx, H p_xx) on the 3/2-padded grid and one analysis of the two
-products, on a field or on coefficient arrays with any leading batch
-axes.  The linearized operator mu phi_xx + dN[phi0]phi is the same kernel
-polarized (four synthesized rows of the base, four of the unknown, two
-analyzed), and the first and second derivatives of N are that kernel with
-mu = 0.  The spatial part of the equation itself,
-mu phi_xx + N(phi), is nonlinear_operator, the one place it is formed.
+the rows (p_x, p, p | p_x, p_xx, H p_xx), one product of the two halves,
+and one analysis of (p_x^2, p p_xx, p H p_xx), on a field or on
+coefficient arrays with any leading batch axes.  The linearized operator
+mu phi_xx + dN[phi0]phi is the same kernel polarized: five rows of phi
+times five weights of the base, (2 p0_x, p0, p0_xx, p0, H p0_xx),
+synthesized once.  The derivatives of N are that kernel with mu = 0, and
+nonlinear_operator is the one place mu phi_xx + N(phi) is formed.
 
 Each kernel is a private, unchecked function on float rows, the
 interleaved (Re, Im) floats of the coefficients k = 1..K of real zero-mean
@@ -26,17 +26,21 @@ fields, reading the _plan of (n, K); the solvers step such rows
 directly.  The public operators check (..., n-1) bands, run the kernel on
 k = 1..n/2-1 and mirror the result back by c(-k) = conj c(k) (spectral._band).
 
-The kernels' two transforms, the synthesis of (p, p_x, p_xx, H p_xx) and
-the analysis of (a, b), are each defined once as a batched real FFT, and
-_plan picks how to run them: the FFT above _DENSE_MAX_N points; up to
-it, where an FFT call costs its fixed overhead rather than arithmetic, a
-product of the float rows with a real table (the matrix multiplication
-transform of Boyd, Chebyshev and Fourier Spectral Methods, ch. 10) that
-_dense_tables builds once per n from the FFT at the unit inputs.  One
-vector-matrix BLAS call per row gives each row of a batch the bits of
-that row alone, and the analysis always produces the whole band before
-keeping k <= K, so a kernel on K = N gives the bits of the public
-operator kept to N.  The stability coefficient is one FFT on every grid.
+A kernel pads to its band, not to the grid (the 3/2 rule on the retained
+band, Orszag 1971): N's products have band 2K, exact for k <= K on
+m = 3K + 1 points; the linearization at a base of band B = n/2 - 1 needs
+m = B + 2K + 1, and drops the base's modes k >= m/2, whose products land
+on k > K only.  The transforms are batched real FFTs, and _plan picks by
+one rule in (K, m) how to run them: while K * m <= _TABLE_MAX_KM, where an
+FFT call costs its overhead rather than arithmetic, as products with real
+tables built once from the FFTs at the unit inputs (the matrix
+multiplication transform, Boyd, Chebyshev and Fourier Spectral Methods,
+ch. 10), one BLAS call per row so that a row in a batch keeps its bits;
+above, by the FFTs on a fast length at or above m.  N's analysis table is
+[A; A; B], so a = p_x^2 + p p_xx is summed inside the BLAS call.  A kernel
+on K < n/2 - 1 and the public operator kept to K pad to different grids
+and agree to round-off, not bitwise.  The stability coefficient is one
+FFT on the n nodes.
 
 Besides N and its first and second derivatives this module owns the
 Cauchy data container, time-sampled trajectories, the smooth compactly
@@ -46,13 +50,14 @@ lifted problem into one with zero trace in the past.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from collections import namedtuple
 from functools import lru_cache, partial
 
 import numpy as np
 
-from .spectral import SpectralField, TorusGrid, _band, _coeffs, _like, _padded_size, _positive
+from .spectral import SpectralField, TorusGrid, _band, _coeffs, _frozen, _like, _positive
 
 _TWO_PI = 2.0 * np.pi
 
@@ -70,7 +75,8 @@ class LiftingError(ValueError):
 def _require_real(f, name):
     """Reject a field, or a coefficient array of any batch shape, that is
     not real (flag and conjugate symmetry), with a tolerance relative to
-    1 + max |c| over the whole input.  Returns |c| and that scale."""
+    1 + max |c| over the whole input, or that holds a NaN or infinite
+    coefficient.  Returns |c| and that scale."""
     if isinstance(f, SpectralField):
         if not f.real_flag:
             raise ValueError(f"{name} must be a real field")
@@ -79,7 +85,9 @@ def _require_real(f, name):
         c = np.asarray(f)
     a = np.abs(c)
     scale = 1.0 + a.max()
-    if np.abs(c - c[..., ::-1].conj()).max() > 1e-12 * scale:
+    if not np.isfinite(scale):
+        raise ValueError(f"{name} holds a coefficient that is not finite")
+    if not np.abs(c - c[..., ::-1].conj()).max() <= 1e-12 * scale:
         raise ValueError(f"{name} is flagged real but its coefficients are "
                          "not conjugate symmetric")
     return a, scale
@@ -88,7 +96,7 @@ def _require_real(f, name):
 def _require_real_zero_mean(f, name):
     """_require_real, and reject a nonzero mean (relative tolerance 1e-9)."""
     a, scale = _require_real(f, name)
-    if a[..., a.shape[-1] // 2].max() > 1e-9 * scale:
+    if not a[..., a.shape[-1] // 2].max() <= 1e-9 * scale:
         raise ValueError(f"{name} must have zero mean")
 
 
@@ -196,79 +204,93 @@ class Trajectory:
 FieldSeries = Trajectory
 
 
-#: grids of at most this many points run the kernels' transforms as
-#: products with the cached real tables of _dense_tables; larger grids use
-#: the real FFT, whose cost there is arithmetic rather than call overhead
-_DENSE_MAX_N = 64
+#: a kernel on k = 1..K padded to m points transforms by table products
+#: while K * m, which their arithmetic grows with, is at most this; above
+#: it by real FFTs, whose cost there is arithmetic rather than call overhead
+_TABLE_MAX_KM = 10000
+
+#: each kernel's synthesized rows, as indices into the symbols of
+#: (p, p_x, p_xx, H p_xx, 2 p_x), p = H phi, and the sum each product row
+#: joins, 0 for a and 1 for b.  N multiplies the rows (p_x, p, p) by
+#: (p_x, p_xx, H p_xx); the linearization multiplies the rows of phi by the
+#: weights (2 p0_x, p0, p0_xx, p0, H p0_xx) of its base
+_NONLINEAR = ((1, 0, 0, 1, 2, 3), (0, 0, 1))
+_LINEARIZED = ((1, 2, 0, 3, 0), (0, 0, 0, 1, 1))
+_LINEARIZED_BASE = (4, 0, 2, 0, 3)
 
 
-@lru_cache(maxsize=16)
-def _symbols(n):
-    """Symbols of the kernels on an n-point grid, for the coefficients
-    k = 1..n/2-1 of real zero-mean fields; a kernel on k = 1..K reads the
-    first K columns.
+@lru_cache(maxsize=32)
+def _symbols(K, m):
+    """The (5, K) symbols taking phi^(k), k = 1..K, to the half spectra of
+    (p, p_x, p_xx, H p_xx, 2 p_x), p = H phi, scaled for synthesis on m
+    points, and k * 2pi/m, which takes the half spectrum of a - i b on m
+    points back to N^(k) = k (a^(k) - i b^(k)).  Row 1, at m = n, takes
+    phi^(k) to the n-node values of (H phi)_x."""
+    k = np.arange(1, K + 1, dtype=float)
+    up = np.array([-1j * np.ones_like(k), k, 1j * k**2, k**2, 2.0 * k]) * (m / _TWO_PI)
+    return _frozen(up), _frozen(k * (_TWO_PI / m))
 
-    Returns (m, up, down, slope): the 3/2-padded transform length; the
-    (4, n/2-1) symbols taking phi^(k) to the half spectra of
-    (p, p_x, p_xx, H p_xx), p = H phi, scaled for synthesis on m points;
-    k * 2pi/m, which takes the half spectrum of a - i b back to N^(k); and
-    k * n/2pi, which takes phi^(k) to the half spectrum of (H phi)_x scaled
-    for synthesis on the n nodes.
-    """
-    m = _padded_size(n)
-    k = np.arange(1, n // 2, dtype=float)
-    up = np.array([-1j * np.ones_like(k), k, 1j * k**2, k**2]) * (m / _TWO_PI)
-    down, slope = k * (_TWO_PI / m), k * (n / _TWO_PI)
-    for a in (up, down, slope):
-        a.flags.writeable = False
-    return m, up, down, slope
+
+def _fft_size(m):
+    """The least 2^a 3^b 5^c >= m: a length the real FFTs transform fast."""
+    while True:
+        r = m
+        for p in (2, 3, 5):
+            while r % p == 0:
+                r //= p
+        if r == 1:
+            return m
+        m += 1
 
 
 def _synthesis(h, symbol, m):
     """Values on m points of the real fields whose half spectra are zero at
-    k = 0 and h * symbol at k = 1..K; irfft pads k > K with zeros itself."""
+    k = 0 and h * symbol at k = 1..K: one inverse real FFT, which pads
+    k > K with zeros itself and drops the modes k > m/2."""
     spec = np.zeros(np.broadcast(h, symbol).shape[:-1] + (h.shape[-1] + 1,), complex)
     np.multiply(h, symbol, out=spec[..., 1:])
     return np.fft.irfft(spec, m)
 
 
-def _synthesis_fft(x, n):
-    """(p, p_x, p_xx, H p_xx), p = H phi, on the 3/2-padded grid of an
-    n-point grid, shape (..., 4, m), for the fields phi with the float rows
-    `x` (any K <= n/2-1): one batched inverse real FFT."""
-    m, up, *_ = _symbols(n)
+def _synthesis_fft(x, m, rows):
+    """The values on m points of the rows `rows` of
+    (p, p_x, p_xx, H p_xx, 2 p_x), p = H phi, for the fields phi with the
+    float rows `x`, flattened to (..., len(rows) m): one batched inverse
+    real FFT of the distinct rows, then a gather."""
     h = np.ascontiguousarray(x).view(complex)
-    return _synthesis(h[..., None, :], up[:, :h.shape[-1]], m)
+    up, _ = _symbols(h.shape[-1], m)
+    distinct = sorted(set(rows))
+    v = _synthesis(h[..., None, :], up[distinct], m)
+    return v[..., [distinct.index(r) for r in rows], :].reshape(h.shape[:-1] + (-1,))
 
 
-def _analysis_fft(ab, n, K):
-    """The float rows, k = 1..K, of d/dx(H[a] - b) from the values of (a, b)
-    on the padded grid of an n-point grid, a (..., 2, m) buffer: one batched
-    real FFT, then k (a^(k) - i b^(k)) (the symbol `down`)."""
-    _, _, down, _ = _symbols(n)
-    ab = np.fft.rfft(ab)[..., 1:K + 1]
-    return (down[:K] * (ab[..., 0, :] - 1j * ab[..., 1, :])).view(float)
+def _analysis_fft(v, down, m, sums):
+    """The float rows, k = 1..K, of d/dx(H[a] - b) from the values on m
+    points of the rows of `v`, a (..., S m) buffer whose rows sum to a where
+    `sums` is 0 and to b where it is 1 (the rows of a first): the sums, one
+    batched real FFT of (a, b), then k (a^(k) - i b^(k)) (the K-vector
+    `down`)."""
+    ab = v.reshape(v.shape[:-1] + (len(sums), m))
+    ab = np.fft.rfft(np.add.reduceat(ab, (0, sums.index(1)), axis=-2))[..., 1:down.size + 1]
+    return (down * (ab[..., 0, :] - 1j * ab[..., 1, :])).view(float)
 
 
-@lru_cache(maxsize=8)
-def _dense_tables(n):
-    """Real tables of the kernels' transforms on an n-point grid, for the
-    coefficients k = 1..n/2-1 of real zero-mean fields read as float rows;
-    a kernel on k = 1..K reads the first 2K rows of the synthesis table.
-
-    Returns (synthesis, analysis), of shapes (n-2, 4m) and (2m, n-2):
-    _synthesis_fft and _analysis_fft over the whole band at the unit inputs,
-    row j the image of the j-th unit float (the rows of an identity).
-    """
-    m = _padded_size(n)
-    tables = (_synthesis_fft(np.eye(n - 2), n).reshape(n - 2, 4 * m),
-              _analysis_fft(np.eye(2 * m).reshape(2 * m, 2, m), n, n // 2 - 1))
-    for a in tables:
-        a.flags.writeable = False
-    return tables
+@lru_cache(maxsize=16)
+def _synthesis_table(K, m, rows):
+    """The real (2K, R m) table of _synthesis_fft: the FFT path at the unit
+    inputs, row j the image of the j-th unit float (the rows of an identity)."""
+    return _frozen(_synthesis_fft(np.eye(2 * K), m, rows))
 
 
-_Plan = namedtuple("_Plan", "lap synthesis analysis")
+@lru_cache(maxsize=16)
+def _analysis_table(K, m, sums):
+    """The real (S m, 2K) table of _analysis_fft: the tables A and B of a
+    and b, the FFT path at the unit point values of an (a, b) buffer,
+    stacked as `sums` says, [A; A; B] for N and [A; A; A; B; B] for the
+    linearization."""
+    _, down = _symbols(K, m)
+    ab = _analysis_fft(np.eye(2 * m), down, m, (0, 1)).reshape(2, m, 2 * K)
+    return _frozen(ab[list(sums)].reshape(-1, 2 * K))
 
 
 def _row_products(x, table):
@@ -277,21 +299,31 @@ def _row_products(x, table):
     return (x[..., None, :] @ table)[..., 0, :]
 
 
-def _plan(n, K):
-    """The kernels' data on k = 1..K of an n-point grid: the interleaved
-    symbol -k^2 (2K floats) and the synthesis and analysis the kernels
-    call, those of _synthesis_fft and _analysis_fft.  Up to _DENSE_MAX_N
-    points they are products with the rows [:2K] of the synthesis table
-    and with the whole-band analysis table kept to k <= K, which gives the
-    public operator's bits; above, the FFTs.  The solvers build one per solve."""
+_Plan = namedtuple("_Plan", "lap synthesis analysis base")
+
+
+def _plan(n, K, linearized=False):
+    """A kernel's data on k = 1..K of an n-point grid: the interleaved
+    symbol -k^2 (2K floats) and its transforms.  N pads to m = 3K + 1
+    points, so both products are exact for k <= K (the 3/2 rule on the
+    band); the linearization to m = B + 2K + 1, with B = n/2 - 1 the band
+    of its base, whose weights `base` synthesizes from float rows on
+    k = 1..B (N's plan has base None).  While K * m <= _TABLE_MAX_KM the
+    transforms are table products; above, real FFTs on the least fast FFT
+    length at or above m.  The solvers build one per solve."""
     lap = np.repeat(-np.arange(1.0, K + 1) ** 2, 2)
-    if n > _DENSE_MAX_N:
-        return _Plan(lap, partial(_synthesis_fft, n=n), partial(_analysis_fft, n=n, K=K))
-    synthesis, analysis = _dense_tables(n)
-    synthesis, m = synthesis[:2 * K], _padded_size(n)
-    return _Plan(lap,
-                 lambda x: _row_products(x, synthesis).reshape(x.shape[:-1] + (4, m)),
-                 lambda ab: _row_products(ab.reshape(ab.shape[:-2] + (-1,)), analysis)[..., :2 * K])
+    B = n // 2 - 1
+    m = B + 2 * K + 1 if linearized else 3 * K + 1
+    rows, sums = _LINEARIZED if linearized else _NONLINEAR
+    if K * m <= _TABLE_MAX_KM:
+        synthesis = lambda k, r: partial(_row_products, table=_synthesis_table(k, m, r))
+        analysis = partial(_row_products, table=_analysis_table(K, m, sums))
+    else:
+        m = _fft_size(m)
+        synthesis = lambda k, r: partial(_synthesis_fft, m=m, rows=r)
+        analysis = partial(_analysis_fft, down=_symbols(K, m)[1], m=m, sums=sums)
+    base = synthesis(B, _LINEARIZED_BASE) if linearized else None
+    return _Plan(lap, synthesis(K, rows), analysis, base)
 
 
 def _float_rows(c, K=None):
@@ -305,41 +337,34 @@ def _float_rows(c, K=None):
 
 def _nonlinear_rows(x, mu_lap, plan):
     """The float rows of mu phi_xx + N(phi) from those of phi, `x`, with
-    mu_lap = mu * plan.lap: the fused kernel of nonlinear_operator, unchecked."""
+    mu_lap = mu * plan.lap: the fused kernel of nonlinear_operator,
+    unchecked.  One synthesis of (p_x, p, p, p_x, p_xx, H p_xx), one
+    product of its halves, (p_x^2, p p_xx, p H p_xx), and one analysis
+    that sums the first two into a."""
     v = plan.synthesis(x)
-    p, px, pxx, hpxx = v.swapaxes(0, -2)
-    ab = np.empty(v.shape[:-2] + (2, v.shape[-1]))
-    np.multiply(px, px, out=ab[..., 0, :])
-    ab[..., 0, :] += p * pxx
-    np.multiply(p, hpxx, out=ab[..., 1, :])
-    return mu_lap * x + plan.analysis(ab)
+    half = v.shape[-1] // 2
+    return mu_lap * x + plan.analysis(v[..., :half] * v[..., half:])
 
 
 def _stability_values(x, mu, n):
     """Values of mu - 2 (H phi)_x at the n grid nodes, shape (..., n), from
     the float rows `x` of phi: the kernel of stability_coefficient, one
-    batched inverse real FFT of k phi^(k) (the symbol `slope`) on every grid."""
-    *_, slope = _symbols(n)
+    batched inverse real FFT of k phi^(k) on every grid."""
     h = np.ascontiguousarray(x).view(complex)
-    return mu - 2.0 * _synthesis(h, slope[:h.shape[-1]], n)
+    up, _ = _symbols(h.shape[-1], n)
+    return mu - 2.0 * _synthesis(h, up[1], n)
 
 
-def _linearized_rows(v0, x, mu_lap, plan):
-    """The float rows of mu phi_xx + dN[phi0]phi from v0, the (..., 4, m)
-    synthesis of phi0, and the float rows `x` of phi, with
+def _linearized_rows(w0, x, mu_lap, plan):
+    """The float rows of mu phi_xx + dN[phi0]phi from w0 = plan.base of the
+    float rows of phi0, and the float rows `x` of phi, with
     mu_lap = mu * plan.lap: the kernel of apply_linearized_operator, with no
-    check.  v0 and x broadcast.  Like _nonlinear_rows it applies mu phi_xx
-    exactly, so with phi0 = 0 the result is diagonal in k bitwise."""
-    v = plan.synthesis(x)
-    p0, p0x, p0xx, hp0xx = v0.swapaxes(0, -2)
-    p, px, pxx, hpxx = v.swapaxes(0, -2)
-    ab = np.empty(np.broadcast(v0, v).shape[:-2] + (2, v.shape[-1]))
-    np.multiply(2.0 * p0x, px, out=ab[..., 0, :])
-    ab[..., 0, :] += p0 * pxx
-    ab[..., 0, :] += p * p0xx
-    np.multiply(p0, hpxx, out=ab[..., 1, :])
-    ab[..., 1, :] += p * hp0xx
-    return mu_lap * x + plan.analysis(ab)
+    check.  w0 and x broadcast.  One synthesis of
+    (p_x, p_xx, p, H p_xx, p), one product with the base weights
+    (2 p0_x, p0, p0_xx, p0, H p0_xx), and one analysis summing the first
+    three into a and the last two into b.  Like _nonlinear_rows it applies
+    mu phi_xx exactly, so with phi0 = 0 the result is diagonal in k bitwise."""
+    return mu_lap * x + plan.analysis(plan.synthesis(x) * w0)
 
 
 def quadratic_rhs(phi):
@@ -374,11 +399,12 @@ def nonlinear_operator(phi, mu):
     _nonlinear_rows.
 
     N uses H[p_x^2] - [p; H]p_xx = H[a] - b with a = p_x^2 + p p_xx and
-    b = p H[p_xx]: one synthesis of (p, p_x, p_xx, H p_xx) on the m-point
-    grid (m = 3n/2, so the retained band of both products is exact) and
-    one analysis of (a, b).  For k >= 0 the result is
-    N^(k) = k (a^(k) - i b^(k)); the k < 0 half follows by conjugate
-    symmetry, which is why the input must be conjugate symmetric.
+    b = p H[p_xx]: one synthesis of (p_x, p, p, p_x, p_xx, H p_xx) on the
+    grid padded to the band K = n/2 - 1, m >= 3n/2 - 2 points (see _plan;
+    the retained band of both products is exact there), one product of its
+    halves and one analysis of (p_x^2, p p_xx, p H p_xx).  For k >= 0 the
+    result is N^(k) = k (a^(k) - i b^(k)); the k < 0 half follows by
+    conjugate symmetry, which is why the input must be conjugate symmetric.
     """
     _require_real_zero_mean(phi, "phi")
     c = _coeffs(phi)
@@ -403,17 +429,20 @@ def apply_linearized_operator(phi0, phiP, mu):
         a = 2 p0_x p_x + p0 p_xx + p p0_xx,
         b = p0 H[p_xx] + p H[p0_xx]:
 
-    one synthesis of each argument's four rows (p0, p0_x, p0_xx, H p0_xx
-    and p, p_x, p_xx, H p_xx) on the m-point grid and one analysis of
-    (a, b), by table products or real FFTs (see the module docstring).
+    one synthesis of the base's weights (2 p0_x, p0, p0_xx, p0, H p0_xx)
+    and of phiP's rows (p_x, p_xx, p, H p_xx, p) on m >= 3n/2 - 2 points
+    (see _plan), their product, and one analysis summing the first three
+    products into
+    a and the last two into b, by table products or real FFTs (see the
+    module docstring).
     """
     _require_real_zero_mean(phi0, "phi0")
     _require_real_zero_mean(phiP, "phiP")
     c0, c = _coeffs(phi0), _coeffs(phiP)
     n = c.shape[-1] + 1
-    plan = _plan(n, n // 2 - 1)
-    v0 = plan.synthesis(_float_rows(c0))
-    out = _band(_linearized_rows(v0, _float_rows(c), mu * plan.lap, plan).view(complex), n)
+    plan = _plan(n, n // 2 - 1, linearized=True)
+    w0 = plan.base(_float_rows(c0))
+    out = _band(_linearized_rows(w0, _float_rows(c), mu * plan.lap, plan).view(complex), n)
     if isinstance(phi0, SpectralField) and isinstance(phiP, SpectralField):
         return SpectralField(phiP.grid, out, True)
     return out
@@ -438,24 +467,31 @@ def require_margin(phi, mu, floor, what):
     up to a tolerance of 1e-10; `phi` is a field or a (..., n-1) coefficient
     array, and `what` names it in the message.  The one check of the
     stability margin on inputs: initial data against delta, bases against
-    delta/2."""
+    delta/2.  A NaN value, in phi, mu or floor, fails the check."""
     _, mn = stability_coefficient(phi, mu)
-    if mn < floor - 1e-10:
+    if not mn >= floor - 1e-10:
         raise ValueError(
             f"{what} violates the stability margin: min {mn:.6g} < {floor:.6g}"
         )
 
 
-def _B(x):
-    """B(x) = exp(-1/x) for x > 0, 0 otherwise, and its first two
-    derivatives, elementwise over an array."""
-    b, bp, bpp = np.zeros((3,) + x.shape)
-    p = x > 0.0
-    y = x[p]
-    b[p] = np.exp(-1.0 / y)
-    bp[p] = b[p] / y**2
-    bpp[p] = b[p] * (1.0 - 2.0 * y) / y**4
-    return b, bp, bpp
+def _B(x, exp=np.exp):
+    """B(x) = exp(-1/x) and its first two derivatives at x > 0 (the ramp
+    reads it on (0, 1) only): on an array with np.exp, on a float with
+    math.exp."""
+    b = exp(-1.0 / x)
+    return b, b / x**2, b * (1.0 - 2.0 * x) / x**4
+
+
+def _psi_parts(g, gp, gpp, h, hp, hpp, sign, r):
+    """(chi, chi', chi'') on the ramp from (B, B', B'') at 1 - s and at s,
+    for scalars or arrays alike."""
+    gp = -gp
+    d = g + h
+    num = gp * h - g * hp
+    return (g / d,
+            num / d**2 * sign / r,
+            ((gpp * h - g * hpp) * d - 2.0 * num * (gp + hp)) / d**3 / r**2)
 
 
 def _chi_parts(t, r):
@@ -463,21 +499,23 @@ def _chi_parts(t, r):
 
     Built from B(x) = exp(-1/x) as psi(s) = B(1-s)/(B(1-s)+B(s)) on the
     transition s = (|t|-r)/r in (0,1).  Returns (chi, chi', chi''): three
-    floats for a scalar t, three arrays of the shape of t otherwise."""
+    floats for a scalar t, by scalar math, three arrays of the shape of t
+    otherwise."""
+    if np.ndim(t) == 0:
+        a = abs(float(t))
+        s = (a - r) / r
+        if not 0.0 < s < 1.0:
+            return float(a <= r), 0.0, 0.0
+        return _psi_parts(*_B(1.0 - s, math.exp), *_B(s, math.exp), math.copysign(1.0, t), r)
     t = np.asarray(t, float)
     a = np.abs(t)
+    s = (a - r) / r
     out = np.zeros((3,) + t.shape)
     out[0] = a <= r
-    ramp = (a > r) & (a < 2.0 * r)
-    s = (a[ramp] - r) / r
-    (g, gp, gpp), (h, hp, hpp) = _B(1.0 - s), _B(s)
-    gp = -gp
-    d = g + h
-    num = gp * h - g * hp
-    out[:, ramp] = (g / d,
-                    num / d**2 * np.sign(t[ramp]) / r,
-                    ((gpp * h - g * hpp) * d - 2.0 * num * (gp + hp)) / d**3 / r**2)
-    return tuple(map(float, out)) if t.ndim == 0 else tuple(out)
+    ramp = (s > 0.0) & (s < 1.0)
+    s = s[ramp]
+    out[:, ramp] = _psi_parts(*_B(1.0 - s), *_B(s), np.sign(t[ramp]), r)
+    return tuple(out)
 
 
 def bump_window(t, center, width):
@@ -525,7 +563,7 @@ def build_lifting(data, mu, delta):
     is halved from _RAMP_WIDTH until the sampled margin holds; below
     _RAMP_FLOOR the data is declared too large and LiftingError is raised.
     """
-    if delta <= 0:
+    if not delta > 0:
         raise ValueError("delta must be positive")
     require_margin(data.phi0, mu, delta, "initial data")
     r = _RAMP_WIDTH

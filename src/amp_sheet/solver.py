@@ -13,7 +13,9 @@ checked.  Each stage calls one acceleration map
 semidiscrete_rhs_linearized, which runs the private float-row kernels of
 operators (the public operators are those kernels plus checks) with the
 _plan of (n, N) that the map builds once: synthesis reads only k = 1..N
-on the 3/2-padded grid, and analysis keeps k = 1..N of its result.  The two
+on a grid padded to the band N (3N + 1 points for the nonlinear system
+and n/2 + 2N for the linearized one, or the next fast FFT length above),
+and analysis returns k = 1..N.  The two
 systems are the full quadratically nonlinear equation, and its
 linearization around a prescribed time-dependent base profile with an
 optional forcing term.
@@ -22,9 +24,9 @@ Base profiles and forcing terms of the linearized system are field
 sources (see field_evaluator): each maps a 1-D array of times to a
 (T, n-1) coefficient array.  solve_linearized evaluates and checks them
 once per solve on its whole stage mesh, and its acceleration map
-synthesizes the base's four rows (p0, p0_x, p0_xx, H p0_xx) there once,
-from its full band k < n/2: a Newton base or a configured one can carry
-modes above N.
+synthesizes the base's five weights (2 p0_x, p0, p0_xx, p0, H p0_xx)
+there once, from its full band k < n/2: a Newton base or a configured one
+can carry modes above N.
 
 Each solve mirrors its (T, 3, 2N) rows once into the (T, n-1) arrays of
 the Trajectory it returns, together with a monitor dictionary:
@@ -85,15 +87,18 @@ class SimConfig:
     cfl_safety: float = 0.5
 
     def __post_init__(self):
-        if self.delta <= 0:
+        # every check is written so that NaN fails it
+        if not np.isfinite(self.mu):
+            raise ValueError("mu must be finite")
+        if not self.delta > 0:
             raise ValueError("delta must be positive")
         if self.grid_n < 4 or self.grid_n % 2:
             raise ValueError("grid_n must be even and at least 4")
         if not 1 <= self.galerkin_N <= self.grid_n // 2 - 1:
             raise ValueError("galerkin_N must lie in [1, grid_n/2 - 1]")
-        if self.dt <= 0 or self.t_final <= 0:
+        if not (self.dt > 0 and self.t_final > 0):
             raise ValueError("dt and t_final must be positive")
-        if self.gamma <= 0:
+        if not self.gamma > 0:
             raise ValueError("gamma must be positive")
         if not 0 < self.cfl_safety <= 1:
             raise ValueError("cfl_safety must lie in (0, 1]")
@@ -209,13 +214,13 @@ def semidiscrete_rhs_linearized(base_rows, g_rows, cfg):
     """The acceleration map of the linearization at a base with forcing g,
     as in semidiscrete_rhs_nonlinear.  `base_rows` and `g_rows` are (S, n-1)
     coefficient arrays on the stage mesh, and stage s reads row s of each.
-    The base is synthesized here once, from its full band k < n/2: it may
-    carry modes above N."""
-    plan = _plan(cfg.grid_n, cfg.galerkin_N)
+    The base's five weights are synthesized here once, from its full band
+    k < n/2: it may carry modes above N."""
+    plan = _plan(cfg.grid_n, cfg.galerkin_N, linearized=True)
     mu_lap = cfg.mu * plan.lap
-    base = _plan(cfg.grid_n, cfg.grid_n // 2 - 1).synthesis(_float_rows(base_rows))
+    w0 = plan.base(_float_rows(base_rows))
     g = _float_rows(g_rows, cfg.galerkin_N)
-    return lambda s, x: _linearized_rows(base[s], x, mu_lap, plan) + g[s]
+    return lambda s, x: _linearized_rows(w0[s], x, mu_lap, plan) + g[s]
 
 
 def rkn_step(i, dt, phi, phit, accel, a1):

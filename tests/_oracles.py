@@ -14,6 +14,9 @@ random draws or its array-valued bump window, so those can be held against
 them.
 The one exception, evolution_residual, measures a trajectory against the
 package's own mu phi_xx + N(phi).
+The padded_* routines are the fused kernels as they were when they padded
+to the 3n/2 points of the grid whatever band they kept, for the
+band-padded kernels of the package.
 hilbert_identities_per_sample is the identity battery as it was when it
 drew and checked one sample at a time, for the batched battery.
 LEMMA_ORACLES holds the commutator campaign's nine evaluators as they were
@@ -47,6 +50,7 @@ from amp_sheet.spectral import (
     SpectralField,
     TorusGrid,
     _band,
+    _padded_size,
     derivative,
     from_modes,
     hilbert,
@@ -423,6 +427,52 @@ def apply_linearized_alt(phi0, phiP, mu):
     oracle for the package's apply_linearized_operator."""
     c2, lower = linearized_parts(phi0, phiP, mu)
     return pointwise_product(c2, derivative(phiP, 2)) + lower
+
+
+def padded_synthesis(x, n):
+    """(p, p_x, p_xx, H p_xx), p = H phi, shape (..., 4, m), on the
+    3/2-padded grid of an n-point grid for the fields phi with the float rows
+    `x` (k = 1..K, any K <= n/2-1): one batched inverse real FFT of the half
+    spectra, which zero-pads k > K itself."""
+    m = _padded_size(n)
+    h = np.ascontiguousarray(x).view(complex)
+    k = np.arange(1, h.shape[-1] + 1, dtype=float)
+    up = np.array([-1j * np.ones_like(k), k, 1j * k**2, k**2]) * (m / TWO_PI)
+    spec = np.zeros(h.shape[:-1] + (4, h.shape[-1] + 1), complex)
+    spec[..., 1:] = h[..., None, :] * up
+    return np.moveaxis(np.fft.irfft(spec, m), -2, 0)
+
+
+def padded_analysis(a, b, K):
+    """The float rows, k = 1..K, of d/dx(H[a] - b) from the values of a and
+    b on a padded grid: one real FFT of each, then k (a^(k) - i b^(k))."""
+    m = a.shape[-1]
+    k = np.arange(1, K + 1) * (TWO_PI / m)
+    fa, fb = (np.fft.rfft(v)[..., 1:K + 1] for v in (a, b))
+    return (k * (fa - 1j * fb)).view(float)
+
+
+def padded_nonlinear_rows(x, mu, n):
+    """mu phi_xx + N(phi) on the float rows `x` of k = 1..K, the package's
+    fused kernel as it was when it padded every kernel to the 3n/2 points of
+    the grid, whatever its band: a = p_x^2 + p p_xx and b = p H p_xx."""
+    K = x.shape[-1] // 2
+    p, px, pxx, hpxx = padded_synthesis(x, n)
+    lap = np.repeat(-np.arange(1.0, K + 1) ** 2, 2)
+    return mu * lap * x + padded_analysis(px * px + p * pxx, p * hpxx, K)
+
+
+def padded_linearized_rows(x0, x, mu, n):
+    """mu phi_xx + dN[phi0]phi on the float rows `x` of k = 1..K, for the
+    base with the float rows `x0` of its whole band k < n/2, the linearized
+    kernel as it was when it padded to 3n/2 points:
+    a = 2 p0_x p_x + p0 p_xx + p p0_xx and b = p0 H p_xx + p H p0_xx."""
+    K = x.shape[-1] // 2
+    p0, p0x, p0xx, hp0xx = padded_synthesis(x0, n)
+    p, px, pxx, hpxx = padded_synthesis(x, n)
+    lap = np.repeat(-np.arange(1.0, K + 1) ** 2, 2)
+    a = 2.0 * p0x * px + p0 * pxx + p * p0xx
+    return mu * lap * x + padded_analysis(a, p0 * hpxx + p * hp0xx, K)
 
 
 def projected_rkn(phi, phit, accel, cutoff, dt, steps):

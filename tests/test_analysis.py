@@ -236,16 +236,20 @@ class TestApplyLinearized:
             shapes = []
             real = operators._plan
 
-            def counted(n, K, real=real):
-                plan = real(n, K)
-                return plan._replace(
-                    synthesis=lambda x: shapes.append(x.shape) or plan.synthesis(x))
+            def counted(n, K, linearized=False, real=real):
+                plan = real(n, K, linearized)
+                return plan._replace(base=lambda x: shapes.append(x.shape) or plan.base(x))
 
             monkeypatch.setattr(operators, "_plan", counted)
             frozen = apply_linearized(base, traj, 1.2)
             monkeypatch.undo()
             assert np.array_equal(frozen.phi, broadcast.phi)
-            assert shapes[::2] == [(1, n - 2)] * 3
+            assert shapes == [(1, n - 2)] * 3
+
+
+def test_weighted_norm_spec_rejects_nan_gamma():
+    with pytest.raises(ValueError, match="gamma"):
+        WeightedNormSpec(float("nan"))
 
 
 class TestEnergyEstimate:

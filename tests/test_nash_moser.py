@@ -70,6 +70,11 @@ class TestConfig:
         with pytest.raises(ValueError):
             IterationConfig(sim=sim, residual_tol=0.0)
 
+    @pytest.mark.parametrize("knob", ["theta0", "theta_growth", "residual_tol"])
+    def test_nan_knob_is_rejected(self, knob):
+        with pytest.raises(ValueError, match=knob):
+            IterationConfig(sim=small_sim(), **{knob: float("nan")})
+
     def test_report_serializes(self):
         rep = IterationReport(residual_norms=[1.0, 0.1], converged=True,
                               iterations=1, metadata={"mu": 1.0})

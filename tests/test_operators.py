@@ -29,7 +29,6 @@ from amp_sheet.operators import (
 from amp_sheet.spectral import (
     SpectralField,
     TorusGrid,
-    _padded_size,
     cosine,
     derivative,
     from_modes,
@@ -49,8 +48,11 @@ from _oracles import (
     direct_quadratic_rhs,
     evolution_residual,
     linearized_parts,
+    padded_linearized_rows,
+    padded_nonlinear_rows,
     quadratic_rhs_alt,
 )
+
 
 
 GRID = TorusGrid(64)
@@ -168,6 +170,20 @@ class TestNonlinearOperator:
             assert batch.shape == rows.shape
             for got, row in zip(batch, rows):
                 assert np.array_equal(got, mu * lap * row + quadratic_rhs(row))
+
+    def test_two_batch_axes(self):
+        # a (2, 3, n-1) stack gives, row for row and bitwise, the one-row
+        # results, for mu phi_xx + N(phi) and for the linearization
+        rng = np.random.default_rng(19)
+        rows = np.stack([random_field(GRID, 12, rng).coeffs for _ in range(6)])
+        base = random_field(GRID, 20, rng).coeffs
+        for got, one in ((nonlinear_operator(rows.reshape(2, 3, -1), 0.8),
+                          lambda r: nonlinear_operator(r, 0.8)),
+                         (apply_linearized_operator(base, rows.reshape(2, 3, -1), 0.8),
+                          lambda r: apply_linearized_operator(base, r, 0.8))):
+            assert got.shape == (2, 3, GRID.n - 1)
+            for g, r in zip(got.reshape(6, -1), rows):
+                assert np.array_equal(g, one(r))
 
     def test_quadratic_rhs_is_the_operator_at_mu_zero(self):
         # N(phi) is the kernel of mu phi_xx + N(phi) with mu = 0, on one row
@@ -330,88 +346,136 @@ class TestFusedLinearized:
                 apply_linearized_operator(*args, 1.0)
 
 
-class TestTransformPaths:
-    """On grids of at most operators._DENSE_MAX_N points the kernels
-    transform by products with cached real tables, one per row; on larger
-    grids by real FFTs.  Each side of the bound is run on both paths."""
+class TestBandPaddedKernels:
+    """The float-row kernels pad to their band, m = 3K + 1 points for N and
+    B + 2K + 1 for the linearization at a base of band B = n/2 - 1, and
+    transform by products with cached real tables while K * m is at most
+    operators._TABLE_MAX_KM, by real FFTs above.  The kernels that padded
+    to the 3n/2 points of the grid are the oracle."""
 
     @staticmethod
-    def bands(grid, kmax, rng, rows):
-        return np.stack([random_field(grid, kmax, rng).coeffs for _ in range(rows)])
+    def bands(grid, kmax, rng, shape):
+        return np.stack([random_field(grid, kmax, rng).coeffs
+                         for _ in range(int(np.prod(shape)))]).reshape(shape + (grid.n - 1,))
 
-    @pytest.mark.parametrize("n", [ops._DENSE_MAX_N, 2 * ops._DENSE_MAX_N])
+    @pytest.mark.parametrize("n", [32, 64, 128, 256])
+    def test_match_the_grid_padded_oracle(self, n):
+        # K = 1 leaves the linearization m = n/2 + 2 points, fewer than
+        # twice the base's band n/2 - 1: its synthesis drops the base's
+        # modes k >= m/2, whose products reach only k > K.  The gap is held
+        # to the largest coefficient of the whole-band result, which the
+        # coefficients k <= K cancel down from
+        grid, B = TorusGrid(n), n // 2 - 1
+        rng = np.random.default_rng(n + 3)
+        for K in (1, n // 4, B):
+            nonlinear, linearized = ops._plan(n, K), ops._plan(n, K, linearized=True)
+            for shape in ((1,), (3,), (2, 3)):
+                c = self.bands(grid, B, rng, shape)
+                x, x0 = ops._float_rows(c, K), ops._float_rows(self.bands(grid, B, rng, shape))
+                full = ops._float_rows(c)
+                for got, want, scale in (
+                        (ops._nonlinear_rows(x, 0.9 * nonlinear.lap, nonlinear),
+                         padded_nonlinear_rows(x, 0.9, n), padded_nonlinear_rows(full, 0.9, n)),
+                        (ops._linearized_rows(linearized.base(x0), x, 0.9 * linearized.lap,
+                                              linearized),
+                         padded_linearized_rows(x0, x, 0.9, n),
+                         padded_linearized_rows(x0, full, 0.9, n))):
+                    assert got.shape == want.shape == shape + (2 * K,)
+                    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(scale)), (K, shape)
+
+    @pytest.mark.parametrize("n", [64, 128])
     def test_table_agrees_with_fft(self, n, monkeypatch):
         grid = TorusGrid(n)
         rng = np.random.default_rng(n + 7)
-        base = ops._float_rows(self.bands(grid, n // 2 - 1, rng, 1)[0])
+        x0 = ops._float_rows(self.bands(grid, n // 2 - 1, rng, (1,))[0])
         for K in (10, 21, n // 2 - 1):
-            x = ops._float_rows(self.bands(grid, K, rng, 3), K)
+            x = ops._float_rows(self.bands(grid, K, rng, (3,)), K)
             got = {}
-            for bound in (n, n - 1):
+            for bound in (0, 10**9):
                 # a plan picks its path when built
-                monkeypatch.setattr(ops, "_DENSE_MAX_N", bound)
-                plan = ops._plan(n, K)
-                v0 = ops._plan(n, n // 2 - 1).synthesis(base)
-                got[bound] = (ops._nonlinear_rows(x, 0.9 * plan.lap, plan).view(complex),
-                              ops._linearized_rows(v0, x, 0.9 * plan.lap, plan).view(complex),
-                              ops._stability_values(x, 0.9, n))
-            for table, fft in zip(got[n], got[n - 1]):
+                monkeypatch.setattr(ops, "_TABLE_MAX_KM", bound)
+                plan, lin = ops._plan(n, K), ops._plan(n, K, linearized=True)
+                got[bound] = (ops._nonlinear_rows(x, 0.9 * plan.lap, plan),
+                              ops._linearized_rows(lin.base(x0), x, 0.9 * lin.lap, lin))
+            for table, fft in zip(got[10**9], got[0]):
                 assert table.shape == fft.shape
                 assert np.max(np.abs(table - fft)) <= 1e-13 * np.max(np.abs(fft)), K
 
-    @pytest.mark.parametrize("n", [4, 32, ops._DENSE_MAX_N])
-    def test_tables_are_the_fft_at_unit_inputs(self, n):
-        # rows 2k-2, 2k-1 of a synthesis table are e_k and i e_k; row j of
-        # the analysis table is the j-th point value of the (a, b) buffer
-        m = _padded_size(n)
-        synthesis, analysis = ops._dense_tables(n)
-        assert np.array_equal(synthesis, ops._synthesis_fft(np.eye(n - 2), n).reshape(n - 2, 4 * m))
-        assert np.array_equal(analysis, ops._analysis_fft(
-            np.eye(2 * m).reshape(2 * m, 2, m), n, n // 2 - 1))
+    @pytest.mark.parametrize("K, m", [(1, 4), (7, 22), (21, 64), (21, 74)])
+    def test_tables_are_the_fft_at_unit_inputs(self, K, m):
+        # row j of a synthesis table is the image of the j-th unit float;
+        # row j of an analysis table that of the j-th point value of the
+        # product rows, so N's is [A; A; B] and the linearization's
+        # [A; A; A; B; B]; a base table may hold more modes than fit on m
+        # points
+        for K_in, rows in ((K, ops._NONLINEAR[0]), (K, ops._LINEARIZED[0]),
+                           (2 * K + 1, ops._LINEARIZED_BASE)):
+            assert np.array_equal(ops._synthesis_table(K_in, m, rows),
+                                  ops._synthesis_fft(np.eye(2 * K_in), m, rows))
+        _, down = ops._symbols(K, m)
+        for sums in (ops._NONLINEAR[1], ops._LINEARIZED[1]):
+            analysis = ops._analysis_table(K, m, sums)
+            assert np.array_equal(analysis, ops._analysis_fft(np.eye(len(sums) * m), down, m, sums))
+            blocks = analysis.reshape(len(sums), m, 2 * K)
+            for s, block in zip(sums, blocks):
+                assert np.array_equal(block, blocks[sums.index(s)])
 
-    @pytest.mark.parametrize("n, ffts", [(ops._DENSE_MAX_N, 0), (2 * ops._DENSE_MAX_N, 2)])
-    def test_bound_selects_the_path(self, n, ffts, monkeypatch):
-        # a table is built once per process, by its FFT function: count the
-        # transforms of a call after the first
-        phi = cosine(TorusGrid(n), 1, 0.1)
-        quadratic_rhs(phi)
-        calls = []
-        for name in ("rfft", "irfft"):
-            real = getattr(np.fft, name)
-            monkeypatch.setattr(np.fft, name,
-                                lambda *a, _real=real, **kw: calls.append(1) or _real(*a, **kw))
-        quadratic_rhs(phi)
-        assert len(calls) == ffts
+    def test_crossover_rule(self, monkeypatch):
+        # N's plan on K transforms by tables while K (3K + 1) <= the bound,
+        # and above it by one inverse real FFT and one real FFT per call on
+        # the least 2^a 3^b 5^c points at or above 3K + 1
+        bound = ops._TABLE_MAX_KM
+        K = max(k for k in range(1, 200) if k * (3 * k + 1) <= bound)
+        lengths = {}
+        for kk in (K, K + 1):
+            plan = ops._plan(2 * kk + 2, kk)
+            x = np.full(2 * kk, 1e-3)
+            ops._nonlinear_rows(x, plan.lap, plan)
+            calls = []
+            for name in ("rfft", "irfft"):
+                real = getattr(np.fft, name)
+                monkeypatch.setattr(np.fft, name, lambda a, n=None, *r, _real=real, _name=name, **kw:
+                                    calls.append((_name, np.shape(a)[-1] if n is None else n))
+                                    or _real(a, n, *r, **kw))
+            ops._nonlinear_rows(x, plan.lap, plan)
+            monkeypatch.undo()
+            lengths[kk] = calls
+        assert lengths[K] == []
+        m = ops._fft_size(3 * K + 4)
+        assert m >= 3 * K + 4 and ops._fft_size(m) == m
+        assert sorted(lengths[K + 1]) == [("irfft", m), ("rfft", m)]
+        assert [ops._fft_size(j) for j in (1, 7, 61, 64, 97, 181, 382)] == [1, 8, 64, 64, 100, 192, 384]
 
     @pytest.mark.parametrize("n", [32, 64, 128])
     def test_stability_is_one_fft_and_builds_no_table(self, n, monkeypatch):
-        # mu - 2 (H phi)_x is one inverse real FFT on both sides of the
-        # bound, and reads no cached table
+        # mu - 2 (H phi)_x is one inverse real FFT on every grid, and reads
+        # no cached table
         phi = cosine(TorusGrid(n), 1, 0.1)
         calls, tables = [], []
         real = np.fft.irfft
         monkeypatch.setattr(np.fft, "irfft", lambda *a, **kw: calls.append(1) or real(*a, **kw))
-        monkeypatch.setattr(ops, "_dense_tables", lambda n: tables.append(n))
+        for name in ("_synthesis_table", "_analysis_table"):
+            monkeypatch.setattr(ops, name, lambda *a: tables.append(a))
         stability_coefficient(phi, 1.0)
         assert len(calls) == 1 and tables == []
 
     def test_strided_and_broadcast_rows(self):
         # on both transform paths a row gives the same bits whether it
         # stands alone, sits in a contiguous batch, in every other row of
-        # one, or is broadcast, and the float-row kernels on k = 1..K < n/2-1
-        # give the bits of the public operators kept to K
-        for n in (32, 64, 128):
+        # one, or is broadcast; the float-row kernels on k = 1..K < n/2-1
+        # are the public operators kept to K to round-off (the two pad to
+        # different grids)
+        for n, K in ((32, 12), (64, 12), (128, 12), (256, 70)):
             grid = TorusGrid(n)
             rng = np.random.default_rng(16 + n)
-            K = 12
-            plan, full = ops._plan(n, K), ops._plan(n, n // 2 - 1)
-            c = self.bands(grid, K, rng, 6)
+            plan, lin = ops._plan(n, K), ops._plan(n, K, linearized=True)
+            c = self.bands(grid, K, rng, (6,))
             c0 = random_field(grid, n // 2 - 1, rng).coeffs
             x = ops._float_rows(c, K)
-            v0 = full.synthesis(ops._float_rows(c0))
+            w0 = lin.base(ops._float_rows(c0))
             kernels = (plan.synthesis,
                        lambda y: ops._nonlinear_rows(y, 0.7 * plan.lap, plan),
-                       lambda y: ops._linearized_rows(v0, y, 0.7 * plan.lap, plan),
+                       lambda y: ops._linearized_rows(w0, y, 0.7 * lin.lap, lin),
                        lambda y: ops._stability_values(y, 0.7, n))
             strided_last = ops._float_rows(np.repeat(c, 2, axis=-1)[..., ::2], K)
             for h in (x, x[::2], np.broadcast_to(x[1], (4, 2 * K)), strided_last):
@@ -421,16 +485,14 @@ class TestTransformPaths:
                     assert np.array_equal(out, kernel(dense))
                     for row, y in zip(out, dense):
                         assert np.array_equal(row, kernel(y))
-            # the kernels are the public operators kept to K, bitwise
             keep = ops._positive
-            assert np.array_equal(kernels[1](x).view(complex),
-                                  keep(nonlinear_operator(c, 0.7))[..., :K])
-            assert np.array_equal(kernels[2](x).view(complex),
-                                  keep(apply_linearized_operator(c0, c, 0.7))[..., :K])
+            for got, want in ((kernels[1](x), keep(nonlinear_operator(c, 0.7))[..., :K]),
+                              (kernels[2](x), keep(apply_linearized_operator(c0, c, 0.7))[..., :K])):
+                assert np.max(np.abs(got.view(complex) - want)) <= 1e-13 * np.max(np.abs(want))
             assert np.array_equal(kernels[3](x), stability_coefficient(c, 0.7)[0])
             # a broadcast base against a batch, in the kernel and the public operator
-            many = full.synthesis(np.broadcast_to(ops._float_rows(c0), (6, n - 2)))
-            assert np.array_equal(ops._linearized_rows(many, x, 0.7 * plan.lap, plan), kernels[2](x))
+            many = lin.base(np.broadcast_to(ops._float_rows(c0), (6, n - 2)))
+            assert np.array_equal(ops._linearized_rows(many, x, 0.7 * lin.lap, lin), kernels[2](x))
             u = random_field(grid, 8, rng).coeffs
             assert np.array_equal(apply_linearized_operator(np.broadcast_to(u, c.shape), c, 1.1),
                                   apply_linearized_operator(u, c, 1.1))
@@ -438,10 +500,11 @@ class TestTransformPaths:
     def test_import_builds_no_table(self):
         src = str(Path(ops.__file__).resolve().parents[1])
         code = ("import amp_sheet.operators as o; "
-                "print(o._symbols.cache_info().currsize, o._dense_tables.cache_info().currsize)")
+                "print(o._symbols.cache_info().currsize, o._synthesis_table.cache_info().currsize, "
+                "o._analysis_table.cache_info().currsize)")
         done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               env={**os.environ, "PYTHONPATH": src}, check=True)
-        assert done.stdout.split() == ["0", "0"]
+        assert done.stdout.split() == ["0", "0", "0"]
 
 
 class TestLinearizedParts:
@@ -515,6 +578,13 @@ class TestStability:
         with pytest.raises(ValueError, match="base violates"):
             require_margin(stack, 1.0, 0.7, "base")
 
+    @pytest.mark.parametrize("which", ["phi", "mu", "floor"])
+    def test_require_margin_fails_on_nan(self, which):
+        args = {"phi": cosine(TorusGrid(32), 1, 0.01), "mu": 1.0, "floor": 0.9}
+        args[which] = cosine(TorusGrid(32), 1, float("nan")) if which == "phi" else float("nan")
+        with pytest.raises(ValueError, match="x violates the stability margin"):
+            require_margin(args["phi"], args["mu"], args["floor"], "x")
+
     def test_mean_zero_profile_cannot_raise_minimum_above_mu(self):
         rng = np.random.default_rng(40)
         for _ in range(10):
@@ -529,6 +599,18 @@ class TestContainers:
             CauchyData(cosine(GRID, 1), cosine(TorusGrid(32), 1))
         with pytest.raises(ValueError):
             CauchyData(from_modes(GRID, {0: 1.0}, real_flag=True), zeros(GRID))
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_coefficients_are_rejected(self, value):
+        # in Cauchy data and in the public operators' arguments, on a field
+        # or a batch
+        bad = cosine(GRID, 1, value)
+        with pytest.raises(ValueError, match="phi0 holds a coefficient that is not finite"):
+            CauchyData(bad, zeros(GRID))
+        with pytest.raises(ValueError, match="not finite"):
+            nonlinear_operator(np.stack([zeros(GRID).coeffs, bad.coeffs]), 1.0)
+        with pytest.raises(ValueError, match="not finite"):
+            apply_linearized_operator(bad, cosine(GRID, 2), 1.0)
 
     def test_cauchy_data_scaling(self):
         d = CauchyData(cosine(GRID, 1), sine(GRID, 2))
@@ -739,6 +821,10 @@ class TestLifting:
         # stability of 0.3 cos x at mu=1: min(1 - 2*0.3*(-sin? ...)) -> 1-0.6=0.4 < 0.9
         with pytest.raises(ValueError):
             build_lifting(data, mu=1.0, delta=0.9)
+
+    def test_nan_delta_is_rejected(self):
+        with pytest.raises(ValueError, match="delta must be positive"):
+            build_lifting(self.make_data(), mu=1.0, delta=float("nan"))
 
     def test_impossible_data_raises_lifting_error(self):
         # velocity so large no ramp width can absorb it
