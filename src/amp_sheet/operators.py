@@ -160,8 +160,8 @@ class Trajectory:
             raise ValueError("times and snapshots disagree in length")
         if any(a is not None and a.shape != self.phi.shape for a in (self.phit, self.phitt)):
             raise ValueError("phit and phitt must have the shape of phi")
-        if t.size >= 2 and np.min(np.diff(t)) <= 0:
-            raise ValueError("times must be strictly increasing")
+        if not (np.all(np.isfinite(t)) and np.all(np.diff(t) > 0)):
+            raise ValueError("times must be finite and strictly increasing")
 
     def __len__(self):
         return self.phi.shape[0]

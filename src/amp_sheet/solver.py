@@ -154,7 +154,7 @@ class _SeriesEvaluator:
     def __call__(self, ts):
         ts = np.asarray(ts, float)
         nodes, rows = self.times, self.rows
-        if np.any(ts < nodes[0] - 1e-9) or np.any(ts > nodes[-1] + 1e-9):
+        if not np.all((ts >= nodes[0] - 1e-9) & (ts <= nodes[-1] + 1e-9)):
             raise ValueError(f"series covers [{nodes[0]:.6g}, {nodes[-1]:.6g}] but is "
                              f"evaluated on [{ts.min():.6g}, {ts.max():.6g}]")
         n = nodes.size

@@ -621,6 +621,13 @@ class TestContainers:
         with pytest.raises(ValueError):
             FieldSeries(np.array([0.0, 0.0]), [zeros(GRID), zeros(GRID)])
 
+    @pytest.mark.parametrize("times", [[0.0, np.nan, 1.0], [np.nan], [0.0, np.inf]],
+                             ids=["nan-inside", "nan-alone", "inf"])
+    def test_non_finite_time_is_rejected(self, times):
+        phis = np.zeros((len(times), GRID.n - 1), complex)
+        with pytest.raises(ValueError, match="finite and strictly increasing"):
+            Trajectory(np.array(times), phis)
+
     def test_trajectory_uniformity_check(self):
         # a non-uniform mesh is a valid container; only its step is undefined
         phis = [zeros(GRID)] * 3

@@ -1018,10 +1018,10 @@ class TestFieldEvaluator:
 
     def test_series_rejects_times_outside_its_span(self):
         # no extrapolation: a time past either end by more than 1e-9 raises,
-        # round-off at the ends does not
+        # and so does a NaN time; round-off at the ends does not
         nodes = np.linspace(0.2, 0.6, 9)
         ev = field_evaluator(Trajectory(nodes, np.tile(cosine(GRID, 2).coeffs, (9, 1))), GRID)
-        for ts in ([0.0, 0.3], [0.3, 0.8], [0.2 - 2e-9], [0.6 + 2e-9]):
+        for ts in ([0.0, 0.3], [0.3, 0.8], [0.2 - 2e-9], [0.6 + 2e-9], [np.nan], [0.3, np.nan]):
             with pytest.raises(ValueError, match=r"series covers \[0.2, 0.6\]"):
                 ev(np.array(ts))
         assert ev(np.array([0.2 - 1e-10, 0.6 + 1e-10])).shape == (2, GRID.n - 1)
