@@ -57,6 +57,11 @@ IDENTITY_TOL = 1e-11
 #: The blocks depend on the sample count alone, never on `jobs`.
 _SAMPLE_BLOCK = 8
 
+#: a campaign constant below this is round-off over a lhs that vanishes
+#: identically (A1_comm_3 on draws banded to one mode); real constants
+#: are 6e-3 and up
+_ROUND_OFF_CONSTANT = 1e-12
+
 
 @dataclass(frozen=True)
 class WeightedNormSpec:
@@ -575,7 +580,11 @@ def estimate_commutator_constants(
     lemmas, and reports per lemma the supremum of lhs/rhs at the fine
     resolution and the relative drift between resolutions.  The drift
     measures only the node sampling of the sup norms of v, f and v_x (see
-    _campaign_block): it is exactly 0 for the lemmas that read none.
+    _campaign_block): it is exactly 0 for the lemmas that read none.  A
+    lemma passes when its fine sup is finite, at least 1e-12 and drifts by
+    less than 10%; a smaller sup is round-off over a lhs that vanishes
+    identically on the draws (A1_comm_3 with n_lo < 12, whose draws are
+    banded to one mode), which would otherwise pass vacuously.
 
     A param None is the lemma's canonical parameter.  Each sample draws
     from a child of SeedSequence(seed).  Blocks of _SAMPLE_BLOCK samples
@@ -624,7 +633,8 @@ def estimate_commutator_constants(
                     "note": "ratio is the empirical sup of lhs/rhs at n_hi"},
             samples=samples,
             seed=seed,
-            passed=bool(np.isfinite(sup_hi) and drift < 0.10),
+            passed=bool(np.isfinite(sup_hi) and sup_hi >= _ROUND_OFF_CONSTANT
+                        and drift < 0.10),
             extras={"sup_lo": sup_lo, "sup_hi": sup_hi, "resolution_drift": drift},
         )
     return reports

@@ -13,11 +13,16 @@ products, whose last bits depend on the kernel).  Exit codes: 0 success,
 1 hard verification failure, 2 config or usage error (a time step above
 the CFL limit included), 3 completed-with-flags (stability crossing,
 blow-up, non-convergence).
+
+Each command imports the layers it runs in its own body, so importing
+this module loads no other module of the package, and `simulate`,
+`linearized` and `growth` never load `analysis` or `nash_moser`.
 """
 
 import csv
 import inspect
 import json
+import math
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -26,26 +31,6 @@ import click
 import numpy as np
 
 from . import __version__
-from .analysis import (
-    _LEMMAS,
-    estimate_commutator_constants,
-    random_trig_field,
-    verify_energy_estimates,
-    verify_forcing_bound,
-    verify_hilbert_identities,
-    verify_phitt_estimate,
-    verify_second_derivative_estimate,
-    verify_tame_estimates,
-)
-from .nash_moser import IterationConfig, iterate_auto
-from .operators import CauchyData, Trajectory, bump_window, require_margin, stability_coefficient
-from .solver import (
-    SimConfig,
-    measure_mode_growth,
-    solve_linearized,
-    solve_nonlinear,
-)
-from .spectral import TorusGrid, cosine, sine, sobolev_norm, zeros
 
 __all__ = ["main"]
 
@@ -63,13 +48,15 @@ def _defaults(fn, *names):
             for k, p in params.items() if not names or k in names}
 
 
-#: the solver keys: mu and delta required, the rest with SimConfig's defaults;
-#: _SOLVE leaves out gamma, the norm weight that only Newton and tame read,
-#: and _GROWTH also delta, the margin that a run without a base never reads
-_SIM = _defaults(SimConfig)
-_SOLVE = {k: d for k, d in _SIM.items() if k != "gamma"}
-_GROWTH = {k: d for k, d in _SOLVE.items() if k != "delta"}
-_NEWTON = _defaults(IterationConfig, "theta0", "theta_growth", "max_iters", "residual_tol")
+def _sim_keys(*left_out):
+    """The solver keys but `left_out`: mu and delta required, the rest with
+    SimConfig's defaults.  The solver commands leave out gamma, the norm
+    weight that only Newton and the estimates read, and `growth` also
+    delta, the margin that a run without a base never reads."""
+    from .solver import SimConfig
+
+    return {k: d for k, d in _defaults(SimConfig).items() if k not in left_out}
+
 
 _KINDS = {int: "an integer", float: "a number", bool: "true or false",
           str: "a string", list: "a list"}
@@ -130,6 +117,8 @@ def _pick(cfg, table):
 def _build_field(grid, spec, label):
     """Field from {"cos": {"k": amp}, "sin": {"k": amp}} with string modes;
     None is the zero field.  Raises ValueError on a malformed spec."""
+    from .spectral import cosine, sine, zeros
+
     out = zeros(grid)
     if spec is None:
         return out
@@ -154,6 +143,8 @@ def _build_field(grid, spec, label):
 
 
 def _cauchy_data(grid, cfg):
+    from .operators import CauchyData
+
     return CauchyData(_build_field(grid, cfg["phi0"], "phi0"),
                       _build_field(grid, cfg["phi1"], "phi1"))
 
@@ -174,12 +165,25 @@ def _resolve_output(output_dir):
     return out
 
 
+def _strict(value):
+    """`value` with every NaN, +inf and -inf, at any depth of its dicts,
+    lists and tuples, replaced by "NaN", "Infinity" and "-Infinity"; any
+    other number, numpy's as float, as it is."""
+    if isinstance(value, dict):
+        return {k: _strict(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_strict(v) for v in value]
+    if isinstance(value, (float, np.floating)) and not math.isfinite(value):
+        return "NaN" if math.isnan(value) else "Infinity" if value > 0 else "-Infinity"
+    return value
+
+
 def _write_json(path, payload, config, quiet):
-    body = dict(payload)
-    body["config"] = config
-    body["version"] = __version__
+    """Strict JSON: a non-finite number is written as its string (see
+    _strict), so a reader that rejects NaN and Infinity reads it."""
+    body = _strict({**payload, "config": config, "version": __version__})
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(json.dumps(body, sort_keys=True, indent=2, default=float))
+        fh.write(json.dumps(body, sort_keys=True, indent=2, default=float, allow_nan=False))
         fh.write("\n")
     if not quiet:
         click.echo(f"wrote {path}")
@@ -208,6 +212,8 @@ def _write_modes(out, traj, config, quiet):
 
 def _write_solve(out, command, traj, monitor, config, quiet, **summary):
     """trajectory.csv, final_modes.csv and summary.json of one solve."""
+    from .spectral import sobolev_norm
+
     _write_csv(out / "trajectory.csv", ("t", "h1_phi", "h1_phit", "min_stability"),
                zip(traj.times, sobolev_norm(traj.phi, 1), sobolev_norm(traj.phit, 1),
                    monitor["min_stability_coeff"]), config, quiet)
@@ -259,8 +265,12 @@ def main():
 @common_options
 def simulate(config_path, output_dir, quiet):
     """Integrate the nonlinear equation from configured Cauchy data."""
-    cfg = _read_config(config_path, {**_SOLVE, "phi0": None, "phi1": None})
-    sim = SimConfig(**_pick(cfg, _SOLVE))
+    from .solver import SimConfig, solve_nonlinear
+    from .spectral import TorusGrid
+
+    keys = _sim_keys("gamma")
+    cfg = _read_config(config_path, {**keys, "phi0": None, "phi1": None})
+    sim = SimConfig(**_pick(cfg, keys))
     data = _cauchy_data(TorusGrid(sim.grid_n), cfg)
     out = _resolve_output(output_dir)
 
@@ -275,11 +285,15 @@ def simulate(config_path, output_dir, quiet):
 def linearized(config_path, output_dir, quiet):
     """Integrate the linearized equation around a configured base, whose
     stability coefficient must stay at or above delta/2 (exit 2 if not)."""
+    from .solver import SimConfig, solve_linearized
+    from .spectral import TorusGrid
+
+    keys = _sim_keys("gamma")
     cfg = _read_config(config_path, {
-        **_SOLVE, "base": None, "phi0": None, "phi1": None, "forcing_profile": None,
+        **keys, "base": None, "phi0": None, "phi1": None, "forcing_profile": None,
         "envelope_center": 0.0, "envelope_width": 0.0,
     })
-    sim = SimConfig(**_pick(cfg, _SOLVE))
+    sim = SimConfig(**_pick(cfg, keys))
     grid = TorusGrid(sim.grid_n)
     base, forcing = _base_and_forcing(cfg, sim, _build_field(
         grid, cfg["forcing_profile"], "forcing_profile"))
@@ -302,9 +316,14 @@ def growth(config_path, output_dir, quiet):
     nothing on the branch but the fastest mode's round-off.  A rate off
     its expected value (k sqrt(|mu|) for mu < 0, else 0) by more than 5%
     of k sqrt(|mu|), or 1e-9 at mu = 0, exits 1; else a cut solve exits 3."""
-    cfg = _read_config(config_path, {**_GROWTH, "modes": [4, 8, 16], "epsilon": 1e-6})
+    from .operators import CauchyData, Trajectory
+    from .solver import SimConfig, measure_mode_growth, solve_linearized
+    from .spectral import TorusGrid, cosine, zeros
+
+    keys = _sim_keys("gamma", "delta")
+    cfg = _read_config(config_path, {**keys, "modes": [4, 8, 16], "epsilon": 1e-6})
     # its linearized solve never aborts on the margin, so delta is not read
-    sim = SimConfig(**_pick(cfg, _GROWTH), delta=1.0)
+    sim = SimConfig(**_pick(cfg, keys), delta=1.0)
     modes = cfg["modes"]
     if not modes:
         raise ValueError("config key 'modes' must hold at least one value")
@@ -355,6 +374,8 @@ def growth(config_path, output_dir, quiet):
 @common_options
 def verify_identities_cmd(config_path, output_dir, quiet):
     """Run the Hilbert-transform identity battery."""
+    from .analysis import verify_hilbert_identities
+
     cfg = _read_config(config_path, _defaults(verify_hilbert_identities))
     if cfg["samples"] < 1:
         raise ValueError("config key 'samples' must be at least 1")
@@ -376,12 +397,18 @@ def _window(times, center, width):
     """The bump window and its first two derivatives at `times`, as three
     (T, 1) columns that scale a profile's coefficients row by row; a width
     of 0 or less, which would window the profile away, is a config error."""
+    from .operators import bump_window
+
     if width <= 0.0:
         raise ValueError("config key 'envelope_width' must be positive")
     return np.array(bump_window(np.asarray(times, float)[:, None], center, width))
 
 
 def _run_energy(p):
+    from .analysis import random_trig_field, verify_energy_estimates
+    from .operators import Trajectory, stability_coefficient
+    from .spectral import TorusGrid
+
     if p["pairs"] < 1:
         raise ValueError("config key 'pairs' must be at least 1")
     if not p["gammas"]:
@@ -417,6 +444,8 @@ def _base_and_forcing(p, sim, profile):
     base must keep the margin delta/2, and the forcing is `profile` under
     the envelope window, a callable of the solver's stage times, or the
     constant profile for a window of width 0 or less."""
+    from .operators import require_margin
+
     base = _build_field(profile.grid, p["base"], "base")
     require_margin(base, sim.mu, 0.5 * sim.delta, "base profile")
     center, width = p["envelope_center"], p["envelope_width"]
@@ -432,7 +461,10 @@ def _base_and_forcing(p, sim, profile):
 def _solve_setup(p):
     """SimConfig, base and forcing of the tame and phitt runners; a zero
     forcing profile is cos x."""
-    sim = SimConfig(**_pick(p, _SIM))
+    from .solver import SimConfig
+    from .spectral import TorusGrid, cosine
+
+    sim = SimConfig(**_pick(p, _sim_keys()))
     grid = TorusGrid(sim.grid_n)
     profile = _build_field(grid, p["forcing_profile"], "forcing_profile")
     if np.max(np.abs(profile.coeffs)) == 0.0:
@@ -441,6 +473,8 @@ def _solve_setup(p):
 
 
 def _run_tame(p):
+    from .analysis import verify_tame_estimates
+
     if not p["m_values"]:
         raise ValueError("config key 'm_values' must hold at least one value")
     sim, base, g = _solve_setup(p)
@@ -452,6 +486,9 @@ def _run_tame(p):
 
 
 def _run_phitt(p):
+    from .analysis import verify_phitt_estimate
+    from .solver import solve_linearized
+
     sim, base, g = _solve_setup(p)
     traj, _ = solve_linearized(sim, base=base, forcing=g)
     rep = verify_phitt_estimate(base, traj, g, p["gamma"], p["m"])
@@ -461,6 +498,10 @@ def _run_phitt(p):
 
 
 def _run_der2(p):
+    from .analysis import random_trig_field, verify_second_derivative_estimate
+    from .operators import Trajectory
+    from .spectral import TorusGrid
+
     ts = np.arange(0.0, p["t_final"] + 1e-12, p["dt"])
     windows = [_window(ts, center, p["envelope_width"])[0] for center in (0.4, 0.6)]
     grid = TorusGrid(p["grid_n"])
@@ -474,6 +515,9 @@ def _run_der2(p):
 
 
 def _run_forcing(p):
+    from .analysis import verify_forcing_bound
+    from .spectral import TorusGrid
+
     data = _cauchy_data(TorusGrid(p["grid_n"]), p)
     rep = verify_forcing_bound(data, p["mu"], p["delta"], nu=p["nu"], gamma=p["gamma"])
     payload = {"estimate": "forcing", "order": rep.ratio,
@@ -482,9 +526,18 @@ def _run_forcing(p):
     return payload, rep.passed
 
 
+def _forcing_keys():
+    """The forcing estimate's keys, nu and gamma with the defaults of
+    verify_forcing_bound, which the table reads when the estimate runs."""
+    from .analysis import verify_forcing_bound
+
+    return {"mu": 1.0, "delta": 0.75, "grid_n": 32, "phi0": None, "phi1": None,
+            **_defaults(verify_forcing_bound, "nu", "gamma")}
+
+
 #: each estimate's runner and the config keys it reads with their defaults,
-#: besides `estimate`; any other key is rejected.  Only energy and der2 draw
-#: random numbers, so only they take a seed
+#: besides `estimate`, or a function that returns them; any other key is
+#: rejected.  Only energy and der2 draw random numbers, so only they take a seed
 _ESTIMATE_RUNNERS = {
     "energy": (_run_energy, {"seed": 0, "pairs": 20, "gammas": [2.0, 4.0, 8.0, 16.0],
                              "mu": 1.0, "delta": 0.9, "grid_n": 32, "dt": 2e-3,
@@ -500,9 +553,7 @@ _ESTIMATE_RUNNERS = {
                            "envelope_width": 0.15, "m": 2}),
     "der2": (_run_der2, {"seed": 0, "grid_n": 32, "gamma": 1.0, "m": 2, "dt": 2e-3,
                          "t_final": 1.0, "envelope_width": 0.2}),
-    "forcing": (_run_forcing, {"mu": 1.0, "delta": 0.75, "grid_n": 32, "phi0": None,
-                               "phi1": None,
-                               **_defaults(verify_forcing_bound, "nu", "gamma")}),
+    "forcing": (_run_forcing, _forcing_keys),
 }
 
 
@@ -512,7 +563,8 @@ def _estimate_table(raw):
     if not isinstance(which, str) or which not in _ESTIMATE_RUNNERS:
         raise ValueError(f"config key 'estimate' must be one of "
                          f"{', '.join(sorted(_ESTIMATE_RUNNERS))}")
-    return {"estimate": str, **_ESTIMATE_RUNNERS[which][1]}
+    keys = _ESTIMATE_RUNNERS[which][1]
+    return {"estimate": str, **(keys() if callable(keys) else keys)}
 
 
 @main.command("verify-estimates")
@@ -542,6 +594,8 @@ def verify_estimates_cmd(config_path, output_dir, quiet):
 def commutator_constants_cmd(config_path, output_dir, quiet, jobs):
     """Estimate the constants of the commutator/product inequalities by
     randomized campaign, with a two-resolution drift check."""
+    from .analysis import _LEMMAS, estimate_commutator_constants
+
     cfg = _read_config(config_path, {
         "lemma": "all", "param": None, "samples": 200, "seed": 0,
         **_defaults(estimate_commutator_constants, "n_lo", "n_hi", "decay"),
@@ -581,13 +635,20 @@ def nash_moser_cmd(config_path, output_dir, quiet):
     """Run the smoothed Newton solve from configured Cauchy data; on
     divergence, halve the horizon and restart, up to max_halvings times.
     Exits 0 if the last run converged and 3 on any other outcome."""
+    from .nash_moser import IterationConfig, iterate_auto
+    from .solver import SimConfig
+    from .spectral import TorusGrid
+
+    sim_keys = _sim_keys()
+    newton_keys = _defaults(IterationConfig, "theta0", "theta_growth", "max_iters",
+                            "residual_tol")
     cfg = _read_config(config_path, {
-        **_SIM, "phi0": None, "phi1": None, **_NEWTON,
+        **sim_keys, "phi0": None, "phi1": None, **newton_keys,
         **_defaults(iterate_auto, "max_halvings"),
     })
-    sim = SimConfig(**_pick(cfg, _SIM))
+    sim = SimConfig(**_pick(cfg, sim_keys))
     data = _cauchy_data(TorusGrid(sim.grid_n), cfg)
-    run_cfg = IterationConfig(sim=sim, **_pick(cfg, _NEWTON))
+    run_cfg = IterationConfig(sim=sim, **_pick(cfg, newton_keys))
     out = _resolve_output(output_dir)
 
     traj, report = iterate_auto(run_cfg, data, max_halvings=cfg["max_halvings"])

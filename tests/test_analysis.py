@@ -471,6 +471,17 @@ class TestCommutatorCampaigns:
         rep = estimate_commutator_constant("A2", None, samples=3, seed=0, n_lo=6, n_hi=8)
         assert rep.params["kmax"] == 1 and rep.extras["sup_hi"] > 0.0
 
+    def test_round_off_constant_fails(self):
+        # banded to one mode (n_lo < 12), A1_comm_3's lhs vanishes identically:
+        # a sup of round-off (1.95e-16) that drifts by nothing is no constant
+        rep = estimate_commutator_constant("A1_comm_3", None, samples=10, seed=1,
+                                           n_lo=6, n_hi=8)
+        assert rep.extras["sup_hi"] < 1e-12 and rep.extras["resolution_drift"] == 0.0
+        assert rep.passed is False
+        rep = estimate_commutator_constant("A1_comm_3", None, samples=10, seed=1,
+                                           n_lo=12, n_hi=24)
+        assert rep.extras["sup_hi"] > 1e-3 and rep.passed is True
+
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             estimate_commutator_constant("A1_comm_1", 0.5, samples=2, seed=0)

@@ -25,6 +25,20 @@ def write_config(tmp_path, name, payload):
     return str(p)
 
 
+def fresh_python(code, *args):
+    """Standard output of `code` run in a fresh interpreter on this package."""
+    import amp_sheet
+    src = str(Path(amp_sheet.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", code, *map(str, args)], env=env,
+                          capture_output=True, text=True, check=True)
+    return done.stdout.strip()
+
+
+#: prints the package's modules that the interpreter has loaded
+LOADED = "print(sorted(m for m in sys.modules if m.startswith('amp_sheet')))"
+
+
 ZERO_SIM = {"mu": 1.0, "delta": 0.9, "grid_n": 32, "galerkin_N": 8,
             "dt": 0.005, "t_final": 0.2}
 #: growth takes the solver keys without delta: no base, no margin
@@ -77,14 +91,44 @@ class TestConfigHandling:
 
     def test_import_leaves_out_the_process_pool(self):
         # the pool's modules load only when a campaign runs with --jobs > 1
-        import amp_sheet
-        src = str(Path(amp_sheet.__file__).resolve().parents[1])
         code = ("import sys, amp_sheet.cli; "
                 "print('concurrent.futures.process' in sys.modules)")
-        env = {**os.environ, "PYTHONPATH": src}
-        done = subprocess.run([sys.executable, "-c", code], env=env,
-                              capture_output=True, text=True, check=True)
-        assert done.stdout.strip() == "False"
+        assert fresh_python(code) == "False"
+
+    def test_import_loads_no_layer(self):
+        # each command imports the layers it runs; --help and --version run none
+        code = ("import sys, amp_sheet.cli as cli\n" + LOADED + "\n"
+                "for args in (['--help'], ['--version'], ['simulate', '--help']):\n"
+                "    assert cli.main.main(args, standalone_mode=False) == 0, args\n"
+                + LOADED)
+        lines = fresh_python(code).splitlines()  # the help and version text between
+        assert lines[0] == lines[-1] == "['amp_sheet', 'amp_sheet.cli']"
+
+    def test_simulate_loads_no_analysis(self, tmp_path):
+        code = ("import sys, amp_sheet.cli as cli\n"
+                "try:\n"
+                "    cli.main.main(['simulate', '--config', sys.argv[1], '--output',\n"
+                "                   sys.argv[2], '--quiet'], standalone_mode=False)\n"
+                "except SystemExit as exc:\n"
+                "    assert exc.code == 0, exc.code\n" + LOADED)
+        cfg = write_config(tmp_path, "c.json", {**ZERO_SIM, "phi0": {"cos": {"1": 0.01}}})
+        loaded = fresh_python(code, cfg, tmp_path / "o")
+        assert loaded == str(["amp_sheet", "amp_sheet.cli", "amp_sheet.operators",
+                              "amp_sheet.solver", "amp_sheet.spectral"])
+        assert (tmp_path / "o" / "summary.json").is_file()
+
+    def test_package_resolves_names_on_first_use(self):
+        import amp_sheet
+        assert len(amp_sheet.__all__) == 48
+        for name in amp_sheet.__all__:
+            obj = getattr(amp_sheet, name)
+            assert getattr(sys.modules[obj.__module__], name) is obj, name
+        assert set(amp_sheet.__all__) <= set(dir(amp_sheet))
+        with pytest.raises(AttributeError, match="no_such_name"):
+            amp_sheet.no_such_name
+        # a name loads its own module and what that imports, nothing more
+        code = "import sys, amp_sheet\namp_sheet.TorusGrid\n" + LOADED
+        assert fresh_python(code) == "['amp_sheet', 'amp_sheet.spectral']"
 
     def test_seed_only_as_a_config_key(self, runner, tmp_path):
         # the config is the one writer of a seed: no command has --seed, and
@@ -226,6 +270,19 @@ def exits_two_naming(runner, tmp_path, command, edit, key):
                                "--output", str(tmp_path / "o"), "--quiet"])
     assert out.exit_code == 2, out.output
     assert key in out.output
+
+
+def test_non_finite_numbers_are_written_apart(tmp_path):
+    # NaN, +inf and -inf, at any depth and numpy's too, each as its own
+    # string; finite numbers as json writes them
+    from amp_sheet.cli import _not_json, _write_json
+    path = tmp_path / "a.json"
+    payload = {"a": float("nan"), "b": [np.inf, -np.inf, 1.5],
+               "c": {"d": (np.float32(-np.inf),)}, "e": np.float64(0.1), "f": 3}
+    _write_json(path, payload, {"x": 1.0}, quiet=True)
+    body = json.loads(path.read_text(), parse_constant=_not_json)
+    assert body["a"] == "NaN" and body["b"] == ["Infinity", "-Infinity", 1.5]
+    assert body["c"] == {"d": ["-Infinity"]} and body["e"] == 0.1 and body["f"] == 3
 
 
 class TestConfigContract:
@@ -491,15 +548,29 @@ class TestGrowth:
         assert all(abs(rate) <= 1e-9 for rate in summary["rates"].values()), summary
         assert summary["passed"] is True
 
+    def test_summary_is_strict_json(self, runner, tmp_path):
+        # one step is too short to fit a rate: the NaN rate misses (exit 1)
+        # and is written as the string "NaN", which a strict reader reads
+        from amp_sheet.cli import _not_json
+        cfg = write_config(tmp_path, "c.json", {
+            "mu": -1.0, "grid_n": 32, "galerkin_N": 8, "dt": 0.01, "t_final": 0.01,
+            "modes": [4]})
+        dest = tmp_path / "o"
+        out = runner.invoke(main, ["growth", "--config", cfg,
+                                   "--output", str(dest), "--quiet"])
+        assert out.exit_code == 1, out.output
+        summary = json.loads((dest / "summary.json").read_text(), parse_constant=_not_json)
+        assert summary["rates"] == {"4": "NaN"} and summary["passed"] is False
+
     def test_one_solve_for_all_modes(self, runner, tmp_path, monkeypatch):
-        import amp_sheet.cli as cli
-        real, calls = cli.solve_linearized, []
+        import amp_sheet.solver as solver
+        real, calls = solver.solve_linearized, []
 
         def counting(*args, **kwargs):
             calls.append(kwargs)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(cli, "solve_linearized", counting)
+        monkeypatch.setattr(solver, "solve_linearized", counting)
         cfg = write_config(tmp_path, "c.json", {"mu": -1.0, "t_final": 0.2})
         out = runner.invoke(main, ["growth", "--config", cfg,
                                    "--output", str(tmp_path / "o"), "--quiet"])
@@ -529,8 +600,8 @@ class TestGrowth:
     def test_missed_rate_exits_one(self, runner, tmp_path, monkeypatch, t_final, miss):
         # no valid config misses: a fit 6% off or NaN stands in for one, and
         # a miss outranks a cut solve (t_final 3 blows mode 21 up)
-        import amp_sheet.cli as cli
-        monkeypatch.setattr(cli, "measure_mode_growth",
+        import amp_sheet.solver as solver
+        monkeypatch.setattr(solver, "measure_mode_growth",
                             lambda traj, modes: {k: k * miss for k in modes})
         cfg = write_config(tmp_path, "c.json", {
             "mu": -1.0, "grid_n": 64, "galerkin_N": 21, "dt": 0.002,
@@ -770,12 +841,12 @@ class TestVerifyEstimates:
                                                 monkeypatch):
         # a width of 0 or less windows the profile away: every ratio would
         # be 0 and the check would pass on nothing; rejected before any work
-        import amp_sheet.cli as cli
+        import amp_sheet.analysis as analysis
 
         def no_draws(*args, **kwargs):
             raise AssertionError("a random field was drawn")
 
-        monkeypatch.setattr(cli, "random_trig_field", no_draws)
+        monkeypatch.setattr(analysis, "random_trig_field", no_draws)
         cfg = write_config(tmp_path, "c.json", payload)
         dest = tmp_path / "o"
         out = runner.invoke(main, ["verify-estimates", "--config", cfg,
