@@ -11,8 +11,8 @@ stability monitor, weighted-norm estimate verification campaigns, and a
 smoothed Newton iteration for the full nonlinear problem.
 
 Importing the package loads none of its modules: each public name below
-imports the module that owns it on first use (PEP 562), so a command
-pays only for the layers it runs.
+is read, on every use, from the module that owns it, imported on first
+use (PEP 562); so a command pays only for the layers it runs.
 """
 
 from importlib import import_module
@@ -22,23 +22,23 @@ __version__ = "0.1.0"
 #: {public name: owning module}
 _OWNERS = {
     **dict.fromkeys((
-        "TorusGrid", "SpectralField", "synthesize", "hilbert", "derivative",
-        "pointwise_product", "sobolev_norm", "inner_product",
+        "TorusGrid", "SpectralField", "zeros", "cosine", "sine", "synthesize",
+        "hilbert", "derivative", "pointwise_product", "sobolev_norm", "inner_product",
     ), "spectral"),
     **dict.fromkeys((
         "CauchyData", "FieldSeries", "Trajectory", "Lifting", "LiftingError",
         "quadratic_rhs", "quadratic_rhs_derivative", "second_derivative",
         "nonlinear_operator", "apply_linearized_operator", "stability_coefficient",
-        "build_lifting", "lifting_forcing",
+        "require_margin", "bump_window", "build_lifting", "lifting_forcing",
     ), "operators"),
     **dict.fromkeys((
         "SimConfig", "CflError", "solve_nonlinear", "solve_linearized",
         "measure_mode_growth", "field_evaluator",
     ), "solver"),
     **dict.fromkeys((
-        "WeightedNormSpec", "EstimateReport", "weighted_l2_norm", "xm_norm", "ym_norm",
-        "verify_energy_estimate", "verify_energy_estimates", "verify_tame_estimate",
-        "verify_tame_estimates", "verify_phitt_estimate",
+        "WeightedNormSpec", "EstimateReport", "random_trig_field", "weighted_l2_norm",
+        "xm_norm", "ym_norm", "verify_energy_estimate", "verify_energy_estimates",
+        "verify_tame_estimate", "verify_tame_estimates", "verify_phitt_estimate",
         "verify_second_derivative_estimate", "verify_hilbert_identities",
         "verify_forcing_bound", "estimate_commutator_constant",
         "estimate_commutator_constants", "kernel_commutator",
@@ -52,13 +52,12 @@ __all__ = sorted(_OWNERS)
 
 
 def __getattr__(name):
-    """The public `name`, imported from its module and cached here."""
+    """The public `name` as its owning module binds it now."""
     try:
         owner = _OWNERS[name]
     except KeyError:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
-    value = globals()[name] = getattr(import_module(f".{owner}", __name__), name)
-    return value
+    return getattr(import_module(f".{owner}", __name__), name)
 
 
 def __dir__():

@@ -39,6 +39,7 @@ from .spectral import (
     _analysis,
     _band,
     _padded_size,
+    _real_coeffs,
     _synthesis,
     derivative,
     from_modes,
@@ -280,7 +281,7 @@ def verify_tame_estimates(phi0, forcing, cfg, m_values):
 
     one EstimateReport per m, in order.  The two-derivative loss lives in
     the first right-hand term: the base regularity is measured at m+2
-    while g enters at H^2 only.
+    while g enters at H^2 only.  The base must keep the margin delta/2.
     """
     if not m_values:
         raise ValueError("need at least one m")
@@ -289,9 +290,11 @@ def verify_tame_estimates(phi0, forcing, cfg, m_values):
     traj, monitor = solve_linearized(cfg, base=phi0, forcing=forcing)
     times, gamma = traj.times, cfg.gamma
     spec = WeightedNormSpec(gamma)
+    base = field_evaluator(phi0, traj.grid)(times)
+    require_margin(base, cfg.mu, 0.5 * cfg.delta, "base profile")
     g = field_evaluator(forcing, traj.grid)(times)
     phix = derivative(traj.phi)
-    base_x = derivative(field_evaluator(phi0, traj.grid)(times))
+    base_x = derivative(base)
     min_base = float(np.min(monitor["min_stability_coeff"]))
     reports = []
     for m in m_values:
@@ -400,18 +403,14 @@ def verify_second_derivative_estimate(phi_series, psi_series, gamma, m):
 # commutator/product inequality campaigns
 
 
-def _hilbert_commutator(v, f):
-    """[H; v]f = H[vf] - v H[f]."""
-    return hilbert(pointwise_product(v, f)) - pointwise_product(v, hilbert(f))
-
-
 class _Pair:
-    """The (samples, n-1) stacks v and f on one grid as the lemmas read
-    them: v synthesized once on the 3/2-padded grid, each product v g
-    formed once, and each sup norm taken once on each of `grid_sizes`.  An
-    image of v or f is named by the operations that build it, in order: p
-    for d^p, "H" for the Hilbert transform, so (1, "H") is H f_x.  Built
-    by those operations, v g is bitwise pointwise_product(v, g)."""
+    """The (samples, n-1) stacks v and f on one grid as the lemmas, the
+    kernel check and the identity battery read them: v synthesized once on
+    the 3/2-padded grid, each product v g formed once, and each sup norm
+    taken once on each of `grid_sizes`.  An image of v or f is named by
+    the operations that build it, in order: p for d^p, "H" for the Hilbert
+    transform, so (1, "H") is H f_x.  Built by those operations, v g is
+    bitwise pointwise_product(v, g)."""
 
     def __init__(self, v, f, grid_sizes):
         self.v, self.f, self._sizes = v, f, grid_sizes
@@ -679,10 +678,11 @@ def kernel_commutator(v, f):
 
 def lambda_kernel_check(v, f):
     """Max discrepancy between the transform route and the kernel sum for
-    [H; v]f.  Bandlimitation is enforced so the comparison is alias-free."""
-    direct = _hilbert_commutator(v, f)
+    [H; v]f of real fields.  Bandlimitation is enforced so the comparison
+    is alias-free."""
     kernel = kernel_commutator(v, f)
-    return float(np.max(np.abs(direct.coeffs - kernel.coeffs)))
+    direct = _Pair(_real_coeffs(v), _real_coeffs(f), ()).hilbert_commutator()
+    return float(np.max(np.abs(direct - kernel.coeffs)))
 
 
 # ---------------------------------------------------------------------------
@@ -713,8 +713,7 @@ def verify_hilbert_identities(samples=100, grid_n=128, seed=0):
         shift[i] = rng.standard_normal()
 
     hf, hg = hilbert(f), hilbert(g)
-    comm_f = pointwise_product(h, hf) - hilbert(pointwise_product(h, f))
-    comm_g = pointwise_product(h, hg) - hilbert(pointwise_product(h, g))
+    comm_f, comm_g = (_Pair(h, x, ()).hilbert_commutator() for x in (f, g))
     shifted = f.copy()
     shifted[:, mid] += 2.0 * np.pi * shift
     mean = np.zeros_like(shifted)

@@ -14,9 +14,10 @@ products, whose last bits depend on the kernel).  Exit codes: 0 success,
 the CFL limit included), 3 completed-with-flags (stability crossing,
 blow-up, non-convergence).
 
-Each command imports the layers it runs in its own body, so importing
-this module loads no other module of the package, and `simulate`,
-`linearized` and `growth` never load `analysis` or `nash_moser`.
+Every library name is read through the package namespace (`lib.name`)
+when a command runs, never at import, so importing this module loads no
+other module of the package, and `simulate`, `linearized` and `growth`
+never load `analysis` or `nash_moser`.
 """
 
 import csv
@@ -30,6 +31,7 @@ from pathlib import Path
 import click
 import numpy as np
 
+import amp_sheet as lib
 from . import __version__
 
 __all__ = ["main"]
@@ -53,9 +55,7 @@ def _sim_keys(*left_out):
     SimConfig's defaults.  The solver commands leave out gamma, the norm
     weight that only Newton and the estimates read, and `growth` also
     delta, the margin that a run without a base never reads."""
-    from .solver import SimConfig
-
-    return {k: d for k, d in _defaults(SimConfig).items() if k not in left_out}
+    return {k: d for k, d in _defaults(lib.SimConfig).items() if k not in left_out}
 
 
 _KINDS = {int: "an integer", float: "a number", bool: "true or false",
@@ -65,8 +65,9 @@ _KINDS = {int: "an integer", float: "a number", bool: "true or false",
 def _typed(key, value, default):
     """`value` checked against the type of `default` (a required key's
     default is the type itself): an int takes a JSON integer, a float any
-    number (cast to float), a bool true/false, a list a list of its first
-    element's type.  A None default passes the value on to its validator."""
+    number a float holds (cast to float), a bool true/false, a list a list
+    of its first element's type.  A None default passes the value on to its
+    validator."""
     if default is None:
         return value
     kind = default if isinstance(default, type) else type(default)
@@ -74,6 +75,8 @@ def _typed(key, value, default):
         return [_typed(key, x, default[0]) for x in value]
     accepted = (int, float) if kind is float else kind
     if isinstance(value, accepted) and (kind is bool or not isinstance(value, bool)):
+        if kind is float and abs(value) > sys.float_info.max:
+            raise ValueError(f"config key {key!r} holds an integer too large for a float")
         return float(value) if kind is float else value
     raise ValueError(f"config key {key!r} holds {json.dumps(value)}, expected {_KINDS[kind]}")
 
@@ -82,18 +85,27 @@ def _not_json(name):
     raise ValueError(f"config holds {name}, which is not JSON")
 
 
+def _finite(text):
+    """The float a JSON number reads as, which must not overflow to inf."""
+    value = float(text)
+    if math.isinf(value):
+        raise ValueError(f"config holds {text}, which overflows a float")
+    return value
+
+
 def _read_config(path, table):
     """The resolved config of a command: the JSON object at `path` (none:
     {}) checked against `table`, {key: default} or a function of the raw
     object that returns one, and completed with the defaults.  Unknown
-    keys, missing required keys and values of the wrong type raise
-    ValueError naming the key, and NaN or Infinity, which are not JSON,
-    ValueError naming the constant."""
+    keys, missing required keys, values of the wrong type and integers too
+    large for a float key raise ValueError naming the key; NaN or
+    Infinity, which are not JSON, and numbers that overflow a float,
+    ValueError naming the constant or the number."""
     raw = {}
     if path is not None:
         try:
             with open(path, "r", encoding="utf-8") as fh:
-                raw = json.load(fh, parse_constant=_not_json)
+                raw = json.load(fh, parse_constant=_not_json, parse_float=_finite)
         except json.JSONDecodeError as exc:
             raise ValueError(f"malformed config {path}: {exc}") from None
         if not isinstance(raw, dict):
@@ -117,9 +129,7 @@ def _pick(cfg, table):
 def _build_field(grid, spec, label):
     """Field from {"cos": {"k": amp}, "sin": {"k": amp}} with string modes;
     None is the zero field.  Raises ValueError on a malformed spec."""
-    from .spectral import cosine, sine, zeros
-
-    out = zeros(grid)
+    out = lib.zeros(grid)
     if spec is None:
         return out
     if not isinstance(spec, dict):
@@ -127,7 +137,7 @@ def _build_field(grid, spec, label):
     unknown = sorted(set(spec) - {"cos", "sin"})
     if unknown:
         raise ValueError(f"{label}: unknown keys {', '.join(unknown)}")
-    for kind, builder in (("cos", cosine), ("sin", sine)):
+    for kind, builder in (("cos", lib.cosine), ("sin", lib.sine)):
         table = spec.get(kind, {})
         if not isinstance(table, dict):
             raise ValueError(f"{label}.{kind} must map mode -> amplitude")
@@ -143,10 +153,8 @@ def _build_field(grid, spec, label):
 
 
 def _cauchy_data(grid, cfg):
-    from .operators import CauchyData
-
-    return CauchyData(_build_field(grid, cfg["phi0"], "phi0"),
-                      _build_field(grid, cfg["phi1"], "phi1"))
+    return lib.CauchyData(_build_field(grid, cfg["phi0"], "phi0"),
+                          _build_field(grid, cfg["phi1"], "phi1"))
 
 
 # ---------------------------------------------------------------------------
@@ -212,17 +220,15 @@ def _write_modes(out, traj, config, quiet):
 
 def _write_solve(out, command, traj, monitor, config, quiet, **summary):
     """trajectory.csv, final_modes.csv and summary.json of one solve."""
-    from .spectral import sobolev_norm
-
     _write_csv(out / "trajectory.csv", ("t", "h1_phi", "h1_phit", "min_stability"),
-               zip(traj.times, sobolev_norm(traj.phi, 1), sobolev_norm(traj.phit, 1),
+               zip(traj.times, lib.sobolev_norm(traj.phi, 1), lib.sobolev_norm(traj.phit, 1),
                    monitor["min_stability_coeff"]), config, quiet)
     _write_modes(out, traj, config, quiet)
     _write_json(out / "summary.json", {
         "command": command,
         "steps_kept": len(traj),
         "flags": monitor["flags"],
-        "final_h1": sobolev_norm(traj.phi[-1], 1),
+        "final_h1": lib.sobolev_norm(traj.phi[-1], 1),
         **summary,
     }, config, quiet)
 
@@ -265,16 +271,13 @@ def main():
 @common_options
 def simulate(config_path, output_dir, quiet):
     """Integrate the nonlinear equation from configured Cauchy data."""
-    from .solver import SimConfig, solve_nonlinear
-    from .spectral import TorusGrid
-
     keys = _sim_keys("gamma")
     cfg = _read_config(config_path, {**keys, "phi0": None, "phi1": None})
-    sim = SimConfig(**_pick(cfg, keys))
-    data = _cauchy_data(TorusGrid(sim.grid_n), cfg)
+    sim = lib.SimConfig(**_pick(cfg, keys))
+    data = _cauchy_data(lib.TorusGrid(sim.grid_n), cfg)
     out = _resolve_output(output_dir)
 
-    traj, monitor = solve_nonlinear(sim, data)
+    traj, monitor = lib.solve_nonlinear(sim, data)
     _write_solve(out, "simulate", traj, monitor, cfg, quiet,
                  min_stability=float(np.min(monitor["min_stability_coeff"])))
     sys.exit(3 if monitor["flags"] else 0)
@@ -285,22 +288,20 @@ def simulate(config_path, output_dir, quiet):
 def linearized(config_path, output_dir, quiet):
     """Integrate the linearized equation around a configured base, whose
     stability coefficient must stay at or above delta/2 (exit 2 if not)."""
-    from .solver import SimConfig, solve_linearized
-    from .spectral import TorusGrid
-
     keys = _sim_keys("gamma")
     cfg = _read_config(config_path, {
         **keys, "base": None, "phi0": None, "phi1": None, "forcing_profile": None,
         "envelope_center": 0.0, "envelope_width": 0.0,
     })
-    sim = SimConfig(**_pick(cfg, keys))
-    grid = TorusGrid(sim.grid_n)
+    sim = lib.SimConfig(**_pick(cfg, keys))
+    grid = lib.TorusGrid(sim.grid_n)
     base, forcing = _base_and_forcing(cfg, sim, _build_field(
         grid, cfg["forcing_profile"], "forcing_profile"))
     initial = _cauchy_data(grid, cfg)
     out = _resolve_output(output_dir)
 
-    traj, monitor = solve_linearized(sim, base=base, forcing=forcing, initial_state=initial)
+    traj, monitor = lib.solve_linearized(sim, base=base, forcing=forcing,
+                                         initial_state=initial)
     _write_solve(out, "linearized", traj, monitor, cfg, quiet)
     sys.exit(3 if monitor["flags"] else 0)
 
@@ -316,14 +317,10 @@ def growth(config_path, output_dir, quiet):
     nothing on the branch but the fastest mode's round-off.  A rate off
     its expected value (k sqrt(|mu|) for mu < 0, else 0) by more than 5%
     of k sqrt(|mu|), or 1e-9 at mu = 0, exits 1; else a cut solve exits 3."""
-    from .operators import CauchyData, Trajectory
-    from .solver import SimConfig, measure_mode_growth, solve_linearized
-    from .spectral import TorusGrid, cosine, zeros
-
     keys = _sim_keys("gamma", "delta")
     cfg = _read_config(config_path, {**keys, "modes": [4, 8, 16], "epsilon": 1e-6})
     # its linearized solve never aborts on the margin, so delta is not read
-    sim = SimConfig(**_pick(cfg, keys), delta=1.0)
+    sim = lib.SimConfig(**_pick(cfg, keys), delta=1.0)
     modes = cfg["modes"]
     if not modes:
         raise ValueError("config key 'modes' must hold at least one value")
@@ -332,21 +329,22 @@ def growth(config_path, output_dir, quiet):
     for k in modes:
         if not 1 <= k <= sim.galerkin_N:
             raise ValueError(f"mode {k} outside the Galerkin band")
-    grid = TorusGrid(sim.grid_n)
+    grid = lib.TorusGrid(sim.grid_n)
     eps = cfg["epsilon"]
     if eps == 0.0:
         raise ValueError("config key 'epsilon' must be nonzero: a zero seed has no rate")
     out = _resolve_output(output_dir)
 
     speed = np.sqrt(abs(sim.mu))
-    data = CauchyData(sum((cosine(grid, k, eps) for k in modes), zeros(grid)),
-                      sum((cosine(grid, k, eps * k * speed) for k in modes), zeros(grid)))
-    traj, monitor = solve_linearized(sim, initial_state=data)
+    cosine, zeros = lib.cosine, lib.zeros
+    data = lib.CauchyData(sum((cosine(grid, k, eps) for k in modes), zeros(grid)),
+                          sum((cosine(grid, k, eps * k * speed) for k in modes), zeros(grid)))
+    traj, monitor = lib.solve_linearized(sim, initial_state=data)
     # the amplitude of every mode, with 1/(k sqrt(mu)) read as 0 where mu <= 0
     omega = np.abs(grid.modes) * np.sqrt(max(sim.mu, 0.0))
     inverse = np.divide(1.0, omega, out=np.zeros_like(omega), where=omega > 0.0)
     amps = np.hypot(np.abs(traj.phi), inverse * np.abs(traj.phit))
-    rates = measure_mode_growth(Trajectory(traj.times, amps), modes)
+    rates = lib.measure_mode_growth(lib.Trajectory(traj.times, amps), modes)
 
     rows = []
     for k in modes:
@@ -374,14 +372,12 @@ def growth(config_path, output_dir, quiet):
 @common_options
 def verify_identities_cmd(config_path, output_dir, quiet):
     """Run the Hilbert-transform identity battery."""
-    from .analysis import verify_hilbert_identities
-
-    cfg = _read_config(config_path, _defaults(verify_hilbert_identities))
+    cfg = _read_config(config_path, _defaults(lib.verify_hilbert_identities))
     if cfg["samples"] < 1:
         raise ValueError("config key 'samples' must be at least 1")
     out = _resolve_output(output_dir)
 
-    report = verify_hilbert_identities(**cfg)
+    report = lib.verify_hilbert_identities(**cfg)
     _write_json(out / "identities.json", {
         "command": "verify-identities",
         "report": report,
@@ -397,23 +393,17 @@ def _window(times, center, width):
     """The bump window and its first two derivatives at `times`, as three
     (T, 1) columns that scale a profile's coefficients row by row; a width
     of 0 or less, which would window the profile away, is a config error."""
-    from .operators import bump_window
-
     if width <= 0.0:
         raise ValueError("config key 'envelope_width' must be positive")
-    return np.array(bump_window(np.asarray(times, float)[:, None], center, width))
+    return np.array(lib.bump_window(np.asarray(times, float)[:, None], center, width))
 
 
 def _run_energy(p):
-    from .analysis import random_trig_field, verify_energy_estimates
-    from .operators import Trajectory, stability_coefficient
-    from .spectral import TorusGrid
-
     if p["pairs"] < 1:
         raise ValueError("config key 'pairs' must be at least 1")
     if not p["gammas"]:
         raise ValueError("config key 'gammas' must hold at least one value")
-    grid = TorusGrid(p["grid_n"])
+    grid = lib.TorusGrid(p["grid_n"])
     mu, delta, center, width = p["mu"], p["delta"], p["envelope_center"], p["envelope_width"]
     rng = np.random.default_rng(p["seed"])
 
@@ -424,14 +414,14 @@ def _run_energy(p):
     for _ in range(p["pairs"]):
         # base profile small enough to keep the margin, resampled if not
         for _attempt in range(100):
-            base = random_trig_field(grid, 4, rng, amplitude=0.02)
-            if stability_coefficient(base, mu)[1] >= delta:
+            base = lib.random_trig_field(grid, 4, rng, amplitude=0.02)
+            if lib.stability_coefficient(base, mu)[1] >= delta:
                 break
         else:
             raise ValueError(f"could not draw a base with margin delta = {delta:.6g}")
-        profile = random_trig_field(grid, 4, rng)
-        traj = Trajectory(times, w * profile.coeffs, wp * profile.coeffs)
-        reports = verify_energy_estimates(base, traj, mu, delta, gammas)
+        profile = lib.random_trig_field(grid, 4, rng)
+        traj = lib.Trajectory(times, w * profile.coeffs, wp * profile.coeffs)
+        reports = lib.verify_energy_estimates(base, traj, mu, delta, gammas)
         passing = next((g for g, rep in zip(gammas, reports) if rep.passed), None)
         results.append({"first_passing_gamma": passing,
                         "ratios": {str(g): rep.ratio for g, rep in zip(gammas, reports)}})
@@ -444,10 +434,8 @@ def _base_and_forcing(p, sim, profile):
     base must keep the margin delta/2, and the forcing is `profile` under
     the envelope window, a callable of the solver's stage times, or the
     constant profile for a window of width 0 or less."""
-    from .operators import require_margin
-
     base = _build_field(profile.grid, p["base"], "base")
-    require_margin(base, sim.mu, 0.5 * sim.delta, "base profile")
+    lib.require_margin(base, sim.mu, 0.5 * sim.delta, "base profile")
     center, width = p["envelope_center"], p["envelope_width"]
     if width <= 0.0:
         return base, profile
@@ -461,53 +449,42 @@ def _base_and_forcing(p, sim, profile):
 def _solve_setup(p):
     """SimConfig, base and forcing of the tame and phitt runners; a zero
     forcing profile is cos x."""
-    from .solver import SimConfig
-    from .spectral import TorusGrid, cosine
-
-    sim = SimConfig(**_pick(p, _sim_keys()))
-    grid = TorusGrid(sim.grid_n)
+    sim = lib.SimConfig(**_pick(p, _sim_keys()))
+    grid = lib.TorusGrid(sim.grid_n)
     profile = _build_field(grid, p["forcing_profile"], "forcing_profile")
     if np.max(np.abs(profile.coeffs)) == 0.0:
-        profile = cosine(grid, 1)
+        profile = lib.cosine(grid, 1)
     return (sim, *_base_and_forcing(p, sim, profile))
 
 
 def _run_tame(p):
-    from .analysis import verify_tame_estimates
-
     if not p["m_values"]:
         raise ValueError("config key 'm_values' must hold at least one value")
     sim, base, g = _solve_setup(p)
     reports = [{"m": rep.params["m"], "constant": rep.ratio, "passed": rep.passed,
                 "lhs": rep.lhs, "rhs": rep.rhs}
-               for rep in verify_tame_estimates(base, g, sim, p["m_values"])]
+               for rep in lib.verify_tame_estimates(base, g, sim, p["m_values"])]
     ok = all(r["passed"] for r in reports)
     return {"estimate": "tame", "reports": reports, "passed": ok}, ok
 
 
 def _run_phitt(p):
-    from .analysis import verify_phitt_estimate
-    from .solver import solve_linearized
-
     sim, base, g = _solve_setup(p)
-    traj, _ = solve_linearized(sim, base=base, forcing=g)
-    rep = verify_phitt_estimate(base, traj, g, p["gamma"], p["m"])
+    traj, _ = lib.solve_linearized(sim, base=base, forcing=g)
+    rep = lib.verify_phitt_estimate(base, traj, g, p["gamma"], p["m"])
     payload = {"estimate": "phitt", "constant": rep.ratio,
                "lhs": rep.lhs, "rhs": rep.rhs, "passed": rep.passed}
     return payload, rep.passed
 
 
 def _run_der2(p):
-    from .analysis import random_trig_field, verify_second_derivative_estimate
-    from .operators import Trajectory
-    from .spectral import TorusGrid
-
     ts = np.arange(0.0, p["t_final"] + 1e-12, p["dt"])
     windows = [_window(ts, center, p["envelope_width"])[0] for center in (0.4, 0.6)]
-    grid = TorusGrid(p["grid_n"])
+    grid = lib.TorusGrid(p["grid_n"])
     rng = np.random.default_rng(p["seed"])
-    phi, psi = (Trajectory(ts, w * random_trig_field(grid, 4, rng).coeffs) for w in windows)
-    rep = verify_second_derivative_estimate(phi, psi, p["gamma"], p["m"])
+    phi, psi = (lib.Trajectory(ts, w * lib.random_trig_field(grid, 4, rng).coeffs)
+                for w in windows)
+    rep = lib.verify_second_derivative_estimate(phi, psi, p["gamma"], p["m"])
     payload = {"estimate": "der2", "constant": rep.ratio,
                "half_horizon_constant": rep.extras["half_horizon_constant"],
                "passed": rep.passed}
@@ -515,11 +492,8 @@ def _run_der2(p):
 
 
 def _run_forcing(p):
-    from .analysis import verify_forcing_bound
-    from .spectral import TorusGrid
-
-    data = _cauchy_data(TorusGrid(p["grid_n"]), p)
-    rep = verify_forcing_bound(data, p["mu"], p["delta"], nu=p["nu"], gamma=p["gamma"])
+    data = _cauchy_data(lib.TorusGrid(p["grid_n"]), p)
+    rep = lib.verify_forcing_bound(data, p["mu"], p["delta"], nu=p["nu"], gamma=p["gamma"])
     payload = {"estimate": "forcing", "order": rep.ratio,
                "shrink_ratios": rep.extras["horizon_shrink_ratios"],
                "passed": rep.passed}
@@ -529,10 +503,8 @@ def _run_forcing(p):
 def _forcing_keys():
     """The forcing estimate's keys, nu and gamma with the defaults of
     verify_forcing_bound, which the table reads when the estimate runs."""
-    from .analysis import verify_forcing_bound
-
     return {"mu": 1.0, "delta": 0.75, "grid_n": 32, "phi0": None, "phi1": None,
-            **_defaults(verify_forcing_bound, "nu", "gamma")}
+            **_defaults(lib.verify_forcing_bound, "nu", "gamma")}
 
 
 #: each estimate's runner and the config keys it reads with their defaults,
@@ -594,16 +566,16 @@ def verify_estimates_cmd(config_path, output_dir, quiet):
 def commutator_constants_cmd(config_path, output_dir, quiet, jobs):
     """Estimate the constants of the commutator/product inequalities by
     randomized campaign, with a two-resolution drift check."""
-    from .analysis import _LEMMAS, estimate_commutator_constants
+    from .analysis import _LEMMAS
 
     cfg = _read_config(config_path, {
         "lemma": "all", "param": None, "samples": 200, "seed": 0,
-        **_defaults(estimate_commutator_constants, "n_lo", "n_hi", "decay"),
+        **_defaults(lib.estimate_commutator_constants, "n_lo", "n_hi", "decay"),
     })
     out = _resolve_output(output_dir)
 
     targets = sorted(_LEMMAS) if cfg["lemma"] == "all" else [cfg["lemma"]]
-    estimates = estimate_commutator_constants(
+    estimates = lib.estimate_commutator_constants(
         {name: cfg["param"] for name in targets}, cfg["samples"], cfg["seed"],
         n_lo=cfg["n_lo"], n_hi=cfg["n_hi"], decay=cfg["decay"], jobs=jobs,
     )
@@ -635,23 +607,19 @@ def nash_moser_cmd(config_path, output_dir, quiet):
     """Run the smoothed Newton solve from configured Cauchy data; on
     divergence, halve the horizon and restart, up to max_halvings times.
     Exits 0 if the last run converged and 3 on any other outcome."""
-    from .nash_moser import IterationConfig, iterate_auto
-    from .solver import SimConfig
-    from .spectral import TorusGrid
-
     sim_keys = _sim_keys()
-    newton_keys = _defaults(IterationConfig, "theta0", "theta_growth", "max_iters",
+    newton_keys = _defaults(lib.IterationConfig, "theta0", "theta_growth", "max_iters",
                             "residual_tol")
     cfg = _read_config(config_path, {
         **sim_keys, "phi0": None, "phi1": None, **newton_keys,
-        **_defaults(iterate_auto, "max_halvings"),
+        **_defaults(lib.iterate_auto, "max_halvings"),
     })
-    sim = SimConfig(**_pick(cfg, sim_keys))
-    data = _cauchy_data(TorusGrid(sim.grid_n), cfg)
-    run_cfg = IterationConfig(sim=sim, **_pick(cfg, newton_keys))
+    sim = lib.SimConfig(**_pick(cfg, sim_keys))
+    data = _cauchy_data(lib.TorusGrid(sim.grid_n), cfg)
+    run_cfg = lib.IterationConfig(sim=sim, **_pick(cfg, newton_keys))
     out = _resolve_output(output_dir)
 
-    traj, report = iterate_auto(run_cfg, data, max_halvings=cfg["max_halvings"])
+    traj, report = lib.iterate_auto(run_cfg, data, max_halvings=cfg["max_halvings"])
 
     # one residual more than corrections, whatever the outcome
     rows = [(float(i), *cells) for i, cells in enumerate(zip(

@@ -96,8 +96,10 @@ class SimConfig:
             raise ValueError("grid_n must be even and at least 4")
         if not 1 <= self.galerkin_N <= self.grid_n // 2 - 1:
             raise ValueError("galerkin_N must lie in [1, grid_n/2 - 1]")
-        if not (self.dt > 0 and self.t_final > 0):
-            raise ValueError("dt and t_final must be positive")
+        if not (0 < self.dt < np.inf and 0 < self.t_final < np.inf):
+            raise ValueError("dt and t_final must be positive and finite")
+        if not self.t_final / self.dt < np.inf:
+            raise ValueError("t_final / dt overflows a float")
         if not self.gamma > 0:
             raise ValueError("gamma must be positive")
         if not 0 < self.cfl_safety <= 1:

@@ -369,6 +369,14 @@ class TestTameEstimate:
             one = verify_tame_estimate(self.BASE, self.g_series(), self.cfg(), rep.params["m"])
             assert serialized(rep) == serialized(one)
 
+    def test_base_margin_precondition(self):
+        # the base must keep delta/2, as in the energy estimate: cos x of
+        # amplitude 0.45 leaves mu - 2 (H phi0)_x a minimum of 0.1 < 0.4
+        cfg = SimConfig(mu=1.0, delta=0.8, grid_n=32, galerkin_N=8, dt=4e-3,
+                        t_final=0.2, gamma=2.0)
+        with pytest.raises(ValueError, match="min 0.1 < 0.4"):
+            verify_tame_estimates(cosine(GRID, 1, 0.45), cosine(GRID, 1), cfg, [1])
+
     def test_sweep_rejects_m_below_one_before_solving(self, monkeypatch):
         import amp_sheet.analysis as analysis
         monkeypatch.setattr(analysis, "solve_linearized", None)
@@ -668,12 +676,12 @@ class TestCommutatorCampaigns:
 
     def test_constant_commutes_to_zero(self):
         # [H; c] = 0 for constant c, so the quotient never moves off zero
-        from amp_sheet.analysis import _hilbert_commutator
+        from amp_sheet.analysis import _Pair
         from amp_sheet.spectral import from_modes
         c = from_modes(GRID, {0: 2.0 * np.pi * 1.7}, real_flag=True)
         f = random_trig_field(GRID, 5, np.random.default_rng(0))
-        out = _hilbert_commutator(c, f)
-        assert np.max(np.abs(out.coeffs)) < 1e-13
+        out = _Pair(c.coeffs, f.coeffs, ()).hilbert_commutator()
+        assert np.max(np.abs(out)) < 1e-13
 
 
 class TestKernelRoute:
@@ -682,6 +690,16 @@ class TestKernelRoute:
         v = random_trig_field(GRID, 5, rng)
         f = random_trig_field(GRID, 5, rng)
         assert lambda_kernel_check(v, f) < 1e-12
+
+    def test_field_not_flagged_real_rejected(self):
+        # the transform route takes real fields only
+        rng = np.random.default_rng(7)
+        v = random_trig_field(GRID, 5, rng)
+        f = SpectralField(GRID, random_trig_field(GRID, 5, rng).coeffs)
+        with pytest.raises(ValueError, match="not flagged real"):
+            lambda_kernel_check(v, f)
+        with pytest.raises(ValueError, match="not flagged real"):
+            lambda_kernel_check(f, v)
 
     def test_one_sided_pair_is_exact_zero(self):
         # when v and f share the sign of every mode, sgn l - sgn k = 0 on

@@ -119,7 +119,7 @@ class TestConfigHandling:
 
     def test_package_resolves_names_on_first_use(self):
         import amp_sheet
-        assert len(amp_sheet.__all__) == 48
+        assert len(amp_sheet.__all__) == 54
         for name in amp_sheet.__all__:
             obj = getattr(amp_sheet, name)
             assert getattr(sys.modules[obj.__module__], name) is obj, name
@@ -129,6 +129,26 @@ class TestConfigHandling:
         # a name loads its own module and what that imports, nothing more
         code = "import sys, amp_sheet\namp_sheet.TorusGrid\n" + LOADED
         assert fresh_python(code) == "['amp_sheet', 'amp_sheet.spectral']"
+
+    def test_package_reads_a_rebound_name(self, runner, tmp_path, monkeypatch):
+        # the namespace caches nothing: a name rebound in its owning module
+        # (a test's patch, the benchmark's tracer) reads the same through the
+        # package, and the commands call it
+        import amp_sheet
+        import amp_sheet.solver as solver
+        real, calls = amp_sheet.solve_linearized, []
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "solve_linearized", counting)
+        assert amp_sheet.solve_linearized is counting
+        cfg = write_config(tmp_path, "c.json", {**ZERO_SIM, "base": {"cos": {"1": 0.02}}})
+        out = runner.invoke(main, ["linearized", "--config", cfg,
+                                   "--output", str(tmp_path / "o"), "--quiet"])
+        assert out.exit_code == 0, out.output
+        assert len(calls) == 1
 
     def test_seed_only_as_a_config_key(self, runner, tmp_path):
         # the config is the one writer of a seed: no command has --seed, and
@@ -270,6 +290,35 @@ def exits_two_naming(runner, tmp_path, command, edit, key):
                                "--output", str(tmp_path / "o"), "--quiet"])
     assert out.exit_code == 2, out.output
     assert key in out.output
+
+
+#: (command, keys replaced in its valid config, the number written where a
+#: key holds "@", the text the error must name): Python's JSON reader takes
+#: 1e400 as inf and a 401-digit integer as an int that no float holds
+OVERFLOWS = [
+    ("simulate", {"t_final": "@"}, "1e400", "1e400"),
+    ("simulate", {"dt": "@"}, "1" + "0" * 400, "dt"),
+    ("simulate", {"phi0": {"cos": {"1": "@"}}}, "-1e400", "-1e400"),
+    ("commutator-constants", {"decay": "@"}, "1e400", "1e400"),
+    ("commutator-constants", {"lemma": "A3", "param": "@"}, "1e400", "1e400"),
+    ("verify-estimates", {"estimate": "der2", "pairs": None, "gammas": None,
+                          "gamma": "@"}, "1e400", "1e400"),
+    ("verify-estimates", {"gammas": [2.0, "@"]}, "1e400", "1e400"),
+    ("nash-moser", {"residual_tol": "@"}, "1e400", "1e400"),
+]
+
+
+@pytest.mark.parametrize("command,edit,number,named", OVERFLOWS,
+                         ids=[case_id(c, e, None) for c, e, _, _ in OVERFLOWS])
+def test_number_that_overflows_a_float_exits_two(runner, tmp_path, command, edit,
+                                                 number, named):
+    cfg = {k: v for k, v in {**VALID[command], **edit}.items() if v is not None}
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(cfg).replace('"@"', number))
+    out = runner.invoke(main, [command, "--config", str(path),
+                               "--output", str(tmp_path / "o"), "--quiet"])
+    assert out.exit_code == 2, out.output
+    assert named in out.output
 
 
 def test_non_finite_numbers_are_written_apart(tmp_path):

@@ -84,6 +84,12 @@ class TestConfig:
         with pytest.raises(ValueError, match=field):
             SimConfig(**{"mu": 1.0, "delta": 0.9, field: float("nan")})
 
+    @pytest.mark.parametrize("dt,t_final", [(np.inf, 1.0), (1e-3, np.inf), (1e-300, 1e300)])
+    def test_infinite_step_count_is_rejected(self, dt, t_final):
+        # an infinite dt, t_final or t_final / dt leaves no finite step count
+        with pytest.raises(ValueError, match="t_final"):
+            SimConfig(mu=1.0, delta=0.9, dt=dt, t_final=t_final)
+
     def test_step_count(self):
         cfg = SimConfig(mu=1.0, delta=0.9, dt=1e-3, t_final=0.5)
         assert cfg.num_steps() == 500
