@@ -122,11 +122,23 @@ def _check_zero_trace(times, stacks):
             raise ValueError(f"nonzero trace at t = {times[np.argmax(bad)]:.6g} < 0")
 
 
+def _gamma_weights(times, gamma, name="gamma"):
+    """The weights e^{-2 gamma t} on the mesh `times`.  A gamma that makes
+    one of them 0 or infinite, whose weighted norms would underflow to 0 or
+    overflow, raises ValueError naming it as `name`."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = np.exp(-2.0 * gamma * times)
+    if not np.all((w > 0.0) & (w < np.inf)):
+        raise ValueError(f"{name}: gamma = {gamma:.6g} makes the weight e^(-2 gamma t) zero "
+                         f"or infinite on the time mesh [{times[0]:.6g}, {times[-1]:.6g}]")
+    return w
+
+
 def _weighted_l2(times, coeffs, spec, m):
     """weighted_l2_norm of the (T, n-1) coefficient rows on the mesh `times`."""
     if len(times) == 1:
         return 0.0
-    vals = np.exp(-2.0 * spec.gamma * times) * sobolev_norm(coeffs, m) ** 2
+    vals = _gamma_weights(times, spec.gamma) * sobolev_norm(coeffs, m) ** 2
     return float(np.sqrt(_trapezoid(vals, times)))
 
 
@@ -179,8 +191,16 @@ def ym_norm(series, spec, m):
 @lru_cache(maxsize=16)
 def _trig_weights(kmax, decay):
     """(1+k)^decay for k = 1..kmax, rounded as Python's float power rounds
-    it; read-only, since every call with these arguments shares it."""
-    weight = ((1.0 + np.arange(1, kmax + 1)).astype(object) ** decay).astype(float)
+    it; read-only, since every call with these arguments shares it.  A
+    decay that makes a weight overflow, underflow to 0 or NaN raises
+    ValueError naming it."""
+    try:
+        weight = ((1.0 + np.arange(1, kmax + 1)).astype(object) ** decay).astype(float)
+    except OverflowError:  # a Python float power that would be inf
+        weight = np.array([np.inf])
+    if not np.all((weight > 0.0) & (weight < np.inf)):
+        raise ValueError(f"decay = {decay:.6g} makes a weight (1+k)^decay, k <= {kmax}, "
+                         "zero or not finite")
     weight.flags.writeable = False
     return weight
 
@@ -246,6 +266,8 @@ def verify_energy_estimates(phi0, traj, mu, delta, gammas):
     _check_zero_trace(times, [traj.phi, traj.phit])
     specs = [WeightedNormSpec(gamma) for gamma in gammas]
     inner, phit, phix = times[1:-1], traj.phit[1:-1], derivative(traj.phi[1:-1])
+    for gamma in gammas:  # both sides integrate over the interior nodes
+        _gamma_weights(inner, gamma, "gammas")
     c0 = 2.0 / min(1.0, delta)
     g = apply_linearized(phi0, traj, mu)
     reports = []
@@ -606,6 +628,7 @@ def estimate_commutator_constants(
     if n_hi <= n_lo or n_hi % 2:
         raise ValueError(f"n_hi must be an even grid size above n_lo, got {n_hi}")
     kmax = n_lo // 6
+    _trig_weights(kmax, decay)  # a decay whose weights are 0 or inf raises here
     children = np.random.SeedSequence(seed).spawn(samples)
     args = [(lemmas, children[i:i + _SAMPLE_BLOCK], kmax, (n_lo, n_hi), decay)
             for i in range(0, samples, _SAMPLE_BLOCK)]

@@ -198,14 +198,20 @@ def _write_json(path, payload, config, quiet):
 
 
 def _write_csv(path, header, rows, config, quiet):
-    """Numbers with 17 significant digits; a cell holding a comma is quoted."""
+    """Numbers with 17 significant digits; a cell holding a comma is quoted.
+    `rows` is a 2-D float array, formatted in one pass (no number needs
+    quoting), or rows of numbers and strings, written by the csv module."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"# version: {__version__}\n")
         fh.write(f"# config: {json.dumps(config, sort_keys=True, default=float)}\n")
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        writer.writerows([x if isinstance(x, str) else f"{float(x):.17g}" for x in row]
-                         for row in rows)
+        if isinstance(rows, np.ndarray):
+            line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
+            fh.write(line * rows.shape[0] % tuple(rows.ravel().tolist()))
+        else:
+            writer.writerows([x if isinstance(x, str) else f"{float(x):.17g}" for x in row]
+                             for row in rows)
     if not quiet:
         click.echo(f"wrote {path}")
 
@@ -214,15 +220,16 @@ def _write_modes(out, traj, config, quiet):
     """final_modes.csv: phi and phi_t at the last node, mode by mode."""
     phi, phit = traj.phi[-1], traj.phit[-1]
     _write_csv(out / "final_modes.csv", ("k", "phi_re", "phi_im", "phit_re", "phit_im"),
-               zip(traj.grid.modes.astype(float), phi.real, phi.imag, phit.real, phit.imag),
+               np.column_stack((traj.grid.modes, phi.real, phi.imag, phit.real, phit.imag)),
                config, quiet)
 
 
 def _write_solve(out, command, traj, monitor, config, quiet, **summary):
     """trajectory.csv, final_modes.csv and summary.json of one solve."""
     _write_csv(out / "trajectory.csv", ("t", "h1_phi", "h1_phit", "min_stability"),
-               zip(traj.times, lib.sobolev_norm(traj.phi, 1), lib.sobolev_norm(traj.phit, 1),
-                   monitor["min_stability_coeff"]), config, quiet)
+               np.column_stack((traj.times, lib.sobolev_norm(traj.phi, 1),
+                                lib.sobolev_norm(traj.phit, 1), monitor["min_stability_coeff"])),
+               config, quiet)
     _write_modes(out, traj, config, quiet)
     _write_json(out / "summary.json", {
         "command": command,

@@ -36,7 +36,9 @@ FFT call costs its overhead rather than arithmetic, as products with real
 tables built once from the FFTs at the unit inputs (the matrix
 multiplication transform, Boyd, Chebyshev and Fourier Spectral Methods,
 ch. 10), one BLAS call per row so that a row in a batch keeps its bits;
-above, by the FFTs on a fast length at or above m.  N's analysis table is
+above, by the FFTs on a fast length at or above m, wrapped as an
+_FftTransform that multiplies like its table, so a kernel is one
+expression on either path.  N's analysis table is
 [A; A; B], so a = p_x^2 + p p_xx is summed inside the BLAS call.  A kernel
 on K < n/2 - 1 and the public operator kept to K pad to different grids
 and agree to round-off, not bitwise.  The stability coefficient is one
@@ -295,8 +297,26 @@ def _analysis_table(K, m, sums):
 
 def _row_products(x, table):
     """x @ table over the last axis of `x`, one vector-matrix product per
-    row, so every row of a batch gives the bits of that row alone."""
+    row, so every row of a batch gives the bits of that row alone, those
+    of x[i] @ table."""
     return (x[..., None, :] @ table)[..., 0, :]
+
+
+class _FftTransform:
+    """A transform run by real FFTs in the place of its table: x @ t and
+    np.matmul(x, t, out=...) run `kernel` on the rows x, and `shape` is the
+    table's, so a kernel reads a plan's transforms alike on both paths."""
+
+    def __init__(self, kernel, shape):
+        self.kernel, self.shape = kernel, shape
+
+    def __array_ufunc__(self, ufunc, method, x, transform, out=None):
+        # numpy hands np.matmul(x, self), and so x @ self, to this hook
+        y = self.kernel(x)
+        if out is None:
+            return y
+        out[0][...] = y
+        return out[0]
 
 
 _Plan = namedtuple("_Plan", "lap synthesis analysis base")
@@ -309,19 +329,23 @@ def _plan(n, K, linearized=False):
     band); the linearization to m = B + 2K + 1, with B = n/2 - 1 the band
     of its base, whose weights `base` synthesizes from float rows on
     k = 1..B (N's plan has base None).  While K * m <= _TABLE_MAX_KM the
-    transforms are table products; above, real FFTs on the least fast FFT
-    length at or above m.  The solvers build one per solve."""
+    transforms are tables; above, _FftTransforms of real FFTs on the least
+    fast FFT length at or above m.  Either is applied as x @ transform to
+    one row and by _row_products to a batch.  The solvers build one per
+    solve."""
     lap = np.repeat(-np.arange(1.0, K + 1) ** 2, 2)
     B = n // 2 - 1
     m = B + 2 * K + 1 if linearized else 3 * K + 1
     rows, sums = _LINEARIZED if linearized else _NONLINEAR
     if K * m <= _TABLE_MAX_KM:
-        synthesis = lambda k, r: partial(_row_products, table=_synthesis_table(k, m, r))
-        analysis = partial(_row_products, table=_analysis_table(K, m, sums))
+        synthesis = lambda k, r: _synthesis_table(k, m, r)
+        analysis = _analysis_table(K, m, sums)
     else:
         m = _fft_size(m)
-        synthesis = lambda k, r: partial(_synthesis_fft, m=m, rows=r)
-        analysis = partial(_analysis_fft, down=_symbols(K, m)[1], m=m, sums=sums)
+        synthesis = lambda k, r: _FftTransform(partial(_synthesis_fft, m=m, rows=r),
+                                               (2 * k, len(r) * m))
+        analysis = _FftTransform(partial(_analysis_fft, down=_symbols(K, m)[1], m=m, sums=sums),
+                                 (len(sums) * m, 2 * K))
     base = synthesis(B, _LINEARIZED_BASE) if linearized else None
     return _Plan(lap, synthesis(K, rows), analysis, base)
 
@@ -341,9 +365,9 @@ def _nonlinear_rows(x, mu_lap, plan):
     unchecked.  One synthesis of (p_x, p, p, p_x, p_xx, H p_xx), one
     product of its halves, (p_x^2, p p_xx, p H p_xx), and one analysis
     that sums the first two into a."""
-    v = plan.synthesis(x)
+    v = _row_products(x, plan.synthesis)
     half = v.shape[-1] // 2
-    return mu_lap * x + plan.analysis(v[..., :half] * v[..., half:])
+    return mu_lap * x + _row_products(v[..., :half] * v[..., half:], plan.analysis)
 
 
 def _stability_values(x, mu, n):
@@ -356,15 +380,15 @@ def _stability_values(x, mu, n):
 
 
 def _linearized_rows(w0, x, mu_lap, plan):
-    """The float rows of mu phi_xx + dN[phi0]phi from w0 = plan.base of the
-    float rows of phi0, and the float rows `x` of phi, with
+    """The float rows of mu phi_xx + dN[phi0]phi from w0, the products of the
+    float rows of phi0 with plan.base, and the float rows `x` of phi, with
     mu_lap = mu * plan.lap: the kernel of apply_linearized_operator, with no
     check.  w0 and x broadcast.  One synthesis of
     (p_x, p_xx, p, H p_xx, p), one product with the base weights
     (2 p0_x, p0, p0_xx, p0, H p0_xx), and one analysis summing the first
     three into a and the last two into b.  Like _nonlinear_rows it applies
     mu phi_xx exactly, so with phi0 = 0 the result is diagonal in k bitwise."""
-    return mu_lap * x + plan.analysis(plan.synthesis(x) * w0)
+    return mu_lap * x + _row_products(_row_products(x, plan.synthesis) * w0, plan.analysis)
 
 
 def quadratic_rhs(phi):
@@ -441,7 +465,7 @@ def apply_linearized_operator(phi0, phiP, mu):
     c0, c = _coeffs(phi0), _coeffs(phiP)
     n = c.shape[-1] + 1
     plan = _plan(n, n // 2 - 1, linearized=True)
-    w0 = plan.base(_float_rows(c0))
+    w0 = _row_products(_float_rows(c0), plan.base)
     out = _band(_linearized_rows(w0, _float_rows(c), mu * plan.lap, plan).view(complex), n)
     if isinstance(phi0, SpectralField) and isinstance(phiP, SpectralField):
         return SpectralField(phiP.grid, out, True)

@@ -4,21 +4,29 @@ Neither system reads phi_t on its right-hand side, so the state is
 advanced on the Galerkin space, the real zero-mean modes 1 <= |k| <= N,
 by Nystrom's 3-stage fourth-order scheme (rkn_step): three accelerations
 per step, the first of them the one stored at the node.  The solvers
-step only the coefficients k = 1..N, as two float rows phi and phi_t of
-interleaved (Re, Im) floats: every such row is a real zero-mean field in
-the Galerkin space, so conjugate symmetry, zero mean and the projection
-hold by construction at every stage, and no stage is masked, mirrored or
-checked.  Each stage calls one acceleration map
-(stage index, phi row) -> phi_tt row, semidiscrete_rhs_nonlinear or
-semidiscrete_rhs_linearized, which runs the private float-row kernels of
-operators (the public operators are those kernels plus checks) with the
-_plan of (n, N) that the map builds once: synthesis reads only k = 1..N
-on a grid padded to the band N (3N + 1 points for the nonlinear system
-and n/2 + 2N for the linearized one, or the next fast FFT length above),
-and analysis returns k = 1..N.  The two
-systems are the full quadratically nonlinear equation, and its
-linearization around a prescribed time-dependent base profile with an
-optional forcing term.
+step only the coefficients k = 1..N, as float rows phi, phi_t and phi_tt
+of interleaved (Re, Im) floats: every such row is a real zero-mean field
+in the Galerkin space, so conjugate symmetry, zero mean and the
+projection hold by construction at every stage, and no stage is masked,
+mirrored or checked.
+
+The march is in place.  Each node's (phi, phi_t, phi_tt) is written
+straight into its rows of one (m+1, 3, 2N) array: phi_tt by the
+acceleration map, the next node's phi and phi_t by the step, whose stage
+rows and operands live in four scratch rows allocated once per solve.
+The acceleration map accel(s, x, out), semidiscrete_rhs_nonlinear or
+semidiscrete_rhs_linearized, writes the phi_tt row of the phi row x at
+index s of the stage mesh into the row `out`.  It runs the fused kernel
+of the private float-row kernels of operators (the public operators are
+those kernels plus checks) on one row, with their bits, on the _plan of
+(n, N) that the map builds once: one product of x with the synthesis
+transform, which reads only k = 1..N on a grid padded to the band N
+(3N + 1 points for the nonlinear system and n/2 + 2N for the linearized
+one, or the next fast FFT length above), and one with the analysis
+transform, which returns k = 1..N, both written into scratch rows of the
+map.  The two systems are the full quadratically nonlinear equation, and
+its linearization around a prescribed time-dependent base profile with
+an optional forcing term.
 
 Base profiles and forcing terms of the linearized system are field
 sources (see field_evaluator): each maps a 1-D array of times to a
@@ -28,8 +36,8 @@ synthesizes the base's five weights (2 p0_x, p0, p0_xx, p0, H p0_xx)
 there once, from its full band k < n/2: a Newton base or a configured one
 can carry modes above N.
 
-Each solve mirrors its (T, 3, 2N) rows once into the (T, n-1) arrays of
-the Trajectory it returns, together with a monitor dictionary:
+Each solve mirrors the rows of its T kept nodes once into the (T, n-1)
+arrays of the Trajectory it returns, together with a monitor dictionary:
 "min_stability_coeff", the minimum of the stability coefficient
 mu - 2 (H phi)_x at each kept node (the node times are the trajectory's),
 and "flags", the list of flags raised.  The monitor judges a block of
@@ -50,11 +58,10 @@ import numpy as np
 from .operators import (
     Trajectory,
     _float_rows,
-    _linearized_rows,
-    _nonlinear_rows,
     _plan,
     _require_real,
     _require_real_zero_mean,
+    _row_products,
     _stability_values,
     require_margin,
 )
@@ -203,44 +210,114 @@ def field_evaluator(source, grid):
 
 
 def semidiscrete_rhs_nonlinear(cfg):
-    """The acceleration map (stage index, phi row) -> phi_tt row of the
-    nonlinear Galerkin system: mu phi_xx + N(phi) kept to k = 1..N, the
-    projection onto the Galerkin space, on float rows with any leading
-    batch axes.  The stage index is not read, and rows are not checked."""
+    """The acceleration map accel(s, x, out) of the nonlinear Galerkin
+    system: writes into the row `out` the float row of mu phi_xx + N(phi),
+    kept to k = 1..N, the projection onto the Galerkin space, for the float
+    row `x` of phi.  The stage index s is not read, and rows are not
+    checked.  It is the fused kernel of _nonlinear_rows on one row, with
+    its bits: one product with each transform of the plan, written into
+    scratch rows allocated once here, so `out` must not overlap `x` and one
+    map serves one march at a time."""
     plan = _plan(cfg.grid_n, cfg.galerkin_N)
     mu_lap = cfg.mu * plan.lap
-    return lambda s, x: _nonlinear_rows(x, mu_lap, plan)
+    synthesis, analysis = plan.synthesis, plan.analysis
+    v = np.empty(synthesis.shape[1])
+    half = v.size // 2
+    lo, hi, prod, a = v[:half], v[half:], np.empty(half), np.empty(mu_lap.size)
+
+    def accel(s, x, out):
+        # each ufunc writes its last argument
+        np.matmul(x, synthesis, v)
+        np.multiply(lo, hi, prod)
+        np.matmul(prod, analysis, a)
+        np.multiply(mu_lap, x, out)
+        out += a
+
+    return accel
 
 
 def semidiscrete_rhs_linearized(base_rows, g_rows, cfg):
     """The acceleration map of the linearization at a base with forcing g,
-    as in semidiscrete_rhs_nonlinear.  `base_rows` and `g_rows` are (S, n-1)
-    coefficient arrays on the stage mesh, and stage s reads row s of each.
-    The base's five weights are synthesized here once, from its full band
-    k < n/2: it may carry modes above N."""
+    as in semidiscrete_rhs_nonlinear, with the bits of _linearized_rows
+    plus g.  `base_rows` and `g_rows` are (S, n-1) coefficient arrays on
+    the stage mesh, and stage s reads row s of each.  The base's five
+    weights are synthesized here once, from its full band k < n/2: it may
+    carry modes above N."""
     plan = _plan(cfg.grid_n, cfg.galerkin_N, linearized=True)
     mu_lap = cfg.mu * plan.lap
-    w0 = plan.base(_float_rows(base_rows))
+    w0 = _row_products(_float_rows(base_rows), plan.base)
     g = _float_rows(g_rows, cfg.galerkin_N)
-    return lambda s, x: _linearized_rows(w0[s], x, mu_lap, plan) + g[s]
+    synthesis, analysis = plan.synthesis, plan.analysis
+    v, a = np.empty(synthesis.shape[1]), np.empty(mu_lap.size)
+
+    def accel(s, x, out):
+        # each ufunc writes its last argument
+        np.matmul(x, synthesis, v)
+        np.multiply(v, w0[s], v)
+        np.matmul(v, analysis, a)
+        np.multiply(mu_lap, x, out)
+        out += a
+        out += g[s]
+
+    return accel
 
 
-def rkn_step(i, dt, phi, phit, accel, a1):
-    """One step of Nystrom's 3-stage fourth-order scheme (Hairer, Norsett &
-    Wanner, Solving ODEs I, II.14) for phi_tt = accel(s, phi) from node i,
-    whose stages read the indices s = 2i, 2i+1, 2i+2 of the stage mesh
-    k dt/2, the first of them `a1` = accel(2i, phi).  Returns the new (phi, phi_t)."""
-    s, dt2 = 2 * i, dt * dt
-    a2 = accel(s + 1, phi + 0.5 * dt * phit + dt2 / 8.0 * a1)
-    drift = phi + dt * phit
-    a3 = accel(s + 2, drift + 0.5 * dt2 * a2)
-    return drift + dt2 / 6.0 * (a1 + 2.0 * a2), phit + dt / 6.0 * (a1 + 4.0 * a2 + a3)
+def rkn_step(dt, accel, width):
+    """Nystrom's 3-stage fourth-order scheme (Hairer, Norsett & Wanner,
+    Solving ODEs I, II.14) for phi_tt = accel(s, phi, out), as the in-place
+    step(i, node, new) on rows of `width` floats.  `node` holds
+    (phi, phi_t, a1) at node i, a1 = accel(2i, phi), and the step writes
+    phi and phi_t at node i + 1 into new[0] and new[1]; new[2] is the
+    caller's.  Its stages read the indices 2i, 2i+1, 2i+2 of the stage
+    mesh k dt/2, and run on four scratch rows allocated once here, in the
+    operand order
+
+        a2 = accel(2i+1, (phi + (dt/2) phi_t) + (dt^2/8) a1)
+        a3 = accel(2i+2, (phi + dt phi_t) + (dt^2/2) a2)
+        phi'   = (phi + dt phi_t) + (dt^2/6) (a1 + 2 a2)
+        phi_t' = phi_t + (dt/6) ((a1 + 4 a2) + a3).
+
+    The coefficients are 0-d arrays, which a ufunc reads faster than
+    floats, with the same bits, and each ufunc call passes its output as
+    its last argument, which numpy parses faster than out=."""
+    y, t, a2, a3 = np.empty((4, width))
+    dt2 = dt * dt
+    h, h8, d, h2, h6, d6, two, four = map(
+        np.array, (0.5 * dt, dt2 / 8.0, dt, 0.5 * dt2, dt2 / 6.0, dt / 6.0, 2.0, 4.0))
+
+    def step(i, node, new):
+        phi, phit, a1 = node
+        drift = new[0]  # phi + dt phi_t, then phi at node i + 1
+        np.multiply(h, phit, y)
+        np.add(y, phi, y)
+        np.multiply(h8, a1, t)
+        np.add(y, t, y)
+        accel(2 * i + 1, y, a2)
+        np.multiply(d, phit, drift)
+        np.add(drift, phi, drift)
+        np.multiply(h2, a2, y)
+        np.add(y, drift, y)
+        accel(2 * i + 2, y, a3)
+        np.multiply(two, a2, t)
+        np.add(t, a1, t)
+        np.multiply(t, h6, t)
+        np.add(drift, t, drift)
+        np.multiply(four, a2, t)
+        np.add(t, a1, t)
+        np.add(t, a3, t)
+        np.multiply(t, d6, t)
+        np.add(phit, t, new[1])
+
+    return step
 
 
 def _march(cfg, accel, phi, phit, stability_values, abort_on_stability):
     """Shared stepping loop from the rows `phi`, `phit` under
-    phi_tt = accel(s, phi): step a block of _NODE_BLOCK nodes, then judge
-    it.  Returns (Trajectory, monitor).  `stability_values(nodes, phi_rows)`
+    phi_tt = accel(s, phi, out), in place: the (phi, phi_t, phi_tt) of each
+    node are written straight into its rows of one (m+1, 3, 2N) array, phi_tt
+    by the acceleration and the next node's phi, phi_t by rkn_step.  Step a
+    block of _NODE_BLOCK nodes, then judge it.  Returns (Trajectory,
+    monitor).  `stability_values(nodes, phi_rows)`
     gives the (B, n) values of mu - 2 (H .)_x at the nodes of the slice
     `nodes`, of the state for the nonlinear equation and of the base for
     the linearized one.  The block's first node that blows up, drops below
@@ -254,6 +331,8 @@ def _march(cfg, accel, phi, phit, stability_values, abort_on_stability):
 
     # (phi, phi_t, phi_tt) at each node, phi_tt the acceleration
     rows = np.empty((m + 1, 3, phi.shape[-1]))
+    rows[0, 0], rows[0, 1] = phi, phit
+    step = rkn_step(cfg.dt, accel, phi.shape[-1])
     stab = np.empty(m + 1)
     kept = m + 1
     # past a flagged node the stepping may overflow; those rows are dropped
@@ -261,10 +340,10 @@ def _march(cfg, accel, phi, phit, stability_values, abort_on_stability):
         for start in range(0, m + 1, _NODE_BLOCK):
             block = slice(start, min(start + _NODE_BLOCK, m + 1))
             for i in range(block.start, block.stop):
-                a1 = accel(2 * i, phi)
-                rows[i, 0], rows[i, 1], rows[i, 2] = phi, phit, a1
+                node = rows[i]
+                accel(2 * i, node[0], node[2])
                 if i < m:
-                    phi, phit = rkn_step(i, cfg.dt, phi, phit, accel, a1)
+                    step(i, node, rows[i + 1])
             vals = stability_values(block, rows[block, 0])
             stab[block] = vals.min(axis=-1)
             modulus = np.abs(rows[block, :2].view(complex))

@@ -29,8 +29,9 @@ and evaluated by the public, checked operators, stepped by pair_rkn_step on
 (phi, phi_t) pairs and monitored node by node.  They share only those
 operators with the package, so the solvers' k = 1..N block stepping can be
 held against them bitwise.  node_march is the solvers' stepping loop as it
-was when it judged one node at a time, on the solvers' float rows and
-acceleration maps, for synthetic accelerations and monitors.
+was when it judged one node at a time and allocated every stage, on the
+solvers' float rows, for synthetic accelerations and monitors and for the
+unfused kernels of the public operators.
 """
 
 import math
@@ -549,9 +550,10 @@ def node_march(cfg, accel, state, stability_values, abort_on_stability):
     """The solvers' stepping loop judging one node at a time: the monitor
     `stability_values(i, phi)` and the blow-up, delta/2 and CFL checks run
     at node i before the step from it.  `state` is a (phi, phi_t) pair of
-    (2N,) rows of interleaved (Re, Im) floats and `accel(s, phi)` the
-    acceleration at index s of the stage mesh k dt/2, stepped by
-    pair_rkn_step; returns (Trajectory, monitor) like the solvers."""
+    (2N,) rows of interleaved (Re, Im) floats and `accel(s, phi)` returns
+    the acceleration at index s of the stage mesh k dt/2 (the solvers' maps
+    write it into a row they are given instead), stepped by pair_rkn_step;
+    returns (Trajectory, monitor) like the solvers."""
     m = cfg.num_steps()
     half = 0.5 * cfg.dt
     times = np.arange(m + 1) * cfg.dt

@@ -238,13 +238,15 @@ class TestApplyLinearized:
 
             def counted(n, K, linearized=False, real=real):
                 plan = real(n, K, linearized)
-                return plan._replace(base=lambda x: shapes.append(x.shape) or plan.base(x))
+                # a transform that records the rows it is applied to
+                return plan._replace(base=operators._FftTransform(
+                    lambda x: shapes.append(x.shape) or x @ plan.base, plan.base.shape))
 
             monkeypatch.setattr(operators, "_plan", counted)
             frozen = apply_linearized(base, traj, 1.2)
             monkeypatch.undo()
             assert np.array_equal(frozen.phi, broadcast.phi)
-            assert shapes == [(1, n - 2)] * 3
+            assert shapes == [(1, 1, n - 2)] * 3  # _row_products of one row
 
 
 def test_weighted_norm_spec_rejects_nan_gamma():

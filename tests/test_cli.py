@@ -1,6 +1,7 @@
 """CLI tests: exit codes, config validation, artifact shape, determinism."""
 
 import csv
+import io
 import json
 import os
 import subprocess
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from amp_sheet.cli import main
+from amp_sheet.cli import _write_csv, main
 
 
 @pytest.fixture
@@ -784,6 +785,23 @@ class TestVerifyEstimates:
         assert out.exit_code == 2, out.output
         assert "margin" in out.output
 
+    @pytest.mark.parametrize("payload, key", [
+        ({"estimate": "energy", "pairs": 1, "gammas": [2.0, 1e308]}, "gammas"),
+        ({"estimate": "der2", "gamma": 1e308}, "gamma"),
+    ], ids=["energy-underflow", "der2-overflow"])
+    def test_gamma_whose_weight_is_zero_or_infinite_is_config_error(self, runner, tmp_path,
+                                                                    payload, key):
+        # e^(-2 gamma t) at gamma = 1e308 underflows to 0 on the mesh (energy
+        # read the ratio 0.0 and passed) or is NaN and inf on it (der2 wrote
+        # the constant "Infinity"): no verdict, a config error naming the key
+        cfg = write_config(tmp_path, "c.json", payload)
+        dest = tmp_path / "o"
+        out = runner.invoke(main, ["verify-estimates", "--config", cfg,
+                                   "--output", str(dest), "--quiet"])
+        assert out.exit_code == 2, out.output
+        assert f"{key}: gamma = 1e+308" in out.output
+        assert not (dest / f"estimate_{payload['estimate']}.json").exists()
+
     def test_keys_of_other_estimates_rejected(self, runner, tmp_path):
         # tame reads neither `pairs` (energy) nor `cfl_safety` (no runner)
         cfg = write_config(tmp_path, "c.json", {
@@ -934,6 +952,55 @@ class TestVerifyEstimates:
         assert 0.95 <= report["order"] <= 2.2
 
 
+class TestCsvWriter:
+    """_write_csv writes, byte for byte, what the csv module writes from
+    cells formatted one at a time with 17 significant digits: a float table
+    in one pass, rows with string cells through the csv module."""
+
+    HEADER = ("t", "a", "b", "c")
+
+    @staticmethod
+    def by_csv_module(header, rows):
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([x if isinstance(x, str) else f"{float(x):.17g}" for x in row]
+                         for row in rows)
+        return buf.getvalue()
+
+    @staticmethod
+    def body(tmp_path, header, rows):
+        path = tmp_path / "t.csv"
+        _write_csv(path, header, rows, {"k": [2, 1]}, True)
+        version, config, body = path.read_bytes().decode("utf-8").split("\n", 2)
+        assert version.startswith("# version: ") and config == '# config: {"k": [2, 1]}'
+        return body
+
+    def test_float_table(self, tmp_path):
+        rng = np.random.default_rng(11)
+        special = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308,
+                   np.finfo(float).max, np.finfo(float).tiny, 0.1, 1.0 / 3.0, 1e16, 123456789.0,
+                   -2.5]
+        scaled = rng.standard_normal(48) * 10.0 ** rng.integers(-320, 300, 48)
+        for table in (np.concatenate([special, scaled]).reshape(-1, 4), np.empty((0, 4))):
+            got = self.body(tmp_path, self.HEADER, table)
+            assert got == self.by_csv_module(self.HEADER, table)
+
+    def test_special_cells_as_written(self, tmp_path):
+        table = np.array([[np.nan, np.inf, -np.inf, -0.0], [5e-324, 1e308, 1.0, 0.5]])
+        assert self.body(tmp_path, self.HEADER, table) == (
+            "t,a,b,c\nnan,inf,-inf,-0\n4.9406564584124654e-324,1e+308,1,0.5\n")
+
+    def test_string_cells(self, tmp_path):
+        # residuals.csv leaves a cell "", constants.csv quotes the JSON
+        # param [2, 1], whose comma would split it
+        rows = [(0.0, 0.25, "", ""), ("A3", "[2, 1]", np.nan, "True"), (1.0, -0.0, 5e-324, "")]
+        got = self.body(tmp_path, self.HEADER, rows)
+        assert got == self.by_csv_module(self.HEADER, rows)
+        assert got.splitlines()[1:] == ["0,0.25,,", 'A3,"[2, 1]",nan,True',
+                                        "1,-0,4.9406564584124654e-324,"]
+
+
 class TestCommutatorConstants:
     def test_single_lemma(self, runner, tmp_path):
         cfg = write_config(tmp_path, "c.json", {
@@ -977,6 +1044,20 @@ class TestCommutatorConstants:
                                    "--output", str(dest), "--quiet"])
         assert out.exit_code == 2, out.output
         assert "n_lo" in out.output
+        assert not (dest / "constants.json").exists()
+
+    @pytest.mark.parametrize("decay", [1e308, -1e308, 1e4])
+    def test_decay_whose_weights_are_zero_or_infinite_is_config_error(self, runner, tmp_path,
+                                                                      decay):
+        # (1+k)^decay overflows a float (1e308, 1e4) or underflows to 0
+        # (-1e308) for some k <= kmax: rejected before any draw
+        cfg = write_config(tmp_path, "c.json", {"lemma": "A2", "samples": 2, "n_lo": 32,
+                                                "n_hi": 64, "decay": decay})
+        dest = tmp_path / "o"
+        out = runner.invoke(main, ["commutator-constants", "--config", cfg,
+                                   "--output", str(dest), "--quiet"])
+        assert out.exit_code == 2, out.output
+        assert "decay" in out.output
         assert not (dest / "constants.json").exists()
 
     def test_unknown_lemma(self, runner, tmp_path):

@@ -376,8 +376,8 @@ class TestBandPaddedKernels:
                 for got, want, scale in (
                         (ops._nonlinear_rows(x, 0.9 * nonlinear.lap, nonlinear),
                          padded_nonlinear_rows(x, 0.9, n), padded_nonlinear_rows(full, 0.9, n)),
-                        (ops._linearized_rows(linearized.base(x0), x, 0.9 * linearized.lap,
-                                              linearized),
+                        (ops._linearized_rows(ops._row_products(x0, linearized.base), x,
+                                              0.9 * linearized.lap, linearized),
                          padded_linearized_rows(x0, x, 0.9, n),
                          padded_linearized_rows(x0, full, 0.9, n))):
                     assert got.shape == want.shape == shape + (2 * K,)
@@ -396,7 +396,8 @@ class TestBandPaddedKernels:
                 monkeypatch.setattr(ops, "_TABLE_MAX_KM", bound)
                 plan, lin = ops._plan(n, K), ops._plan(n, K, linearized=True)
                 got[bound] = (ops._nonlinear_rows(x, 0.9 * plan.lap, plan),
-                              ops._linearized_rows(lin.base(x0), x, 0.9 * lin.lap, lin))
+                              ops._linearized_rows(ops._row_products(x0, lin.base), x,
+                                                   0.9 * lin.lap, lin))
             for table, fft in zip(got[10**9], got[0]):
                 assert table.shape == fft.shape
                 assert np.max(np.abs(table - fft)) <= 1e-13 * np.max(np.abs(fft)), K
@@ -472,8 +473,8 @@ class TestBandPaddedKernels:
             c = self.bands(grid, K, rng, (6,))
             c0 = random_field(grid, n // 2 - 1, rng).coeffs
             x = ops._float_rows(c, K)
-            w0 = lin.base(ops._float_rows(c0))
-            kernels = (plan.synthesis,
+            w0 = ops._row_products(ops._float_rows(c0), lin.base)
+            kernels = (lambda y: ops._row_products(y, plan.synthesis),
                        lambda y: ops._nonlinear_rows(y, 0.7 * plan.lap, plan),
                        lambda y: ops._linearized_rows(w0, y, 0.7 * lin.lap, lin),
                        lambda y: ops._stability_values(y, 0.7, n))
@@ -491,7 +492,7 @@ class TestBandPaddedKernels:
                 assert np.max(np.abs(got.view(complex) - want)) <= 1e-13 * np.max(np.abs(want))
             assert np.array_equal(kernels[3](x), stability_coefficient(c, 0.7)[0])
             # a broadcast base against a batch, in the kernel and the public operator
-            many = lin.base(np.broadcast_to(ops._float_rows(c0), (6, n - 2)))
+            many = ops._row_products(np.broadcast_to(ops._float_rows(c0), (6, n - 2)), lin.base)
             assert np.array_equal(ops._linearized_rows(many, x, 0.7 * lin.lap, lin), kernels[2](x))
             u = random_field(grid, 8, rng).coeffs
             assert np.array_equal(apply_linearized_operator(np.broadcast_to(u, c.shape), c, 1.1),

@@ -136,47 +136,63 @@ def row(c, N):
     return np.ascontiguousarray(pos(c, N)).view(float)
 
 
+def rhs(accel, s, x):
+    """The row that the acceleration map accel(s, x, out) writes."""
+    out = np.empty_like(x)
+    accel(s, x, out)
+    return out
+
+
+def in_place(accel):
+    """The acceleration map accel(s, x, out) of a map (s, x) -> row."""
+    def into(s, x, out):
+        out[...] = accel(s, x)
+    return into
+
+
 class TestSemidiscreteRhs:
-    """The acceleration maps act on the rows of the coefficients k = 1..N."""
+    """The acceleration maps write the rows of the coefficients k = 1..N."""
 
     def test_nonlinear_single_mode(self):
         cfg = SimConfig(mu=1.0, delta=0.9, grid_n=32, galerkin_N=10)
         accel = semidiscrete_rhs_nonlinear(cfg)
         x = row(cosine(GRID, 1).coeffs, 10)
-        out = accel(0, x)
+        out = rhs(accel, 0, x)
         want = -1.0 * cosine(GRID, 1).coeffs + cosine(GRID, 2).coeffs
         assert out.shape == (20,)
         assert np.max(np.abs(out.view(complex) - pos(want, 10))) < 1e-13
         # the nonlinear map does not read the stage index
-        assert np.array_equal(accel(7, x), out)
+        assert np.array_equal(rhs(accel, 7, x), out)
 
     def test_nonlinear_truncation_drops_mode_two(self):
         cfg = SimConfig(mu=1.0, delta=0.9, grid_n=32, galerkin_N=1)
-        out = semidiscrete_rhs_nonlinear(cfg)(0, row(cosine(GRID, 1).coeffs, 1))
+        out = rhs(semidiscrete_rhs_nonlinear(cfg), 0, row(cosine(GRID, 1).coeffs, 1))
         assert out.shape == (2,)
         assert abs(out.view(complex)[0] + np.pi) < 1e-13
 
     def test_zero_state(self):
         cfg = SimConfig(mu=1.0, delta=0.9, grid_n=32, galerkin_N=10)
-        out = semidiscrete_rhs_nonlinear(cfg)(0, np.zeros(20))
+        out = rhs(semidiscrete_rhs_nonlinear(cfg), 0, np.zeros(20))
         assert np.max(np.abs(out)) == 0.0
 
     def test_nonlinear_batch_equals_row_by_row(self):
-        # a leading batch axis on the rows, row for row bitwise
+        # the batched kernel of the public operator on a leading batch
+        # axis is the map, row for row bitwise
         cfg = SimConfig(mu=0.8, delta=0.5, grid_n=32, galerkin_N=10)
         accel = semidiscrete_rhs_nonlinear(cfg)
+        plan = operators._plan(32, 10)
         rng = np.random.default_rng(5)
         phi = rng.standard_normal((3, 20))
-        out = accel(0, phi)
+        out = operators._nonlinear_rows(phi, 0.8 * plan.lap, plan)
         for x, got in zip(phi, out):
-            assert np.array_equal(accel(0, x), got)
+            assert np.array_equal(rhs(accel, 0, x), got)
 
     def test_nonlinear_is_the_operator_kept_to_the_band(self):
         # the coefficients k = 1..N of mu phi_xx + N(phi) on the band, to
         # round-off: the map pads to its band, the operator to the grid's
         cfg = SimConfig(mu=1.1, delta=0.5, grid_n=32, galerkin_N=7)
         f = random_modes(np.random.default_rng(8), GRID, 7)
-        out = semidiscrete_rhs_nonlinear(cfg)(0, row(f.coeffs, 7))
+        out = rhs(semidiscrete_rhs_nonlinear(cfg), 0, row(f.coeffs, 7))
         want = pos(nonlinear_operator(f.coeffs, cfg.mu), 7)
         assert np.max(np.abs(out.view(complex) - want)) <= 1e-13 * np.max(np.abs(want))
 
@@ -184,7 +200,7 @@ class TestSemidiscreteRhs:
         cfg = SimConfig(mu=1.0, delta=0.9, grid_n=32, galerkin_N=10)
         accel = semidiscrete_rhs_linearized(zeros(GRID).coeffs[None], cosine(GRID, 1).coeffs[None],
                                             cfg)
-        out = accel(0, np.zeros(20))
+        out = rhs(accel, 0, np.zeros(20))
         assert np.max(np.abs(out.view(complex) - pos(cosine(GRID, 1).coeffs, 10))) < 1e-14
 
     def test_linearized_is_the_operator_kept_to_the_band(self):
@@ -195,7 +211,8 @@ class TestSemidiscreteRhs:
         base = random_modes(rng, GRID, 14)
         f = random_modes(rng, GRID, 6)
         g = sine(GRID, 3).coeffs
-        out = semidiscrete_rhs_linearized(base.coeffs[None], g[None], cfg)(0, row(f.coeffs, 6))
+        accel = semidiscrete_rhs_linearized(base.coeffs[None], g[None], cfg)
+        out = rhs(accel, 0, row(f.coeffs, 6))
         want = pos(apply_linearized_operator(base.coeffs, f.coeffs, cfg.mu) + g, 6)
         assert np.max(np.abs(out.view(complex) - want)) <= 1e-13 * np.max(np.abs(want))
 
@@ -209,7 +226,7 @@ class TestSemidiscreteRhs:
         accel = semidiscrete_rhs_linearized(bases, gs, cfg)
         for s in range(3):
             one = semidiscrete_rhs_linearized(bases[s:s + 1], gs[s:s + 1], cfg)
-            assert np.array_equal(accel(s, x), one(0, x))
+            assert np.array_equal(rhs(accel, s, x), rhs(one, 0, x))
 
     def test_linearized_superposition(self):
         cfg = SimConfig(mu=1.3, delta=0.9, grid_n=32, galerkin_N=10)
@@ -224,20 +241,32 @@ class TestSemidiscreteRhs:
         s1, s2 = rand_row(), rand_row()
         g1, g2 = cosine(GRID, 2).coeffs[None], sine(GRID, 3).coeffs[None]
         combo = 2.0 * s1 + 3.0 * s2
-        out = semidiscrete_rhs_linearized(base, 2.0 * g1 + 3.0 * g2, cfg)(0, combo)
-        o1 = semidiscrete_rhs_linearized(base, g1, cfg)(0, s1)
-        o2 = semidiscrete_rhs_linearized(base, g2, cfg)(0, s2)
+        out = rhs(semidiscrete_rhs_linearized(base, 2.0 * g1 + 3.0 * g2, cfg), 0, combo)
+        o1 = rhs(semidiscrete_rhs_linearized(base, g1, cfg), 0, s1)
+        o2 = rhs(semidiscrete_rhs_linearized(base, g2, cfg), 0, s2)
         assert np.max(np.abs(out - 2.0 * o1 - 3.0 * o2)) < 1e-12
 
 
-def oscillator(s, x):
+def oscillator(s, x, out):
     """phi'' = -phi on rows of any length."""
-    return -x
+    np.negative(x, out=out)
 
 
 def oscillator_of(omega):
     """y'' = -omega^2 y on rows of any length."""
-    return lambda s, x: -omega**2 * x
+    return in_place(lambda s, x: -omega**2 * x)
+
+
+def rkn_march(dt, phi, phit, accel, steps):
+    """(phi, phi_t) after `steps` in-place steps of rkn_step from node 0,
+    each node's phi_tt written by accel, as the solvers march."""
+    rows = np.empty((steps + 1, 3, np.size(phi)))
+    rows[0, 0], rows[0, 1] = phi, phit
+    step = rkn_step(dt, accel, np.size(phi))
+    for i in range(steps):
+        accel(2 * i, rows[i, 0], rows[i, 2])
+        step(i, rows[i], rows[i + 1])
+    return rows[steps, 0], rows[steps, 1]
 
 
 class TestRkn:
@@ -246,24 +275,19 @@ class TestRkn:
         # period the amplitude error of the fourth-order step at
         # dt = 2pi/1000 sits far below 1e-8.
         dt = 2.0 * np.pi / 1000.0
-        phi, phit = np.array([1.0, 0.0]), np.zeros(2)
-
-        for i in range(1000):
-            phi, phit = rkn_step(i, dt, phi, phit, oscillator, oscillator(2 * i, phi))
+        phi, phit = rkn_march(dt, np.array([1.0, 0.0]), np.zeros(2), oscillator, 1000)
         assert abs(phi[0] - 1.0) < 1e-8 and phi[1] == 0.0
         assert np.max(np.abs(phit)) < 1e-8
 
     def test_zero_state_fixed_point(self):
         z = np.zeros(10)
-        phi, phit = rkn_step(0, 0.1, z, z, oscillator, oscillator(0, z))
+        phi, phit = rkn_march(0.1, z, z, oscillator, 1)
         assert np.max(np.abs(phi)) == 0.0 and np.max(np.abs(phit)) == 0.0
 
     def test_order_four(self):
         def run(dt):
-            phi, phit = np.array([1.0, 0.0]), np.zeros(2)
             steps = int(round(1.0 / dt))
-            for i in range(steps):
-                phi, phit = rkn_step(i, dt, phi, phit, oscillator, oscillator(2 * i, phi))
+            phi, _ = rkn_march(dt, np.array([1.0, 0.0]), np.zeros(2), oscillator, steps)
             return abs(phi[0] - np.cos(1.0))
 
         ratio = run(2e-2) / run(1e-2)
@@ -275,10 +299,8 @@ class TestRkn:
         # -omega sin(omega t), over three halvings of dt; every error sits
         # far above round-off
         def error(dt):
-            phi, phit = np.array([1.0]), np.array([0.0])
-            steps, accel = int(round(2.0 / dt)), oscillator_of(omega)
-            for i in range(steps):
-                phi, phit = rkn_step(i, dt, phi, phit, accel, accel(2 * i, phi))
+            steps = int(round(2.0 / dt))
+            phi, phit = rkn_march(dt, 1.0, 0.0, oscillator_of(omega), steps)
             t = steps * dt
             return max(abs(phi[0] - np.cos(omega * t)),
                        abs(phit[0] + omega * np.sin(omega * t)) / omega)
@@ -294,9 +316,7 @@ class TestRkn:
         # omega dt <= cfl_safety <= 1
         for z in np.linspace(0.0, 1.0, 101)[1:]:
             # the step's matrix on (y, y_t): its columns step (1, 0) and (0, 1)
-            steps = [rkn_step(0, z, np.array([p]), np.array([v]), oscillator,
-                              oscillator(0, np.array([p])))
-                     for p, v in np.eye(2)]
+            steps = [rkn_march(z, p, v, oscillator, 1) for p, v in np.eye(2)]
             lam = np.abs(np.linalg.eigvals(np.array([[p[0], v[0]] for p, v in steps]).T))
             assert np.allclose(lam, np.sqrt(1.0 - z**6 / 288.0), rtol=0.0, atol=1e-14), z
             if z >= 0.1:  # where 1 - |lambda| > 1e-9, far above round-off
@@ -307,16 +327,19 @@ class TestRkn:
         # step is the oracle's pair step bitwise
         seen = []
 
-        def accel(s, x):
+        def accel(s, x, out):
             seen.append(s)
-            return np.sin(s + x)
+            np.sin(s + x, out=out)
 
         rng = np.random.default_rng(3)
-        phi, phit = rng.standard_normal(6), rng.standard_normal(6)
-        got = rkn_step(5, 0.1, phi, phit, accel, accel(10, phi))
+        rows = np.empty((2, 3, 6))
+        phi, phit = rows[0, 0], rows[0, 1]
+        phi[:], phit[:] = rng.standard_normal(6), rng.standard_normal(6)
+        accel(10, phi, rows[0, 2])
+        rkn_step(0.1, accel, 6)(5, rows[0], rows[1])
         assert seen == [10, 11, 12]
-        want = pair_rkn_step(0.5, 0.1, (phi, phit), lambda t, x: accel(round(t / 0.05), x))
-        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+        want = pair_rkn_step(0.5, 0.1, (phi, phit), lambda t, x: np.sin(round(t / 0.05) + x))
+        assert all(np.array_equal(a, b) for a, b in zip(rows[1, :2], want))
 
     @pytest.mark.parametrize("which", ["nonlinear", "linearized"])
     def test_a_solve_of_m_steps_makes_3m_plus_1_accelerations(self, which, monkeypatch):
@@ -327,7 +350,7 @@ class TestRkn:
 
         def counted(*args):
             accel = real(*args)
-            return lambda s, x: calls.append(s) or accel(s, x)
+            return lambda s, x, out: calls.append(s) or accel(s, x, out)
 
         monkeypatch.setattr(solver, name, counted)
         data = CauchyData(cosine(GRID, 1, 0.01), sine(GRID, 2, 0.01))
@@ -459,7 +482,7 @@ class TestNonlinearSolver:
         data = CauchyData(cosine(GRID, 1, 0.05), zeros(GRID))
         traj, _ = solve_nonlinear(cfg, data)
         i, N = len(traj) // 2, cfg.galerkin_N
-        out = semidiscrete_rhs_nonlinear(cfg)(2 * i, row(traj.phi[i], N))
+        out = rhs(semidiscrete_rhs_nonlinear(cfg), 2 * i, row(traj.phi[i], N))
         assert np.array_equal(traj.phitt[i], _band(out.view(complex), cfg.grid_n))
 
     def test_mean_and_reality_preserved(self):
@@ -640,6 +663,66 @@ class TestMaskedOracle:
         assert kind == "blow_up" and 0 < round(t / cfg.dt) % 64 < 63
 
 
+class TestMarchIsTheOracleStepping:
+    """The solvers' in-place march, with its fused one-row accelerations,
+    returns exactly, with no tolerance, the rows and monitor of the oracle's
+    node-by-node march: pair_rkn_step driven by the unfused batched kernels
+    of the public operators, on the table path (n = 64, N = 21) and the FFT
+    path (n = 128, N = 60).  A stage that reordered its operands would move
+    the last bits."""
+
+    @staticmethod
+    def setup(n, N):
+        grid = TorusGrid(n)
+        cfg = SimConfig(mu=1.0, delta=0.5, grid_n=n, galerkin_N=N, dt=1e-3, t_final=0.15)
+        data = CauchyData(cosine(grid, 1, 0.05) + sine(grid, 3, 0.01), sine(grid, 2, 0.02))
+        return grid, cfg, data, [row(f.coeffs, N) for f in (data.phi0, data.phi1)]
+
+    @staticmethod
+    def assert_exactly(got, want):
+        (traj, mon), (ref, ref_mon) = got, want
+        assert len(traj) == 151
+        for name in ("times", "phi", "phit", "phitt"):
+            assert np.array_equal(getattr(traj, name), getattr(ref, name)), name
+        assert np.array_equal(mon["min_stability_coeff"], ref_mon["min_stability_coeff"])
+        assert mon["flags"] == ref_mon["flags"]
+
+    @pytest.mark.parametrize("n, N", [(64, 21), (128, 60)])
+    def test_nonlinear(self, n, N):
+        grid, cfg, data, state = self.setup(n, N)
+        plan = operators._plan(n, N)
+        assert isinstance(plan.synthesis, np.ndarray) == (n == 64)
+        mu_lap = cfg.mu * plan.lap
+        want = node_march(cfg, lambda s, x: operators._nonlinear_rows(x, mu_lap, plan), state,
+                          lambda i, phi: operators._stability_values(phi, cfg.mu, n), True)
+        self.assert_exactly(solve_nonlinear(cfg, data), want)
+
+    @pytest.mark.parametrize("n, N", [(64, 21), (128, 60)])
+    def test_linearized(self, n, N):
+        grid, cfg, data, state = self.setup(n, N)
+        rng = np.random.default_rng(n + N)
+        profile = random_modes(rng, grid, n // 2 - 1).coeffs
+        forced = random_modes(rng, grid, 9).coeffs
+
+        def base(ts):
+            return (0.5 + np.sin(5.0 * ts))[:, None] * profile
+
+        def forcing(ts):
+            return np.cos(7.0 * ts)[:, None] * forced
+
+        plan = operators._plan(n, N, linearized=True)
+        assert isinstance(plan.synthesis, np.ndarray) == (n == 64)
+        mu_lap = cfg.mu * plan.lap
+        base_rows = base(cfg.stage_times())
+        w0 = operators._row_products(operators._float_rows(base_rows), plan.base)
+        g = operators._float_rows(forcing(cfg.stage_times()), N)
+        want = node_march(
+            cfg, lambda s, x: operators._linearized_rows(w0[s], x, mu_lap, plan) + g[s], state,
+            lambda i, phi: operators._stability_values(
+                operators._float_rows(base_rows[2 * i]), cfg.mu, n), False)
+        self.assert_exactly(solve_linearized(cfg, base, forcing, data), want)
+
+
 class TestBlockMarch:
     """_march steps a block of _NODE_BLOCK nodes, then judges it.  With a
     synthetic phi_tt = lam^2 phi started on its growing branch
@@ -688,11 +771,11 @@ class TestBlockMarch:
 
         y0 = self.state(amplitude)
         out = []
-        for march, y, monitor in (
-                (solver._march, y0, lambda nodes, phi_rows: table[nodes]),
-                (node_march, (y0,), lambda i, phi: table[i])):
+        for march, a, y, monitor in (
+                (solver._march, in_place(accel), y0, lambda nodes, phi_rows: table[nodes]),
+                (node_march, accel, (y0,), lambda i, phi: table[i])):
             try:
-                out.append(march(cfg, accel, *y, monitor, abort_on_stability))
+                out.append(march(cfg, a, *y, monitor, abort_on_stability))
             except CflError as err:
                 out.append(str(err))
         return out
@@ -745,7 +828,7 @@ class TestBlockMarch:
             return 5000.0**2 * x
 
         y0 = self.state(1.0, lam=5000.0)
-        got = solver._march(cfg, accel, *y0, lambda nodes, rows: table[nodes], True)
+        got = solver._march(cfg, in_place(accel), *y0, lambda nodes, rows: table[nodes], True)
         want = node_march(cfg, accel, y0, lambda i, phi: table[i], True)
         self.assert_same(got, want)
         assert self.flags(got) == [("blow_up", 2 * self.DT)]
@@ -798,7 +881,7 @@ class TestBlockMarch:
             calls.append((nodes.start, nodes.stop))
             return table[nodes]
 
-        traj, mon = solver._march(self.cfg(m), lambda s, x: self.LAM**2 * x,
+        traj, mon = solver._march(self.cfg(m), in_place(lambda s, x: self.LAM**2 * x),
                                   *self.state(1e-20), monitor, True)
         assert len(traj) == m + 1 and mon["flags"] == []
         assert len(calls) == -(-(m + 1) // solver._NODE_BLOCK)
