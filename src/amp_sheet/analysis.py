@@ -191,16 +191,19 @@ def ym_norm(series, spec, m):
 @lru_cache(maxsize=16)
 def _trig_weights(kmax, decay):
     """(1+k)^decay for k = 1..kmax, rounded as Python's float power rounds
-    it; read-only, since every call with these arguments shares it.  A
-    decay that makes a weight overflow, underflow to 0 or NaN raises
-    ValueError naming it."""
+    it; read-only, since every call with these arguments shares it.  The
+    campaign's arithmetic is of degree four in the draws, whose amplitudes
+    scale as 1/weight, so a decay that makes w^4 or w^-4 of some weight w
+    overflow, underflow to 0 or NaN raises ValueError naming it."""
     try:
         weight = ((1.0 + np.arange(1, kmax + 1)).astype(object) ** decay).astype(float)
     except OverflowError:  # a Python float power that would be inf
         weight = np.array([np.inf])
-    if not np.all((weight > 0.0) & (weight < np.inf)):
-        raise ValueError(f"decay = {decay:.6g} makes a weight (1+k)^decay, k <= {kmax}, "
-                         "zero or not finite")
+    with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
+        powers = weight ** np.array([[4.0], [-4.0]])
+    if not np.all((powers > 0.0) & (powers < np.inf)):
+        raise ValueError(f"decay = {decay:.6g} makes w^4 or w^-4 of a weight "
+                         f"w = (1+k)^decay, k <= {kmax}, zero or not finite")
     weight.flags.writeable = False
     return weight
 
@@ -628,7 +631,7 @@ def estimate_commutator_constants(
     if n_hi <= n_lo or n_hi % 2:
         raise ValueError(f"n_hi must be an even grid size above n_lo, got {n_hi}")
     kmax = n_lo // 6
-    _trig_weights(kmax, decay)  # a decay whose weights are 0 or inf raises here
+    _trig_weights(kmax, decay)  # a decay out of the float range raises here
     children = np.random.SeedSequence(seed).spawn(samples)
     args = [(lemmas, children[i:i + _SAMPLE_BLOCK], kmax, (n_lo, n_hi), decay)
             for i in range(0, samples, _SAMPLE_BLOCK)]

@@ -15,16 +15,22 @@ H[p_x^2] - [p; H]p_xx = H[p_x^2 + p p_xx] - p H[p_xx]: one synthesis of
 the rows (p_x, p, p | p_x, p_xx, H p_xx), one product of the two halves,
 and one analysis of (p_x^2, p p_xx, p H p_xx), on a field or on
 coefficient arrays with any leading batch axes.  The linearized operator
-mu phi_xx + dN[phi0]phi is the same kernel polarized: five rows of phi
-times five weights of the base, (2 p0_x, p0, p0_xx, p0, H p0_xx),
-synthesized once.  The derivatives of N are that kernel with mu = 0, and
-nonlinear_operator is the one place mu phi_xx + N(phi) is formed.
+mu phi_xx + dN[phi0]phi is the same kernel polarized: the rows
+(p_x, p_xx, p, H p_xx, p) of phi times five weights of the base,
+(2 p0_x, p0, p0_xx, p0, H p0_xx), synthesized once, the first three
+products summed into a and the last two into b.  The derivatives of N
+are that kernel with mu = 0.
 
-Each kernel is a private, unchecked function on float rows, the
-interleaved (Re, Im) floats of the coefficients k = 1..K of real zero-mean
-fields, reading the _plan of (n, K); the solvers step such rows
-directly.  The public operators check (..., n-1) bands, run the kernel on
-k = 1..n/2-1 and mirror the result back by c(-k) = conj c(k) (spectral._band).
+Each equation has one kernel, built for a _plan of (n, K) by
+_nonlinear_map or _linearized_map: it reads float rows, the interleaved
+(Re, Im) floats of the coefficients k = 1..K of real zero-mean fields,
+checks nothing, and writes its result into rows it is given, through
+scratch rows its builder allocates once.  The solvers' acceleration maps
+run it on one row per stage; the public operators check (..., n-1)
+bands, build it for k = 1..n/2-1 on their whole batch, run it once and
+mirror the result back by c(-k) = conj c(k) (spectral._band).  A batch
+carries a unit axis before the last, so each row is its own
+vector-matrix product and keeps the bits it has alone.
 
 A kernel pads to its band, not to the grid (the 3/2 rule on the retained
 band, Orszag 1971): N's products have band 2K, exact for k <= K on
@@ -35,8 +41,7 @@ one rule in (K, m) how to run them: while K * m <= _TABLE_MAX_KM, where an
 FFT call costs its overhead rather than arithmetic, as products with real
 tables built once from the FFTs at the unit inputs (the matrix
 multiplication transform, Boyd, Chebyshev and Fourier Spectral Methods,
-ch. 10), one BLAS call per row so that a row in a batch keeps its bits;
-above, by the FFTs on a fast length at or above m, wrapped as an
+ch. 10); above, by the FFTs on a fast length at or above m, wrapped as an
 _FftTransform that multiplies like its table, so a kernel is one
 expression on either path.  N's analysis table is
 [A; A; B], so a = p_x^2 + p p_xx is summed inside the BLAS call.  A kernel
@@ -295,13 +300,6 @@ def _analysis_table(K, m, sums):
     return _frozen(ab[list(sums)].reshape(-1, 2 * K))
 
 
-def _row_products(x, table):
-    """x @ table over the last axis of `x`, one vector-matrix product per
-    row, so every row of a batch gives the bits of that row alone, those
-    of x[i] @ table."""
-    return (x[..., None, :] @ table)[..., 0, :]
-
-
 class _FftTransform:
     """A transform run by real FFTs in the place of its table: x @ t and
     np.matmul(x, t, out=...) run `kernel` on the rows x, and `shape` is the
@@ -330,9 +328,8 @@ def _plan(n, K, linearized=False):
     of its base, whose weights `base` synthesizes from float rows on
     k = 1..B (N's plan has base None).  While K * m <= _TABLE_MAX_KM the
     transforms are tables; above, _FftTransforms of real FFTs on the least
-    fast FFT length at or above m.  Either is applied as x @ transform to
-    one row and by _row_products to a batch.  The solvers build one per
-    solve."""
+    fast FFT length at or above m.  Either is applied as x @ transform.
+    The solvers build one per solve."""
     lap = np.repeat(-np.arange(1.0, K + 1) ** 2, 2)
     B = n // 2 - 1
     m = B + 2 * K + 1 if linearized else 3 * K + 1
@@ -359,15 +356,29 @@ def _float_rows(c, K=None):
     return h.view(float)
 
 
-def _nonlinear_rows(x, mu_lap, plan):
-    """The float rows of mu phi_xx + N(phi) from those of phi, `x`, with
-    mu_lap = mu * plan.lap: the fused kernel of nonlinear_operator,
-    unchecked.  One synthesis of (p_x, p, p, p_x, p_xx, H p_xx), one
-    product of its halves, (p_x^2, p p_xx, p H p_xx), and one analysis
-    that sums the first two into a."""
-    v = _row_products(x, plan.synthesis)
+def _nonlinear_map(plan, mu, shape=()):
+    """The kernel of mu phi_xx + N(phi) on the plan's band k = 1..K, as
+    rows(x, out): writes into `out` the float rows of mu phi_xx + N(phi)
+    for the float rows `x` of phi, both of shape `shape` + (2K,), unchecked,
+    through scratch rows allocated once here, so `out` must not overlap `x`
+    and a kernel serves one caller at a time.  mu phi_xx is applied exactly,
+    by the symbol -mu k^2."""
+    mu_lap = mu * plan.lap
+    synthesis, analysis = plan.synthesis, plan.analysis
+    v = np.empty(shape + synthesis.shape[1:])
     half = v.shape[-1] // 2
-    return mu_lap * x + _row_products(v[..., :half] * v[..., half:], plan.analysis)
+    lo, hi = v[..., :half], v[..., half:]
+    prod, a = np.empty(shape + (half,)), np.empty(shape + mu_lap.shape)
+
+    def rows(x, out):
+        # each ufunc writes its last argument
+        np.matmul(x, synthesis, v)
+        np.multiply(lo, hi, prod)
+        np.matmul(prod, analysis, a)
+        np.multiply(mu_lap, x, out)
+        out += a
+
+    return rows
 
 
 def _stability_values(x, mu, n):
@@ -379,16 +390,32 @@ def _stability_values(x, mu, n):
     return mu - 2.0 * _synthesis(h, up[1], n)
 
 
-def _linearized_rows(w0, x, mu_lap, plan):
-    """The float rows of mu phi_xx + dN[phi0]phi from w0, the products of the
-    float rows of phi0 with plan.base, and the float rows `x` of phi, with
-    mu_lap = mu * plan.lap: the kernel of apply_linearized_operator, with no
-    check.  w0 and x broadcast.  One synthesis of
-    (p_x, p_xx, p, H p_xx, p), one product with the base weights
-    (2 p0_x, p0, p0_xx, p0, H p0_xx), and one analysis summing the first
-    three into a and the last two into b.  Like _nonlinear_rows it applies
-    mu phi_xx exactly, so with phi0 = 0 the result is diagonal in k bitwise."""
-    return mu_lap * x + _row_products(_row_products(x, plan.synthesis) * w0, plan.analysis)
+def _base_weights(plan, c0):
+    """The weights (2 p0_x, p0, p0_xx, p0, H p0_xx) of the linearized
+    kernel on its plan's points, as (..., 5m) rows, for the bases with the
+    (..., n-1) coefficients c0, synthesized from their full band k < n/2:
+    a base may carry modes above K."""
+    return (_float_rows(c0)[..., None, :] @ plan.base)[..., 0, :]
+
+
+def _linearized_map(plan, mu, shape=()):
+    """The kernel of mu phi_xx + dN[phi0]phi, as rows(w0, x, out), with the
+    contract of _nonlinear_map, for the base weights `w0` (_base_weights),
+    which broadcast against `shape`.  With phi0 = 0 the result is diagonal in k
+    bitwise."""
+    mu_lap = mu * plan.lap
+    synthesis, analysis = plan.synthesis, plan.analysis
+    v, a = np.empty(shape + synthesis.shape[1:]), np.empty(shape + mu_lap.shape)
+
+    def rows(w0, x, out):
+        # each ufunc writes its last argument
+        np.matmul(x, synthesis, v)
+        np.multiply(v, w0, v)
+        np.matmul(v, analysis, a)
+        np.multiply(mu_lap, x, out)
+        out += a
+
+    return rows
 
 
 def quadratic_rhs(phi):
@@ -420,22 +447,17 @@ def nonlinear_operator(phi, mu):
     result has the same kind and shape.  The nonlinear counterpart of
     apply_linearized_operator: the lifting forcing and the Newton residual
     evaluate it here, and the solver's acceleration map runs its kernel
-    _nonlinear_rows.
-
-    N uses H[p_x^2] - [p; H]p_xx = H[a] - b with a = p_x^2 + p p_xx and
-    b = p H[p_xx]: one synthesis of (p_x, p, p, p_x, p_xx, H p_xx) on the
-    grid padded to the band K = n/2 - 1, m >= 3n/2 - 2 points (see _plan;
-    the retained band of both products is exact there), one product of its
-    halves and one analysis of (p_x^2, p p_xx, p H p_xx).  For k >= 0 the
-    result is N^(k) = k (a^(k) - i b^(k)); the k < 0 half follows by
-    conjugate symmetry, which is why the input must be conjugate symmetric.
+    _nonlinear_map (see the module docstring) on k = 1..n/2-1.  The k < 0
+    half follows by conjugate symmetry, which is why the input must be
+    conjugate symmetric.
     """
     _require_real_zero_mean(phi, "phi")
     c = _coeffs(phi)
     n = c.shape[-1] + 1
-    plan = _plan(n, n // 2 - 1)
-    out = _nonlinear_rows(_float_rows(c), mu * plan.lap, plan)
-    return _like(phi, _band(out.view(complex), n))
+    x = _float_rows(c)[..., None, :]
+    out = np.empty(x.shape)
+    _nonlinear_map(_plan(n, n // 2 - 1), mu, x.shape[:-1])(x, out)
+    return _like(phi, _band(out[..., 0, :].view(complex), n))
 
 
 def apply_linearized_operator(phi0, phiP, mu):
@@ -446,27 +468,23 @@ def apply_linearized_operator(phi0, phiP, mu):
     (..., n-1) whose leading axes broadcast, so one base can act on a whole
     batch; the result is a field when both are fields, an array otherwise.
 
-    The kernel polarizes the identity of nonlinear_operator.  With
-    p0 = H phi0 and p = H phiP it is mu phiP_xx, applied exactly by the
-    symbol -mu k^2, plus d/dx( H[a] - b ) with
+    The kernel _linearized_map polarizes the identity of
+    nonlinear_operator.  With p0 = H phi0 and p = H phiP it is
+    mu phiP_xx plus d/dx( H[a] - b ) with
 
         a = 2 p0_x p_x + p0 p_xx + p p0_xx,
-        b = p0 H[p_xx] + p H[p0_xx]:
-
-    one synthesis of the base's weights (2 p0_x, p0, p0_xx, p0, H p0_xx)
-    and of phiP's rows (p_x, p_xx, p, H p_xx, p) on m >= 3n/2 - 2 points
-    (see _plan), their product, and one analysis summing the first three
-    products into
-    a and the last two into b, by table products or real FFTs (see the
-    module docstring).
+        b = p0 H[p_xx] + p H[p0_xx].
     """
     _require_real_zero_mean(phi0, "phi0")
     _require_real_zero_mean(phiP, "phiP")
     c0, c = _coeffs(phi0), _coeffs(phiP)
     n = c.shape[-1] + 1
     plan = _plan(n, n // 2 - 1, linearized=True)
-    w0 = _row_products(_float_rows(c0), plan.base)
-    out = _band(_linearized_rows(w0, _float_rows(c), mu * plan.lap, plan).view(complex), n)
+    w0, x = _base_weights(plan, c0)[..., None, :], _float_rows(c)[..., None, :]
+    shape = np.broadcast(w0[..., :1], x).shape[:-1]
+    out = np.empty(shape + x.shape[-1:])
+    _linearized_map(plan, mu, shape)(w0, x, out)
+    out = _band(out[..., 0, :].view(complex), n)
     if isinstance(phi0, SpectralField) and isinstance(phiP, SpectralField):
         return SpectralField(phiP.grid, out, True)
     return out

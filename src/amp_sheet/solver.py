@@ -16,25 +16,19 @@ acceleration map, the next node's phi and phi_t by the step, whose stage
 rows and operands live in four scratch rows allocated once per solve.
 The acceleration map accel(s, x, out), semidiscrete_rhs_nonlinear or
 semidiscrete_rhs_linearized, writes the phi_tt row of the phi row x at
-index s of the stage mesh into the row `out`.  It runs the fused kernel
-of the private float-row kernels of operators (the public operators are
-those kernels plus checks) on one row, with their bits, on the _plan of
-(n, N) that the map builds once: one product of x with the synthesis
-transform, which reads only k = 1..N on a grid padded to the band N
-(3N + 1 points for the nonlinear system and n/2 + 2N for the linearized
-one, or the next fast FFT length above), and one with the analysis
-transform, which returns k = 1..N, both written into scratch rows of the
-map.  The two systems are the full quadratically nonlinear equation, and
-its linearization around a prescribed time-dependent base profile with
-an optional forcing term.
+index s of the stage mesh into the row `out`.  It runs, on one row, the
+one kernel of its equation in operators, built once per solve on the
+_plan of (n, N); the public operators run the same kernel.  The two
+systems are the full quadratically nonlinear equation, and its
+linearization around a prescribed time-dependent base profile with an
+optional forcing term.
 
 Base profiles and forcing terms of the linearized system are field
 sources (see field_evaluator): each maps a 1-D array of times to a
 (T, n-1) coefficient array.  solve_linearized evaluates and checks them
 once per solve on its whole stage mesh, and its acceleration map
-synthesizes the base's five weights (2 p0_x, p0, p0_xx, p0, H p0_xx)
-there once, from its full band k < n/2: a Newton base or a configured one
-can carry modes above N.
+synthesizes the base's weights there once, from its full band k < n/2: a
+Newton base or a configured one can carry modes above N.
 
 Each solve mirrors the rows of its T kept nodes once into the (T, n-1)
 arrays of the Trajectory it returns, together with a monitor dictionary:
@@ -57,11 +51,13 @@ import numpy as np
 
 from .operators import (
     Trajectory,
+    _base_weights,
     _float_rows,
+    _linearized_map,
+    _nonlinear_map,
     _plan,
     _require_real,
     _require_real_zero_mean,
-    _row_products,
     _stability_values,
     require_margin,
 )
@@ -213,50 +209,27 @@ def semidiscrete_rhs_nonlinear(cfg):
     """The acceleration map accel(s, x, out) of the nonlinear Galerkin
     system: writes into the row `out` the float row of mu phi_xx + N(phi),
     kept to k = 1..N, the projection onto the Galerkin space, for the float
-    row `x` of phi.  The stage index s is not read, and rows are not
-    checked.  It is the fused kernel of _nonlinear_rows on one row, with
-    its bits: one product with each transform of the plan, written into
-    scratch rows allocated once here, so `out` must not overlap `x` and one
-    map serves one march at a time."""
-    plan = _plan(cfg.grid_n, cfg.galerkin_N)
-    mu_lap = cfg.mu * plan.lap
-    synthesis, analysis = plan.synthesis, plan.analysis
-    v = np.empty(synthesis.shape[1])
-    half = v.size // 2
-    lo, hi, prod, a = v[:half], v[half:], np.empty(half), np.empty(mu_lap.size)
-
-    def accel(s, x, out):
-        # each ufunc writes its last argument
-        np.matmul(x, synthesis, v)
-        np.multiply(lo, hi, prod)
-        np.matmul(prod, analysis, a)
-        np.multiply(mu_lap, x, out)
-        out += a
-
-    return accel
+    row `x` of phi, by the kernel operators._nonlinear_map.  The stage
+    index s is not read, and rows are not checked; `out` must not overlap
+    `x`, and one map serves one march at a time."""
+    rows = _nonlinear_map(_plan(cfg.grid_n, cfg.galerkin_N), cfg.mu)
+    return lambda s, x, out: rows(x, out)
 
 
 def semidiscrete_rhs_linearized(base_rows, g_rows, cfg):
     """The acceleration map of the linearization at a base with forcing g,
-    as in semidiscrete_rhs_nonlinear, with the bits of _linearized_rows
-    plus g.  `base_rows` and `g_rows` are (S, n-1) coefficient arrays on
-    the stage mesh, and stage s reads row s of each.  The base's five
-    weights are synthesized here once, from its full band k < n/2: it may
-    carry modes above N."""
+    as in semidiscrete_rhs_nonlinear, by the kernel
+    operators._linearized_map plus g.  `base_rows` and `g_rows` are (S, n-1)
+    coefficient arrays on the stage mesh, and stage s reads row s of each.
+    The base's weights are synthesized here once, from its full band
+    k < n/2: it may carry modes above N."""
     plan = _plan(cfg.grid_n, cfg.galerkin_N, linearized=True)
-    mu_lap = cfg.mu * plan.lap
-    w0 = _row_products(_float_rows(base_rows), plan.base)
+    rows = _linearized_map(plan, cfg.mu)
+    w0 = _base_weights(plan, base_rows)
     g = _float_rows(g_rows, cfg.galerkin_N)
-    synthesis, analysis = plan.synthesis, plan.analysis
-    v, a = np.empty(synthesis.shape[1]), np.empty(mu_lap.size)
 
     def accel(s, x, out):
-        # each ufunc writes its last argument
-        np.matmul(x, synthesis, v)
-        np.multiply(v, w0[s], v)
-        np.matmul(v, analysis, a)
-        np.multiply(mu_lap, x, out)
-        out += a
+        rows(w0[s], x, out)
         out += g[s]
 
     return accel

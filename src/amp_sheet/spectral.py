@@ -125,12 +125,6 @@ class SpectralField:
         return complex(self.coeffs[k + n // 2 - 1])
 
     @property
-    def mean(self):
-        """Average value of the field, coeff(0)/(2*pi)."""
-        m = self.coeff(0) / _TWO_PI
-        return m.real if self.real_flag else m
-
-    @property
     def bandwidth(self):
         """Largest |k| carrying a strictly nonzero coefficient."""
         idx = np.nonzero(self.coeffs)[0]

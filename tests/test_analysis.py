@@ -246,7 +246,7 @@ class TestApplyLinearized:
             frozen = apply_linearized(base, traj, 1.2)
             monkeypatch.undo()
             assert np.array_equal(frozen.phi, broadcast.phi)
-            assert shapes == [(1, 1, n - 2)] * 3  # _row_products of one row
+            assert shapes == [(1, 1, n - 2)] * 3  # _base_weights of one row
 
 
 def test_weighted_norm_spec_rejects_nan_gamma():

@@ -1046,11 +1046,13 @@ class TestCommutatorConstants:
         assert "n_lo" in out.output
         assert not (dest / "constants.json").exists()
 
-    @pytest.mark.parametrize("decay", [1e308, -1e308, 1e4])
+    @pytest.mark.parametrize("decay", [1e308, -1e308, 1e4, 300.0, -300.0])
     def test_decay_whose_weights_are_zero_or_infinite_is_config_error(self, runner, tmp_path,
                                                                       decay):
         # (1+k)^decay overflows a float (1e308, 1e4) or underflows to 0
-        # (-1e308) for some k <= kmax: rejected before any draw
+        # (-1e308) for some k <= kmax, or its fourth power or that of its
+        # inverse does (+-300, where the campaign's degree-four arithmetic
+        # would overflow or underflow): rejected before any draw
         cfg = write_config(tmp_path, "c.json", {"lemma": "A2", "samples": 2, "n_lo": 32,
                                                 "n_hi": 64, "decay": decay})
         dest = tmp_path / "o"

@@ -336,6 +336,23 @@ class TestFusedLinearized:
                 single = apply_linearized_operator(u, SpectralField(GRID, d, True), 1.1)
                 assert np.max(np.abs(row - single.coeffs)) <= 1e-14 * np.max(np.abs(row))
 
+    @pytest.mark.parametrize("n", [64, 256])
+    def test_batch_broadcasts_against_base_batch(self, n):
+        # bases (2, 1) against directions (3,), and bases (3,) against one
+        # direction: each row is bitwise its single call, on the table path
+        # (n = 64) and the FFT path (n = 256)
+        grid = TorusGrid(n)
+        rng = np.random.default_rng(n)
+        bases, dirs = (np.stack([random_field(grid, 10, rng).coeffs for _ in range(k)])
+                       for k in (2, 3))
+        batch = apply_linearized_operator(bases[:, None], dirs, 0.9)
+        assert batch.shape == (2, 3, n - 1)
+        for i, j in np.ndindex(2, 3):
+            assert np.array_equal(batch[i, j], apply_linearized_operator(bases[i], dirs[j], 0.9))
+        batch = apply_linearized_operator(dirs, bases[0], 0.9)
+        for row, base in zip(batch, dirs):
+            assert np.array_equal(row, apply_linearized_operator(base, bases[0], 0.9))
+
     def test_rejects_asymmetric_real_field(self):
         # flagged real, but c(-1) != conj(c(1)): the kernel reads k >= 0 only
         bad = from_modes(GRID, {1: np.pi, -1: 0.5 * np.pi}, real_flag=True)
@@ -344,6 +361,25 @@ class TestFusedLinearized:
                      (np.stack([good.coeffs, bad.coeffs]), good.coeffs)):
             with pytest.raises(ValueError, match="conjugate symmetric"):
                 apply_linearized_operator(*args, 1.0)
+
+
+def nonlinear_rows(x, mu, plan):
+    """The kernel of _nonlinear_map run once on the float rows `x` of any
+    batch shape, a unit axis before the last, as the public operator runs it."""
+    x = x[..., None, :]
+    out = np.empty(x.shape)
+    ops._nonlinear_map(plan, mu, x.shape[:-1])(x, out)
+    return out[..., 0, :]
+
+
+def linearized_rows(w0, x, mu, plan):
+    """The kernel of _linearized_map run once on the base weights `w0` and
+    the float rows `x`, whose batch shapes broadcast, as nonlinear_rows."""
+    w0, x = w0[..., None, :], x[..., None, :]
+    shape = np.broadcast(w0[..., :1], x).shape[:-1]
+    out = np.empty(shape + x.shape[-1:])
+    ops._linearized_map(plan, mu, shape)(w0, x, out)
+    return out[..., 0, :]
 
 
 class TestBandPaddedKernels:
@@ -370,14 +406,13 @@ class TestBandPaddedKernels:
         for K in (1, n // 4, B):
             nonlinear, linearized = ops._plan(n, K), ops._plan(n, K, linearized=True)
             for shape in ((1,), (3,), (2, 3)):
-                c = self.bands(grid, B, rng, shape)
-                x, x0 = ops._float_rows(c, K), ops._float_rows(self.bands(grid, B, rng, shape))
+                c, c0 = self.bands(grid, B, rng, shape), self.bands(grid, B, rng, shape)
+                x, x0 = ops._float_rows(c, K), ops._float_rows(c0)
                 full = ops._float_rows(c)
                 for got, want, scale in (
-                        (ops._nonlinear_rows(x, 0.9 * nonlinear.lap, nonlinear),
+                        (nonlinear_rows(x, 0.9, nonlinear),
                          padded_nonlinear_rows(x, 0.9, n), padded_nonlinear_rows(full, 0.9, n)),
-                        (ops._linearized_rows(ops._row_products(x0, linearized.base), x,
-                                              0.9 * linearized.lap, linearized),
+                        (linearized_rows(ops._base_weights(linearized, c0), x, 0.9, linearized),
                          padded_linearized_rows(x0, x, 0.9, n),
                          padded_linearized_rows(x0, full, 0.9, n))):
                     assert got.shape == want.shape == shape + (2 * K,)
@@ -387,7 +422,7 @@ class TestBandPaddedKernels:
     def test_table_agrees_with_fft(self, n, monkeypatch):
         grid = TorusGrid(n)
         rng = np.random.default_rng(n + 7)
-        x0 = ops._float_rows(self.bands(grid, n // 2 - 1, rng, (1,))[0])
+        c0 = self.bands(grid, n // 2 - 1, rng, (1,))[0]
         for K in (10, 21, n // 2 - 1):
             x = ops._float_rows(self.bands(grid, K, rng, (3,)), K)
             got = {}
@@ -395,9 +430,8 @@ class TestBandPaddedKernels:
                 # a plan picks its path when built
                 monkeypatch.setattr(ops, "_TABLE_MAX_KM", bound)
                 plan, lin = ops._plan(n, K), ops._plan(n, K, linearized=True)
-                got[bound] = (ops._nonlinear_rows(x, 0.9 * plan.lap, plan),
-                              ops._linearized_rows(ops._row_products(x0, lin.base), x,
-                                                   0.9 * lin.lap, lin))
+                got[bound] = (nonlinear_rows(x, 0.9, plan),
+                              linearized_rows(ops._base_weights(lin, c0), x, 0.9, lin))
             for table, fft in zip(got[10**9], got[0]):
                 assert table.shape == fft.shape
                 assert np.max(np.abs(table - fft)) <= 1e-13 * np.max(np.abs(fft)), K
@@ -431,14 +465,14 @@ class TestBandPaddedKernels:
         for kk in (K, K + 1):
             plan = ops._plan(2 * kk + 2, kk)
             x = np.full(2 * kk, 1e-3)
-            ops._nonlinear_rows(x, plan.lap, plan)
+            nonlinear_rows(x, 1.0, plan)
             calls = []
             for name in ("rfft", "irfft"):
                 real = getattr(np.fft, name)
                 monkeypatch.setattr(np.fft, name, lambda a, n=None, *r, _real=real, _name=name, **kw:
                                     calls.append((_name, np.shape(a)[-1] if n is None else n))
                                     or _real(a, n, *r, **kw))
-            ops._nonlinear_rows(x, plan.lap, plan)
+            nonlinear_rows(x, 1.0, plan)
             monkeypatch.undo()
             lengths[kk] = calls
         assert lengths[K] == []
@@ -473,10 +507,10 @@ class TestBandPaddedKernels:
             c = self.bands(grid, K, rng, (6,))
             c0 = random_field(grid, n // 2 - 1, rng).coeffs
             x = ops._float_rows(c, K)
-            w0 = ops._row_products(ops._float_rows(c0), lin.base)
-            kernels = (lambda y: ops._row_products(y, plan.synthesis),
-                       lambda y: ops._nonlinear_rows(y, 0.7 * plan.lap, plan),
-                       lambda y: ops._linearized_rows(w0, y, 0.7 * lin.lap, lin),
+            w0 = ops._base_weights(lin, c0)
+            kernels = (lambda y: (y[..., None, :] @ plan.synthesis)[..., 0, :],
+                       lambda y: nonlinear_rows(y, 0.7, plan),
+                       lambda y: linearized_rows(w0, y, 0.7, lin),
                        lambda y: ops._stability_values(y, 0.7, n))
             strided_last = ops._float_rows(np.repeat(c, 2, axis=-1)[..., ::2], K)
             for h in (x, x[::2], np.broadcast_to(x[1], (4, 2 * K)), strided_last):
@@ -492,8 +526,8 @@ class TestBandPaddedKernels:
                 assert np.max(np.abs(got.view(complex) - want)) <= 1e-13 * np.max(np.abs(want))
             assert np.array_equal(kernels[3](x), stability_coefficient(c, 0.7)[0])
             # a broadcast base against a batch, in the kernel and the public operator
-            many = ops._row_products(np.broadcast_to(ops._float_rows(c0), (6, n - 2)), lin.base)
-            assert np.array_equal(ops._linearized_rows(many, x, 0.7 * lin.lap, lin), kernels[2](x))
+            many = ops._base_weights(lin, np.broadcast_to(c0, (6, n - 1)))
+            assert np.array_equal(linearized_rows(many, x, 0.7, lin), kernels[2](x))
             u = random_field(grid, 8, rng).coeffs
             assert np.array_equal(apply_linearized_operator(np.broadcast_to(u, c.shape), c, 1.1),
                                   apply_linearized_operator(u, c, 1.1))

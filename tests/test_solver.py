@@ -176,14 +176,15 @@ class TestSemidiscreteRhs:
         assert np.max(np.abs(out)) == 0.0
 
     def test_nonlinear_batch_equals_row_by_row(self):
-        # the batched kernel of the public operator on a leading batch
-        # axis is the map, row for row bitwise
+        # the kernel run on a batch, a unit axis before the last, as the
+        # public operator runs it, is the map, row for row bitwise
         cfg = SimConfig(mu=0.8, delta=0.5, grid_n=32, galerkin_N=10)
         accel = semidiscrete_rhs_nonlinear(cfg)
-        plan = operators._plan(32, 10)
         rng = np.random.default_rng(5)
-        phi = rng.standard_normal((3, 20))
-        out = operators._nonlinear_rows(phi, 0.8 * plan.lap, plan)
+        phi = rng.standard_normal((3, 1, 20))
+        out = np.empty_like(phi)
+        operators._nonlinear_map(operators._plan(32, 10), 0.8, (3, 1))(phi, out)
+        phi, out = phi[:, 0], out[:, 0]
         for x, got in zip(phi, out):
             assert np.array_equal(rhs(accel, 0, x), got)
 
@@ -664,12 +665,19 @@ class TestMaskedOracle:
 
 
 class TestMarchIsTheOracleStepping:
-    """The solvers' in-place march, with its fused one-row accelerations,
-    returns exactly, with no tolerance, the rows and monitor of the oracle's
-    node-by-node march: pair_rkn_step driven by the unfused batched kernels
-    of the public operators, on the table path (n = 64, N = 21) and the FFT
-    path (n = 128, N = 60).  A stage that reordered its operands would move
-    the last bits."""
+    """The solvers' in-place march returns exactly, with no tolerance, the
+    rows and monitor of the oracle's node-by-node march: pair_rkn_step
+    driven by the equation's kernel, writing each acceleration into a fresh
+    row, on the table path (n = 64, N = 21) and the FFT path (n = 128,
+    N = 60).  A stage that reordered its operands would move the last
+    bits."""
+
+    @staticmethod
+    def fresh(kernel, *rows):
+        # the kernel's result in a row of its own, as node_march keeps it
+        out = np.empty_like(rows[-1])
+        kernel(*rows, out)
+        return out
 
     @staticmethod
     def setup(n, N):
@@ -692,8 +700,8 @@ class TestMarchIsTheOracleStepping:
         grid, cfg, data, state = self.setup(n, N)
         plan = operators._plan(n, N)
         assert isinstance(plan.synthesis, np.ndarray) == (n == 64)
-        mu_lap = cfg.mu * plan.lap
-        want = node_march(cfg, lambda s, x: operators._nonlinear_rows(x, mu_lap, plan), state,
+        kernel = operators._nonlinear_map(plan, cfg.mu)
+        want = node_march(cfg, lambda s, x: self.fresh(kernel, x), state,
                           lambda i, phi: operators._stability_values(phi, cfg.mu, n), True)
         self.assert_exactly(solve_nonlinear(cfg, data), want)
 
@@ -712,12 +720,12 @@ class TestMarchIsTheOracleStepping:
 
         plan = operators._plan(n, N, linearized=True)
         assert isinstance(plan.synthesis, np.ndarray) == (n == 64)
-        mu_lap = cfg.mu * plan.lap
+        kernel = operators._linearized_map(plan, cfg.mu)
         base_rows = base(cfg.stage_times())
-        w0 = operators._row_products(operators._float_rows(base_rows), plan.base)
+        w0 = operators._base_weights(plan, base_rows)
         g = operators._float_rows(forcing(cfg.stage_times()), N)
         want = node_march(
-            cfg, lambda s, x: operators._linearized_rows(w0[s], x, mu_lap, plan) + g[s], state,
+            cfg, lambda s, x: self.fresh(kernel, w0[s], x) + g[s], state,
             lambda i, phi: operators._stability_values(
                 operators._float_rows(base_rows[2 * i]), cfg.mu, n), False)
         self.assert_exactly(solve_linearized(cfg, base, forcing, data), want)

@@ -58,7 +58,6 @@ class TestAnalyzeSynthesize:
         assert abs(f.coeff(0) - TWO_PI) < 1e-14
         assert np.max(np.abs(f.coeffs)) == pytest.approx(TWO_PI)
         assert f.real_flag
-        assert f.mean == pytest.approx(1.0)
 
     def test_cosine_coefficients(self):
         g = TorusGrid(64)
