@@ -9,6 +9,9 @@ operator, the nine commutator/product inequalities, the kernel structure
 of the Hilbert commutator, and the smallness of the compatibility forcing
 generated by the lifting.
 
+A weighted norm is a trapezoid quadrature, under e^{-2 gamma t}, of the
+per-node spatial norms, which each verifier takes once per array and order.
+
 Identities are equalities and are verified to near machine precision.
 Estimates only assert the *existence* of constants, so each estimate
 verifier reports the empirical ratio (the observed constant) together
@@ -134,27 +137,22 @@ def _gamma_weights(times, gamma, name="gamma"):
     return w
 
 
-def _weighted_l2(times, coeffs, spec, m):
-    """weighted_l2_norm of the (T, n-1) coefficient rows on the mesh `times`."""
-    if len(times) == 1:
-        return 0.0
-    vals = _gamma_weights(times, spec.gamma) * sobolev_norm(coeffs, m) ** 2
-    return float(np.sqrt(_trapezoid(vals, times)))
+def _weighted_l2(times, norms, gamma):
+    """sqrt of the trapezoid quadrature of e^{-2 gamma t} norms^2 over the
+    mesh `times`: the weighted L2-in-time norm of the per-node spatial norms
+    `norms` (0 on one node)."""
+    return float(np.sqrt(_trapezoid(_gamma_weights(times, gamma) * norms ** 2, times)))
 
 
 def weighted_l2_norm(series, spec, m):
     """|| e^{-gamma t} f(t) ||_{L2_t H^m_x} by trapezoid quadrature, f the
     phi part of a Trajectory."""
-    return _weighted_l2(series.times, series.phi, spec, m)
-
-
-def _sup_sobolev(coeffs, m):
-    return float(np.max(sobolev_norm(coeffs, m)))
+    return _weighted_l2(series.times, sobolev_norm(series.phi, m), spec.gamma)
 
 
 def sup_sobolev_norm(series, m):
     """max over the mesh of the H^m norm (the L-infinity-in-time norm)."""
-    return _sup_sobolev(series.phi, m)
+    return float(np.max(sobolev_norm(series.phi, m)))
 
 
 def xm_norm(traj, spec, m):
@@ -165,11 +163,11 @@ def xm_norm(traj, spec, m):
     differencing of the stored phi_t snapshots.  Returns the three pieces
     and the combined value.
     """
-    times = traj.times
+    times, gamma = traj.times, spec.gamma
     _check_zero_trace(times, [traj.phi, traj.phit])
-    px = _weighted_l2(times, derivative(traj.phi), spec, m + 1)
-    pt = _weighted_l2(times, traj.phit, spec, m + 1)
-    ptt = _weighted_l2(times, traj.phit_derivative(), spec, m)
+    px = _weighted_l2(times, sobolev_norm(derivative(traj.phi), m + 1), gamma)
+    pt = _weighted_l2(times, sobolev_norm(traj.phit, m + 1), gamma)
+    ptt = _weighted_l2(times, sobolev_norm(traj.phit_derivative(), m), gamma)
     return {
         "phix": px,
         "phit": pt,
@@ -181,7 +179,7 @@ def xm_norm(traj, spec, m):
 def ym_norm(series, spec, m):
     """Forcing-space norm: the weighted L2 H^m norm of a zero-trace series."""
     _check_zero_trace(series.times, [series.phi])
-    return _weighted_l2(series.times, series.phi, spec, m)
+    return weighted_l2_norm(series, spec, m)
 
 
 # ---------------------------------------------------------------------------
@@ -259,26 +257,26 @@ def verify_energy_estimates(phi0, traj, mu, delta, gammas):
 
     The base must keep the margin delta/2 and the trajectory a zero trace.
     g is reconstructed once, by applying the assembled linearized operator
-    to the trajectory, and only the weighted norms depend on gamma; pass
-    allows a 5 percent quadrature margin.
+    to the trajectory, and the per-node norms of phi'_t, phi'_x and g are
+    taken once: only their quadrature depends on gamma.  Pass allows a 5
+    percent quadrature margin.
     """
     if not gammas:
         raise ValueError("need at least one gamma")
     times = traj.times
     require_margin(field_evaluator(phi0, traj.grid)(times), mu, 0.5 * delta, "base profile")
     _check_zero_trace(times, [traj.phi, traj.phit])
-    specs = [WeightedNormSpec(gamma) for gamma in gammas]
-    inner, phit, phix = times[1:-1], traj.phit[1:-1], derivative(traj.phi[1:-1])
+    inner = times[1:-1]
     for gamma in gammas:  # both sides integrate over the interior nodes
-        _gamma_weights(inner, gamma, "gammas")
+        _gamma_weights(inner, WeightedNormSpec(gamma).gamma, "gammas")
     c0 = 2.0 / min(1.0, delta)
-    g = apply_linearized(phi0, traj, mu)
+    phit, phix, g = (sobolev_norm(x, 0) for x in (
+        traj.phit[1:-1], derivative(traj.phi[1:-1]), apply_linearized(phi0, traj, mu).phi))
     reports = []
-    for spec in specs:
-        gamma = spec.gamma
-        lhs = gamma * (_weighted_l2(inner, phit, spec, 0) ** 2
-                       + _weighted_l2(inner, phix, spec, 0) ** 2)
-        rhs = (c0 / gamma) * weighted_l2_norm(g, spec, 0) ** 2
+    for gamma in gammas:
+        lhs = gamma * (_weighted_l2(inner, phit, gamma) ** 2
+                       + _weighted_l2(inner, phix, gamma) ** 2)
+        rhs = (c0 / gamma) * _weighted_l2(inner, g, gamma) ** 2
         reports.append(EstimateReport(
             estimate_id="energy",
             lhs=lhs,
@@ -306,31 +304,31 @@ def verify_tame_estimates(phi0, forcing, cfg, m_values):
 
     one EstimateReport per m, in order.  The two-derivative loss lives in
     the first right-hand term: the base regularity is measured at m+2
-    while g enters at H^2 only.  The base must keep the margin delta/2.
+    while g enters at H^2 only.  The base must keep the margin delta/2,
+    checked on the node mesh before the solve.
     """
     if not m_values:
         raise ValueError("need at least one m")
     if any(m < 1 for m in m_values):
         raise ValueError("m must be at least 1")
-    traj, monitor = solve_linearized(cfg, base=phi0, forcing=forcing)
-    times, gamma = traj.times, cfg.gamma
-    spec = WeightedNormSpec(gamma)
-    base = field_evaluator(phi0, traj.grid)(times)
+    gamma = WeightedNormSpec(cfg.gamma).gamma
+    base = field_evaluator(phi0, TorusGrid(cfg.grid_n))(cfg.stage_times()[::2])
     require_margin(base, cfg.mu, 0.5 * cfg.delta, "base profile")
+    traj, monitor = solve_linearized(cfg, base=phi0, forcing=forcing)
+    times = traj.times
+    base_x = derivative(base[:len(times)])
     g = field_evaluator(forcing, traj.grid)(times)
+    g_norms = {k: _weighted_l2(times, sobolev_norm(g, k), gamma) for k in {2, *m_values}}
     phix = derivative(traj.phi)
-    base_x = derivative(base)
     min_base = float(np.min(monitor["min_stability_coeff"]))
     reports = []
     for m in m_values:
         lhs = gamma * (
-            _weighted_l2(times, traj.phit, spec, m) ** 2
-            + _weighted_l2(times, phix, spec, m) ** 2
+            _weighted_l2(times, sobolev_norm(traj.phit, m), gamma) ** 2
+            + _weighted_l2(times, sobolev_norm(phix, m), gamma) ** 2
         )
-        rhs = (1.0 / gamma) * (
-            _sup_sobolev(base_x, m + 2) ** 2 * _weighted_l2(times, g, spec, 2) ** 2
-            + _weighted_l2(times, g, spec, m) ** 2
-        )
+        base_sup = float(np.max(sobolev_norm(base_x, m + 2)))
+        rhs = (1.0 / gamma) * (base_sup ** 2 * g_norms[2] ** 2 + g_norms[m] ** 2)
         c_emp = _ratio(lhs, rhs)
         reports.append(EstimateReport(
             estimate_id=f"tame_{m}",
@@ -360,15 +358,17 @@ def verify_phitt_estimate(phi0, traj, forcing, gamma, m):
     """
     if m < 1:
         raise ValueError("m must be at least 1")
+    WeightedNormSpec(gamma)  # gamma >= 1
     times = traj.times
-    spec = WeightedNormSpec(gamma)
     base = field_evaluator(phi0, traj.grid)(times)
+    g = field_evaluator(forcing, traj.grid)(times)
     phix = derivative(traj.phi)
-    lhs = _weighted_l2(times, traj.phit_derivative(), spec, m - 1)
+    phix_l2 = {k: _weighted_l2(times, sobolev_norm(phix, k), gamma) for k in {m, 2}}
+    lhs = _weighted_l2(times, sobolev_norm(traj.phit_derivative(), m - 1), gamma)
     rhs = (
-        _weighted_l2(times, phix, spec, m) * (1.0 + _sup_sobolev(base, 3))
-        + _sup_sobolev(derivative(base), m) * _weighted_l2(times, phix, spec, 2)
-        + _weighted_l2(times, field_evaluator(forcing, traj.grid)(times), spec, m - 1)
+        phix_l2[m] * (1.0 + float(np.max(sobolev_norm(base, 3))))
+        + float(np.max(sobolev_norm(derivative(base), m))) * phix_l2[2]
+        + _weighted_l2(times, sobolev_norm(g, m - 1), gamma)
     )
     c1 = _ratio(lhs, rhs)
     return EstimateReport(
@@ -389,22 +389,23 @@ def verify_second_derivative_estimate(phi_series, psi_series, gamma, m):
                                               + (phi <-> psi) }
 
     and, since the constant is claimed uniform in the horizon, the same
-    ratio recomputed on the first half of the time window.
+    ratio on the first half of the time window, which slices the norms.
     """
     t1, phis = phi_series.times, phi_series.phi
     t2, psis = psi_series.times, psi_series.phi
     if len(t1) != len(t2) or np.max(np.abs(t1 - t2)) > 1e-12:
         raise ValueError("phi and psi live on different time meshes")
-    spec = WeightedNormSpec(gamma)
+    WeightedNormSpec(gamma)  # gamma >= 1
+    lhs_norms = sobolev_norm(second_derivative(phis, psis), m)
+    # the per-node H^k norms of phi_x and psi_x, by k
+    phix, psix = ({k: sobolev_norm(x, k) for k in {m + 1, 2}}
+                  for x in (derivative(phis), derivative(psis)))
 
     def both_sides(sel):
         times = t1[sel]
-        phix, psix = derivative(phis[sel]), derivative(psis[sel])
-        lhs = _weighted_l2(times, second_derivative(phis[sel], psis[sel]), spec, m)
-        rhs = (
-            _weighted_l2(times, phix, spec, m + 1) * _sup_sobolev(psix, 2)
-            + _weighted_l2(times, psix, spec, m + 1) * _sup_sobolev(phix, 2)
-        )
+        lhs = _weighted_l2(times, lhs_norms[sel], gamma)
+        rhs = (_weighted_l2(times, phix[m + 1][sel], gamma) * float(np.max(psix[2][sel]))
+               + _weighted_l2(times, psix[m + 1][sel], gamma) * float(np.max(phix[2][sel])))
         return lhs, rhs
 
     lhs, rhs = both_sides(slice(None))
@@ -580,17 +581,24 @@ def _campaign_block(lemmas, seed_seqs, kmax, grid_sizes, decay):
     then f, from its generator seeded by seed_seqs[i], once for every
     lemma, on the first size n.  Banded to kmax <= n/6, each product (band
     2 kmax <= n/3 < n/2) is exact on n's padded grid: only the node sup
-    norms depend on the size.  So each lemma runs once, on one _Pair on n."""
+    norms depend on the size.  So each lemma runs once, on one _Pair on n.
+    An overflow, of the squares in a norm under a decay whose w^-4 is
+    finite but near the float limit, raises ValueError naming the decay."""
     grid = TorusGrid(grid_sizes[0])
     pairs = np.empty((2, len(seed_seqs), grid.n - 1), complex)
-    for i, seq in enumerate(seed_seqs):
-        rng = np.random.default_rng(seq)
-        pairs[0, i] = random_trig_field(grid, kmax, rng, decay).coeffs
-        pairs[1, i] = random_trig_field(grid, kmax, rng, decay).coeffs
-    pair = _Pair(*pairs, grid_sizes)
     shape = (len(grid_sizes), len(seed_seqs))  # a sup norm's; the rest broadcast to it
-    return {lemma: _ratio(*(np.broadcast_to(x, shape) for x in _LEMMAS[lemma][0](pair, param))).T
-            for lemma, param in lemmas}
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            for i, seq in enumerate(seed_seqs):
+                rng = np.random.default_rng(seq)
+                pairs[0, i] = random_trig_field(grid, kmax, rng, decay).coeffs
+                pairs[1, i] = random_trig_field(grid, kmax, rng, decay).coeffs
+            pair = _Pair(*pairs, grid_sizes)
+            return {lemma: _ratio(*(np.broadcast_to(x, shape)
+                                    for x in _LEMMAS[lemma][0](pair, param))).T
+                    for lemma, param in lemmas}
+    except FloatingPointError as exc:
+        raise ValueError(f"decay = {decay:.6g} overflows the lemmas' arithmetic ({exc})") from None
 
 
 def estimate_commutator_constants(

@@ -114,7 +114,7 @@ def smooth_cutoff(obj, theta):
     m <= s with constant one, which is the only property the iteration
     uses.
     """
-    if theta <= 0.0:
+    if not theta > 0.0:
         raise ValueError("theta must be positive")
     if not isinstance(obj, (SpectralField, Trajectory)):
         raise TypeError(f"cannot apply the cutoff to {type(obj).__name__}")

@@ -57,7 +57,6 @@ lifted problem into one with zero trace in the past.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from collections import namedtuple
 from functools import lru_cache, partial
@@ -517,54 +516,39 @@ def require_margin(phi, mu, floor, what):
         )
 
 
-def _B(x, exp=np.exp):
+def _B(x):
     """B(x) = exp(-1/x) and its first two derivatives at x > 0 (the ramp
-    reads it on (0, 1) only): on an array with np.exp, on a float with
-    math.exp."""
-    b = exp(-1.0 / x)
+    reads it on (0, 1) only)."""
+    b = np.exp(-1.0 / x)
     return b, b / x**2, b * (1.0 - 2.0 * x) / x**4
 
 
-def _psi_parts(g, gp, gpp, h, hp, hpp, sign, r):
-    """(chi, chi', chi'') on the ramp from (B, B', B'') at 1 - s and at s,
-    for scalars or arrays alike."""
-    gp = -gp
-    d = g + h
-    num = gp * h - g * hp
-    return (g / d,
-            num / d**2 * sign / r,
-            ((gpp * h - g * hpp) * d - 2.0 * num * (gp + hp)) / d**3 / r**2)
-
-
-def _chi_parts(t, r):
-    """Smooth even bump: 1 on |t| <= r, 0 beyond 2r, C-infinity in between.
+def bump_window(t, center, width):
+    """Smooth even bump around `center`: 1 within `width` of it, 0 beyond
+    2*width, C-infinity in between.  It is the lifting's ramp, and handy
+    for manufacturing compactly supported test trajectories.
 
     Built from B(x) = exp(-1/x) as psi(s) = B(1-s)/(B(1-s)+B(s)) on the
-    transition s = (|t|-r)/r in (0,1).  Returns (chi, chi', chi''): three
-    floats for a scalar t, by scalar math, three arrays of the shape of t
-    otherwise."""
-    if np.ndim(t) == 0:
-        a = abs(float(t))
-        s = (a - r) / r
-        if not 0.0 < s < 1.0:
-            return float(a <= r), 0.0, 0.0
-        return _psi_parts(*_B(1.0 - s, math.exp), *_B(s, math.exp), math.copysign(1.0, t), r)
-    t = np.asarray(t, float)
+    transition s = (|t - center| - width)/width in (0,1).  Returns
+    (w, w', w''): three arrays of the shape of t, or three floats for a
+    scalar t, which runs as a 0-d batch.  A width that is not positive
+    (0, negative or NaN) raises ValueError."""
+    if not width > 0.0:
+        raise ValueError(f"bump width must be positive, got {width!r}")
+    t, r = np.asarray(t - center, float), width
     a = np.abs(t)
     s = (a - r) / r
     out = np.zeros((3,) + t.shape)
     out[0] = a <= r
     ramp = (s > 0.0) & (s < 1.0)
-    s = s[ramp]
-    out[:, ramp] = _psi_parts(*_B(1.0 - s), *_B(s), np.sign(t[ramp]), r)
-    return tuple(out)
-
-
-def bump_window(t, center, width):
-    """Evaluate the smooth bump centered at `center` with plateau radius
-    `width` (support radius 2*width); returns (w, w', w'').  Handy for
-    manufacturing compactly supported test trajectories."""
-    return _chi_parts(t - center, width)
+    s, sign = s[ramp], np.sign(t[ramp])
+    (g, gp, gpp), (h, hp, hpp) = _B(1.0 - s), _B(s)
+    gp = -gp
+    d = g + h
+    num = gp * h - g * hp
+    out[:, ramp] = (g / d, num / d**2 * sign / r,
+                    ((gpp * h - g * hpp) * d - 2.0 * num * (gp + hp)) / d**3 / r**2)
+    return tuple(out) if t.ndim else tuple(float(x) for x in out)
 
 
 @dataclass(frozen=True)
@@ -590,7 +574,7 @@ class Lifting:
         """phi_a and its first two time derivatives at each of `times`, as
         three coefficient arrays of shape (len(times), n-1)."""
         t = np.asarray(times, float).reshape(-1, 1)
-        c, cp, cpp = _chi_parts(t, self.ramp_width)
+        c, cp, cpp = bump_window(t, 0.0, self.ramp_width)
         c0 = self.data.phi0.coeffs
         c1 = self.data.phi1.coeffs
         return (c * c0 + t * c * c1,

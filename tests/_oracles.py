@@ -19,6 +19,11 @@ to the 3n/2 points of the grid whatever band they kept, for the
 band-padded kernels of the package.
 hilbert_identities_per_sample is the identity battery as it was when it
 drew and checked one sample at a time, for the batched battery.
+The direct_*_sides routines evaluate the four deterministic estimate
+verifiers (energy, tame, phitt, second derivative) from their formulas:
+direct_sobolev at each node, an explicit e^{-2 gamma t} trapezoid, and g
+or L''(phi, psi) rebuilt node by node from apply_linearized_alt, on each
+horizon anew, for the verifiers that take each per-node norm once.
 LEMMA_ORACLES holds the commutator campaign's nine evaluators as they were
 when each composed its own products by pointwise_product, (v, f, param) ->
 (lhs, rhs), for the campaign's shared per-grid products.
@@ -428,6 +433,83 @@ def apply_linearized_alt(phi0, phiP, mu):
     oracle for the package's apply_linearized_operator."""
     c2, lower = linearized_parts(phi0, phiP, mu)
     return pointwise_product(c2, derivative(phiP, 2)) + lower
+
+
+def direct_norms(rows, s):
+    """direct_sobolev of each (n-1) coefficient row, k = -(n/2-1)..n/2-1."""
+    half = (len(rows[0]) + 1) // 2
+    return [direct_sobolev(dict(zip(range(1 - half, half), row)), s) for row in rows]
+
+
+def direct_weighted_l2(times, rows, gamma, s):
+    """|| e^{-gamma t} f ||_{L2_t H^s_x}: direct_sobolev at each node and an
+    explicit trapezoid of e^{-2 gamma t} ||f(t)||^2, node pair by pair."""
+    vals = [math.exp(-2.0 * gamma * t) * x**2 for t, x in zip(times, direct_norms(rows, s))]
+    return math.sqrt(sum(0.5 * (t1 - t0) * (v0 + v1)
+                         for t0, t1, v0, v1 in zip(times, times[1:], vals, vals[1:])))
+
+
+def direct_sup(rows, s):
+    """max over the nodes of direct_sobolev."""
+    return max(direct_norms(rows, s))
+
+
+def _fields(grid, rows):
+    return [SpectralField(grid, row, True) for row in rows]
+
+
+def direct_energy_sides(phi0, traj, mu, delta, gamma):
+    """(lhs, rhs) of analysis.verify_energy_estimates at one gamma, with g
+    rebuilt node by node from apply_linearized_alt at a frozen base phi0."""
+    grid = traj.grid
+    inner = traj.times[1:-1]
+    phi = _fields(grid, traj.phi[1:-1])
+    g = [d - apply_linearized_alt(phi0, f, mu).coeffs
+         for d, f in zip(traj.second_difference(), phi)]
+    lhs = gamma * (direct_weighted_l2(inner, traj.phit[1:-1], gamma, 0) ** 2
+                   + direct_weighted_l2(inner, [derivative(f).coeffs for f in phi], gamma, 0) ** 2)
+    return lhs, (2.0 / min(1.0, delta)) / gamma * direct_weighted_l2(inner, g, gamma, 0) ** 2
+
+
+def direct_tame_sides(phi0, g_rows, traj, gamma, m):
+    """(lhs, rhs) of analysis.verify_tame_estimates at one m, for the
+    linearized solution `traj` around the frozen base phi0 with forcing
+    rows `g_rows` on its mesh."""
+    t = traj.times
+    phix = [derivative(f).coeffs for f in _fields(traj.grid, traj.phi)]
+    lhs = gamma * (direct_weighted_l2(t, traj.phit, gamma, m) ** 2
+                   + direct_weighted_l2(t, phix, gamma, m) ** 2)
+    rhs = (direct_sup([derivative(phi0).coeffs], m + 2) ** 2
+           * direct_weighted_l2(t, g_rows, gamma, 2) ** 2
+           + direct_weighted_l2(t, g_rows, gamma, m) ** 2) / gamma
+    return lhs, rhs
+
+
+def direct_phitt_sides(phi0, traj, g_rows, gamma, m):
+    """(lhs, rhs) of analysis.verify_phitt_estimate at a frozen base phi0
+    with forcing rows `g_rows` on the mesh of `traj`."""
+    t = traj.times
+    phix = [derivative(f).coeffs for f in _fields(traj.grid, traj.phi)]
+    lhs = direct_weighted_l2(t, traj.phit_derivative(), gamma, m - 1)
+    rhs = (direct_weighted_l2(t, phix, gamma, m) * (1.0 + direct_sup([phi0.coeffs], 3))
+           + direct_sup([derivative(phi0).coeffs], m) * direct_weighted_l2(t, phix, gamma, 2)
+           + direct_weighted_l2(t, g_rows, gamma, m - 1))
+    return lhs, rhs
+
+
+def direct_second_derivative_sides(phi_series, psi_series, gamma, m, stop=None):
+    """(lhs, rhs) of analysis.verify_second_derivative_estimate on the
+    first `stop` nodes (all for None), L''(phi, psi) = -dN[phi]psi from
+    apply_linearized_alt node by node on those nodes alone."""
+    t = phi_series.times[:stop]
+    phi = _fields(phi_series.grid, phi_series.phi[:stop])
+    psi = _fields(psi_series.grid, psi_series.phi[:stop])
+    d2 = [-apply_linearized_alt(a, b, 0.0).coeffs for a, b in zip(phi, psi)]
+    phix, psix = ([derivative(f).coeffs for f in x] for x in (phi, psi))
+    lhs = direct_weighted_l2(t, d2, gamma, m)
+    rhs = (direct_weighted_l2(t, phix, gamma, m + 1) * direct_sup(psix, 2)
+           + direct_weighted_l2(t, psix, gamma, m + 1) * direct_sup(phix, 2))
+    return lhs, rhs
 
 
 def padded_synthesis(x, n):

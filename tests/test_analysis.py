@@ -29,7 +29,7 @@ from amp_sheet.analysis import (
     ym_norm,
 )
 from amp_sheet.operators import CauchyData, FieldSeries, Trajectory, bump_window
-from amp_sheet.solver import SimConfig, solve_linearized
+from amp_sheet.solver import SimConfig, field_evaluator, solve_linearized
 from amp_sheet.spectral import (
     SpectralField,
     TorusGrid,
@@ -44,6 +44,10 @@ from _oracles import (
     LEMMA_ORACLES,
     apply_linearized_alt,
     commutator_vh,
+    direct_energy_sides,
+    direct_phitt_sides,
+    direct_second_derivative_sides,
+    direct_tame_sides,
     hilbert_identities_per_sample,
     kernel_commutator_hv,
     random_trig_field_scalar,
@@ -371,9 +375,16 @@ class TestTameEstimate:
             one = verify_tame_estimate(self.BASE, self.g_series(), self.cfg(), rep.params["m"])
             assert serialized(rep) == serialized(one)
 
-    def test_base_margin_precondition(self):
+    def test_base_margin_precondition(self, monkeypatch):
         # the base must keep delta/2, as in the energy estimate: cos x of
-        # amplitude 0.45 leaves mu - 2 (H phi0)_x a minimum of 0.1 < 0.4
+        # amplitude 0.45 leaves mu - 2 (H phi0)_x a minimum of 0.1 < 0.4,
+        # which is checked before the linearized solve
+        import amp_sheet.analysis as analysis
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved before the base margin was checked")
+
+        monkeypatch.setattr(analysis, "solve_linearized", no_solve)
         cfg = SimConfig(mu=1.0, delta=0.8, grid_n=32, galerkin_N=8, dt=4e-3,
                         t_final=0.2, gamma=2.0)
         with pytest.raises(ValueError, match="min 0.1 < 0.4"):
@@ -443,6 +454,105 @@ class TestSecondDerivativeEstimate:
         rep = verify_second_derivative_estimate(a, b, gamma=1.0, m=1)
         assert "half_horizon_constant" in rep.extras
         assert np.isfinite(rep.extras["half_horizon_constant"])
+
+
+def counting(monkeypatch, name):
+    """Patch analysis.`name` with a wrapper that counts its calls; returns
+    the list the calls append to."""
+    import amp_sheet.analysis as analysis
+    calls, real = [], getattr(analysis, name)
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(analysis, name, counted)
+    return calls
+
+
+class TestVerifiersTakeEachNormOnce:
+    def test_energy_norms_do_not_depend_on_the_gammas(self, monkeypatch):
+        # the per-node norms of phi'_t, phi'_x and g, taken once for any sweep
+        traj = window_trajectory(GRID, dt=1e-2, t0=-0.5)
+        calls = counting(monkeypatch, "sobolev_norm")
+        counts = []
+        for gammas in ([4.0], [2.0, 4.0, 8.0, 16.0]):
+            calls.clear()
+            verify_energy_estimates(None, traj, 1.0, 0.9, gammas)
+            counts.append(len(calls))
+        assert counts == [3, 3]
+
+    def test_second_derivative_formed_once(self, monkeypatch):
+        # the half horizon slices the whole window's per-node norms
+        ts = np.arange(0.0, 1.0 + 1e-12, 1e-2)
+        a = FieldSeries(ts, [cosine(GRID, 1, bump_window(t, 0.4, 0.2)[0]) for t in ts])
+        b = FieldSeries(ts, [sine(GRID, 2, bump_window(t, 0.6, 0.2)[0]) for t in ts])
+        calls = counting(monkeypatch, "second_derivative")
+        verify_second_derivative_estimate(a, b, gamma=1.0, m=2)
+        assert len(calls) == 1
+
+
+class TestVerifiersMatchDirectEvaluation:
+    """lhs, rhs and ratio of the four deterministic verifiers against the
+    direct evaluation of _oracles: per-node direct_sobolev norms, an
+    explicit e^{-2 gamma t} trapezoid, L'' and g rebuilt node by node."""
+
+    @staticmethod
+    def assert_sides(lhs, rhs, want_lhs, want_rhs, ratio=None):
+        assert lhs == pytest.approx(want_lhs, rel=1e-12, abs=0.0)
+        assert rhs == pytest.approx(want_rhs, rel=1e-12, abs=0.0)
+        if ratio is not None:
+            assert ratio == pytest.approx(want_lhs / want_rhs, rel=1e-12, abs=0.0)
+
+    def test_energy(self):
+        rng = np.random.default_rng(71)
+        base = random_trig_field(GRID, 4, rng, amplitude=0.02)
+        traj = window_trajectory(GRID, dt=1e-2, t0=-0.5, profile=random_trig_field(GRID, 4, rng))
+        gammas = [2.0, 4.0, 8.0, 16.0]
+        for gamma, rep in zip(gammas, verify_energy_estimates(base, traj, 1.0, 0.9, gammas)):
+            self.assert_sides(rep.lhs, rep.rhs, *direct_energy_sides(base, traj, 1.0, 0.9, gamma),
+                              rep.ratio)
+
+    def test_tame(self):
+        g64 = TorusGrid(64)
+        base = cosine(g64, 1, 0.02) + cosine(g64, 4, 0.005)
+        cfg = SimConfig(mu=1.0, delta=0.8, grid_n=64, galerkin_N=21, dt=1e-2, t_final=0.8,
+                        gamma=2.0)
+        ts = np.arange(0.0, 0.8 + 1e-12, 1e-2)
+        profile = cosine(g64, 1, 0.5) + sine(g64, 3, 0.3)
+        g = FieldSeries(ts, [profile * bump_window(t, 0.4, 0.15)[0] for t in ts])
+        traj, _ = solve_linearized(cfg, base=base, forcing=g)
+        g_rows = field_evaluator(g, g64)(traj.times)
+        for rep in verify_tame_estimates(base, g, cfg, [1, 2, 3]):
+            want = direct_tame_sides(base, g_rows, traj, cfg.gamma, rep.params["m"])
+            self.assert_sides(rep.lhs, rep.rhs, *want, rep.ratio)
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_phitt(self, m):
+        cfg = SimConfig(mu=1.0, delta=0.9, grid_n=32, galerkin_N=8, dt=1e-2, t_final=0.8,
+                        gamma=2.0)
+        base = cosine(GRID, 1, 0.02) + sine(GRID, 2, 0.01)
+        ts = np.arange(0.0, 0.8 + 1e-12, 1e-2)
+        g = FieldSeries(ts, [cosine(GRID, 1, bump_window(t, 0.4, 0.15)[0]) + sine(GRID, 3, 0.2)
+                             for t in ts])
+        traj, _ = solve_linearized(cfg, base=base, forcing=g)
+        rep = verify_phitt_estimate(base, traj, g, gamma=2.0, m=m)
+        g_rows = field_evaluator(g, GRID)(traj.times)
+        self.assert_sides(rep.lhs, rep.rhs, *direct_phitt_sides(base, traj, g_rows, 2.0, m),
+                          rep.ratio)
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_second_derivative_both_constants(self, m):
+        ts = np.arange(0.0, 1.0 + 1e-12, 1e-2)
+        rng = np.random.default_rng(9)
+        a, b = (FieldSeries(ts, [profile * bump_window(t, center, 0.2)[0] for t in ts])
+                for profile, center in ((random_trig_field(GRID, 4, rng), 0.4),
+                                        (random_trig_field(GRID, 4, rng), 0.6)))
+        rep = verify_second_derivative_estimate(a, b, gamma=1.5, m=m)
+        self.assert_sides(rep.lhs, rep.rhs, *direct_second_derivative_sides(a, b, 1.5, m),
+                          rep.ratio)
+        lhs, rhs = direct_second_derivative_sides(a, b, 1.5, m, stop=len(ts) // 2 + 1)
+        assert rep.extras["half_horizon_constant"] == pytest.approx(lhs / rhs, rel=1e-12, abs=0.0)
 
 
 @pytest.fixture

@@ -1062,6 +1062,22 @@ class TestCommutatorConstants:
         assert "decay" in out.output
         assert not (dest / "constants.json").exists()
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    @pytest.mark.parametrize("decay", [-97.0, -99.0])
+    def test_decay_that_overflows_the_draws_is_config_error(self, runner, tmp_path, decay, jobs):
+        # w^-4 stays finite, so _trig_weights lets these through, but the
+        # squares in the norms of the draws' products overflow: a config
+        # error, not overflow warnings and a failed verification (exit 1),
+        # in the worker processes too (16 samples are two blocks)
+        cfg = write_config(tmp_path, "c.json", {"lemma": "all", "samples": 16, "n_lo": 32,
+                                                "n_hi": 64, "decay": decay})
+        dest = tmp_path / "o"
+        out = runner.invoke(main, ["commutator-constants", "--config", cfg,
+                                   "--output", str(dest), "--quiet", "--jobs", jobs])
+        assert out.exit_code == 2, out.output
+        assert "decay" in out.output
+        assert not (dest / "constants.json").exists()
+
     def test_unknown_lemma(self, runner, tmp_path):
         cfg = write_config(tmp_path, "c.json", {"lemma": "A9"})
         out = runner.invoke(main, ["commutator-constants", "--config", cfg,

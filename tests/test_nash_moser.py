@@ -127,6 +127,12 @@ class TestSmoothCutoff:
         with pytest.raises(ValueError):
             smooth_cutoff(cosine(GRID, 1), 0.0)
 
+    def test_nan_theta_rejected(self):
+        # NaN fails every comparison: it must not pass as a cutoff that
+        # keeps no mode
+        with pytest.raises(ValueError, match="theta must be positive"):
+            smooth_cutoff(cosine(GRID, 1), float("nan"))
+
 
 class TestIterate:
     def test_zero_data_converges_immediately(self):

@@ -832,6 +832,13 @@ class TestLifting:
                 assert all(type(x) is float for x in parts)
                 assert parts == pytest.approx(chi_parts_scalar(t, r), rel=1e-14, abs=0.0)
 
+    @pytest.mark.parametrize("width", [float("nan"), 0.0, -0.1])
+    @pytest.mark.parametrize("t", [0.3, np.linspace(-1.0, 1.0, 5)], ids=["scalar", "array"])
+    def test_bump_width_must_be_positive(self, t, width):
+        # NaN would give (0, 0, 0), 0 a ZeroDivisionError or divide warnings
+        with pytest.raises(ValueError, match="bump width must be positive"):
+            bump_window(t, 0.0, width)
+
     def test_stability_invariant_on_support(self):
         data = CauchyData(cosine(GRID, 1, 0.04), sine(GRID, 1, 0.08))
         lift = build_lifting(data, mu=1.0, delta=0.9)
