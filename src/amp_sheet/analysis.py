@@ -57,9 +57,9 @@ _trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
 IDENTITY_TOL = 1e-11
 
-#: campaign samples per batched lemma call; bounds the batch's temporaries.
-#: The blocks depend on the sample count alone, never on `jobs`.
-_SAMPLE_BLOCK = 8
+#: most campaign samples per batched lemma call: a block holds about 65 KB
+#: of temporaries per sample at n_lo = 256.
+_SAMPLE_BLOCK = 32
 
 #: a campaign constant below this is round-off over a lhs that vanishes
 #: identically (A1_comm_3 on draws banded to one mode); real constants
@@ -619,12 +619,16 @@ def estimate_commutator_constants(
     banded to one mode), which would otherwise pass vacuously.
 
     A param None is the lemma's canonical parameter.  Each sample draws
-    from a child of SeedSequence(seed).  Blocks of _SAMPLE_BLOCK samples
-    run every lemma as one batch each on products the lemmas share (see
-    _campaign_block), in one pool of min(jobs, blocks) worker processes
-    when that exceeds 1; the blocks do not depend on `jobs`, and a shared
-    product is bitwise the one a lemma forms alone, so the constants
-    depend on neither `jobs` nor the other lemmas.
+    from a child of SeedSequence(seed).  The samples split into
+    ceil(samples / _SAMPLE_BLOCK) contiguous blocks of at most 32 whose
+    sizes differ by at most 1 (100 samples make 4 blocks of 25), about
+    65 KB of temporaries per sample at n_lo = 256.  Each block runs every
+    lemma as one batch on products the lemmas share (see _campaign_block),
+    in one pool of min(jobs, blocks) worker processes when that exceeds 1,
+    one task per worker.  A block's transforms, sums and maxima act row by
+    row, so a sample's ratios are bitwise the same in any block, and a
+    shared product is bitwise the one a lemma forms alone: the constants
+    depend on neither the block sizes, nor `jobs`, nor the other lemmas.
     """
     for lemma in params:
         if lemma not in _LEMMAS:
@@ -632,8 +636,9 @@ def estimate_commutator_constants(
     lemmas = tuple((lemma, _validate_lemma_param(lemma, p)) for lemma, p in params.items())
     if not lemmas:
         raise ValueError("need at least one lemma")
-    if samples < 1:
-        raise ValueError("need at least one sample")
+    for name, value in (("samples", samples), ("jobs", jobs)):
+        if not _is_int(value) or value < 1:
+            raise ValueError(f"{name} must be an integer of at least 1, got {value!r}")
     if n_lo < 6:
         raise ValueError(f"n_lo must be at least 6, got {n_lo}: the draws are banded to n_lo // 6")
     if n_hi <= n_lo or n_hi % 2:
@@ -641,14 +646,17 @@ def estimate_commutator_constants(
     kmax = n_lo // 6
     _trig_weights(kmax, decay)  # a decay out of the float range raises here
     children = np.random.SeedSequence(seed).spawn(samples)
-    args = [(lemmas, children[i:i + _SAMPLE_BLOCK], kmax, (n_lo, n_hi), decay)
-            for i in range(0, samples, _SAMPLE_BLOCK)]
-    workers = min(jobs, len(args))
+    blocks = -(-samples // _SAMPLE_BLOCK)
+    cuts = [samples * b // blocks for b in range(blocks + 1)]
+    args = [(lemmas, children[lo:hi], kmax, (n_lo, n_hi), decay)
+            for lo, hi in zip(cuts, cuts[1:])]
+    workers = min(jobs, blocks)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # only here: a heavy import
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_campaign_block, *zip(*args)))
+            results = list(pool.map(_campaign_block, *zip(*args),
+                                    chunksize=-(-blocks // workers)))
     else:
         results = [_campaign_block(*a) for a in args]
     reports = {}

@@ -557,11 +557,16 @@ class TestVerifiersMatchDirectEvaluation:
 
 @pytest.fixture
 def recording_pool(monkeypatch):
-    """The sizes of the process pools built while the test runs.  A
-    stand-in pool records its size and maps in this process, so no worker
-    is ever started."""
+    """The sizes of the process pools built while the test runs, and in
+    its `chunksizes` the chunksize of each pool's map.  A stand-in pool
+    records both and maps in this process, so no worker is ever started."""
     import concurrent.futures
-    sizes = []
+
+    class Sizes(list):
+        pass
+
+    sizes = Sizes()
+    sizes.chunksizes = []
 
     class RecordingPool:
         def __init__(self, max_workers):
@@ -573,11 +578,35 @@ def recording_pool(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, *iterables):
+        def map(self, fn, *iterables, chunksize=1):
+            sizes.chunksizes.append(chunksize)
             return map(fn, *iterables)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     return sizes
+
+
+@pytest.fixture
+def block_sizes(monkeypatch):
+    """The sample count of each campaign block, in order.  A stand-in block
+    records it and reports a ratio of 1 for every sample, so no field is
+    drawn."""
+    from amp_sheet import analysis
+    sizes = []
+
+    def recorded(lemmas, seed_seqs, *rest):
+        sizes.append(len(seed_seqs))
+        return {lemma: np.ones((len(seed_seqs), 2)) for lemma, _ in lemmas}
+
+    monkeypatch.setattr(analysis, "_campaign_block", recorded)
+    return sizes
+
+
+#: a non-canonical parameter for every lemma: other products of v with
+#: images of f than the canonical ones form
+OTHER_LEMMA_PARAMS = {"A1_comm_1": 1.5, "A1_comm_2": 1.5, "A1_comm_3": 1.5, "A2": 3,
+                      "A3": (3, 2), "A4_prod": 3, "A4_comm_4": (3, 1), "A4_comm_5": (3, 1),
+                      "A5": 3}
 
 
 class TestCommutatorCampaigns:
@@ -638,8 +667,18 @@ class TestCommutatorCampaigns:
         assert 0.0 < rep.ratio < 10.0
         assert rep.seed == 3  # the campaign is the one seeded report
 
+    @pytest.mark.parametrize("name, value", [("jobs", 0), ("jobs", -3), ("jobs", 2.5),
+                                             ("samples", True)])
+    def test_jobs_and_samples_are_positive_integers(self, name, value):
+        # unchecked, 0 and -3 jobs run serially, 2.5 fails inside the pool
+        # with a TypeError, and samples=True runs one sample reported as True
+        kw = dict(samples=65, seed=0, n_lo=32, n_hi=64, jobs=2)  # three blocks
+        kw[name] = value
+        with pytest.raises(ValueError, match=f"{name} must be an integer of at least 1"):
+            estimate_commutator_constants({"A2": None}, **kw)
+
     def test_parallel_matches_serial(self):
-        # more than two blocks, the last one partial
+        # three blocks (22, 22 and 23 samples), more than the two workers
         from amp_sheet.analysis import _SAMPLE_BLOCK
         kw = dict(samples=2 * _SAMPLE_BLOCK + 3, seed=11, n_lo=64, n_hi=128)
         serial = estimate_commutator_constant("A2", 2, jobs=1, **kw)
@@ -655,8 +694,40 @@ class TestCommutatorCampaigns:
         estimate_commutator_constant("A2", 2, samples=3 * _SAMPLE_BLOCK, jobs=2, **kw)
         estimate_commutator_constant("A2", 2, samples=_SAMPLE_BLOCK, jobs=8, **kw)
         assert recording_pool == [3, 2]
+        assert recording_pool.chunksizes == [1, 2]
         serial = estimate_commutator_constant("A2", 2, samples=3 * _SAMPLE_BLOCK, **kw)
         assert three.extras == serial.extras
+
+    @pytest.mark.parametrize("samples, blocks", [(1, 1), (31, 1), (32, 1), (33, 2),
+                                                 (100, 4), (200, 7), (1000, 32)])
+    def test_block_layout(self, block_sizes, recording_pool, samples, blocks):
+        # ceil(samples / _SAMPLE_BLOCK) contiguous blocks whose sizes differ
+        # by at most 1 (100 make 4 of 25, 200 make 7 of 28 or 29), whatever
+        # the number of workers
+        from amp_sheet.analysis import _SAMPLE_BLOCK
+        layouts = []
+        for jobs in (1, 2, 3, 64):
+            estimate_commutator_constants({"A2": None}, samples, seed=0, n_lo=32, n_hi=64,
+                                          jobs=jobs)
+            layouts.append(block_sizes[:])
+            block_sizes.clear()
+        sizes = layouts[0]
+        assert all(layout == sizes for layout in layouts)
+        assert len(sizes) == blocks and sum(sizes) == samples
+        assert max(sizes) <= _SAMPLE_BLOCK and max(sizes) - min(sizes) <= 1
+
+    @pytest.mark.parametrize("blocks, jobs", [(2, 2), (3, 2), (4, 2), (3, 3), (7, 3),
+                                              (7, 4), (32, 5)])
+    def test_each_worker_takes_one_task(self, block_sizes, recording_pool, blocks, jobs):
+        # pool.map cuts the blocks into chunks of `chunksize`, one task each:
+        # min(jobs, blocks) workers get one chunk apiece
+        from amp_sheet.analysis import _SAMPLE_BLOCK
+        estimate_commutator_constants({"A2": None}, blocks * _SAMPLE_BLOCK, seed=0,
+                                      n_lo=32, n_hi=64, jobs=jobs)
+        assert len(block_sizes) == blocks
+        (workers,), (chunksize,) = recording_pool, recording_pool.chunksizes
+        assert workers == min(jobs, blocks)
+        assert -(-blocks // chunksize) == workers
 
     def test_command_draws_once_in_one_pool(self, recording_pool, monkeypatch, tmp_path):
         # every lemma of `lemma: all` runs on one draw per sample, through
@@ -672,7 +743,7 @@ class TestCommutatorCampaigns:
             return random_trig_field(*args, **kwargs)
 
         monkeypatch.setattr(analysis, "random_trig_field", counted)
-        samples = 2 * analysis._SAMPLE_BLOCK + 3
+        samples = 2 * analysis._SAMPLE_BLOCK + 3  # three blocks of 22 or 23
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"lemma": "all", "samples": samples,
                                    "n_lo": 32, "n_hi": 64}))
@@ -685,7 +756,7 @@ class TestCommutatorCampaigns:
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_every_lemma_at_once_equals_one_at_a_time(self, jobs):
-        # more than two blocks, the last one partial
+        # three blocks (22, 22 and 23 samples), more than the two workers
         from amp_sheet.analysis import _LEMMAS, _SAMPLE_BLOCK
         kw = dict(samples=2 * _SAMPLE_BLOCK + 3, seed=13, n_lo=32, n_hi=64, jobs=jobs)
         every = estimate_commutator_constants(dict.fromkeys(_LEMMAS), **kw)
@@ -696,11 +767,7 @@ class TestCommutatorCampaigns:
             assert every[lemma].extras == one.extras, lemma
             assert every[lemma].params == one.params, lemma
 
-    @pytest.mark.parametrize("params", [
-        None,
-        {"A1_comm_1": 1.5, "A1_comm_2": 1.5, "A1_comm_3": 1.5, "A2": 3, "A3": (3, 2),
-         "A4_prod": 3, "A4_comm_4": (3, 1), "A4_comm_5": (3, 1), "A5": 3},
-    ], ids=["canonical", "other"])
+    @pytest.mark.parametrize("params", [None, OTHER_LEMMA_PARAMS], ids=["canonical", "other"])
     def test_block_equals_one_field_per_sample(self, params):
         # every lemma on one stacked block, its products shared, gives bitwise
         # the ratios of its samples evaluated one SpectralField pair at a time
@@ -725,6 +792,24 @@ class TestCommutatorCampaigns:
                 assert lo == _ratio(*LEMMA_ORACLES[lemma](v, f, param)), lemma
                 want = _ratio(*LEMMA_ORACLES[lemma](regrid(v, fine), regrid(f, fine), param))
                 assert abs(hi - want) <= 1e-13 * want, lemma
+
+    @pytest.mark.parametrize("params", [None, OTHER_LEMMA_PARAMS], ids=["canonical", "other"])
+    @pytest.mark.parametrize("grid_sizes", [(32, 64), (256, 512)])
+    def test_block_partition_invariance(self, grid_sizes, params):
+        # the premise that lets the blocks change size without changing an
+        # artifact: the transforms, sums and maxima of a block act row by
+        # row, so a sample's ratios are bitwise the same in any block
+        from amp_sheet.analysis import _LEMMAS, _campaign_block
+        params = params or {lemma: canonical for lemma, (_, _, canonical) in _LEMMAS.items()}
+        lemmas, kmax = tuple(params.items()), grid_sizes[0] // 6
+        children = np.random.SeedSequence(9).spawn(29)
+        whole = _campaign_block(lemmas, children, kmax, grid_sizes, 2.0)
+        for cut in (1, 8, 13, 28):
+            head = _campaign_block(lemmas, children[:cut], kmax, grid_sizes, 2.0)
+            tail = _campaign_block(lemmas, children[cut:], kmax, grid_sizes, 2.0)
+            for lemma in params:
+                joined = np.concatenate([head[lemma], tail[lemma]])
+                assert joined.tobytes() == whole[lemma].tobytes(), (lemma, cut)
 
     @pytest.mark.parametrize("n_lo", [6, 12, 32, 256])
     def test_draw_grid_products_are_exact(self, n_lo):

@@ -1004,7 +1004,7 @@ class TestCsvWriter:
 class TestCommutatorConstants:
     def test_single_lemma(self, runner, tmp_path):
         cfg = write_config(tmp_path, "c.json", {
-            "lemma": "A1_comm_1", "samples": 8, "n_lo": 64, "n_hi": 128,
+            "lemma": "A1_comm_1", "samples": 33, "n_lo": 64, "n_hi": 128,
         })
         dest = tmp_path / "o"
         out = runner.invoke(main, ["commutator-constants", "--config", cfg,
@@ -1068,8 +1068,8 @@ class TestCommutatorConstants:
         # w^-4 stays finite, so _trig_weights lets these through, but the
         # squares in the norms of the draws' products overflow: a config
         # error, not overflow warnings and a failed verification (exit 1),
-        # in the worker processes too (16 samples are two blocks)
-        cfg = write_config(tmp_path, "c.json", {"lemma": "all", "samples": 16, "n_lo": 32,
+        # in the worker processes too (33 samples are two blocks)
+        cfg = write_config(tmp_path, "c.json", {"lemma": "all", "samples": 33, "n_lo": 32,
                                                 "n_hi": 64, "decay": decay})
         dest = tmp_path / "o"
         out = runner.invoke(main, ["commutator-constants", "--config", cfg,
