@@ -41,11 +41,11 @@ from .spectral import (
     TorusGrid,
     _analysis,
     _band,
+    _frozen,
     _padded_size,
     _real_coeffs,
     _synthesis,
     derivative,
-    from_modes,
     hilbert,
     inner_product,
     pointwise_product,
@@ -202,26 +202,31 @@ def _trig_weights(kmax, decay):
     if not np.all((powers > 0.0) & (powers < np.inf)):
         raise ValueError(f"decay = {decay:.6g} makes w^4 or w^-4 of a weight "
                          f"w = (1+k)^decay, k <= {kmax}, zero or not finite")
-    weight.flags.writeable = False
-    return weight
+    return _frozen(weight)
+
+
+def _trig_bands(normals, n, decay=2.0, amplitude=1.0):
+    """The (..., n-1) bands drawn from `normals`, (..., 2 kmax) standard
+    normals (a_1, b_1, a_2, ...): c(k) = pi*amplitude*(a_k - i b_k)/(1+k)^decay,
+    rounded as complex scalar arithmetic rounds it: Python's float power,
+    real and imaginary parts divided separately (numpy's power and complex
+    division differ in the last bit)."""
+    a, b = normals[..., 0::2], normals[..., 1::2]
+    weight = _trig_weights(a.shape[-1], decay)
+    h = np.empty(a.shape, complex)
+    h.real = np.pi * amplitude * a / weight
+    h.imag = np.pi * amplitude * -b / weight
+    return _band(h, n)
 
 
 def random_trig_field(grid, kmax, rng, decay=2.0, amplitude=1.0):
     """Real zero-mean trig polynomial with Gaussian coefficients decaying
     like (1+|k|)^-decay; the campaign ensemble.  One draw of 2*kmax normals
-    (a_1, b_1, a_2, ...) gives c(k) = pi*amplitude*(a_k - i b_k)/(1+k)^decay,
-    rounded as complex scalar arithmetic rounds it: Python's float power,
-    real and imaginary parts divided separately (numpy's power and complex
-    division differ in the last bit)."""
+    gives the field: the one-row case of _trig_bands."""
     if kmax > grid.n // 2 - 1:
         raise ValueError(f"mode {kmax} outside retained band")
-    a, b = rng.standard_normal(2 * kmax).reshape(kmax, 2).T
-    weight = _trig_weights(kmax, decay)
-    scale = np.pi * amplitude
-    h = np.empty(kmax, complex)
-    h.real = scale * a / weight
-    h.imag = scale * -b / weight
-    return SpectralField(grid, _band(h, grid.n), True)
+    return SpectralField(grid, _trig_bands(rng.standard_normal(2 * kmax), grid.n,
+                                           decay, amplitude), True)
 
 
 # ---------------------------------------------------------------------------
@@ -577,28 +582,27 @@ def _validate_lemma_param(lemma, param):
 
 def _campaign_block(lemmas, seed_seqs, kmax, grid_sizes, decay):
     """{lemma: lhs/rhs of a block of samples at each grid size, (samples,
-    sizes)} for each (lemma, param) pair of `lemmas`.  Sample i draws v,
-    then f, from its generator seeded by seed_seqs[i], once for every
-    lemma, on the first size n.  Banded to kmax <= n/6, each product (band
-    2 kmax <= n/3 < n/2) is exact on n's padded grid: only the node sup
-    norms depend on the size.  So each lemma runs once, on one _Pair on n.
-    An overflow, of the squares in a norm under a decay whose w^-4 is
-    finite but near the float limit, raises ValueError naming the decay."""
-    grid = TorusGrid(grid_sizes[0])
-    pairs = np.empty((2, len(seed_seqs), grid.n - 1), complex)
+    sizes)} for each (lemma, param) pair of `lemmas`.  Sample i draws the
+    normals of v, then f, from its generator seeded by seed_seqs[i], once
+    for every lemma; the block bands them on the first size n in one call.
+    Banded to kmax <= n/6, each product (band 2 kmax <= n/3 < n/2) is exact
+    on n's padded grid: only the node sup norms depend on the size.  So
+    each lemma runs once, on one _Pair on n.  A float overflow raises
+    ValueError naming the decay, and the lemma and param it came in."""
+    normals = np.stack([np.random.default_rng(seq).standard_normal((2, 2 * kmax))
+                        for seq in seed_seqs], axis=1)  # (2, samples, 2 kmax)
     shape = (len(grid_sizes), len(seed_seqs))  # a sup norm's; the rest broadcast to it
+    ratios, culprit = {}, f"decay = {decay:.6g}"
     try:
         with np.errstate(over="raise", invalid="raise"):
-            for i, seq in enumerate(seed_seqs):
-                rng = np.random.default_rng(seq)
-                pairs[0, i] = random_trig_field(grid, kmax, rng, decay).coeffs
-                pairs[1, i] = random_trig_field(grid, kmax, rng, decay).coeffs
-            pair = _Pair(*pairs, grid_sizes)
-            return {lemma: _ratio(*(np.broadcast_to(x, shape)
-                                    for x in _LEMMAS[lemma][0](pair, param))).T
-                    for lemma, param in lemmas}
+            pair = _Pair(*_trig_bands(normals, grid_sizes[0], decay), grid_sizes)
+            for lemma, param in lemmas:
+                culprit = f"lemma {lemma} at param {param} and decay = {decay:.6g}"
+                ratios[lemma] = _ratio(*(np.broadcast_to(x, shape)
+                                         for x in _LEMMAS[lemma][0](pair, param))).T
     except FloatingPointError as exc:
-        raise ValueError(f"decay = {decay:.6g} overflows the lemmas' arithmetic ({exc})") from None
+        raise ValueError(f"{culprit} overflows the lemmas' arithmetic ({exc})") from None
+    return ratios
 
 
 def estimate_commutator_constants(
@@ -736,30 +740,27 @@ def verify_hilbert_identities(samples=100, grid_n=128, seed=0):
     random real zero-mean trig polynomials, plus the mean correction
     H^2[f] = -f + mean(f) and the exponential symbol rule.
 
-    Each sample draws f, g, h and a mean shift from one generator, in that
-    order, into (samples, n-1) stacks; each identity is then evaluated
-    once on the stacks.  Returns a report dict with the max defect per
-    identity; everything must come in below 1e-11 for `passed`.
+    Each sample draws the normals of f, g, h and a mean shift, in that
+    order, all samples in one call from one generator; each identity is
+    evaluated once on the (samples, n-1) stacks, e_k on the 11 unit bands.
+    Returns a report dict with the max defect per identity; everything
+    must come in below 1e-11 for `passed`.
     """
-    if samples < 1:
-        raise ValueError("need at least one sample")
+    if not _is_int(samples) or samples < 1:
+        raise ValueError(f"need at least one sample, as an integer; got {samples!r}")
     if grid_n < 12:
         raise ValueError(f"grid_n must be at least 12 for the e_k check's |k| <= 5, got {grid_n}")
-    grid = TorusGrid(grid_n)
+    TorusGrid(grid_n)  # an odd grid_n raises here
     kmax, mid = grid_n // 6, grid_n // 2 - 1
-    rng = np.random.default_rng(seed)
-    f, g, h = np.empty((3, samples, grid_n - 1), complex)
-    shift = np.empty(samples)
-    for i in range(samples):
-        f[i], g[i], h[i] = (random_trig_field(grid, kmax, rng).coeffs for _ in range(3))
-        shift[i] = rng.standard_normal()
+    normals = np.random.default_rng(seed).standard_normal((samples, 6 * kmax + 1))
+    f, g, h = _trig_bands(normals[:, :-1].reshape(samples, 3, 2 * kmax).swapaxes(0, 1), grid_n)
+    units, k = np.eye(11, grid_n - 1, mid - 5, dtype=complex), np.arange(-5, 6)[:, None]
 
     hf, hg = hilbert(f), hilbert(g)
     comm_f, comm_g = (_Pair(h, x, ()).hilbert_commutator() for x in (f, g))
-    shifted = f.copy()
-    shifted[:, mid] += 2.0 * np.pi * shift
-    mean = np.zeros_like(shifted)
-    mean[:, mid] = shifted[:, mid]
+    mean = np.zeros_like(f)  # f has no mean mode: the shift is the mean
+    mean[:, mid] = 2.0 * np.pi * normals[:, -1]
+    shifted = f + mean
     defects = {
         "derivative_commutation": hilbert(derivative(f)) - derivative(hf),
         "product_identity": (hilbert(pointwise_product(f, g) - pointwise_product(hf, hg))
@@ -769,9 +770,7 @@ def verify_hilbert_identities(samples=100, grid_n=128, seed=0):
         "commutator_self_adjoint": inner_product(comm_f, g) - inner_product(f, comm_g),
         "mean_correction": hilbert(hilbert(shifted)) + shifted - mean,
         # e_k is complex: only the symbol acts on it, no transform
-        "exponential_symbol": [hilbert(from_modes(grid, {k: 1.0})).coeffs
-                               - from_modes(grid, {k: -1j * np.sign(k)}).coeffs
-                               for k in range(-5, 6)],
+        "exponential_symbol": hilbert(units) + 1j * np.sign(k) * units,
     }
     defects = {key: float(np.max(np.abs(d))) for key, d in defects.items()}
     passed = all(v < IDENTITY_TOL for v in defects.values())

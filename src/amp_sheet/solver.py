@@ -121,9 +121,9 @@ class SimConfig:
         are the node times k dt, bitwise."""
         return np.arange(2 * self.num_steps() + 1) * (0.5 * self.dt)
 
-    def cfl_limit(self, sup_c2):
-        """Largest admissible dt for wave speed sqrt(max(1, sup c^2))."""
-        return self.cfl_safety / (self.galerkin_N * np.sqrt(np.fmax(1.0, sup_c2)))
+    def cfl_limit(self, sup_c):
+        """Largest allowed dt for sup_c, the node max of phi_xx's coefficient mu - 2 (H phi)_x."""
+        return self.cfl_safety / (self.galerkin_N * np.sqrt(np.fmax(1.0, sup_c)))
 
 
 @lru_cache(maxsize=8)

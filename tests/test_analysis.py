@@ -736,13 +736,13 @@ class TestCommutatorCampaigns:
         from click.testing import CliRunner
         from amp_sheet import analysis
         from amp_sheet.cli import main
-        draws = []
+        draws, real = [], analysis._trig_bands
 
-        def counted(*args, **kwargs):
-            draws.append(1)
-            return random_trig_field(*args, **kwargs)
+        def counted(normals, *args):
+            draws.append(normals.shape[:-1])
+            return real(normals, *args)
 
-        monkeypatch.setattr(analysis, "random_trig_field", counted)
+        monkeypatch.setattr(analysis, "_trig_bands", counted)
         samples = 2 * analysis._SAMPLE_BLOCK + 3  # three blocks of 22 or 23
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"lemma": "all", "samples": samples,
@@ -752,7 +752,9 @@ class TestCommutatorCampaigns:
                                         "--quiet"])
         assert out.exit_code == 0, out.output
         assert recording_pool == [2]
-        assert len(draws) == 2 * samples
+        # each block forms its v and f stacks in one call: 2 rows per sample
+        assert [rows for rows, _ in draws] == [2, 2, 2]
+        assert sum(np.prod(shape) for shape in draws) == 2 * samples
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_every_lemma_at_once_equals_one_at_a_time(self, jobs):
@@ -871,6 +873,37 @@ class TestCommutatorCampaigns:
         with pytest.raises(ValueError):
             random_trig_field(TorusGrid(16), 8, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("decay, amplitude", [(2.0, 1.0), (-1.5, 0.02)])
+    def test_batched_bands_equal_successive_draws(self, decay, amplitude):
+        # the bands of a (3, 2 kmax) block of normals are bitwise those of
+        # three successive one-field draws from a generator of the same seed
+        from amp_sheet.analysis import _trig_bands
+        grid, kmax = TorusGrid(64), 10
+        for seed in range(4):
+            normals = np.random.default_rng(seed).standard_normal((3, 2 * kmax))
+            bands = _trig_bands(normals, grid.n, decay, amplitude)
+            r1, r2 = np.random.default_rng(seed), np.random.default_rng(seed)
+            for row in bands:
+                want = random_trig_field_scalar(grid, kmax, r1, decay, amplitude)
+                got = random_trig_field(grid, kmax, r2, decay, amplitude)
+                assert row.tobytes() == got.coeffs.tobytes() == want.coeffs.tobytes()
+
+    def test_batch_callers_build_no_field(self, monkeypatch):
+        # a campaign block and the identity battery draw and evaluate on
+        # arrays alone (14 and 48 fields here when each draw was a field)
+        from amp_sheet.analysis import _LEMMAS, _campaign_block
+        built, real = [], SpectralField.__post_init__
+
+        def counted(field):
+            built.append(1)
+            real(field)
+
+        monkeypatch.setattr(SpectralField, "__post_init__", counted)
+        lemmas = tuple((lemma, canonical) for lemma, (_, _, canonical) in _LEMMAS.items())
+        _campaign_block(lemmas, np.random.SeedSequence(0).spawn(7), 5, (32, 64), 2.0)
+        verify_hilbert_identities(5, 32)
+        assert built == []
+
     def test_constant_commutes_to_zero(self):
         # [H; c] = 0 for constant c, so the quotient never moves off zero
         from amp_sheet.analysis import _Pair
@@ -957,9 +990,10 @@ class TestIdentityBattery:
             else:
                 assert got[key] == ref, key
 
-    @pytest.mark.parametrize("samples", [0, -2])
+    @pytest.mark.parametrize("samples", [0, -2, True, 2.5])
     def test_no_samples_rejected(self, samples):
-        # an empty battery checks nothing, so it must not report a pass
+        # an empty battery checks nothing, so it must not report a pass; a
+        # bool or a float count is no count either
         with pytest.raises(ValueError, match="need at least one sample"):
             verify_hilbert_identities(samples=samples, grid_n=32)
 
@@ -969,6 +1003,8 @@ class TestIdentityBattery:
         with pytest.raises(ValueError, match="grid_n must be at least 12"):
             verify_hilbert_identities(samples=3, grid_n=grid_n)
         assert verify_hilbert_identities(samples=3, grid_n=12)["passed"]
+        with pytest.raises(ValueError, match="grid size must be even"):
+            verify_hilbert_identities(samples=3, grid_n=33)
 
     def test_product_identity_spot_check(self):
         # H[fg - H f H g] = f H g + g H f on a concrete pair

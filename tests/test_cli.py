@@ -1075,7 +1075,21 @@ class TestCommutatorConstants:
         out = runner.invoke(main, ["commutator-constants", "--config", cfg,
                                    "--output", str(dest), "--quiet", "--jobs", jobs])
         assert out.exit_code == 2, out.output
-        assert "decay" in out.output
+        assert f"decay = {decay:g}" in out.output
+        assert not (dest / "constants.json").exists()
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    @pytest.mark.parametrize("lemma", ["A2", "A1_comm_1"])
+    def test_param_that_overflows_names_the_lemma(self, runner, tmp_path, lemma, jobs):
+        # the Sobolev and derivative weights of param 400 overflow: the
+        # error names the lemma and its param, not the decay alone
+        cfg = write_config(tmp_path, "c.json", {"lemma": lemma, "param": 400, "samples": 2,
+                                                "n_lo": 32, "n_hi": 64})
+        dest = tmp_path / "o"
+        out = runner.invoke(main, ["commutator-constants", "--config", cfg,
+                                   "--output", str(dest), "--quiet", "--jobs", jobs])
+        assert out.exit_code == 2, out.output
+        assert f"lemma {lemma}" in out.output and "param 400" in out.output
         assert not (dest / "constants.json").exists()
 
     def test_unknown_lemma(self, runner, tmp_path):
