@@ -23,6 +23,8 @@ explicit value to compare against.
 from __future__ import annotations
 
 import numbers
+import os
+import pickle
 from dataclasses import dataclass, field as dataclass_field
 from functools import lru_cache
 
@@ -605,6 +607,76 @@ def _campaign_block(lemmas, seed_seqs, kmax, grid_sizes, decay):
     return ratios
 
 
+def _split(items, parts):
+    """`items` cut into `parts` contiguous runs whose lengths differ by at
+    most 1, the shorter first."""
+    cuts = [len(items) * p // parts for p in range(parts + 1)]
+    return [items[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
+
+
+def _fan_out(fn, shares):
+    """[[fn(*args) for args in share] for share in shares], one process per
+    share: this one evaluates the first share while a child forked for each
+    other share evaluates it and pickles (ok, results or exception) to a
+    pipe of its own.  A child leaves only through os._exit, never into the
+    caller's stack, and every child is read to EOF and reaped before this
+    returns or raises.  The first share that fails, in order, raises its
+    exception here; a child that ends without its result raises
+    RuntimeError naming its wait status.  Where os.fork does not exist,
+    every share runs in this process."""
+    if not hasattr(os, "fork"):
+        return [[fn(*args) for args in share] for share in shares]
+    children = []
+    try:
+        for share in shares[1:]:
+            children.append(_fork_share(fn, share))
+        results = [[fn(*args) for args in shares[0]]]
+    finally:
+        ends = [_reap(*child) for child in children]
+    for pid, status, payload in ends:
+        if status or not payload:
+            raise RuntimeError(f"campaign process {pid} ended without its result "
+                               f"(wait status {status}, exit code "
+                               f"{os.waitstatus_to_exitcode(status)})")
+        ok, value = pickle.loads(payload)  # bytes our own child wrote
+        if not ok:
+            raise value
+        results.append(value)
+    return results
+
+
+def _fork_share(fn, share):
+    """(pid, read end of its pipe) of a child forked to evaluate `share`
+    (see _fan_out)."""
+    read, write = os.pipe()
+    pid = os.fork()
+    if pid:
+        os.close(write)
+        return pid, read
+    code = 1
+    try:
+        os.close(read)
+        try:
+            payload = pickle.dumps((True, [fn(*args) for args in share]))
+        except Exception as exc:  # sent to the parent, which raises it
+            payload = pickle.dumps((False, exc))
+        with open(write, "wb") as pipe:
+            pipe.write(payload)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _reap(pid, read):
+    """(pid, wait status, bytes read to EOF) of a forked child."""
+    try:
+        with open(read, "rb") as pipe:
+            payload = pipe.read()
+    finally:
+        _, status = os.waitpid(pid, 0)
+    return pid, status, payload
+
+
 def estimate_commutator_constants(
     params, samples, seed, n_lo=256, n_hi=512, decay=2.0, jobs=1
 ):
@@ -627,9 +699,12 @@ def estimate_commutator_constants(
     ceil(samples / _SAMPLE_BLOCK) contiguous blocks of at most 32 whose
     sizes differ by at most 1 (100 samples make 4 blocks of 25), about
     65 KB of temporaries per sample at n_lo = 256.  Each block runs every
-    lemma as one batch on products the lemmas share (see _campaign_block),
-    in one pool of min(jobs, blocks) worker processes when that exceeds 1,
-    one task per worker.  A block's transforms, sums and maxima act row by
+    lemma as one batch on products the lemmas share (see _campaign_block).
+    The blocks split into min(jobs, blocks) contiguous shares whose block
+    counts differ by at most 1, one process each: this one evaluates the
+    first share while a forked child evaluates each other one (see
+    _fan_out), and an error in any share raises here as it would at
+    jobs = 1.  A block's transforms, sums and maxima act row by
     row, so a sample's ratios are bitwise the same in any block, and a
     shared product is bitwise the one a lemma forms alone: the constants
     depend on neither the block sizes, nor `jobs`, nor the other lemmas.
@@ -649,20 +724,10 @@ def estimate_commutator_constants(
         raise ValueError(f"n_hi must be an even grid size above n_lo, got {n_hi}")
     kmax = n_lo // 6
     _trig_weights(kmax, decay)  # a decay out of the float range raises here
-    children = np.random.SeedSequence(seed).spawn(samples)
-    blocks = -(-samples // _SAMPLE_BLOCK)
-    cuts = [samples * b // blocks for b in range(blocks + 1)]
-    args = [(lemmas, children[lo:hi], kmax, (n_lo, n_hi), decay)
-            for lo, hi in zip(cuts, cuts[1:])]
-    workers = min(jobs, blocks)
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor  # only here: a heavy import
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_campaign_block, *zip(*args),
-                                    chunksize=-(-blocks // workers)))
-    else:
-        results = [_campaign_block(*a) for a in args]
+    blocks = _split(np.random.SeedSequence(seed).spawn(samples), -(-samples // _SAMPLE_BLOCK))
+    args = [(lemmas, block, kmax, (n_lo, n_hi), decay) for block in blocks]
+    results = [r for share in _fan_out(_campaign_block, _split(args, min(jobs, len(args))))
+               for r in share]
     reports = {}
     for lemma, param in lemmas:
         ratios = np.concatenate([r[lemma] for r in results])  # (samples, 2)
@@ -691,8 +756,9 @@ def estimate_commutator_constant(
     """Empirical constant for one of the commutator/product inequalities:
     the report of estimate_commutator_constants({lemma: param}, ...), equal
     to that lemma's report in any multi-lemma call with the same arguments.
-    Each call draws its samples and starts its pool anew, so a campaign
-    over several lemmas is cheaper as one call of the plural function."""
+    Each call draws its samples and evaluates every block anew, so a
+    campaign over several lemmas is cheaper as one call of the plural
+    function."""
     return estimate_commutator_constants(
         {lemma: param}, samples, seed, n_lo, n_hi, decay, jobs)[lemma]
 

@@ -162,7 +162,12 @@ def _cauchy_data(grid, cfg):
 
 
 def _resolve_output(output_dir):
+    """The artifact directory, made with its missing parents; the command
+    group removes the ones made here if the command exits 2 before it
+    writes to them (see _Commands)."""
     out = Path(output_dir) if output_dir else Path(".")
+    made = click.get_current_context().meta.setdefault(_MADE, [])
+    made.extend(d for d in (out, *out.parents) if not d.exists())
     try:
         out.mkdir(parents=True, exist_ok=True)
         probe = out / ".write_probe"
@@ -255,16 +260,28 @@ def common_options(fn):
     return fn
 
 
+#: Context.meta key of the output directories a command made, deepest first
+_MADE = "amp_sheet.made_dirs"
+
+
 class _Commands(click.Group):
     """The command group.  A ValueError out of a command, from the config
     reader, a field spec or parameters the numerics reject, is a usage
-    error: exit code 2."""
+    error: exit code 2.  Such a run leaves no output directory behind: the
+    ones it made are removed while they are still empty."""
 
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
-        except ValueError as exc:
-            raise click.UsageError(str(exc)) from exc
+        except (ValueError, click.UsageError) as exc:
+            for made in ctx.meta.pop(_MADE, ()):
+                try:
+                    made.rmdir()
+                except OSError:  # not empty, or gone: not ours to remove
+                    break
+            if isinstance(exc, ValueError):
+                raise click.UsageError(str(exc)) from exc
+            raise
 
 
 @click.group(cls=_Commands)
@@ -569,7 +586,8 @@ def verify_estimates_cmd(config_path, output_dir, quiet):
 @main.command("commutator-constants")
 @common_options
 @click.option("--jobs", type=click.IntRange(min=1), default=1, show_default=True,
-              help="worker processes for the campaign samples (at least 1)")
+              help="processes, the calling one included, that evaluate the "
+                   "campaign's sample blocks (at least 1)")
 def commutator_constants_cmd(config_path, output_dir, quiet, jobs):
     """Estimate the constants of the commutator/product inequalities by
     randomized campaign, with a two-resolution drift check."""

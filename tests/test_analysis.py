@@ -2,6 +2,7 @@
 constant campaigns, kernel checks, and the transform identity battery."""
 
 import json
+import os
 from dataclasses import asdict
 
 import numpy as np
@@ -556,34 +557,26 @@ class TestVerifiersMatchDirectEvaluation:
 
 
 @pytest.fixture
-def recording_pool(monkeypatch):
-    """The sizes of the process pools built while the test runs, and in
-    its `chunksizes` the chunksize of each pool's map.  A stand-in pool
-    records both and maps in this process, so no worker is ever started."""
-    import concurrent.futures
+def recording_shares(monkeypatch):
+    """The shares of each campaign fanned out while the test runs: one list
+    per campaign, holding each process's share as the sample indices of
+    each of its blocks.  A stand-in fan-out records them and evaluates
+    every share in this process, so no child is ever forked."""
+    from amp_sheet import analysis
+    fanouts = []
 
-    class Sizes(list):
-        pass
+    def in_process(fn, shares):
+        fanouts.append([[[seq.spawn_key[-1] for seq in args[1]] for args in share]
+                        for share in shares])
+        return [[fn(*args) for args in share] for share in shares]
 
-    sizes = Sizes()
-    sizes.chunksizes = []
+    monkeypatch.setattr(analysis, "_fan_out", in_process)
+    return fanouts
 
-    class RecordingPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, *iterables, chunksize=1):
-            sizes.chunksizes.append(chunksize)
-            return map(fn, *iterables)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-    return sizes
+def share_blocks(fanouts):
+    """The block count of each share, one list per campaign."""
+    return [[len(share) for share in fanout] for fanout in fanouts]
 
 
 @pytest.fixture
@@ -687,23 +680,23 @@ class TestCommutatorCampaigns:
         for key in ("sup_lo", "sup_hi", "resolution_drift"):
             assert serial.extras[key] == parallel.extras[key]
 
-    def test_pool_never_larger_than_the_blocks(self, recording_pool):
+    def test_processes_never_more_than_the_blocks(self, recording_shares):
+        # min(jobs, blocks) processes, the caller counted: one share each
         from amp_sheet.analysis import _SAMPLE_BLOCK
         kw = dict(seed=0, n_lo=32, n_hi=64)
         three = estimate_commutator_constant("A2", 2, samples=3 * _SAMPLE_BLOCK, jobs=64, **kw)
         estimate_commutator_constant("A2", 2, samples=3 * _SAMPLE_BLOCK, jobs=2, **kw)
         estimate_commutator_constant("A2", 2, samples=_SAMPLE_BLOCK, jobs=8, **kw)
-        assert recording_pool == [3, 2]
-        assert recording_pool.chunksizes == [1, 2]
+        assert share_blocks(recording_shares) == [[1, 1, 1], [1, 2], [1]]
         serial = estimate_commutator_constant("A2", 2, samples=3 * _SAMPLE_BLOCK, **kw)
         assert three.extras == serial.extras
 
     @pytest.mark.parametrize("samples, blocks", [(1, 1), (31, 1), (32, 1), (33, 2),
                                                  (100, 4), (200, 7), (1000, 32)])
-    def test_block_layout(self, block_sizes, recording_pool, samples, blocks):
+    def test_block_layout(self, block_sizes, recording_shares, samples, blocks):
         # ceil(samples / _SAMPLE_BLOCK) contiguous blocks whose sizes differ
         # by at most 1 (100 make 4 of 25, 200 make 7 of 28 or 29), whatever
-        # the number of workers
+        # the number of processes
         from amp_sheet.analysis import _SAMPLE_BLOCK
         layouts = []
         for jobs in (1, 2, 3, 64):
@@ -715,24 +708,29 @@ class TestCommutatorCampaigns:
         assert all(layout == sizes for layout in layouts)
         assert len(sizes) == blocks and sum(sizes) == samples
         assert max(sizes) <= _SAMPLE_BLOCK and max(sizes) - min(sizes) <= 1
+        for fanout in recording_shares:
+            assert [len(block) for share in fanout for block in share] == sizes
 
     @pytest.mark.parametrize("blocks, jobs", [(2, 2), (3, 2), (4, 2), (3, 3), (7, 3),
                                               (7, 4), (32, 5)])
-    def test_each_worker_takes_one_task(self, block_sizes, recording_pool, blocks, jobs):
-        # pool.map cuts the blocks into chunks of `chunksize`, one task each:
-        # min(jobs, blocks) workers get one chunk apiece
+    def test_each_process_takes_one_contiguous_share(self, block_sizes, recording_shares,
+                                                     blocks, jobs):
+        # the blocks cut into min(jobs, blocks) contiguous shares, one per
+        # process, whose block counts differ by at most 1, the caller's first
         from amp_sheet.analysis import _SAMPLE_BLOCK
-        estimate_commutator_constants({"A2": None}, blocks * _SAMPLE_BLOCK, seed=0,
+        samples = blocks * _SAMPLE_BLOCK
+        estimate_commutator_constants({"A2": None}, samples, seed=0,
                                       n_lo=32, n_hi=64, jobs=jobs)
         assert len(block_sizes) == blocks
-        (workers,), (chunksize,) = recording_pool, recording_pool.chunksizes
-        assert workers == min(jobs, blocks)
-        assert -(-blocks // chunksize) == workers
+        (counts,) = share_blocks(recording_shares)
+        assert len(counts) == min(jobs, blocks) and sum(counts) == blocks
+        assert max(counts) - min(counts) <= 1
+        (fanout,) = recording_shares
+        assert [i for share in fanout for block in share for i in block] == list(range(samples))
 
-    def test_command_draws_once_in_one_pool(self, recording_pool, monkeypatch, tmp_path):
-        # every lemma of `lemma: all` runs on one draw per sample, through
-        # one pool over the blocks
-        import json
+    def test_command_draws_once_per_sample(self, recording_shares, monkeypatch, tmp_path):
+        # every lemma of `lemma: all` runs on one draw per sample, in one
+        # fan-out over the blocks
         from click.testing import CliRunner
         from amp_sheet import analysis
         from amp_sheet.cli import main
@@ -751,7 +749,7 @@ class TestCommutatorCampaigns:
                                         "--jobs", "2", "--output", str(tmp_path / "o"),
                                         "--quiet"])
         assert out.exit_code == 0, out.output
-        assert recording_pool == [2]
+        assert share_blocks(recording_shares) == [[1, 2]]
         # each block forms its v and f stacks in one call: 2 rows per sample
         assert [rows for rows, _ in draws] == [2, 2, 2]
         assert sum(np.prod(shape) for shape in draws) == 2 * samples
@@ -912,6 +910,78 @@ class TestCommutatorCampaigns:
         f = random_trig_field(GRID, 5, np.random.default_rng(0))
         out = _Pair(c.coeffs, f.coeffs, ()).hilbert_commutator()
         assert np.max(np.abs(out)) < 1e-13
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the shares fork only where os.fork exists")
+class TestForkedShares:
+    """The fan-out with real forked children: three blocks (22, 22 and 23
+    samples), one per process at jobs = 3."""
+
+    KW = dict(samples=67, seed=4, n_lo=32, n_hi=64)
+
+    @pytest.fixture
+    def failing_blocks(self, monkeypatch):
+        """Make every block whose first sample index is in the returned set
+        raise ValueError naming that index, in whichever process runs it."""
+        from amp_sheet import analysis
+        failing, real = set(), analysis._campaign_block
+
+        def block(lemmas, seed_seqs, *rest):
+            first = seed_seqs[0].spawn_key[-1]
+            if first in failing:
+                raise ValueError(f"block at sample {first} fails")
+            return real(lemmas, seed_seqs, *rest)
+
+        monkeypatch.setattr(analysis, "_campaign_block", block)
+        return failing
+
+    @pytest.mark.parametrize("fails, first", [({22}, 22), ({44}, 44), ({22, 44}, 22),
+                                              ({0, 22, 44}, 0)],
+                             ids=["first-child", "last-child", "both-children", "caller"])
+    def test_first_failing_share_raises(self, failing_blocks, fails, first):
+        failing_blocks.update(fails)
+        with pytest.raises(ValueError, match=f"block at sample {first} fails"):
+            estimate_commutator_constants({"A2": None}, jobs=3, **self.KW)
+        assert_no_child_left()
+
+    def test_child_error_exits_2_through_the_cli(self, failing_blocks, tmp_path):
+        from click.testing import CliRunner
+        from amp_sheet.cli import main
+        failing_blocks.add(44)
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"lemma": "A2", **self.KW}))
+        out = CliRunner().invoke(main, ["commutator-constants", "--config", str(cfg),
+                                        "--jobs", "2", "--output", str(tmp_path / "o"),
+                                        "--quiet"])
+        assert out.exit_code == 2, out.output
+        assert "block at sample 44 fails" in out.output
+        assert_no_child_left()
+
+    def test_child_without_result_raises(self, monkeypatch):
+        from amp_sheet import analysis
+        parent, real = os.getpid(), analysis._campaign_block
+
+        def block(*args):
+            if os.getpid() != parent:
+                os._exit(9)
+            return real(*args)
+
+        monkeypatch.setattr(analysis, "_campaign_block", block)
+        with pytest.raises(RuntimeError, match="exit code 9"):
+            estimate_commutator_constants({"A2": None}, jobs=2, **self.KW)
+        assert_no_child_left()
+
+    def test_without_fork_every_share_runs_here(self, monkeypatch):
+        serial = estimate_commutator_constants({"A2": None, "A5": None}, jobs=1, **self.KW)
+        monkeypatch.delattr(os, "fork")
+        assert estimate_commutator_constants({"A2": None, "A5": None}, jobs=3,
+                                             **self.KW) == serial
+        assert_no_child_left()
 
 
 class TestKernelRoute:

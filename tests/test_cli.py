@@ -90,11 +90,21 @@ class TestConfigHandling:
                                        "--jobs", jobs, "--output", str(tmp_path / "o")])
             assert out.exit_code == 2 and "--jobs" in out.output, jobs
 
-    def test_import_leaves_out_the_process_pool(self):
-        # the pool's modules load only when a campaign runs with --jobs > 1
-        code = ("import sys, amp_sheet.cli; "
-                "print('concurrent.futures.process' in sys.modules)")
-        assert fresh_python(code) == "False"
+    def test_import_leaves_out_the_process_pool(self, tmp_path):
+        # neither importing the CLI nor a campaign with --jobs 2 (two blocks,
+        # one forked child) loads a process pool's modules
+        cfg = write_config(tmp_path, "c.json", {"lemma": "A2", "samples": 33,
+                                                "n_lo": 32, "n_hi": 64})
+        pools = "print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))"
+        code = ("import sys, amp_sheet.cli as cli\n" + pools + "\n"
+                "args = ['commutator-constants', '--config', sys.argv[1], '--output',\n"
+                "        sys.argv[2], '--quiet', '--jobs', '2']\n"
+                "try:\n"
+                "    cli.main.main(args, standalone_mode=False)\n"
+                "except SystemExit as exc:\n"
+                "    assert exc.code == 0, exc.code\n" + pools)
+        assert fresh_python(code, cfg, tmp_path / "o").splitlines() == ["[]", "[]"]
+        assert (tmp_path / "o" / "constants.json").exists()
 
     def test_import_loads_no_layer(self):
         # each command imports the layers it runs; --help and --version run none
@@ -333,6 +343,36 @@ def test_non_finite_numbers_are_written_apart(tmp_path):
     body = json.loads(path.read_text(), parse_constant=_not_json)
     assert body["a"] == "NaN" and body["b"] == ["Infinity", "-Infinity", 1.5]
     assert body["c"] == {"d": ["-Infinity"]} and body["e"] == 0.1 and body["f"] == 3
+
+
+#: a config that each command reads, then rejects after it has made its
+#: output directory: exit 2
+REJECTED_LATE = {
+    "simulate": {"mu": 1.0, "delta": 0.9, "grid_n": 64, "galerkin_N": 21, "dt": 0.05,
+                 "t_final": 1.0, "phi0": {"cos": {"1": 0.01}}},  # dt above the CFL limit
+    "verify-estimates": {"estimate": "energy", "pairs": 1, "gammas": [2.0, 1e308]},
+    "commutator-constants": {"samples": 3, "n_lo": 4, "n_hi": 8},
+    "verify-identities": {"grid_n": 10},
+}
+
+
+class TestExitTwoLeavesNoOutput:
+    @pytest.mark.parametrize("command", sorted(REJECTED_LATE))
+    def test_made_directories_removed(self, runner, tmp_path, command):
+        cfg = write_config(tmp_path, "c.json", REJECTED_LATE[command])
+        out = runner.invoke(main, [command, "--config", cfg, "--quiet",
+                                   "--output", str(tmp_path / "made" / "o")])
+        assert out.exit_code == 2, out.output
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
+
+    def test_directories_that_existed_stay(self, runner, tmp_path):
+        cfg = write_config(tmp_path, "c.json", REJECTED_LATE["verify-identities"])
+        (tmp_path / "there").mkdir()
+        for dest in (tmp_path / "there", tmp_path / "there" / "o"):
+            out = runner.invoke(main, ["verify-identities", "--config", cfg, "--quiet",
+                                       "--output", str(dest)])
+            assert out.exit_code == 2, out.output
+            assert (tmp_path / "there").is_dir() and not (tmp_path / "there" / "o").exists()
 
 
 class TestConfigContract:
